@@ -19,6 +19,7 @@
 //! CI smoke runs). A machine-readable summary lands in
 //! `target/bench-summaries/BENCH_cluster_harness.json`.
 
+use recraft_bench::Field;
 use recraft_cluster::{
     os_thread_count, verify_sessions, ClientOptions, Cluster, ClusterSpec, HarnessBackend,
 };
@@ -202,40 +203,32 @@ fn main() {
 
 /// Writes the JSON summary CI uploads as the perf-trajectory artifact.
 fn write_summary(points: &[Point], ops_per_client: u64) -> std::io::Result<()> {
-    // Benches run with the package as CWD; anchor on the manifest so the
-    // summary lands in the workspace-level target dir CI uploads from.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-summaries");
-    std::fs::create_dir_all(&dir)?;
-    let mut f = std::fs::File::create(dir.join("BENCH_cluster_harness.json"))?;
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"cluster_harness\",\n  \"clients\": {CLIENTS},\n  \
-         \"ops_per_client\": {ops_per_client},\n  \"points\": ["
-    )?;
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"nodes\": {}, \"backend\": \"{}\", \"total_ops\": {}, \
-             \"ns_per_op\": {:.0}, \"ops_per_ms\": {:.3}, \"sync_per_entry\": {:.4}, \
-             \"redirects\": {}, \"stale_confirmed\": {}, \"elections\": {}, \
-             \"snapshot_installs\": {}, \"peak_threads\": {}, \
-             \"mean_wire_batch\": {:.2}, \"idle_wakeups_per_sec\": {:.2}}}{comma}",
-            p.nodes,
-            p.backend,
-            p.total_ops,
-            p.ns_per_op,
-            p.ops_per_ms,
-            p.sync_per_entry,
-            p.redirects,
-            p.stale_confirmed,
-            p.elections,
-            p.snapshot_installs,
-            p.peak_threads,
-            p.mean_wire_batch,
-            p.idle_wakeups_per_sec
-        )?;
-    }
-    writeln!(f, "  ]\n}}")?;
-    Ok(())
+    let header = [
+        ("clients", CLIENTS.to_string()),
+        ("ops_per_client", ops_per_client.to_string()),
+    ];
+    let rows: Vec<Vec<Field>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                ("nodes", p.nodes.to_string()),
+                ("backend", format!("\"{}\"", p.backend)),
+                ("total_ops", p.total_ops.to_string()),
+                ("ns_per_op", format!("{:.0}", p.ns_per_op)),
+                ("ops_per_ms", format!("{:.3}", p.ops_per_ms)),
+                ("sync_per_entry", format!("{:.4}", p.sync_per_entry)),
+                ("redirects", p.redirects.to_string()),
+                ("stale_confirmed", p.stale_confirmed.to_string()),
+                ("elections", p.elections.to_string()),
+                ("snapshot_installs", p.snapshot_installs.to_string()),
+                ("peak_threads", p.peak_threads.to_string()),
+                ("mean_wire_batch", format!("{:.2}", p.mean_wire_batch)),
+                (
+                    "idle_wakeups_per_sec",
+                    format!("{:.2}", p.idle_wakeups_per_sec),
+                ),
+            ]
+        })
+        .collect();
+    recraft_bench::write_summary("cluster_harness", &header, &rows)
 }

@@ -18,6 +18,7 @@
 //! A machine-readable summary lands in
 //! `target/bench-summaries/BENCH_fleet_scale.json`.
 
+use recraft_bench::Field;
 use recraft_cluster::os_thread_count;
 use recraft_sim::{FleetConfig, FleetHarness, SimConfig, Workload};
 use std::io::Write;
@@ -200,42 +201,30 @@ fn main() {
 
 /// Writes the JSON summary CI uploads as the perf-trajectory artifact.
 fn write_summary(scale: &Scale, points: &[Point], smoke: bool) -> std::io::Result<()> {
-    // Benches run with the package as CWD; anchor on the manifest so the
-    // summary lands in the workspace-level target dir CI uploads from.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-summaries");
-    std::fs::create_dir_all(&dir)?;
-    let mut f = std::fs::File::create(dir.join("BENCH_fleet_scale.json"))?;
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"fleet_scale\",\n  \"smoke\": {smoke},\n  \
-         \"boot_ranges\": {},\n  \"key_count\": {},\n  \"clients\": {},\n  \
-         \"virtual_secs\": {},\n  \"points\": [",
-        scale.ranges,
-        scale.key_count,
-        scale.clients,
-        scale.run_us / SEC
-    )?;
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"zipf_s\": {:.2}, \"completed_ops\": {}, \"ops_per_vsec\": {:.1}, \
-             \"splits\": {}, \"merges\": {}, \"max_overlap\": {}, \"ranges_end\": {}, \
-             \"redirects\": {}, \"redirect_rate\": {:.4}, \"wall_ms\": {}, \
-             \"peak_threads\": {}}}{comma}",
-            p.zipf_s,
-            p.completed_ops,
-            p.ops_per_vsec,
-            p.splits,
-            p.merges,
-            p.max_overlap,
-            p.ranges_end,
-            p.redirects,
-            p.redirect_rate,
-            p.wall_ms,
-            p.peak_threads
-        )?;
-    }
-    writeln!(f, "  ]\n}}")?;
-    Ok(())
+    let header = [
+        ("smoke", smoke.to_string()),
+        ("boot_ranges", scale.ranges.to_string()),
+        ("key_count", scale.key_count.to_string()),
+        ("clients", scale.clients.to_string()),
+        ("virtual_secs", (scale.run_us / SEC).to_string()),
+    ];
+    let rows: Vec<Vec<Field>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                ("zipf_s", format!("{:.2}", p.zipf_s)),
+                ("completed_ops", p.completed_ops.to_string()),
+                ("ops_per_vsec", format!("{:.1}", p.ops_per_vsec)),
+                ("splits", p.splits.to_string()),
+                ("merges", p.merges.to_string()),
+                ("max_overlap", p.max_overlap.to_string()),
+                ("ranges_end", p.ranges_end.to_string()),
+                ("redirects", p.redirects.to_string()),
+                ("redirect_rate", format!("{:.4}", p.redirect_rate)),
+                ("wall_ms", p.wall_ms.to_string()),
+                ("peak_threads", p.peak_threads.to_string()),
+            ]
+        })
+        .collect();
+    recraft_bench::write_summary("fleet_scale", &header, &rows)
 }

@@ -16,11 +16,11 @@
 //! `target/bench-summaries/BENCH_kv_snapshot_stream.json`.
 
 use bytes::Bytes;
+use recraft_bench::Field;
 use recraft_core::StateMachine;
 use recraft_kv::{DurableKv, DurableKvOptions, KvCmd, KvStore};
 use recraft_storage::Snapshot;
 use recraft_types::{ClusterId, EpochTerm, LogIndex, RangeSet, SessionTable};
-use std::io::Write;
 use std::time::Instant;
 
 const CHUNK_BYTES: usize = 64 * 1024;
@@ -205,23 +205,19 @@ fn main() {
 
 /// Writes the JSON summary CI uploads as the perf-trajectory artifact.
 fn write_summary(points: &[Point]) -> std::io::Result<()> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-summaries");
-    std::fs::create_dir_all(&dir)?;
-    let mut f = std::fs::File::create(dir.join("BENCH_kv_snapshot_stream.json"))?;
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"kv_snapshot_stream\",\n  \"points\": ["
-    )?;
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"keys\": {}, \"mode\": \"{}\", \"total_bytes\": {}, \
-             \"peak_alloc\": {}, \"frames\": {}, \"produce_ms\": {:.3}, \
-             \"install_ms\": {:.3}}}{comma}",
-            p.keys, p.mode, p.total_bytes, p.peak_alloc, p.frames, p.produce_ms, p.install_ms
-        )?;
-    }
-    writeln!(f, "  ]\n}}")?;
-    Ok(())
+    let rows: Vec<Vec<Field>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                ("keys", p.keys.to_string()),
+                ("mode", format!("\"{}\"", p.mode)),
+                ("total_bytes", p.total_bytes.to_string()),
+                ("peak_alloc", p.peak_alloc.to_string()),
+                ("frames", p.frames.to_string()),
+                ("produce_ms", format!("{:.3}", p.produce_ms)),
+                ("install_ms", format!("{:.3}", p.install_ms)),
+            ]
+        })
+        .collect();
+    recraft_bench::write_summary("kv_snapshot_stream", &[], &rows)
 }

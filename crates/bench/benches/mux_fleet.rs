@@ -180,7 +180,6 @@ fn run(scale: &Scale) -> Outcome {
             interval: Duration::from_millis(200),
             cmd_deadline: Duration::from_secs(20),
             next_cluster: scale.ranges as u64 + 1,
-            ..ControlOptions::default()
         },
     );
 
@@ -414,47 +413,35 @@ fn main() {
 
 /// Writes the JSON summary CI uploads as the perf-trajectory artifact.
 fn write_summary(scale: &Scale, o: &Outcome, smoke: bool) -> std::io::Result<()> {
-    // Benches run with the package as CWD; anchor on the manifest so the
-    // summary lands in the workspace-level target dir CI uploads from.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-summaries");
-    std::fs::create_dir_all(&dir)?;
-    let mut f = std::fs::File::create(dir.join("BENCH_mux_fleet.json"))?;
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"mux_fleet\",\n  \"smoke\": {smoke},\n  \
-         \"ranges\": {},\n  \"replication\": {},\n  \"nodes\": {},\n  \
-         \"clients\": {CLIENTS},\n  \"ops_per_client\": {},\n  \
-         \"workers\": {},\n  \"cores\": {},\n  \"threads_baseline\": {},\n  \
-         \"threads_boot\": {},\n  \"threads_peak\": {},\n  \
-         \"total_ops\": {},\n  \"ops_per_ms\": {:.3},\n  \"wall_ms\": {},\n  \
-         \"splits\": {},\n  \"merges\": {},\n  \"staffed\": {},\n  \
-         \"reaped\": {},\n  \"wire_batches\": {},\n  \"wire_envelopes\": {},\n  \
-         \"mean_wire_batch\": {:.2},\n  \"idle_wakeups_per_sec\": {:.2},\n  \
-         \"shard_imbalance\": {:.3},\n  \"seat_migrations\": {},\n  \
-         \"reissued\": {}\n}}",
-        scale.ranges,
-        scale.replication,
-        o.nodes,
-        scale.ops_per_client,
-        o.workers,
-        o.cores,
-        o.threads_baseline,
-        o.threads_boot,
-        o.threads_peak,
-        o.total_ops,
-        o.ops_per_ms,
-        o.wall_ms,
-        o.splits,
-        o.merges,
-        o.staffed,
-        o.reaped,
-        o.wire_batches,
-        o.wire_envelopes,
-        o.mean_wire_batch,
-        o.idle_wakeups_per_sec,
-        o.shard_imbalance,
-        o.seat_migrations,
-        o.reissued
-    )?;
-    Ok(())
+    let header = [
+        ("smoke", smoke.to_string()),
+        ("ranges", scale.ranges.to_string()),
+        ("replication", scale.replication.to_string()),
+        ("nodes", o.nodes.to_string()),
+        ("clients", CLIENTS.to_string()),
+        ("ops_per_client", scale.ops_per_client.to_string()),
+        ("workers", o.workers.to_string()),
+        ("cores", o.cores.to_string()),
+        ("threads_baseline", o.threads_baseline.to_string()),
+        ("threads_boot", o.threads_boot.to_string()),
+        ("threads_peak", o.threads_peak.to_string()),
+        ("total_ops", o.total_ops.to_string()),
+        ("ops_per_ms", format!("{:.3}", o.ops_per_ms)),
+        ("wall_ms", o.wall_ms.to_string()),
+        ("splits", o.splits.to_string()),
+        ("merges", o.merges.to_string()),
+        ("staffed", o.staffed.to_string()),
+        ("reaped", o.reaped.to_string()),
+        ("wire_batches", o.wire_batches.to_string()),
+        ("wire_envelopes", o.wire_envelopes.to_string()),
+        ("mean_wire_batch", format!("{:.2}", o.mean_wire_batch)),
+        (
+            "idle_wakeups_per_sec",
+            format!("{:.2}", o.idle_wakeups_per_sec),
+        ),
+        ("shard_imbalance", format!("{:.3}", o.shard_imbalance)),
+        ("seat_migrations", o.seat_migrations.to_string()),
+        ("reissued", o.reissued.to_string()),
+    ];
+    recraft_bench::write_summary("mux_fleet", &header, &[])
 }

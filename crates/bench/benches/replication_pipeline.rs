@@ -22,11 +22,10 @@
 //! `target/bench-summaries/BENCH_replication_pipeline.json` so the perf
 //! trajectory accumulates across CI runs.
 
-use recraft_bench::{node_ids, SEC};
+use recraft_bench::{node_ids, Field, SEC};
 use recraft_core::PipelineConfig;
 use recraft_sim::{Backend, Sim, SimConfig, Workload};
 use recraft_types::{ClusterId, RangeSet};
-use std::io::Write;
 
 /// One measured configuration.
 struct Point {
@@ -181,26 +180,19 @@ fn main() {
 
 /// Writes the JSON summary CI uploads as the perf-trajectory artifact.
 fn write_summary(points: &[Point]) -> std::io::Result<()> {
-    // Benches run with the package as CWD; anchor on the manifest so the
-    // summary lands in the workspace-level target dir CI uploads from.
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-summaries");
-    let dir = dir.as_path();
-    std::fs::create_dir_all(dir)?;
-    let mut f = std::fs::File::create(dir.join("BENCH_replication_pipeline.json"))?;
-    writeln!(
-        f,
-        "{{\n  \"bench\": \"replication_pipeline\",\n  \"points\": ["
-    )?;
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            f,
-            "    {{\"backend\": \"{}\", \"batch\": {}, \"inflight\": {}, \
-             \"kops\": {:.3}, \"mean_batch\": {:.2}, \"max_depth\": {}, \
-             \"sync_per_entry\": {:.4}}}{comma}",
-            p.backend, p.batch, p.inflight, p.kops, p.mean_batch, p.max_depth, p.sync_per_entry
-        )?;
-    }
-    writeln!(f, "  ]\n}}")?;
-    Ok(())
+    let rows: Vec<Vec<Field>> = points
+        .iter()
+        .map(|p| {
+            vec![
+                ("backend", format!("\"{}\"", p.backend)),
+                ("batch", p.batch.to_string()),
+                ("inflight", p.inflight.to_string()),
+                ("kops", format!("{:.3}", p.kops)),
+                ("mean_batch", format!("{:.2}", p.mean_batch)),
+                ("max_depth", p.max_depth.to_string()),
+                ("sync_per_entry", format!("{:.4}", p.sync_per_entry)),
+            ]
+        })
+        .collect();
+    recraft_bench::write_summary("replication_pipeline", &[], &rows)
 }

@@ -12,9 +12,46 @@ use recraft_kv::KvStore;
 use recraft_sim::{Sim, SimConfig, Workload};
 use recraft_types::{ClusterConfig, ClusterId, KeyRange, NodeId, RangeSet, SplitSpec};
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// One virtual second in simulator time units (µs).
 pub const SEC: u64 = 1_000_000;
+
+/// One `"name": value` pair of a bench summary. The value is already JSON:
+/// a number formatted to the precision the bench reports, or a quoted
+/// string.
+pub type Field = (&'static str, String);
+
+/// Writes `target/bench-summaries/BENCH_<bench>.json`, the perf-trajectory
+/// artifact CI uploads: one object holding `"bench"`, the `header` pairs,
+/// and — when there are any — a `"points"` array with one object per row.
+///
+/// # Errors
+/// Any failure creating the directory or writing the file.
+pub fn write_summary(bench: &str, header: &[Field], rows: &[Vec<Field>]) -> std::io::Result<()> {
+    // Benches run with the package as CWD; anchor on the manifest so the
+    // summary lands in the workspace-level target dir CI uploads from.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-summaries");
+    std::fs::create_dir_all(&dir)?;
+    let mut f = std::fs::File::create(dir.join(format!("BENCH_{bench}.json")))?;
+    write!(f, "{{\n  \"bench\": \"{bench}\"")?;
+    for (name, value) in header {
+        write!(f, ",\n  \"{name}\": {value}")?;
+    }
+    for (i, row) in rows.iter().enumerate() {
+        let cells: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        let lead = if i == 0 {
+            ",\n  \"points\": [\n"
+        } else {
+            ",\n"
+        };
+        write!(f, "{lead}    {{{}}}", cells.join(", "))?;
+    }
+    if !rows.is_empty() {
+        write!(f, "\n  ]")?;
+    }
+    writeln!(f, "\n}}")
+}
 
 /// Node ids `1..=n`.
 #[must_use]

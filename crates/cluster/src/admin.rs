@@ -28,9 +28,9 @@ const BACKOFF_FLOOR: Duration = Duration::from_millis(10);
 /// resolve in a few hundred ms) while not hammering a stuck cluster.
 const BACKOFF_CAP: Duration = Duration::from_millis(160);
 
-/// Admin endpoints address themselves above even the client range, so a
-/// node's reader registers the connection's write-half for the response and
-/// no session-owning client ever collides with it.
+/// Admin endpoints address themselves above even the client range, so the
+/// hosting worker registers the identity on the connection for the response
+/// and no session-owning client ever collides with it.
 pub const ADMIN_BASE: u64 = 2_000_000;
 
 /// One admin endpoint with a stable identity for response routing.
@@ -196,5 +196,5 @@ impl AdminClient {
 }
 
 /// `NodeId(CLIENT_BASE)`-relative sanity: admin ids must sit above client
-/// ids so the two registries never collide.
+/// ids so the two identity ranges never collide.
 const _: () = assert!(ADMIN_BASE > CLIENT_BASE);

@@ -108,48 +108,17 @@ impl FleetView {
     }
 }
 
-/// Knobs for the seat-rebalancing pass the control plane runs on its
-/// sampling cadence. Every field has an env override so deployments (and
-/// the benches) can tune without recompiling:
-///
-/// * `RECRAFT_REBALANCE` — `0` disables the pass entirely;
-/// * `RECRAFT_REBALANCE_RATIO` — max/mean worker-load ratio that triggers
-///   migrations (float, must be > 1);
-/// * `RECRAFT_REBALANCE_MOVES` — seat migrations per round;
-/// * `RECRAFT_REBALANCE_FLOOR` — minimum fleet-wide load units per round
-///   below which the pass stays quiet (an idle fleet is trivially
-///   "imbalanced" and must not churn seats).
-#[derive(Debug, Clone)]
-pub struct RebalanceOptions {
-    /// Whether the pass runs at all.
-    pub enabled: bool,
-    /// Max/mean worker-load ratio above which seats move.
-    pub max_ratio: f64,
-    /// Upper bound on seat migrations per sampling round.
-    pub moves_per_round: usize,
-    /// Minimum fleet-wide load units (step + byte weight) per round before
-    /// imbalance is even evaluated.
-    pub min_load: u64,
-}
+/// Max/mean worker-load ratio above which the rebalancing pass moves
+/// seats.
+const REBALANCE_MAX_RATIO: f64 = 1.5;
 
-impl Default for RebalanceOptions {
-    fn default() -> Self {
-        let flag = |name: &str| std::env::var(name).ok();
-        RebalanceOptions {
-            enabled: flag("RECRAFT_REBALANCE").is_none_or(|v| v != "0"),
-            max_ratio: flag("RECRAFT_REBALANCE_RATIO")
-                .and_then(|v| v.parse().ok())
-                .filter(|r: &f64| *r > 1.0)
-                .unwrap_or(1.5),
-            moves_per_round: flag("RECRAFT_REBALANCE_MOVES")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2),
-            min_load: flag("RECRAFT_REBALANCE_FLOOR")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(512),
-        }
-    }
-}
+/// Upper bound on seat migrations per sampling round.
+const REBALANCE_MOVES_PER_ROUND: usize = 2;
+
+/// Minimum fleet-wide load units (step + byte weight) per round before
+/// imbalance is even evaluated: an idle fleet is trivially "imbalanced"
+/// and must not churn seats.
+const REBALANCE_MIN_LOAD: u64 = 512;
 
 /// Knobs for one control plane.
 #[derive(Debug, Clone)]
@@ -163,9 +132,6 @@ pub struct ControlOptions {
     /// Seed for the controller's cluster-id allocator; must be above every
     /// id the fleet already uses.
     pub next_cluster: u64,
-    /// Seat-rebalancing thresholds (defaults read the `RECRAFT_REBALANCE*`
-    /// env knobs).
-    pub rebalance: RebalanceOptions,
 }
 
 impl Default for ControlOptions {
@@ -175,7 +141,6 @@ impl Default for ControlOptions {
             interval: Duration::from_millis(200),
             cmd_deadline: Duration::from_secs(10),
             next_cluster: 2,
-            rebalance: RebalanceOptions::default(),
         }
     }
 }
@@ -376,15 +341,12 @@ fn run_control(
         // counters against last round's reading, and when one worker's
         // share of the fleet's load runs too far above the mean, hand its
         // hottest movable seat to the coldest worker.
-        if opts.rebalance.enabled {
-            rebalance(
-                cluster,
-                &opts.rebalance,
-                &mut seat_book,
-                &mut report,
-                round_began.duration_since(start).as_millis(),
-            );
-        }
+        rebalance(
+            cluster,
+            &mut seat_book,
+            &mut report,
+            round_began.duration_since(start).as_millis(),
+        );
 
         report.rounds += 1;
         report.planned = ctl.planned();
@@ -399,7 +361,7 @@ fn run_control(
 
 /// One rebalancing round: delta the cumulative seat counters in `book`,
 /// aggregate per worker, and migrate greedily while the max/mean ratio
-/// exceeds the configured threshold.
+/// exceeds [`REBALANCE_MAX_RATIO`].
 ///
 /// Load units are step deltas plus byte deltas weighted down 1024:1 — a
 /// KiB of front-door traffic costs a worker about what one protocol step
@@ -408,7 +370,6 @@ fn run_control(
 /// else combined never ping-pongs.
 fn rebalance(
     cluster: &Cluster,
-    opts: &RebalanceOptions,
     book: &mut BTreeMap<NodeId, (u64, u64)>,
     report: &mut ControlReport,
     t_ms: u128,
@@ -433,14 +394,12 @@ fn rebalance(
             (s.steps - ps) + (s.bytes - pb) / 1024
         };
         fresh.insert(s.id, (s.steps, s.bytes));
-        if s.worker < workers {
-            loads.push((s.id, s.worker, load));
-        }
+        loads.push((s.id, s.worker, load));
     }
     *book = fresh;
 
     let total: u64 = loads.iter().map(|(_, _, l)| l).sum();
-    if total < opts.min_load {
+    if total < REBALANCE_MIN_LOAD {
         // Idle (or nearly): the ratio would be noise, and migrating cold
         // seats buys nothing.
         return;
@@ -455,7 +414,7 @@ fn rebalance(
     report.imbalance = ratio(&per_worker);
 
     let mut moved = 0;
-    while moved < opts.moves_per_round && ratio(&per_worker) > opts.max_ratio {
+    while moved < REBALANCE_MOVES_PER_ROUND && ratio(&per_worker) > REBALANCE_MAX_RATIO {
         let hot = (0..workers).max_by_key(|w| per_worker[*w]).unwrap_or(0);
         let cold = (0..workers).min_by_key(|w| per_worker[*w]).unwrap_or(0);
         let gap = per_worker[hot] - per_worker[cold];

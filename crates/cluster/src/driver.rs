@@ -160,7 +160,4 @@ pub struct NodeStatus {
     /// Cumulative bytes read off the seat's own front-door connections
     /// (client/admin traffic; mux peer traffic is accounted via `steps`).
     pub net_bytes: AtomicU64,
-    /// Index of the worker currently hosting the seat; updated when the
-    /// seat is adopted and on every migration.
-    pub worker: AtomicU64,
 }

@@ -38,7 +38,7 @@
 
 use crate::clients::{run_open_loop, ClientOptions, ClientReport};
 use crate::driver::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
-use crate::runtime::{DriverRuntime, RuntimeOptions, WireStats};
+use crate::runtime::{DriverRuntime, WireStats};
 use recraft_core::{Node, Timing};
 use recraft_kv::{KvMachine, KvStore};
 use recraft_storage::{MemLog, WalLog, WalOptions};
@@ -95,9 +95,8 @@ pub struct ClusterSpec {
     /// Whether `wal` nodes physically fsync at the barrier. On by default —
     /// that is the durability cost the harness exists to measure.
     pub fsync: bool,
-    /// Worker threads in the driver runtime; `None` uses
-    /// [`RuntimeOptions::default`] (≈ available cores, `RECRAFT_WORKERS`
-    /// env override).
+    /// Worker threads in the driver runtime; `None` uses the host's
+    /// available parallelism.
     pub workers: Option<usize>,
 }
 
@@ -234,11 +233,7 @@ impl Cluster {
     /// An empty fleet: runtime up, no nodes yet.
     fn empty(spec: &ClusterSpec, next_node: u64) -> Cluster {
         let net = FleetNet::new();
-        let mut opts = RuntimeOptions::default();
-        if let Some(w) = spec.workers {
-            opts.workers = w.max(1);
-        }
-        let runtime = DriverRuntime::start(Arc::clone(&net), &opts);
+        let runtime = DriverRuntime::start(Arc::clone(&net), spec.workers);
         let data_root = match spec.backend {
             HarnessBackend::Mem => None,
             HarnessBackend::Wal => {
@@ -350,19 +345,21 @@ impl Cluster {
         self.runtime.wire_stats()
     }
 
-    /// A snapshot of every live seat's cumulative load counters, as
-    /// published by its hosting worker: `(id, worker, steps, bytes)`. The
-    /// control plane differences successive snapshots to find hot seats
-    /// worth migrating; the counters are cumulative so a missed round never
-    /// loses load.
+    /// A snapshot of every hosted seat's cumulative load counters, as
+    /// published by its hosting worker, beside the worker the runtime's
+    /// assignment map names for it. The control plane differences
+    /// successive snapshots to find hot seats worth migrating; the counters
+    /// are cumulative so a missed round never loses load.
     #[must_use]
     pub fn seat_loads(&self) -> Vec<SeatLoad> {
         self.with_statuses(|it| {
-            it.map(|(id, st)| SeatLoad {
-                id,
-                worker: st.worker.load(Ordering::Acquire) as usize,
-                steps: st.steps.load(Ordering::Acquire),
-                bytes: st.net_bytes.load(Ordering::Acquire),
+            it.filter_map(|(id, st)| {
+                Some(SeatLoad {
+                    id,
+                    worker: self.runtime.owner_of(id)?,
+                    steps: st.steps.load(Ordering::Acquire),
+                    bytes: st.net_bytes.load(Ordering::Acquire),
+                })
             })
             .collect()
         })
@@ -797,7 +794,7 @@ impl Drop for Cluster {
 pub struct SeatLoad {
     /// The seat's node.
     pub id: NodeId,
-    /// Index of the worker currently hosting it.
+    /// Index of the worker the seat is assigned to.
     pub worker: usize,
     /// Envelopes stepped plus messages externalized, since adoption.
     pub steps: u64,

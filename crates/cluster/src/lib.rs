@@ -51,13 +51,13 @@ pub mod runtime;
 
 pub use admin::{AdminClient, ADMIN_BASE};
 pub use clients::{run_open_loop, ClientOptions, ClientReport};
-pub use control::{ControlOptions, ControlPlane, ControlReport, FleetView, RebalanceOptions};
+pub use control::{ControlOptions, ControlPlane, ControlReport, FleetView};
 pub use driver::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
 pub use harness::{
     verify_sessions, verify_sessions_from, ClientsRun, Cluster, ClusterSpec, FleetSpec,
     HarnessBackend, SeatLoad,
 };
-pub use runtime::{os_thread_count, DriverRuntime, RuntimeOptions, WireStats};
+pub use runtime::{os_thread_count, DriverRuntime, WireStats};
 
 /// Client endpoints address themselves as `NodeId(CLIENT_BASE + client_id)`,
 /// far outside the node-id space — the same convention the simulator uses.

@@ -13,53 +13,64 @@
 //! * **N workers, period.** Each worker owns a disjoint set of nodes and
 //!   all their I/O. Total thread count is workers + whatever the embedding
 //!   spawns (control plane, clients), independent of how many raft groups
-//!   the process hosts. One barrier still covers everything a node drained
-//!   in the round, so group commit per node is preserved; nodes that
+//!   the process hosts. Every round ticks every hosted seat (a tick on a
+//!   node with no expired timer is a few comparisons) and publishes its
+//!   status block. One barrier still covers everything a node drained in
+//!   the round, so group commit per node is preserved; nodes that
 //!   externalized nothing skip the barrier entirely
 //!   ([`recraft_core::Node::has_outputs`]), so an idle range costs no
 //!   fsync.
-//! * **Readiness-driven rounds.** A worker blocks in a
-//!   [`recraft_net::poll::Poller`] over every fd it owns — its waker, the
-//!   shared mux endpoint, every front door, every inbound connection,
-//!   in-flight outbound dials, and stalled client replies — with the
-//!   timeout set to the earliest protocol deadline among its seats
-//!   ([`recraft_core::Node::next_deadline`]). An idle shard makes no
-//!   syscalls between deadlines instead of sweeping every socket on a
-//!   500µs cadence; [`WireStats::idle_wakeups`] counts the rounds that
-//!   found nothing to do.
+//! * **A worker owns every fd it polls, including the reply half.** A
+//!   worker blocks in a [`recraft_net::poll::Poller`] over its waker, its
+//!   mux endpoint, every hosted front door, every inbound connection, and
+//!   in-flight outbound dials, with the timeout set to the earliest
+//!   protocol deadline among its seats
+//!   ([`recraft_core::Node::next_deadline`]). No socket is shared between
+//!   threads and none is duplicated: the connection a request arrived on
+//!   belongs to the seat that answers it, so the reply is appended to that
+//!   connection's own buffer and flushed once per round by the thread that
+//!   reads it. A flush the socket will not take leaves the bytes in the
+//!   buffer with write interest on the same poll slot, bounded by
+//!   `CLIENT_WRITE_BUFFER_MAX` and `CLIENT_WRITE_DEADLINE`. An idle shard
+//!   makes no syscalls between deadlines; [`WireStats::idle_wakeups`]
+//!   counts the rounds that found nothing to do.
+//! * **Connections close explicitly.** EOF, an I/O error, a corrupt frame,
+//!   the reply-buffer cap, and the write deadline each mark the connection
+//!   closed, and it is dropped — leaving the poll set — at the end of that
+//!   same round, whether or not the peer has closed its end.
 //! * **One multiplexed connection per worker pair.** A round's outbound
 //!   envelopes are grouped by destination worker endpoint and flushed as
 //!   [`recraft_net::mux`] batches — one write per destination per round —
-//!   while same-worker traffic short-circuits through memory. A shared
+//!   while same-worker traffic short-circuits through memory. A
 //!   [`MuxReader`] per inbound connection demultiplexes by `Envelope::to`
 //!   and forwards the rare mis-delivery (a node re-adopted elsewhere
 //!   mid-flight) to the owning shard's queue. Pair connections dial
 //!   *nonblocking*: the socket sits in the poll set until writability
 //!   reports the connect done, and batches produced meanwhile queue
 //!   (bounded) instead of stalling every co-hosted seat behind a blocking
-//!   dial.
+//!   dial. Established pair connections write whole batches blocking, with
+//!   a 1 s timeout.
 //! * **Per-node front doors.** Every node keeps its own listener *socket*
 //!   (accepted and read by its worker — no thread), published in
-//!   [`FleetNet`]. Clients and the admin plane keep their dial-an-address
-//!   model, and a kill closes the socket so blind clients still see
-//!   connection-refused and rotate away, exactly as with thread-per-node.
+//!   [`FleetNet`]. Clients and the admin plane dial a node's own address
+//!   and address that node: an envelope read off a front door whose `to`
+//!   is not the seat behind it is dropped at the door. The first envelope
+//!   from a client/admin identity registers that identity on the
+//!   connection; a reply for it goes to the newest live connection of the
+//!   replying seat that carries it, so a client that reconnects is
+//!   answered on its new socket. A kill closes the listener so blind
+//!   clients still see connection-refused and rotate away, exactly as with
+//!   thread-per-node.
 //! * **Seat migration.** [`DriverRuntime::migrate`] moves a hosted node
 //!   between workers at a round boundary: ownership flips in the
 //!   assignment map first (new traffic queues to the target; the source
 //!   forwards), then the source hands the whole seat — node, status block,
-//!   front door, live connections, load counters — to the target through
-//!   its channel. `poll(2)` keeps no kernel registry, so the moved fds are
-//!   simply part of the target's next poll set. Outputs still queued
-//!   inside the node flush through the *target's* next write-ahead
-//!   barrier, so group commit is preserved across the move.
-//!
-//! Client response write-halves live in a registry keyed by
-//! `(client, node)` with **one lock per stream**, so a slow client stalls
-//! only writes to itself — never another connection, and never a whole
-//! registry. A reply that would block parks in a per-worker buffer
-//! registered for writability instead of busy-waiting the worker; the
-//! buffered bytes flush when the client's socket drains, bounded by
-//! `CLIENT_WRITE_DEADLINE`.
+//!   front door, live connections with their unsent reply bytes, load
+//!   counters — to the target through its channel. `poll(2)` keeps no
+//!   kernel registry, so the moved fds are simply part of the target's
+//!   next poll set. Outputs still queued inside the node flush through the
+//!   *target's* next write-ahead barrier, so group commit is preserved
+//!   across the move.
 
 use crate::driver::{FleetNet, HarnessNode, NodeStatus};
 use crate::CLIENT_BASE;
@@ -84,15 +95,19 @@ use std::time::{Duration, Instant};
 /// dial or write before the worker tries again (µs on the runtime clock).
 const RECONNECT_BACKOFF_US: u64 = 50_000;
 
-/// How long a stalled client reply may sit in the worker's write buffer
-/// before the registration is dropped. Client resend recovers the
-/// response; the bound keeps one pathological client from accumulating
-/// buffers forever.
+/// How long a front-door connection may hold reply bytes its socket would
+/// not take before it is closed. Client resend (on a new connection)
+/// recovers the response; the bound keeps one pathological client from
+/// accumulating buffers forever.
 const CLIENT_WRITE_DEADLINE: Duration = Duration::from_millis(500);
 
-/// Ceiling on bytes buffered for one stalled client connection; beyond it
-/// the registration is dropped (the client is not reading its replies).
+/// Ceiling on unsent reply bytes buffered for one connection; beyond it
+/// the connection is closed (the client is not reading its replies).
 const CLIENT_WRITE_BUFFER_MAX: usize = 1 << 20;
+
+/// Ceiling on envelopes per mux batch (one wire write). A round producing
+/// more for one destination flushes multiple batches.
+const MUX_BATCH: usize = 512;
 
 /// Ceiling on envelopes queued behind one in-flight outbound dial.
 /// Overflow drops the newest — the protocol retransmits.
@@ -103,37 +118,9 @@ const OUT_QUEUE_MAX: usize = 4096;
 /// wakeup; this bounds the damage of a lost one.
 const IDLE_CAP_US: u64 = 1_000_000;
 
-/// Poll cap while client replies sit buffered, so their write deadline is
+/// Poll cap while reply bytes sit buffered, so their write deadline is
 /// enforced even if the client's socket never signals writability.
 const WRITE_SWEEP_US: u64 = 100_000;
-
-/// Knobs for one runtime.
-#[derive(Debug, Clone)]
-pub struct RuntimeOptions {
-    /// Worker threads in the pool. Defaults to the host's available
-    /// parallelism; override with the `RECRAFT_WORKERS` env var.
-    pub workers: usize,
-    /// Ceiling on envelopes per mux batch (one wire write). Defaults to
-    /// 512; override with `RECRAFT_MUX_BATCH`. A round producing more for
-    /// one destination flushes multiple batches.
-    pub mux_batch: usize,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        let workers = std::env::var("RECRAFT_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| thread::available_parallelism().map_or(4, usize::from))
-            .max(1);
-        let mux_batch = std::env::var("RECRAFT_MUX_BATCH")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512)
-            .max(1);
-        RuntimeOptions { workers, mux_batch }
-    }
-}
 
 /// Wire-level and scheduling counters the runtime accumulates across its
 /// lifetime, summed over all workers.
@@ -199,10 +186,6 @@ struct Seat {
     listener: TcpListener,
 }
 
-/// Client/admin response write-halves, keyed `(client, node)`. Each stream
-/// has its own lock so a slow reply never blocks the registry.
-type ClientRegistry = RwLock<HashMap<(NodeId, NodeId), Arc<Mutex<TcpStream>>>>;
-
 /// State shared by the runtime handle and every worker.
 struct Shared {
     net: Arc<FleetNet>,
@@ -216,16 +199,11 @@ struct Shared {
     /// runtime's lifetime — if every sender dropped, the receiver's pipe
     /// would read EOF and spin the poller.
     wakers: Vec<Waker>,
-    /// Two endpoints sharing an identity but talking to different nodes
-    /// never collide; the registry lock is held only to look up or replace
-    /// entries, never across a write.
-    clients: ClientRegistry,
     batches: AtomicU64,
     batched_envelopes: AtomicU64,
     wakeups: AtomicU64,
     idle_wakeups: AtomicU64,
     stop: AtomicBool,
-    mux_batch: usize,
     start: Instant,
 }
 
@@ -239,13 +217,16 @@ pub struct DriverRuntime {
 }
 
 impl DriverRuntime {
-    /// Binds one mux endpoint per worker and spawns the pool.
+    /// Binds one mux endpoint per worker and spawns the pool of `workers`
+    /// threads (`None` = the host's available parallelism).
     ///
     /// # Panics
     /// Panics on endpoint bind, waker creation, or thread-spawn failure.
     #[must_use]
-    pub fn start(net: Arc<FleetNet>, opts: &RuntimeOptions) -> DriverRuntime {
-        let workers = opts.workers.max(1);
+    pub fn start(net: Arc<FleetNet>, workers: Option<usize>) -> DriverRuntime {
+        let workers = workers
+            .unwrap_or_else(|| thread::available_parallelism().map_or(4, usize::from))
+            .max(1);
         let listeners: Vec<TcpListener> = (0..workers)
             .map(|_| {
                 let l = TcpListener::bind("127.0.0.1:0").expect("bind worker endpoint");
@@ -269,13 +250,11 @@ impl DriverRuntime {
             assignment: RwLock::new(HashMap::new()),
             endpoints,
             wakers,
-            clients: RwLock::new(HashMap::new()),
             batches: AtomicU64::new(0),
             batched_envelopes: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             idle_wakeups: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            mux_batch: opts.mux_batch.max(1),
             start: Instant::now(),
         });
         let mut txs = Vec::with_capacity(workers);
@@ -450,11 +429,93 @@ impl Drop for DriverRuntime {
     }
 }
 
-/// One inbound connection (front door or mux endpoint).
+/// One inbound connection: a worker-pair mux stream on the endpoint, or a
+/// client/admin stream on a seat's front door. Exactly one worker owns it —
+/// reads, reply writes, and the close all happen on the thread that polls
+/// the fd — and a migrating seat carries its connections with it.
 struct Conn {
     stream: TcpStream,
     reader: MuxReader,
-    registered: bool,
+    /// Front doors only: the client/admin identity the connection's first
+    /// envelope carried. Replies addressed to it leave on this connection.
+    peer: Option<NodeId>,
+    /// Reply bytes the socket has not taken yet are `out[sent..]`.
+    out: Vec<u8>,
+    sent: usize,
+    /// Set when a flush reports `WouldBlock`: the connection holds write
+    /// interest until the buffer drains (cleared) or this instant passes
+    /// (closed).
+    write_deadline: Option<Instant>,
+    /// EOF, an I/O error, a corrupt frame, the reply-buffer cap, or the
+    /// write deadline. A closed connection is dropped at the end of the
+    /// round that closed it, whatever the peer does with its end.
+    closed: bool,
+}
+
+impl Conn {
+    /// Drains the socket's readable bytes into the frame decoder; returns
+    /// how many came off it.
+    fn fill(&mut self, scratch: &mut [u8]) -> usize {
+        let mut total = 0;
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    self.closed = true;
+                    break;
+                }
+                Ok(n) => {
+                    total += n;
+                    self.reader.feed(&scratch[..n]);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.closed = true;
+                    break;
+                }
+            }
+        }
+        total
+    }
+
+    /// Appends one reply frame behind whatever is still unsent, so frames
+    /// stay ordered. The cap counts only bytes the socket has refused: a
+    /// burst that outgrows it is offered to the socket first, and a client
+    /// that has stopped reading is closed.
+    fn queue(&mut self, frame: &[u8]) {
+        self.out.drain(..self.sent);
+        self.sent = 0;
+        let over =
+            |out: &[u8]| !out.is_empty() && out.len() + frame.len() > CLIENT_WRITE_BUFFER_MAX;
+        if over(&self.out) && self.write_deadline.is_none() {
+            self.flush();
+        }
+        if over(&self.out) {
+            self.closed = true;
+        } else {
+            self.out.extend_from_slice(frame);
+        }
+    }
+
+    /// Hands the socket as much of the buffer as it takes without blocking.
+    fn flush(&mut self) {
+        while !self.closed && self.sent < self.out.len() {
+            match self.stream.write(&self.out[self.sent..]) {
+                Ok(0) => self.closed = true,
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.write_deadline
+                        .get_or_insert_with(|| Instant::now() + CLIENT_WRITE_DEADLINE);
+                    return;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => self.closed = true,
+            }
+        }
+        self.out.clear();
+        self.sent = 0;
+        self.write_deadline = None;
+    }
 }
 
 /// An outbound worker-pair connection's lifecycle.
@@ -491,25 +552,6 @@ struct Hosted {
     bytes: u64,
 }
 
-/// A client reply that reported `WouldBlock` mid-frame: the remaining
-/// bytes wait here, registered for writability, instead of busy-waiting
-/// the worker. Later replies to the same connection append behind it so
-/// frame order is preserved.
-struct PendingReply {
-    slot: Arc<Mutex<TcpStream>>,
-    fd: poll::RawFd,
-    buf: Vec<u8>,
-    at: usize,
-    expires: Instant,
-}
-
-/// One blocking-free write attempt's outcome.
-enum WriteStep {
-    Done,
-    Blocked,
-    Failed,
-}
-
 /// What each poll-set token maps back to when readiness comes in.
 enum PollSlot {
     Wake,
@@ -518,7 +560,6 @@ enum PollSlot {
     Door(NodeId),
     SeatConn(NodeId, usize),
     Dial(SocketAddr),
-    Reply((NodeId, NodeId)),
 }
 
 /// Everything one worker thread owns.
@@ -537,7 +578,6 @@ impl Worker {
         let mut mux_conns: Vec<Conn> = Vec::new();
         let mut outs: HashMap<SocketAddr, OutConn> = HashMap::new();
         let mut inbox: VecDeque<Envelope> = VecDeque::new();
-        let mut writes: HashMap<(NodeId, NodeId), PendingReply> = HashMap::new();
         let mut scratch = vec![0u8; 64 * 1024];
         let mut poller = Poller::new();
         let mut slots: Vec<PollSlot> = Vec::new();
@@ -550,6 +590,7 @@ impl Worker {
             // simply part of the next set — nothing to transfer.
             poller.clear();
             slots.clear();
+            let mut stalled = false;
             slots.push(PollSlot::Wake);
             poller.register(self.wake_rx.raw_fd(), INTEREST_READ);
             slots.push(PollSlot::Endpoint);
@@ -563,7 +604,13 @@ impl Worker {
                 poller.register(poll::fd_of(&seat.listener), INTEREST_READ);
                 for (i, conn) in seat.conns.iter().enumerate() {
                     slots.push(PollSlot::SeatConn(*id, i));
-                    poller.register(poll::fd_of(&conn.stream), INTEREST_READ);
+                    let interest = if conn.write_deadline.is_some() {
+                        stalled = true;
+                        INTEREST_READ | INTEREST_WRITE
+                    } else {
+                        INTEREST_READ
+                    };
+                    poller.register(poll::fd_of(&conn.stream), interest);
                 }
             }
             for (addr, out) in &outs {
@@ -571,10 +618,6 @@ impl Worker {
                     slots.push(PollSlot::Dial(*addr));
                     poller.register(poll::fd_of(s), INTEREST_WRITE);
                 }
-            }
-            for (key, w) in &writes {
-                slots.push(PollSlot::Reply(*key));
-                poller.register(w.fd, INTEREST_WRITE);
             }
 
             // 2. Sleep until the earliest protocol deadline among this
@@ -593,7 +636,7 @@ impl Worker {
                 } else {
                     due.saturating_sub(now).min(IDLE_CAP_US)
                 };
-                if !writes.is_empty() {
+                if stalled {
                     park = park.min(WRITE_SWEEP_US);
                 }
                 Duration::from_micros(park)
@@ -617,7 +660,7 @@ impl Worker {
                         }
                         PollSlot::Mux(i) => {
                             if let Some(conn) = mux_conns.get_mut(i) {
-                                busy |= self.read_conn(conn, &mut scratch, &mut inbox) > 0;
+                                busy |= read_conn(conn, &mut scratch, None, &mut inbox) > 0;
                             }
                         }
                         PollSlot::Door(id) => {
@@ -628,17 +671,20 @@ impl Worker {
                         PollSlot::SeatConn(id, i) => {
                             if let Some(seat) = seats.get_mut(&id) {
                                 if let Some(conn) = seat.conns.get_mut(i) {
-                                    let n = self.read_conn(conn, &mut scratch, &mut inbox);
-                                    seat.bytes += n as u64;
-                                    busy |= n > 0;
+                                    if ready.writable {
+                                        conn.flush();
+                                        busy = true;
+                                    }
+                                    if ready.readable || ready.error {
+                                        let n = read_conn(conn, &mut scratch, Some(id), &mut inbox);
+                                        seat.bytes += n as u64;
+                                        busy |= n > 0;
+                                    }
                                 }
                             }
                         }
                         PollSlot::Dial(addr) => {
                             busy |= self.resolve_dial(&mut outs, addr, ready, now);
-                        }
-                        PollSlot::Reply(key) => {
-                            busy |= self.flush_reply(key, &mut writes);
                         }
                     }
                 }
@@ -648,12 +694,12 @@ impl Worker {
             // fires for these, but a cheap drain costs nothing either way).
             while let Ok(msg) = self.rx.try_recv() {
                 busy = true;
-                self.handle(msg, &mut seats, &mut inbox, &mut writes);
+                self.handle(msg, &mut seats, &mut inbox);
             }
 
             // 5. Step. Envelopes for nodes this shard owns are stepped;
             // anything owned elsewhere (re-adoption races, migrations in
-            // flight, stale connections) is forwarded to its shard.
+            // flight) is forwarded to its shard.
             let now = self.now_us();
             while let Some(env) = inbox.pop_front() {
                 busy = true;
@@ -662,7 +708,8 @@ impl Worker {
 
             // 6. Tick + write-ahead barrier + route, per node. One barrier
             // covers the whole burst the node drained this round; nodes
-            // with nothing to externalize skip it.
+            // with nothing to externalize skip it. Replies queue on the
+            // seat's own connections and each connection flushes once.
             let now = self.now_us();
             let mut local: Vec<Envelope> = Vec::new();
             let mut wire: HashMap<SocketAddr, Vec<Envelope>> = HashMap::new();
@@ -674,7 +721,16 @@ impl Worker {
                     count_events(&events, &seat.status);
                     seat.steps += outbox.len() as u64;
                     for env in outbox {
-                        self.route_out(*id, env, &mut local, &mut wire, &mut writes);
+                        if env.to.0 >= CLIENT_BASE {
+                            queue_reply(&mut seat.conns, &env);
+                        } else {
+                            self.route_out(*id, env, &mut local, &mut wire);
+                        }
+                    }
+                    for conn in &mut seat.conns {
+                        if !conn.out.is_empty() && conn.write_deadline.is_none() {
+                            conn.flush();
+                        }
                     }
                 }
                 publish_seat(seat);
@@ -687,25 +743,15 @@ impl Worker {
                 self.send_batch(&mut outs, addr, envs, now);
             }
 
-            // 8. Reap: connections marked dead this round, and buffered
-            // replies past their deadline.
+            // 8. Reap: connections closed this round, and those whose
+            // buffered replies outlived the write deadline. Dropping the
+            // stream closes the fd; it is in no later poll set.
+            let cutoff = Instant::now();
             for seat in seats.values_mut() {
-                seat.conns.retain(|c| !dead(&c.stream));
+                seat.conns
+                    .retain(|c| !c.closed && c.write_deadline.is_none_or(|d| cutoff < d));
             }
-            mux_conns.retain(|c| !dead(&c.stream));
-            if !writes.is_empty() {
-                let cutoff = Instant::now();
-                let expired: Vec<(NodeId, NodeId)> = writes
-                    .iter()
-                    .filter(|(_, w)| w.expires <= cutoff)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for key in expired {
-                    if let Some(w) = writes.remove(&key) {
-                        self.deregister_client(key, &w.slot);
-                    }
-                }
-            }
+            mux_conns.retain(|c| !c.closed);
 
             work_pending = !inbox.is_empty();
             if !busy {
@@ -732,12 +778,10 @@ impl Worker {
         msg: WorkerMsg,
         seats: &mut BTreeMap<NodeId, Hosted>,
         inbox: &mut VecDeque<Envelope>,
-        writes: &mut HashMap<(NodeId, NodeId), PendingReply>,
     ) {
         match msg {
             WorkerMsg::Adopt(seat) => {
                 let id = seat.node.id();
-                seat.status.worker.store(self.idx as u64, Ordering::Relaxed);
                 seats.insert(
                     id,
                     Hosted {
@@ -760,12 +804,6 @@ impl Worker {
                     publish_seat(&seat);
                     drop(seat.listener);
                     drop(seat.conns);
-                    self.shared
-                        .clients
-                        .write()
-                        .expect("client registry lock")
-                        .retain(|(_, node), _| *node != id);
-                    writes.retain(|(_, node), _| *node != id);
                     let _ = reply.send(Box::new(seat.node));
                 }
             }
@@ -774,14 +812,12 @@ impl Worker {
                 // Hand the whole seat over. Outputs still queued inside the
                 // node travel with it and flush through the target's next
                 // barrier; envelopes still in our inbox re-route through
-                // the flipped assignment on delivery. Buffered client
-                // replies stay here — their streams are shared Arc slots,
-                // so they finish draining independently of seat ownership.
+                // the flipped assignment on delivery. Unsent reply bytes
+                // travel inside the seat's connections.
                 if target == self.idx || target >= self.txs.len() {
                     return;
                 }
                 if let Some(seat) = seats.remove(&id) {
-                    seat.status.worker.store(target as u64, Ordering::Relaxed);
                     match self.txs[target].send(WorkerMsg::Arrive(id, Box::new(seat))) {
                         Ok(()) => self.shared.wakers[target].wake(),
                         Err(send_err) => {
@@ -789,7 +825,6 @@ impl Worker {
                             let WorkerMsg::Arrive(_, seat) = send_err.0 else {
                                 return;
                             };
-                            seat.status.worker.store(self.idx as u64, Ordering::Relaxed);
                             self.shared
                                 .assignment
                                 .write()
@@ -804,63 +839,6 @@ impl Worker {
                 seats.insert(id, *seat);
             }
         }
-    }
-
-    /// Drains one connection's readable bytes and queues decoded envelopes;
-    /// returns how many bytes came off the socket. The first envelope from
-    /// a client/admin identity registers the connection's write-half for
-    /// responses.
-    fn read_conn(
-        &self,
-        conn: &mut Conn,
-        scratch: &mut [u8],
-        inbox: &mut VecDeque<Envelope>,
-    ) -> usize {
-        let mut total = 0;
-        loop {
-            match conn.stream.read(scratch) {
-                Ok(0) => {
-                    mark_dead(&conn.stream);
-                    break;
-                }
-                Ok(n) => {
-                    total += n;
-                    conn.reader.feed(&scratch[..n]);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    mark_dead(&conn.stream);
-                    break;
-                }
-            }
-        }
-        loop {
-            match conn.reader.next_envelope() {
-                Ok(Some(env)) => {
-                    if !conn.registered && env.from.0 >= CLIENT_BASE {
-                        // A reconnecting client re-registers here, replacing
-                        // the stale write-half of its previous connection.
-                        if let Ok(w) = conn.stream.try_clone() {
-                            self.shared
-                                .clients
-                                .write()
-                                .expect("client registry lock")
-                                .insert((env.from, env.to), Arc::new(Mutex::new(w)));
-                        }
-                        conn.registered = true;
-                    }
-                    inbox.push_back(env);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Corrupt stream: no trustworthy framing boundary left.
-                    mark_dead(&conn.stream);
-                    break;
-                }
-            }
-        }
-        total
     }
 
     /// Steps an envelope into its owner, or forwards it to the owning
@@ -890,20 +868,15 @@ impl Worker {
         }
     }
 
-    /// Routes one outbound envelope: client registry, same-worker memory
-    /// hop, or the wire batch for the owning worker's endpoint.
+    /// Routes one outbound peer envelope: same-worker memory hop, or the
+    /// wire batch for the owning worker's endpoint.
     fn route_out(
         &self,
         from: NodeId,
         env: Envelope,
         local: &mut Vec<Envelope>,
         wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
-        writes: &mut HashMap<(NodeId, NodeId), PendingReply>,
     ) {
-        if env.to.0 >= CLIENT_BASE {
-            self.send_to_client(&env, writes);
-            return;
-        }
         if self.shared.net.is_blocked(from, env.to) {
             return;
         }
@@ -1011,7 +984,7 @@ impl Worker {
     fn write_out(&self, out: &mut OutConn, envs: Vec<Envelope>, now: u64) {
         let mut failed = false;
         if let OutState::Ready(s) = &mut out.state {
-            for chunk in envs.chunks(self.shared.mux_batch) {
+            for chunk in envs.chunks(MUX_BATCH) {
                 if write_batch(s, chunk).is_err() {
                     failed = true;
                     break;
@@ -1026,98 +999,6 @@ impl Worker {
             out.state = OutState::Down;
             out.down_until = now + RECONNECT_BACKOFF_US;
             out.queued.clear();
-        }
-    }
-
-    /// Writes a response on the client's registered connection. The
-    /// registry lock is released before the write; only the stream's own
-    /// lock is held across it. A write that would block parks the frame's
-    /// remainder in `writes`, registered for writability — the worker never
-    /// waits on a client. A dead or persistently-blocked connection is
-    /// deregistered; the client's timeout-driven resend recovers the
-    /// response (exactly-once via the session table).
-    fn send_to_client(&self, env: &Envelope, writes: &mut HashMap<(NodeId, NodeId), PendingReply>) {
-        let key = (env.to, env.from);
-        let frame = encode_frame(env);
-        if let Some(w) = writes.get_mut(&key) {
-            // A reply is already parked for this connection: append behind
-            // it so frames stay ordered, unless the client has stopped
-            // reading entirely.
-            if w.buf.len() - w.at + frame.len() > CLIENT_WRITE_BUFFER_MAX {
-                let w = writes.remove(&key).expect("entry just seen");
-                self.deregister_client(key, &w.slot);
-            } else {
-                w.buf.extend_from_slice(&frame);
-            }
-            return;
-        }
-        let slot = self
-            .shared
-            .clients
-            .read()
-            .expect("client registry lock")
-            .get(&key)
-            .map(Arc::clone);
-        let Some(slot) = slot else { return };
-        let mut at = 0;
-        let (step, fd) = {
-            let mut stream = slot.lock().expect("client stream lock");
-            (
-                write_some(&mut stream, &frame, &mut at),
-                poll::fd_of(&*stream),
-            )
-        };
-        match step {
-            WriteStep::Done => {}
-            WriteStep::Blocked => {
-                writes.insert(
-                    key,
-                    PendingReply {
-                        slot,
-                        fd,
-                        buf: frame.to_vec(),
-                        at,
-                        expires: Instant::now() + CLIENT_WRITE_DEADLINE,
-                    },
-                );
-            }
-            WriteStep::Failed => self.deregister_client(key, &slot),
-        }
-    }
-
-    /// Continues a parked reply after its socket signalled writability.
-    fn flush_reply(
-        &self,
-        key: (NodeId, NodeId),
-        writes: &mut HashMap<(NodeId, NodeId), PendingReply>,
-    ) -> bool {
-        let Some(w) = writes.get_mut(&key) else {
-            return false;
-        };
-        let step = {
-            let mut stream = w.slot.lock().expect("client stream lock");
-            write_some(&mut stream, &w.buf, &mut w.at)
-        };
-        match step {
-            WriteStep::Done => {
-                writes.remove(&key);
-                true
-            }
-            WriteStep::Blocked => true,
-            WriteStep::Failed => {
-                let w = writes.remove(&key).expect("entry just seen");
-                self.deregister_client(key, &w.slot);
-                true
-            }
-        }
-    }
-
-    /// Drops a client registration, but only if the registry still holds
-    /// the same stream (a reconnect may have replaced it already).
-    fn deregister_client(&self, key: (NodeId, NodeId), slot: &Arc<Mutex<TcpStream>>) {
-        let mut map = self.shared.clients.write().expect("client registry lock");
-        if map.get(&key).is_some_and(|cur| Arc::ptr_eq(cur, slot)) {
-            map.remove(&key);
         }
     }
 }
@@ -1135,7 +1016,11 @@ fn accept_into(listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
                 conns.push(Conn {
                     stream,
                     reader: MuxReader::new(),
-                    registered: false,
+                    peer: None,
+                    out: Vec::new(),
+                    sent: 0,
+                    write_deadline: None,
+                    closed: false,
                 });
                 busy = true;
             }
@@ -1147,16 +1032,54 @@ fn accept_into(listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
     busy
 }
 
-/// Whether a connection was marked dead (see [`mark_dead`]).
-fn dead(stream: &TcpStream) -> bool {
-    stream.peer_addr().is_err()
+/// Drains one connection's readable bytes and queues the decoded
+/// envelopes; returns how many bytes came off the socket. `door` names the
+/// seat behind a front-door connection (`None` on the mux endpoint): an
+/// envelope addressed to any other node is dropped there, and the first
+/// one from a client/admin identity registers that identity for replies.
+fn read_conn(
+    conn: &mut Conn,
+    scratch: &mut [u8],
+    door: Option<NodeId>,
+    inbox: &mut VecDeque<Envelope>,
+) -> usize {
+    let total = conn.fill(scratch);
+    loop {
+        match conn.reader.next_envelope() {
+            Ok(Some(env)) => {
+                if let Some(seat) = door {
+                    if env.to != seat {
+                        continue;
+                    }
+                    if conn.peer.is_none() && env.from.0 >= CLIENT_BASE {
+                        conn.peer = Some(env.from);
+                    }
+                }
+                inbox.push_back(env);
+            }
+            Ok(None) => break,
+            Err(_) => {
+                // Corrupt stream: no trustworthy framing boundary left.
+                conn.closed = true;
+                break;
+            }
+        }
+    }
+    total
 }
 
-/// Poisons a connection so the retain pass drops it: shutting down both
-/// halves makes `peer_addr` fail, which doubles as the tombstone without an
-/// extra flag on every conn.
-fn mark_dead(stream: &TcpStream) {
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+/// Queues a reply on the newest live connection of the replying seat that
+/// carries the addressee's identity. With none, the reply drops: the
+/// client's resend on its next connection recovers the response
+/// (exactly-once via the session table).
+fn queue_reply(conns: &mut [Conn], env: &Envelope) {
+    let live = conns
+        .iter_mut()
+        .rev()
+        .find(|c| !c.closed && c.peer == Some(env.to));
+    if let Some(conn) = live {
+        conn.queue(&encode_frame(env));
+    }
 }
 
 /// Settles an established outbound pair connection: blocking writes with a
@@ -1173,20 +1096,6 @@ fn finalize_out(stream: &TcpStream) {
 fn queue_out(out: &mut OutConn, envs: Vec<Envelope>) {
     let room = OUT_QUEUE_MAX.saturating_sub(out.queued.len());
     out.queued.extend(envs.into_iter().take(room));
-}
-
-/// Writes as much of `buf[at..]` as the nonblocking stream takes.
-fn write_some(stream: &mut TcpStream, buf: &[u8], at: &mut usize) -> WriteStep {
-    while *at < buf.len() {
-        match stream.write(&buf[*at..]) {
-            Ok(0) => return WriteStep::Failed,
-            Ok(n) => *at += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return WriteStep::Blocked,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return WriteStep::Failed,
-        }
-    }
-    WriteStep::Done
 }
 
 /// Folds one round's node events into the status counters.

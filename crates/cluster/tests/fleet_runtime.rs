@@ -125,7 +125,6 @@ fn autonomy_campaign_on_two_workers_with_spare_reuse() {
             interval: Duration::from_millis(100),
             cmd_deadline: Duration::from_secs(10),
             next_cluster: 3,
-            ..ControlOptions::default()
         },
     );
 
@@ -294,8 +293,8 @@ fn seat_migration_under_load_preserves_exactly_once() {
     };
 
     // Shuffle every seat between the two workers while the load runs. Each
-    // move must flip the runtime's assignment, and the worker index the
-    // hosting thread publishes must catch up to it.
+    // move must flip the runtime's assignment, which is also what
+    // `seat_loads` reports.
     let ids: Vec<_> = cluster.seat_loads().iter().map(|s| s.id).collect();
     assert_eq!(ids.len(), 3);
     for round in 0..6 {
@@ -311,11 +310,11 @@ fn seat_migration_under_load_preserves_exactly_once() {
             assert_eq!(cluster.seat_owner(*id), Some(target));
         }
         assert!(
-            wait_until(Duration::from_secs(5), || cluster
+            cluster
                 .seat_loads()
                 .iter()
-                .all(|s| cluster.seat_owner(s.id) == Some(s.worker))),
-            "published worker indices never converged on the assignment"
+                .all(|s| cluster.seat_owner(s.id) == Some(s.worker)),
+            "seat_loads disagrees with the assignment map"
         );
         thread::sleep(Duration::from_millis(100));
     }

@@ -130,6 +130,10 @@ pub(crate) struct Progress {
     /// far-divergent follower reconciles in O(log n) round trips instead of
     /// one `next_index` step per nack.
     pub(crate) search: Option<(LogIndex, LogIndex)>,
+    /// When the snapshot stream was last sent to this peer; cleared by its
+    /// `InstallSnapshotResp`. While the stream is younger than one heartbeat
+    /// interval the peer gets heartbeats, not the whole snapshot again.
+    pub(crate) snapshot_sent: Option<u64>,
 }
 
 /// What a slot of an in-progress apply batch is: a plain command or a

@@ -59,6 +59,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                         matched: LogIndex::ZERO,
                         window: super::ReplicationWindow::default(),
                         search: None,
+                        snapshot_sent: None,
                     });
             }
         }
@@ -123,10 +124,17 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // configuration at the snapshot point on every frame, the
             // session table on the first frame only. The peer assembles and
             // installs atomically; until its InstallSnapshotResp arrives the
-            // stream re-sends whole on the next heartbeat (frames are
-            // idempotent, and a peer that crashed mid-stream starts from
-            // scratch by design).
-            //
+            // stream re-sends whole once a heartbeat interval has passed
+            // (frames are idempotent, and a peer that crashed mid-stream
+            // starts from scratch by design). In between — every client
+            // write broadcasts — the peer gets the heartbeat fallback.
+            if pr
+                .snapshot_sent
+                .is_some_and(|at| now < at + self.timing.heartbeat_interval)
+            {
+                return false;
+            }
+            pr.snapshot_sent = Some(now);
             // A split child still holding the parent lineage's snapshot
             // re-stamps it first: a joiner of the child would have to
             // reject parent-labelled frames as foreign.
@@ -202,7 +210,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         sent
     }
 
-    /// Sends one empty AppendEntries probe anchored at the peer's cursor:
+    /// Sends one empty AppendEntries probe anchored at the peer's cursor
+    /// (at the compaction base for a peer waiting on a snapshot stream):
     /// the heartbeat. Carries `leader_commit` and the ReadIndex probe
     /// serial; the response doubles as the loss detector for optimistically
     /// advanced cursors (a follower missing the prefix answers with a
@@ -214,10 +223,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let Some(pr) = self.progress.get(&peer) else {
             return;
         };
-        if pr.next <= self.log.base_index() {
-            return; // push_entries already requested a snapshot install
-        }
-        let prev_index = pr.next.prev();
+        let prev_index = pr.next.saturating_prev().max(self.log.base_index());
         let prev_eterm = self
             .log
             .eterm_at(prev_index)
@@ -454,9 +460,14 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             let lo = pr.matched.max(base);
             if hint == LogIndex::ZERO || hi <= base {
                 // The peer rejected even our retained base (or matches
-                // nothing we still hold): stream the snapshot.
+                // nothing we still hold): stream the snapshot — unless a
+                // stream is already on its way, in which case this nack
+                // answers the heartbeat that stood in for it, and answering
+                // that with another heartbeat would never end.
                 pr.search = None;
                 pr.next = LogIndex::ZERO;
+                self.push_entries(now, from);
+                return;
             } else if pr.matched >= base && hi <= pr.matched.next() {
                 // Collapsed onto the verified match point: resume streaming.
                 pr.search = None;
@@ -713,6 +724,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // snapshot boundary supersedes any match-point search.
             pr.window.rewind();
             pr.search = None;
+            pr.snapshot_sent = None;
             self.leader_advance_commit(now);
             self.push_entries(now, from);
         }

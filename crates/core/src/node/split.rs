@@ -147,6 +147,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                             matched: LogIndex::ZERO,
                             window: super::ReplicationWindow::default(),
                             search: None,
+                            snapshot_sent: None,
                         });
                 }
             }

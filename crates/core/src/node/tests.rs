@@ -33,6 +33,10 @@ struct Net {
 
 impl Net {
     fn with_nodes(ids: &[u64]) -> Net {
+        Net::with_timing(ids, Timing::default())
+    }
+
+    fn with_timing(ids: &[u64], timing: Timing) -> Net {
         let members: BTreeSet<NodeId> = ids.iter().map(|&i| NodeId(i)).collect();
         let config = ClusterConfig::new(
             recraft_types::ClusterId(1),
@@ -48,7 +52,7 @@ impl Net {
                     *id,
                     config.clone(),
                     MapMachine::default(),
-                    Timing::default(),
+                    timing,
                     0xACE + i as u64,
                 ),
             );
@@ -1165,6 +1169,79 @@ fn divergent_follower_reconciles_in_logarithmic_round_trips() {
     );
     assert_eq!(net.node(leader.0).state_machine().get(b"stale0"), None);
     net.assert_state_machine_safety();
+}
+
+#[test]
+fn snapshot_stream_goes_out_once_per_heartbeat_interval_until_acknowledged() {
+    // A leader whose log is compacted past a peer that holds nothing must
+    // stream its snapshot to that peer — but every client write broadcasts
+    // an append, and re-sending the whole snapshot per write buries a
+    // joiner under copies of the frames it is still assembling.
+    let timing = Timing {
+        compaction_threshold: 8,
+        ..Timing::default()
+    };
+    let heartbeat = timing.heartbeat_interval;
+    let mut net = Net::with_timing(&[1, 2, 3], timing);
+    let leader = net.elect();
+    let empty = *net.nodes.keys().find(|id| **id != leader).unwrap();
+    net.crash(empty.0);
+    for i in 0..20u64 {
+        net.put(leader, 1 + i, &format!("k{i}"), "v");
+        net.run(1);
+    }
+    // Loss detection rewinds the silent peer to its (zero) match point,
+    // which the compacted leader can only serve from the snapshot.
+    net.run_until(100, |net| {
+        let node = &net.nodes[&leader];
+        node.progress[&empty].next <= node.log().base_index()
+    });
+
+    let node = net.nodes.get_mut(&leader).unwrap();
+    assert!(node.log().base_index() > LogIndex::ZERO, "leader compacted");
+    let _ = node.take_outputs();
+    let stream = node.snapshot.frames().len();
+    let eterm = node.hard.eterm;
+    let snapshot_index = node.snapshot.last_index;
+    let mut next_session = 100;
+    let mut frames_after_writes = |node: &mut Node<MapMachine>, now: u64| {
+        for _ in 0..10 {
+            next_session += 1;
+            let req = ClientRequest {
+                session: SessionId(next_session),
+                seq: 1,
+                op: ClientOp::Command {
+                    key: b"w".to_vec(),
+                    cmd: Bytes::from_static(b"w=v"),
+                },
+            };
+            node.step(now, CLIENT, Message::ClientReq { req });
+        }
+        let (msgs, _) = node.take_outputs();
+        let to_empty = || msgs.iter().filter(|env| env.to == empty);
+        let frames = to_empty()
+            .filter(|env| matches!(env.msg, Message::InstallSnapshot { .. }))
+            .count();
+        let heartbeats = to_empty()
+            .filter(|env| matches!(env.msg, Message::AppendEntries { .. }))
+            .count();
+        (frames, heartbeats)
+    };
+
+    // Ten writes at one instant: one stream, and a heartbeat for the rest.
+    let t0 = net.now + 2 * heartbeat;
+    assert_eq!(frames_after_writes(node, t0), (stream, 9));
+    // Still inside the interval: heartbeats only.
+    assert_eq!(frames_after_writes(node, t0 + heartbeat - 1), (0, 10));
+    // The interval passed without an acknowledgement: one more stream.
+    assert_eq!(frames_after_writes(node, t0 + heartbeat), (stream, 9));
+    // Acknowledged: the peer is replicated to from the log from here on.
+    let ack = Message::InstallSnapshotResp {
+        eterm,
+        last_index: snapshot_index,
+    };
+    node.step(t0 + heartbeat, empty, ack);
+    assert_eq!(frames_after_writes(node, t0 + 2 * heartbeat).0, 0);
 }
 
 #[test]

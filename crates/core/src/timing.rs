@@ -49,28 +49,6 @@ impl PipelineConfig {
             max_batch_bytes: 1 << 20,
         }
     }
-
-    /// Reads overrides from `RECRAFT_MAX_INFLIGHT`,
-    /// `RECRAFT_MAX_BATCH_ENTRIES`, and `RECRAFT_MAX_BATCH_BYTES`, so the
-    /// whole sim/test suite can be swept across pipeline shapes without
-    /// edits (the same pattern as `RECRAFT_BACKEND`). Unset or unparsable
-    /// variables keep the defaults.
-    #[must_use]
-    pub fn from_env() -> Self {
-        fn var(name: &str, default: usize) -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|v| *v > 0)
-                .unwrap_or(default)
-        }
-        let d = PipelineConfig::default();
-        PipelineConfig {
-            max_inflight: var("RECRAFT_MAX_INFLIGHT", d.max_inflight),
-            max_batch_entries: var("RECRAFT_MAX_BATCH_ENTRIES", d.max_batch_entries),
-            max_batch_bytes: var("RECRAFT_MAX_BATCH_BYTES", d.max_batch_bytes),
-        }
-    }
 }
 
 /// Timer configuration for one node.

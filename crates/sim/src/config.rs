@@ -99,14 +99,7 @@ impl Default for SimConfig {
             bandwidth: 100,
             drop_prob: 0.0,
             proc_time: 20,
-            // Pipeline knobs default from RECRAFT_MAX_INFLIGHT /
-            // RECRAFT_MAX_BATCH_ENTRIES / RECRAFT_MAX_BATCH_BYTES, so the
-            // whole suite sweeps replication shapes without edits — the
-            // same pattern as RECRAFT_BACKEND.
-            timing: Timing {
-                pipeline: PipelineConfig::from_env(),
-                ..Timing::default()
-            },
+            timing: Timing::default(),
             tick_interval: 5_000,
             client_timeout: 5_000_000,
             directory_delay: 20_000,

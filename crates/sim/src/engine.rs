@@ -2,8 +2,8 @@
 
 use crate::client::{Client, Outstanding, Workload};
 use crate::config::{Backend, SimConfig, SmKind};
-use crate::directory::Directory;
 use crate::metrics::Metrics;
+use crate::Directory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recraft_core::events::{fingerprint, read_fingerprint};

@@ -27,7 +27,6 @@
 
 mod client;
 mod config;
-mod directory;
 mod engine;
 pub mod fleet;
 mod metrics;
@@ -35,8 +34,13 @@ pub mod zipf;
 
 pub use client::Workload;
 pub use config::{Backend, SimConfig, SmKind};
-pub use directory::Directory;
 pub use engine::{Action, Sim, SimStore, ADMIN_ADDR, CLIENT_BASE};
 pub use fleet::{FleetConfig, FleetHarness, FleetReport};
 pub use metrics::Metrics;
+/// The naming service: the fleet layer's loosely-consistent directory of
+/// live clusters, under its historical simulator name. The simulator
+/// refreshes it a configurable delay after reconfigurations complete;
+/// clients route by it and may be arbitrarily stale in between — `Redirect`
+/// answers keep routing convergent.
+pub use recraft_fleet::ShardDirectory as Directory;
 pub use zipf::Zipf;
