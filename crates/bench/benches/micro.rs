@@ -1,19 +1,22 @@
 //! Criterion micro-benchmarks of the protocol building blocks: log appends,
-//! epoch-term packing, quorum evaluation, configuration derivation, and
-//! snapshot encode/merge.
+//! epoch-term packing, quorum evaluation, configuration derivation,
+//! snapshot encode/merge, and the frame writer and mux reader.
 //!
 //! Run with: `cargo bench -p recraft-bench --bench micro`
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recraft_core::quorum::QuorumSpec;
 use recraft_core::stack::ConfigStack;
 use recraft_core::StateMachine;
 use recraft_kv::{KvCmd, KvStore};
+use recraft_net::frame::put_frame;
+use recraft_net::mux::MuxReader;
+use recraft_net::{Envelope, Message};
 use recraft_storage::{LogEntry, MemLog};
 use recraft_types::{
-    ClusterConfig, ClusterId, ConfigChange, EpochTerm, KeyRange, LogIndex, NodeId, RangeSet,
-    SplitSpec,
+    ClientOp, ClientRequest, ClusterConfig, ClusterId, ConfigChange, EpochTerm, KeyRange, LogIndex,
+    NodeId, RangeSet, SessionId, SplitSpec,
 };
 use std::collections::BTreeSet;
 
@@ -115,12 +118,55 @@ fn bench_snapshot(c: &mut Criterion) {
     });
 }
 
+/// The front door's two codec hot paths: framing one client write into a
+/// connection's outbound buffer, and draining one socket read that holds a
+/// 256-request backlog.
+fn bench_wire(c: &mut Criterion) {
+    let request = |seq| {
+        let req = ClientRequest {
+            session: SessionId(seq % 64),
+            seq,
+            op: ClientOp::Command {
+                key: format!("k{seq:08}").into_bytes(),
+                cmd: Bytes::from(vec![b'v'; 128]),
+            },
+        };
+        Envelope::new(NodeId(1000), NodeId(1), Message::ClientReq { req })
+    };
+    let env = request(7);
+    let mut out = BytesMut::new();
+    c.bench_function("envelope_put_frame", |b| {
+        b.iter(|| {
+            out.clear();
+            put_frame(&mut out, black_box(&env));
+            black_box(out.len())
+        });
+    });
+    let mut wire = BytesMut::new();
+    for seq in 0..256 {
+        put_frame(&mut wire, &request(seq));
+    }
+    c.bench_function("mux_reader_drain_256", |b| {
+        b.iter(|| {
+            let mut reader = MuxReader::new();
+            reader.feed(black_box(&wire));
+            let mut drained = 0;
+            while let Some(env) = reader.next_envelope().unwrap() {
+                drained += 1;
+                black_box(env);
+            }
+            assert_eq!(drained, 256);
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_log_append,
     bench_eterm,
     bench_quorum,
     bench_derive,
-    bench_snapshot
+    bench_snapshot,
+    bench_wire
 );
 criterion_main!(benches);

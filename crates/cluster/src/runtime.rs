@@ -74,9 +74,10 @@
 
 use crate::driver::{FleetNet, HarnessNode, NodeStatus};
 use crate::CLIENT_BASE;
+use bytes::{Buf, BytesMut};
 use recraft_core::{NodeEvent, Role};
-use recraft_net::frame::encode_frame;
-use recraft_net::mux::{write_batch, MuxReader};
+use recraft_net::frame::put_frame;
+use recraft_net::mux::{put_batch, MuxReader};
 use recraft_net::poll::{
     self, Poller, Readiness, WakeReceiver, Waker, INTEREST_READ, INTEREST_WRITE,
 };
@@ -440,7 +441,7 @@ struct Conn {
     /// envelope carried. Replies addressed to it leave on this connection.
     peer: Option<NodeId>,
     /// Reply bytes the socket has not taken yet are `out[sent..]`.
-    out: Vec<u8>,
+    out: BytesMut,
     sent: usize,
     /// Set when a flush reports `WouldBlock`: the connection holds write
     /// interest until the buffer drains (cleared) or this instant passes
@@ -478,22 +479,23 @@ impl Conn {
         total
     }
 
-    /// Appends one reply frame behind whatever is still unsent, so frames
-    /// stay ordered. The cap counts only bytes the socket has refused: a
-    /// burst that outgrows it is offered to the socket first, and a client
-    /// that has stopped reading is closed.
-    fn queue(&mut self, frame: &[u8]) {
-        self.out.drain(..self.sent);
+    /// Encodes one reply frame behind whatever is still unsent, so frames
+    /// stay ordered and the payload is written once, where it is sent from.
+    /// The cap counts only bytes the socket has refused: a burst that
+    /// outgrows it is offered to the socket first, and a client that has
+    /// stopped reading is closed.
+    fn queue(&mut self, env: &Envelope) {
+        self.out.advance(self.sent);
         self.sent = 0;
-        let over =
-            |out: &[u8]| !out.is_empty() && out.len() + frame.len() > CLIENT_WRITE_BUFFER_MAX;
-        if over(&self.out) && self.write_deadline.is_none() {
-            self.flush();
-        }
-        if over(&self.out) {
-            self.closed = true;
-        } else {
-            self.out.extend_from_slice(frame);
+        let refused = self.out.len();
+        put_frame(&mut self.out, env);
+        if refused > 0 && self.out.len() > CLIENT_WRITE_BUFFER_MAX {
+            if self.write_deadline.is_none() {
+                self.flush();
+            }
+            if !self.out.is_empty() {
+                self.closed = true;
+            }
         }
     }
 
@@ -579,6 +581,8 @@ impl Worker {
         let mut outs: HashMap<SocketAddr, OutConn> = HashMap::new();
         let mut inbox: VecDeque<Envelope> = VecDeque::new();
         let mut scratch = vec![0u8; 64 * 1024];
+        // Every outbound mux batch of this worker is encoded here.
+        let mut wire_buf = BytesMut::new();
         let mut poller = Poller::new();
         let mut slots: Vec<PollSlot> = Vec::new();
         // Set when the previous round left envelopes queued locally: the
@@ -684,7 +688,7 @@ impl Worker {
                             }
                         }
                         PollSlot::Dial(addr) => {
-                            busy |= self.resolve_dial(&mut outs, addr, ready, now);
+                            busy |= self.resolve_dial(&mut outs, addr, ready, now, &mut wire_buf);
                         }
                     }
                 }
@@ -740,7 +744,7 @@ impl Worker {
             // 7. Flush: one mux batch per destination endpoint (chunked at
             // the batch ceiling inside the writer).
             for (addr, envs) in wire {
-                self.send_batch(&mut outs, addr, envs, now);
+                self.send_batch(&mut outs, addr, envs, now, &mut wire_buf);
             }
 
             // 8. Reap: connections closed this round, and those whose
@@ -907,6 +911,7 @@ impl Worker {
         addr: SocketAddr,
         envs: Vec<Envelope>,
         now: u64,
+        buf: &mut BytesMut,
     ) {
         let out = outs.entry(addr).or_insert(OutConn {
             state: OutState::Down,
@@ -914,7 +919,7 @@ impl Worker {
             queued: Vec::new(),
         });
         match &out.state {
-            OutState::Ready(_) => self.write_out(out, envs, now),
+            OutState::Ready(_) => self.write_out(out, envs, now, buf),
             OutState::Connecting(_) => queue_out(out, envs),
             OutState::Down => {
                 if now < out.down_until {
@@ -926,7 +931,7 @@ impl Worker {
                             // Loopback dials often complete synchronously.
                             finalize_out(&s);
                             out.state = OutState::Ready(s);
-                            self.write_out(out, envs, now);
+                            self.write_out(out, envs, now, buf);
                         } else {
                             out.state = OutState::Connecting(s);
                             queue_out(out, envs);
@@ -948,6 +953,7 @@ impl Worker {
         addr: SocketAddr,
         ready: Readiness,
         now: u64,
+        buf: &mut BytesMut,
     ) -> bool {
         let Some(out) = outs.get_mut(&addr) else {
             return false;
@@ -965,7 +971,7 @@ impl Worker {
                 out.state = OutState::Ready(s);
                 let backlog = std::mem::take(&mut out.queued);
                 if !backlog.is_empty() {
-                    self.write_out(out, backlog, now);
+                    self.write_out(out, backlog, now, buf);
                 }
                 true
             }
@@ -979,13 +985,15 @@ impl Worker {
         }
     }
 
-    /// Writes `envs` on an established connection in mux-batch chunks,
-    /// downing the connection on failure.
-    fn write_out(&self, out: &mut OutConn, envs: Vec<Envelope>, now: u64) {
+    /// Writes `envs` on an established connection in mux-batch chunks, each
+    /// encoded into the worker's one wire buffer, downing the connection on
+    /// failure.
+    fn write_out(&self, out: &mut OutConn, envs: Vec<Envelope>, now: u64, buf: &mut BytesMut) {
         let mut failed = false;
         if let OutState::Ready(s) = &mut out.state {
             for chunk in envs.chunks(MUX_BATCH) {
-                if write_batch(s, chunk).is_err() {
+                buf.clear();
+                if put_batch(buf, chunk).is_err() || s.write_all(buf).is_err() {
                     failed = true;
                     break;
                 }
@@ -1017,7 +1025,7 @@ fn accept_into(listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
                     stream,
                     reader: MuxReader::new(),
                     peer: None,
-                    out: Vec::new(),
+                    out: BytesMut::new(),
                     sent: 0,
                     write_deadline: None,
                     closed: false,
@@ -1078,7 +1086,7 @@ fn queue_reply(conns: &mut [Conn], env: &Envelope) {
         .rev()
         .find(|c| !c.closed && c.peer == Some(env.to));
     if let Some(conn) = live {
-        conn.queue(&encode_frame(env));
+        conn.queue(env);
     }
 }
 

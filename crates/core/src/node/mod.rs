@@ -1255,7 +1255,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.role = Role::Follower;
         }
         self.votes.clear();
-        if hint.is_some() {
+        // A leader stepping down with no successor named must not keep
+        // pointing clients at itself until the new leader's first append.
+        if hint.is_some() || self.leader_hint == Some(self.id) {
             self.leader_hint = hint;
         }
         self.reset_election_timer(now);
@@ -1627,7 +1629,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             quorum: quorum_size,
             index,
         });
-        if !members.contains(&self.id) {
+        if !members.contains(&self.id) && !self.readmitted_above_base() {
             // Removed from the cluster: retire once the removal commits.
             self.role = Role::Removed;
             self.emit(NodeEvent::Removed {
@@ -1651,6 +1653,21 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // broadcast_append resyncs the progress map to the new members.
             self.broadcast_append(now);
         }
+    }
+
+    /// Whether a membership entry above the folded base lists this node. A
+    /// node replaying an older removal of its id — a joiner recycled from
+    /// the spare pool catches up through its predecessor's
+    /// `RemoveAndResize` — is a member again by an entry further up the log
+    /// it already holds; only the last word retires it.
+    fn readmitted_above_base(&self) -> bool {
+        self.cfg.entries().iter().any(|(_, change)| match change {
+            ConfigChange::Simple { members }
+            | ConfigChange::Resize { members, .. }
+            | ConfigChange::JointEnter { new: members, .. }
+            | ConfigChange::JointLeave { new: members } => members.contains(&self.id),
+            _ => false,
+        })
     }
 
     /// Re-arms reconfiguration continuations after winning an election or

@@ -351,6 +351,56 @@ fn followers_redirect_clients() {
 }
 
 #[test]
+fn deposed_leader_does_not_hint_at_itself() {
+    // Hazard "hints orbit": a leader that steps down on a higher-term vote
+    // request knows no successor yet; it must say so rather than redirect
+    // clients back to itself until the new leader's first append arrives.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    let rival = net.nodes.keys().copied().find(|id| *id != leader).unwrap();
+    let eterm = net.node(leader.0).current_eterm().next_term();
+    let now = net.now;
+    net.nodes.get_mut(&leader).unwrap().step(
+        now,
+        rival,
+        Message::RequestVote {
+            cluster: recraft_types::ClusterId(1),
+            eterm,
+            last_index: LogIndex(u64::MAX),
+            last_eterm: eterm,
+        },
+    );
+    assert!(!net.node(leader.0).is_leader(), "stepped down");
+    // Only the client's request is delivered: no append from a successor.
+    net.nodes.get_mut(&leader).unwrap().step(
+        now,
+        CLIENT,
+        Message::ClientReq {
+            req: ClientRequest {
+                session: SessionId(7),
+                seq: 1,
+                op: ClientOp::Get { key: b"k".to_vec() },
+            },
+        },
+    );
+    let (msgs, _) = net.nodes.get_mut(&leader).unwrap().take_outputs();
+    let hint = msgs
+        .iter()
+        .find_map(|env| match &env.msg {
+            Message::ClientResp { resp } if resp.session == SessionId(7) => match &resp.outcome {
+                ClientOutcome::Redirect { leader_hint, .. } => Some(*leader_hint),
+                ClientOutcome::Rejected {
+                    error: Error::NotLeader(hint),
+                } => Some(*hint),
+                other => panic!("deposed leader served the request: {other:?}"),
+            },
+            _ => None,
+        })
+        .expect("the request is answered");
+    assert_ne!(hint, Some(leader), "redirected to itself");
+}
+
+#[test]
 fn leader_failover_preserves_committed_entries() {
     let mut net = Net::with_nodes(&[1, 2, 3]);
     let leader = net.elect();
@@ -752,6 +802,63 @@ fn remove_and_resize_respects_cap() {
     for n in &two {
         assert_eq!(net.node(n.0).role(), Role::Removed);
     }
+    net.assert_state_machine_safety();
+}
+
+#[test]
+fn recycled_id_joiner_survives_replaying_its_predecessors_removal() {
+    // Hazard "a joiner added after an earlier removal retires itself": a
+    // node is removed, its id comes back out of the spare pool on a fresh
+    // store, and `AddAndResize` adds it again. Catching up from index 1 it
+    // replays the committed removal of "itself" — with the entry that adds
+    // it back already further up its log — and must not retire on it.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    let recycled = net.nodes.keys().copied().find(|id| *id != leader).unwrap();
+    net.put(leader, 701, "before", "1");
+    net.admin(
+        leader,
+        702,
+        AdminCmd::RemoveAndResize(BTreeSet::from([recycled])),
+    );
+    net.run_until(300, |net| net.node(recycled.0).role() == Role::Removed);
+    net.put(leader, 703, "between", "2");
+    net.run(10);
+    assert!(net.ok_response(703));
+
+    // The harness reaps the retired seat and reuses the id on a fresh store.
+    net.nodes.insert(
+        recycled,
+        Node::joiner_with_store(
+            recycled,
+            Some(recraft_types::ClusterId(1)),
+            MapMachine::default(),
+            MemLog::new(),
+            Timing::default(),
+            0x333,
+        ),
+    );
+    net.admin(
+        leader,
+        704,
+        AdminCmd::AddAndResize(BTreeSet::from([recycled])),
+    );
+    net.run_until(300, |net| {
+        net.node(leader.0).config().members().len() == 3
+            && net.node(recycled.0).commit_index() == net.node(leader.0).commit_index()
+    });
+    let joiner = net.node(recycled.0);
+    assert_eq!(joiner.role(), Role::Follower, "the joiner retired itself");
+    assert!(joiner.config().contains(recycled));
+    assert_eq!(joiner.log().first_index(), LogIndex(1), "nothing compacted");
+    assert_eq!(
+        joiner.log().last_index(),
+        net.node(leader.0).log().last_index(),
+        "the joiner holds the full log"
+    );
+    net.put(leader, 705, "after", "3");
+    net.run(10);
+    assert!(net.ok_response(705));
     net.assert_state_machine_safety();
 }
 

@@ -41,7 +41,7 @@ use bytes::{Bytes, BytesMut};
 use recraft_core::StateMachine;
 use recraft_storage::framing::{io_err, read_framed, read_framed_prefix, sync_dir, write_framed};
 use recraft_types::codec::{Decode, Encode};
-use recraft_types::{LogIndex, RangeSet, Result};
+use recraft_types::{codec, LogIndex, RangeSet, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -849,45 +849,23 @@ struct Manifest {
     segments: Vec<SegMeta>,
 }
 
-impl Encode for SegMeta {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.seq.encode(buf);
-        self.first.encode(buf);
-        self.last.encode(buf);
-        self.count.encode(buf);
+codec!(
+    struct SegMeta {
+        seq: u64,
+        first: Vec<u8>,
+        last: Vec<u8>,
+        count: u64,
     }
-}
+);
 
-impl Decode for SegMeta {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(SegMeta {
-            seq: u64::decode(buf)?,
-            first: Vec::<u8>::decode(buf)?,
-            last: Vec::<u8>::decode(buf)?,
-            count: u64::decode(buf)?,
-        })
+codec!(
+    struct Manifest {
+        revision: u64,
+        watermark: LogIndex,
+        lineage: u64,
+        segments: Vec<SegMeta>,
     }
-}
-
-impl Encode for Manifest {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.revision.encode(buf);
-        self.watermark.encode(buf);
-        self.lineage.encode(buf);
-        self.segments.encode(buf);
-    }
-}
-
-impl Decode for Manifest {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(Manifest {
-            revision: u64::decode(buf)?,
-            watermark: LogIndex::decode(buf)?,
-            lineage: u64::decode(buf)?,
-            segments: Vec::<SegMeta>::decode(buf)?,
-        })
-    }
-}
+);
 
 #[cfg(test)]
 pub(crate) mod testdir {
@@ -924,6 +902,35 @@ mod tests {
     use super::*;
     use crate::store::KvResp;
     use recraft_types::KeyRange;
+
+    /// The flush commit record read back by a later build: bytes written
+    /// by the hand-rolled codec this list replaced.
+    #[test]
+    fn manifest_bytes_pinned() {
+        let seg = |seq, first: &[u8], last: &[u8], count| SegMeta {
+            seq,
+            first: first.to_vec(),
+            last: last.to_vec(),
+            count,
+        };
+        let manifest = Manifest {
+            revision: 9,
+            watermark: LogIndex(17),
+            lineage: 3,
+            segments: vec![seg(1, b"a", b"m", 5), seg(2, b"n", b"z", 4)],
+        };
+        let hex: String = manifest
+            .encode_to_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "000000000000000900000000000000110000000000000003000000020000000000000001\
+             0000000161000000016d00000000000000050000000000000002000000016e000000017a\
+             0000000000000004"
+        );
+    }
 
     fn opts() -> DurableKvOptions {
         DurableKvOptions {

@@ -3,7 +3,7 @@
 use bytes::{Bytes, BytesMut};
 use recraft_core::StateMachine;
 use recraft_types::codec::{Decode, Encode};
-use recraft_types::{Error, LogIndex, RangeSet, Result};
+use recraft_types::{codec, Error, LogIndex, RangeSet, Result};
 use std::collections::BTreeMap;
 
 /// A command addressed to the key-value store.
@@ -52,29 +52,7 @@ impl KvCmd {
     /// Encodes the command for transport through the log.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        match self {
-            KvCmd::Put { key, value } => {
-                buf.extend_from_slice(&[0]);
-                key.encode(&mut buf);
-                value.encode(&mut buf);
-            }
-            KvCmd::Get { key, nonce } => {
-                buf.extend_from_slice(&[1]);
-                key.encode(&mut buf);
-                nonce.encode(&mut buf);
-            }
-            KvCmd::Delete { key, nonce } => {
-                buf.extend_from_slice(&[2]);
-                key.encode(&mut buf);
-                nonce.encode(&mut buf);
-            }
-            KvCmd::Ingest { data } => {
-                buf.extend_from_slice(&[3]);
-                data.encode(&mut buf);
-            }
-        }
-        buf.freeze()
+        self.encode_to_bytes()
     }
 
     /// Decodes a command.
@@ -82,28 +60,27 @@ impl KvCmd {
     /// # Errors
     /// Returns [`Error::Codec`] on malformed input.
     pub fn decode(raw: &Bytes) -> Result<KvCmd> {
-        let mut buf = raw.clone();
-        let tag = u8::decode(&mut buf)?;
-        match tag {
-            0 => Ok(KvCmd::Put {
-                key: Vec::<u8>::decode(&mut buf)?,
-                value: Bytes::decode(&mut buf)?,
-            }),
-            1 => Ok(KvCmd::Get {
-                key: Vec::<u8>::decode(&mut buf)?,
-                nonce: u64::decode(&mut buf)?,
-            }),
-            2 => Ok(KvCmd::Delete {
-                key: Vec::<u8>::decode(&mut buf)?,
-                nonce: u64::decode(&mut buf)?,
-            }),
-            3 => Ok(KvCmd::Ingest {
-                data: Bytes::decode(&mut buf)?,
-            }),
-            t => Err(Error::Codec(format!("unknown KvCmd tag {t}"))),
-        }
+        Decode::decode(&mut raw.clone())
     }
 }
+
+codec!(enum KvCmd {
+    0 => Put {
+        key: Vec<u8>,
+        value: Bytes,
+    },
+    1 => Get {
+        key: Vec<u8>,
+        nonce: u64,
+    },
+    2 => Delete {
+        key: Vec<u8>,
+        nonce: u64,
+    },
+    3 => Ingest {
+        data: Bytes,
+    },
+});
 
 /// The store's reply to a command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -126,19 +103,7 @@ impl KvResp {
     /// Encodes the response.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        match self {
-            KvResp::Ok { revision } => {
-                buf.extend_from_slice(&[0]);
-                revision.encode(&mut buf);
-            }
-            KvResp::Value { revision, value } => {
-                buf.extend_from_slice(&[1]);
-                revision.encode(&mut buf);
-                value.clone().encode(&mut buf);
-            }
-        }
-        buf.freeze()
+        self.encode_to_bytes()
     }
 
     /// Decodes a response.
@@ -146,20 +111,19 @@ impl KvResp {
     /// # Errors
     /// Returns [`Error::Codec`] on malformed input.
     pub fn decode(raw: &Bytes) -> Result<KvResp> {
-        let mut buf = raw.clone();
-        let tag = u8::decode(&mut buf)?;
-        match tag {
-            0 => Ok(KvResp::Ok {
-                revision: u64::decode(&mut buf)?,
-            }),
-            1 => Ok(KvResp::Value {
-                revision: u64::decode(&mut buf)?,
-                value: Option::<Bytes>::decode(&mut buf)?,
-            }),
-            t => Err(Error::Codec(format!("unknown KvResp tag {t}"))),
-        }
+        Decode::decode(&mut raw.clone())
     }
 }
+
+codec!(enum KvResp {
+    0 => Ok {
+        revision: u64,
+    },
+    1 => Value {
+        revision: u64,
+        value: Option<Bytes>,
+    },
+});
 
 /// A revisioned key-value store (the etcd layer's data model): every applied
 /// command bumps the revision; snapshots are range-scoped encodings of the

@@ -1,490 +1,185 @@
-//! Binary codecs for the wire vocabulary.
+//! The binary layout of the wire vocabulary.
 //!
-//! Every [`Message`] variant (and the [`Envelope`] around it) encodes
-//! through `recraft_types::codec`, composing the codecs the component types
-//! already define. This is what actually crosses a TCP connection in the
-//! real-deployment harness; the simulator keeps passing `Envelope` values
-//! in memory and never pays for a round-trip.
+//! One `codec!` list per type: the tag of every [`Message`] and [`AdminCmd`]
+//! variant and the order of its fields, which is the whole wire format above
+//! the frame layer ([`crate::frame`] prefixes a length, [`crate::mux`] packs
+//! frames into batches). Field types bring their own layouts — log entries
+//! and snapshots from `recraft-storage`, configurations and the client
+//! protocol from `recraft-types` — and their own validation: nothing here
+//! inspects a value, so a decoded envelope is exactly as trustworthy as the
+//! decoders of its parts. This is what crosses a TCP connection in the
+//! real-deployment harness; the simulator passes `Envelope` values in memory.
+//!
+//! Adding a message is one variant in `message.rs` and one line group here,
+//! under a tag no earlier build used; `tests/format_golden.rs` pins the
+//! bytes of every existing one.
 
 use crate::message::{AdminCmd, Envelope, Message, NodeStats, PullHint};
-use bytes::{Bytes, BytesMut};
 use recraft_storage::{LogEntry, Snapshot, SnapshotFrame};
-use recraft_types::codec::{Decode, Encode};
 use recraft_types::{
-    ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm, Error, LogIndex,
-    MergeDecision, MergeOutcome, MergeTx, NodeId, RangeSet, Result, SplitSpec, TxId,
+    codec, ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm, Error, LogIndex,
+    MergeDecision, MergeOutcome, MergeTx, NodeId, RangeSet, SplitSpec, TxId,
 };
 use std::collections::BTreeSet;
 
-impl Encode for PullHint {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.commit_index.encode(buf);
-        self.epoch.encode(buf);
+codec!(
+    struct Envelope {
+        from: NodeId,
+        to: NodeId,
+        msg: Message,
     }
-}
+);
 
-impl Decode for PullHint {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(PullHint {
-            commit_index: LogIndex::decode(buf)?,
-            epoch: u32::decode(buf)?,
-        })
+codec!(
+    struct PullHint {
+        commit_index: LogIndex,
+        epoch: u32,
     }
-}
+);
 
-impl Encode for AdminCmd {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            AdminCmd::Split(spec) => {
-                0u8.encode(buf);
-                spec.encode(buf);
-            }
-            AdminCmd::Merge(tx) => {
-                1u8.encode(buf);
-                tx.encode(buf);
-            }
-            AdminCmd::AddAndResize(nodes) => {
-                2u8.encode(buf);
-                nodes.encode(buf);
-            }
-            AdminCmd::RemoveAndResize(nodes) => {
-                3u8.encode(buf);
-                nodes.encode(buf);
-            }
-            AdminCmd::ResizeQuorum => 4u8.encode(buf),
-            AdminCmd::SimpleChange(nodes) => {
-                5u8.encode(buf);
-                nodes.encode(buf);
-            }
-            AdminCmd::JointChange(nodes) => {
-                6u8.encode(buf);
-                nodes.encode(buf);
-            }
-            AdminCmd::Campaign => 7u8.encode(buf),
-            AdminCmd::ProposeNoop => 8u8.encode(buf),
-            AdminCmd::SetRanges(ranges) => {
-                9u8.encode(buf);
-                ranges.encode(buf);
-            }
-        }
-    }
-}
+codec!(enum AdminCmd {
+    0 => Split(SplitSpec),
+    1 => Merge(MergeTx),
+    2 => AddAndResize(BTreeSet<NodeId>),
+    3 => RemoveAndResize(BTreeSet<NodeId>),
+    4 => ResizeQuorum,
+    5 => SimpleChange(BTreeSet<NodeId>),
+    6 => JointChange(BTreeSet<NodeId>),
+    7 => Campaign,
+    8 => ProposeNoop,
+    9 => SetRanges(RangeSet),
+});
 
-impl Decode for AdminCmd {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => AdminCmd::Split(SplitSpec::decode(buf)?),
-            1 => AdminCmd::Merge(MergeTx::decode(buf)?),
-            2 => AdminCmd::AddAndResize(BTreeSet::<NodeId>::decode(buf)?),
-            3 => AdminCmd::RemoveAndResize(BTreeSet::<NodeId>::decode(buf)?),
-            4 => AdminCmd::ResizeQuorum,
-            5 => AdminCmd::SimpleChange(BTreeSet::<NodeId>::decode(buf)?),
-            6 => AdminCmd::JointChange(BTreeSet::<NodeId>::decode(buf)?),
-            7 => AdminCmd::Campaign,
-            8 => AdminCmd::ProposeNoop,
-            9 => AdminCmd::SetRanges(RangeSet::decode(buf)?),
-            t => return Err(Error::Codec(format!("unknown AdminCmd tag {t}"))),
-        })
+codec!(
+    struct NodeStats {
+        cluster: ClusterId,
+        epoch: u32,
+        ranges: RangeSet,
+        members: BTreeSet<NodeId>,
+        is_leader: bool,
+        leader_hint: Option<NodeId>,
+        commit: u64,
+        applied: u64,
+        ops: u64,
+        bytes: u64,
+        split_key: Option<Vec<u8>>,
     }
-}
+);
 
-// `Result<(), Error>` is a foreign type, so the AdminResp payload encodes
-// through free functions rather than an orphan `Encode` impl.
-fn encode_admin_result(result: &std::result::Result<(), Error>, buf: &mut BytesMut) {
-    match result {
-        Ok(()) => 0u8.encode(buf),
-        Err(e) => {
-            1u8.encode(buf);
-            e.encode(buf);
-        }
-    }
-}
-
-fn decode_admin_result(buf: &mut Bytes) -> Result<std::result::Result<(), Error>> {
-    match u8::decode(buf)? {
-        0 => Ok(Ok(())),
-        1 => Ok(Err(Error::decode(buf)?)),
-        t => Err(Error::Codec(format!("invalid admin result tag {t}"))),
-    }
-}
-
-impl Encode for NodeStats {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cluster.encode(buf);
-        self.epoch.encode(buf);
-        self.ranges.encode(buf);
-        self.members.encode(buf);
-        self.is_leader.encode(buf);
-        self.leader_hint.encode(buf);
-        self.commit.encode(buf);
-        self.applied.encode(buf);
-        self.ops.encode(buf);
-        self.bytes.encode(buf);
-        self.split_key.encode(buf);
-    }
-}
-
-impl Decode for NodeStats {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(NodeStats {
-            cluster: ClusterId::decode(buf)?,
-            epoch: u32::decode(buf)?,
-            ranges: RangeSet::decode(buf)?,
-            members: BTreeSet::<NodeId>::decode(buf)?,
-            is_leader: bool::decode(buf)?,
-            leader_hint: Option::<NodeId>::decode(buf)?,
-            commit: u64::decode(buf)?,
-            applied: u64::decode(buf)?,
-            ops: u64::decode(buf)?,
-            bytes: u64::decode(buf)?,
-            split_key: Option::<Vec<u8>>::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Message {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Message::AppendEntries {
-                cluster,
-                eterm,
-                prev_index,
-                prev_eterm,
-                entries,
-                leader_commit,
-                probe,
-            } => {
-                0u8.encode(buf);
-                cluster.encode(buf);
-                eterm.encode(buf);
-                prev_index.encode(buf);
-                prev_eterm.encode(buf);
-                entries.encode(buf);
-                leader_commit.encode(buf);
-                probe.encode(buf);
-            }
-            Message::AppendResp {
-                cluster,
-                eterm,
-                success,
-                match_index,
-                conflict,
-                probe,
-            } => {
-                1u8.encode(buf);
-                cluster.encode(buf);
-                eterm.encode(buf);
-                success.encode(buf);
-                match_index.encode(buf);
-                conflict.encode(buf);
-                probe.encode(buf);
-            }
-            Message::RequestVote {
-                cluster,
-                eterm,
-                last_index,
-                last_eterm,
-            } => {
-                2u8.encode(buf);
-                cluster.encode(buf);
-                eterm.encode(buf);
-                last_index.encode(buf);
-                last_eterm.encode(buf);
-            }
-            Message::VoteResp {
-                cluster,
-                eterm,
-                granted,
-                pull,
-            } => {
-                3u8.encode(buf);
-                cluster.encode(buf);
-                eterm.encode(buf);
-                granted.encode(buf);
-                pull.encode(buf);
-            }
-            Message::NotifyCommit {
-                cluster,
-                cnew_index,
-                cnew_eterm,
-            } => {
-                4u8.encode(buf);
-                cluster.encode(buf);
-                cnew_index.encode(buf);
-                cnew_eterm.encode(buf);
-            }
-            Message::PullReq { commit_index } => {
-                5u8.encode(buf);
-                commit_index.encode(buf);
-            }
-            Message::PullResp {
-                epoch,
-                entries,
-                commit_index,
-                snapshot,
-                snapshot_config,
-            } => {
-                6u8.encode(buf);
-                epoch.encode(buf);
-                entries.encode(buf);
-                commit_index.encode(buf);
-                match snapshot {
-                    None => 0u8.encode(buf),
-                    Some(snap) => {
-                        1u8.encode(buf);
-                        snap.as_ref().encode(buf);
-                    }
-                }
-                snapshot_config.encode(buf);
-            }
-            Message::InstallSnapshot {
-                cluster,
-                eterm,
-                frame,
-                config,
-            } => {
-                7u8.encode(buf);
-                cluster.encode(buf);
-                eterm.encode(buf);
-                frame.as_ref().encode(buf);
-                config.encode(buf);
-            }
-            Message::InstallSnapshotResp { eterm, last_index } => {
-                8u8.encode(buf);
-                eterm.encode(buf);
-                last_index.encode(buf);
-            }
-            Message::MergePrepareReq { tx } => {
-                9u8.encode(buf);
-                tx.encode(buf);
-            }
-            Message::MergePrepareResp {
-                tx_id,
-                cluster,
-                decision,
-                epoch,
-                ranges,
-            } => {
-                10u8.encode(buf);
-                tx_id.encode(buf);
-                cluster.encode(buf);
-                decision.encode(buf);
-                epoch.encode(buf);
-                ranges.encode(buf);
-            }
-            Message::MergeCommitReq { outcome } => {
-                11u8.encode(buf);
-                outcome.encode(buf);
-            }
-            Message::MergeCommitResp { tx_id, cluster } => {
-                12u8.encode(buf);
-                tx_id.encode(buf);
-                cluster.encode(buf);
-            }
-            Message::MergeRedirect { tx_id, leader } => {
-                13u8.encode(buf);
-                tx_id.encode(buf);
-                leader.encode(buf);
-            }
-            Message::FetchSnapshotReq { tx_id } => {
-                14u8.encode(buf);
-                tx_id.encode(buf);
-            }
-            Message::FetchSnapshotResp { tx_id, part } => {
-                15u8.encode(buf);
-                tx_id.encode(buf);
-                match part {
-                    None => 0u8.encode(buf),
-                    Some(snap) => {
-                        1u8.encode(buf);
-                        snap.as_ref().encode(buf);
-                    }
-                }
-            }
-            Message::ClientReq { req } => {
-                16u8.encode(buf);
-                req.encode(buf);
-            }
-            Message::ClientResp { resp } => {
-                17u8.encode(buf);
-                resp.encode(buf);
-            }
-            Message::AdminReq { req_id, cmd } => {
-                18u8.encode(buf);
-                req_id.encode(buf);
-                cmd.encode(buf);
-            }
-            Message::AdminResp { req_id, result } => {
-                19u8.encode(buf);
-                req_id.encode(buf);
-                encode_admin_result(result, buf);
-            }
-            Message::StatsReq { req_id } => {
-                20u8.encode(buf);
-                req_id.encode(buf);
-            }
-            Message::StatsResp { req_id, stats } => {
-                21u8.encode(buf);
-                req_id.encode(buf);
-                stats.as_ref().encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Message {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => Message::AppendEntries {
-                cluster: ClusterId::decode(buf)?,
-                eterm: EpochTerm::decode(buf)?,
-                prev_index: LogIndex::decode(buf)?,
-                prev_eterm: EpochTerm::decode(buf)?,
-                entries: Vec::<LogEntry>::decode(buf)?,
-                leader_commit: LogIndex::decode(buf)?,
-                probe: u64::decode(buf)?,
-            },
-            1 => Message::AppendResp {
-                cluster: ClusterId::decode(buf)?,
-                eterm: EpochTerm::decode(buf)?,
-                success: bool::decode(buf)?,
-                match_index: LogIndex::decode(buf)?,
-                conflict: Option::<LogIndex>::decode(buf)?,
-                probe: u64::decode(buf)?,
-            },
-            2 => Message::RequestVote {
-                cluster: ClusterId::decode(buf)?,
-                eterm: EpochTerm::decode(buf)?,
-                last_index: LogIndex::decode(buf)?,
-                last_eterm: EpochTerm::decode(buf)?,
-            },
-            3 => Message::VoteResp {
-                cluster: ClusterId::decode(buf)?,
-                eterm: EpochTerm::decode(buf)?,
-                granted: bool::decode(buf)?,
-                pull: Option::<PullHint>::decode(buf)?,
-            },
-            4 => Message::NotifyCommit {
-                cluster: ClusterId::decode(buf)?,
-                cnew_index: LogIndex::decode(buf)?,
-                cnew_eterm: EpochTerm::decode(buf)?,
-            },
-            5 => Message::PullReq {
-                commit_index: LogIndex::decode(buf)?,
-            },
-            6 => Message::PullResp {
-                epoch: u32::decode(buf)?,
-                entries: Vec::<LogEntry>::decode(buf)?,
-                commit_index: LogIndex::decode(buf)?,
-                snapshot: match u8::decode(buf)? {
-                    0 => None,
-                    1 => Some(Box::new(Snapshot::decode(buf)?)),
-                    t => return Err(Error::Codec(format!("invalid snapshot tag {t}"))),
-                },
-                snapshot_config: Option::<ClusterConfig>::decode(buf)?,
-            },
-            7 => Message::InstallSnapshot {
-                cluster: ClusterId::decode(buf)?,
-                eterm: EpochTerm::decode(buf)?,
-                frame: Box::new(SnapshotFrame::decode(buf)?),
-                config: ClusterConfig::decode(buf)?,
-            },
-            8 => Message::InstallSnapshotResp {
-                eterm: EpochTerm::decode(buf)?,
-                last_index: LogIndex::decode(buf)?,
-            },
-            9 => Message::MergePrepareReq {
-                tx: MergeTx::decode(buf)?,
-            },
-            10 => Message::MergePrepareResp {
-                tx_id: TxId::decode(buf)?,
-                cluster: ClusterId::decode(buf)?,
-                decision: MergeDecision::decode(buf)?,
-                epoch: u32::decode(buf)?,
-                ranges: RangeSet::decode(buf)?,
-            },
-            11 => Message::MergeCommitReq {
-                outcome: MergeOutcome::decode(buf)?,
-            },
-            12 => Message::MergeCommitResp {
-                tx_id: TxId::decode(buf)?,
-                cluster: ClusterId::decode(buf)?,
-            },
-            13 => Message::MergeRedirect {
-                tx_id: TxId::decode(buf)?,
-                leader: Option::<NodeId>::decode(buf)?,
-            },
-            14 => Message::FetchSnapshotReq {
-                tx_id: TxId::decode(buf)?,
-            },
-            15 => Message::FetchSnapshotResp {
-                tx_id: TxId::decode(buf)?,
-                part: match u8::decode(buf)? {
-                    0 => None,
-                    1 => Some(Box::new(Snapshot::decode(buf)?)),
-                    t => return Err(Error::Codec(format!("invalid snapshot tag {t}"))),
-                },
-            },
-            16 => Message::ClientReq {
-                req: ClientRequest::decode(buf)?,
-            },
-            17 => Message::ClientResp {
-                resp: ClientResponse::decode(buf)?,
-            },
-            18 => Message::AdminReq {
-                req_id: u64::decode(buf)?,
-                cmd: AdminCmd::decode(buf)?,
-            },
-            19 => Message::AdminResp {
-                req_id: u64::decode(buf)?,
-                result: decode_admin_result(buf)?,
-            },
-            20 => Message::StatsReq {
-                req_id: u64::decode(buf)?,
-            },
-            21 => Message::StatsResp {
-                req_id: u64::decode(buf)?,
-                stats: Box::new(NodeStats::decode(buf)?),
-            },
-            t => return Err(Error::Codec(format!("unknown Message tag {t}"))),
-        })
-    }
-}
-
-impl Encode for Envelope {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.from.encode(buf);
-        self.to.encode(buf);
-        self.msg.encode(buf);
-    }
-}
-
-impl Decode for Envelope {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(Envelope {
-            from: NodeId::decode(buf)?,
-            to: NodeId::decode(buf)?,
-            msg: Message::decode(buf)?,
-        })
-    }
-}
+codec!(enum Message {
+    0 => AppendEntries {
+        cluster: ClusterId,
+        eterm: EpochTerm,
+        prev_index: LogIndex,
+        prev_eterm: EpochTerm,
+        entries: Vec<LogEntry>,
+        leader_commit: LogIndex,
+        probe: u64,
+    },
+    1 => AppendResp {
+        cluster: ClusterId,
+        eterm: EpochTerm,
+        success: bool,
+        match_index: LogIndex,
+        conflict: Option<LogIndex>,
+        probe: u64,
+    },
+    2 => RequestVote {
+        cluster: ClusterId,
+        eterm: EpochTerm,
+        last_index: LogIndex,
+        last_eterm: EpochTerm,
+    },
+    3 => VoteResp {
+        cluster: ClusterId,
+        eterm: EpochTerm,
+        granted: bool,
+        pull: Option<PullHint>,
+    },
+    4 => NotifyCommit {
+        cluster: ClusterId,
+        cnew_index: LogIndex,
+        cnew_eterm: EpochTerm,
+    },
+    5 => PullReq {
+        commit_index: LogIndex,
+    },
+    6 => PullResp {
+        epoch: u32,
+        entries: Vec<LogEntry>,
+        commit_index: LogIndex,
+        snapshot: Option<Box<Snapshot>>,
+        snapshot_config: Option<ClusterConfig>,
+    },
+    7 => InstallSnapshot {
+        cluster: ClusterId,
+        eterm: EpochTerm,
+        frame: Box<SnapshotFrame>,
+        config: ClusterConfig,
+    },
+    8 => InstallSnapshotResp {
+        eterm: EpochTerm,
+        last_index: LogIndex,
+    },
+    9 => MergePrepareReq {
+        tx: MergeTx,
+    },
+    10 => MergePrepareResp {
+        tx_id: TxId,
+        cluster: ClusterId,
+        decision: MergeDecision,
+        epoch: u32,
+        ranges: RangeSet,
+    },
+    11 => MergeCommitReq {
+        outcome: MergeOutcome,
+    },
+    12 => MergeCommitResp {
+        tx_id: TxId,
+        cluster: ClusterId,
+    },
+    13 => MergeRedirect {
+        tx_id: TxId,
+        leader: Option<NodeId>,
+    },
+    14 => FetchSnapshotReq {
+        tx_id: TxId,
+    },
+    15 => FetchSnapshotResp {
+        tx_id: TxId,
+        part: Option<Box<Snapshot>>,
+    },
+    16 => ClientReq {
+        req: ClientRequest,
+    },
+    17 => ClientResp {
+        resp: ClientResponse,
+    },
+    18 => AdminReq {
+        req_id: u64,
+        cmd: AdminCmd,
+    },
+    19 => AdminResp {
+        req_id: u64,
+        result: Result<(), Error>,
+    },
+    20 => StatsReq {
+        req_id: u64,
+    },
+    21 => StatsResp {
+        req_id: u64,
+        stats: Box<NodeStats>,
+    },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf;
+    use bytes::Bytes;
+    use recraft_types::codec::testing;
 
     fn roundtrip(msg: Message) {
-        let env = Envelope::new(NodeId(1), NodeId(2), msg);
-        let mut bytes = env.encode_to_bytes();
-        let decoded = Envelope::decode(&mut bytes).unwrap();
-        assert_eq!(decoded, env);
-        assert_eq!(
-            bytes.remaining(),
-            0,
-            "leftover bytes for {}",
-            env.msg.kind()
-        );
+        testing::roundtrip(Envelope::new(NodeId(1), NodeId(2), msg));
     }
 
     #[test]

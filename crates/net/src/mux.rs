@@ -14,6 +14,10 @@
 //!   | count × ( env_len (u32 BE) | encoded Envelope )
 //! ```
 //!
+//! Each of the `count` units is a plain frame, written by the same
+//! [`put_frame`] and read by the same `take_envelope` as one sent alone:
+//! [`put_batch`] is a twelve-byte header and `count` calls of the former
+//! into one buffer, with `batch_len` back-patched once the body is there.
 //! `batch_len` covers everything after itself (count word included) and is
 //! bounded by [`MAX_FRAME_BYTES`], so a corrupt peer cannot force an
 //! unbounded allocation. [`MUX_MAGIC`] is deliberately larger than
@@ -22,16 +26,17 @@
 //! garbage on either protocol. One listener therefore serves both wire
 //! dialects with no handshake — clients keep sending plain frames, worker
 //! peers send batches — and [`MuxReader`] decodes the interleaving
-//! incrementally from nonblocking reads.
+//! incrementally from nonblocking reads. The reader consumes its buffer
+//! through a cursor and compacts once per [`MuxReader::feed`], so draining a
+//! read that holds many frames moves each byte once, not once per frame.
 //!
 //! Truncated, oversized, and corrupted input surfaces as [`Error::Codec`],
 //! never a panic; the property tests drive random chunkings and
 //! corruptions through the reader.
 
-use crate::frame::MAX_FRAME_BYTES;
+use crate::frame::{frame_len, put_frame, take_envelope, MAX_FRAME_BYTES};
 use crate::message::Envelope;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use recraft_types::codec::{Decode, Encode};
 use recraft_types::{Error, Result};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -43,35 +48,44 @@ pub const MUX_MAGIC: u32 = 0xF1EE_CAB1;
 
 const _: () = assert!(MUX_MAGIC as usize > MAX_FRAME_BYTES);
 
-/// Encodes `envs` as one batch.
+/// Appends `envs` to `buf` as one batch, encoding in place; on error `buf`
+/// is left as it was.
 ///
 /// # Errors
 /// Returns [`Error::Codec`] when the batch is empty or its encoded size
 /// exceeds [`MAX_FRAME_BYTES`] (split the batch and retry — the driver's
 /// batch ceiling keeps real rounds far below the cap).
-pub fn encode_batch(envs: &[Envelope]) -> Result<Bytes> {
+pub fn put_batch(buf: &mut BytesMut, envs: &[Envelope]) -> Result<()> {
     if envs.is_empty() {
         return Err(Error::Codec("empty mux batch".into()));
     }
-    let mut body = BytesMut::new();
-    body.put_u32(u32::try_from(envs.len()).expect("batch count fits u32"));
+    let at = buf.len();
+    buf.put_u32(MUX_MAGIC);
+    buf.put_u32(0);
+    buf.put_u32(u32::try_from(envs.len()).expect("batch count fits u32"));
     for env in envs {
-        let payload = env.encode_to_bytes();
-        body.put_u32(u32::try_from(payload.len()).expect("envelope exceeds u32 length"));
-        body.put_slice(&payload);
+        put_frame(buf, env);
     }
-    if body.len() > MAX_FRAME_BYTES {
+    let body_len = buf.len() - at - 8;
+    if body_len > MAX_FRAME_BYTES {
+        buf.truncate(at);
         return Err(Error::Codec(format!(
-            "mux batch of {} envelopes encodes to {} bytes, cap {MAX_FRAME_BYTES}",
-            envs.len(),
-            body.len()
+            "mux batch of {} envelopes encodes to {body_len} bytes, cap {MAX_FRAME_BYTES}",
+            envs.len()
         )));
     }
-    let mut framed = BytesMut::with_capacity(8 + body.len());
-    framed.put_u32(MUX_MAGIC);
-    framed.put_u32(body.len() as u32);
-    framed.put_slice(&body);
-    Ok(framed.freeze())
+    buf[at + 4..at + 8].copy_from_slice(&(body_len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// Encodes `envs` as one batch.
+///
+/// # Errors
+/// As [`put_batch`].
+pub fn encode_batch(envs: &[Envelope]) -> Result<Bytes> {
+    let mut buf = BytesMut::new();
+    put_batch(&mut buf, envs)?;
+    Ok(buf.freeze())
 }
 
 /// Writes `envs` as one batch in a single `write_all`.
@@ -80,9 +94,37 @@ pub fn encode_batch(envs: &[Envelope]) -> Result<Bytes> {
 /// Returns [`Error::Codec`] for an unencodable batch and [`Error::Storage`]
 /// on stream I/O failure.
 pub fn write_batch<W: Write>(w: &mut W, envs: &[Envelope]) -> Result<()> {
-    let framed = encode_batch(envs)?;
-    w.write_all(&framed)
-        .map_err(|e| Error::Storage(format!("mux batch write: {e}")))?;
+    let mut buf = BytesMut::new();
+    put_batch(&mut buf, envs)?;
+    w.write_all(&buf)
+        .map_err(|e| Error::Storage(format!("mux batch write: {e}")))
+}
+
+/// Unpacks a complete batch body — what [`put_batch`] wrote behind
+/// `batch_len` — into `ready`.
+fn unpack_batch(mut body: Bytes, ready: &mut VecDeque<Envelope>) -> Result<()> {
+    if body.remaining() < 4 {
+        return Err(Error::Codec("mux batch too short for its count".into()));
+    }
+    let count = body.get_u32() as usize;
+    if count == 0 {
+        return Err(Error::Codec("mux batch with zero envelopes".into()));
+    }
+    for i in 0..count {
+        if body.remaining() < 4 {
+            return Err(Error::Codec(format!(
+                "mux batch truncated at envelope {i} of {count}"
+            )));
+        }
+        let len = body.get_u32() as usize;
+        ready.push_back(take_envelope(&mut body, len)?);
+    }
+    if body.remaining() != 0 {
+        return Err(Error::Codec(format!(
+            "mux batch has {} trailing bytes after {count} envelopes",
+            body.remaining()
+        )));
+    }
     Ok(())
 }
 
@@ -95,6 +137,8 @@ pub fn write_batch<W: Write>(w: &mut W, envs: &[Envelope]) -> Result<()> {
 #[derive(Debug, Default)]
 pub struct MuxReader {
     buf: Vec<u8>,
+    /// `buf[..consumed]` has been decoded; the next `feed` drops it.
+    consumed: usize,
     /// Envelopes decoded from a completed batch, drained before the buffer
     /// is parsed further.
     ready: VecDeque<Envelope>,
@@ -109,13 +153,15 @@ impl MuxReader {
 
     /// Appends raw stream bytes.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet decodable into a complete unit.
     #[must_use]
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.consumed
     }
 
     /// The next complete envelope, if the buffer holds one.
@@ -129,93 +175,45 @@ impl MuxReader {
         if let Some(env) = self.ready.pop_front() {
             return Ok(Some(env));
         }
-        if self.buf.len() < 4 {
+        let Some(prefix) = self.word_at(0) else {
             return Ok(None);
+        };
+        if prefix != MUX_MAGIC {
+            let len = frame_len(prefix)?;
+            let Some(mut frame) = self.take_unit(4, len) else {
+                return Ok(None);
+            };
+            return take_envelope(&mut frame, len).map(Some);
         }
-        let prefix = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]);
-        if prefix == MUX_MAGIC {
-            self.try_batch()
-        } else {
-            self.try_plain(prefix as usize)
-        }
-    }
-
-    /// Decodes one plain frame (`prefix` already read as its length word).
-    fn try_plain(&mut self, len: usize) -> Result<Option<Envelope>> {
-        if len > MAX_FRAME_BYTES {
-            return Err(Error::Codec(format!(
-                "oversized frame: {len} bytes exceeds cap {MAX_FRAME_BYTES}"
-            )));
-        }
-        if self.buf.len() < 4 + len {
+        let Some(body_len) = self.word_at(4) else {
             return Ok(None);
-        }
-        let mut payload = Bytes::copy_from_slice(&self.buf[4..4 + len]);
-        self.buf.drain(..4 + len);
-        let env = Envelope::decode(&mut payload)?;
-        if payload.remaining() != 0 {
-            return Err(Error::Codec(format!(
-                "frame has {} trailing bytes after envelope",
-                payload.remaining()
-            )));
-        }
-        Ok(Some(env))
-    }
-
-    /// Decodes one whole batch into `ready` and pops the first envelope.
-    fn try_batch(&mut self) -> Result<Option<Envelope>> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let body_len =
-            u32::from_be_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]) as usize;
+        };
+        let body_len = body_len as usize;
         if body_len > MAX_FRAME_BYTES {
             return Err(Error::Codec(format!(
                 "oversized mux batch: {body_len} bytes exceeds cap {MAX_FRAME_BYTES}"
             )));
         }
-        if self.buf.len() < 8 + body_len {
+        let Some(body) = self.take_unit(8, body_len) else {
             return Ok(None);
-        }
-        let mut body = Bytes::copy_from_slice(&self.buf[8..8 + body_len]);
-        self.buf.drain(..8 + body_len);
-        if body.remaining() < 4 {
-            return Err(Error::Codec("mux batch too short for its count".into()));
-        }
-        let count = body.get_u32() as usize;
-        if count == 0 {
-            return Err(Error::Codec("mux batch with zero envelopes".into()));
-        }
-        for i in 0..count {
-            if body.remaining() < 4 {
-                return Err(Error::Codec(format!(
-                    "mux batch truncated at envelope {i} of {count}"
-                )));
-            }
-            let len = body.get_u32() as usize;
-            if body.remaining() < len {
-                return Err(Error::Codec(format!(
-                    "mux batch envelope {i} claims {len} bytes, {} remain",
-                    body.remaining()
-                )));
-            }
-            let mut payload = body.copy_to_bytes(len);
-            let env = Envelope::decode(&mut payload)?;
-            if payload.remaining() != 0 {
-                return Err(Error::Codec(format!(
-                    "mux batch envelope {i} has {} trailing bytes",
-                    payload.remaining()
-                )));
-            }
-            self.ready.push_back(env);
-        }
-        if body.remaining() != 0 {
-            return Err(Error::Codec(format!(
-                "mux batch has {} trailing bytes after {count} envelopes",
-                body.remaining()
-            )));
-        }
+        };
+        unpack_batch(body, &mut self.ready)?;
         Ok(self.ready.pop_front())
+    }
+
+    /// The big-endian word `at` bytes past the cursor, if buffered.
+    fn word_at(&self, at: usize) -> Option<u32> {
+        let word = self.buf.get(self.consumed + at..self.consumed + at + 4)?;
+        Some(u32::from_be_bytes(word.try_into().expect("four bytes")))
+    }
+
+    /// Consumes a `header`-byte prefix and the `len`-byte unit behind it,
+    /// once the whole unit is buffered, and returns the unit.
+    fn take_unit(&mut self, header: usize, len: usize) -> Option<Bytes> {
+        let start = self.consumed + header;
+        let unit = Bytes::copy_from_slice(self.buf.get(start..start + len)?);
+        self.consumed = start + len;
+        Some(unit)
     }
 }
 

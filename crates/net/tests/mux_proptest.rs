@@ -96,6 +96,36 @@ proptest! {
         prop_assert_eq!(reader.pending_bytes(), 0);
     }
 
+    /// One read holding 256 plain frames (a client connection's backlog)
+    /// drains in order with nothing pending, and the reader takes the next
+    /// feed — a frame split across the two — as if nothing had been there:
+    /// the consumed prefix is dropped once, by that feed, not per envelope.
+    #[test]
+    fn one_feed_of_256_frames_drains_in_order(base: u64, split in 1usize..12) {
+        let want: Vec<Envelope> = (0..257).map(|i| sample_envelope(base ^ i)).collect();
+        let mut wire = Vec::new();
+        for env in &want[..256] {
+            wire.extend_from_slice(&encode_frame(env));
+        }
+        let tail = encode_frame(&want[256]);
+        wire.extend_from_slice(&tail[..split]);
+        let mut reader = MuxReader::new();
+        reader.feed(&wire);
+        let mut got = Vec::new();
+        while let Some(env) = reader
+            .next_envelope()
+            .map_err(|e| TestCaseError::fail(e.to_string()))?
+        {
+            got.push(env);
+        }
+        prop_assert_eq!(got.len(), 256);
+        prop_assert_eq!(reader.pending_bytes(), split);
+        reader.feed(&tail[split..]);
+        got.extend(reader.next_envelope().map_err(|e| TestCaseError::fail(e.to_string()))?);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(reader.pending_bytes(), 0);
+    }
+
     /// A truncated stream never panics: the reader either waits for more
     /// bytes or (if the cut landed mid-unit in a way that corrupts framing)
     /// errors — and everything before the cut still decodes.

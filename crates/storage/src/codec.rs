@@ -1,9 +1,11 @@
-//! Binary codecs for the persisted storage types.
+//! The binary layout of the persisted storage types.
 //!
 //! Everything the [`WalLog`](crate::WalLog) writes — log entries, node
-//! metadata, snapshots — encodes through `recraft_types::codec`, so the
-//! on-disk format is the same hand-rolled big-endian format the rest of the
-//! workspace uses (no external serialization dependency).
+//! metadata, snapshots — is declared here, one `codec!` list per type, in
+//! the workspace format of `recraft_types::codec`; the same lists are what
+//! `AppendEntries` and `InstallSnapshot` put on the wire. `ReconfigRecord`
+//! alone is written out by hand: its `kind` is a `&'static str` in memory,
+//! so its decoder has to intern what it read.
 
 use crate::entry::{EntryPayload, LogEntry};
 use crate::snapshot::{Snapshot, SnapshotFrame};
@@ -12,82 +14,36 @@ use crate::store::{NodeMeta, ReconfigRecord};
 use bytes::{Bytes, BytesMut};
 use recraft_types::codec::{Decode, Encode};
 use recraft_types::{
-    ClusterId, ConfigChange, EpochTerm, Error, LogIndex, NodeId, RangeSet, Result, SessionId,
+    codec, ClusterId, ConfigChange, EpochTerm, LogIndex, NodeId, RangeSet, Result, SessionId,
     SessionTable, TxId,
 };
 use std::collections::BTreeSet;
 
-impl Encode for EntryPayload {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            EntryPayload::Noop => 0u8.encode(buf),
-            EntryPayload::Command(cmd) => {
-                1u8.encode(buf);
-                cmd.encode(buf);
-            }
-            EntryPayload::SessionCommand { session, seq, cmd } => {
-                2u8.encode(buf);
-                session.encode(buf);
-                seq.encode(buf);
-                cmd.encode(buf);
-            }
-            EntryPayload::Config(change) => {
-                3u8.encode(buf);
-                change.encode(buf);
-            }
-        }
-    }
-}
+codec!(enum EntryPayload {
+    0 => Noop,
+    1 => Command(Bytes),
+    2 => SessionCommand {
+        session: SessionId,
+        seq: u64,
+        cmd: Bytes,
+    },
+    3 => Config(ConfigChange),
+});
 
-impl Decode for EntryPayload {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => EntryPayload::Noop,
-            1 => EntryPayload::Command(Bytes::decode(buf)?),
-            2 => EntryPayload::SessionCommand {
-                session: SessionId::decode(buf)?,
-                seq: u64::decode(buf)?,
-                cmd: Bytes::decode(buf)?,
-            },
-            3 => EntryPayload::Config(ConfigChange::decode(buf)?),
-            t => return Err(Error::Codec(format!("unknown EntryPayload tag {t}"))),
-        })
+codec!(
+    struct LogEntry {
+        index: LogIndex,
+        eterm: EpochTerm,
+        payload: EntryPayload,
     }
-}
+);
 
-impl Encode for LogEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.index.encode(buf);
-        self.eterm.encode(buf);
-        self.payload.encode(buf);
+codec!(
+    struct HardState {
+        eterm: EpochTerm,
+        voted_for: Option<NodeId>,
     }
-}
-
-impl Decode for LogEntry {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(LogEntry {
-            index: LogIndex::decode(buf)?,
-            eterm: EpochTerm::decode(buf)?,
-            payload: EntryPayload::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for HardState {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.eterm.encode(buf);
-        self.voted_for.encode(buf);
-    }
-}
-
-impl Decode for HardState {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(HardState {
-            eterm: EpochTerm::decode(buf)?,
-            voted_for: Option::<NodeId>::decode(buf)?,
-        })
-    }
-}
+);
 
 /// The §V reconfiguration-history record kinds a decode can produce. The
 /// `kind` field is a `&'static str` in memory; on disk it travels as a
@@ -135,95 +91,47 @@ impl Decode for ReconfigRecord {
     }
 }
 
-impl Encode for NodeMeta {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.hard.encode(buf);
-        self.cluster.encode(buf);
-        self.cluster_epoch.encode(buf);
-        self.bootstrapped.encode(buf);
-        self.join_target.encode(buf);
-        self.history.encode(buf);
+codec!(
+    struct NodeMeta {
+        hard: HardState,
+        cluster: ClusterId,
+        cluster_epoch: u32,
+        bootstrapped: bool,
+        join_target: Option<ClusterId>,
+        history: Vec<ReconfigRecord>,
     }
-}
+);
 
-impl Decode for NodeMeta {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(NodeMeta {
-            hard: HardState::decode(buf)?,
-            cluster: ClusterId::decode(buf)?,
-            cluster_epoch: u32::decode(buf)?,
-            bootstrapped: bool::decode(buf)?,
-            join_target: Option::<ClusterId>::decode(buf)?,
-            history: Vec::<ReconfigRecord>::decode(buf)?,
-        })
+codec!(
+    struct Snapshot {
+        last_index: LogIndex,
+        last_eterm: EpochTerm,
+        cluster: ClusterId,
+        ranges: RangeSet,
+        chunks: Vec<Bytes>,
+        sessions: SessionTable,
     }
-}
+);
 
-impl Encode for Snapshot {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.last_index.encode(buf);
-        self.last_eterm.encode(buf);
-        self.cluster.encode(buf);
-        self.ranges.encode(buf);
-        self.chunks.encode(buf);
-        self.sessions.encode(buf);
+codec!(
+    struct SnapshotFrame {
+        last_index: LogIndex,
+        last_eterm: EpochTerm,
+        cluster: ClusterId,
+        ranges: RangeSet,
+        seq: u32,
+        total: u32,
+        chunk: Bytes,
+        sessions: Option<SessionTable>,
     }
-}
-
-impl Decode for Snapshot {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(Snapshot {
-            last_index: LogIndex::decode(buf)?,
-            last_eterm: EpochTerm::decode(buf)?,
-            cluster: ClusterId::decode(buf)?,
-            ranges: RangeSet::decode(buf)?,
-            chunks: Vec::<Bytes>::decode(buf)?,
-            sessions: SessionTable::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for SnapshotFrame {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.last_index.encode(buf);
-        self.last_eterm.encode(buf);
-        self.cluster.encode(buf);
-        self.ranges.encode(buf);
-        self.seq.encode(buf);
-        self.total.encode(buf);
-        self.chunk.encode(buf);
-        self.sessions.encode(buf);
-    }
-}
-
-impl Decode for SnapshotFrame {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(SnapshotFrame {
-            last_index: LogIndex::decode(buf)?,
-            last_eterm: EpochTerm::decode(buf)?,
-            cluster: ClusterId::decode(buf)?,
-            ranges: RangeSet::decode(buf)?,
-            seq: u32::decode(buf)?,
-            total: u32::decode(buf)?,
-            chunk: Bytes::decode(buf)?,
-            sessions: Option::<SessionTable>::decode(buf)?,
-        })
-    }
-}
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf;
+    use recraft_types::codec::testing::roundtrip;
     use recraft_types::ClusterConfig;
     use std::collections::BTreeSet;
-
-    fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
-        let mut bytes = value.encode_to_bytes();
-        let decoded = T::decode(&mut bytes).unwrap();
-        assert_eq!(decoded, value);
-        assert_eq!(bytes.remaining(), 0, "leftover bytes");
-    }
 
     #[test]
     fn entry_payloads_roundtrip() {
@@ -303,16 +211,6 @@ mod tests {
         };
         for frame in snap.frames() {
             roundtrip(frame);
-        }
-    }
-
-    #[test]
-    fn truncated_snapshot_errors() {
-        let snap = Snapshot::empty(ClusterId(1), RangeSet::full());
-        let bytes = snap.encode_to_bytes();
-        for cut in 0..bytes.len() {
-            let mut short = bytes.slice(..cut);
-            assert!(Snapshot::decode(&mut short).is_err(), "cut at {cut}");
         }
     }
 }

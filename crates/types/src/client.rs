@@ -19,8 +19,9 @@
 //!   responder's cluster so retries land correctly even while the topology
 //!   is being split or merged underneath the client.
 //!
-//! All types have compact binary codecs ([`Encode`]/[`Decode`]) so they can
-//! travel through transports and snapshots.
+//! Every type declares its binary layout beside its definition with
+//! [`codec!`](crate::codec!), so it can travel through transports and
+//! snapshots.
 //!
 //! # Example
 //! ```
@@ -42,10 +43,10 @@
 //! assert!(matches!(table.check(SessionId(7), 1), SessionCheck::Duplicate(_)));
 //! ```
 
-use crate::codec::{Decode, Encode};
-use crate::error::{Error, Result};
-use crate::ids::{ClusterId, NodeId};
-use bytes::{Bytes, BytesMut};
+use crate::codec;
+use crate::error::Error;
+use crate::ids::{ClusterId, LogIndex, NodeId};
+use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -57,18 +58,6 @@ pub struct SessionId(pub u64);
 impl fmt::Display for SessionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "s{}", self.0)
-    }
-}
-
-impl Encode for SessionId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-}
-
-impl Decode for SessionId {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(SessionId(u64::decode(buf)?))
     }
 }
 
@@ -117,36 +106,15 @@ impl ClientOp {
     }
 }
 
-impl Encode for ClientOp {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ClientOp::Command { key, cmd } => {
-                0u8.encode(buf);
-                key.encode(buf);
-                cmd.encode(buf);
-            }
-            ClientOp::Get { key } => {
-                1u8.encode(buf);
-                key.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ClientOp {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientOp::Command {
-                key: Vec::<u8>::decode(buf)?,
-                cmd: Bytes::decode(buf)?,
-            }),
-            1 => Ok(ClientOp::Get {
-                key: Vec::<u8>::decode(buf)?,
-            }),
-            t => Err(Error::Codec(format!("unknown ClientOp tag {t}"))),
-        }
-    }
-}
+codec!(enum ClientOp {
+    0 => Command {
+        key: Vec<u8>,
+        cmd: Bytes,
+    },
+    1 => Get {
+        key: Vec<u8>,
+    },
+});
 
 /// One client request: which session, which attempt, what to do.
 ///
@@ -171,23 +139,13 @@ impl ClientRequest {
     }
 }
 
-impl Encode for ClientRequest {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.session.encode(buf);
-        self.seq.encode(buf);
-        self.op.encode(buf);
+codec!(
+    struct ClientRequest {
+        session: SessionId,
+        seq: u64,
+        op: ClientOp,
     }
-}
-
-impl Decode for ClientRequest {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(ClientRequest {
-            session: SessionId::decode(buf)?,
-            seq: u64::decode(buf)?,
-            op: ClientOp::decode(buf)?,
-        })
-    }
-}
+);
 
 /// How a node answered a [`ClientRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,46 +194,18 @@ impl ClientOutcome {
     }
 }
 
-impl Encode for ClientOutcome {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ClientOutcome::Reply { payload } => {
-                0u8.encode(buf);
-                payload.encode(buf);
-            }
-            ClientOutcome::Redirect {
-                leader_hint,
-                cluster,
-            } => {
-                1u8.encode(buf);
-                leader_hint.encode(buf);
-                cluster.encode(buf);
-            }
-            ClientOutcome::Rejected { error } => {
-                2u8.encode(buf);
-                error.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ClientOutcome {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(ClientOutcome::Reply {
-                payload: Bytes::decode(buf)?,
-            }),
-            1 => Ok(ClientOutcome::Redirect {
-                leader_hint: Option::<NodeId>::decode(buf)?,
-                cluster: Option::<ClusterId>::decode(buf)?,
-            }),
-            2 => Ok(ClientOutcome::Rejected {
-                error: Error::decode(buf)?,
-            }),
-            t => Err(Error::Codec(format!("unknown ClientOutcome tag {t}"))),
-        }
-    }
-}
+codec!(enum ClientOutcome {
+    0 => Reply {
+        payload: Bytes,
+    },
+    1 => Redirect {
+        leader_hint: Option<NodeId>,
+        cluster: Option<ClusterId>,
+    },
+    2 => Rejected {
+        error: Error,
+    },
+});
 
 /// One client response, echoing the request's identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -288,23 +218,13 @@ pub struct ClientResponse {
     pub outcome: ClientOutcome,
 }
 
-impl Encode for ClientResponse {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.session.encode(buf);
-        self.seq.encode(buf);
-        self.outcome.encode(buf);
+codec!(
+    struct ClientResponse {
+        session: SessionId,
+        seq: u64,
+        outcome: ClientOutcome,
     }
-}
-
-impl Decode for ClientResponse {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(ClientResponse {
-            session: SessionId::decode(buf)?,
-            seq: u64::decode(buf)?,
-            outcome: ClientOutcome::decode(buf)?,
-        })
-    }
-}
+);
 
 /// What the dedup table says about an incoming `(session, seq)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,21 +249,12 @@ pub struct SessionEntry {
     pub last_reply: Bytes,
 }
 
-impl Encode for SessionEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.last_seq.encode(buf);
-        self.last_reply.encode(buf);
+codec!(
+    struct SessionEntry {
+        last_seq: u64,
+        last_reply: Bytes,
     }
-}
-
-impl Decode for SessionEntry {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(SessionEntry {
-            last_seq: u64::decode(buf)?,
-            last_reply: Bytes::decode(buf)?,
-        })
-    }
-}
+);
 
 /// The exactly-once dedup table, part of the *applied state*: it is rebuilt
 /// from snapshots on restart, retained whole through split completion (both
@@ -430,106 +341,37 @@ impl SessionTable {
     }
 }
 
-impl Encode for SessionTable {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.entries.encode(buf);
+codec!(
+    struct SessionTable {
+        entries: BTreeMap<SessionId, SessionEntry>,
     }
-}
+);
 
-impl Decode for SessionTable {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(SessionTable {
-            entries: BTreeMap::decode(buf)?,
-        })
-    }
-}
-
-impl Encode for Error {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            Error::InvalidRange(m) => {
-                0u8.encode(buf);
-                m.encode(buf);
-            }
-            Error::InvalidConfig(m) => {
-                1u8.encode(buf);
-                m.encode(buf);
-            }
-            Error::PreconditionP1 => 2u8.encode(buf),
-            Error::PreconditionP2(m) => {
-                3u8.encode(buf);
-                m.encode(buf);
-            }
-            Error::PreconditionP3 => 4u8.encode(buf),
-            Error::NotLeader(hint) => {
-                5u8.encode(buf);
-                hint.encode(buf);
-            }
-            Error::WrongRange(hint) => {
-                6u8.encode(buf);
-                hint.encode(buf);
-            }
-            Error::MergeBlocked => 7u8.encode(buf),
-            Error::IndexOutOfRange(i) => {
-                8u8.encode(buf);
-                i.encode(buf);
-            }
-            Error::Codec(m) => {
-                9u8.encode(buf);
-                m.encode(buf);
-            }
-            Error::ProposalDropped => 10u8.encode(buf),
-            Error::InvalidState(m) => {
-                11u8.encode(buf);
-                m.encode(buf);
-            }
-            Error::SessionStale => 12u8.encode(buf),
-            Error::Storage(m) => {
-                13u8.encode(buf);
-                m.encode(buf);
-            }
-            Error::DeadlineExceeded(m) => {
-                14u8.encode(buf);
-                m.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for Error {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => Error::InvalidRange(String::decode(buf)?),
-            1 => Error::InvalidConfig(String::decode(buf)?),
-            2 => Error::PreconditionP1,
-            3 => Error::PreconditionP2(String::decode(buf)?),
-            4 => Error::PreconditionP3,
-            5 => Error::NotLeader(Option::<NodeId>::decode(buf)?),
-            6 => Error::WrongRange(Option::<ClusterId>::decode(buf)?),
-            7 => Error::MergeBlocked,
-            8 => Error::IndexOutOfRange(crate::ids::LogIndex::decode(buf)?),
-            9 => Error::Codec(String::decode(buf)?),
-            10 => Error::ProposalDropped,
-            11 => Error::InvalidState(String::decode(buf)?),
-            12 => Error::SessionStale,
-            13 => Error::Storage(String::decode(buf)?),
-            14 => Error::DeadlineExceeded(String::decode(buf)?),
-            t => return Err(Error::Codec(format!("unknown Error tag {t}"))),
-        })
-    }
-}
+// The error vocabulary is defined in `error.rs`; its layout lives here with
+// the client protocol that carries it (`ClientOutcome::Rejected`, the admin
+// plane's `Result<(), Error>`).
+codec!(enum Error {
+    0 => InvalidRange(String),
+    1 => InvalidConfig(String),
+    2 => PreconditionP1,
+    3 => PreconditionP2(String),
+    4 => PreconditionP3,
+    5 => NotLeader(Option<NodeId>),
+    6 => WrongRange(Option<ClusterId>),
+    7 => MergeBlocked,
+    8 => IndexOutOfRange(LogIndex),
+    9 => Codec(String),
+    10 => ProposalDropped,
+    11 => InvalidState(String),
+    12 => SessionStale,
+    13 => Storage(String),
+    14 => DeadlineExceeded(String),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf;
-
-    fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
-        let mut bytes = value.encode_to_bytes();
-        let decoded = T::decode(&mut bytes).unwrap();
-        assert_eq!(decoded, value);
-        assert_eq!(bytes.remaining(), 0, "leftover bytes");
-    }
+    use crate::codec::testing::roundtrip;
 
     #[test]
     fn request_response_roundtrip() {

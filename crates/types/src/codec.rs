@@ -1,22 +1,59 @@
-//! A small hand-rolled binary codec.
+//! The workspace's one binary format, and the one place a type says how it
+//! is laid out in it.
 //!
-//! Used for snapshot payloads and persisted state. All integers are
-//! big-endian fixed width; byte strings and collections are length-prefixed
-//! with a `u32`. No external serialization format is required (DESIGN.md §7).
+//! Everything that crosses a socket or reaches a disk — envelopes, WAL
+//! records, `NodeMeta`, snapshot files, `DurableKv` manifests, state-machine
+//! commands — is built from the same few rules: integers are big-endian and
+//! fixed width, byte strings and collections carry a `u32` length prefix,
+//! `Option`/`Result`/enums carry a one-byte tag, structs are their fields in
+//! order. No external serialization format is involved.
 //!
-//! # Example
+//! # Declaring a type
+//!
+//! A type whose decoder only reads its fields back in the order the encoder
+//! wrote them declares that order once, beside its definition, with
+//! [`codec!`](crate::codec!) — the macro emits both impls from the one list:
+//!
 //! ```
-//! use bytes::BytesMut;
 //! use recraft_types::codec::{Decode, Encode};
+//! use recraft_types::{codec, NodeId};
 //!
-//! let mut buf = BytesMut::new();
-//! 42u64.encode(&mut buf);
-//! "hello".to_string().encode(&mut buf);
-//! let mut bytes = buf.freeze();
-//! assert_eq!(u64::decode(&mut bytes).unwrap(), 42);
-//! assert_eq!(String::decode(&mut bytes).unwrap(), "hello");
+//! #[derive(Debug, PartialEq)]
+//! struct Lease { holder: NodeId, until: u64 }
+//! codec!(struct Lease { holder: NodeId, until: u64 });
+//!
+//! #[derive(Debug, PartialEq)]
+//! enum Probe { Idle, Ping(u64), Lost { holder: Option<NodeId>, misses: u32 } }
+//! codec!(enum Probe {
+//!     0 => Idle,
+//!     1 => Ping(u64),
+//!     2 => Lost { holder: Option<NodeId>, misses: u32 },
+//! });
+//!
+//! let mut bytes = Probe::Ping(7).encode_to_bytes();
+//! assert_eq!(&bytes[..], &[1, 0, 0, 0, 0, 0, 0, 0, 7]);
+//! assert_eq!(Probe::decode(&mut bytes).unwrap(), Probe::Ping(7));
+//! assert!(Probe::decode(&mut bytes::Bytes::from_static(&[9])).is_err());
 //! ```
+//!
+//! The encoder destructures exhaustively, so a field or variant added to the
+//! type and not to its list does not compile, and the unknown-tag error is
+//! generated. Tags and field order are the format: never renumber or reorder
+//! a published list (`crates/net/tests/format_golden.rs` holds the bytes).
+//!
+//! # What stays hand-written
+//!
+//! The primitives and containers below, because every other format rests on
+//! their length and tag checks; and every decoder that *re-validates* what it
+//! read, because a list of fields cannot say "and then reject it":
+//! [`KeyRange`] and [`RangeSet`] (ordering and overlap), [`EpochTerm`]
+//! (packed into one word), `ClusterConfig`, `SplitSpec` and `MergeTx` in
+//! [`config`](crate::config) (member-set, quorum and disjointness rules), and
+//! `ReconfigRecord` in `recraft-storage` (interns its `kind` string). Bytes
+//! off a socket or a disk reach a `Node` only through these, so a decoded
+//! value is one the constructors would have accepted.
 
+use crate::client::SessionId;
 use crate::error::{Error, Result};
 use crate::eterm::EpochTerm;
 use crate::ids::{ClusterId, LogIndex, NodeId, TxId};
@@ -44,6 +81,68 @@ pub trait Decode: Sized {
     /// # Errors
     /// Returns [`Error::Codec`] on truncated or malformed input.
     fn decode(buf: &mut Bytes) -> Result<Self>;
+}
+
+/// Declares the binary layout of a struct or enum defined beside it and
+/// emits its [`Encode`] and [`Decode`] impls (see the [module docs](self)).
+///
+/// `struct T { field: Ty, … }` is the fields in that order. `enum T { tag =>
+/// Variant, … }` is a one-byte tag, then the variant's fields; a variant is
+/// a unit, a one-field tuple `V(Ty)`, or named `V { field: Ty, … }`.
+#[macro_export]
+macro_rules! codec {
+    (struct $name:ident { $($field:ident : $ty:ty),* $(,)? }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                let Self { $($field),* } = self;
+                $($crate::codec::Encode::encode($field, buf);)*
+            }
+        }
+        impl $crate::codec::Decode for $name {
+            fn decode(buf: &mut ::bytes::Bytes) -> $crate::Result<Self> {
+                Ok(Self { $($field: <$ty as $crate::codec::Decode>::decode(buf)?),* })
+            }
+        }
+    };
+    // Rewrites every variant shape to `Variant { member => binding: Ty, … }`
+    // (a tuple field's member is `0`, which braces accept too), so one rule
+    // below emits all three.
+    (enum $name:ident { $(
+        $tag:literal => $variant:ident
+            $(($inner:ty))?
+            $({ $($field:ident : $ty:ty),* $(,)? })?
+    ),* $(,)? }) => {
+        $crate::codec!(@enum $name { $(
+            $tag => $variant { $(0 => value: $inner)? $($($field => $field: $ty),*)? }
+        )* });
+    };
+    (@enum $name:ident { $(
+        $tag:literal => $variant:ident { $($member:tt => $bind:ident : $ty:ty),* }
+    )* }) => {
+        impl $crate::codec::Encode for $name {
+            fn encode(&self, buf: &mut ::bytes::BytesMut) {
+                match self {
+                    $(Self::$variant { $($member: $bind),* } => {
+                        <u8 as $crate::codec::Encode>::encode(&$tag, buf);
+                        $($crate::codec::Encode::encode($bind, buf);)*
+                    })*
+                }
+            }
+        }
+        impl $crate::codec::Decode for $name {
+            fn decode(buf: &mut ::bytes::Bytes) -> $crate::Result<Self> {
+                match <u8 as $crate::codec::Decode>::decode(buf)? {
+                    $($tag => Ok(Self::$variant {
+                        $($member: <$ty as $crate::codec::Decode>::decode(buf)?),*
+                    }),)*
+                    tag => Err($crate::Error::Codec(format!(
+                        concat!("unknown ", stringify!($name), " tag {}"),
+                        tag
+                    ))),
+                }
+            }
+        }
+    };
 }
 
 fn need(buf: &Bytes, n: usize, what: &str) -> Result<()> {
@@ -92,6 +191,21 @@ impl Decode for u64 {
     fn decode(buf: &mut Bytes) -> Result<Self> {
         need(buf, 8, "u64")?;
         Ok(buf.get_u64())
+    }
+}
+
+/// `usize` travels as a `u64`, so the format does not depend on the
+/// writer's word size.
+impl Encode for usize {
+    fn encode(&self, buf: &mut BytesMut) {
+        buf.put_u64(*self as u64);
+    }
+}
+
+impl Decode for usize {
+    fn decode(buf: &mut Bytes) -> Result<Self> {
+        let v = u64::decode(buf)?;
+        usize::try_from(v).map_err(|_| Error::Codec(format!("{v} does not fit a usize")))
     }
 }
 
@@ -157,6 +271,42 @@ impl<T: Decode> Decode for Option<T> {
             0 => Ok(None),
             1 => Ok(Some(T::decode(buf)?)),
             v => Err(Error::Codec(format!("invalid option tag {v}"))),
+        }
+    }
+}
+
+/// A box is its contents: boxing a large field changes no byte.
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, buf: &mut BytesMut) {
+        (**self).encode(buf);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(buf: &mut Bytes) -> Result<Self> {
+        Ok(Box::new(T::decode(buf)?))
+    }
+}
+
+/// An acknowledgement or the error that refused it (tag 0 / tag 1).
+impl Encode for Result<()> {
+    fn encode(&self, buf: &mut BytesMut) {
+        match self {
+            Ok(()) => buf.put_u8(0),
+            Err(e) => {
+                buf.put_u8(1);
+                e.encode(buf);
+            }
+        }
+    }
+}
+
+impl Decode for Result<()> {
+    fn decode(buf: &mut Bytes) -> Result<Self> {
+        match u8::decode(buf)? {
+            0 => Ok(Ok(())),
+            1 => Ok(Err(Error::decode(buf)?)),
+            v => Err(Error::Codec(format!("invalid result tag {v}"))),
         }
     }
 }
@@ -243,6 +393,7 @@ id_codec!(NodeId);
 id_codec!(ClusterId);
 id_codec!(LogIndex);
 id_codec!(TxId);
+id_codec!(SessionId);
 
 impl Encode for EpochTerm {
     fn encode(&self, buf: &mut BytesMut) {
@@ -287,17 +438,59 @@ impl Decode for RangeSet {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+/// Test support for every crate that declares a format: the round-trip
+/// check and the robustness property, stated once.
+pub mod testing {
+    use super::{Decode, Encode};
+    use bytes::{Buf, Bytes};
+    use std::fmt::Debug;
 
-    fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
+    /// Asserts that `value` survives encode → decode with nothing left over.
+    ///
+    /// # Panics
+    /// Panics when it does not.
+    pub fn roundtrip<T: Encode + Decode + PartialEq + Debug>(value: T) {
         let mut bytes = value.encode_to_bytes();
-        let decoded = T::decode(&mut bytes).unwrap();
+        let decoded = T::decode(&mut bytes).expect("decode of a fresh encoding");
         assert_eq!(decoded, value);
         assert_eq!(bytes.remaining(), 0, "leftover bytes");
     }
+
+    /// Asserts what a decoder owes bytes it did not write: every strict
+    /// prefix of `value`'s encoding is an error (never a panic, never a
+    /// shorter value), and inverting any one byte — a tag, a length, a
+    /// payload byte — yields an error or a value that differs, never the
+    /// original accepted from different bytes.
+    ///
+    /// # Panics
+    /// Panics when either fails.
+    pub fn assert_robust<T: Encode + Decode + PartialEq + Debug>(value: &T) {
+        let bytes = value.encode_to_bytes();
+        for cut in 0..bytes.len() {
+            let short = T::decode(&mut bytes.slice(..cut));
+            assert!(short.is_err(), "prefix {cut}/{} decoded", bytes.len());
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 0xFF;
+            if let Ok(other) = T::decode(&mut Bytes::from(flipped)) {
+                assert_ne!(&other, value, "byte {at} inverted, same value decoded");
+            }
+        }
+    }
+
+    /// Decodes arbitrary bytes as a `T` and discards the outcome: the
+    /// property is that this returns.
+    pub fn decode_garbage<T: Decode>(data: &[u8]) {
+        let _ = T::decode(&mut Bytes::copy_from_slice(data));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testing::{assert_robust, decode_garbage, roundtrip};
+    use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn primitives() {
@@ -311,6 +504,52 @@ mod tests {
         roundtrip(String::from("snapshot"));
         roundtrip(Option::<u64>::None);
         roundtrip(Some(7u64));
+        roundtrip(usize::MAX);
+        roundtrip(Box::new(9u32));
+        roundtrip::<Result<()>>(Ok(()));
+        roundtrip::<Result<()>>(Err(Error::NotLeader(None)));
+    }
+
+    #[test]
+    fn containers_are_robust() {
+        assert_robust(&Some(vec![1u64, 2, 3]));
+        assert_robust(&BTreeMap::from([
+            (b"a".to_vec(), true),
+            (b"b".to_vec(), false),
+        ]));
+        assert_robust(&RangeSet::from_ranges([KeyRange::new("a", "c").unwrap()]).unwrap());
+        assert_robust::<Result<()>>(&Err(Error::Codec("x".into())));
+    }
+
+    // The macro's three variant shapes, and the error it writes for a tag
+    // outside the list.
+    #[derive(Debug, PartialEq)]
+    enum Shapes {
+        Unit,
+        Tuple(u64),
+        Named { a: bool, b: Option<NodeId> },
+    }
+    codec!(enum Shapes {
+        0 => Unit,
+        4 => Tuple(u64),
+        9 => Named { a: bool, b: Option<NodeId> },
+    });
+
+    #[test]
+    fn declared_enum_layout() {
+        assert_eq!(&Shapes::Unit.encode_to_bytes()[..], &[0]);
+        assert_eq!(
+            &Shapes::Tuple(1).encode_to_bytes()[..],
+            &[4, 0, 0, 0, 0, 0, 0, 0, 1]
+        );
+        let named = Shapes::Named { a: true, b: None };
+        assert_eq!(&named.encode_to_bytes()[..], &[9, 1, 0]);
+        for shape in [Shapes::Unit, Shapes::Tuple(7), named] {
+            assert_robust(&shape);
+            roundtrip(shape);
+        }
+        let err = Shapes::decode(&mut Bytes::from_static(&[5])).unwrap_err();
+        assert_eq!(err, Error::Codec("unknown Shapes tag 5".into()));
     }
 
     #[test]
@@ -374,9 +613,10 @@ mod tests {
 
         #[test]
         fn decode_never_panics(data: Vec<u8>) {
-            let mut bytes = Bytes::from(data);
-            let _ = RangeSet::decode(&mut bytes);
-            let _ = String::decode(&mut bytes);
+            decode_garbage::<RangeSet>(&data);
+            decode_garbage::<String>(&data);
+            decode_garbage::<Result<()>>(&data);
+            decode_garbage::<BTreeMap<Vec<u8>, Box<Option<usize>>>>(&data);
         }
     }
 }

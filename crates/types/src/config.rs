@@ -6,6 +6,7 @@
 //! soon as they are *appended* (with the split/merge refinements described in
 //! `recraft-core`).
 
+use crate::codec;
 use crate::codec::{Decode, Encode};
 use crate::error::{Error, Result};
 use crate::ids::{ClusterId, NodeId, TxId};
@@ -502,7 +503,9 @@ impl ConfigChange {
 // in snapshot metadata, so everything reachable from [`ConfigChange`] has a
 // binary form. Decoding re-validates through the public constructors wherever
 // an invariant exists, so corrupt or adversarial bytes can never produce a
-// configuration the validators would have rejected.
+// configuration the validators would have rejected: those three decoders
+// (`ClusterConfig`, `SplitSpec`, `MergeTx`) are written out; the types that
+// only hold validated parts declare their layout with `codec!`.
 
 impl Encode for ClusterConfig {
     fn encode(&self, buf: &mut BytesMut) {
@@ -551,21 +554,12 @@ impl Decode for SplitSpec {
     }
 }
 
-impl Encode for MergeParticipant {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.cluster.encode(buf);
-        self.members.encode(buf);
+codec!(
+    struct MergeParticipant {
+        cluster: ClusterId,
+        members: BTreeSet<NodeId>,
     }
-}
-
-impl Decode for MergeParticipant {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(MergeParticipant {
-            cluster: ClusterId::decode(buf)?,
-            members: BTreeSet::decode(buf)?,
-        })
-    }
-}
+);
 
 impl Encode for MergeTx {
     fn encode(&self, buf: &mut BytesMut) {
@@ -592,138 +586,51 @@ impl Decode for MergeTx {
     }
 }
 
-impl Encode for MergeDecision {
-    fn encode(&self, buf: &mut BytesMut) {
-        matches!(self, MergeDecision::Ok).encode(buf);
-    }
-}
+codec!(enum MergeDecision {
+    0 => No,
+    1 => Ok,
+});
 
-impl Decode for MergeDecision {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(if bool::decode(buf)? {
-            MergeDecision::Ok
-        } else {
-            MergeDecision::No
-        })
-    }
-}
+codec!(enum MergeOutcome {
+    0 => Commit {
+        tx: MergeTx,
+        ranges: RangeSet,
+        new_epoch: u32,
+    },
+    1 => Abort {
+        tx_id: TxId,
+    },
+});
 
-impl Encode for MergeOutcome {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            MergeOutcome::Commit {
-                tx,
-                ranges,
-                new_epoch,
-            } => {
-                0u8.encode(buf);
-                tx.encode(buf);
-                ranges.encode(buf);
-                new_epoch.encode(buf);
-            }
-            MergeOutcome::Abort { tx_id } => {
-                1u8.encode(buf);
-                tx_id.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for MergeOutcome {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => MergeOutcome::Commit {
-                tx: MergeTx::decode(buf)?,
-                ranges: RangeSet::decode(buf)?,
-                new_epoch: u32::decode(buf)?,
-            },
-            1 => MergeOutcome::Abort {
-                tx_id: TxId::decode(buf)?,
-            },
-            t => return Err(Error::Codec(format!("unknown MergeOutcome tag {t}"))),
-        })
-    }
-}
-
-impl Encode for ConfigChange {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            ConfigChange::Simple { members } => {
-                0u8.encode(buf);
-                members.encode(buf);
-            }
-            ConfigChange::JointEnter { old, new } => {
-                1u8.encode(buf);
-                old.encode(buf);
-                new.encode(buf);
-            }
-            ConfigChange::JointLeave { new } => {
-                2u8.encode(buf);
-                new.encode(buf);
-            }
-            ConfigChange::Resize { members, quorum } => {
-                3u8.encode(buf);
-                members.encode(buf);
-                (*quorum as u64).encode(buf);
-            }
-            ConfigChange::SplitJoint(spec) => {
-                4u8.encode(buf);
-                spec.encode(buf);
-            }
-            ConfigChange::SplitNew(spec) => {
-                5u8.encode(buf);
-                spec.encode(buf);
-            }
-            ConfigChange::MergePrepare { tx, decision } => {
-                6u8.encode(buf);
-                tx.encode(buf);
-                decision.encode(buf);
-            }
-            ConfigChange::MergeCommit(outcome) => {
-                7u8.encode(buf);
-                outcome.encode(buf);
-            }
-            ConfigChange::SetRanges(ranges) => {
-                8u8.encode(buf);
-                ranges.encode(buf);
-            }
-        }
-    }
-}
-
-impl Decode for ConfigChange {
-    fn decode(buf: &mut Bytes) -> Result<Self> {
-        Ok(match u8::decode(buf)? {
-            0 => ConfigChange::Simple {
-                members: BTreeSet::decode(buf)?,
-            },
-            1 => ConfigChange::JointEnter {
-                old: BTreeSet::decode(buf)?,
-                new: BTreeSet::decode(buf)?,
-            },
-            2 => ConfigChange::JointLeave {
-                new: BTreeSet::decode(buf)?,
-            },
-            3 => ConfigChange::Resize {
-                members: BTreeSet::decode(buf)?,
-                quorum: u64::decode(buf)? as usize,
-            },
-            4 => ConfigChange::SplitJoint(SplitSpec::decode(buf)?),
-            5 => ConfigChange::SplitNew(SplitSpec::decode(buf)?),
-            6 => ConfigChange::MergePrepare {
-                tx: MergeTx::decode(buf)?,
-                decision: MergeDecision::decode(buf)?,
-            },
-            7 => ConfigChange::MergeCommit(MergeOutcome::decode(buf)?),
-            8 => ConfigChange::SetRanges(RangeSet::decode(buf)?),
-            t => return Err(Error::Codec(format!("unknown ConfigChange tag {t}"))),
-        })
-    }
-}
+codec!(enum ConfigChange {
+    0 => Simple {
+        members: BTreeSet<NodeId>,
+    },
+    1 => JointEnter {
+        old: BTreeSet<NodeId>,
+        new: BTreeSet<NodeId>,
+    },
+    2 => JointLeave {
+        new: BTreeSet<NodeId>,
+    },
+    3 => Resize {
+        members: BTreeSet<NodeId>,
+        quorum: usize,
+    },
+    4 => SplitJoint(SplitSpec),
+    5 => SplitNew(SplitSpec),
+    6 => MergePrepare {
+        tx: MergeTx,
+        decision: MergeDecision,
+    },
+    7 => MergeCommit(MergeOutcome),
+    8 => SetRanges(RangeSet),
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::testing::roundtrip;
     use crate::range::KeyRange;
 
     fn nodes(ids: &[u64]) -> BTreeSet<NodeId> {
@@ -976,14 +883,6 @@ mod tests {
         };
         assert_eq!(commit.tx_id(), TxId(1));
         assert_eq!(MergeOutcome::Abort { tx_id: TxId(2) }.tx_id(), TxId(2));
-    }
-
-    fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: T) {
-        use bytes::Buf;
-        let mut bytes = value.encode_to_bytes();
-        let decoded = T::decode(&mut bytes).unwrap();
-        assert_eq!(decoded, value);
-        assert_eq!(bytes.remaining(), 0, "leftover bytes");
     }
 
     #[test]

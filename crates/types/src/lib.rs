@@ -11,8 +11,9 @@
 //!   merge to carve and recombine key spaces.
 //! * [`ClusterConfig`], [`QuorumRule`], [`ConfigChange`] — configurations and
 //!   the special log entries that reconfigure them.
-//! * [`codec`] — a small hand-rolled binary codec used for snapshots and
-//!   persistence (no external serialization format is required).
+//! * [`mod@codec`] — the workspace's one binary format (wire, WAL,
+//!   snapshots; no external serialization format is required) and the
+//!   [`codec!`] macro a type declares its layout in it with.
 //! * [`client`] — the typed client protocol: sessions with exactly-once
 //!   write semantics ([`ClientRequest`]/[`ClientResponse`]/[`SessionTable`])
 //!   and structured redirect outcomes.
