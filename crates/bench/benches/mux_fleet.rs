@@ -239,10 +239,17 @@ fn run(scale: &Scale) -> Outcome {
     assert_eq!(fleet_run.confirmed_ops(), total_ops);
 
     // The merge: idle, the controller folds the children back down to the
-    // boot range count and the plane reaps the retirements.
+    // boot range count and the plane reaps the retirements. The boot count
+    // alone proves nothing — the directory holds it until the plane has
+    // published the split, and on a slow box may hold it again before this
+    // thread looks — so also require a cluster id the boot never assigned:
+    // children and merge products are numbered past the boot range, and
+    // once one is published one stays.
+    let boot_ids = scale.ranges as u64;
     assert!(
-        wait_until(Duration::from_secs(180), || view
-            .with_directory(|d| d.len() == scale.ranges)),
+        wait_until(Duration::from_secs(180), || view.with_directory(|d| {
+            d.len() == scale.ranges && d.clusters().keys().any(|c| c.0 > boot_ids)
+        })),
         "fleet never merged back to {} ranges (directory v{}):\n{}",
         scale.ranges,
         view.version(),

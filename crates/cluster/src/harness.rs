@@ -40,9 +40,10 @@ use crate::clients::{run_open_loop, ClientOptions, ClientReport};
 use crate::driver::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
 use crate::runtime::{DriverRuntime, WireStats};
 use recraft_core::{Node, Timing};
+use recraft_fleet::boot_range;
 use recraft_kv::{KvMachine, KvStore};
 use recraft_storage::{MemLog, WalLog, WalOptions};
-use recraft_types::{ClusterConfig, ClusterId, KeyRange, NodeId, RangeSet, SessionId};
+use recraft_types::{ClusterConfig, ClusterId, NodeId, RangeSet, SessionId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
@@ -222,7 +223,7 @@ impl Cluster {
             let ids: Vec<NodeId> = (0..fleet.replication)
                 .map(|i| NodeId(((r - 1) * fleet.replication + i) as u64 + 1))
                 .collect();
-            let ranges = fleet_range(r, fleet.ranges, fleet.key_space);
+            let ranges = boot_range(r, fleet.ranges, fleet.key_space);
             let config = ClusterConfig::new(ClusterId(r as u64), ids.iter().copied(), ranges)
                 .expect("fleet range config");
             cluster.boot_group(&ids, &config);
@@ -598,35 +599,24 @@ impl Cluster {
 
     /// Polls until some live node reports leadership of `cluster`.
     pub fn wait_for_leader_of(&self, cluster: ClusterId, timeout: Duration) -> Option<NodeId> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let leader = self.with_statuses(|it| {
-                for (id, s) in it {
-                    if s.cluster.load(Ordering::Relaxed) == cluster.0
+        wait_until(timeout, || {
+            self.with_statuses(|it| {
+                it.filter(|(_, s)| {
+                    s.cluster.load(Ordering::Relaxed) == cluster.0
                         && s.is_leader.load(Ordering::Relaxed)
-                    {
-                        return Some(id);
-                    }
-                }
-                None
-            });
-            if leader.is_some() {
-                return leader;
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
+                })
+                .map(|(id, _)| id)
+                .next()
+            })
+        })
     }
 
     /// Polls until every live node reports one of `want` as its cluster and
     /// each member of `want` has a leader, or the timeout elapses. Returns
     /// whether the fleet converged.
     pub fn wait_for_clusters(&self, want: &[ClusterId], timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let (placed, led) = self.with_statuses(|it| {
+        wait_until(timeout, || {
+            self.with_statuses(|it| {
                 let mut placed = true;
                 let mut led: Vec<bool> = vec![false; want.len()];
                 for (_, s) in it {
@@ -636,38 +626,21 @@ impl Cluster {
                         None => placed = false,
                     }
                 }
-                (placed, led.into_iter().all(|l| l))
-            });
-            if placed && led {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
+                (placed && led.into_iter().all(|l| l)).then_some(())
+            })
+        })
+        .is_some()
     }
 
     /// Polls seat status until some live node reports leadership.
     pub fn wait_for_leader(&self, timeout: Duration) -> Option<NodeId> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let leader = self.with_statuses(|it| {
-                for (id, s) in it {
-                    if s.is_leader.load(Ordering::Relaxed) {
-                        return Some(id);
-                    }
-                }
-                None
-            });
-            if leader.is_some() {
-                return leader;
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
+        wait_until(timeout, || {
+            self.with_statuses(|it| {
+                it.filter(|(_, s)| s.is_leader.load(Ordering::Relaxed))
+                    .map(|(id, _)| id)
+                    .next()
+            })
+        })
     }
 
     /// Elections won across the live fleet so far (from seat status). A
@@ -753,17 +726,17 @@ impl Cluster {
     }
 }
 
-/// The range set cluster `r` of `ranges` serves: an equal slice of the
-/// `k{:08}` keyspace, unbounded at the fleet's outer edges.
-fn fleet_range(r: usize, ranges: usize, key_space: u64) -> RangeSet {
-    let bound = |i: usize| format!("k{:08}", (i as u64) * key_space / ranges as u64).into_bytes();
-    let range = match (r == 1, r == ranges) {
-        (true, true) => return RangeSet::full(),
-        (true, false) => KeyRange::new(Vec::new(), bound(1)).expect("first range"),
-        (false, true) => KeyRange::from_start(bound(ranges - 1)),
-        (false, false) => KeyRange::new(bound(r - 1), bound(r)).expect("middle range"),
-    };
-    RangeSet::from_ranges([range]).expect("fleet range")
+/// Polls `probe` every 5 ms until it yields a value or `timeout` has passed
+/// (the probe always runs at least once).
+fn wait_until<T>(timeout: Duration, probe: impl Fn() -> Option<T>) -> Option<T> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let found = probe();
+        if found.is_some() || Instant::now() >= deadline {
+            return found;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
 }
 
 /// The deterministic per-node seed the harness boots nodes with.

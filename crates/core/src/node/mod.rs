@@ -436,7 +436,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         timing: Timing,
         seed: u64,
     ) -> Self {
-        timing.validate();
         let snapshot = Snapshot {
             last_index: LogIndex::ZERO,
             last_eterm: EpochTerm::ZERO,
@@ -445,50 +444,15 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             chunks: sm.snapshot_chunks(config.ranges()),
             sessions: SessionTable::new(),
         };
-        let mut rng = StdRng::seed_from_u64(seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let election_deadline = Self::random_timeout(&mut rng, &timing, 0);
-        let mut node = Node {
-            id,
-            cluster: config.id(),
+        let meta = NodeMeta {
             hard: HardState::default(),
-            log: store,
-            snapshot,
-            snap_config: config.clone(),
-            cfg: ConfigStack::new(config, LogIndex::ZERO),
-            history: Vec::new(),
-            sm,
-            sessions: SessionTable::new(),
-            role: Role::Follower,
-            leader_hint: None,
-            commit_index: LogIndex::ZERO,
-            applied_index: LogIndex::ZERO,
-            committed_in_term: false,
-            votes: BTreeSet::new(),
-            progress: BTreeMap::new(),
-            pending_clients: BTreeMap::new(),
-            pending_reads: Vec::new(),
-            read_serial: 0,
-            last_probe_serial: 0,
-            pull: None,
-            pending_install: None,
-            exchange: None,
-            driver: None,
-            pending_2pc: HashMap::new(),
-            merge_parts: HashMap::new(),
-            pending_fetches: HashMap::new(),
-            timing,
-            rng,
-            election_deadline,
-            heartbeat_due: 0,
-            derived_cache: None,
+            cluster: config.id(),
+            cluster_epoch: 0,
             bootstrapped: true,
             join_target: None,
-            cluster_epoch: 0,
-            ops_served: 0,
-            outbox: Vec::new(),
-            events: Vec::new(),
-            meta_dirty: false,
+            history: Vec::new(),
         };
+        let mut node = Node::assemble(id, meta, store, sm, (snapshot, config), timing, seed);
         // Boot state is durable before the node says anything to anyone.
         node.refresh_sm_lineage();
         node.log.save_snapshot(&node.snapshot, node.cfg.base());
@@ -536,7 +500,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         timing: Timing,
         seed: u64,
     ) -> recraft_types::Result<Self> {
-        timing.validate();
         let meta = store
             .load_meta()
             .ok_or_else(|| Error::Storage("no persisted node metadata".into()))?;
@@ -609,35 +572,58 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 commit_floor
             }
         };
-        // Root the config stack at the snapshot and replay config entries
-        // from the surviving log; they re-fold when their commit is
-        // re-confirmed by a leader.
-        let mut cfg = ConfigStack::new(snap_config.clone(), snapshot.last_index);
-        for entry in store.tail(store.first_index()) {
-            if entry.index <= snapshot.last_index {
+        let mut node = Node::assemble(id, meta, store, sm, (snapshot, snap_config), timing, seed);
+        node.sessions = sessions;
+        node.commit_index = recovered_floor;
+        node.applied_index = recovered_floor;
+        // Replay config entries from the surviving log onto the stack rooted
+        // at the snapshot; they re-fold when their commit is re-confirmed
+        // by a leader.
+        for entry in node.log.tail(node.log.first_index()) {
+            if entry.index <= node.snapshot.last_index {
                 continue;
             }
             if let Some(change) = entry.as_config() {
-                cfg.push(entry.index, change.clone());
+                node.cfg.push(entry.index, change.clone());
             }
         }
+        // The fallback restore path rebuilt the image without a lineage tag;
+        // either way the machine now carries the recovered identity.
+        node.refresh_sm_lineage();
+        Ok(node)
+    }
+
+    /// A follower at rest on the given durable identity and snapshot: the
+    /// config stack rooted at the snapshot, sessions and the commit floor
+    /// taken from it, every volatile field empty. Both boot paths start
+    /// here and adjust what they recovered beyond the snapshot.
+    fn assemble(
+        id: NodeId,
+        meta: NodeMeta,
+        store: LS,
+        sm: SM,
+        (snapshot, snap_config): (Snapshot, ClusterConfig),
+        timing: Timing,
+        seed: u64,
+    ) -> Self {
+        timing.validate();
         let mut rng = StdRng::seed_from_u64(seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let election_deadline = Self::random_timeout(&mut rng, &timing, 0);
-        let mut node = Node {
+        Node {
             id,
             cluster: meta.cluster,
             hard: meta.hard,
             log: store,
-            snapshot,
+            cfg: ConfigStack::new(snap_config.clone(), snapshot.last_index),
             snap_config,
-            cfg,
             history: meta.history,
             sm,
-            sessions,
+            sessions: snapshot.sessions.clone(),
             role: Role::Follower,
             leader_hint: None,
-            commit_index: recovered_floor,
-            applied_index: recovered_floor,
+            commit_index: snapshot.last_index,
+            applied_index: snapshot.last_index,
+            snapshot,
             committed_in_term: false,
             votes: BTreeSet::new(),
             progress: BTreeMap::new(),
@@ -664,11 +650,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             outbox: Vec::new(),
             events: Vec::new(),
             meta_dirty: false,
-        };
-        // The fallback restore path rebuilt the image without a lineage tag;
-        // either way the machine now carries the recovered identity.
-        node.refresh_sm_lineage();
-        Ok(node)
+        }
     }
 
     /// The durable node metadata as of right now. The §V reconfiguration
@@ -1306,6 +1288,13 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.log
             .truncate_from(index)
             .expect("truncation point above base");
+        // The store only buffers the cut (see `LogStore::truncate_from`),
+        // and this same step may go on to apply the entries that replace
+        // the suffix. What apply makes durable on its own — a state-machine
+        // flush, a compaction snapshot — must never sit on top of a suffix
+        // a crash could still bring back, so the cut is made durable now
+        // rather than at the barrier.
+        self.log.sync();
         self.cfg.truncate_from(index);
         // Replication cursors must not point past the shortened log, or the
         // next send would look up a prev entry that no longer exists. The

@@ -8,6 +8,7 @@
 //! itself outdated ("The puller can contact different nodes for the latest
 //! data or wait for the outdated node to be updated").
 
+use super::replication::cap_batch_bytes;
 use super::{Node, PullState, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
@@ -55,6 +56,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     /// Serves a pull request: committed entries after the puller's commit
     /// index, or our snapshot when the log no longer retains that far back.
+    /// One response carries at most `max_batch_bytes` of entries, like an
+    /// append — an uncompacted log must not go out as one frame the reader
+    /// refuses — and the puller asks again while it is behind.
     pub(crate) fn handle_pull_req(&mut self, from: NodeId, their_commit: LogIndex) {
         let removed = self
             .history
@@ -86,6 +90,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             snapshot_config = Some(self.snap_config.clone());
             entries = self.log.slice(self.log.first_index(), self.commit_index);
         }
+        cap_batch_bytes(&mut entries, self.timing.pipeline.max_batch_bytes);
         self.send(
             from,
             Message::PullResp {
@@ -127,11 +132,16 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
         }
         let mut count = 0usize;
+        // A response may stop short of the responder's commit index (its
+        // entries are capped). Only what it carried is known committed here:
+        // our own suffix past that may yet be replaced by the next response.
+        let mut vouched = self.commit_index;
         for entry in entries {
             if entry.index <= self.log.base_index() {
                 continue;
             }
-            match self.log.eterm_at(entry.index) {
+            let index = entry.index;
+            match self.log.eterm_at(index) {
                 Some(t) if t == entry.eterm => {}
                 Some(_) => {
                     // The received entry is committed; ours conflicts and is
@@ -153,14 +163,14 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                     }
                 }
             }
+            vouched = index;
         }
         if count > 0 {
             self.emit(NodeEvent::PulledEntries { from, count });
         }
-        // Everything the responder reported committed and we now hold is
+        // Everything the responder reported committed and carried to us is
         // committed for us too.
-        let reachable = commit_index.min(self.log.last_index());
-        self.set_commit(now, reachable);
+        self.set_commit(now, commit_index.min(vouched));
         // If applying brought us into the new epoch (split completed, merge
         // resumed), recovery is done.
         if self.hard.eterm.epoch() >= epoch {

@@ -179,14 +179,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // least one entry so a huge command still replicates).
             let to = last.min(LogIndex(next.0 + pipeline.max_batch_entries as u64 - 1));
             let mut entries = self.log.slice(next, to);
-            let mut bytes = 0usize;
-            for (i, e) in entries.iter().enumerate() {
-                bytes += payload_bytes(e);
-                if bytes > pipeline.max_batch_bytes && i > 0 {
-                    entries.truncate(i);
-                    break;
-                }
-            }
+            cap_batch_bytes(&mut entries, pipeline.max_batch_bytes);
             let last_sent = entries.last().map(|e| e.index).expect("nonempty batch");
             let len = last_sent.0 - prev_index.0;
             if let Some(pr) = self.progress.get_mut(&peer) {
@@ -742,9 +735,23 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     }
 }
 
+/// Cuts a run of entries where its payload outgrows `max_bytes` — the one
+/// bound on what a single frame carries, for appends and pull responses
+/// alike. Always keeps at least one entry.
+pub(super) fn cap_batch_bytes(entries: &mut Vec<LogEntry>, max_bytes: usize) {
+    let mut bytes = 0usize;
+    for (i, e) in entries.iter().enumerate() {
+        bytes += payload_bytes(e);
+        if bytes > max_bytes && i > 0 {
+            entries.truncate(i);
+            return;
+        }
+    }
+}
+
 /// Approximate wire payload of one entry — the accounting unit behind the
 /// `max_batch_bytes` coalescing bound.
-fn payload_bytes(entry: &LogEntry) -> usize {
+pub(super) fn payload_bytes(entry: &LogEntry) -> usize {
     match &entry.payload {
         EntryPayload::Noop => 8,
         EntryPayload::Command(cmd) => cmd.len() + 16,

@@ -253,6 +253,26 @@ impl Net {
     }
 }
 
+/// An AppendEntries of cluster 1's leader, for tests that feed a follower
+/// by hand.
+fn append(
+    eterm: EpochTerm,
+    prev: u64,
+    prev_eterm: EpochTerm,
+    entries: Vec<LogEntry>,
+    commit: u64,
+) -> Message {
+    Message::AppendEntries {
+        cluster: recraft_types::ClusterId(1),
+        eterm,
+        prev_index: LogIndex(prev),
+        prev_eterm,
+        entries,
+        leader_commit: LogIndex(commit),
+        probe: 0,
+    }
+}
+
 fn split_spec_for(net: &Net, leader: NodeId, at: &[u8]) -> SplitSpec {
     let base = net.nodes[&leader].config().clone();
     let members: Vec<NodeId> = base.members().iter().copied().collect();
@@ -1131,6 +1151,93 @@ fn removed_node_still_serves_pull_history() {
 }
 
 #[test]
+fn pull_responses_are_capped_and_the_puller_converges() {
+    // Compaction out of reach, a responder's whole committed log used to go
+    // out as ONE PullResp — past the frame limit, a frame the reader drops
+    // the connection over. A response is capped like an append, the puller
+    // asks again, and whatever a partial response did not carry stays
+    // uncommitted on the puller.
+    let cap = 256;
+    let timing = Timing {
+        pipeline: crate::PipelineConfig {
+            max_batch_bytes: cap,
+            ..crate::PipelineConfig::default()
+        },
+        ..Timing::default()
+    };
+    let cluster = recraft_types::ClusterId(1);
+    let config =
+        ClusterConfig::new(cluster, [NodeId(1), NodeId(2), NodeId(3)], RangeSet::full()).unwrap();
+    let boot = |id| {
+        Node::new(
+            NodeId(id),
+            config.clone(),
+            MapMachine::default(),
+            timing,
+            id,
+        )
+    };
+    let (mut puller, mut source) = (boot(1), boot(2));
+    let (old, new) = (EpochTerm::new(0, 1), EpochTerm::new(0, 2));
+    let run = |range: std::ops::RangeInclusive<u64>, eterm, tag: &str| -> Vec<LogEntry> {
+        let value = tag.repeat(8);
+        range
+            .map(|i| LogEntry::command(LogIndex(i), eterm, Bytes::from(format!("k{i}={value}"))))
+            .collect()
+    };
+    // Both hold term 1's 1..=10. The puller went on to term 1's 11..=60,
+    // never committed; the source holds term 2's 11..=60, committed — ten
+    // caps' worth and more.
+    let mut stale = run(1..=10, old, "shared");
+    stale.extend(run(11..=60, old, "stale"));
+    puller.step(10, NodeId(3), append(old, 0, EpochTerm::ZERO, stale, 0));
+    source.step(
+        10,
+        NodeId(3),
+        append(old, 0, EpochTerm::ZERO, run(1..=10, old, "shared"), 0),
+    );
+    source.step(
+        20,
+        NodeId(3),
+        append(new, 10, old, run(11..=60, new, "fresh"), 60),
+    );
+    let _ = (puller.take_outputs(), source.take_outputs());
+    assert_eq!(source.commit_index(), LogIndex(60));
+    let mut rounds = 0;
+    while puller.commit_index() < source.commit_index() {
+        rounds += 1;
+        assert!(rounds <= 200, "the puller does not converge");
+        let commit_index = puller.commit_index();
+        source.step(30, NodeId(1), Message::PullReq { commit_index });
+        let (mut msgs, _) = source.take_outputs();
+        let resp = msgs.pop().expect("pull answered").msg;
+        let Message::PullResp { entries, .. } = &resp else {
+            panic!("expected a PullResp, got {resp:?}");
+        };
+        let bytes: usize = entries.iter().map(replication::payload_bytes).sum();
+        assert!(
+            entries.len() == 1 || bytes <= cap,
+            "one PullResp carries {} entries, {bytes} bytes (cap {cap})",
+            entries.len()
+        );
+        puller.step(30, NodeId(2), resp);
+        let _ = puller.take_outputs();
+    }
+    assert!(
+        rounds >= 10,
+        "{rounds} responses carried ten caps of entries"
+    );
+    assert_eq!(
+        puller.log().tail(LogIndex(1)),
+        source.log().tail(LogIndex(1))
+    );
+    assert_eq!(
+        puller.state_machine().get(b"k60"),
+        Some("fresh".repeat(8).as_bytes())
+    );
+}
+
+#[test]
 fn joiner_never_campaigns_until_contacted() {
     let mut net = Net::with_nodes(&[1, 2, 3]);
     let leader = net.elect();
@@ -1618,6 +1725,55 @@ mod wal_backed {
             .collect();
         assert_eq!(node.log().last_index(), LogIndex(2), "log: {tail:?}");
         assert!(node.log().eterm_at(LogIndex(2)).is_some());
+    }
+
+    /// A follower that replaces a conflicting suffix may apply the
+    /// replacement in the same step — and apply can persist on its own (a
+    /// durable machine's flush, a compaction snapshot). The cut is therefore
+    /// durable before the step goes on: a power cut ahead of the barrier
+    /// must not bring the superseded suffix back under applied state.
+    #[test]
+    fn truncation_is_durable_before_anything_is_applied_on_top() {
+        let dir = TestDir::new("truncate-first");
+        let members = [NodeId(1), NodeId(2), NodeId(3)];
+        let config =
+            ClusterConfig::new(recraft_types::ClusterId(1), members, RangeSet::full()).unwrap();
+        let stale = EpochTerm::new(0, 1);
+        let fresh = EpochTerm::new(0, 2);
+        let cmd = |index: u64, eterm, text: &'static str| {
+            LogEntry::command(LogIndex(index), eterm, Bytes::from_static(text.as_bytes()))
+        };
+        {
+            let mut node = Node::with_store(
+                NodeId(1),
+                config,
+                MapMachine::default(),
+                dir.open(),
+                Timing::default(),
+                7,
+            );
+            // Term 1's leader leaves an uncommitted suffix, durable here.
+            let entries = vec![
+                cmd(1, stale, "a=1"),
+                cmd(2, stale, "b=old"),
+                cmd(3, stale, "c=old"),
+            ];
+            node.step(10, NodeId(2), append(stale, 0, EpochTerm::ZERO, entries, 1));
+            let _ = node.take_outputs();
+            assert_eq!(node.log().last_index(), LogIndex(3));
+            // Term 2's leader replaces it and commits the replacement in
+            // the same message; the process dies before the barrier.
+            let entries = vec![cmd(2, fresh, "b=new")];
+            node.step(20, NodeId(3), append(fresh, 1, stale, entries, 2));
+            assert_eq!(node.applied_index(), LogIndex(2));
+            node.power_cut(0);
+        }
+        let wal = dir.open();
+        assert!(
+            wal.last_index() < LogIndex(2),
+            "superseded suffix came back: {:?}",
+            wal.tail(wal.first_index())
+        );
     }
 
     /// Compaction persists the snapshot before the log drops its prefix, so

@@ -500,6 +500,25 @@ impl Controller {
     }
 }
 
+/// The range cluster `r` of `ranges` boots on: an equal slice of the
+/// `k{:08}`-formatted keyspace of `key_space` keys, unbounded at the
+/// fleet's outer edges.
+///
+/// # Panics
+/// Panics unless `1 <= r <= ranges`.
+#[must_use]
+pub fn boot_range(r: usize, ranges: usize, key_space: u64) -> RangeSet {
+    assert!((1..=ranges).contains(&r), "range {r} of {ranges}");
+    let bound = |i: usize| format!("k{:08}", i as u64 * key_space / ranges as u64).into_bytes();
+    let range = match (r == 1, r == ranges) {
+        (true, true) => KeyRange::full(),
+        (true, false) => KeyRange::new(Vec::new(), bound(1)).expect("first range"),
+        (false, true) => KeyRange::from_start(bound(ranges - 1)),
+        (false, false) => KeyRange::new(bound(r - 1), bound(r)).expect("middle range"),
+    };
+    RangeSet::from(range)
+}
+
 /// A key strictly inside `range`, splitting it roughly in half byte-wise:
 /// the digit-string average of the bounds (an unbounded top is treated as
 /// 1.0 in the base-256 fraction space). The fallback split point when no

@@ -31,6 +31,8 @@ mod controller;
 mod directory;
 mod sampling;
 
-pub use controller::{midpoint_key, Controller, FleetCmd, FleetConfig, PendingKind, RangeSample};
+pub use controller::{
+    boot_range, midpoint_key, Controller, FleetCmd, FleetConfig, PendingKind, RangeSample,
+};
 pub use directory::{DirRecord, ShardDirectory};
 pub use sampling::SampleBook;

@@ -14,9 +14,9 @@
 
 use crate::{Metrics, Sim, SimConfig};
 use recraft_core::{NodeEvent, Role};
-use recraft_fleet::{midpoint_key, Controller, FleetCmd, RangeSample};
+use recraft_fleet::{boot_range, midpoint_key, Controller, FleetCmd, RangeSample};
 use recraft_net::AdminCmd;
-use recraft_types::{ClusterId, KeyRange, NodeId, RangeSet};
+use recraft_types::{ClusterId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
 pub use recraft_fleet::FleetConfig;
@@ -87,19 +87,12 @@ impl FleetHarness {
         assert!(ranges >= 1, "a fleet needs at least one range");
         let replication = self.controller.config().replication.max(1);
         self.controller = Controller::new(self.controller.config().clone(), ranges as u64 + 1);
-        let bound = |r: usize| format!("k{:08}", r as u64 * key_count / ranges as u64).into_bytes();
         for r in 1..=ranges {
-            let range = match (r > 1, r < ranges) {
-                (false, false) => KeyRange::full(),
-                (false, true) => KeyRange::new(Vec::new(), bound(1)).expect("valid bound"),
-                (true, false) => KeyRange::from_start(bound(r - 1)),
-                (true, true) => KeyRange::new(bound(r - 1), bound(r)).expect("ordered bounds"),
-            };
             let ids: Vec<NodeId> = (0..replication)
                 .map(|i| NodeId((r - 1) as u64 * replication as u64 + i as u64 + 1))
                 .collect();
             self.sim
-                .boot_cluster(ClusterId(r as u64), &ids, RangeSet::from(range));
+                .boot_cluster(ClusterId(r as u64), &ids, boot_range(r, ranges, key_count));
         }
         self.next_node = ranges as u64 * replication as u64 + 1;
         for r in 1..=ranges {

@@ -14,6 +14,19 @@
 //! * [`WalLog`] — a segmented, checksummed write-ahead log with node
 //!   metadata, atomic snapshot install, and torn-tail crash recovery.
 //!
+//! # Recovery semantics
+//!
+//! The WAL is an append-only operation log: an append writes one batch
+//! record, a truncation appends one truncate marker, and recovery replays
+//! the records in order onto an empty mirror — a batch appends its entries,
+//! a marker cuts the mirror back. Segment files only ever grow until
+//! compaction (or a reset) deletes them whole; no byte a sync covered is
+//! cut or rewritten, so at no instant are acknowledged entries on no disk.
+//! The first torn or corrupt record ends the log, which leaves a crashed
+//! store at the state after *some* operation at or past its last sync —
+//! never less than the sync, never a mixture of two states. (The data-dir
+//! layout and the per-operation details are in `wal.rs`'s module docs.)
+//!
 //! # Example
 //! ```
 //! use recraft_storage::{EntryPayload, LogEntry, MemLog};

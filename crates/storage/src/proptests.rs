@@ -34,6 +34,16 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The operations a steady node interleaves between barriers: appends,
+/// group-committed batches, and conflict truncation.
+fn torn_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => (1u32..8).prop_map(Op::Append),
+        3 => ((1u32..6), (1u32..8)).prop_map(|(n, t)| Op::AppendBatch(n, t)),
+        2 => (1u64..40).prop_map(Op::TruncateFrom),
+    ]
+}
+
 fn wal_opts() -> WalOptions {
     WalOptions {
         fsync: false,
@@ -41,62 +51,73 @@ fn wal_opts() -> WalOptions {
     }
 }
 
-/// Drives one op sequence against a store, checking the shape invariants
-/// after every step exactly as the original MemLog-only suite did.
-fn run_ops<L: LogStore>(log: &mut L, ops: &[Op]) -> Result<(), TestCaseError> {
-    // A model of what must be retained: (index, term) pairs.
-    let mut model: Vec<(u64, u32)> = Vec::new();
-    let mut base = log.base_index().0;
-    for op in ops {
-        match op {
-            Op::Append(term) => {
-                let index = log.last_index().next();
-                log.append(LogEntry::command(
+/// Applies one op to a store and to the model of what must be retained
+/// (`(index, term)` pairs above `base`).
+fn apply_op<L: LogStore>(
+    log: &mut L,
+    model: &mut Vec<(u64, u32)>,
+    base: &mut u64,
+    op: &Op,
+) -> Result<(), TestCaseError> {
+    match op {
+        Op::Append(term) => {
+            let index = log.last_index().next();
+            log.append(LogEntry::command(
+                index,
+                EpochTerm::new(0, *term),
+                Bytes::from_static(b"x"),
+            ));
+            model.push((index.0, *term));
+        }
+        Op::AppendBatch(n, term) => {
+            let mut batch = Vec::new();
+            let mut index = log.last_index();
+            for _ in 0..*n {
+                index = index.next();
+                batch.push(LogEntry::command(
                     index,
                     EpochTerm::new(0, *term),
                     Bytes::from_static(b"x"),
                 ));
                 model.push((index.0, *term));
             }
-            Op::AppendBatch(n, term) => {
-                let mut batch = Vec::new();
-                let mut index = log.last_index();
-                for _ in 0..*n {
-                    index = index.next();
-                    batch.push(LogEntry::command(
-                        index,
-                        EpochTerm::new(0, *term),
-                        Bytes::from_static(b"x"),
-                    ));
-                    model.push((index.0, *term));
-                }
-                log.append_batch(batch);
-            }
-            Op::TruncateFrom(i) => {
-                let res = log.truncate_from(LogIndex(*i));
-                if *i <= base {
-                    prop_assert!(res.is_err());
-                } else {
-                    model.retain(|(idx, _)| *idx < *i);
-                }
-            }
-            Op::CompactTo(i) => {
-                let eterm = log.eterm_at(LogIndex(*i));
-                let res = log.compact_to(LogIndex(*i), eterm.unwrap_or(EpochTerm::ZERO));
-                if *i >= base && *i <= log.last_index().0.max(base) && eterm.is_some() {
-                    prop_assert!(res.is_ok());
-                    base = *i;
-                    model.retain(|(idx, _)| *idx > *i);
-                } else {
-                    prop_assert!(res.is_err());
-                }
-            }
-            Op::Reset(epoch) => {
-                log.reset(LogIndex::ZERO, EpochTerm::new(*epoch, 0));
-                model.clear();
-                base = 0;
+            log.append_batch(batch);
+        }
+        Op::TruncateFrom(i) => {
+            let res = log.truncate_from(LogIndex(*i));
+            if *i <= *base {
+                prop_assert!(res.is_err());
+            } else {
+                model.retain(|(idx, _)| *idx < *i);
             }
         }
+        Op::CompactTo(i) => {
+            let eterm = log.eterm_at(LogIndex(*i));
+            let res = log.compact_to(LogIndex(*i), eterm.unwrap_or(EpochTerm::ZERO));
+            if *i >= *base && *i <= log.last_index().0.max(*base) && eterm.is_some() {
+                prop_assert!(res.is_ok());
+                *base = *i;
+                model.retain(|(idx, _)| *idx > *i);
+            } else {
+                prop_assert!(res.is_err());
+            }
+        }
+        Op::Reset(epoch) => {
+            log.reset(LogIndex::ZERO, EpochTerm::new(*epoch, 0));
+            model.clear();
+            *base = 0;
+        }
+    }
+    Ok(())
+}
+
+/// Drives one op sequence against a store, checking the shape invariants
+/// after every step exactly as the original MemLog-only suite did.
+fn run_ops<L: LogStore>(log: &mut L, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut model: Vec<(u64, u32)> = Vec::new();
+    let mut base = log.base_index().0;
+    for op in ops {
+        apply_op(log, &mut model, &mut base, op)?;
         check_shape(log, &model)?;
     }
     Ok(())
@@ -153,44 +174,44 @@ proptest! {
     }
 
     /// Torn-tail corruption: whatever byte count a power cut leaves behind,
-    /// recovery yields a clean prefix containing at least everything synced.
+    /// recovery equals the model after *some* operation at or past the last
+    /// sync — never less than the sync, never a mixture of two states.
     #[test]
     fn wal_torn_tail_recovers_synced_prefix(
-        total in 1u64..40,
-        synced in prop::collection::vec(any::<bool>(), 40),
+        ops in prop::collection::vec((torn_op_strategy(), any::<bool>()), 1..40),
+        segment_bytes in prop_oneof![Just(128u64), Just(1u64 << 20)],
         tear in 0usize..200,
     ) {
         let dir = TestDir::new("prop-torn");
-        let mut wal = WalLog::open_with(
-            &dir.0,
-            WalOptions { fsync: false, segment_bytes: 1 << 20 },
-        )
-        .unwrap();
-        let mut last_synced = 0u64;
-        for i in 1..=total {
-            wal.append(LogEntry::command(
-                LogIndex(i),
-                EpochTerm::new(0, 1),
-                Bytes::from(format!("value-{i}")),
-            ));
-            if synced[(i - 1) as usize] {
+        let opts = WalOptions { fsync: false, segment_bytes };
+        let mut wal = WalLog::open_with(&dir.0, opts).unwrap();
+        let mut model = Vec::new();
+        let mut base = 0;
+        // The model after each operation; a sync pins how far back a power
+        // cut may reach (a segment roll syncs too, which only narrows it).
+        let mut states = vec![model.clone()];
+        let mut synced = 0;
+        for (op, sync) in &ops {
+            apply_op(&mut wal, &mut model, &mut base, op)?;
+            states.push(model.clone());
+            if *sync {
                 wal.sync();
-                last_synced = i;
+                synced = states.len() - 1;
             }
         }
         wal.power_cut(tear);
         drop(wal);
-        let recovered = WalLog::open_with(&dir.0, wal_opts()).unwrap();
-        // Nothing synced is ever lost...
-        prop_assert!(recovered.last_index().0 >= last_synced);
-        // ...nothing invented either, and the survivors form a dense prefix
-        // with the original contents.
-        prop_assert!(recovered.last_index().0 <= total);
-        for e in recovered.tail(recovered.first_index()) {
-            prop_assert_eq!(e.payload, crate::EntryPayload::Command(
-                Bytes::from(format!("value-{}", e.index.0))
-            ));
-        }
+        let recovered = WalLog::open_with(&dir.0, opts).unwrap();
+        let survived: Vec<(u64, u32)> = recovered
+            .tail(recovered.first_index())
+            .iter()
+            .map(|e| (e.index.0, e.eterm.term()))
+            .collect();
+        prop_assert!(
+            states[synced..].contains(&survived),
+            "recovered {:?} is no state at or past the last sync",
+            survived
+        );
     }
 
     #[test]

@@ -156,6 +156,18 @@ pub trait LogStore: std::fmt::Debug + Send {
     /// Removes every entry at or after `index` (follower conflict
     /// resolution). Returns the number of entries removed.
     ///
+    /// Like an append, the removal is buffered until [`LogStore::sync`]: a
+    /// durable backend records it as one truncate marker appended to its
+    /// log and leaves every byte an earlier sync covered in place. The
+    /// marker is covered by the same barrier as the appends that follow it.
+    /// A crash before that barrier loses the marker *and* everything
+    /// written after it, so the removed suffix comes back as part of the
+    /// store's state at its last sync — a state the node held before it
+    /// stepped the message, whose acknowledgement had not left either —
+    /// never as a mixture of old and new entries. A caller about to make
+    /// anything else durable on top of the removal (a state-machine flush,
+    /// a snapshot of the entries that replace the suffix) syncs first.
+    ///
     /// # Errors
     /// Returns [`recraft_types::Error::IndexOutOfRange`] if `index` is at or
     /// below the base.

@@ -1,4 +1,5 @@
-//! `WalLog`: a segmented, checksummed write-ahead log backend.
+//! `WalLog`: a segmented, checksummed write-ahead log backend — an
+//! append-only operation log.
 //!
 //! # Data-dir layout
 //!
@@ -10,35 +11,47 @@
 //!                     replaced atomically (write-tmp + rename)
 //!   base.bin          the log's compaction base (index, epoch-term)
 //!   wal/
-//!     seg-<seq>.log   16-byte header + [len][crc32][LogEntry] records
+//!     seg-<seq>.log   16-byte header + [len][crc32][operation] records
 //! ```
 //!
 //! # Semantics
 //!
-//! * **Append** writes through to the active segment; [`WalLog::sync`] makes
-//!   it durable (optionally `fdatasync`; the durable watermark is tracked
-//!   either way so crash injection stays honest without paying for physical
-//!   syncs in simulation runs). Every record holds a *batch* of one or more
-//!   entries behind a single length/crc frame, so a group-committed append
-//!   batch is one write, one checksum — and one atomic unit at recovery: a
-//!   torn or corrupt record drops the whole batch, never a partial one.
-//! * **Truncate** physically truncates the containing segment and deletes
-//!   later ones, so segment files only ever hold live, index-ordered
-//!   entries.
-//! * **Compact** persists the new base and deletes every whole segment at or
-//!   below it; the caller (the node) persists the covering snapshot first.
+//! A segment is a sequence of operations, and a segment file only ever
+//! grows: bytes a sync covered are never cut or rewritten, and a file
+//! leaves the directory whole (compaction, reset) or not at all.
+//!
+//! * **Append** writes one *batch* record (`[u32 count ≥ 1][entries…]`) to
+//!   the end of the active segment; [`WalLog::sync`] makes it durable
+//!   (optionally `fdatasync`; the durable watermark is tracked either way
+//!   so crash injection stays honest without paying for physical syncs in
+//!   simulation runs). One length/crc frame covers the batch, so a
+//!   group-committed append is one write, one checksum — and one atomic
+//!   unit at recovery: a torn or corrupt record drops the whole batch,
+//!   never a partial one.
+//! * **Truncate** cuts the in-memory mirror and appends one *truncate
+//!   marker* (`[u32 0][u64 index]`). The superseded entries stay where they
+//!   are on disk; the marker is an operation like any other and becomes
+//!   durable at the next sync, together with the appends that follow it.
+//! * **Compact** makes the log's operations durable, persists the new base
+//!   and deletes every whole segment that never held an index above it;
+//!   the caller (the node) persists the covering snapshot first.
 //! * **Reset** (merge renumbering / snapshot install) drops all segments and
 //!   starts a fresh one at the new base.
-//! * **Recovery** ([`WalLog::open`]) replays segments in order, validating
-//!   length, checksum, decode, and index contiguity of every record; the
-//!   first torn or corrupt record ends the log — the tail is dropped and the
-//!   files are trimmed to the valid prefix. If the persisted snapshot is
-//!   ahead of (or inconsistent with) the recovered log, the snapshot wins
-//!   and the log resets to its tail, mirroring Raft's durability hierarchy.
+//! * **Recovery** ([`WalLog::open`]) replays the operations in order onto
+//!   the mirror: a batch appends its entries above the base (validating
+//!   length, checksum, decode and index contiguity), a marker truncates the
+//!   mirror at `max(index, base + 1)` and is a no-op past the end. The
+//!   first torn or corrupt record ends the log — the tail is dropped and
+//!   the file trimmed to the valid prefix (the one place a segment
+//!   shrinks: the bytes cut were never covered by a sync). If the persisted
+//!   snapshot is ahead of (or inconsistent with) the recovered log, the
+//!   snapshot wins and the log resets to its tail, mirroring Raft's
+//!   durability hierarchy.
 //!
-//! A crash can therefore lose only writes after the last sync point — which
-//! the node never acknowledges to anyone (see the write-ahead contract on
-//! [`LogStore`]).
+//! A crash can therefore lose only operations after the last sync point —
+//! which the node never acknowledges to anyone (see the write-ahead
+//! contract on [`LogStore`]) — and what it leaves is the state after *some*
+//! operation at or past that sync, never a mixture.
 
 use crate::entry::LogEntry;
 use crate::framing::{frame, io_err, next_record, read_framed, sync_dir, write_framed};
@@ -48,16 +61,15 @@ use crate::store::{LogStore, NodeMeta};
 use bytes::{Bytes, BytesMut};
 use recraft_types::codec::{Decode, Encode};
 use recraft_types::{ClusterConfig, EpochTerm, Error, LogIndex, Result};
-use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: u32 = 0x5243_574C; // "RCWL"
-/// Version 2: record payloads are entry *batches* (`Vec<LogEntry>`), the
-/// group-commit unit. Version-1 segments (single-entry payloads) are not
-/// read back; recovery treats them as unusable files.
-const SEGMENT_VERSION: u32 = 2;
+/// Version 3: a record is an operation — an entry batch (`count ≥ 1`) or a
+/// truncate marker (`count = 0`). Segments of any other version are not read
+/// back; recovery treats them as unusable files.
+const SEGMENT_VERSION: u32 = 3;
 const SEGMENT_HEADER_LEN: u64 = 16;
 
 /// Tuning knobs for a [`WalLog`].
@@ -86,7 +98,9 @@ struct Segment {
     path: PathBuf,
     /// File length in bytes (header included).
     len: u64,
-    /// Highest entry index stored in this segment, if any.
+    /// Highest entry index ever written to this segment, if any — entries a
+    /// later marker truncated included. Compaction deletes the file once the
+    /// base reaches it: nothing in it can then be above the base.
     last_entry: Option<LogIndex>,
 }
 
@@ -99,11 +113,8 @@ pub struct WalLog {
     opts: WalOptions,
     /// In-memory mirror serving all reads.
     mem: MemLog,
-    /// Byte position of each retained entry: `(segment seq, record offset)`,
-    /// parallel to the mirror's entries.
-    offsets: VecDeque<(u64, u64)>,
     segments: Vec<Segment>,
-    /// Open handle on the last (active) segment.
+    /// Open handle on the last (active) segment, positioned at its end.
     active: File,
     /// Bytes of the active segment known durable; everything past it can be
     /// torn by a power cut. Non-active segments are always fully durable
@@ -165,7 +176,6 @@ impl WalLog {
 
         // Replay: validate every record; the first invalid one ends the log.
         let mut segments: Vec<Segment> = Vec::new();
-        let mut offsets: VecDeque<(u64, u64)> = VecDeque::new();
         let mut dropped_tail = false;
         for (seq, path) in seg_paths {
             if dropped_tail {
@@ -174,8 +184,7 @@ impl WalLog {
                 continue;
             }
             let raw = fs::read(&path).map_err(|e| io_err("read segment", &path, &e))?;
-            let (valid_len, last_entry) =
-                replay_segment(seq, &raw, &mut mem, &mut offsets, base_index);
+            let (valid_len, last_entry) = replay_segment(seq, &raw, &mut mem);
             if (valid_len as usize) < raw.len() {
                 // Torn or corrupt tail: trim the file to the valid prefix.
                 let f = OpenOptions::new()
@@ -205,7 +214,6 @@ impl WalLog {
             if let Ok(snap) = Snapshot::decode(&mut payload) {
                 if !mem.matches(snap.last_index, snap.last_eterm) {
                     mem.reset(snap.last_index, snap.last_eterm);
-                    offsets.clear();
                     for seg in segments.drain(..) {
                         let _ = fs::remove_file(&seg.path);
                     }
@@ -218,45 +226,34 @@ impl WalLog {
             }
         }
 
-        let mut wal = if let Some(seg) = segments.pop() {
-            let active = OpenOptions::new()
-                .read(true)
-                .write(true)
+        // The last surviving segment keeps taking appends (`append` mode:
+        // every write lands at the end of the file).
+        let active = match segments.last() {
+            Some(seg) => OpenOptions::new()
+                .append(true)
                 .open(&seg.path)
-                .map_err(|e| io_err("open active segment", &seg.path, &e))?;
-            let synced_len = seg.len;
-            segments.push(seg);
-            WalLog {
-                dir,
-                wal_dir,
-                opts,
-                mem,
-                offsets,
-                segments,
-                active,
-                synced_len,
-                syncs: 0,
-            }
-        } else {
-            let (seg, active) = create_segment(&wal_dir, 1)?;
-            WalLog {
-                dir,
-                wal_dir,
-                opts,
-                mem,
-                offsets,
-                segments: vec![seg],
-                active,
-                synced_len: SEGMENT_HEADER_LEN,
-                syncs: 0,
+                .map_err(|e| io_err("open active segment", &seg.path, &e))?,
+            None => {
+                let (seg, file) = create_segment(&wal_dir, 1)?;
+                segments.push(seg);
+                file
             }
         };
-        if wal.opts.fsync {
-            sync_dir(&wal.wal_dir);
+        if opts.fsync {
+            sync_dir(&wal_dir);
         }
         // Recovery may have trimmed files; the surviving prefix is durable.
-        wal.synced_len = wal.active_seg().len;
-        Ok(wal)
+        let synced_len = segments.last().expect("always one segment").len;
+        Ok(WalLog {
+            dir,
+            wal_dir,
+            opts,
+            mem,
+            segments,
+            active,
+            synced_len,
+            syncs: 0,
+        })
     }
 
     /// The data directory this WAL lives in.
@@ -285,26 +282,20 @@ impl WalLog {
         self.segments.last_mut().expect("always one segment")
     }
 
-    /// Appends one framed batch record (`count` entries ending at
-    /// `last_index`) to the active segment in a single write, rolling first
-    /// if the segment is full. Every entry in the batch shares the record's
-    /// byte offset: the batch is one atomic unit on disk.
-    fn write_record(&mut self, record: &[u8], count: usize, last_index: LogIndex) {
+    /// Appends one operation to the end of the active segment in a single
+    /// write, rolling first if the segment is full. `highest` is the last
+    /// entry index the operation carries (`None` for a truncate marker).
+    fn write_record(&mut self, payload: &[u8], highest: Option<LogIndex>) {
         if self.active_seg().len >= self.opts.segment_bytes {
             self.roll();
         }
-        let offset = self.active_seg().len;
+        let record = frame(payload);
         self.active
-            .seek(SeekFrom::Start(offset))
-            .and_then(|_| self.active.write_all(record))
+            .write_all(&record)
             .unwrap_or_else(|e| panic!("wal append failed: {e}"));
-        let seq = self.active_seg().seq;
-        for _ in 0..count {
-            self.offsets.push_back((seq, offset));
-        }
         let seg = self.active_seg_mut();
-        seg.len = offset + record.len() as u64;
-        seg.last_entry = Some(last_index);
+        seg.len += record.len() as u64;
+        seg.last_entry = seg.last_entry.max(highest);
     }
 
     /// Finishes the active segment (making it durable) and starts the next.
@@ -335,7 +326,6 @@ impl WalLog {
         for seg in self.segments.drain(..) {
             let _ = fs::remove_file(&seg.path);
         }
-        self.offsets.clear();
         let (seg, file) = create_segment(&self.wal_dir, next_seq)
             .unwrap_or_else(|e| panic!("wal segment create failed: {e}"));
         if self.opts.fsync {
@@ -381,91 +371,30 @@ impl LogStore for WalLog {
         if entries.is_empty() {
             return;
         }
-        let record = frame(&encode_batch(&entries));
-        let count = entries.len();
+        let payload = encode_batch(&entries);
         let last = entries.last().expect("nonempty").index;
         for entry in entries {
             self.mem.append(entry); // asserts contiguity first
         }
-        self.write_record(&record, count, last);
+        self.write_record(&payload, Some(last));
     }
 
     fn truncate_from(&mut self, index: LogIndex) -> Result<usize> {
         let removed = self.mem.truncate_from(index)?;
-        if removed == 0 {
-            return Ok(0);
-        }
-        let keep = self.offsets.len() - removed;
-        let (seq, offset) = self.offsets[keep];
-        // Whether the cut reaches into territory that was already durable:
-        // earlier segments are always fully synced (rolling syncs them), and
-        // within the active segment everything below the watermark is.
-        let cut_durable = seq != self.active_seg().seq || offset < self.synced_len;
-        // Batch records are atomic on disk: cutting the file at the record
-        // boundary also drops any *kept* entries that share the record.
-        // Count them — they are rewritten as a fresh record after the cut.
-        let mut rewrite_n = 0usize;
-        while rewrite_n < keep && self.offsets[keep - rewrite_n - 1] == (seq, offset) {
-            rewrite_n += 1;
-        }
-        self.offsets.truncate(keep - rewrite_n);
-        // Drop segments entirely past the truncation point.
-        let mut changed_segment = false;
-        while self.active_seg().seq > seq {
-            let seg = self.segments.pop().expect("segment list nonempty");
-            let _ = fs::remove_file(&seg.path);
-            changed_segment = true;
-        }
-        // Reopen the containing segment as active and cut it at the record.
-        let path = self.active_seg().path.clone();
-        self.active = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("reopen segment", &path, &e))?;
-        self.active
-            .set_len(offset)
-            .map_err(|e| io_err("truncate segment", &path, &e))?;
-        if self.opts.fsync {
-            let _ = self.active.sync_data();
-            sync_dir(&self.wal_dir);
-        }
-        // If live entries remain on disk in this segment, the highest sits
-        // just below the entries awaiting rewrite; otherwise only a stale
-        // pre-base prefix survives.
-        let has_live = self.offsets.iter().any(|(s, _)| *s == seq);
-        let last_entry = has_live.then(|| LogIndex(self.mem.last_index().0 - rewrite_n as u64));
-        let seg = self.active_seg_mut();
-        seg.len = offset;
-        seg.last_entry = last_entry;
-        // The durable watermark tracks the *active* segment. A cross-segment
-        // truncation reactivates an earlier segment that rolling had fully
-        // synced, so its surviving prefix is durable in full; only a
-        // same-segment truncation can cut into unsynced territory.
-        self.synced_len = if changed_segment {
-            offset
-        } else {
-            self.synced_len.min(offset)
-        };
-        if rewrite_n > 0 {
-            let last = self.mem.last_index();
-            let from = LogIndex(last.0 - rewrite_n as u64 + 1);
-            let entries = self.mem.slice(from, last);
-            let record = frame(&encode_batch(&entries));
-            self.write_record(&record, entries.len(), last);
-            if cut_durable {
-                // The rewrite REPLACES entries that were already durable
-                // (possibly acknowledged): it must be durable before this
-                // call returns, or a power cut before the next barrier
-                // would lose what a previous sync promised.
-                self.sync();
-            }
+        if removed > 0 {
+            self.write_record(&encode_truncate(index), None);
         }
         Ok(removed)
     }
 
     fn compact_to(&mut self, index: LogIndex, eterm: EpochTerm) -> Result<()> {
         self.mem.compact_to(index, eterm)?;
+        // The base is durable the moment it is written. The operations it
+        // covers go first: a power cut that kept the base but took back a
+        // truncate marker would put the superseded suffix above it.
+        if self.unsynced_bytes() > 0 {
+            self.sync();
+        }
         self.persist_base();
         // Delete whole segments whose content is entirely at or below the
         // base; the active segment always stays (it is the append tail).
@@ -485,13 +414,6 @@ impl LogStore for WalLog {
         }
         if removed > 0 && self.opts.fsync {
             sync_dir(&self.wal_dir);
-        }
-        // The dropped entries are exactly a prefix of the offset deque
-        // (compaction only ever removes from the front), so re-aligning with
-        // the mirror's retained count covers both deleted segments and the
-        // stale prefix left inside surviving ones.
-        while self.offsets.len() > self.mem.len() {
-            self.offsets.pop_front();
         }
         Ok(())
     }
@@ -563,20 +485,17 @@ impl LogStore for WalLog {
     }
 
     fn power_cut(&mut self, keep_unsynced: usize) {
+        let keep = keep_unsynced as u64;
         let unsynced = self.unsynced_bytes();
-        let durable = self.synced_len + (keep_unsynced as u64).min(unsynced);
-        let _ = self.active.set_len(durable);
-        // When the tear reaches past everything that was in flight, model
-        // the write that was striking the platter at the instant of death: a
-        // partial garbage frame past the durable watermark, which recovery
-        // must detect (bad length/checksum) and trim.
-        let junk = (keep_unsynced as u64).saturating_sub(unsynced);
-        if junk > 0 {
-            let garbage = vec![0xA5u8; junk as usize];
-            let _ = self
-                .active
-                .seek(SeekFrom::Start(durable))
-                .and_then(|_| self.active.write_all(&garbage));
+        if keep <= unsynced {
+            let _ = self.active.set_len(self.synced_len + keep);
+        } else {
+            // The tear reaches past everything that was in flight: model
+            // the write that was striking the platter at the instant of
+            // death — a partial garbage frame after the last byte written,
+            // which recovery must detect (bad length/checksum) and trim.
+            let garbage = vec![0xA5u8; (keep - unsynced) as usize];
+            let _ = self.active.write_all(&garbage);
         }
         let _ = self.active.sync_data();
         // The store is dead after this: the sim reopens the directory.
@@ -597,6 +516,15 @@ fn encode_batch(entries: &[LogEntry]) -> Bytes {
     buf.freeze()
 }
 
+/// Encodes a truncate marker: `[u32 0][u64 index]` — a batch never has a
+/// zero count, so the first word tells the two operations apart.
+fn encode_truncate(index: LogIndex) -> Bytes {
+    let mut buf = BytesMut::new();
+    0u32.encode(&mut buf);
+    index.encode(&mut buf);
+    buf.freeze()
+}
+
 fn encode_base(index: LogIndex, eterm: EpochTerm) -> Bytes {
     let mut buf = BytesMut::new();
     index.encode(&mut buf);
@@ -604,16 +532,10 @@ fn encode_base(index: LogIndex, eterm: EpochTerm) -> Bytes {
     buf.freeze()
 }
 
-/// Replays one segment's records into the mirror. Returns the byte length of
-/// the valid prefix (0 when even the header is bad) and the highest entry
-/// index the segment contributed.
-fn replay_segment(
-    seq: u64,
-    raw: &[u8],
-    mem: &mut MemLog,
-    offsets: &mut VecDeque<(u64, u64)>,
-    base_index: LogIndex,
-) -> (u64, Option<LogIndex>) {
+/// Replays one segment's operations onto the mirror, in order. Returns the
+/// byte length of the valid prefix (0 when even the header is bad) and the
+/// highest entry index any batch in it carried.
+fn replay_segment(seq: u64, raw: &[u8], mem: &mut MemLog) -> (u64, Option<LogIndex>) {
     if raw.len() < SEGMENT_HEADER_LEN as usize {
         return (0, None);
     }
@@ -623,16 +545,32 @@ fn replay_segment(
     if magic != SEGMENT_MAGIC || version != SEGMENT_VERSION || hdr_seq != seq {
         return (0, None);
     }
+    let base_index = mem.base_index();
     let mut pos = SEGMENT_HEADER_LEN as usize;
     let mut last_entry = None;
     'records: while let Some((payload, next)) = next_record(raw, pos) {
-        // Decode and validate the WHOLE batch before touching the mirror:
-        // a record is atomic, so a bad entry anywhere in it (or trailing
-        // garbage) drops the entire batch — never a partial one.
+        // Decode and validate the WHOLE operation before touching the
+        // mirror: a record is atomic, so a bad entry anywhere in it (or
+        // trailing garbage) drops the entire record — never a partial one.
         let mut bytes = Bytes::copy_from_slice(payload);
         let Ok(count) = u32::decode(&mut bytes) else {
             break;
         };
+        if count == 0 {
+            let Ok(index) = LogIndex::decode(&mut bytes) else {
+                break;
+            };
+            if !bytes.is_empty() {
+                break;
+            }
+            // Whatever the marker cut at or below the base, compaction has
+            // since dropped (possibly with the segment that held it); past
+            // the end there is nothing to cut.
+            mem.truncate_from(index.max(base_index.next()))
+                .expect("cut point is above the base");
+            pos = next;
+            continue;
+        }
         // The count is untrusted on-disk data: cap the reservation by what
         // the payload could possibly hold (an entry encodes to ≥ 17 bytes:
         // index + epoch-term + payload tag), so a corrupt frame cannot
@@ -660,14 +598,13 @@ fn replay_segment(
         }
         // The batch checks out: fold it into the mirror as one unit.
         for entry in batch {
-            last_entry = Some(entry.index);
+            last_entry = last_entry.max(Some(entry.index));
             if entry.index <= base_index {
                 // The covering segment outlived compaction because it also
-                // holds live entries.
+                // held entries above the base.
                 continue;
             }
             mem.append(entry);
-            offsets.push_back((seq, pos as u64));
         }
         pos = next;
     }
@@ -775,8 +712,73 @@ mod tests {
         assert_eq!(wal.slice(LogIndex(3), LogIndex(5)).len(), 3);
     }
 
+    /// The active segment's bytes on disk.
+    fn active_bytes(wal: &WalLog) -> Vec<u8> {
+        fs::read(&wal.active_seg().path).unwrap()
+    }
+
+    /// A byte-for-byte copy of a data dir as a process kill would leave it:
+    /// every byte written so far, synced or not.
+    fn copy_dir(from: &Path, tag: &str) -> TestDir {
+        let to = TestDir::new(tag);
+        fs::create_dir_all(to.0.join("wal")).unwrap();
+        for sub in ["", "wal"] {
+            for f in fs::read_dir(from.join(sub)).unwrap() {
+                let f = f.unwrap();
+                if f.file_type().unwrap().is_file() {
+                    fs::copy(f.path(), to.0.join(sub).join(f.file_name())).unwrap();
+                }
+            }
+        }
+        to
+    }
+
+    /// The segment format read back by a later build: header, one batch
+    /// record (`[len][crc][count][entries…]`) and one truncate marker
+    /// (`[len][crc][0][index]`).
     #[test]
-    fn truncate_survives_reopen() {
+    fn segment_bytes_pinned() {
+        let dir = TestDir::new("pinned");
+        let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+        wal.append_batch(vec![entry(1, 1), entry(2, 1)]);
+        wal.truncate_from(LogIndex(2)).unwrap();
+        let hex: String = active_bytes(&wal)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            // Header: magic "RCWL", version 3, segment seq 1.
+            "5243574c000000030000000000000001\
+             00000032c32d2e91\
+             00000002\
+             0000000000000001000000000000000101000000027631\
+             0000000000000002000000000000000101000000027632\
+             0000000c95dba743\
+             000000000000000000000002"
+        );
+    }
+
+    #[test]
+    fn synced_bytes_are_never_cut() {
+        let dir = TestDir::new("never-cut");
+        let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+        wal.append_batch((1..=4).map(|i| entry(i, 1)).collect());
+        wal.sync();
+        let synced = active_bytes(&wal);
+        assert_eq!(wal.truncate_from(LogIndex(3)).unwrap(), 2);
+        // Nothing the sync covered moved: the file grew by one marker.
+        let now = active_bytes(&wal);
+        assert!(now.len() > synced.len());
+        assert_eq!(now[..synced.len()], synced[..]);
+        // A process killed right here reboots with exactly the kept entries.
+        let killed = copy_dir(&dir.0, "never-cut-copy");
+        let wal = WalLog::open_with(&killed.0, opts()).unwrap();
+        assert_eq!(wal.tail(wal.first_index()), vec![entry(1, 1), entry(2, 1)]);
+    }
+
+    #[test]
+    fn truncate_marker_replays_on_reopen() {
         let dir = TestDir::new("truncate");
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
@@ -792,21 +794,42 @@ mod tests {
     }
 
     #[test]
-    fn cross_segment_truncation_keeps_durable_watermark() {
-        let dir = TestDir::new("truncate-watermark");
+    fn truncate_across_a_segment_roll_touches_no_earlier_file() {
+        let dir = TestDir::new("truncate-roll");
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
             fill(&mut wal, 1, 30, 1); // several rolled (fully synced) segments
-            assert!(wal.segment_count() >= 3);
-            // Truncate back into an earlier, fully-durable segment...
-            wal.truncate_from(LogIndex(5)).unwrap();
-            // ...then lose power with nothing new written. The surviving
-            // prefix was synced when its segment rolled; a power cut must
-            // not be able to destroy it.
-            wal.power_cut(0);
+            let segments = wal.segment_count();
+            assert!(segments >= 3);
+            // Cut back into the first segment: one marker in the active
+            // one; every file stays, none is reopened.
+            assert_eq!(wal.truncate_from(LogIndex(5)).unwrap(), 26);
+            assert_eq!(wal.segment_count(), segments);
+            fill(&mut wal, 5, 6, 2);
         }
         let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.last_index(), LogIndex(4));
+        assert_eq!(wal.last_index(), LogIndex(6));
+        assert_eq!(wal.entry(LogIndex(4)), Some(entry(4, 1)));
+        assert_eq!(wal.entry(LogIndex(5)), Some(entry(5, 2)));
+    }
+
+    #[test]
+    fn marker_lost_to_a_power_cut_leaves_the_log_as_last_synced() {
+        let dir = TestDir::new("truncate-powercut");
+        {
+            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+            fill(&mut wal, 1, 30, 1);
+            let syncs = wal.sync_count();
+            wal.truncate_from(LogIndex(5)).unwrap();
+            // The kept prefix needs no sync of its own — it was never
+            // touched — and the marker waits for the next barrier.
+            assert_eq!(wal.sync_count(), syncs);
+            wal.power_cut(0);
+        }
+        // The cut took the marker: the log is the one the last sync made
+        // durable, kept prefix and superseded suffix alike.
+        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
+        assert_eq!(wal.last_index(), LogIndex(30));
         assert_eq!(wal.entry(LogIndex(4)), Some(entry(4, 1)));
     }
 
@@ -966,19 +989,18 @@ mod tests {
     }
 
     #[test]
-    fn truncate_mid_batch_rewrites_surviving_prefix() {
+    fn truncate_mid_batch_keeps_the_shared_prefix() {
         let dir = TestDir::new("truncate-mid-batch");
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
             wal.append_batch((1..=6).map(|i| entry(i, 1)).collect());
             wal.sync();
-            // Cut inside the batch record: entries 1..=3 survive and are
-            // rewritten as a fresh record (the old record is atomic on disk
-            // and cannot be split).
+            // Cut inside the batch record: the record stays whole on disk
+            // and the marker after it drops 4..=6 at replay.
             assert_eq!(wal.truncate_from(LogIndex(4)).unwrap(), 3);
             assert_eq!(wal.last_index(), LogIndex(3));
             assert_eq!(wal.entry(LogIndex(2)), Some(entry(2, 1)));
-            // A divergent suffix appends cleanly after the rewrite.
+            // A divergent suffix appends cleanly after the marker.
             wal.append_batch(vec![entry(4, 2), entry(5, 2)]);
             wal.sync();
         }
@@ -989,22 +1011,50 @@ mod tests {
     }
 
     #[test]
-    fn truncate_into_durable_batch_keeps_prefix_durable() {
-        // Regression: truncating into the middle of an already-fsync'd batch
-        // record replaces durable entries with a rewritten record. That
-        // rewrite must itself be durable before truncate_from returns — a
-        // power cut immediately after must reboot with 1..=3, not nothing.
-        let dir = TestDir::new("truncate-durable");
+    fn marker_at_or_below_the_base_is_a_noop_once_its_segment_is_gone() {
+        let dir = TestDir::new("marker-below-base");
+        let base;
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
-            wal.append_batch((1..=6).map(|i| entry(i, 1)).collect());
-            wal.sync(); // all six durable
-            wal.truncate_from(LogIndex(4)).unwrap();
-            wal.power_cut(0); // nothing unsynced may survive — 1..=3 must
+            fill(&mut wal, 1, 20, 1);
+            let first = wal.segments[0].path.clone();
+            base = wal.segments[0].last_entry.unwrap();
+            // The marker refers into the first segment...
+            assert!(LogIndex(3) <= base);
+            wal.truncate_from(LogIndex(3)).unwrap();
+            fill(&mut wal, 3, 25, 2);
+            // ...which compaction then deletes whole.
+            wal.compact_to(base, et(2)).unwrap();
+            assert!(!first.exists());
         }
         let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.last_index(), LogIndex(3), "durable prefix survives");
-        assert_eq!(wal.entry(LogIndex(3)), Some(entry(3, 1)));
+        assert_eq!(wal.base_index(), base);
+        assert_eq!(wal.last_index(), LogIndex(25));
+        for e in wal.tail(wal.first_index()) {
+            assert_eq!(e.eterm, et(2), "superseded entry {} came back", e.index);
+        }
+    }
+
+    #[test]
+    fn compaction_base_never_outruns_an_unsynced_marker() {
+        let dir = TestDir::new("base-after-marker");
+        {
+            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+            wal.append_batch((1..=5).map(|i| entry(i, 1)).collect());
+            wal.sync();
+            wal.truncate_from(LogIndex(3)).unwrap();
+            wal.append_batch(vec![entry(3, 2), entry(4, 2)]);
+            // No barrier yet: compaction itself orders the operations it
+            // covers before the base.
+            wal.compact_to(LogIndex(4), et(2)).unwrap();
+            wal.power_cut(0);
+        }
+        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
+        assert_eq!(wal.base_index(), LogIndex(4));
+        assert!(
+            wal.is_empty(),
+            "superseded entry 5 came back above the base"
+        );
     }
 
     #[test]
