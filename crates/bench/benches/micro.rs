@@ -1,19 +1,22 @@
 //! Criterion micro-benchmarks of the protocol building blocks: log appends,
-//! epoch-term packing, quorum evaluation, configuration derivation,
-//! snapshot encode/merge, and the frame writer and mux reader.
+//! epoch-term packing, quorum evaluation, configuration derivation, the
+//! snapshot image path (encode, merge-restore, checksum and the framed
+//! `snapshot.bin` write, at 1 000 pairs and at the repo benchmark's 10 000;
+//! README has the before/after rows), and the frame writer and mux reader.
 //!
 //! Run with: `cargo bench -p recraft-bench --bench micro`
 
 use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use recraft_bench::preloaded_store;
 use recraft_core::quorum::QuorumSpec;
 use recraft_core::stack::ConfigStack;
 use recraft_core::StateMachine;
-use recraft_kv::{KvCmd, KvStore};
+use recraft_kv::KvStore;
 use recraft_net::frame::put_frame;
 use recraft_net::mux::MuxReader;
 use recraft_net::{Envelope, Message};
-use recraft_storage::{LogEntry, MemLog};
+use recraft_storage::{crc32, LogEntry, LogStore, MemLog, Snapshot, WalLog};
 use recraft_types::{
     ClientOp, ClientRequest, ClusterConfig, ClusterId, ConfigChange, EpochTerm, KeyRange, LogIndex,
     NodeId, RangeSet, SessionId, SplitSpec,
@@ -87,35 +90,48 @@ fn bench_derive(c: &mut Criterion) {
     });
 }
 
+/// The snapshot image path, state machine to disk: encode, merge-restore,
+/// checksum, and the framed + fsynced `snapshot.bin` replacement.
 fn bench_snapshot(c: &mut Criterion) {
-    let mut store = KvStore::new();
-    for i in 0..1000u64 {
-        let mut v = vec![b'v'; 512];
-        v[0] = (i % 255) as u8;
-        store.apply(
-            LogIndex(i + 1),
-            &KvCmd::Put {
-                key: format!("k{i:08}").into_bytes(),
-                value: Bytes::from(v),
-            }
-            .encode(),
-        );
-    }
-    c.bench_function("kv_snapshot_1k_pairs", |b| {
-        b.iter(|| black_box(store.snapshot(&RangeSet::full())));
-    });
-    let (lo, hi) = KeyRange::full().split_at(b"k00000500").unwrap();
-    let parts = [
-        store.snapshot(&RangeSet::from(lo)),
-        store.snapshot(&RangeSet::from(hi)),
-    ];
-    c.bench_function("kv_restore_merged_1k_pairs", |b| {
-        b.iter(|| {
-            let mut merged = KvStore::new();
-            merged.restore_merged(black_box(&parts)).unwrap();
-            black_box(merged.len())
+    for (label, pairs) in [("1k", 1000u64), ("10k", 10_000)] {
+        // Keys `k{i:08}` under 512-byte values; 10 000 of them is the repo
+        // benchmark's keyspace, a 5.3 MB image.
+        let store = preloaded_store(pairs, pairs);
+        c.bench_function(&format!("kv_snapshot_{label}_pairs"), |b| {
+            b.iter(|| black_box(store.snapshot(&RangeSet::full())));
         });
+        let mid = format!("k{:08}", pairs / 2);
+        let (lo, hi) = KeyRange::full().split_at(mid.as_bytes()).unwrap();
+        let parts = [
+            store.snapshot(&RangeSet::from(lo)),
+            store.snapshot(&RangeSet::from(hi)),
+        ];
+        c.bench_function(&format!("kv_restore_merged_{label}_pairs"), |b| {
+            b.iter(|| {
+                let mut merged = KvStore::new();
+                merged.restore_merged(black_box(&parts)).unwrap();
+                black_box(merged.len())
+            });
+        });
+    }
+    let image = Bytes::from(
+        (0..5u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect::<Vec<u8>>(),
+    );
+    c.bench_function("crc32_5mib", |b| {
+        b.iter(|| black_box(crc32(black_box(&image))));
     });
+    let dir = std::env::temp_dir().join(format!("recraft-micro-snap-{}", std::process::id()));
+    let mut wal = WalLog::open(&dir).unwrap();
+    let config = ClusterConfig::new(ClusterId(1), nodes(3), RangeSet::full()).unwrap();
+    let mut snapshot = Snapshot::empty(ClusterId(1), RangeSet::full());
+    snapshot.chunks = vec![image];
+    c.bench_function("snapshot_save_5mib", |b| {
+        b.iter(|| wal.save_snapshot(black_box(&snapshot), &config));
+    });
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The front door's two codec hot paths: framing one client write into a

@@ -4,11 +4,12 @@
 //! thread-per-node could not host.
 
 use recraft_cluster::{
-    os_thread_count, ClientOptions, Cluster, ControlOptions, ControlPlane, FleetSpec, FleetView,
-    HarnessBackend,
+    os_thread_count, ClientOptions, ClientsRun, Cluster, ControlOptions, ControlPlane, FleetSpec,
+    FleetView, HarnessBackend,
 };
 use recraft_fleet::FleetConfig;
 use recraft_types::{ClusterId, SessionId};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -129,7 +130,11 @@ fn autonomy_campaign_on_two_workers_with_spare_reuse() {
     );
 
     // Hot-range load: every key lands below the k00005000 boundary, so
-    // range 1 carries all of it and is the one the controller splits.
+    // range 1 carries all of it and is the one the controller splits. The
+    // load stays on, in waves of eight fresh sessions, until the kill and
+    // restart below are done: an optimized build finishes one wave before
+    // the controller has staffed the range, and a fleet that has gone idle
+    // by then merges its two boot ranges instead of splitting one.
     let opts = ClientOptions {
         ops: 3_000,
         window: 4,
@@ -139,12 +144,25 @@ fn autonomy_campaign_on_two_workers_with_spare_reuse() {
         view: Some(Arc::clone(&view)),
         ..ClientOptions::default()
     };
+    let faults_done = Arc::new(AtomicBool::new(false));
     let load = {
-        let c = Arc::clone(&cluster);
-        let opts = opts.clone();
+        let (c, opts, faults_done) = (Arc::clone(&cluster), opts.clone(), Arc::clone(&faults_done));
         thread::Builder::new()
             .name("fleet-load".into())
-            .spawn(move || c.run_clients(8, &opts))
+            .spawn(move || {
+                let mut waves: Vec<ClientsRun> = Vec::new();
+                loop {
+                    let wave = ClientOptions {
+                        session_base: 8 * waves.len() as u64,
+                        ..opts.clone()
+                    };
+                    waves.push(c.run_clients(8, &wave));
+                    let last = waves.last().expect("just pushed");
+                    if faults_done.load(Ordering::SeqCst) || !last.all_completed() {
+                        return waves;
+                    }
+                }
+            })
             .expect("spawn load thread")
     };
 
@@ -164,26 +182,31 @@ fn autonomy_campaign_on_two_workers_with_spare_reuse() {
         cluster.debug_dump()
     );
 
-    // Kill a follower of one child mid-load, then reboot it from its WAL
-    // onto a fresh shard seat and port.
-    let victim = cluster
-        .members_of(a)
-        .keys()
-        .copied()
-        .find(|n| *n != leader_a)
-        .expect("child follower");
+    // Kill a follower of one child mid-load (the leader completes the
+    // split first; its followers join the child a moment later), then
+    // reboot it from its WAL onto a fresh shard seat and port.
+    let mut victim = None;
+    wait_until(Duration::from_secs(10), || {
+        let members = cluster.members_of(a);
+        victim = members.keys().copied().find(|n| *n != leader_a);
+        victim.is_some()
+    });
+    let victim = victim.unwrap_or_else(|| panic!("no child follower:\n{}", cluster.debug_dump()));
     assert!(cluster.kill(victim), "victim {victim:?} was not running");
     thread::sleep(Duration::from_millis(700));
     cluster.restart(victim);
+    faults_done.store(true, Ordering::SeqCst);
 
-    let run = load.join().expect("client threads");
-    assert!(
-        run.all_completed(),
-        "routed fleet incomplete: {:?}\n{}",
-        run.reports,
-        cluster.debug_dump()
-    );
-    assert_eq!(run.confirmed_ops(), 8 * opts.ops);
+    let waves = load.join().expect("client threads");
+    for run in &waves {
+        assert!(
+            run.all_completed(),
+            "routed fleet incomplete: {:?}\n{}",
+            run.reports,
+            cluster.debug_dump()
+        );
+        assert_eq!(run.confirmed_ops(), 8 * opts.ops);
+    }
 
     // Idle fleet: the controller merges back down to one range, retiring a
     // quorum's worth of nodes per merge; the plane reaps each retirement
@@ -247,12 +270,15 @@ fn autonomy_campaign_on_two_workers_with_spare_reuse() {
         .filter(|n| n.cluster() == merged)
         .max_by_key(|n| n.applied_index().0)
         .expect("a merged-cluster node");
-    for c in 0..8 {
-        let last = survivor.sessions().last_seq(SessionId(c));
-        // Merge-burned writes are reissued under fresh sequences, so the
-        // table lands on each client's final wire sequence.
-        let expected = run.last_seq_of(c);
-        assert_eq!(last, expected, "session {c}: last_seq {last:?}");
+    for (wave, run) in waves.iter().enumerate() {
+        for c in 0..8 {
+            let session = SessionId(8 * wave as u64 + c);
+            let last = survivor.sessions().last_seq(session);
+            // Merge-burned writes are reissued under fresh sequences, so
+            // the table lands on each client's final wire sequence.
+            let expected = run.last_seq_of(c);
+            assert_eq!(last, expected, "{session:?}: last_seq {last:?}");
+        }
     }
 }
 

@@ -766,6 +766,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.commit_index = LogIndex(1);
         self.applied_index = LogIndex(1);
         self.cfg.reset(base, LogIndex(1));
+        let led_coordinator = self.role == Role::Leader && old_cluster == ex.tx.coordinator;
         if self.role == Role::Leader {
             self.emit(NodeEvent::SteppedDown {
                 cluster: old_cluster,
@@ -779,7 +780,16 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.pending_reads.clear();
         self.driver = None;
         self.pull = None;
+        // Everyone resumes as a follower of term 0, so the merged cluster
+        // serves nobody until an election timer runs out. When a campaign
+        // starts is never a safety matter: the one node that led the
+        // coordinator campaigns on its next tick (members still in their
+        // exchange vote as stragglers of the new generation), and the
+        // randomized timer stays the fallback for everyone else.
         self.reset_election_timer(now);
+        if led_coordinator {
+            self.election_deadline = now;
+        }
         self.emit(NodeEvent::MergeResumed {
             tx: ex.tx.id,
             new_cluster: self.cluster,

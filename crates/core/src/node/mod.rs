@@ -702,9 +702,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// any log operation (compact, reset) that depends on the snapshot being
     /// durable.
     pub(crate) fn persist_snapshot(&mut self) {
-        let snap = self.snapshot.clone();
-        let config = self.snap_config.clone();
-        self.log.save_snapshot(&snap, &config);
+        self.log.save_snapshot(&self.snapshot, &self.snap_config);
     }
 
     /// The write-ahead barrier: everything buffered becomes durable.

@@ -37,7 +37,7 @@
 //! wire) is bounded by `chunk_bytes`, never by the keyspace.
 
 use crate::store::{KvCmd, KvStore};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use recraft_core::StateMachine;
 use recraft_storage::framing::{io_err, read_framed, read_framed_prefix, sync_dir, write_framed};
 use recraft_types::codec::{Decode, Encode};
@@ -211,7 +211,7 @@ impl DurableKv {
                     intact = false;
                     break;
                 };
-                let Ok((revision, map)) = decode_chunk(&payload) else {
+                let Ok((revision, map)) = KvStore::decode_image(&payload) else {
                     intact = false;
                     break;
                 };
@@ -364,16 +364,13 @@ impl DurableKv {
                 self.memtable.insert(key, None);
             }
             Ok(KvCmd::Ingest { data }) => {
-                // The bulk-load payload is a snapshot blob; every key in it
+                // The bulk-load payload is a snapshot image; every key in it
                 // is dirtied (apply ignores a malformed payload, and so does
                 // this accounting).
-                let mut buf = data.clone();
-                if u64::decode(&mut buf).is_ok() {
-                    if let Ok(map) = KvStore::decode_map(&buf) {
-                        for (key, value) in map {
-                            self.memtable_bytes += key.len() + value.len();
-                            self.memtable.insert(key, Some(value));
-                        }
+                if let Ok((_, map)) = KvStore::decode_image(&data) {
+                    for (key, value) in map {
+                        self.memtable_bytes += key.len() + value.len();
+                        self.memtable.insert(key, Some(value));
                     }
                 }
             }
@@ -685,7 +682,8 @@ impl StateMachine for DurableKv {
         // pins the live revision so every receiver lands on the exact same
         // state an unchunked restore would produce.
         if chunks.is_empty() || (!had_extras && reused_revision < revision) {
-            chunks.push(empty_chunk(revision));
+            // The degenerate empty-state chunk: `[revision][empty map]`.
+            chunks.push(KvStore::encode_image(revision, []));
         }
         chunks
     }
@@ -754,32 +752,6 @@ impl StateMachine for DurableKv {
 
 // ---- Chunk partitioning and codecs -----------------------------------------
 
-/// Encodes the degenerate empty-state chunk (`[revision][empty map]`).
-fn empty_chunk(revision: u64) -> Bytes {
-    let mut buf = BytesMut::new();
-    revision.encode(&mut buf);
-    buf.extend_from_slice(&KvStore::encode_map(&BTreeMap::new()));
-    buf.freeze()
-}
-
-/// Encodes key-ordered pairs straight into the snapshot-blob format
-/// (`[u64 revision][u32 count][len-prefixed key/value...]`) — byte-for-byte
-/// what [`KvStore::snapshot`] produces for the same pairs, without the
-/// intermediate map copies (this sits on the flush hot path).
-fn encode_pairs(revision: u64, pairs: &[(&Vec<u8>, &Bytes)]) -> Bytes {
-    let body: usize = pairs.iter().map(|(k, v)| k.len() + v.len() + 8).sum();
-    let mut buf = BytesMut::with_capacity(16 + body);
-    revision.encode(&mut buf);
-    (pairs.len() as u32).encode(&mut buf);
-    for (key, value) in pairs {
-        (key.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(key);
-        (value.len() as u32).encode(&mut buf);
-        buf.extend_from_slice(value);
-    }
-    buf.freeze()
-}
-
 /// Splits `pairs` (key-ordered) into encoded chunks of at most
 /// `chunk_bytes` payload (always at least one pair per chunk), returning
 /// `(first, last, count, payload)` per chunk.
@@ -807,18 +779,11 @@ fn chunk_runs(
             run[0].0.clone(),
             run[run.len() - 1].0.clone(),
             run.len() as u64,
-            encode_pairs(revision, run),
+            KvStore::encode_image(revision, run.iter().copied()),
         ));
         start = end;
     }
     out
-}
-
-/// Decodes a segment/chunk payload into its embedded revision and pairs.
-fn decode_chunk(payload: &Bytes) -> Result<(u64, BTreeMap<Vec<u8>, Bytes>)> {
-    let mut buf = payload.clone();
-    let revision = u64::decode(&mut buf)?;
-    Ok((revision, KvStore::decode_map(&buf)?))
 }
 
 /// Whether `[first, last]` lies entirely inside `ranges`. Conservative: the

@@ -216,13 +216,10 @@ impl KvStore {
                 }
             }
             Ok(KvCmd::Ingest { data }) => {
-                // The payload is a snapshot: a revision prefix followed by
-                // the encoded map (exactly what `snapshot()` produces).
-                let mut buf = data.clone();
-                if u64::decode(&mut buf).is_ok() {
-                    if let Ok(map) = Self::decode_map(&buf) {
-                        self.entries.extend(map);
-                    }
+                // The payload is a snapshot image (exactly what `snapshot()`
+                // produces); its revision is not adopted.
+                if let Ok((_, map)) = Self::decode_image(&data) {
+                    self.entries.extend(map);
                 }
                 KvResp::Ok {
                     revision: self.revision,
@@ -242,13 +239,11 @@ impl KvStore {
         &self.entries
     }
 
-    /// Merges a snapshot-format blob (`[u64 revision][map]`) into the store:
-    /// pairs extend the map, the revision takes the maximum. The chunked
-    /// install path feeds one bounded blob at a time through this.
+    /// Merges a snapshot image into the store: pairs extend the map, the
+    /// revision takes the maximum. The chunked install path feeds one
+    /// bounded image at a time through this.
     pub(crate) fn absorb_snapshot_blob(&mut self, data: &Bytes) -> Result<()> {
-        let mut buf = data.clone();
-        let revision = u64::decode(&mut buf)?;
-        let map = Self::decode_map(&buf)?;
+        let (revision, map) = Self::decode_image(data)?;
         self.entries.extend(map);
         self.revision = self.revision.max(revision);
         Ok(())
@@ -260,21 +255,46 @@ impl KvStore {
         self.revision = revision;
     }
 
-    pub(crate) fn encode_map(map: &BTreeMap<Vec<u8>, Bytes>) -> Bytes {
-        let plain: BTreeMap<Vec<u8>, Vec<u8>> =
-            map.iter().map(|(k, v)| (k.clone(), v.to_vec())).collect();
+    /// Encodes a snapshot image, `[u64 revision][u32 count]{key, value}*`
+    /// (the map format of `recraft_types::codec`), straight from `pairs` in
+    /// the order given: every byte run is one slice copy into one buffer,
+    /// and the count is patched in once the iterator has been walked.
+    pub(crate) fn encode_image<'a>(
+        revision: u64,
+        pairs: impl IntoIterator<Item = (&'a Vec<u8>, &'a Bytes)>,
+    ) -> Bytes {
         let mut buf = BytesMut::new();
-        plain.encode(&mut buf);
+        revision.encode(&mut buf);
+        let count_at = buf.len();
+        0u32.encode(&mut buf);
+        let mut count = 0u32;
+        for (key, value) in pairs {
+            key.encode(&mut buf);
+            value.encode(&mut buf);
+            count = count.checked_add(1).expect("map too long");
+        }
+        buf[count_at..count_at + 4].copy_from_slice(&count.to_be_bytes());
         buf.freeze()
     }
 
-    pub(crate) fn decode_map(data: &Bytes) -> Result<BTreeMap<Vec<u8>, Bytes>> {
+    /// Decodes a snapshot image into its revision and pairs. An image is
+    /// written in key order, so the map is built from the sorted run in one
+    /// pass; any order is accepted, and of a repeated key the last value
+    /// wins. Each value is copied into an allocation of its own, so that no
+    /// stored value keeps the image it arrived in alive.
+    pub(crate) fn decode_image(data: &Bytes) -> Result<(u64, BTreeMap<Vec<u8>, Bytes>)> {
         let mut buf = data.clone();
-        let plain = BTreeMap::<Vec<u8>, Vec<u8>>::decode(&mut buf)?;
-        Ok(plain
-            .into_iter()
-            .map(|(k, v)| (k, Bytes::from(v)))
-            .collect())
+        let revision = u64::decode(&mut buf)?;
+        let count = u32::decode(&mut buf)? as usize;
+        // A pair is at least its two length words: a count the input cannot
+        // hold fails on the first missing pair, having reserved nothing for it.
+        let mut pairs = Vec::with_capacity(count.min(buf.len() / 8));
+        for _ in 0..count {
+            let key = Vec::<u8>::decode(&mut buf)?;
+            let value = Bytes::decode(&mut buf)?;
+            pairs.push((key, Bytes::copy_from_slice(&value)));
+        }
+        Ok((revision, pairs.into_iter().collect()))
     }
 }
 
@@ -304,46 +324,32 @@ impl StateMachine for KvStore {
     }
 
     fn snapshot(&self, ranges: &RangeSet) -> Bytes {
-        let filtered: BTreeMap<Vec<u8>, Bytes> = self
-            .entries
-            .iter()
-            .filter(|(k, _)| ranges.contains(k))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let mut buf = BytesMut::new();
-        self.revision.encode(&mut buf);
-        buf.extend_from_slice(&Self::encode_map(&filtered));
-        buf.freeze()
+        let resident = self.entries.iter().filter(|(k, _)| ranges.contains(k));
+        Self::encode_image(self.revision, resident)
     }
 
     fn restore(&mut self, data: &Bytes) -> Result<()> {
-        let mut buf = data.clone();
-        let revision = u64::decode(&mut buf)?;
-        let plain = BTreeMap::<Vec<u8>, Vec<u8>>::decode(&mut buf)?;
-        self.revision = revision;
-        self.entries = plain
-            .into_iter()
-            .map(|(k, v)| (k, Bytes::from(v)))
-            .collect();
+        let (revision, map) = Self::decode_image(data)?;
+        self.set_state(map, revision);
         Ok(())
     }
 
     fn restore_merged(&mut self, parts: &[Bytes]) -> Result<()> {
-        let mut combined: BTreeMap<Vec<u8>, Bytes> = BTreeMap::new();
+        let mut pairs = Vec::new();
         let mut revision = 0u64;
         for part in parts {
-            let mut buf = part.clone();
-            let part_rev = u64::decode(&mut buf)?;
+            let (part_rev, map) = Self::decode_image(part)?;
             revision = revision.max(part_rev);
-            let map = Self::decode_map(&buf)?;
-            for (k, v) in map {
-                if combined.insert(k, v).is_some() {
-                    return Err(Error::InvalidRange("merge parts overlap on a key".into()));
-                }
-            }
+            pairs.extend(map);
         }
-        self.entries = combined;
-        self.revision = revision;
+        // Parts arrive in range order, so this is one sorted run; a key two
+        // parts both hold is one the map keeps once.
+        let total = pairs.len();
+        let combined: BTreeMap<Vec<u8>, Bytes> = pairs.into_iter().collect();
+        if combined.len() != total {
+            return Err(Error::InvalidRange("merge parts overlap on a key".into()));
+        }
+        self.set_state(combined, revision);
         Ok(())
     }
 

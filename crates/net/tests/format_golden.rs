@@ -11,7 +11,8 @@
 //! the failure message of a missing name prints the hex to paste.
 
 use bytes::{Buf, Bytes};
-use recraft_kv::{KvCmd, KvResp};
+use recraft_core::StateMachine;
+use recraft_kv::{DurableKv, DurableKvOptions, KvCmd, KvResp, KvStore};
 use recraft_net::frame::{decode_frame, encode_frame};
 use recraft_net::mux::{encode_batch, MuxReader};
 use recraft_net::{AdminCmd, Envelope, Message, NodeStats, PullHint};
@@ -644,6 +645,71 @@ fn kv_commands() {
         assert_eq!(to_hex(&actual), to_hex(&want), "{name}: encoding changed");
         assert_eq!(KvResp::decode(&want).unwrap(), resp, "{name}");
     }
+}
+
+/// Asserts that `actual` is exactly the checked-in bytes of `name` (formats
+/// that are not an `Encode` value: state-machine images, whole files).
+fn check_bytes(name: &str, actual: &[u8]) -> Bytes {
+    let want = golden(name, actual);
+    assert_eq!(to_hex(actual), to_hex(&want), "{name}: bytes changed");
+    want
+}
+
+/// The state-machine payload inside a snapshot chunk, and the files a
+/// `DurableKv` leaves: opaque to every fixture above, pinned here.
+#[test]
+fn state_machine_images() {
+    let mut store = KvStore::new();
+    for (i, (key, value)) in [("apple", "red"), ("mango", ""), ("zebra", "striped")]
+        .into_iter()
+        .enumerate()
+    {
+        let put = KvCmd::Put {
+            key: key.as_bytes().to_vec(),
+            value: Bytes::from_static(value.as_bytes()),
+        };
+        store.apply(LogIndex(i as u64 + 1), &put.encode());
+    }
+    let (lo, hi) = KeyRange::full().split_at(b"m").unwrap();
+
+    // A full image restores to the store that wrote it.
+    let full = check_bytes("kv.image.full", &store.snapshot(&RangeSet::full()));
+    let mut restored = KvStore::new();
+    restored.restore(&full).unwrap();
+    assert_eq!(restored, store, "kv.image.full: restored state changed");
+
+    // A range-filtered image, and the two halves as `restore_merged` input.
+    let low = check_bytes("kv.image.low", &store.snapshot(&RangeSet::from(lo)));
+    let high = check_bytes("kv.image.high", &store.snapshot(&RangeSet::from(hi)));
+    let mut merged = KvStore::new();
+    merged.restore_merged(&[low, high]).unwrap();
+    assert_eq!(merged, store, "kv.image.low + high: merged state changed");
+
+    // A `DurableKv` directory: the one segment file (frame, checksum and
+    // chunk payload) and the manifest, byte for byte; a directory holding
+    // exactly those bytes opens to the same state.
+    let dir = std::env::temp_dir().join(format!("recraft-golden-kv-{}", std::process::id()));
+    let opts = DurableKvOptions {
+        fsync: false,
+        ..DurableKvOptions::default()
+    };
+    let durable = DurableKv::create(&dir, store.clone(), opts).unwrap();
+    let chunks = durable.snapshot_chunks(&RangeSet::full());
+    assert_eq!(chunks.len(), 1);
+    check_bytes("kv.durable.chunk", &chunks[0]);
+    drop(durable);
+    for (name, file) in [
+        ("kv.durable.segment-file", "seg-0000000000000001.kvs"),
+        ("kv.durable.manifest-file", "MANIFEST.bin"),
+    ] {
+        check_bytes(name, &std::fs::read(dir.join(file)).unwrap());
+    }
+    let reopened = DurableKv::open(&dir, opts).unwrap();
+    assert_eq!(reopened.len(), 3);
+    assert_eq!(reopened.revision(), 3);
+    assert_eq!(reopened.get(b"zebra"), store.get(b"zebra"));
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! What every top-level format owes bytes it did not write, stated once
 //! (`recraft_types::codec::testing`) and run over all nine: the envelope a
 //! socket delivers, the four things a WAL directory holds, the two halves
-//! of the client protocol, and the state machine's command and reply.
+//! of the client protocol, and the state machine's command and reply —
+//! and, spelled out by hand, over the image a snapshot chunk carries.
 //!
 //! * every strict prefix of a valid encoding is an error,
 //! * inverting any one byte — tag, length or payload — is an error or a
@@ -10,7 +11,8 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use recraft_kv::{KvCmd, KvResp};
+use recraft_core::StateMachine;
+use recraft_kv::{KvCmd, KvResp, KvStore};
 use recraft_net::{Envelope, Message};
 use recraft_storage::{HardState, LogEntry, NodeMeta, ReconfigRecord, Snapshot, SnapshotFrame};
 use recraft_types::codec::testing::{assert_robust, decode_garbage};
@@ -206,9 +208,56 @@ fn client_protocol_and_state_machine() {
     });
 }
 
+/// A state-machine image is not an `Encode` value, so the same two
+/// properties are spelled out over `KvStore`'s restore paths: a strict
+/// prefix is an error, an inverted byte is an error or a different state,
+/// and a count the input cannot hold is refused, not reserved.
+#[test]
+fn state_machine_image() {
+    let mut store = KvStore::new();
+    for (i, (key, value)) in [("apple", "red"), ("mango", ""), ("zebra", "striped")]
+        .into_iter()
+        .enumerate()
+    {
+        let put = KvCmd::Put {
+            key: key.as_bytes().to_vec(),
+            value: Bytes::from_static(value.as_bytes()),
+        };
+        store.apply(LogIndex(i as u64 + 1), &put.encode());
+    }
+    let image = store.snapshot(&RangeSet::full());
+    let restore = |bytes: Bytes| {
+        let (mut whole, mut merged) = (KvStore::new(), KvStore::new());
+        let outcome = whole.restore(&bytes);
+        assert_eq!(outcome.is_ok(), merged.restore_merged(&[bytes]).is_ok());
+        outcome.map(|()| {
+            assert_eq!(whole, merged);
+            whole
+        })
+    };
+    assert_eq!(restore(image.clone()).unwrap(), store);
+    for cut in 0..image.len() {
+        assert!(
+            restore(image.slice(..cut)).is_err(),
+            "prefix {cut} restored"
+        );
+    }
+    for at in 0..image.len() {
+        let mut flipped = image.to_vec();
+        flipped[at] ^= 0xFF;
+        if let Ok(other) = restore(Bytes::from(flipped)) {
+            assert_ne!(other, store, "byte {at} inverted, same state restored");
+        }
+    }
+    let mut huge = image.to_vec();
+    huge[8..12].copy_from_slice(&u32::MAX.to_be_bytes());
+    assert!(restore(Bytes::from(huge)).is_err());
+}
+
 proptest! {
     #[test]
     fn arbitrary_bytes_never_panic(data: Vec<u8>) {
+        let _ = KvStore::new().restore(&Bytes::from(data.clone()));
         decode_garbage::<Envelope>(&data);
         decode_garbage::<LogEntry>(&data);
         decode_garbage::<NodeMeta>(&data);

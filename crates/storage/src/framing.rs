@@ -17,12 +17,20 @@ use std::path::Path;
 /// lengths from corrupt frames.
 pub const MAX_RECORD_LEN: usize = 1 << 28;
 
-/// Frames a payload as `[u32 len][u32 crc32][payload]`.
+/// The `[u32 len][u32 crc32]` header that precedes `payload` in a record.
+fn header(payload: &[u8]) -> [u8; 8] {
+    let mut out = [0u8; 8];
+    out[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+    out[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+    out
+}
+
+/// Frames a payload as `[u32 len][u32 crc32][payload]` in one buffer (a
+/// WAL record: small, and appended with one write).
 #[must_use]
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
+    out.extend_from_slice(&header(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -49,13 +57,8 @@ pub fn next_record(raw: &[u8], pos: usize) -> Option<(&[u8], usize)> {
 /// after the frame fail the read (single-record files are replaced whole).
 #[must_use]
 pub fn read_framed(path: &Path) -> Option<Bytes> {
-    let mut raw = Vec::new();
-    File::open(path).ok()?.read_to_end(&mut raw).ok()?;
-    let (payload, end) = next_record(&raw, 0)?;
-    if end != raw.len() {
-        return None;
-    }
-    Some(Bytes::copy_from_slice(payload))
+    let (raw, end) = read_leading_record(path)?;
+    (end == raw.len()).then(|| raw.slice(8..))
 }
 
 /// Reads a crc-framed file whose tail may be torn by a power cut: the
@@ -64,10 +67,18 @@ pub fn read_framed(path: &Path) -> Option<Bytes> {
 /// death). `None` when not even the leading frame survives.
 #[must_use]
 pub fn read_framed_prefix(path: &Path) -> Option<Bytes> {
+    let (raw, end) = read_leading_record(path)?;
+    Some(raw.slice(8..end))
+}
+
+/// Reads the whole file and validates the record at its start; returns the
+/// buffer read and the record's end in it, so the payload handed out is a
+/// window of that buffer and not a copy.
+fn read_leading_record(path: &Path) -> Option<(Bytes, usize)> {
     let mut raw = Vec::new();
     File::open(path).ok()?.read_to_end(&mut raw).ok()?;
-    let (payload, _) = next_record(&raw, 0)?;
-    Some(Bytes::copy_from_slice(payload))
+    let (_, end) = next_record(&raw, 0)?;
+    Some((Bytes::from(raw), end))
 }
 
 /// Atomically replaces `path` with a crc-framed `payload` (write-tmp +
@@ -79,7 +90,10 @@ pub fn write_framed(path: &Path, payload: &[u8], fsync: bool) -> Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut file = File::create(&tmp).map_err(|e| io_err("create tmp", &tmp, &e))?;
-        file.write_all(&frame(payload))
+        // Header, then the payload from where it already is: an image is
+        // megabytes, and `frame` would copy it to put eight bytes in front.
+        file.write_all(&header(payload))
+            .and_then(|()| file.write_all(payload))
             .map_err(|e| io_err("write tmp", &tmp, &e))?;
         if fsync {
             file.sync_data().map_err(|e| io_err("sync tmp", &tmp, &e))?;
@@ -109,8 +123,13 @@ pub fn io_err(what: &str, path: &Path, e: &std::io::Error) -> Error {
 
 // ---- CRC-32 (IEEE 802.3) ----------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables for the reflected polynomial `0xEDB88320`:
+/// `TABLES[0]` is the classic byte-at-a-time table, and `TABLES[k][b]` is
+/// the checksum state after byte `b` followed by `k` zero bytes — so
+/// sixteen input bytes fold into the state with sixteen independent
+/// lookups instead of a chain of sixteen dependent ones.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -123,20 +142,52 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
 /// The IEEE CRC-32 of `data` (the checksum guarding every framed record).
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut words = data.chunks_exact(16);
+    for w in &mut words {
+        let a = u64::from_le_bytes(w[..8].try_into().expect("8 bytes")) ^ u64::from(crc);
+        let b = u64::from_le_bytes(w[8..].try_into().expect("8 bytes"));
+        crc = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][((a >> 24) & 0xFF) as usize]
+            ^ t[11][((a >> 32) & 0xFF) as usize]
+            ^ t[10][((a >> 40) & 0xFF) as usize]
+            ^ t[9][((a >> 48) & 0xFF) as usize]
+            ^ t[8][(a >> 56) as usize]
+            ^ t[7][(b & 0xFF) as usize]
+            ^ t[6][((b >> 8) & 0xFF) as usize]
+            ^ t[5][((b >> 16) & 0xFF) as usize]
+            ^ t[4][((b >> 24) & 0xFF) as usize]
+            ^ t[3][((b >> 32) & 0xFF) as usize]
+            ^ t[2][((b >> 40) & 0xFF) as usize]
+            ^ t[1][((b >> 48) & 0xFF) as usize]
+            ^ t[0][(b >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -149,6 +200,33 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The definition the sliced kernel must equal: one bit at a time.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_reference_at_every_length_and_alignment() {
+        let data: Vec<u8> = (0..96u32).map(|i| (i * 151 + 43) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let window = &data[offset..offset + len];
+                assert_eq!(
+                    crc32(window),
+                    crc32_bitwise(window),
+                    "offset {offset}, {len} bytes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -392,9 +392,7 @@ impl LogStore for WalLog {
         // The base is durable the moment it is written. The operations it
         // covers go first: a power cut that kept the base but took back a
         // truncate marker would put the superseded suffix above it.
-        if self.unsynced_bytes() > 0 {
-            self.sync();
-        }
+        self.sync();
         self.persist_base();
         // Delete whole segments whose content is entirely at or below the
         // base; the active segment always stays (it is the append tail).
@@ -446,12 +444,8 @@ impl LogStore for WalLog {
         let mut buf = BytesMut::new();
         snapshot.encode(&mut buf);
         config.encode(&mut buf);
-        write_framed(
-            &self.dir.join("snapshot.bin"),
-            &buf.freeze(),
-            self.opts.fsync,
-        )
-        .unwrap_or_else(|e| panic!("wal snapshot write failed: {e}"));
+        write_framed(&self.dir.join("snapshot.bin"), &buf, self.opts.fsync)
+            .unwrap_or_else(|e| panic!("wal snapshot write failed: {e}"));
     }
 
     fn load_snapshot(&self) -> Option<(Snapshot, ClusterConfig)> {
@@ -462,12 +456,20 @@ impl LogStore for WalLog {
     }
 
     fn sync(&mut self) {
-        if self.unsynced_bytes() > 0 {
-            // A group-commit barrier: everything appended since the last
-            // sync point becomes durable under one fsync, however many
-            // entries (or batches) accumulated.
-            self.syncs += 1;
+        if self.unsynced_bytes() == 0 {
+            // Nothing to make durable, so no syscall: a clean `fdatasync`
+            // still costs a device flush, and a leader pays one per commit
+            // round (the reply-only `take_outputs` after the acks are in).
+            // A fresh segment's 16-byte header counts as synced without
+            // having been: it carries no operation, recovery deletes a
+            // file whose header is torn, and the first record's sync
+            // covers it.
+            return;
         }
+        // A group-commit barrier: everything appended since the last sync
+        // point becomes durable under one fsync, however many entries (or
+        // batches) accumulated.
+        self.syncs += 1;
         if self.opts.fsync {
             self.active
                 .sync_data()
@@ -1055,6 +1057,39 @@ mod tests {
             wal.is_empty(),
             "superseded entry 5 came back above the base"
         );
+    }
+
+    #[test]
+    fn a_barrier_with_nothing_unsynced_changes_nothing() {
+        // With real fsync, across a roll: a clean barrier (the reply-only
+        // round after the acks are in, or the one right after a roll made a
+        // header-only segment) neither counts as a group commit nor moves
+        // what a power cut keeps.
+        let dir = TestDir::new("clean-barrier");
+        let real = WalOptions {
+            fsync: true,
+            ..opts()
+        };
+        let mut wal = WalLog::open_with(&dir.0, real).unwrap();
+        wal.sync();
+        assert_eq!(wal.sync_count(), 0, "an empty log has nothing to commit");
+        for i in 1..=30 {
+            wal.append(entry(i, 1));
+            wal.sync();
+            let (count, segments) = (wal.sync_count(), wal.segment_count());
+            wal.sync();
+            wal.sync();
+            assert_eq!(wal.sync_count(), count);
+            assert_eq!(wal.unsynced_bytes(), 0);
+            assert_eq!(wal.segment_count(), segments);
+        }
+        assert!(wal.segment_count() >= 3, "the run crossed segment rolls");
+        assert_eq!(wal.sync_count(), 30, "one barrier per append");
+        wal.power_cut(0);
+        drop(wal);
+        let wal = WalLog::open_with(&dir.0, real).unwrap();
+        assert_eq!(wal.last_index(), LogIndex(30));
+        assert_eq!(wal.entry(LogIndex(30)), Some(entry(30, 1)));
     }
 
     #[test]

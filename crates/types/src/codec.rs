@@ -41,6 +41,16 @@
 //! generated. Tags and field order are the format: never renumber or reorder
 //! a published list (`crates/net/tests/format_golden.rs` holds the bytes).
 //!
+//! # Runs of elements
+//!
+//! A `Vec<T>` (and `[T]`) is a `u32` count followed by the elements back to
+//! back, written and read by two provided trait methods,
+//! [`Encode::encode_slice`] and [`Decode::decode_vec`], whose defaults loop
+//! over the elements. `u8` overrides both: a byte string — a key, a value, a
+//! snapshot chunk, a multi-megabyte state-machine image — is one length
+//! check and one slice copy, never a loop. The bytes are the same either
+//! way; no other element type overrides them.
+//!
 //! # What stays hand-written
 //!
 //! The primitives and containers below, because every other format rests on
@@ -72,6 +82,18 @@ pub trait Encode {
         self.encode(&mut buf);
         buf.freeze()
     }
+
+    /// Appends the elements of `items` back to back, with no length prefix:
+    /// the body of a `Vec<Self>`. `u8` overrides it with one slice copy;
+    /// the bytes are the same either way.
+    fn encode_slice(items: &[Self], buf: &mut BytesMut)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 }
 
 /// Types that can be decoded from a byte buffer.
@@ -81,6 +103,21 @@ pub trait Decode: Sized {
     /// # Errors
     /// Returns [`Error::Codec`] on truncated or malformed input.
     fn decode(buf: &mut Bytes) -> Result<Self>;
+
+    /// Decodes `len` elements laid out back to back: the body of a
+    /// `Vec<Self>` whose length prefix the caller has read. `len` is input:
+    /// nothing is allocated for elements the buffer cannot hold. `u8`
+    /// overrides it with one bounds check and one slice copy.
+    ///
+    /// # Errors
+    /// Returns [`Error::Codec`] on truncated or malformed input.
+    fn decode_vec(buf: &mut Bytes, len: usize) -> Result<Vec<Self>> {
+        let mut out = Vec::with_capacity(len.min(1 << 16));
+        for _ in 0..len {
+            out.push(Self::decode(buf)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Declares the binary layout of a struct or enum defined beside it and
@@ -159,12 +196,23 @@ impl Encode for u8 {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u8(*self);
     }
+
+    fn encode_slice(items: &[u8], buf: &mut BytesMut) {
+        buf.put_slice(items);
+    }
 }
 
 impl Decode for u8 {
     fn decode(buf: &mut Bytes) -> Result<Self> {
         need(buf, 1, "u8")?;
         Ok(buf.get_u8())
+    }
+
+    fn decode_vec(buf: &mut Bytes, len: usize) -> Result<Vec<u8>> {
+        need(buf, len, "byte string body")?;
+        let out = buf[..len].to_vec();
+        buf.advance(len);
+        Ok(out)
     }
 }
 
@@ -242,7 +290,7 @@ impl Decode for Bytes {
 
 impl Encode for String {
     fn encode(&self, buf: &mut BytesMut) {
-        self.as_bytes().to_vec().encode(buf);
+        self.as_bytes().encode(buf);
     }
 }
 
@@ -272,6 +320,14 @@ impl<T: Decode> Decode for Option<T> {
             1 => Ok(Some(T::decode(buf)?)),
             v => Err(Error::Codec(format!("invalid option tag {v}"))),
         }
+    }
+}
+
+/// A reference is what it points at, so a borrowed field (`Option<&[u8]>`)
+/// encodes without being cloned first.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, buf: &mut BytesMut) {
+        (**self).encode(buf);
     }
 }
 
@@ -311,23 +367,25 @@ impl Decode for Result<()> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+/// A run of elements is a `u32` count and then [`Encode::encode_slice`];
+/// `Vec<T>` is its slice.
+impl<T: Encode> Encode for [T] {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u32(u32::try_from(self.len()).expect("collection too long"));
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.as_slice().encode(buf);
     }
 }
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut Bytes) -> Result<Self> {
         let len = u32::decode(buf)? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 16));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
+        T::decode_vec(buf, len)
     }
 }
 
@@ -409,8 +467,8 @@ impl Decode for EpochTerm {
 
 impl Encode for KeyRange {
     fn encode(&self, buf: &mut BytesMut) {
-        self.start().to_vec().encode(buf);
-        self.end().map(<[u8]>::to_vec).encode(buf);
+        self.start().encode(buf);
+        self.end().encode(buf);
     }
 }
 
@@ -427,7 +485,7 @@ impl Decode for KeyRange {
 
 impl Encode for RangeSet {
     fn encode(&self, buf: &mut BytesMut) {
-        self.ranges().to_vec().encode(buf);
+        self.ranges().encode(buf);
     }
 }
 
@@ -491,6 +549,7 @@ mod tests {
     use super::testing::{assert_robust, decode_garbage, roundtrip};
     use super::*;
     use proptest::prelude::*;
+    use std::fmt::Debug;
 
     #[test]
     fn primitives() {
@@ -600,10 +659,60 @@ mod tests {
         assert!(Option::<u8>::decode(&mut bad_opt).is_err());
     }
 
+    /// The per-element path a run of `T` is defined by: a count, then each
+    /// element's own encoding — what `encode_slice` / `decode_vec` must
+    /// equal whatever a type overrides them with.
+    fn per_element<T: Encode + Decode + PartialEq + Debug>(items: &[T]) {
+        let mut want = BytesMut::new();
+        want.put_u32(items.len() as u32);
+        for item in items {
+            item.encode(&mut want);
+        }
+        let bytes = items.encode_to_bytes();
+        assert_eq!(bytes, want.freeze(), "byte for byte");
+
+        let mut one_by_one = bytes.clone();
+        let count = u32::decode(&mut one_by_one).unwrap();
+        let singly: Vec<T> = (0..count)
+            .map(|_| T::decode(&mut one_by_one).unwrap())
+            .collect();
+        assert_eq!(singly, items, "value for value");
+        assert_eq!(Vec::<T>::decode(&mut bytes.clone()).unwrap(), items);
+
+        // One element more than the input holds is an error, never a panic.
+        let mut body = bytes.slice(4..);
+        assert!(T::decode_vec(&mut body, items.len() + 1).is_err());
+    }
+
+    #[test]
+    fn a_length_the_input_cannot_hold_is_refused_before_it_is_allocated() {
+        // 4 GiB of `u8`, 32 GiB of `u64`: reserving either would abort.
+        let mut huge = BytesMut::new();
+        huge.put_u32(u32::MAX);
+        huge.put_slice(&[7; 24]);
+        let huge = huge.freeze();
+        assert!(Vec::<u8>::decode(&mut huge.clone()).is_err());
+        assert!(Vec::<u64>::decode(&mut huge.clone()).is_err());
+        assert!(Vec::<Vec<u8>>::decode(&mut huge.clone()).is_err());
+        assert!(String::decode(&mut huge.clone()).is_err());
+        assert!(u8::decode_vec(&mut huge.clone(), usize::MAX).is_err());
+    }
+
     proptest! {
         #[test]
         fn bytes_roundtrip(data: Vec<u8>) {
             roundtrip(data);
+        }
+
+        #[test]
+        fn slice_kernels_equal_the_per_element_path(
+            bytes: Vec<u8>,
+            words: Vec<u64>,
+            nested: Vec<Vec<u8>>,
+        ) {
+            per_element(&bytes);
+            per_element(&words);
+            per_element(&nested);
         }
 
         #[test]

@@ -125,7 +125,11 @@ fn second_generation_split_raises_epoch_twice() {
         resume_members: None,
     };
     sim.admin(ClusterId(21), AdminCmd::Merge(tx));
-    sim.run_until_pred(90 * SEC, |s| s.leader_of(ClusterId(30)).is_some());
+    // The old coordinator leader campaigns the moment it resumes, so the
+    // merged cluster can lead before its last member has resumed.
+    sim.run_until_pred(90 * SEC, |s| {
+        s.leader_of(ClusterId(30)).is_some() && s.members_of(ClusterId(30)).len() == 6
+    });
     let leader = sim.leader_of(ClusterId(30)).unwrap();
     assert_eq!(sim.node(leader).unwrap().current_eterm().epoch(), 3);
     assert_eq!(sim.members_of(ClusterId(30)).len(), 6);
