@@ -2,7 +2,10 @@
 //! epoch-term packing, quorum evaluation, configuration derivation, the
 //! snapshot image path (encode, merge-restore, checksum and the framed
 //! `snapshot.bin` write, at 1 000 pairs and at the repo benchmark's 10 000;
-//! README has the before/after rows), and the frame writer and mux reader.
+//! README has the before/after rows), the WAL operations that are not an
+//! append (a hard-state change made durable, a compaction that frees no
+//! file, a reboot over a 5 MiB snapshot), and the frame writer and mux
+//! reader.
 //!
 //! Run with: `cargo bench -p recraft-bench --bench micro`
 
@@ -11,12 +14,14 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use recraft_bench::preloaded_store;
 use recraft_core::quorum::QuorumSpec;
 use recraft_core::stack::ConfigStack;
-use recraft_core::StateMachine;
+use recraft_core::{Node, StateMachine, Timing};
 use recraft_kv::KvStore;
 use recraft_net::frame::put_frame;
 use recraft_net::mux::MuxReader;
 use recraft_net::{Envelope, Message};
-use recraft_storage::{crc32, LogEntry, LogStore, MemLog, Snapshot, WalLog};
+use recraft_storage::{
+    crc32, HardState, LogEntry, LogStore, MemLog, NodeMeta, Snapshot, WalLog, WalOptions,
+};
 use recraft_types::{
     ClientOp, ClientRequest, ClusterConfig, ClusterId, ConfigChange, EpochTerm, KeyRange, LogIndex,
     NodeId, RangeSet, SessionId, SplitSpec,
@@ -134,6 +139,68 @@ fn bench_snapshot(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// What the WAL does besides appending, with real fsync: a term change made
+/// durable (`save_meta` + the barrier), a compaction that frees no file, and
+/// a reboot — `WalLog::open` then `Node::reopen` — over the repo benchmark's
+/// 5.3 MB boot image.
+fn bench_wal(c: &mut Criterion) {
+    let dir = std::env::temp_dir().join(format!("recraft-micro-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let one_segment = WalOptions {
+        fsync: true,
+        segment_bytes: 1 << 30,
+    };
+    let mut wal = WalLog::open_with(dir.join("ops"), one_segment).unwrap();
+    let mut meta = NodeMeta {
+        hard: HardState::default(),
+        cluster: ClusterId(1),
+        cluster_epoch: 0,
+        bootstrapped: true,
+        join_target: None,
+        history: Vec::new(),
+    };
+    c.bench_function("wal_save_meta_and_barrier", |b| {
+        b.iter(|| {
+            let next = EpochTerm::new(0, meta.hard.eterm.term() + 1);
+            meta.hard.advance(next);
+            wal.save_meta(black_box(&meta));
+            wal.sync();
+        });
+    });
+    let eterm = EpochTerm::new(0, 1);
+    c.bench_function("wal_compact_no_file_freed", |b| {
+        b.iter(|| {
+            let index = wal.last_index().next();
+            wal.append(LogEntry::command(
+                index,
+                eterm,
+                Bytes::from_static(b"0123456789abcdef"),
+            ));
+            wal.compact_to(index, eterm).unwrap();
+        });
+    });
+    drop(wal);
+
+    let config = ClusterConfig::new(ClusterId(1), nodes(3), RangeSet::full()).unwrap();
+    let boot = dir.join("boot");
+    drop(Node::with_store(
+        NodeId(1),
+        config,
+        preloaded_store(10_000, 10_000),
+        WalLog::open(&boot).unwrap(),
+        Timing::default(),
+        1,
+    ));
+    c.bench_function("wal_reopen_5mib_snapshot", |b| {
+        b.iter(|| {
+            let wal = WalLog::open(&boot).unwrap();
+            let node = Node::reopen(NodeId(1), wal, KvStore::new(), Timing::default(), 1);
+            black_box(node.unwrap().applied_index())
+        });
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The front door's two codec hot paths: framing one client write into a
 /// connection's outbound buffer, and draining one socket read that holds a
 /// 256-request backlog.
@@ -183,6 +250,7 @@ criterion_group!(
     bench_quorum,
     bench_derive,
     bench_snapshot,
+    bench_wal,
     bench_wire
 );
 criterion_main!(benches);

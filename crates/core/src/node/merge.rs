@@ -744,16 +744,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.cluster_epoch = ex.new_epoch;
         self.advance_eterm(new_eterm);
         self.persist_meta_now();
-        self.snapshot = Snapshot {
-            last_index: LogIndex(1),
-            last_eterm: new_eterm,
-            cluster: self.cluster,
-            ranges: ex.ranges,
-            chunks: self.sm.snapshot_chunks(base.ranges()),
-            sessions: self.sessions.clone(),
-        };
-        self.snap_config = base.clone();
-        self.persist_snapshot();
+        self.stamp_snapshot(LogIndex(1), new_eterm, base.clone());
         // "nodes in the merged cluster start fresh with the log that begins
         // with the Cnew entry ... treated as committed at term 0 of epoch
         // Enew".

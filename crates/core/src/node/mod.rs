@@ -436,29 +436,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         timing: Timing,
         seed: u64,
     ) -> Self {
-        let snapshot = Snapshot {
-            last_index: LogIndex::ZERO,
-            last_eterm: EpochTerm::ZERO,
-            cluster: config.id(),
-            ranges: config.ranges().clone(),
-            chunks: sm.snapshot_chunks(config.ranges()),
-            sessions: SessionTable::new(),
-        };
-        let meta = NodeMeta {
-            hard: HardState::default(),
-            cluster: config.id(),
-            cluster_epoch: 0,
-            bootstrapped: true,
-            join_target: None,
-            history: Vec::new(),
-        };
-        let mut node = Node::assemble(id, meta, store, sm, (snapshot, config), timing, seed);
-        // Boot state is durable before the node says anything to anyone.
-        node.refresh_sm_lineage();
-        node.log.save_snapshot(&node.snapshot, node.cfg.base());
-        node.log.save_meta(&node.node_meta());
-        node.log.sync();
-        node
+        Node::boot(id, true, None, config, sm, store, timing, seed)
     }
 
     /// Boots a joiner (optionally provisioned for `target`) on an explicit
@@ -474,10 +452,35 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     ) -> Self {
         let placeholder =
             ClusterConfig::new(ClusterId(0), [id], RangeSet::empty()).expect("placeholder config");
-        let mut node = Node::with_store(id, placeholder, sm, store, timing, seed);
-        node.bootstrapped = false;
-        node.join_target = target;
-        node.log.save_meta(&node.node_meta());
+        Node::boot(id, false, target, placeholder, sm, store, timing, seed)
+    }
+
+    /// The one boot path: the identity is whole before anything is written,
+    /// so the first durable metadata a joiner has says it is a joiner.
+    #[allow(clippy::too_many_arguments)]
+    fn boot(
+        id: NodeId,
+        bootstrapped: bool,
+        join_target: Option<ClusterId>,
+        config: ClusterConfig,
+        sm: SM,
+        store: LS,
+        timing: Timing,
+        seed: u64,
+    ) -> Self {
+        let meta = NodeMeta {
+            hard: HardState::default(),
+            cluster: config.id(),
+            cluster_epoch: 0,
+            bootstrapped,
+            join_target,
+            history: Vec::new(),
+        };
+        let empty = Snapshot::empty(config.id(), config.ranges().clone());
+        let mut node = Node::assemble(id, meta, store, sm, (empty, config.clone()), timing, seed);
+        // Boot state is durable before the node says anything to anyone.
+        node.stamp_snapshot(LogIndex::ZERO, EpochTerm::ZERO, config);
+        node.persist_meta_now();
         node.log.sync();
         node
     }
@@ -507,9 +510,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             .load_snapshot()
             .ok_or_else(|| Error::Storage("no persisted snapshot (boot state missing)".into()))?;
         // The snapshot outranks an inconsistent log: if the log does not
-        // contain the snapshot's tail (crash between snapshot install and
-        // log reset), the log is superseded history. `WalLog` enforces the
-        // same rule during its own recovery; this covers any backend.
+        // contain the snapshot's tail (a crash between making a snapshot
+        // durable and resetting the log under it), the log is superseded
+        // history. No backend reconciles the two itself; the rule is here.
         if !store.matches(snapshot.last_index, snapshot.last_eterm) {
             store.reset(snapshot.last_index, snapshot.last_eterm);
         }
@@ -673,14 +676,14 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.meta_dirty = true;
     }
 
-    /// Persists the node metadata *now* — used at identity-changing points
-    /// (split completion, merge resumption, snapshot adoption) so a crash
-    /// between the identity change and the next output barrier cannot
-    /// reboot a node whose persisted identity lags its persisted content.
-    /// Ordering: identity first, then snapshot, then log — the surviving
-    /// crash window (new identity, old content) is self-healing, because
-    /// the new cluster's leader reinstalls its snapshot over the stale
-    /// content, whereas old identity over renumbered content would leave
+    /// Writes the node metadata to the store, ahead of whatever the caller
+    /// writes next: the barrier uses it, and so does every identity change
+    /// that goes on to persist a snapshot (boot, merge resumption, snapshot
+    /// adoption). The store keeps its writes in order — a snapshot is
+    /// durable only after everything written before it — so a crash finds
+    /// the identity at least as new as the content: new identity over old
+    /// content is self-healing (the new cluster's leader reinstalls its
+    /// snapshot), whereas old identity over renumbered content would leave
     /// `hard.eterm` below the log's base epoch-term.
     pub(crate) fn persist_meta_now(&mut self) {
         self.refresh_sm_lineage();
@@ -698,20 +701,32 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             .note_lineage(lineage_token(self.cluster, self.cluster_epoch));
     }
 
-    /// Persists the current snapshot and its configuration. Called *before*
-    /// any log operation (compact, reset) that depends on the snapshot being
-    /// durable.
-    pub(crate) fn persist_snapshot(&mut self) {
+    /// Stamps a snapshot from the live machine — its image over `config`'s
+    /// ranges and the session table, as of `(index, eterm)` under the
+    /// current cluster identity — and makes it durable: *before* the log
+    /// operation (compact, reset) that depends on it.
+    pub(crate) fn stamp_snapshot(
+        &mut self,
+        index: LogIndex,
+        eterm: EpochTerm,
+        config: ClusterConfig,
+    ) {
+        self.snapshot = Snapshot {
+            last_index: index,
+            last_eterm: eterm,
+            cluster: self.cluster,
+            ranges: config.ranges().clone(),
+            chunks: self.sm.snapshot_chunks(config.ranges()),
+            sessions: self.sessions.clone(),
+        };
+        self.snap_config = config;
         self.log.save_snapshot(&self.snapshot, &self.snap_config);
     }
 
     /// The write-ahead barrier: everything buffered becomes durable.
     fn flush_storage(&mut self) {
         if self.meta_dirty {
-            self.refresh_sm_lineage();
-            let meta = self.node_meta();
-            self.log.save_meta(&meta);
-            self.meta_dirty = false;
+            self.persist_meta_now();
         }
         self.log.sync();
     }
@@ -1727,18 +1742,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             return;
         }
         let eterm = self.log.eterm_at(to).expect("applied entry present");
-        let ranges = self.cfg.base().ranges().clone();
-        self.snapshot = Snapshot {
-            last_index: to,
-            last_eterm: eterm,
-            cluster: self.cluster,
-            ranges: ranges.clone(),
-            chunks: self.sm.snapshot_chunks(&ranges),
-            sessions: self.sessions.clone(),
-        };
-        self.snap_config = self.cfg.base().clone();
-        // The snapshot must be durable before the log drops what it covers.
-        self.persist_snapshot();
+        self.stamp_snapshot(to, eterm, self.cfg.base().clone());
         self.log.compact_to(to, eterm).expect("compaction bounds");
     }
 
@@ -1778,17 +1782,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let Some(eterm) = self.log.eterm_at(to) else {
             return; // applied point no longer in the log: nothing newer to stamp
         };
-        let ranges = self.cfg.base().ranges().clone();
-        self.snapshot = Snapshot {
-            last_index: to,
-            last_eterm: eterm,
-            cluster: self.cluster,
-            ranges: ranges.clone(),
-            chunks: self.sm.snapshot_chunks(&ranges),
-            sessions: self.sessions.clone(),
-        };
-        self.snap_config = self.cfg.base().clone();
-        self.persist_snapshot();
+        self.stamp_snapshot(to, eterm, self.cfg.base().clone());
     }
 
     /// Appends a proposal to the leader's log and replicates it.

@@ -108,10 +108,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let new_eterm =
             EpochTerm::new(entry.eterm.epoch() + 1, self.hard.eterm.term()).max(self.hard.eterm);
         self.advance_eterm(new_eterm);
-        // The log continues (no renumbering), so a stale persisted identity
-        // would merely reboot into the self-healing straggler path — but the
-        // identity switch is rare and cheap to pin down immediately.
-        self.persist_meta_now();
         self.pull = None;
         self.history.push(super::ReconfigRecord {
             kind: "split",

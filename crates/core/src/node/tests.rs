@@ -1608,10 +1608,11 @@ mod wal_backed {
     static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
     /// A unique temp dir removed on drop.
-    struct TestDir(PathBuf);
+    #[derive(Debug)]
+    pub(super) struct TestDir(pub(super) PathBuf);
 
     impl TestDir {
-        fn new(tag: &str) -> TestDir {
+        pub(super) fn new(tag: &str) -> TestDir {
             let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
             let path = std::env::temp_dir()
                 .join(format!("recraft-core-wal-{}-{tag}-{n}", std::process::id()));
@@ -1619,7 +1620,7 @@ mod wal_backed {
             TestDir(path)
         }
 
-        fn open(&self) -> WalLog {
+        pub(super) fn open(&self) -> WalLog {
             WalLog::open_with(
                 &self.0,
                 WalOptions {
@@ -1635,6 +1636,57 @@ mod wal_backed {
         fn drop(&mut self) {
             let _ = std::fs::remove_dir_all(&self.0);
         }
+    }
+
+    /// Every file under a data dir, by path relative to it.
+    pub(super) fn files_of(dir: &std::path::Path) -> BTreeMap<PathBuf, std::fs::Metadata> {
+        let mut found = BTreeMap::new();
+        let mut pending = vec![dir.to_path_buf()];
+        while let Some(at) = pending.pop() {
+            for f in std::fs::read_dir(&at).unwrap() {
+                let f = f.unwrap();
+                if f.file_type().unwrap().is_dir() {
+                    pending.push(f.path());
+                } else {
+                    let rel = f.path().strip_prefix(dir).unwrap().to_path_buf();
+                    found.insert(rel, f.metadata().unwrap());
+                }
+            }
+        }
+        found
+    }
+
+    /// A byte-for-byte copy of a data dir — what a process killed right now
+    /// leaves — with the last `drop_tail` bytes of its active segment gone,
+    /// as a power cut that tore that much of the unsynced tail leaves it.
+    pub(super) fn crashed_copy(from: &std::path::Path, drop_tail: u64) -> TestDir {
+        let to = TestDir::new("crashed");
+        let files = files_of(from);
+        for rel in files.keys() {
+            std::fs::create_dir_all(to.0.join(rel).parent().unwrap()).unwrap();
+            std::fs::copy(from.join(rel), to.0.join(rel)).unwrap();
+        }
+        let (active, meta) = files
+            .iter()
+            .rfind(|(rel, _)| rel.starts_with("wal"))
+            .expect("an active segment");
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(to.0.join(active))
+            .unwrap();
+        f.set_len(meta.len() - drop_tail).unwrap();
+        to
+    }
+
+    pub(super) fn reopen(dir: &TestDir, id: u64) -> Node<MapMachine, WalLog> {
+        Node::reopen(
+            NodeId(id),
+            dir.open(),
+            MapMachine::default(),
+            Timing::default(),
+            7,
+        )
+        .expect("reopen")
     }
 
     fn single_node(dir: &TestDir) -> Node<MapMachine, WalLog> {
@@ -1835,20 +1887,495 @@ mod wal_backed {
             );
             drop(node); // boot state was persisted synchronously
         }
-        let mut node: Node<MapMachine, WalLog> = Node::reopen(
-            NodeId(9),
-            dir.open(),
-            MapMachine::default(),
-            Timing::default(),
-            7,
-        )
-        .expect("reopen");
+        // One boot, one identity: no instant at which the directory says
+        // this node is a bootstrapped member of anything. A record's first
+        // payload byte is its kind; 2 is the metadata.
+        let files = files_of(&dir.0);
+        let names: Vec<&str> = files.keys().map(|f| f.to_str().unwrap()).collect();
+        assert_eq!(names, ["snapshot.bin", "wal/seg-0000000000000001.log"]);
+        let segment = std::fs::read(dir.0.join(names[1])).unwrap();
+        let mut kinds = Vec::new();
+        let mut pos = 16;
+        while let Some((payload, next)) = recraft_storage::framing::next_record(&segment, pos) {
+            kinds.push(payload[0]);
+            pos = next;
+        }
+        assert_eq!((kinds, pos), (vec![2], segment.len()));
+        let mut node = reopen(&dir, 9);
+        assert!(!node.bootstrapped);
+        assert_eq!(node.join_target, Some(recraft_types::ClusterId(77)));
         // Still a quiet joiner: ticking far past the election timeout must
         // not start a campaign.
         node.tick(10_000_000);
         let (msgs, _) = node.take_outputs();
         assert!(msgs.is_empty(), "joiner stays quiet after reboot");
         assert_eq!(node.role(), Role::Follower);
+    }
+}
+
+mod crash_points {
+    //! Crashes at and inside the steps that change what a node durably
+    //! *is*: a granted vote, a snapshot install, a merge resumption.
+
+    use super::wal_backed::*;
+    use super::*;
+    use recraft_storage::{LogStore, MemLog, WalLog, WalOptions};
+    use recraft_types::{ClusterId, KeyRange};
+    use std::sync::{Arc, Mutex};
+
+    fn config3() -> ClusterConfig {
+        ClusterConfig::new(
+            ClusterId(1),
+            [NodeId(1), NodeId(2), NodeId(3)],
+            RangeSet::full(),
+        )
+        .unwrap()
+    }
+
+    /// A granted vote is one record in the active segment and one fsync; a
+    /// power cut ahead of the barrier takes the vote and the reply together.
+    #[test]
+    fn a_vote_is_durable_at_the_barrier_by_one_fsync_of_one_file() {
+        let vote = Message::RequestVote {
+            cluster: ClusterId(1),
+            eterm: EpochTerm::new(0, 1),
+            last_index: LogIndex::ZERO,
+            last_eterm: EpochTerm::ZERO,
+        };
+        let boot = |dir: &TestDir| {
+            let wal = WalLog::open_with(&dir.0, WalOptions::default()).expect("open wal");
+            Node::with_store(
+                NodeId(1),
+                config3(),
+                MapMachine::default(),
+                wal,
+                Timing::default(),
+                7,
+            )
+        };
+
+        // Cut before the barrier: the previous hard state, and nothing sent.
+        let dir = TestDir::new("vote-cut-early");
+        let mut node = boot(&dir);
+        node.step(10, NodeId(2), vote.clone());
+        assert_eq!(node.hard.voted_for, Some(NodeId(2)));
+        assert!(node.has_outputs(), "the grant is waiting for the barrier");
+        node.power_cut(0);
+        assert!(!node.has_outputs());
+        drop(node);
+        assert_eq!(reopen(&dir, 1).hard, HardState::default());
+
+        // Cut after it: the vote is there, and the barrier cost one fsync of
+        // the one file that changed.
+        let dir = TestDir::new("vote-cut-late");
+        let mut node = boot(&dir);
+        node.step(10, NodeId(2), vote);
+        let (before, syncs) = (files_of(&dir.0), node.log().sync_count());
+        let (msgs, _) = node.take_outputs();
+        assert!(matches!(
+            msgs[..],
+            [Envelope {
+                msg: Message::VoteResp { granted: true, .. },
+                ..
+            }]
+        ));
+        assert_eq!(node.log().sync_count(), syncs + 1);
+        let after = files_of(&dir.0);
+        let changed: Vec<&std::path::PathBuf> = after
+            .iter()
+            .filter(|(rel, now)| {
+                before.get(*rel).is_none_or(|was| {
+                    was.len() != now.len() || was.modified().unwrap() != now.modified().unwrap()
+                })
+            })
+            .map(|(rel, _)| rel)
+            .collect();
+        assert_eq!(
+            changed,
+            [std::path::Path::new("wal/seg-0000000000000001.log")]
+        );
+        assert_eq!(before.len(), after.len());
+        node.power_cut(0);
+        drop(node);
+        let hard = reopen(&dir, 1).hard;
+        assert_eq!(hard.eterm, EpochTerm::new(0, 1));
+        assert_eq!(hard.voted_for, Some(NodeId(2)));
+    }
+
+    /// A `WalLog` that photographs its directory after every call that
+    /// writes: each photograph is what a process killed right there leaves,
+    /// and its unsynced byte count is how much more a power cut could take.
+    #[derive(Debug)]
+    struct Photographed {
+        wal: WalLog,
+        shots: Arc<Mutex<Vec<(TestDir, u64)>>>,
+    }
+
+    impl Photographed {
+        fn shoot(&self) {
+            let shot = crashed_copy(self.wal.dir(), 0);
+            self.shots
+                .lock()
+                .unwrap()
+                .push((shot, self.wal.unsynced_bytes()));
+        }
+    }
+
+    impl LogStore for Photographed {
+        fn base_index(&self) -> LogIndex {
+            self.wal.base_index()
+        }
+        fn base_eterm(&self) -> EpochTerm {
+            self.wal.base_eterm()
+        }
+        fn last_index(&self) -> LogIndex {
+            self.wal.last_index()
+        }
+        fn last_eterm(&self) -> EpochTerm {
+            self.wal.last_eterm()
+        }
+        fn len(&self) -> usize {
+            self.wal.len()
+        }
+        fn entry(&self, index: LogIndex) -> Option<LogEntry> {
+            self.wal.entry(index)
+        }
+        fn eterm_at(&self, index: LogIndex) -> Option<EpochTerm> {
+            self.wal.eterm_at(index)
+        }
+        fn slice(&self, from: LogIndex, to: LogIndex) -> Vec<LogEntry> {
+            self.wal.slice(from, to)
+        }
+        fn load_meta(&self) -> Option<NodeMeta> {
+            self.wal.load_meta()
+        }
+        fn load_snapshot(&self) -> Option<(Snapshot, ClusterConfig)> {
+            self.wal.load_snapshot()
+        }
+        fn append(&mut self, entry: LogEntry) {
+            self.wal.append(entry);
+            self.shoot();
+        }
+        fn truncate_from(&mut self, index: LogIndex) -> recraft_types::Result<usize> {
+            let removed = self.wal.truncate_from(index);
+            self.shoot();
+            removed
+        }
+        fn compact_to(&mut self, index: LogIndex, eterm: EpochTerm) -> recraft_types::Result<()> {
+            let done = self.wal.compact_to(index, eterm);
+            self.shoot();
+            done
+        }
+        fn reset(&mut self, base_index: LogIndex, base_eterm: EpochTerm) {
+            self.wal.reset(base_index, base_eterm);
+            self.shoot();
+        }
+        fn save_meta(&mut self, meta: &NodeMeta) {
+            self.wal.save_meta(meta);
+            self.shoot();
+        }
+        fn save_snapshot(&mut self, snapshot: &Snapshot, config: &ClusterConfig) {
+            self.wal.save_snapshot(snapshot, config);
+            self.shoot();
+        }
+        fn sync(&mut self) {
+            self.wal.sync();
+            self.shoot();
+        }
+    }
+
+    /// Runs `step` on `node`, then reboots from every crash the step could
+    /// have died in — after each of its storage calls, with every byte count
+    /// of the then-unsynced tail torn off — and hands each reboot to `check`.
+    /// Returns how many reboots that was.
+    fn reboot_from_every_crash_in(
+        mut node: Node<MapMachine, Photographed>,
+        step: impl FnOnce(&mut Node<MapMachine, Photographed>),
+        check: impl Fn(Node<MapMachine, WalLog>),
+    ) -> usize {
+        let shots = node.log().shots.clone();
+        node.log().shoot(); // dying before the step's first write
+        let from = shots.lock().unwrap().len() - 1;
+        step(&mut node);
+        let id = node.id().0;
+        drop(node);
+        let shots = shots.lock().unwrap();
+        let mut reboots = 0;
+        for (shot, unsynced) in &shots[from..] {
+            for torn in 0..=*unsynced {
+                check(reopen(&crashed_copy(&shot.0, torn), id));
+                reboots += 1;
+            }
+        }
+        reboots
+    }
+
+    fn photographed(dir: &TestDir) -> Photographed {
+        Photographed {
+            wal: dir.open(),
+            shots: Arc::default(),
+        }
+    }
+
+    /// The invariants of any reboot: the hard state is no older than the
+    /// log, the machine and the commit floor are the snapshot's, and a node
+    /// whose identity ran ahead of its content holds content it will let the
+    /// new cluster's leader replace.
+    fn assert_self_consistent(node: &Node<MapMachine, WalLog>) {
+        assert!(node.hard.eterm >= node.log.base_eterm());
+        assert!(node.hard.eterm >= node.log.last_eterm());
+        assert!(node
+            .log
+            .matches(node.snapshot.last_index, node.snapshot.last_eterm));
+        assert_eq!(node.applied_index, node.snapshot.last_index);
+        assert_eq!(node.cfg.base(), &node.snap_config);
+        if node.cluster != node.snap_config.id() {
+            assert!(node.cluster_epoch > node.snapshot.last_eterm.epoch());
+        }
+    }
+
+    #[test]
+    fn a_crash_inside_a_snapshot_install_reboots_whole_or_healing() {
+        let dir = TestDir::new("crash-install");
+        let mut node = Node::with_store(
+            NodeId(1),
+            config3(),
+            MapMachine::default(),
+            photographed(&dir),
+            Timing::default(),
+            7,
+        );
+        let old = EpochTerm::new(0, 1);
+        let entries = (1..=3)
+            .map(|i| LogEntry::command(LogIndex(i), old, Bytes::from(format!("k{i}=old"))))
+            .collect();
+        node.step(10, NodeId(2), append(old, 0, EpochTerm::ZERO, entries, 2));
+        let _ = node.take_outputs();
+
+        // A child cluster of the next generation adopts the node: its
+        // snapshot is of another identity and another log.
+        let child = ClusterConfig::new(ClusterId(5), [NodeId(1), NodeId(3)], RangeSet::full());
+        let child = child.unwrap();
+        let new = EpochTerm::new(1, 4);
+        let mut image = MapMachine::default();
+        image.apply(LogIndex(1), &Bytes::from_static(b"k1=new"));
+        let snapshot = Snapshot {
+            last_index: LogIndex(9),
+            last_eterm: new,
+            cluster: child.id(),
+            ranges: RangeSet::full(),
+            chunks: image.snapshot_chunks(&RangeSet::full()),
+            sessions: SessionTable::new(),
+        };
+        let install = Message::InstallSnapshot {
+            cluster: child.id(),
+            eterm: new,
+            frame: Box::new(snapshot.frames().remove(0)),
+            config: child.clone(),
+        };
+        let reboots = reboot_from_every_crash_in(
+            node,
+            |node| {
+                node.step(20, NodeId(3), install.clone());
+                assert_eq!(node.cluster(), child.id());
+            },
+            |mut node| {
+                assert_self_consistent(&node);
+                let adopted = node.cluster() == child.id();
+                let installed = node.snap_config == child;
+                assert!(
+                    adopted || !installed,
+                    "content never runs ahead of identity"
+                );
+                if !installed {
+                    assert_eq!(node.log.last_index(), LogIndex(3), "the old log, whole");
+                    assert_eq!(node.state_machine().get(b"k1"), None);
+                }
+                // Whichever world it woke in, the leader's next attempt
+                // brings it wholly into the new one.
+                node.step(30, NodeId(3), install.clone());
+                let _ = node.take_outputs();
+                assert_eq!((node.cluster(), node.cluster_epoch()), (child.id(), 1));
+                assert_eq!(node.snap_config, child);
+                assert_eq!(node.log.base_index(), LogIndex(9));
+                assert_eq!(node.state_machine().get(b"k1"), Some(&b"new"[..]));
+            },
+        );
+        assert!(reboots >= 30, "a sweep of {reboots} reboots");
+    }
+
+    #[test]
+    fn a_crash_inside_a_merge_resumption_reboots_whole_or_healing() {
+        let dir = TestDir::new("crash-merge");
+        let (lo, hi) = KeyRange::full().split_at(b"m").unwrap();
+        let own = ClusterConfig::new(ClusterId(1), [NodeId(1)], RangeSet::from(lo)).unwrap();
+        let mut node = Node::with_store(
+            NodeId(1),
+            own.clone(),
+            MapMachine::default(),
+            photographed(&dir),
+            Timing::default(),
+            7,
+        );
+        node.tick(400_000);
+        assert!(node.is_leader());
+        node.propose_entry(
+            500_000,
+            EntryPayload::Command(Bytes::from_static(b"apple=red")),
+        );
+        let _ = node.take_outputs();
+
+        // Coordinate a merge with a one-node cluster 2 that answers by hand.
+        let tx = MergeTx {
+            id: TxId(42),
+            coordinator: ClusterId(1),
+            participants: vec![
+                MergeParticipant {
+                    cluster: ClusterId(1),
+                    members: own.members().clone(),
+                },
+                MergeParticipant {
+                    cluster: ClusterId(2),
+                    members: BTreeSet::from([NodeId(2)]),
+                },
+            ],
+            new_cluster: ClusterId(20),
+            resume_members: None,
+        };
+        node.step(
+            600_000,
+            CLIENT,
+            Message::AdminReq {
+                req_id: 1,
+                cmd: AdminCmd::Merge(tx),
+            },
+        );
+        node.step(
+            600_010,
+            NodeId(2),
+            Message::MergePrepareResp {
+                tx_id: TxId(42),
+                cluster: ClusterId(2),
+                decision: recraft_types::MergeDecision::Ok,
+                epoch: 0,
+                ranges: RangeSet::from(hi.clone()),
+            },
+        );
+        let _ = node.take_outputs();
+        assert!(node.is_exchanging(), "own part made, the other awaited");
+        let old_term = node.current_eterm();
+
+        let mut theirs = MapMachine::default();
+        theirs.apply(LogIndex(1), &Bytes::from_static(b"zebra=striped"));
+        let part = Snapshot {
+            last_index: LogIndex(4),
+            last_eterm: EpochTerm::new(0, 2),
+            cluster: ClusterId(2),
+            ranges: RangeSet::from(hi.clone()),
+            chunks: theirs.snapshot_chunks(&RangeSet::from(hi)),
+            sessions: SessionTable::new(),
+        };
+        let merged = EpochTerm::new(1, 0);
+        let reboots = reboot_from_every_crash_in(
+            node,
+            |node| {
+                node.step(
+                    700_000,
+                    NodeId(2),
+                    Message::FetchSnapshotResp {
+                        tx_id: TxId(42),
+                        part: Some(Box::new(part.clone())),
+                    },
+                );
+                assert_eq!(node.cluster(), ClusterId(20), "resumed");
+            },
+            |node| {
+                assert_self_consistent(&node);
+                let resumed = node.snap_config.id() == ClusterId(20);
+                if node.cluster() == ClusterId(1) {
+                    // The old world, whole: the old log up to the outcome
+                    // entry, ready to run the exchange again.
+                    assert!(!resumed, "content never runs ahead of identity");
+                    assert_eq!(node.hard.eterm, old_term);
+                    assert_eq!(node.log.base_eterm(), EpochTerm::ZERO);
+                    assert!(node.log.last_index() >= LogIndex(4));
+                } else {
+                    assert_eq!((node.cluster(), node.cluster_epoch()), (ClusterId(20), 1));
+                    assert_eq!(node.hard.eterm, merged);
+                }
+                if resumed {
+                    // The new world: the renumbered log at or past its
+                    // `Cnew`, the union of the parts in the machine.
+                    assert_eq!(node.log.base_eterm(), merged);
+                    assert_eq!(node.commit_index(), LogIndex(1));
+                    assert_eq!(node.state_machine().get(b"apple"), Some(&b"red"[..]));
+                    assert_eq!(node.state_machine().get(b"zebra"), Some(&b"striped"[..]));
+                }
+            },
+        );
+        assert!(reboots >= 30, "a sweep of {reboots} reboots");
+    }
+
+    /// A snapshot the log does not contain — another lineage's, persisted
+    /// just before the crash that kept the log from being reset under it —
+    /// outranks the log on every backend: `Node::reopen` holds the rule.
+    #[test]
+    fn snapshot_ahead_of_log_wins_on_recovery() {
+        fn crash_between_snapshot_and_reset<LS: LogStore>(store: LS) -> LS {
+            let old = EpochTerm::new(0, 1);
+            let merged = ClusterConfig::new(ClusterId(9), [NodeId(1), NodeId(2)], RangeSet::full());
+            let node = Node::with_store(
+                NodeId(1),
+                config3(),
+                MapMachine::default(),
+                store,
+                Timing::default(),
+                7,
+            );
+            let mut store = node.log;
+            for i in 1..=4 {
+                store.append(LogEntry::command(
+                    LogIndex(i),
+                    old,
+                    Bytes::from_static(b"a=1"),
+                ));
+            }
+            store.sync();
+            let snapshot = Snapshot {
+                last_index: LogIndex(1),
+                last_eterm: EpochTerm::new(7, 0),
+                ..Snapshot::empty(ClusterId(9), RangeSet::full())
+            };
+            store.save_snapshot(&snapshot, &merged.unwrap());
+            store
+        }
+        fn assert_snapshot_won<LS: LogStore>(store: LS) -> LS {
+            let node = Node::reopen(
+                NodeId(1),
+                store,
+                MapMachine::default(),
+                Timing::default(),
+                7,
+            )
+            .expect("reopen");
+            // The old-lineage log is discarded; the base sits at the snapshot.
+            assert_eq!(node.log.base_index(), LogIndex(1));
+            assert_eq!(node.log.base_eterm(), EpochTerm::new(7, 0));
+            assert!(node.log.is_empty());
+            assert_eq!(node.config().id(), ClusterId(9));
+            node.log
+        }
+        assert_snapshot_won(crash_between_snapshot_and_reset(MemLog::new()));
+
+        let dir = TestDir::new("snap-wins");
+        drop(crash_between_snapshot_and_reset(dir.open()));
+        // The store alone recovers the log as it was...
+        assert_eq!(dir.open().last_index(), LogIndex(4));
+        drop(assert_snapshot_won(dir.open()));
+        // ...and what the node decided is durable in it.
+        let wal = dir.open();
+        assert_eq!(wal.base_eterm(), EpochTerm::new(7, 0));
+        assert!(wal.is_empty());
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Everything the [`WalLog`](crate::WalLog) writes — log entries, node
 //! metadata, snapshots — is declared here, one `codec!` list per type, in
-//! the workspace format of `recraft_types::codec`; the same lists are what
-//! `AppendEntries` and `InstallSnapshot` put on the wire. `ReconfigRecord`
+//! the workspace format of `recraft_types::codec` (the segment record that
+//! wraps them is declared beside its writer, in `wal.rs`); the same lists are
+//! what `AppendEntries` and `InstallSnapshot` put on the wire. `ReconfigRecord`
 //! alone is written out by hand: its `kind` is a `&'static str` in memory,
 //! so its decoder has to intern what it read.
 

@@ -1,11 +1,11 @@
 //! Shared crc-framed file helpers.
 //!
 //! One record format serves every durable artifact in the workspace: the
-//! WAL's segment records, its `meta.bin`/`snapshot.bin`/`base.bin` files,
-//! and the `DurableKv` state machine's manifest and segment files in
-//! `recraft-kv`. A record is `[u32 len][u32 crc32][payload]`; whole files
-//! that hold exactly one record are replaced atomically with
-//! write-tmp + rename.
+//! WAL's segment records (every operation on the log, the hard state and
+//! the compaction base included), its `snapshot.bin`, and the `DurableKv`
+//! state machine's manifest and segment files in `recraft-kv`. A record is
+//! `[u32 len][u32 crc32][payload]`; whole files that hold exactly one
+//! record are replaced atomically with write-tmp + rename.
 
 use bytes::Bytes;
 use recraft_types::{Error, Result};

@@ -11,21 +11,26 @@
 //!
 //! * [`MemLog`] — in memory; state survives the simulator's in-process
 //!   restart but not a real reboot,
-//! * [`WalLog`] — a segmented, checksummed write-ahead log with node
-//!   metadata, atomic snapshot install, and torn-tail crash recovery.
+//! * [`WalLog`] — a segmented, checksummed write-ahead log: one stream of
+//!   records for the entries, the node metadata and the compaction base,
+//!   an atomically replaced snapshot file beside it, and torn-tail crash
+//!   recovery.
 //!
 //! # Recovery semantics
 //!
-//! The WAL is an append-only operation log: an append writes one batch
-//! record, a truncation appends one truncate marker, and recovery replays
-//! the records in order onto an empty mirror — a batch appends its entries,
-//! a marker cuts the mirror back. Segment files only ever grow until
-//! compaction (or a reset) deletes them whole; no byte a sync covered is
-//! cut or rewritten, so at no instant are acknowledged entries on no disk.
-//! The first torn or corrupt record ends the log, which leaves a crashed
-//! store at the state after *some* operation at or past its last sync —
-//! never less than the sync, never a mixture of two states. (The data-dir
-//! layout and the per-operation details are in `wal.rs`'s module docs.)
+//! The WAL is an append-only operation log with five record kinds: an
+//! append writes one batch, a truncation one marker, `save_meta` the node
+//! metadata, a compaction or a reset the new base. Recovery replays the
+//! records in order onto an empty mirror and reads no other file. Segment
+//! files only ever grow; one is deleted only after a later, synced segment
+//! restates the newest metadata, the base and the entries above it. No
+//! byte a sync covered is cut or rewritten, so at no instant are
+//! acknowledged entries — or an acknowledged vote — on no disk. The first
+//! torn or corrupt record ends the log, which leaves a crashed store at the
+//! state after *some* prefix of its own mutation calls at or past its last
+//! sync — never less than the sync, never a mixture of two states. (The
+//! data-dir layout and the per-operation details are in `wal.rs`'s module
+//! docs.)
 //!
 //! # Example
 //! ```

@@ -1,17 +1,18 @@
 //! Property tests: the log's shape invariants hold under arbitrary
-//! append / truncate / compact / reset interleavings — for *every*
-//! [`LogStore`] backend, which must be observationally identical. The WAL
-//! additionally reopens after every sequence (recovery must reproduce the
-//! synced state) and survives arbitrary torn tails.
+//! append / truncate / compact / reset / save-meta interleavings — for
+//! *every* [`LogStore`] backend, which must be observationally identical.
+//! The WAL additionally reopens after every sequence (recovery must
+//! reproduce the synced state) and survives arbitrary torn tails.
 
 use crate::entry::LogEntry;
 use crate::memlog::MemLog;
-use crate::store::LogStore;
+use crate::state::HardState;
+use crate::store::{LogStore, NodeMeta};
 use crate::wal::testdir::TestDir;
 use crate::wal::{WalLog, WalOptions};
 use bytes::Bytes;
 use proptest::prelude::*;
-use recraft_types::{EpochTerm, LogIndex};
+use recraft_types::{ClusterId, EpochTerm, LogIndex};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -22,6 +23,8 @@ enum Op {
     TruncateFrom(u64),
     CompactTo(u64),
     Reset(u32),
+    /// A hard-state change at this term.
+    SaveMeta(u32),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -31,16 +34,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => (0u64..64).prop_map(Op::TruncateFrom),
         2 => (0u64..64).prop_map(Op::CompactTo),
         1 => (0u32..4).prop_map(Op::Reset),
-    ]
-}
-
-/// The operations a steady node interleaves between barriers: appends,
-/// group-committed batches, and conflict truncation.
-fn torn_op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (1u32..8).prop_map(Op::Append),
-        3 => ((1u32..6), (1u32..8)).prop_map(|(n, t)| Op::AppendBatch(n, t)),
-        2 => (1u64..40).prop_map(Op::TruncateFrom),
+        2 => (1u32..8).prop_map(Op::SaveMeta),
     ]
 }
 
@@ -51,14 +45,46 @@ fn wal_opts() -> WalOptions {
     }
 }
 
-/// Applies one op to a store and to the model of what must be retained
-/// (`(index, term)` pairs above `base`).
-fn apply_op<L: LogStore>(
-    log: &mut L,
-    model: &mut Vec<(u64, u32)>,
-    base: &mut u64,
-    op: &Op,
-) -> Result<(), TestCaseError> {
+fn meta(term: u32) -> NodeMeta {
+    NodeMeta {
+        hard: HardState {
+            eterm: EpochTerm::new(0, term),
+            voted_for: None,
+        },
+        cluster: ClusterId(1),
+        cluster_epoch: 0,
+        bootstrapped: true,
+        join_target: None,
+        history: Vec::new(),
+    }
+}
+
+/// What a store must hold: the base, the `(index, term)` pairs retained
+/// above it, and the last metadata saved.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Model {
+    base: (u64, EpochTerm),
+    entries: Vec<(u64, u32)>,
+    meta: Option<NodeMeta>,
+}
+
+impl Model {
+    /// The same view of a store.
+    fn of<L: LogStore>(log: &L) -> Model {
+        Model {
+            base: (log.base_index().0, log.base_eterm()),
+            entries: log
+                .tail(log.first_index())
+                .iter()
+                .map(|e| (e.index.0, e.eterm.term()))
+                .collect(),
+            meta: log.load_meta(),
+        }
+    }
+}
+
+/// Applies one op to a store and to the model.
+fn apply_op<L: LogStore>(log: &mut L, model: &mut Model, op: &Op) -> Result<(), TestCaseError> {
     match op {
         Op::Append(term) => {
             let index = log.last_index().next();
@@ -67,7 +93,7 @@ fn apply_op<L: LogStore>(
                 EpochTerm::new(0, *term),
                 Bytes::from_static(b"x"),
             ));
-            model.push((index.0, *term));
+            model.entries.push((index.0, *term));
         }
         Op::AppendBatch(n, term) => {
             let mut batch = Vec::new();
@@ -79,33 +105,37 @@ fn apply_op<L: LogStore>(
                     EpochTerm::new(0, *term),
                     Bytes::from_static(b"x"),
                 ));
-                model.push((index.0, *term));
+                model.entries.push((index.0, *term));
             }
             log.append_batch(batch);
         }
         Op::TruncateFrom(i) => {
             let res = log.truncate_from(LogIndex(*i));
-            if *i <= *base {
+            if *i <= model.base.0 {
                 prop_assert!(res.is_err());
             } else {
-                model.retain(|(idx, _)| *idx < *i);
+                model.entries.retain(|(idx, _)| *idx < *i);
             }
         }
         Op::CompactTo(i) => {
             let eterm = log.eterm_at(LogIndex(*i));
             let res = log.compact_to(LogIndex(*i), eterm.unwrap_or(EpochTerm::ZERO));
-            if *i >= *base && *i <= log.last_index().0.max(*base) && eterm.is_some() {
+            if let Some(eterm) = eterm {
                 prop_assert!(res.is_ok());
-                *base = *i;
-                model.retain(|(idx, _)| *idx > *i);
+                model.base = (*i, eterm);
+                model.entries.retain(|(idx, _)| *idx > *i);
             } else {
                 prop_assert!(res.is_err());
             }
         }
         Op::Reset(epoch) => {
             log.reset(LogIndex::ZERO, EpochTerm::new(*epoch, 0));
-            model.clear();
-            *base = 0;
+            model.entries.clear();
+            model.base = (0, EpochTerm::new(*epoch, 0));
+        }
+        Op::SaveMeta(term) => {
+            log.save_meta(&meta(*term));
+            model.meta = Some(meta(*term));
         }
     }
     Ok(())
@@ -114,20 +144,20 @@ fn apply_op<L: LogStore>(
 /// Drives one op sequence against a store, checking the shape invariants
 /// after every step exactly as the original MemLog-only suite did.
 fn run_ops<L: LogStore>(log: &mut L, ops: &[Op]) -> Result<(), TestCaseError> {
-    let mut model: Vec<(u64, u32)> = Vec::new();
-    let mut base = log.base_index().0;
+    let mut model = Model::default();
     for op in ops {
-        apply_op(log, &mut model, &mut base, op)?;
+        apply_op(log, &mut model, op)?;
         check_shape(log, &model)?;
     }
     Ok(())
 }
 
-fn check_shape<L: LogStore>(log: &L, model: &[(u64, u32)]) -> Result<(), TestCaseError> {
-    prop_assert_eq!(log.len(), model.len());
+fn check_shape<L: LogStore>(log: &L, model: &Model) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&Model::of(log), model);
+    prop_assert_eq!(log.len(), model.entries.len());
     prop_assert_eq!(log.first_index(), log.base_index().next());
     prop_assert!(log.last_index() >= log.base_index());
-    for (idx, term) in model {
+    for (idx, term) in &model.entries {
         let e = log.entry(LogIndex(*idx)).expect("retained entry");
         prop_assert_eq!(e.index.0, *idx);
         prop_assert_eq!(e.eterm.term(), *term);
@@ -143,7 +173,8 @@ fn check_shape<L: LogStore>(log: &L, model: &[(u64, u32)]) -> Result<(), TestCas
 
 proptest! {
     /// Both backends maintain identical shape invariants under arbitrary op
-    /// sequences, and the WAL reproduces its exact synced state on reopen.
+    /// sequences, and the WAL reproduces its exact synced state — log and
+    /// metadata — on reopen.
     #[test]
     fn log_shape_invariants_all_backends(ops in prop::collection::vec(op_strategy(), 0..80)) {
         let mut mem = MemLog::new();
@@ -153,9 +184,8 @@ proptest! {
         let mut wal = WalLog::open_with(&dir.0, wal_opts()).unwrap();
         run_ops(&mut wal, &ops)?;
 
-        // The two backends agree entry-for-entry.
-        prop_assert_eq!(LogStore::base_index(&mem), wal.base_index());
-        prop_assert_eq!(LogStore::last_index(&mem), wal.last_index());
+        // The two backends agree entry for entry and on the metadata.
+        prop_assert_eq!(Model::of(&mem), Model::of(&wal));
         prop_assert_eq!(
             LogStore::tail(&mem, LogStore::first_index(&mem)),
             wal.tail(wal.first_index())
@@ -163,36 +193,35 @@ proptest! {
 
         // Recovery reproduces the synced state exactly.
         wal.sync();
-        let last = wal.last_index();
-        let base = wal.base_index();
+        let before = Model::of(&wal);
         let entries = wal.tail(wal.first_index());
         drop(wal);
         let reopened = WalLog::open_with(&dir.0, wal_opts()).unwrap();
-        prop_assert_eq!(reopened.base_index(), base);
-        prop_assert_eq!(reopened.last_index(), last);
+        prop_assert_eq!(Model::of(&reopened), before);
         prop_assert_eq!(reopened.tail(reopened.first_index()), entries);
     }
 
-    /// Torn-tail corruption: whatever byte count a power cut leaves behind,
-    /// recovery equals the model after *some* operation at or past the last
-    /// sync — never less than the sync, never a mixture of two states.
+    /// Torn-tail corruption, over every mutation the store has: whatever
+    /// byte count a power cut leaves behind, recovery equals the model after
+    /// *some* operation at or past the last sync — never less than the
+    /// sync, never a mixture of two states.
     #[test]
     fn wal_torn_tail_recovers_synced_prefix(
-        ops in prop::collection::vec((torn_op_strategy(), any::<bool>()), 1..40),
+        ops in prop::collection::vec((op_strategy(), any::<bool>()), 1..40),
         segment_bytes in prop_oneof![Just(128u64), Just(1u64 << 20)],
         tear in 0usize..200,
     ) {
         let dir = TestDir::new("prop-torn");
         let opts = WalOptions { fsync: false, segment_bytes };
         let mut wal = WalLog::open_with(&dir.0, opts).unwrap();
-        let mut model = Vec::new();
-        let mut base = 0;
+        let mut model = Model::default();
         // The model after each operation; a sync pins how far back a power
-        // cut may reach (a segment roll syncs too, which only narrows it).
+        // cut may reach (a segment roll or a checkpoint syncs too, which
+        // only narrows it).
         let mut states = vec![model.clone()];
         let mut synced = 0;
         for (op, sync) in &ops {
-            apply_op(&mut wal, &mut model, &mut base, op)?;
+            apply_op(&mut wal, &mut model, op)?;
             states.push(model.clone());
             if *sync {
                 wal.sync();
@@ -201,16 +230,11 @@ proptest! {
         }
         wal.power_cut(tear);
         drop(wal);
-        let recovered = WalLog::open_with(&dir.0, opts).unwrap();
-        let survived: Vec<(u64, u32)> = recovered
-            .tail(recovered.first_index())
-            .iter()
-            .map(|e| (e.index.0, e.eterm.term()))
-            .collect();
+        let recovered = Model::of(&WalLog::open_with(&dir.0, opts).unwrap());
         prop_assert!(
-            states[synced..].contains(&survived),
+            states[synced..].contains(&recovered),
             "recovered {:?} is no state at or past the last sync",
-            survived
+            recovered
         );
     }
 

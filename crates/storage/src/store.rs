@@ -175,7 +175,9 @@ pub trait LogStore: std::fmt::Debug + Send {
 
     /// Compacts the log: drops entries at or below `index` and records
     /// `(index, eterm)` as the new base. The covering snapshot must already
-    /// be durable (see [`LogStore::save_snapshot`]).
+    /// be durable (see [`LogStore::save_snapshot`]). Buffered like every
+    /// other log mutation: a crash before the next [`LogStore::sync`] may
+    /// bring the dropped prefix back, under the snapshot that covers it.
     ///
     /// # Errors
     /// Returns [`recraft_types::Error::IndexOutOfRange`] if `index` is below
@@ -188,7 +190,8 @@ pub trait LogStore: std::fmt::Debug + Send {
 
     // ---- Durable node state ---------------------------------------------
 
-    /// Persists the node metadata. Durable once [`LogStore::sync`] returns.
+    /// Persists the node metadata: buffered in order with the log
+    /// mutations around it, durable once [`LogStore::sync`] returns.
     fn save_meta(&mut self, meta: &NodeMeta);
 
     /// The last persisted node metadata, if any.
@@ -196,7 +199,11 @@ pub trait LogStore: std::fmt::Debug + Send {
 
     /// Atomically persists a snapshot and the configuration at its tail.
     /// Must be durable *before* the log is compacted or reset past it —
-    /// implementations make this call itself atomic and synchronous.
+    /// implementations make this call itself atomic and synchronous. It
+    /// also orders everything written before it: no snapshot is durable
+    /// ahead of a log mutation or a [`LogStore::save_meta`] that preceded
+    /// it, so metadata written first is never older than the snapshot a
+    /// crash finds.
     fn save_snapshot(&mut self, snapshot: &Snapshot, config: &ClusterConfig);
 
     /// The last persisted snapshot and its configuration, if any.
@@ -206,7 +213,7 @@ pub trait LogStore: std::fmt::Debug + Send {
     /// outputs are externalized (the write-ahead barrier).
     fn sync(&mut self);
 
-    /// How many [`LogStore::sync`] barriers actually had buffered log writes
+    /// How many [`LogStore::sync`] barriers actually had buffered writes
     /// to make durable — the group-commit count. One `take_outputs` round
     /// that appended any number of entries contributes exactly one. Backends
     /// without a durability cost may return 0.

@@ -1,57 +1,70 @@
-//! `WalLog`: a segmented, checksummed write-ahead log backend — an
-//! append-only operation log.
+//! `WalLog`: a segmented, checksummed write-ahead log backend — one
+//! append-only operation log holding everything a node persists except
+//! the snapshot image.
 //!
 //! # Data-dir layout
 //!
 //! ```text
 //! <dir>/
-//!   meta.bin          node metadata (hard state + cluster identity),
-//!                     one crc-framed record, replaced atomically
 //!   snapshot.bin      last snapshot + its tail configuration, crc-framed,
 //!                     replaced atomically (write-tmp + rename)
-//!   base.bin          the log's compaction base (index, epoch-term)
 //!   wal/
 //!     seg-<seq>.log   16-byte header + [len][crc32][operation] records
 //! ```
 //!
 //! # Semantics
 //!
-//! A segment is a sequence of operations, and a segment file only ever
-//! grows: bytes a sync covered are never cut or rewritten, and a file
-//! leaves the directory whole (compaction, reset) or not at all.
+//! A segment is a sequence of operations, one `Record` each, and a segment
+//! file only ever grows: bytes a sync covered are never cut or rewritten,
+//! and a file leaves the directory whole or not at all.
 //!
-//! * **Append** writes one *batch* record (`[u32 count ≥ 1][entries…]`) to
-//!   the end of the active segment; [`WalLog::sync`] makes it durable
-//!   (optionally `fdatasync`; the durable watermark is tracked either way
-//!   so crash injection stays honest without paying for physical syncs in
-//!   simulation runs). One length/crc frame covers the batch, so a
-//!   group-committed append is one write, one checksum — and one atomic
-//!   unit at recovery: a torn or corrupt record drops the whole batch,
-//!   never a partial one.
-//! * **Truncate** cuts the in-memory mirror and appends one *truncate
-//!   marker* (`[u32 0][u64 index]`). The superseded entries stay where they
-//!   are on disk; the marker is an operation like any other and becomes
-//!   durable at the next sync, together with the appends that follow it.
-//! * **Compact** makes the log's operations durable, persists the new base
-//!   and deletes every whole segment that never held an index above it;
-//!   the caller (the node) persists the covering snapshot first.
-//! * **Reset** (merge renumbering / snapshot install) drops all segments and
-//!   starts a fresh one at the new base.
-//! * **Recovery** ([`WalLog::open`]) replays the operations in order onto
-//!   the mirror: a batch appends its entries above the base (validating
-//!   length, checksum, decode and index contiguity), a marker truncates the
-//!   mirror at `max(index, base + 1)` and is a no-op past the end. The
-//!   first torn or corrupt record ends the log — the tail is dropped and
-//!   the file trimmed to the valid prefix (the one place a segment
-//!   shrinks: the bytes cut were never covered by a sync). If the persisted
-//!   snapshot is ahead of (or inconsistent with) the recovered log, the
-//!   snapshot wins and the log resets to its tail, mirroring Raft's
-//!   durability hierarchy.
+//! * **Append** writes one `Batch` to the end of the active segment;
+//!   [`WalLog::sync`] makes it durable (optionally `fdatasync`; the durable
+//!   watermark is tracked either way so crash injection stays honest
+//!   without paying for physical syncs in simulation runs). One length/crc
+//!   frame covers the batch, so a group-committed append is one write, one
+//!   checksum — and one atomic unit at recovery: a torn or corrupt record
+//!   drops the whole batch, never a partial one.
+//! * **Truncate** cuts the in-memory mirror and appends one `Truncate`
+//!   marker; the superseded entries stay where they are on disk.
+//! * **`save_meta`** appends one `Meta` record holding the whole
+//!   [`NodeMeta`] and keeps the copy in the mirror. Like every record it is
+//!   durable once the next sync returns, so a vote or a term change costs
+//!   the barrier nothing beyond the one `fdatasync` it already pays.
+//! * **Compact** appends one `Compact` record. When closed segment files
+//!   have piled up behind the active one it *checkpoints* instead.
+//! * **Reset** (merge renumbering / snapshot install) always checkpoints.
+//! * A **checkpoint** rolls to a fresh segment that restates everything the
+//!   log holds — the newest `Meta`, the base (as the `Compact` or `Reset`
+//!   that moved it), the entries retained above it as one `Batch` — syncs
+//!   it, and only then deletes every older file, newest first. That is the
+//!   one deletion rule: *a segment leaves the directory only after a later,
+//!   synced segment restates the newest `Meta` and the base*. Nothing is
+//!   dropped before it is restated, so every prefix of a checkpoint replays
+//!   to the log before or after the call; and whatever run of old segments
+//!   an interrupted deletion leaves in front of it, the whole checkpoint
+//!   replays to the same log, because its records say what the log *is*
+//!   from the base up rather than how it changed.
+//! * **`save_snapshot`** first makes every buffered operation durable, then
+//!   replaces `snapshot.bin`: the file obeys the stream's order (an identity
+//!   written ahead of it is durable ahead of it) without being part of it.
+//! * **Recovery** ([`WalLog::open`]) reads nothing but segments and replays
+//!   their records in order onto an empty mirror: a `Batch` replaces the log
+//!   from its first index on (which, for a batch the writer appended, is the
+//!   end), a `Truncate` cuts it, the last `Meta` wins, a `Compact` moves the
+//!   base up (past the end, it empties the log there) and a `Reset` starts
+//!   over. The first torn or corrupt record, or one that cannot apply (a
+//!   gap, a cut below the base), ends the log — the tail is dropped and the
+//!   file trimmed to the valid prefix (the one place a segment shrinks: the
+//!   bytes cut were never covered by a sync). Whether the recovered log
+//!   agrees with `snapshot.bin` is not decided here: `Node::reopen` holds
+//!   that rule, for every backend.
 //!
 //! A crash can therefore lose only operations after the last sync point —
 //! which the node never acknowledges to anyone (see the write-ahead
 //! contract on [`LogStore`]) — and what it leaves is the state after *some*
-//! operation at or past that sync, never a mixture.
+//! prefix of the store's own mutation calls at or past that sync, never a
+//! mixture: appends, truncations, metadata, compactions and resets alike.
 
 use crate::entry::LogEntry;
 use crate::framing::{frame, io_err, next_record, read_framed, sync_dir, write_framed};
@@ -60,17 +73,74 @@ use crate::snapshot::Snapshot;
 use crate::store::{LogStore, NodeMeta};
 use bytes::{Bytes, BytesMut};
 use recraft_types::codec::{Decode, Encode};
-use recraft_types::{ClusterConfig, EpochTerm, Error, LogIndex, Result};
+use recraft_types::{codec, ClusterConfig, EpochTerm, LogIndex, Result};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: u32 = 0x5243_574C; // "RCWL"
-/// Version 3: a record is an operation — an entry batch (`count ≥ 1`) or a
-/// truncate marker (`count = 0`). Segments of any other version are not read
-/// back; recovery treats them as unusable files.
-const SEGMENT_VERSION: u32 = 3;
+/// Version 4: a record is one [`Record`]. Segments of any other version are
+/// not read back; recovery treats them as unusable files.
+const SEGMENT_VERSION: u32 = 4;
 const SEGMENT_HEADER_LEN: u64 = 16;
+
+/// One operation of the log: what a segment record holds.
+#[derive(Debug)]
+enum Record {
+    /// These entries are the log from the first one's index on.
+    Batch(Vec<LogEntry>),
+    /// Drop every entry at or after the index.
+    Truncate(LogIndex),
+    /// The node metadata from here on.
+    Meta(NodeMeta),
+    /// Drop everything at or below the index; it is the base. An index past
+    /// the end empties the log at that base.
+    Compact { index: LogIndex, eterm: EpochTerm },
+    /// Drop everything; this is the base.
+    Reset { index: LogIndex, eterm: EpochTerm },
+}
+
+codec!(enum Record {
+    0 => Batch(Vec<LogEntry>),
+    1 => Truncate(LogIndex),
+    2 => Meta(NodeMeta),
+    3 => Compact { index: LogIndex, eterm: EpochTerm },
+    4 => Reset { index: LogIndex, eterm: EpochTerm },
+});
+
+impl Record {
+    /// Replays the operation onto the mirror. `false` when it cannot apply
+    /// to the state the records before it left, which ends the log there. A
+    /// record is atomic: it is checked whole before the mirror is touched.
+    fn replay(self, mem: &mut MemLog) -> bool {
+        match self {
+            Record::Batch(entries) => {
+                let Some(first) = entries.first().map(|e| e.index) else {
+                    return false; // never written
+                };
+                let fits = first <= mem.last_index().next()
+                    && entries.iter().zip(first.0..).all(|(e, i)| e.index.0 == i)
+                    && mem.truncate_from(first).is_ok();
+                if fits {
+                    mem.append_batch(entries);
+                }
+                fits
+            }
+            Record::Truncate(index) => mem.truncate_from(index).is_ok(),
+            Record::Meta(meta) => {
+                mem.save_meta(&meta);
+                true
+            }
+            Record::Compact { index, eterm } if index <= mem.last_index() => {
+                mem.compact_to(index, eterm).is_ok()
+            }
+            Record::Compact { index, eterm } | Record::Reset { index, eterm } => {
+                mem.reset(index, eterm);
+                true
+            }
+        }
+    }
+}
 
 /// Tuning knobs for a [`WalLog`].
 #[derive(Debug, Clone, Copy)]
@@ -98,10 +168,6 @@ struct Segment {
     path: PathBuf,
     /// File length in bytes (header included).
     len: u64,
-    /// Highest entry index ever written to this segment, if any — entries a
-    /// later marker truncated included. Compaction deletes the file once the
-    /// base reaches it: nothing in it can then be above the base.
-    last_entry: Option<LogIndex>,
 }
 
 /// The segmented durable backend (see the crate docs for the data-dir
@@ -111,7 +177,7 @@ pub struct WalLog {
     dir: PathBuf,
     wal_dir: PathBuf,
     opts: WalOptions,
-    /// In-memory mirror serving all reads.
+    /// In-memory mirror serving all reads: the log and the node metadata.
     mem: MemLog,
     segments: Vec<Segment>,
     /// Open handle on the last (active) segment, positioned at its end.
@@ -120,7 +186,7 @@ pub struct WalLog {
     /// torn by a power cut. Non-active segments are always fully durable
     /// (rolling syncs them).
     synced_len: u64,
-    /// Group-commit barriers: syncs that had buffered log writes to flush.
+    /// Group-commit barriers: syncs that had buffered operations to flush.
     syncs: u64,
 }
 
@@ -129,9 +195,9 @@ impl WalLog {
     /// recovery over whatever the directory holds.
     ///
     /// # Errors
-    /// Returns [`Error::Storage`] if the directory cannot be created or a
-    /// file operation fails. Corrupt or torn *content* is not an error — it
-    /// is dropped by recovery.
+    /// Returns [`Error::Storage`](recraft_types::Error::Storage) if the
+    /// directory cannot be created or a file operation fails. Corrupt or
+    /// torn *content* is not an error — it is dropped by recovery.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
         Self::open_with(dir, WalOptions::default())
     }
@@ -139,22 +205,12 @@ impl WalLog {
     /// Opens (or creates) a WAL at `dir` with explicit options.
     ///
     /// # Errors
-    /// Returns [`Error::Storage`] on I/O failure (see [`WalLog::open`]).
+    /// Returns [`Error::Storage`](recraft_types::Error::Storage) on I/O
+    /// failure (see [`WalLog::open`]).
     pub fn open_with(dir: impl AsRef<Path>, opts: WalOptions) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         let wal_dir = dir.join("wal");
         fs::create_dir_all(&wal_dir).map_err(|e| io_err("create data dir", &wal_dir, &e))?;
-
-        // The log base: default origin when never compacted.
-        let (base_index, base_eterm) = match read_framed(&dir.join("base.bin")) {
-            Some(mut payload) => (
-                LogIndex::decode(&mut payload).map_err(|_| corrupt_base())?,
-                EpochTerm::decode(&mut payload).map_err(|_| corrupt_base())?,
-            ),
-            None => (LogIndex::ZERO, EpochTerm::ZERO),
-        };
-        let mut mem = MemLog::new();
-        mem.reset(base_index, base_eterm);
 
         // Collect segment files ascending by sequence number; anything that
         // does not parse as a segment name is ignored.
@@ -174,7 +230,9 @@ impl WalLog {
         }
         seg_paths.sort_unstable_by_key(|(seq, _)| *seq);
 
-        // Replay: validate every record; the first invalid one ends the log.
+        // Replay: every record onto the mirror, in order; the first invalid
+        // one ends the log.
+        let mut mem = MemLog::new();
         let mut segments: Vec<Segment> = Vec::new();
         let mut dropped_tail = false;
         for (seq, path) in seg_paths {
@@ -184,7 +242,7 @@ impl WalLog {
                 continue;
             }
             let raw = fs::read(&path).map_err(|e| io_err("read segment", &path, &e))?;
-            let (valid_len, last_entry) = replay_segment(seq, &raw, &mut mem);
+            let valid_len = replay_segment(seq, &raw, &mut mem);
             if (valid_len as usize) < raw.len() {
                 // Torn or corrupt tail: trim the file to the valid prefix.
                 let f = OpenOptions::new()
@@ -204,26 +262,7 @@ impl WalLog {
                 seq,
                 path,
                 len: valid_len,
-                last_entry,
             });
-        }
-
-        // The persisted snapshot outranks an inconsistent or lagging log
-        // (crash between snapshot install and log reset).
-        if let Some(mut payload) = read_framed(&dir.join("snapshot.bin")) {
-            if let Ok(snap) = Snapshot::decode(&mut payload) {
-                if !mem.matches(snap.last_index, snap.last_eterm) {
-                    mem.reset(snap.last_index, snap.last_eterm);
-                    for seg in segments.drain(..) {
-                        let _ = fs::remove_file(&seg.path);
-                    }
-                    write_framed(
-                        &dir.join("base.bin"),
-                        &encode_base(snap.last_index, snap.last_eterm),
-                        opts.fsync,
-                    )?;
-                }
-            }
         }
 
         // The last surviving segment keeps taking appends (`append` mode:
@@ -278,14 +317,13 @@ impl WalLog {
         self.segments.last().expect("always one segment")
     }
 
-    fn active_seg_mut(&mut self) -> &mut Segment {
-        self.segments.last_mut().expect("always one segment")
+    fn write_record(&mut self, record: &Record) {
+        self.write_payload(&record.encode_to_bytes());
     }
 
-    /// Appends one operation to the end of the active segment in a single
-    /// write, rolling first if the segment is full. `highest` is the last
-    /// entry index the operation carries (`None` for a truncate marker).
-    fn write_record(&mut self, payload: &[u8], highest: Option<LogIndex>) {
+    /// Appends one encoded operation to the end of the active segment in a
+    /// single write, rolling first if the segment is full.
+    fn write_payload(&mut self, payload: &[u8]) {
         if self.active_seg().len >= self.opts.segment_bytes {
             self.roll();
         }
@@ -293,9 +331,7 @@ impl WalLog {
         self.active
             .write_all(&record)
             .unwrap_or_else(|e| panic!("wal append failed: {e}"));
-        let seg = self.active_seg_mut();
-        seg.len += record.len() as u64;
-        seg.last_entry = seg.last_entry.max(highest);
+        self.segments.last_mut().expect("always one segment").len += record.len() as u64;
     }
 
     /// Finishes the active segment (making it durable) and starts the next.
@@ -312,28 +348,37 @@ impl WalLog {
         self.synced_len = SEGMENT_HEADER_LEN;
     }
 
-    fn persist_base(&self) {
-        write_framed(
-            &self.dir.join("base.bin"),
-            &encode_base(self.mem.base_index(), self.mem.base_eterm()),
-            self.opts.fsync,
-        )
-        .unwrap_or_else(|e| panic!("wal base write failed: {e}"));
-    }
-
-    /// Drops every segment file and starts a fresh one at `next_seq`.
-    fn clear_segments(&mut self, next_seq: u64) {
-        for seg in self.segments.drain(..) {
+    /// Restates the whole mirror at the head of a fresh segment — the newest
+    /// `Meta`, the base as `base` (the `Compact` or `Reset` that moved it),
+    /// the entries above it — makes that durable, then deletes every older
+    /// file: the only way a segment leaves the directory. Rolling syncs the
+    /// old active segment first, and the files go newest first, so a crash
+    /// before the last unlink leaves a cleanly replaying run from the old
+    /// log's start in front of the restatement.
+    fn checkpoint(&mut self, base: &Record) {
+        self.roll();
+        let older = self.segments.len() - 1;
+        if let Some(meta) = self.mem.load_meta() {
+            self.write_record(&Record::Meta(meta));
+        }
+        self.write_record(base);
+        // Exactly these entries above the base, whatever that run held: a
+        // batch replaces the log from its first index on, and with nothing
+        // retained a marker clears it. One record, so that no prefix of the
+        // checkpoint has dropped an entry without restating it.
+        let first = self.mem.first_index();
+        let above = if self.mem.is_empty() {
+            Record::Truncate(first)
+        } else {
+            Record::Batch(self.mem.tail(first))
+        };
+        self.write_record(&above);
+        self.sync();
+        // The unlinks need no sync of their own: a file one fails to take
+        // replays in front of the checkpoint and goes with the next.
+        for seg in self.segments.drain(..older).rev() {
             let _ = fs::remove_file(&seg.path);
         }
-        let (seg, file) = create_segment(&self.wal_dir, next_seq)
-            .unwrap_or_else(|e| panic!("wal segment create failed: {e}"));
-        if self.opts.fsync {
-            sync_dir(&self.wal_dir);
-        }
-        self.segments.push(seg);
-        self.active = file;
-        self.synced_len = SEGMENT_HEADER_LEN;
     }
 }
 
@@ -371,76 +416,59 @@ impl LogStore for WalLog {
         if entries.is_empty() {
             return;
         }
-        let payload = encode_batch(&entries);
-        let last = entries.last().expect("nonempty").index;
-        for entry in entries {
-            self.mem.append(entry); // asserts contiguity first
+        // One encode of the entries where they are; the mirror then takes
+        // them (asserting contiguity) before a byte is written.
+        let record = Record::Batch(entries);
+        let payload = record.encode_to_bytes();
+        if let Record::Batch(entries) = record {
+            self.mem.append_batch(entries);
         }
-        self.write_record(&payload, Some(last));
+        self.write_payload(&payload);
     }
 
     fn truncate_from(&mut self, index: LogIndex) -> Result<usize> {
         let removed = self.mem.truncate_from(index)?;
         if removed > 0 {
-            self.write_record(&encode_truncate(index), None);
+            self.write_record(&Record::Truncate(index));
         }
         Ok(removed)
     }
 
     fn compact_to(&mut self, index: LogIndex, eterm: EpochTerm) -> Result<()> {
         self.mem.compact_to(index, eterm)?;
-        // The base is durable the moment it is written. The operations it
-        // covers go first: a power cut that kept the base but took back a
-        // truncate marker would put the superseded suffix above it.
-        self.sync();
-        self.persist_base();
-        // Delete whole segments whose content is entirely at or below the
-        // base; the active segment always stays (it is the append tail).
-        let mut removed = 0;
-        while self.segments.len() > 1 {
-            let seg = &self.segments[0];
-            let covered = match seg.last_entry {
-                Some(last) => last <= index,
-                None => true,
-            };
-            if !covered {
-                break;
-            }
-            let seg = self.segments.remove(0);
-            let _ = fs::remove_file(&seg.path);
-            removed += 1;
-        }
-        if removed > 0 && self.opts.fsync {
-            sync_dir(&self.wal_dir);
+        let record = Record::Compact { index, eterm };
+        if self.segments.len() > 1 {
+            // Closed files are waiting to be freed.
+            self.checkpoint(&record);
+        } else {
+            self.write_record(&record);
         }
         Ok(())
     }
 
     fn reset(&mut self, base_index: LogIndex, base_eterm: EpochTerm) {
-        let next_seq = self.active_seg().seq + 1;
         self.mem.reset(base_index, base_eterm);
-        // Segment deletion precedes the base write so a crash in between
-        // leaves an empty (not mixed-lineage) log; recovery then restores
-        // the base from the snapshot.
-        self.clear_segments(next_seq);
-        self.persist_base();
+        // Always into a segment of its own: no file of the old numbering
+        // outlives the call.
+        self.checkpoint(&Record::Reset {
+            index: base_index,
+            eterm: base_eterm,
+        });
     }
 
     fn save_meta(&mut self, meta: &NodeMeta) {
-        write_framed(
-            &self.dir.join("meta.bin"),
-            &meta.encode_to_bytes(),
-            self.opts.fsync,
-        )
-        .unwrap_or_else(|e| panic!("wal meta write failed: {e}"));
+        self.mem.save_meta(meta);
+        self.write_record(&Record::Meta(meta.clone()));
     }
 
     fn load_meta(&self) -> Option<NodeMeta> {
-        let mut payload = read_framed(&self.dir.join("meta.bin"))?;
-        NodeMeta::decode(&mut payload).ok()
+        self.mem.load_meta()
     }
 
     fn save_snapshot(&mut self, snapshot: &Snapshot, config: &ClusterConfig) {
+        // The file is outside the stream but obeys its order: whatever was
+        // written before the snapshot is durable before the snapshot is.
+        self.sync();
         let mut buf = BytesMut::new();
         snapshot.encode(&mut buf);
         config.encode(&mut buf);
@@ -504,113 +532,31 @@ impl LogStore for WalLog {
     }
 }
 
-// ---- Record encoding helpers ------------------------------------------------
-
-/// Encodes an entry batch as one record payload: `[u32 count][entries...]`.
-/// One frame and one checksum cover the whole batch, making it the atomic
-/// unit of both the group-commit write and the recovery scan.
-fn encode_batch(entries: &[LogEntry]) -> Bytes {
-    let mut buf = BytesMut::new();
-    (entries.len() as u32).encode(&mut buf);
-    for entry in entries {
-        entry.encode(&mut buf);
-    }
-    buf.freeze()
-}
-
-/// Encodes a truncate marker: `[u32 0][u64 index]` — a batch never has a
-/// zero count, so the first word tells the two operations apart.
-fn encode_truncate(index: LogIndex) -> Bytes {
-    let mut buf = BytesMut::new();
-    0u32.encode(&mut buf);
-    index.encode(&mut buf);
-    buf.freeze()
-}
-
-fn encode_base(index: LogIndex, eterm: EpochTerm) -> Bytes {
-    let mut buf = BytesMut::new();
-    index.encode(&mut buf);
-    eterm.encode(&mut buf);
-    buf.freeze()
-}
-
 /// Replays one segment's operations onto the mirror, in order. Returns the
-/// byte length of the valid prefix (0 when even the header is bad) and the
-/// highest entry index any batch in it carried.
-fn replay_segment(seq: u64, raw: &[u8], mem: &mut MemLog) -> (u64, Option<LogIndex>) {
+/// byte length of the valid prefix (0 when even the header is bad).
+fn replay_segment(seq: u64, raw: &[u8], mem: &mut MemLog) -> u64 {
     if raw.len() < SEGMENT_HEADER_LEN as usize {
-        return (0, None);
+        return 0;
     }
     let magic = u32::from_be_bytes(raw[0..4].try_into().expect("4 bytes"));
     let version = u32::from_be_bytes(raw[4..8].try_into().expect("4 bytes"));
     let hdr_seq = u64::from_be_bytes(raw[8..16].try_into().expect("8 bytes"));
     if magic != SEGMENT_MAGIC || version != SEGMENT_VERSION || hdr_seq != seq {
-        return (0, None);
+        return 0;
     }
-    let base_index = mem.base_index();
     let mut pos = SEGMENT_HEADER_LEN as usize;
-    let mut last_entry = None;
-    'records: while let Some((payload, next)) = next_record(raw, pos) {
-        // Decode and validate the WHOLE operation before touching the
-        // mirror: a record is atomic, so a bad entry anywhere in it (or
-        // trailing garbage) drops the entire record — never a partial one.
+    while let Some((payload, next)) = next_record(raw, pos) {
         let mut bytes = Bytes::copy_from_slice(payload);
-        let Ok(count) = u32::decode(&mut bytes) else {
+        // Trailing bytes inside a frame make the record as corrupt as one
+        // that does not decode.
+        let fits =
+            Record::decode(&mut bytes).is_ok_and(|record| bytes.is_empty() && record.replay(mem));
+        if !fits {
             break;
-        };
-        if count == 0 {
-            let Ok(index) = LogIndex::decode(&mut bytes) else {
-                break;
-            };
-            if !bytes.is_empty() {
-                break;
-            }
-            // Whatever the marker cut at or below the base, compaction has
-            // since dropped (possibly with the segment that held it); past
-            // the end there is nothing to cut.
-            mem.truncate_from(index.max(base_index.next()))
-                .expect("cut point is above the base");
-            pos = next;
-            continue;
-        }
-        // The count is untrusted on-disk data: cap the reservation by what
-        // the payload could possibly hold (an entry encodes to ≥ 17 bytes:
-        // index + epoch-term + payload tag), so a corrupt frame cannot
-        // abort recovery with an absurd allocation — decode failure below
-        // trims it as a torn tail instead.
-        let mut batch = Vec::with_capacity((count as usize).min(bytes.len() / 17 + 1));
-        for _ in 0..count {
-            let Ok(entry) = LogEntry::decode(&mut bytes) else {
-                break 'records;
-            };
-            batch.push(entry);
-        }
-        if !bytes.is_empty() {
-            break; // trailing garbage inside a frame: treat as corrupt
-        }
-        let mut expect = mem.last_index().next();
-        for entry in &batch {
-            if entry.index <= base_index {
-                continue; // stale prefix below the compaction base
-            }
-            if entry.index != expect {
-                break 'records; // gap or regression: a dropped tail upstream
-            }
-            expect = expect.next();
-        }
-        // The batch checks out: fold it into the mirror as one unit.
-        for entry in batch {
-            last_entry = last_entry.max(Some(entry.index));
-            if entry.index <= base_index {
-                // The covering segment outlived compaction because it also
-                // held entries above the base.
-                continue;
-            }
-            mem.append(entry);
         }
         pos = next;
     }
-    (pos as u64, last_entry)
+    pos as u64
 }
 
 fn create_segment(wal_dir: &Path, seq: u64) -> Result<(Segment, File)> {
@@ -633,14 +579,9 @@ fn create_segment(wal_dir: &Path, seq: u64) -> Result<(Segment, File)> {
             seq,
             path,
             len: SEGMENT_HEADER_LEN,
-            last_entry: None,
         },
         file,
     ))
-}
-
-fn corrupt_base() -> Error {
-    Error::Storage("corrupt base.bin".into())
 }
 
 #[cfg(test)]
@@ -700,6 +641,36 @@ mod tests {
         wal.sync();
     }
 
+    fn meta(term: u32) -> NodeMeta {
+        NodeMeta {
+            hard: crate::HardState {
+                eterm: et(term),
+                voted_for: None,
+            },
+            cluster: ClusterId(1),
+            cluster_epoch: 0,
+            bootstrapped: false,
+            join_target: None,
+            history: Vec::new(),
+        }
+    }
+
+    /// Everything the stream holds: base, entries, metadata.
+    type State = (LogIndex, EpochTerm, Vec<LogEntry>, Option<NodeMeta>);
+
+    fn state(wal: &WalLog) -> State {
+        (
+            wal.base_index(),
+            wal.base_eterm(),
+            wal.tail(wal.first_index()),
+            wal.load_meta(),
+        )
+    }
+
+    fn reopened(dir: &TestDir) -> State {
+        state(&WalLog::open_with(&dir.0, opts()).unwrap())
+    }
+
     #[test]
     fn append_survives_reopen() {
         let dir = TestDir::new("reopen");
@@ -735,29 +706,103 @@ mod tests {
         to
     }
 
-    /// The segment format read back by a later build: header, one batch
-    /// record (`[len][crc][count][entries…]`) and one truncate marker
-    /// (`[len][crc][0][index]`).
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// Header: magic "RCWL", version 4, segment seq 1.
+    const HEADER: &str = "5243574c000000040000000000000001";
+    /// One `[len][crc]` frame per record kind, each payload a one-byte tag
+    /// and the fields of its `codec!` line.
+    const BATCH: &str = "00000033f4b8071d\
+        00\
+        00000002\
+        0000000000000001000000000000000101000000027631\
+        0000000000000002000000000000000101000000027632";
+    const TRUNCATE: &str = "000000091f7c61c1010000000000000002";
+    const META: &str = "0000001c42955213\
+        02\
+        000000000000000000000000000000000100000000000000000000";
+    const COMPACT: &str = "00000011fa098eec0300000000000000010000000000000001";
+    const RESET: &str = "00000011fd47aca20400000000000000000000000300000000";
+
+    /// The operations behind the pinned records, in order, and the state
+    /// after each prefix of them.
+    fn pinned_states() -> Vec<State> {
+        let origin = (LogIndex::ZERO, EpochTerm::ZERO);
+        let merged = EpochTerm::new(3, 0);
+        vec![
+            (origin.0, origin.1, vec![], None),
+            (origin.0, origin.1, vec![entry(1, 1), entry(2, 1)], None),
+            (origin.0, origin.1, vec![entry(1, 1)], None),
+            (origin.0, origin.1, vec![entry(1, 1)], Some(meta(0))),
+            (LogIndex(1), et(1), vec![], Some(meta(0))),
+            (LogIndex::ZERO, merged, vec![], Some(meta(0))),
+        ]
+    }
+
+    /// Recovery over `bytes` as the only segment of a fresh directory.
+    fn recover(bytes: &[u8]) -> State {
+        let dir = TestDir::new("bytes");
+        fs::create_dir_all(dir.0.join("wal")).unwrap();
+        fs::write(dir.0.join("wal/seg-0000000000000001.log"), bytes).unwrap();
+        reopened(&dir)
+    }
+
+    /// The segment format read back by a later build: header and one record
+    /// of each of the five kinds, written by the calls that produce them.
     #[test]
     fn segment_bytes_pinned() {
         let dir = TestDir::new("pinned");
         let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
         wal.append_batch(vec![entry(1, 1), entry(2, 1)]);
         wal.truncate_from(LogIndex(2)).unwrap();
-        let hex: String = active_bytes(&wal)
-            .iter()
-            .map(|b| format!("{b:02x}"))
-            .collect();
+        wal.save_meta(&meta(0));
+        wal.compact_to(LogIndex(1), et(1)).unwrap();
+        let first = [HEADER, BATCH, TRUNCATE, META, COMPACT].concat();
+        assert_eq!(hex(&active_bytes(&wal)), first);
+        // A reset checkpoints into the next segment: the newest metadata,
+        // the new base, and a marker for "nothing above it".
+        wal.reset(LogIndex::ZERO, EpochTerm::new(3, 0));
+        assert_eq!(wal.segment_count(), 1);
         assert_eq!(
-            hex,
-            // Header: magic "RCWL", version 3, segment seq 1.
-            "5243574c000000030000000000000001\
-             00000032c32d2e91\
-             00000002\
-             0000000000000001000000000000000101000000027631\
-             0000000000000002000000000000000101000000027632\
-             0000000c95dba743\
-             000000000000000000000002"
+            hex(&active_bytes(&wal)),
+            [
+                "5243574c000000040000000000000002",
+                META,
+                RESET,
+                "000000098675307b010000000000000001"
+            ]
+            .concat()
+        );
+        // The metadata inside the `Meta` record is the `NodeMeta` layout the
+        // golden fixtures hold, byte for byte.
+        let golden = include_str!("../../net/tests/format_golden.hex")
+            .lines()
+            .find_map(|l| l.strip_prefix("meta.fresh "))
+            .unwrap();
+        assert_eq!(&META[18..], golden);
+        assert_eq!(hex(&meta(0).encode_to_bytes()), golden);
+        // All five in one file read back as the five operations.
+        let states = pinned_states();
+        assert_eq!(recover(&unhex(&[&first, RESET].concat())), states[5]);
+        assert_eq!(recover(&unhex(&first)), states[4]);
+    }
+
+    #[test]
+    fn any_other_segment_version_is_refused() {
+        let v3 = [HEADER, BATCH].concat().replacen("00000004", "00000003", 1);
+        assert_eq!(recover(&unhex(&v3)), pinned_states()[0]);
+        assert_eq!(
+            recover(&unhex(&[HEADER, BATCH].concat())),
+            pinned_states()[1]
         );
     }
 
@@ -1013,24 +1058,23 @@ mod tests {
     }
 
     #[test]
-    fn marker_at_or_below_the_base_is_a_noop_once_its_segment_is_gone() {
+    fn a_marker_goes_with_the_segment_that_held_what_it_cut() {
         let dir = TestDir::new("marker-below-base");
-        let base;
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
             fill(&mut wal, 1, 20, 1);
             let first = wal.segments[0].path.clone();
-            base = wal.segments[0].last_entry.unwrap();
             // The marker refers into the first segment...
-            assert!(LogIndex(3) <= base);
             wal.truncate_from(LogIndex(3)).unwrap();
             fill(&mut wal, 3, 25, 2);
-            // ...which compaction then deletes whole.
-            wal.compact_to(base, et(2)).unwrap();
+            // ...and the compaction that frees that file frees the marker's
+            // too: the checkpoint restates the log, not its history.
+            wal.compact_to(LogIndex(10), et(2)).unwrap();
             assert!(!first.exists());
+            assert_eq!(wal.segment_count(), 1);
         }
         let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.base_index(), base);
+        assert_eq!(wal.base_index(), LogIndex(10));
         assert_eq!(wal.last_index(), LogIndex(25));
         for e in wal.tail(wal.first_index()) {
             assert_eq!(e.eterm, et(2), "superseded entry {} came back", e.index);
@@ -1040,23 +1084,119 @@ mod tests {
     #[test]
     fn compaction_base_never_outruns_an_unsynced_marker() {
         let dir = TestDir::new("base-after-marker");
+        let synced;
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
             wal.append_batch((1..=5).map(|i| entry(i, 1)).collect());
             wal.sync();
+            synced = state(&wal);
             wal.truncate_from(LogIndex(3)).unwrap();
             wal.append_batch(vec![entry(3, 2), entry(4, 2)]);
-            // No barrier yet: compaction itself orders the operations it
-            // covers before the base.
+            // No barrier yet: the base is a record behind the marker, so a
+            // power cut takes both or neither.
             wal.compact_to(LogIndex(4), et(2)).unwrap();
             wal.power_cut(0);
         }
-        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.base_index(), LogIndex(4));
-        assert!(
-            wal.is_empty(),
-            "superseded entry 5 came back above the base"
-        );
+        // Never base 4 with the superseded entry 5 above it.
+        assert_eq!(reopened(&dir), synced);
+    }
+
+    /// The deletion invariant: a file goes only after a later, synced
+    /// segment restates the newest metadata and the base — so metadata
+    /// written once, a dozen rolls ago, outlives every file it was in.
+    #[test]
+    fn metadata_and_base_outlive_every_segment_they_were_written_in() {
+        let dir = TestDir::new("deletion-invariant");
+        let before;
+        {
+            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+            wal.save_meta(&meta(7));
+            let first = wal.active_seg().seq;
+            for round in 0..6 {
+                fill(&mut wal, round * 10 + 1, round * 10 + 10, 1);
+                wal.compact_to(LogIndex(round * 10 + 8), et(1)).unwrap();
+                assert_eq!(wal.segment_count(), 1, "only the active segment");
+            }
+            assert!(wal.active_seg().seq >= first + 12, "a dozen rolls");
+            before = state(&wal);
+            assert_eq!(before.0, LogIndex(58));
+            assert_eq!(before.3, Some(meta(7)));
+        }
+        assert_eq!(reopened(&dir), before);
+    }
+
+    /// Every file of `dir/wal`, oldest first.
+    fn segment_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir.join("wal"))
+            .unwrap()
+            .map(|f| f.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Runs `op` on a log spread over several segments and replays every
+    /// directory a crash inside it can leave: the old files with each byte
+    /// prefix of the checkpoint behind them (never a mixture of before and
+    /// after), and the whole checkpoint behind each run of old files an
+    /// interrupted deletion can leave (always after).
+    fn crash_inside(tag: &str, op: impl Fn(&mut WalLog)) {
+        let dir = TestDir::new(tag);
+        let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+        wal.save_meta(&meta(1));
+        fill(&mut wal, 1, 12, 1);
+        wal.truncate_from(LogIndex(9)).unwrap();
+        fill(&mut wal, 9, 14, 2);
+        wal.save_meta(&meta(2));
+        wal.sync();
+        let before = state(&wal);
+        let old = copy_dir(&dir.0, "crash-inside-old");
+        let old_files = segment_files(&old.0);
+        assert!(old_files.len() >= 3);
+        op(&mut wal);
+        let after = state(&wal);
+        assert_ne!(before, after);
+        assert_eq!(wal.segment_count(), 1, "one checkpoint segment");
+        let checkpoint = active_bytes(&wal);
+        let name = wal.active_seg().path.file_name().unwrap().to_owned();
+
+        for cut in 0..=checkpoint.len() {
+            let crashed = copy_dir(&old.0, "crash-inside-cut");
+            fs::write(crashed.0.join("wal").join(&name), &checkpoint[..cut]).unwrap();
+            let got = reopened(&crashed);
+            assert!(
+                got == before || got == after,
+                "{cut} of {} checkpoint bytes: {got:?}",
+                checkpoint.len()
+            );
+            assert!(cut < checkpoint.len() || got == after);
+        }
+        for kept in 0..=old_files.len() {
+            let crashed = copy_dir(&old.0, "crash-inside-unlink");
+            for gone in &old_files[kept..] {
+                fs::remove_file(crashed.0.join("wal").join(gone.file_name().unwrap())).unwrap();
+            }
+            fs::write(crashed.0.join("wal").join(&name), &checkpoint).unwrap();
+            assert_eq!(reopened(&crashed), after, "{kept} old files left");
+        }
+    }
+
+    #[test]
+    fn a_crash_inside_a_reset_leaves_the_old_log_or_the_new() {
+        crash_inside("crash-reset", |wal| {
+            wal.reset(LogIndex::ZERO, EpochTerm::new(3, 0));
+        });
+    }
+
+    #[test]
+    fn a_crash_inside_a_compaction_leaves_the_old_log_or_the_new() {
+        // With entries retained above the base, and with none.
+        crash_inside("crash-compact", |wal| {
+            wal.compact_to(LogIndex(11), et(2)).unwrap();
+        });
+        crash_inside("crash-compact-all", |wal| {
+            wal.compact_to(LogIndex(14), et(2)).unwrap();
+        });
     }
 
     #[test]
@@ -1114,6 +1254,18 @@ mod tests {
         wal.append(entry(20, 2));
         wal.sync();
         assert_eq!(wal.last_index(), LogIndex(20));
+        // Wherever the tear falls in a file holding every record kind, what
+        // comes back is the state after the operations that are whole.
+        let pinned = unhex(&[HEADER, BATCH, TRUNCATE, META, COMPACT, RESET].concat());
+        let states = pinned_states();
+        let mut seen = 0;
+        for cut in 0..pinned.len() {
+            let got = recover(&pinned[..cut]);
+            let at = states.iter().position(|s| *s == got);
+            assert!(at.is_some_and(|at| at >= seen), "cut at {cut}: {got:?}");
+            seen = at.unwrap();
+        }
+        assert_eq!(seen, states.len() - 2, "each record counted once whole");
     }
 
     #[test]
@@ -1142,6 +1294,17 @@ mod tests {
             expect = expect.next();
         }
         assert_eq!(wal.segment_count(), 1);
+        // The same for any one damaged byte of a file holding every record
+        // kind: the operations in front of it, and no panic.
+        let pinned = unhex(&[HEADER, BATCH, TRUNCATE, META, COMPACT, RESET].concat());
+        let states = pinned_states();
+        for at in 0..pinned.len() {
+            let mut bad = pinned.clone();
+            bad[at] ^= 0xFF;
+            let got = recover(&bad);
+            assert!(states.contains(&got), "byte {at} inverted: {got:?}");
+            assert_ne!(got, states[5], "byte {at} inverted and not noticed");
+        }
     }
 
     #[test]
@@ -1209,33 +1372,6 @@ mod tests {
         drop(wal);
         let wal = WalLog::open_with(&dir.0, opts()).unwrap();
         assert_eq!(wal.last_index(), LogIndex(6));
-    }
-
-    #[test]
-    fn snapshot_ahead_of_log_wins_on_recovery() {
-        let dir = TestDir::new("snap-wins");
-        let config =
-            ClusterConfig::new(ClusterId(9), [NodeId(1), NodeId(2)], RangeSet::full()).unwrap();
-        {
-            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
-            fill(&mut wal, 1, 4, 1);
-            // A snapshot from a different lineage (merge renumbering) was
-            // persisted, but the crash hit before the log reset.
-            let snap = Snapshot {
-                last_index: LogIndex(1),
-                last_eterm: EpochTerm::new(7, 0),
-                cluster: ClusterId(9),
-                ranges: RangeSet::full(),
-                chunks: Vec::new(),
-                sessions: SessionTable::new(),
-            };
-            wal.save_snapshot(&snap, &config);
-        }
-        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        // The old-lineage log is discarded; the base sits at the snapshot.
-        assert_eq!(wal.base_index(), LogIndex(1));
-        assert_eq!(wal.base_eterm(), EpochTerm::new(7, 0));
-        assert!(wal.is_empty());
     }
 
     #[test]

@@ -78,8 +78,8 @@ fn one_group_commit_sync_per_take_outputs_round() {
         Timing::default(),
         7,
     );
-    // Boot writes snapshot + meta but no log records: no group commit yet.
-    assert_eq!(node.log().sync_count(), 0);
+    // Boot wrote the snapshot and one record — the identity — under one sync.
+    assert_eq!(node.log().sync_count(), 1);
     node.tick(400_000); // single-node election fires and wins instantly
     assert!(node.is_leader());
     let _ = node.take_outputs(); // the election no-op's barrier
