@@ -18,7 +18,8 @@
 //! post-rebalance max/mean worker load ratio sits at or below 2.0, and
 //! the whole process stays within `2 x cores + small constant` OS threads
 //! at peak — the number thread-per-node could never meet at this range
-//! count.
+//! count. It also reports how long the fleet takes from launch until every
+//! boot range leads (`boot_led_ms`).
 //!
 //! Run with: `cargo bench -p recraft-bench --bench mux_fleet`
 //! (`BENCH_SMOKE=1` halves the range count and shortens the load for CI
@@ -52,6 +53,7 @@ struct Outcome {
     threads_baseline: usize,
     threads_boot: usize,
     threads_peak: usize,
+    boot_led_ms: u128,
     total_ops: u64,
     ops_per_ms: f64,
     wall_ms: u128,
@@ -100,6 +102,7 @@ fn run(scale: &Scale) -> Outcome {
     fleet.timing.election_timeout_min = 1_500_000;
     fleet.timing.election_timeout_max = 3_000_000;
     fleet.timing.heartbeat_interval = 300_000;
+    let launched = Instant::now();
     let cluster = Arc::new(Cluster::launch_fleet(&fleet));
     let workers = cluster.worker_count();
     for r in 1..=scale.ranges {
@@ -111,6 +114,9 @@ fn run(scale: &Scale) -> Outcome {
             cluster.debug_dump()
         );
     }
+    // Every range's smallest id campaigns in the round that seats it, so
+    // the whole fleet leads after a vote round per range, not a timeout.
+    let boot_led_ms = launched.elapsed().as_millis();
     // The fleet-attributable thread bill: the worker pool, nothing per-node.
     let threads_boot = os_thread_count().expect("/proc thread count");
     assert!(
@@ -347,6 +353,7 @@ fn run(scale: &Scale) -> Outcome {
         threads_baseline,
         threads_boot,
         threads_peak,
+        boot_led_ms,
         total_ops,
         ops_per_ms: total_ops as f64 / wall_ms.max(1) as f64,
         wall_ms,
@@ -395,8 +402,8 @@ fn main() {
     );
     let o = run(&scale);
     println!(
-        "{} nodes on {} workers ({} cores): threads {} -> {} boot -> {} peak",
-        o.nodes, o.workers, o.cores, o.threads_baseline, o.threads_boot, o.threads_peak
+        "{} nodes on {} workers ({} cores): threads {} -> {} boot -> {} peak; every range led {} ms after launch",
+        o.nodes, o.workers, o.cores, o.threads_baseline, o.threads_boot, o.threads_peak, o.boot_led_ms
     );
     println!(
         "{} ops in {} ms ({:.2} ops/ms); splits {}, merges {}, staffed {}, reaped {}",
@@ -432,6 +439,7 @@ fn write_summary(scale: &Scale, o: &Outcome, smoke: bool) -> std::io::Result<()>
         ("threads_baseline", o.threads_baseline.to_string()),
         ("threads_boot", o.threads_boot.to_string()),
         ("threads_peak", o.threads_peak.to_string()),
+        ("boot_led_ms", o.boot_led_ms.to_string()),
         ("total_ops", o.total_ops.to_string()),
         ("ops_per_ms", format!("{:.3}", o.ops_per_ms)),
         ("wall_ms", o.wall_ms.to_string()),

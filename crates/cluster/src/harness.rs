@@ -3,9 +3,12 @@
 //! [`Cluster::launch`] binds every node's front-door listener first and
 //! publishes the full address map (a [`FleetNet`]) before any node is
 //! adopted by the sharded [`DriverRuntime`] — peers can dial each other
-//! from the first heartbeat. Elections then run on real randomized
-//! timeouts ([`recraft_core::Timing::default`]: 150–300 ms), so a fresh
-//! cluster elects within a few hundred milliseconds without any nudging.
+//! from the first heartbeat — and builds every member of a cluster before
+//! it seats any. The smallest id of a fresh cluster campaigns on its first
+//! tick, so the first leader costs one vote round (a few milliseconds over
+//! loopback); the other members keep real randomized timeouts
+//! ([`recraft_core::Timing::default`]: 150–300 ms), which elect someone
+//! else when that node is down or cut off.
 //! [`Cluster::launch_fleet`] boots many single-range clusters partitioning
 //! one keyspace — the multi-raft shape the runtime exists to host on a
 //! fixed thread budget.
@@ -186,7 +189,8 @@ pub struct Cluster {
 impl Cluster {
     /// Boots `spec.nodes` nodes as one cluster over `RangeSet::full()` on a
     /// fresh runtime. Returns once every node is adopted (not once a leader
-    /// exists — see [`Cluster::wait_for_leader`]).
+    /// exists — see [`Cluster::wait_for_leader`]); node 1 campaigns in the
+    /// round that seats it and normally leads one vote round later.
     ///
     /// # Panics
     /// Panics on listener/bind, scratch-directory, or WAL-open failure.
@@ -259,7 +263,10 @@ impl Cluster {
 
     /// Boots the members of one cluster config: bind and register every
     /// front door first (the address map must be complete before the first
-    /// heartbeat), then create and adopt the nodes.
+    /// heartbeat), build every node (store open, boot snapshot synced),
+    /// then seat them as one group. The smallest id campaigns in the round
+    /// that seats it, and a vote addressed to a member with no seat yet is
+    /// dropped — which would leave the election to the timers.
     fn boot_group(&self, ids: &[NodeId], config: &ClusterConfig) {
         let listeners: Vec<TcpListener> = ids
             .iter()
@@ -271,6 +278,7 @@ impl Cluster {
             })
             .collect();
         let mut slots = self.slots.lock().expect("slot registry lock");
+        let mut group = Vec::with_capacity(ids.len());
         for (id, listener) in ids.iter().copied().zip(listeners) {
             let dir = self.node_dir(id, 0);
             let store = self.open_store(dir.as_deref());
@@ -283,16 +291,17 @@ impl Cluster {
                 harness_seed(id),
             );
             let status = Arc::new(NodeStatus::default());
-            self.runtime.adopt(node, Arc::clone(&status), listener);
             slots.insert(
                 id,
                 Slot {
-                    status: Some(status),
+                    status: Some(Arc::clone(&status)),
                     dir,
                     generation: 0,
                 },
             );
+            group.push((node, status, listener));
         }
+        self.runtime.adopt_group(group);
     }
 
     /// The WAL directory for life `generation` of node `id` (`None` on the

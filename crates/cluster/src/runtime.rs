@@ -326,25 +326,48 @@ impl DriverRuntime {
     /// [`FleetNet`] before calling, so peers can dial from the first
     /// heartbeat.
     pub fn adopt(&self, node: HarnessNode, status: Arc<NodeStatus>, listener: TcpListener) {
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking front door");
-        let id = node.id();
+        self.adopt_group(vec![(node, status, listener)]);
+    }
+
+    /// Adopts the members of one new cluster together. Each seat is placed
+    /// round-robin in the given order, as successive [`DriverRuntime::adopt`]
+    /// calls would place it, but every placement is published before any
+    /// seat is handed over, and the seats go to their workers last to
+    /// first. The first seat — the cluster's smallest id, which campaigns in
+    /// the round that seats it — thus arrives after every peer it addresses
+    /// is routable and has its `Adopt` queued ahead of any vote request: a
+    /// worker drains its channel before it delivers. Adopted one by one, a
+    /// busy worker could tick the campaigner while the caller had yet to
+    /// place the next member, and the dropped votes left the first election
+    /// to the timers.
+    pub(crate) fn adopt_group(&self, group: Vec<(HarnessNode, Arc<NodeStatus>, TcpListener)>) {
         let workers = self.worker_count();
-        let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % workers;
-        self.shared
-            .assignment
-            .write()
-            .expect("assignment lock")
-            .insert(id, w);
-        let seat = Box::new(Seat {
-            node,
-            status,
-            listener,
-        });
+        let placed: Vec<(usize, Box<Seat>)> = group
+            .into_iter()
+            .map(|(node, status, listener)| {
+                listener
+                    .set_nonblocking(true)
+                    .expect("nonblocking front door");
+                let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % workers;
+                let seat = Seat {
+                    node,
+                    status,
+                    listener,
+                };
+                (w, Box::new(seat))
+            })
+            .collect();
+        {
+            let mut assignment = self.shared.assignment.write().expect("assignment lock");
+            for (w, seat) in &placed {
+                assignment.insert(seat.node.id(), *w);
+            }
+        }
         let txs = self.txs.lock().expect("worker sender lock");
-        txs[w].send(WorkerMsg::Adopt(seat)).expect("worker alive");
-        self.shared.wakers[w].wake();
+        for (w, seat) in placed.into_iter().rev() {
+            txs[w].send(WorkerMsg::Adopt(seat)).expect("worker alive");
+            self.shared.wakers[w].wake();
+        }
     }
 
     /// Withdraws `id` from its worker: the seat's final barrier is flushed,

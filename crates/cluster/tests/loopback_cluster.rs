@@ -12,6 +12,7 @@
 //! heartbeats into spurious elections.
 
 use recraft_cluster::{verify_sessions, ClientOptions, Cluster, ClusterSpec, HarnessBackend};
+use recraft_types::NodeId;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -106,6 +107,21 @@ fn three_node_wal_group_commit() {
             ..ClientOptions::default()
         },
     );
+}
+
+/// A fresh cluster's smallest id campaigns in the round that seats it, and
+/// every member is seated before anyone ticks, so the first election is
+/// node 1's and the only one. Asserted on who leads and how many elections
+/// ran, not on wall-clock time.
+#[test]
+fn a_launched_cluster_is_led_by_node_1_after_one_election() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = Cluster::launch(&ClusterSpec::new(3, HarnessBackend::Wal));
+    let leader = cluster.wait_for_leader(Duration::from_secs(10));
+    assert_eq!(leader, Some(NodeId(1)), "{}", cluster.debug_dump());
+    assert_eq!(cluster.elections(), 1, "{}", cluster.debug_dump());
 }
 
 /// The acceptance-scale fleet in debug. Heavy on small machines (hundreds

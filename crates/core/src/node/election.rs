@@ -9,6 +9,20 @@
 //!   pull hint instead of a vote (`HandleVote`, Fig. 2 line 51-56), steering
 //!   the missed-out node into pull-based recovery rather than letting its
 //!   large term disturb an up-to-date subcluster.
+//!
+//! Who campaigns when: a follower campaigns once its randomized election
+//! deadline passes. Every constructor draws that deadline as an *offset*,
+//! armed by the first `tick` or `step` that hands the node a clock, so a
+//! node built on a host clock long past zero — a reboot through
+//! `Node::reopen` — waits a full timeout before it campaigns rather than
+//! deposing a live leader on its first tick. Where a configuration is born
+//! without a leader, one designated member campaigns on its next tick
+//! instead (`Node::campaign_on_next_tick`): the smallest id of a
+//! bootstrapped configuration, the smallest id of a split child the old
+//! leader is not in, and the node that led a merge's coordinator. The
+//! randomized timers of everyone else are the fallback when that node is
+//! down or its votes are lost. Joiners never campaign, and a reopened
+//! member is never designated.
 
 use super::{Node, Progress, Role};
 use crate::events::NodeEvent;

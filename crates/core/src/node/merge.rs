@@ -771,15 +771,12 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.pending_reads.clear();
         self.driver = None;
         self.pull = None;
-        // Everyone resumes as a follower of term 0, so the merged cluster
-        // serves nobody until an election timer runs out. When a campaign
-        // starts is never a safety matter: the one node that led the
-        // coordinator campaigns on its next tick (members still in their
-        // exchange vote as stragglers of the new generation), and the
-        // randomized timer stays the fallback for everyone else.
+        // Everyone resumes as a follower of term 0: the node that led the
+        // coordinator campaigns at once (members still in their exchange
+        // vote as stragglers of the new generation).
         self.reset_election_timer(now);
         if led_coordinator {
-            self.election_deadline = now;
+            self.campaign_on_next_tick();
         }
         self.emit(NodeEvent::MergeResumed {
             tx: ex.tx.id,

@@ -344,7 +344,11 @@ pub struct Node<SM, LS = MemLog> {
     // Timers.
     pub(crate) timing: Timing,
     pub(crate) rng: StdRng,
+    /// When a follower campaigns: an offset from the first clock the node
+    /// sees until `clock_seen`, an absolute instant after.
     pub(crate) election_deadline: u64,
+    /// Whether a `tick` or `step` has handed this node a clock yet.
+    pub(crate) clock_seen: bool,
     pub(crate) heartbeat_due: u64,
 
     // Cached derived quorum state, keyed by the config stack's version.
@@ -477,7 +481,12 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             history: Vec::new(),
         };
         let empty = Snapshot::empty(config.id(), config.ranges().clone());
+        let designated = bootstrapped && config.members().first() == Some(&id);
         let mut node = Node::assemble(id, meta, store, sm, (empty, config.clone()), timing, seed);
+        if designated {
+            // A new cluster's smallest id leads after one vote round.
+            node.campaign_on_next_tick();
+        }
         // Boot state is durable before the node says anything to anyone.
         node.stamp_snapshot(LogIndex::ZERO, EpochTerm::ZERO, config);
         node.persist_meta_now();
@@ -611,6 +620,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     ) -> Self {
         timing.validate();
         let mut rng = StdRng::seed_from_u64(seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        // An offset, armed by the first clock (see `arm_timers`): a node
+        // built on a host clock already past the timeout — a reboot — must
+        // not campaign on its first tick and depose a live leader.
         let election_deadline = Self::random_timeout(&mut rng, &timing, 0);
         Node {
             id,
@@ -644,6 +656,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             timing,
             rng,
             election_deadline,
+            clock_seen: false,
             heartbeat_due: 0,
             derived_cache: None,
             bootstrapped: meta.bootstrapped,
@@ -993,10 +1006,39 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     pub(crate) fn reset_election_timer(&mut self, now: u64) {
         self.election_deadline = Self::random_timeout(&mut self.rng, &self.timing, now);
+        self.clock_seen = true;
+    }
+
+    /// Turns the constructor's election offset into a deadline on the
+    /// first clock the node is handed.
+    fn arm_timers(&mut self, now: u64) {
+        if !self.clock_seen {
+            self.election_deadline += now;
+            self.clock_seen = true;
+        }
+    }
+
+    /// Makes this node campaign on its next tick instead of waiting out a
+    /// randomized timeout (0 is due on any clock, armed or not).
+    ///
+    /// When a campaign starts is never a safety matter — terms, votes and
+    /// the log comparison decide who leads — only how long a configuration
+    /// serves nobody. So where a configuration is born without a leader
+    /// (a bootstrapped cluster, a split child the old leader is not in, a
+    /// merged cluster), one designated member campaigns at once: one, so
+    /// the others do not split the vote; members yet to learn of the new
+    /// configuration vote as stragglers of it. Everyone else keeps the
+    /// randomized timer, which is what elects when the designated node is
+    /// down or cut off. A joiner or a rebooted member is never designated:
+    /// it cannot know whether its cluster already has a leader, and without
+    /// pre-vote its campaign would depose one.
+    pub(crate) fn campaign_on_next_tick(&mut self) {
+        self.election_deadline = 0;
     }
 
     /// Advances the node's timers to `now`.
     pub fn tick(&mut self, now: u64) {
+        self.arm_timers(now);
         match self.role {
             Role::Removed => {}
             Role::Leader => {
@@ -1021,7 +1063,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// deadline, or a sub-protocol retry timer (merge 2PC driver, pull
     /// recovery, snapshot exchange). A readiness-driven host sleeps until
     /// this instant instead of polling on a fixed cadence; `u64::MAX`
-    /// means no timer is armed (a retired node).
+    /// means no timer is armed (a retired node). Before the node has seen a
+    /// clock its election offset is answered as is — never later than the
+    /// deadline it arms to.
     #[must_use]
     pub fn next_deadline(&self) -> u64 {
         let mut due = u64::MAX;
@@ -1048,6 +1092,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     /// Feeds one inbound message to the node.
     pub fn step(&mut self, now: u64, from: NodeId, msg: Message) {
+        self.arm_timers(now);
         // Retired nodes keep serving history (pull/fetch) but nothing else.
         if self.role == Role::Removed
             && !matches!(

@@ -156,16 +156,13 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.propose_entry(now, recraft_storage::EntryPayload::Noop);
         } else {
             // A subcluster the old leader is not in has no leader to carry
-            // over. Rather than wait out an election timer, its smallest id
-            // campaigns on its next tick (one designated node, so the
-            // siblings do not split the vote; peers yet to learn of `Cnew`
-            // vote as stragglers); the randomized timer is the fallback.
+            // over: its smallest id campaigns at once.
             let orphaned = self.leader_hint.is_some_and(|l| !sub.contains(l));
             self.role = Role::Follower;
             self.leader_hint = None;
             self.reset_election_timer(now);
             if orphaned && sub.members().first() == Some(&self.id) {
-                self.election_deadline = now;
+                self.campaign_on_next_tick();
             }
         }
         false

@@ -1736,9 +1736,15 @@ mod wal_backed {
         assert_eq!(node.current_eterm().epoch(), eterm.epoch());
         // The log survived in full (nothing was compacted).
         assert_eq!(node.log().last_index(), LogIndex(11)); // noop + 10 commands
-                                                           // Re-elect and confirm the recovered log re-applies to the same state.
+
+        // Re-elect and confirm the recovered log re-applies to the same
+        // state. A reopened node is never designated to campaign at once:
+        // its first tick only arms the election timer, and it campaigns
+        // once a randomized timeout has passed from there.
         let mut node = node;
         node.tick(1_000_000);
+        assert!(!node.is_leader(), "the first clock arms, it does not fire");
+        node.tick(1_000_000 + Timing::default().election_timeout_max);
         assert!(node.is_leader(), "single recovered node re-elects itself");
         let _ = node.take_outputs();
         assert_eq!(node.applied_index(), LogIndex(12)); // + new no-op

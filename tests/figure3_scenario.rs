@@ -25,8 +25,9 @@ fn figure3_series_of_split_and_merge() {
     sim.add_clients(4, Workload::default());
     sim.run_for(2 * SEC);
 
-    // --- (a-b) Split three ways; Csub.3's nodes are cut off before the
-    // leave phase, so they miss SplitLeaveJoint and the commit notification.
+    // --- (a-b) Split three ways; two of Csub.3's nodes are cut off before
+    // the split starts, so they miss both split entries and the commit
+    // notification.
     let leader = sim.leader_of(cold).unwrap();
     let base = sim.node(leader).unwrap().config().clone();
     let (r1, rest) = base.ranges().ranges()[0].split_at(b"k00003333").unwrap();
@@ -50,8 +51,11 @@ fn figure3_series_of_split_and_merge() {
     )
     .unwrap();
     // Cut two of sub.3's nodes off (the joint entry can still commit with
-    // 5 of 9; Cnew commits with sub.1's majority).
+    // 5 of 9; Cnew commits with sub.1's majority). The third, `holder`,
+    // completes the split — and is the only node that will serve the missed
+    // two, since everyone else's history records them as having left.
     let missed: Vec<NodeId> = sub3[..2].to_vec();
+    let holder = sub3[2];
     let connected: Vec<NodeId> = ids(1..=9)
         .into_iter()
         .filter(|n| !missed.contains(n))
@@ -68,8 +72,20 @@ fn figure3_series_of_split_and_merge() {
     assert!(missed
         .iter()
         .all(|n| sim.node(*n).unwrap().current_eterm().epoch() == 0));
-    // ...until the partition heals and it pulls itself into epoch 1.
-    sim.schedule_action(sim.time() + SEC, Action::Heal);
+    // ...until the partition heals and it pulls itself into epoch 1. Who
+    // reaches whom first must not be left to the seed's timers: were
+    // `holder` to win an election first, it would hand the missed nodes
+    // `Cnew` by plain replication. So heal just after `holder` campaigned
+    // in vain (its next timeout is at least `election_timeout_min` away)
+    // and have a missed node campaign at once: `holder` answers that vote
+    // request with a pull hint, and the missed node pulls.
+    sim.run_until_pred(10 * SEC, |s| {
+        s.node(holder).unwrap().cluster() == ClusterId(13)
+    });
+    let eterm = sim.node(holder).unwrap().current_eterm();
+    sim.run_until_pred(SEC, |s| s.node(holder).unwrap().current_eterm() > eterm);
+    sim.schedule_action(sim.time(), Action::Heal);
+    sim.campaign(missed[0]);
     sim.run_until_pred(90 * SEC, |s| {
         s.leader_of(ClusterId(13)).is_some()
             && missed
@@ -79,7 +95,7 @@ fn figure3_series_of_split_and_merge() {
     assert!(
         sim.trace()
             .iter()
-            .any(|(_, _, e)| matches!(e, NodeEvent::PulledEntries { .. })),
+            .any(|(_, _, e)| matches!(e, NodeEvent::PulledEntries { from, .. } if *from == holder)),
         "pull-based recovery was exercised"
     );
     sim.run_for(2 * SEC);
