@@ -42,6 +42,8 @@ struct Point {
     snapshot_installs: u64,
     peak_threads: usize,
     mean_wire_batch: f64,
+    /// Envelopes the runtime stepped in the round that produced them.
+    local_deliveries: u64,
     idle_wakeups_per_sec: f64,
 }
 
@@ -106,7 +108,9 @@ fn run_point(nodes: usize, backend: HarnessBackend, ops_per_client: u64) -> Poin
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     sampler.join().expect("sampler thread");
     let peak_threads = peak.load(std::sync::atomic::Ordering::Relaxed);
-    let mean_wire_batch = cluster.wire_stats().mean_batch();
+    let wire = cluster.wire_stats();
+    let mean_wire_batch = wire.mean_batch();
+    let local_deliveries = wire.local_deliveries - w1.local_deliveries;
     let unfinished = fleet.reports.iter().filter(|r| !r.completed).count();
     assert_eq!(
         unfinished,
@@ -146,6 +150,7 @@ fn run_point(nodes: usize, backend: HarnessBackend, ops_per_client: u64) -> Poin
         snapshot_installs,
         peak_threads,
         mean_wire_batch,
+        local_deliveries,
         idle_wakeups_per_sec,
     }
 }
@@ -162,8 +167,17 @@ fn main() {
         if smoke { ", smoke scale" } else { "" }
     );
     println!(
-        "{:>5} {:>4} | {:>10} {:>10} {:>10} | {:>9} {:>6} {:>6} {:>8}",
-        "nodes", "wal?", "ns/op", "op/ms", "sync/entry", "redirects", "stale", "elects", "installs"
+        "{:>5} {:>4} | {:>10} {:>10} {:>10} | {:>9} {:>6} {:>6} {:>8} | {:>9}",
+        "nodes",
+        "wal?",
+        "ns/op",
+        "op/ms",
+        "sync/entry",
+        "redirects",
+        "stale",
+        "elects",
+        "installs",
+        "local"
     );
     let mut points = Vec::new();
     let mut wal3_sync_per_entry = f64::NAN;
@@ -171,7 +185,7 @@ fn main() {
         for backend in [HarnessBackend::Mem, HarnessBackend::Wal] {
             let p = run_point(nodes, backend, ops_per_client);
             println!(
-                "{:>5} {:>4} | {:>10.0} {:>10.2} {:>10.4} | {:>9} {:>6} {:>6} {:>8}",
+                "{:>5} {:>4} | {:>10.0} {:>10.2} {:>10.4} | {:>9} {:>6} {:>6} {:>8} | {:>9}",
                 p.nodes,
                 p.backend,
                 p.ns_per_op,
@@ -180,7 +194,8 @@ fn main() {
                 p.redirects,
                 p.stale_confirmed,
                 p.elections,
-                p.snapshot_installs
+                p.snapshot_installs,
+                p.local_deliveries
             );
             // Keep progress visible when stdout is a file or CI pipe.
             let _ = std::io::stdout().flush();
@@ -223,6 +238,7 @@ fn write_summary(points: &[Point], ops_per_client: u64) -> std::io::Result<()> {
                 ("snapshot_installs", p.snapshot_installs.to_string()),
                 ("peak_threads", p.peak_threads.to_string()),
                 ("mean_wire_batch", format!("{:.2}", p.mean_wire_batch)),
+                ("local_deliveries", p.local_deliveries.to_string()),
                 (
                     "idle_wakeups_per_sec",
                     format!("{:.2}", p.idle_wakeups_per_sec),

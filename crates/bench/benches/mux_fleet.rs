@@ -64,6 +64,8 @@ struct Outcome {
     wire_batches: u64,
     wire_envelopes: u64,
     mean_wire_batch: f64,
+    /// Envelopes the runtime stepped in the round that produced them.
+    local_deliveries: u64,
     idle_wakeups_per_sec: f64,
     shard_imbalance: f64,
     seat_migrations: u64,
@@ -364,6 +366,7 @@ fn run(scale: &Scale) -> Outcome {
         wire_batches: wire.batches,
         wire_envelopes: wire.batched_envelopes,
         mean_wire_batch: wire.mean_batch(),
+        local_deliveries: wire.local_deliveries,
         idle_wakeups_per_sec,
         shard_imbalance: report.imbalance,
         seat_migrations: report.migrations,
@@ -410,8 +413,8 @@ fn main() {
         o.total_ops, o.wall_ms, o.ops_per_ms, o.splits, o.merges, o.staffed, o.reaped
     );
     println!(
-        "wire: {} mux batches carrying {} envelopes ({:.2} envelopes/batch)",
-        o.wire_batches, o.wire_envelopes, o.mean_wire_batch
+        "wire: {} mux batches carrying {} envelopes ({:.2} envelopes/batch); {} stepped in-round",
+        o.wire_batches, o.wire_envelopes, o.mean_wire_batch, o.local_deliveries
     );
     println!(
         "idle: {:.1} wakeups/s across {} workers (sweep baseline {:.0}/s/worker)",
@@ -450,6 +453,7 @@ fn write_summary(scale: &Scale, o: &Outcome, smoke: bool) -> std::io::Result<()>
         ("wire_batches", o.wire_batches.to_string()),
         ("wire_envelopes", o.wire_envelopes.to_string()),
         ("mean_wire_batch", format!("{:.2}", o.mean_wire_batch)),
+        ("local_deliveries", o.local_deliveries.to_string()),
         (
             "idle_wakeups_per_sec",
             format!("{:.2}", o.idle_wakeups_per_sec),

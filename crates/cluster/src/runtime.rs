@@ -15,11 +15,11 @@
 //!   spawns (control plane, clients), independent of how many raft groups
 //!   the process hosts. Every round ticks every hosted seat (a tick on a
 //!   node with no expired timer is a few comparisons) and publishes its
-//!   status block. One barrier still covers everything a node drained in
-//!   the round, so group commit per node is preserved; nodes that
-//!   externalized nothing skip the barrier entirely
-//!   ([`recraft_core::Node::has_outputs`]), so an idle range costs no
-//!   fsync.
+//!   status block. One barrier still covers everything a node drained from
+//!   the poll (and one more for each in-round pass that stepped it), so
+//!   group commit per node is preserved; nodes that externalized nothing
+//!   skip the barrier entirely ([`recraft_core::Node::has_outputs`]), so
+//!   an idle range costs no fsync.
 //! * **A worker owns every fd it polls, including the reply half.** A
 //!   worker blocks in a [`recraft_net::poll::Poller`] over its waker, its
 //!   mux endpoint, every hosted front door, every inbound connection, and
@@ -38,10 +38,20 @@
 //!   the reply-buffer cap, and the write deadline each mark the connection
 //!   closed, and it is dropped — leaving the poll set — at the end of that
 //!   same round, whether or not the peer has closed its end.
-//! * **One multiplexed connection per worker pair.** A round's outbound
-//!   envelopes are grouped by destination worker endpoint and flushed as
-//!   [`recraft_net::mux`] batches — one write per destination per round —
-//!   while same-worker traffic short-circuits through memory. A
+//! * **Same-worker traffic is stepped in the round that produced it.** A
+//!   round services readiness, steps what arrived, ticks every seat, and
+//!   takes each active seat's barrier, routing its outputs to the wire or
+//!   to co-hosted seats. Then up to `LOCAL_PASSES` in-round passes each
+//!   step what the seats addressed to one another, take the barrier of
+//!   every seat that produced output, and route and flush again — so a
+//!   request → append → ack → reply exchange among seats of one worker
+//!   costs one poll round, not three. Whatever the last pass leaves waits
+//!   for the next round. [`WireStats::local_deliveries`] counts the
+//!   envelopes the passes stepped.
+//! * **One multiplexed connection per worker pair.** Outbound envelopes for
+//!   other workers are grouped by destination endpoint and flushed as
+//!   [`recraft_net::mux`] batches — one write per destination per pass,
+//!   never ahead of the barrier of the seat that sent them. A
 //!   [`MuxReader`] per inbound connection demultiplexes by `Envelope::to`
 //!   and forwards the rare mis-delivery (a node re-adopted elsewhere
 //!   mid-flight) to the owning shard's queue. Pair connections dial
@@ -110,6 +120,12 @@ const CLIENT_WRITE_BUFFER_MAX: usize = 1 << 20;
 /// more for one destination flushes multiple batches.
 const MUX_BATCH: usize = 512;
 
+/// Ceiling on in-round passes: how many times a round steps the envelopes
+/// its own seats addressed to each other before leaving the rest to the
+/// next round. A request → append → ack → reply exchange among co-hosted
+/// seats takes two; the bound keeps a chatty shard from starving its poll.
+const LOCAL_PASSES: usize = 4;
+
 /// Ceiling on envelopes queued behind one in-flight outbound dial.
 /// Overflow drops the newest — the protocol retransmits.
 const OUT_QUEUE_MAX: usize = 4096;
@@ -137,6 +153,9 @@ pub struct WireStats {
     /// output. A readiness-driven idle fleet keeps this near zero; the old
     /// fixed-cadence park burned ~2000 of these per second per worker.
     pub idle_wakeups: u64,
+    /// Envelopes stepped in the round that produced them: same-worker
+    /// traffic delivered by an in-round pass instead of a later round.
+    pub local_deliveries: u64,
 }
 
 impl WireStats {
@@ -204,6 +223,7 @@ struct Shared {
     batched_envelopes: AtomicU64,
     wakeups: AtomicU64,
     idle_wakeups: AtomicU64,
+    local_deliveries: AtomicU64,
     stop: AtomicBool,
     start: Instant,
 }
@@ -255,6 +275,7 @@ impl DriverRuntime {
             batched_envelopes: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             idle_wakeups: AtomicU64::new(0),
+            local_deliveries: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             start: Instant::now(),
         });
@@ -307,6 +328,7 @@ impl DriverRuntime {
             batched_envelopes: self.shared.batched_envelopes.load(Ordering::Relaxed),
             wakeups: self.shared.wakeups.load(Ordering::Relaxed),
             idle_wakeups: self.shared.idle_wakeups.load(Ordering::Relaxed),
+            local_deliveries: self.shared.local_deliveries.load(Ordering::Relaxed),
         }
     }
 
@@ -736,7 +758,8 @@ impl Worker {
             // 6. Tick + write-ahead barrier + route, per node. One barrier
             // covers the whole burst the node drained this round; nodes
             // with nothing to externalize skip it. Replies queue on the
-            // seat's own connections and each connection flushes once.
+            // seat's own connections and each connection flushes once;
+            // then the wire is flushed.
             let now = self.now_us();
             let mut local: Vec<Envelope> = Vec::new();
             let mut wire: HashMap<SocketAddr, Vec<Envelope>> = HashMap::new();
@@ -744,31 +767,46 @@ impl Worker {
                 seat.node.tick(now);
                 if seat.node.has_outputs() {
                     busy = true;
-                    let (outbox, events) = seat.node.take_outputs();
-                    count_events(&events, &seat.status);
-                    seat.steps += outbox.len() as u64;
-                    for env in outbox {
-                        if env.to.0 >= CLIENT_BASE {
-                            queue_reply(&mut seat.conns, &env);
-                        } else {
-                            self.route_out(*id, env, &mut local, &mut wire);
-                        }
-                    }
-                    for conn in &mut seat.conns {
-                        if !conn.out.is_empty() && conn.write_deadline.is_none() {
-                            conn.flush();
-                        }
-                    }
+                    self.externalize(*id, seat, &mut local, &mut wire);
                 }
                 publish_seat(seat);
             }
-            inbox.extend(local);
+            self.flush_wire(&mut outs, &mut wire, now, &mut wire_buf);
 
-            // 7. Flush: one mux batch per destination endpoint (chunked at
-            // the batch ceiling inside the writer).
-            for (addr, envs) in wire {
-                self.send_batch(&mut outs, addr, envs, now, &mut wire_buf);
+            // 7. In-round passes: step what the seats just addressed to one
+            // another, then barrier, route and flush whatever that produced,
+            // up to LOCAL_PASSES times. As in step 6, a seat's outputs are
+            // routed only after its own barrier, so nothing leaves ahead of
+            // the state it promises; what is left after the last pass waits
+            // for the next round.
+            for _ in 0..LOCAL_PASSES {
+                if local.is_empty() {
+                    break;
+                }
+                let now = self.now_us();
+                let mut stepped: Vec<NodeId> = Vec::new();
+                for env in std::mem::take(&mut local) {
+                    let to = env.to;
+                    if self.deliver(env, &mut seats, now) {
+                        stepped.push(to);
+                    }
+                }
+                self.shared
+                    .local_deliveries
+                    .fetch_add(stepped.len() as u64, Ordering::Relaxed);
+                stepped.sort_unstable();
+                stepped.dedup();
+                for id in stepped {
+                    if let Some(seat) = seats.get_mut(&id) {
+                        if seat.node.has_outputs() {
+                            self.externalize(id, seat, &mut local, &mut wire);
+                        }
+                        publish_seat(seat);
+                    }
+                }
+                self.flush_wire(&mut outs, &mut wire, now, &mut wire_buf);
             }
+            inbox.extend(local);
 
             // 8. Reap: connections closed this round, and those whose
             // buffered replies outlived the write deadline. Dropping the
@@ -868,16 +906,59 @@ impl Worker {
         }
     }
 
+    /// The write-ahead barrier for one seat, then routing: replies onto
+    /// the seat's own connections (each flushed once), peer envelopes into
+    /// `local` or the wire batch of the owning worker's endpoint.
+    fn externalize(
+        &self,
+        id: NodeId,
+        seat: &mut Hosted,
+        local: &mut Vec<Envelope>,
+        wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
+    ) {
+        let (outbox, events) = seat.node.take_outputs();
+        count_events(&events, &seat.status);
+        seat.steps += outbox.len() as u64;
+        for env in outbox {
+            if env.to.0 >= CLIENT_BASE {
+                queue_reply(&mut seat.conns, &env);
+            } else {
+                self.route_out(id, env, local, wire);
+            }
+        }
+        for conn in &mut seat.conns {
+            if !conn.out.is_empty() && conn.write_deadline.is_none() {
+                conn.flush();
+            }
+        }
+    }
+
+    /// Writes everything routed to the wire so far: one mux batch per
+    /// destination endpoint (chunked at the batch ceiling inside the
+    /// writer).
+    fn flush_wire(
+        &self,
+        outs: &mut HashMap<SocketAddr, OutConn>,
+        wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
+        now: u64,
+        buf: &mut BytesMut,
+    ) {
+        for (addr, envs) in wire.drain() {
+            self.send_batch(outs, addr, envs, now, buf);
+        }
+    }
+
     /// Steps an envelope into its owner, or forwards it to the owning
     /// shard. Unowned destinations (killed nodes, stale conns) drop — the
-    /// protocol retransmits.
-    fn deliver(&self, env: Envelope, seats: &mut BTreeMap<NodeId, Hosted>, now: u64) {
+    /// protocol retransmits. Returns whether a hosted seat stepped it.
+    fn deliver(&self, env: Envelope, seats: &mut BTreeMap<NodeId, Hosted>, now: u64) -> bool {
         if let Some(seat) = seats.get_mut(&env.to) {
-            if !self.shared.net.is_blocked(env.to, env.from) {
-                seat.steps += 1;
-                seat.node.step(now, env.from, env.msg);
+            if self.shared.net.is_blocked(env.to, env.from) {
+                return false;
             }
-            return;
+            seat.steps += 1;
+            seat.node.step(now, env.from, env.msg);
+            return true;
         }
         let owner = self
             .shared
@@ -893,6 +974,7 @@ impl Worker {
             // Owned by us but not yet adopted (the Adopt is in our own
             // queue): drop rather than self-forward forever.
         }
+        false
     }
 
     /// Routes one outbound peer envelope: same-worker memory hop, or the

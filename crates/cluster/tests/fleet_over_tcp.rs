@@ -7,15 +7,23 @@
 //! client fleet, the controller splits it into two three-node subclusters
 //! at the keyspace midpoint, both halves elect and serve, and a
 //! controller-built merge folds them back into one cluster that serves the
-//! full keyspace again with every session intact.
+//! full keyspace again with every session intact — while the participant
+//! it resumed without retires and keeps answering.
 
-use recraft_cluster::{AdminClient, ClientOptions, Cluster, ClusterSpec, HarnessBackend};
+use recraft_cluster::{
+    AdminClient, ClientOptions, Cluster, ClusterSpec, HarnessBackend, CLIENT_BASE,
+};
 use recraft_fleet::{Controller, FleetCmd, FleetConfig, RangeSample};
-use recraft_net::AdminCmd;
-use recraft_types::{ClusterId, KeyRange, RangeSet};
+use recraft_net::frame::{read_frame, write_frame};
+use recraft_net::{AdminCmd, Envelope, Message};
+use recraft_types::{
+    ClientOp, ClientOutcome, ClientRequest, ClusterId, Error, KeyRange, NodeId, RangeSet, SessionId,
+};
 use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Same serialization discipline as `loopback_cluster.rs`: concurrent
 /// clusters starve each other's heartbeats on small machines.
@@ -42,7 +50,7 @@ fn fleet_cfg() -> FleetConfig {
 fn sample(
     cluster: ClusterId,
     ranges: RangeSet,
-    members: &BTreeMap<recraft_types::NodeId, std::net::SocketAddr>,
+    members: &Members,
     ops: u64,
     split_key: Option<&[u8]>,
 ) -> RangeSample {
@@ -56,27 +64,30 @@ fn sample(
     }
 }
 
-#[test]
-fn controller_split_and_merge_over_tcp() {
-    let _guard = SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+/// A six-node cluster, led.
+fn launch() -> Cluster {
     let cluster = Cluster::launch(&ClusterSpec::new(6, HarnessBackend::Mem));
     assert!(
         cluster.wait_for_leader(Duration::from_secs(10)).is_some(),
         "no leader within 10s"
     );
+    cluster
+}
 
-    // Load the cluster so the split has data to partition.
-    let opts = ClientOptions {
-        ops: 20,
-        window: 4,
-        key_count: 10_000,
-        ..ClientOptions::default()
-    };
-    let run1 = cluster.run_clients(8, &opts);
-    assert!(run1.all_completed(), "pre-split fleet incomplete");
+/// What [`split_then_merge`] left behind.
+struct Reshaped {
+    /// The two subclusters' members.
+    halves: [Members; 2],
+    /// The merged cluster, led.
+    merged: ClusterId,
+}
 
+type Members = BTreeMap<NodeId, SocketAddr>;
+
+/// The controller splits the six-node boot cluster into two three-node
+/// subclusters at the keyspace midpoint, both halves elect and serve, and
+/// a controller-built merge folds them back into one cluster.
+fn split_then_merge(cluster: &Cluster, admin: &mut AdminClient) -> Reshaped {
     // The controller sees one hot range and plans a split at the midpoint.
     let mut ctl = Controller::new(fleet_cfg(), 2);
     let boot = ClusterId(1);
@@ -101,7 +112,6 @@ fn controller_split_and_merge_over_tcp() {
         })
         .expect("controller plans a split");
 
-    let mut admin = AdminClient::new(0);
     admin
         .run_on_leader(&cluster.addrs(), &split, Duration::from_secs(10))
         .expect("split accepted by the leader");
@@ -131,8 +141,8 @@ fn controller_split_and_merge_over_tcp() {
         RangeSet::from_ranges([KeyRange::new(Vec::new(), b"k00005000".to_vec()).unwrap()]).unwrap();
     let ranges_b = RangeSet::from_ranges([KeyRange::from_start(b"k00005000".to_vec())]).unwrap();
     let world = [
-        sample(a, ranges_a.clone(), &ma, 0, None),
-        sample(b, ranges_b.clone(), &mb, 0, None),
+        sample(a, ranges_a, &ma, 0, None),
+        sample(b, ranges_b, &mb, 0, None),
     ];
     let mut cmds = ctl.plan(2, &world);
     cmds.extend(ctl.plan(3, &world));
@@ -151,10 +161,7 @@ fn controller_split_and_merge_over_tcp() {
         .run_on_leader(&coord_members, &merge, Duration::from_secs(10))
         .expect("merge accepted by the coordinator's leader");
 
-    // The merged cluster (controller-allocated id 4) resumes with the
-    // coordinator's members — `resume_members` caps resumption at the
-    // configured replication factor; the other participant's nodes retire
-    // to the spare pool.
+    // The merged cluster (controller-allocated id 4) leads.
     let merged = ClusterId(4);
     assert!(
         cluster
@@ -163,6 +170,37 @@ fn controller_split_and_merge_over_tcp() {
         "merged cluster never elected: {:?}",
         cluster.node_clusters()
     );
+    Reshaped {
+        halves: [ma, mb],
+        merged,
+    }
+}
+
+#[test]
+fn controller_split_and_merge_over_tcp() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = launch();
+
+    // Load the cluster so the split has data to partition.
+    let opts = ClientOptions {
+        ops: 20,
+        window: 4,
+        key_count: 10_000,
+        ..ClientOptions::default()
+    };
+    let run1 = cluster.run_clients(8, &opts);
+    assert!(run1.all_completed(), "pre-split fleet incomplete");
+
+    let Reshaped {
+        halves: [ma, _],
+        merged,
+    } = split_then_merge(&cluster, &mut AdminClient::new(0));
+
+    // The merged cluster resumes with the coordinator's members —
+    // `resume_members` caps resumption at the configured replication
+    // factor; the other participant's nodes retire to the spare pool.
     let mm = cluster.members_of(merged);
     assert_eq!(
         mm.keys().copied().collect::<Vec<_>>(),
@@ -195,7 +233,7 @@ fn controller_split_and_merge_over_tcp() {
         .max_by_key(|n| n.applied_index().0)
         .expect("a merged-cluster node");
     for c in (0..8).chain(100..108) {
-        let last = survivor.sessions().last_seq(recraft_types::SessionId(c));
+        let last = survivor.sessions().last_seq(SessionId(c));
         assert_eq!(
             last,
             Some(opts.ops),
@@ -203,4 +241,74 @@ fn controller_split_and_merge_over_tcp() {
             opts.ops
         );
     }
+}
+
+/// A node the merge resumed without retires, and still answers: a sampler
+/// gets its stats with an empty member set (so the control plane drops the
+/// route instead of timing out on it), and a client is sent on to the
+/// merged cluster instead of waiting out its resend timer.
+#[test]
+fn a_merged_away_node_answers_samplers_and_clients() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = launch();
+    let Reshaped { halves, merged } = split_then_merge(&cluster, &mut AdminClient::new(0));
+    let resumed = cluster.members_of(merged);
+    let retired: Members = halves
+        .into_iter()
+        .flatten()
+        .filter(|(id, _)| !resumed.contains_key(id))
+        .collect();
+    assert_eq!(retired.len(), 3, "one participant's members retire");
+
+    let mut sampler = AdminClient::new(1);
+    for (&id, &addr) in &retired {
+        // Retirement comes when the node's own snapshot exchange finishes,
+        // which may trail the merged cluster's election.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let stats = sampler.fetch_stats(addr, id);
+            if stats.as_ref().is_some_and(|s| s.members.is_empty()) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{id} never reported itself retired: last answer {stats:?}"
+            );
+            thread::sleep(Duration::from_millis(50));
+        }
+
+        let mut stream = TcpStream::connect(addr).expect("dial the retired node");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("read timeout");
+        let req = ClientRequest {
+            session: SessionId(900),
+            seq: 1,
+            op: ClientOp::Get {
+                key: b"k00000001".to_vec(),
+            },
+        };
+        let me = NodeId(CLIENT_BASE + 900);
+        write_frame(
+            &mut stream,
+            &Envelope::new(me, id, Message::ClientReq { req }),
+        )
+        .expect("write get");
+        match read_frame(&mut stream) {
+            Ok(Some(Envelope {
+                msg: Message::ClientResp { resp },
+                ..
+            })) => assert_eq!(
+                resp.outcome,
+                ClientOutcome::Rejected {
+                    error: Error::WrongRange(Some(merged))
+                },
+                "{id} should send the client on to {merged:?}"
+            ),
+            other => panic!("{id} did not answer a client request: {other:?}"),
+        }
+    }
+    drop(cluster.shutdown());
 }

@@ -11,10 +11,16 @@
 //! lock: parallel clusters on a small machine starve each other's
 //! heartbeats into spurious elections.
 
-use recraft_cluster::{verify_sessions, ClientOptions, Cluster, ClusterSpec, HarnessBackend};
-use recraft_types::NodeId;
+use recraft_cluster::{
+    verify_sessions, ClientOptions, Cluster, ClusterSpec, HarnessBackend, CLIENT_BASE,
+};
+use recraft_net::frame::{read_frame, write_frame};
+use recraft_net::{Envelope, Message};
+use recraft_types::{ClientOp, ClientOutcome, ClientRequest, NodeId, SessionId};
+use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::thread;
+use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -122,6 +128,79 @@ fn a_launched_cluster_is_led_by_node_1_after_one_election() {
     let leader = cluster.wait_for_leader(Duration::from_secs(10));
     assert_eq!(leader, Some(NodeId(1)), "{}", cluster.debug_dump());
     assert_eq!(cluster.elections(), 1, "{}", cluster.debug_dump());
+}
+
+/// With every seat on one worker, a linearizable read is one poll round:
+/// the leader steps the request and probes its fastest peer, and the
+/// in-round passes step the probe at the follower and the ack back at the
+/// leader, which serves and replies — all before the worker polls again.
+/// Were each same-worker hop left to the next round, probe, ack and serve
+/// would take a round each.
+#[test]
+fn a_read_among_co_hosted_seats_costs_one_worker_round() {
+    const READS: u64 = 1_000;
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut spec = ClusterSpec::new(3, HarnessBackend::Mem);
+    spec.workers = Some(1);
+    let cluster = Cluster::launch(&spec);
+    let leader = cluster
+        .wait_for_leader(Duration::from_secs(10))
+        .expect("no leader within 10s");
+    let mut stream = TcpStream::connect(cluster.addrs()[&leader]).expect("dial the leader");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let me = NodeId(CLIENT_BASE + 1);
+    let mut seq = 0;
+    let mut get = |stream: &mut TcpStream| -> ClientOutcome {
+        seq += 1;
+        let req = ClientRequest {
+            session: SessionId(1),
+            seq,
+            op: ClientOp::Get {
+                key: b"k00000001".to_vec(),
+            },
+        };
+        let env = Envelope::new(me, leader, Message::ClientReq { req });
+        write_frame(stream, &env).expect("write get");
+        match read_frame(stream) {
+            Ok(Some(Envelope {
+                msg: Message::ClientResp { resp },
+                ..
+            })) => resp.outcome,
+            other => panic!("expected a ClientResp, got {other:?}"),
+        }
+    };
+    // Until the leader has committed in its term (and timed its peers).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !matches!(get(&mut stream), ClientOutcome::Reply { .. }) {
+        assert!(Instant::now() < deadline, "the leader never served a read");
+        thread::sleep(Duration::from_millis(10));
+    }
+    let before = cluster.wire_stats();
+    for _ in 0..READS {
+        let outcome = get(&mut stream);
+        assert!(
+            matches!(outcome, ClientOutcome::Reply { .. }),
+            "read answered with {outcome:?}"
+        );
+    }
+    let after = cluster.wire_stats();
+    let per_read = (after.wakeups - before.wakeups) as f64 / READS as f64;
+    assert!(
+        per_read <= 1.5,
+        "{per_read:.2} worker wakeups per read on one worker"
+    );
+    assert!(
+        after.local_deliveries - before.local_deliveries >= 2 * READS,
+        "probe and ack were not stepped in-round: {} local deliveries for {READS} reads",
+        after.local_deliveries - before.local_deliveries
+    );
+    drop(stream);
+    drop(cluster.shutdown());
 }
 
 /// The acceptance-scale fleet in debug. Heavy on small machines (hundreds

@@ -17,8 +17,8 @@ use recraft_net::{AdminCmd, Message};
 use recraft_storage::{EntryPayload, LogStore};
 use recraft_types::config::{majority, resize_quorum};
 use recraft_types::{
-    ClientOp, ClientOutcome, ClientRequest, ConfigChange, Error, MergeTx, NodeId, Result,
-    SessionCheck, SessionId, SplitSpec,
+    ClientOp, ClientOutcome, ClientRequest, ClusterId, ConfigChange, Error, MergeTx, NodeId,
+    Result, SessionCheck, SessionId, SplitSpec,
 };
 use std::collections::BTreeSet;
 
@@ -28,6 +28,13 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// answers with a structured redirect.
     pub(crate) fn handle_client_req(&mut self, now: u64, from: NodeId, req: ClientRequest) {
         let ClientRequest { session, seq, op } = req;
+        if self.role == Role::Removed {
+            // Retired: the keys live on in the cluster this node last saw
+            // succeed its own; the client re-routes instead of waiting out
+            // its resend timer.
+            self.reject(from, session, seq, Error::WrongRange(self.successor()));
+            return;
+        }
         if self.role != Role::Leader {
             let outcome = ClientOutcome::Redirect {
                 leader_hint: self.leader_hint,
@@ -50,6 +57,33 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     fn reject(&mut self, to: NodeId, session: SessionId, seq: u64, error: Error) {
         self.reply(to, session, seq, ClientOutcome::Rejected { error });
+    }
+
+    /// The cluster a retired node's range passed to: the successor named by
+    /// its last reconfiguration record.
+    fn successor(&self) -> Option<ClusterId> {
+        self.history.last().map(|r| r.new_cluster)
+    }
+
+    /// Answers every proposal and read still waiting on this node with
+    /// `WrongRange(successor)`. At merge resumption or retirement a pending
+    /// proposal's entry sits past the merge outcome, where the old log is
+    /// discarded, and a pending read's round belongs to the old cluster: no
+    /// other reply would ever come.
+    pub(crate) fn reject_pending_to_successor(&mut self) {
+        let error = Error::WrongRange(self.successor());
+        let mut waiting: Vec<(NodeId, SessionId, u64)> = std::mem::take(&mut self.pending_clients)
+            .into_values()
+            .map(|p| (p.client, p.session, p.seq))
+            .collect();
+        waiting.extend(
+            std::mem::take(&mut self.pending_reads)
+                .into_iter()
+                .map(|r| (r.client, r.session, r.seq)),
+        );
+        for (client, session, seq) in waiting {
+            self.reject(client, session, seq, error.clone());
+        }
     }
 
     /// Accepts (or deduplicates) an exactly-once write.
@@ -131,7 +165,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Accepts a linearizable read: record the current commit index, confirm
     /// leadership with a probe round, and serve from the applied state — no
     /// log append (Raft §6.4's ReadIndex, the canonical consensus read
-    /// optimization).
+    /// optimization). The round asks only the fastest peers that make up a
+    /// quorum with the leader ([`Node::probe_reads`]); any acknowledgement
+    /// echoing the read's serial counts, whichever round carried it.
     fn accept_read(&mut self, now: u64, from: NodeId, session: SessionId, seq: u64, key: Vec<u8>) {
         // P3: only a leader that committed an entry of its own term knows
         // its commit index is current.
@@ -170,12 +206,20 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // leader's own ack; otherwise confirm with a probe round. Reads
         // arriving while a round is in flight batch onto the next one.
         if !self.flush_ready_reads(now) && self.pending_reads.len() == 1 {
-            self.broadcast_append(now);
+            self.probe_reads(now);
         }
     }
 
     /// Credits a leadership confirmation from `peer` to every read batch the
-    /// echoed probe `serial` covers.
+    /// echoed probe `serial` covers — a successful response to any append
+    /// of this term, the read's own round, a heartbeat or a write.
+    ///
+    /// Reads that batched up while the acknowledged round was in flight get
+    /// one follow-up round, thrifty like the first. If a peer that round
+    /// asked has died, nothing answers it: the next heartbeat, which every
+    /// peer gets, confirms the reads instead, so a dead pick costs at most
+    /// one heartbeat interval — and sinks in the ranking meanwhile, because
+    /// its unanswered probe ages.
     pub(crate) fn note_read_ack(&mut self, now: u64, peer: NodeId, serial: u64) {
         if self.pending_reads.is_empty() {
             return;
@@ -186,14 +230,12 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
         }
         self.flush_ready_reads(now);
-        // Reads that batched up while the acknowledged round was in flight
-        // need one more round; fire it now that the old round is landing.
         if self
             .pending_reads
             .iter()
             .any(|r| r.serial > self.last_probe_serial)
         {
-            self.broadcast_append(now);
+            self.probe_reads(now);
         }
     }
 
@@ -205,6 +247,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// subcluster (the same cap that keeps replication from leaking across
     /// subcluster boundaries), so a read never completes on the strength of
     /// acknowledgements from nodes that are leaving for another subcluster.
+    /// Which peers a round asked plays no part here: a thrifty round and a
+    /// broadcast are judged by the same rule over the same acknowledgements.
     pub(crate) fn flush_ready_reads(&mut self, now: u64) -> bool {
         if self.pending_reads.is_empty() {
             return true;
@@ -244,7 +288,11 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Handles an administrative command, answering with acceptance or a
     /// precondition error.
     pub(crate) fn handle_admin_req(&mut self, now: u64, from: NodeId, req_id: u64, cmd: AdminCmd) {
-        let result = self.try_admin(now, cmd);
+        let result = if self.role == Role::Removed {
+            Err(Error::NotLeader(None))
+        } else {
+            self.try_admin(now, cmd)
+        };
         self.send(from, Message::AdminResp { req_id, result });
     }
 

@@ -205,16 +205,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.progress.clear();
         for peer in self.derived_cached().members.clone() {
             if peer != self.id {
-                self.progress.insert(
-                    peer,
-                    Progress {
-                        next: last.next(),
-                        matched: LogIndex::ZERO,
-                        window: super::ReplicationWindow::default(),
-                        search: None,
-                        snapshot_sent: None,
-                    },
-                );
+                self.progress.insert(peer, Progress::new(last.next()));
             }
         }
         self.heartbeat_due = now + self.timing.heartbeat_interval;

@@ -702,6 +702,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             tx: Some(ex.tx.id),
         });
         self.touch_meta(); // history is durable metadata (survives reboots)
+        self.reject_pending_to_successor();
         if !members.contains(&self.id) {
             // Left out by the resumption resize: retire (still serving our
             // part to stragglers through merge_parts).
@@ -767,8 +768,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.leader_hint = None;
         self.votes.clear();
         self.progress.clear();
-        self.pending_clients.clear();
-        self.pending_reads.clear();
         self.driver = None;
         self.pull = None;
         // Everyone resumes as a follower of term 0: the node that led the

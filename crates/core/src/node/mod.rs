@@ -134,6 +134,67 @@ pub(crate) struct Progress {
     /// `InstallSnapshotResp`. While the stream is younger than one heartbeat
     /// interval the peer gets heartbeats, not the whole snapshot again.
     pub(crate) snapshot_sent: Option<u64>,
+    /// How fast the peer answers probes: the ranking a read round picks
+    /// its recipients by.
+    pub(crate) clock: ProbeClock,
+}
+
+impl Progress {
+    /// A peer the leader has heard nothing from yet, streamed from `next`.
+    pub(crate) fn new(next: LogIndex) -> Self {
+        Progress {
+            next,
+            matched: LogIndex::ZERO,
+            window: ReplicationWindow::default(),
+            search: None,
+            snapshot_sent: None,
+            clock: ProbeClock::default(),
+        }
+    }
+}
+
+/// A peer's probe round trip, timed on the ReadIndex serial. The clock
+/// starts at the first message that carries a serial the peer has not been
+/// sent before, and stops at the first successful response echoing that
+/// serial or a later one — so a response still in flight for an older
+/// serial (a late write ack) never passes for the answer.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ProbeClock {
+    /// The highest serial sent to the peer.
+    sent: u64,
+    /// The timed probe awaiting its answer: `(serial, sent_at)`.
+    pending: Option<(u64, u64)>,
+    /// The last measured round trip.
+    rtt: Option<u64>,
+}
+
+impl ProbeClock {
+    /// A message carrying `serial` left for the peer at `now`.
+    pub(crate) fn sent(&mut self, serial: u64, now: u64) {
+        if serial > self.sent {
+            self.sent = serial;
+            self.pending.get_or_insert((serial, now));
+        }
+    }
+
+    /// A successful response echoing `serial` arrived at `now`.
+    pub(crate) fn answered(&mut self, serial: u64, now: u64) {
+        if let Some((timed, at)) = self.pending {
+            if serial >= timed {
+                self.rtt = Some(now.saturating_sub(at));
+                self.pending = None;
+            }
+        }
+    }
+
+    /// The round trip to rank the peer by at `now`: the last measurement,
+    /// or how long the timed probe has gone unanswered if that is longer —
+    /// a peer that died or slowed down sinks in the ranking without waiting
+    /// for an answer. `None` until the first measurement.
+    pub(crate) fn rank(&self, now: u64) -> Option<u64> {
+        let waited = self.pending.map_or(0, |(_, at)| now.saturating_sub(at));
+        self.rtt.map(|rtt| rtt.max(waited))
+    }
 }
 
 /// What a slot of an in-progress apply batch is: a plain command or a
@@ -320,9 +381,11 @@ pub struct Node<SM, LS = MemLog> {
     /// Reads awaiting their ReadIndex quorum round (leader only).
     pub(crate) pending_reads: Vec<PendingRead>,
     /// Monotonic serial carried by AppendEntries probes and echoed by
-    /// responses, correlating heartbeat rounds with pending reads.
+    /// responses, correlating probe rounds with pending reads (and timing
+    /// each peer's round trip). Every accepted read and every heartbeat
+    /// raises it.
     pub(crate) read_serial: u64,
-    /// The serial included in the most recent broadcast, so read batches
+    /// The serial included in the most recent probe round, so read batches
     /// that formed since then trigger exactly one follow-up round.
     pub(crate) last_probe_serial: u64,
     pub(crate) pull: Option<PullState>,
@@ -818,15 +881,18 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Cached variant of [`Node::derived`], recomputed only when the config
     /// stack changed (this sits on the per-message hot path).
     pub(crate) fn derived_cached(&mut self) -> std::sync::Arc<Derived> {
-        let version = self.cfg.version();
-        if let Some((v, d)) = &self.derived_cache {
-            if *v == version {
-                return d.clone();
-            }
-        }
-        let d = std::sync::Arc::new(self.cfg.derive(self.id));
-        self.derived_cache = Some((version, d.clone()));
+        let d = self.derived_current();
+        self.derived_cache = Some((self.cfg.version(), d.clone()));
         d
+    }
+
+    /// The cached derivation when it is current, else a fresh one (which
+    /// a `&self` caller cannot store).
+    pub(crate) fn derived_current(&self) -> std::sync::Arc<Derived> {
+        match &self.derived_cache {
+            Some((v, d)) if *v == self.cfg.version() => d.clone(),
+            _ => std::sync::Arc::new(self.cfg.derive(self.id)),
+        }
     }
 
     /// The application state machine.
@@ -1044,6 +1110,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             Role::Leader => {
                 if now >= self.heartbeat_due {
                     self.heartbeat_due = now + self.timing.heartbeat_interval;
+                    // A fresh serial times every peer again, so the read
+                    // ranking is never older than one heartbeat interval.
+                    self.read_serial += 1;
                     self.broadcast_append(now);
                 }
                 self.driver_tick(now);
@@ -1093,11 +1162,17 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Feeds one inbound message to the node.
     pub fn step(&mut self, now: u64, from: NodeId, msg: Message) {
         self.arm_timers(now);
-        // Retired nodes keep serving history (pull/fetch) but nothing else.
+        // Retired nodes keep serving history (pull/fetch) and answer the
+        // request planes — clients and admins with a rejection, samplers
+        // with an empty member set — but take no part in the protocol.
         if self.role == Role::Removed
             && !matches!(
                 msg,
-                Message::PullReq { .. } | Message::FetchSnapshotReq { .. }
+                Message::PullReq { .. }
+                    | Message::FetchSnapshotReq { .. }
+                    | Message::ClientReq { .. }
+                    | Message::AdminReq { .. }
+                    | Message::StatsReq { .. }
             )
         {
             return;

@@ -1,12 +1,22 @@
 //! Pull-based recovery (§III-B).
 //!
-//! A node (or an entire subcluster) that missed a split completion cannot
-//! elect a leader under `Cjoint` — peers that moved on have higher epochs and
-//! answer vote requests with pull hints instead of votes. The missed-out node
-//! then *pulls committed entries* from the hinting peer. Because only
-//! committed entries travel, safety is preserved even when the source is
-//! itself outdated ("The puller can contact different nodes for the latest
-//! data or wait for the outdated node to be updated").
+//! A node that missed a split completion cannot elect a leader under
+//! `Cjoint` — peers that moved on have higher epochs and answer vote
+//! requests with pull hints instead of votes. The missed-out node then
+//! *pulls committed entries* from the hinting peer. Because only committed
+//! entries travel, safety is preserved even when the source is itself
+//! outdated ("The puller can contact different nodes for the latest data or
+//! wait for the outdated node to be updated").
+//!
+//! A node refuses a puller its reconfiguration history records as having
+//! left, and a split record lists only the recording node's *own*
+//! subcluster as staying (`members_after`). So recovery needs one member of
+//! the puller's own subcluster to have completed the split. When a whole
+//! subcluster missed it — every member cut off before `Cjoint` — each
+//! sibling reads those members as removed and refuses their pulls: the
+//! subcluster stays at the old epoch, its terms climbing, and never
+//! recovers. That gap is open; `figure3_scenario.rs` pins it with an
+//! ignored test.
 
 use super::replication::cap_batch_bytes;
 use super::{Node, PullState, Role};

@@ -54,25 +54,64 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             if peer != self.id {
                 self.progress
                     .entry(peer)
-                    .or_insert_with(|| super::Progress {
-                        next: last.next(),
-                        matched: LogIndex::ZERO,
-                        window: super::ReplicationWindow::default(),
-                        search: None,
-                        snapshot_sent: None,
-                    });
+                    .or_insert_with(|| super::Progress::new(last.next()));
             }
         }
     }
 
-    /// Sends AppendEntries (or a snapshot) to every peer.
+    /// Sends AppendEntries (or a snapshot) to every peer — heartbeats,
+    /// proposals and membership folds go out this way, and each is also a
+    /// probe round to every peer.
     pub(crate) fn broadcast_append(&mut self, now: u64) {
         self.sync_progress();
-        // Every broadcast doubles as a ReadIndex probe round: the serial it
-        // carries covers all reads accepted up to now.
-        self.last_probe_serial = self.read_serial;
         let peers: Vec<NodeId> = self.progress.keys().copied().collect();
-        for peer in peers {
+        self.probe_round(now, &peers);
+    }
+
+    /// Starts a ReadIndex probe round: every read accepted so far is covered
+    /// by the serial the round carries. A round for reads asks only the
+    /// peers that answer fastest — as many as the tail commit rule needs
+    /// beside the leader ([`Derived::read_quorum`]) — and broadcasts when
+    /// the ranking cannot make up such a quorum (a configuration change in
+    /// flight, peers not yet timed). What serves a read does not change:
+    /// the acknowledgements are counted against the whole rule, so asking
+    /// fewer peers only risks waiting for the next heartbeat's broadcast.
+    ///
+    /// [`Derived::read_quorum`]: crate::stack::Derived::read_quorum
+    pub(crate) fn probe_reads(&mut self, now: u64) {
+        match self.read_quorum(now) {
+            Some(peers) => self.probe_round(now, &peers),
+            None => self.broadcast_append(now),
+        }
+    }
+
+    /// The peers a read round started at `now` would probe, fastest first,
+    /// or `None` when it would broadcast. A peer being reconciled or sent
+    /// a snapshot is not ranked: its answers are nacks, which confirm
+    /// nothing.
+    #[must_use]
+    pub fn read_quorum(&self, now: u64) -> Option<Vec<NodeId>> {
+        if self.role != Role::Leader {
+            return None;
+        }
+        let mut ranked: Vec<(u64, NodeId)> = self
+            .progress
+            .iter()
+            .filter(|(_, pr)| pr.search.is_none() && pr.snapshot_sent.is_none())
+            .filter_map(|(peer, pr)| Some((pr.clock.rank(now)?, *peer)))
+            .collect();
+        ranked.sort_unstable();
+        let ranked: Vec<NodeId> = ranked.into_iter().map(|(_, peer)| peer).collect();
+        self.derived_current()
+            .read_quorum(self.id, &ranked)
+            .map(<[NodeId]>::to_vec)
+    }
+
+    /// Streams to `peers`; the serial their appends carry covers every read
+    /// accepted so far.
+    fn probe_round(&mut self, now: u64, peers: &[NodeId]) {
+        self.last_probe_serial = self.read_serial;
+        for &peer in peers {
             self.send_append(now, peer);
         }
     }
@@ -83,7 +122,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// never depend on there being log traffic.
     pub(crate) fn send_append(&mut self, now: u64, peer: NodeId) {
         if !self.push_entries(now, peer) {
-            self.send_heartbeat(peer);
+            self.send_heartbeat(now, peer);
         }
     }
 
@@ -185,6 +224,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             if let Some(pr) = self.progress.get_mut(&peer) {
                 pr.next = last_sent.next();
                 pr.window.record(prev_index, len, now);
+                pr.clock.sent(self.read_serial, now);
             }
             self.send(
                 peer,
@@ -209,13 +249,14 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// serial; the response doubles as the loss detector for optimistically
     /// advanced cursors (a follower missing the prefix answers with a
     /// conflict hint).
-    fn send_heartbeat(&mut self, peer: NodeId) {
+    fn send_heartbeat(&mut self, now: u64, peer: NodeId) {
         if self.role != Role::Leader {
             return;
         }
-        let Some(pr) = self.progress.get(&peer) else {
+        let Some(pr) = self.progress.get_mut(&peer) else {
             return;
         };
+        pr.clock.sent(self.read_serial, now);
         let prev_index = pr.next.saturating_prev().max(self.log.base_index());
         let prev_eterm = self
             .log
@@ -399,6 +440,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // — responses may arrive duplicated or out of order, the window
             // accounting only ever moves forward.
             pr.window.ack(pr.matched);
+            pr.clock.answered(probe, now);
             if let Some((_, hi)) = pr.search {
                 if pr.matched.next() >= hi {
                     // The acknowledged prefix reaches the rejected zone's

@@ -138,13 +138,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 if peer != self.id {
                     self.progress
                         .entry(peer)
-                        .or_insert_with(|| super::Progress {
-                            next: last.next(),
-                            matched: LogIndex::ZERO,
-                            window: super::ReplicationWindow::default(),
-                            search: None,
-                            snapshot_sent: None,
-                        });
+                        .or_insert_with(|| super::Progress::new(last.next()));
                 }
             }
             self.emit(NodeEvent::BecameLeader {

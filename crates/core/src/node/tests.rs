@@ -1151,6 +1151,97 @@ fn removed_node_still_serves_pull_history() {
 }
 
 #[test]
+fn a_merged_away_node_answers_every_request_plane_in_one_step() {
+    // A merge that resumes with the coordinator's members only retires the
+    // other participant. What reaches a retired node from a client, an
+    // admin or a sampler is answered in the step that delivers it: silence
+    // would cost the client its whole resend timer and leave samplers with
+    // a stale route.
+    let (mut net, l10, l11) = build_two_clusters();
+    let mut tx = merge_tx_for(&net, l10, l11);
+    tx.resume_members = Some(net.node(l10.0).config().members().clone());
+    let merged = tx.new_cluster;
+    let retired: Vec<NodeId> = net.node(l11.0).config().members().iter().copied().collect();
+    net.admin(l10, 200, AdminCmd::Merge(tx));
+    net.run_until(1500, |net| {
+        retired
+            .iter()
+            .all(|n| net.node(n.0).role() == Role::Removed)
+    });
+    let now = net.now;
+    let node = net.nodes.get_mut(&retired[0]).unwrap();
+    let _ = node.take_outputs();
+    let mut answers = |msg: Message| -> Vec<Message> {
+        node.step(now, CLIENT, msg);
+        let (out, _) = node.take_outputs();
+        out.into_iter()
+            .map(|env| {
+                assert_eq!(env.to, CLIENT);
+                env.msg
+            })
+            .collect()
+    };
+    for op in [
+        ClientOp::Get {
+            key: b"yak".to_vec(),
+        },
+        ClientOp::Command {
+            key: b"yak".to_vec(),
+            cmd: Bytes::from_static(b"yak=shorn"),
+        },
+    ] {
+        let req = ClientRequest {
+            session: SessionId(7),
+            seq: 1,
+            op,
+        };
+        match answers(Message::ClientReq { req }).as_slice() {
+            [Message::ClientResp { resp }] => assert_eq!(
+                resp.outcome,
+                ClientOutcome::Rejected {
+                    error: Error::WrongRange(Some(merged))
+                },
+                "the client is sent on to the merged cluster"
+            ),
+            other => panic!("client request answered with {other:?}"),
+        }
+    }
+    match answers(Message::StatsReq { req_id: 3 }).as_slice() {
+        [Message::StatsResp { req_id: 3, stats }] => {
+            assert!(
+                stats.members.is_empty(),
+                "a retired node reports no members"
+            );
+        }
+        other => panic!("stats request answered with {other:?}"),
+    }
+    match answers(Message::AdminReq {
+        req_id: 4,
+        cmd: AdminCmd::Campaign,
+    })
+    .as_slice()
+    {
+        [Message::AdminResp {
+            req_id: 4,
+            result: Err(Error::NotLeader(None)),
+        }] => {}
+        other => panic!("admin request answered with {other:?}"),
+    }
+    assert!(matches!(
+        answers(Message::PullReq {
+            commit_index: LogIndex::ZERO
+        })
+        .as_slice(),
+        [Message::PullResp { .. }]
+    ));
+    assert_eq!(
+        net.node(retired[0].0).role(),
+        Role::Removed,
+        "an admin campaign does not wake a retired node"
+    );
+}
+
+#[test]
 fn pull_responses_are_capped_and_the_puller_converges() {
     // Compaction out of reach, a responder's whole committed log used to go
     // out as ONE PullResp — past the frame limit, a frame the reader drops

@@ -101,6 +101,31 @@ impl Derived {
         None
     }
 
+    /// The peers a ReadIndex probe round asks: the shortest prefix of
+    /// `ranked` (peers, fastest first) that together with `leader`
+    /// satisfies the tail commit rule — the rule a read is served on.
+    /// `None` means broadcast: while any configuration entry is on the stack
+    /// (a joint or resize window, either split phase, a merge), and when
+    /// the ranked peers cannot make up the quorum. Asking fewer peers never
+    /// weakens a read; at worst it waits for the next heartbeat.
+    #[must_use]
+    pub fn read_quorum<'a>(&self, leader: NodeId, ranked: &'a [NodeId]) -> Option<&'a [NodeId]> {
+        if self.last_config_index.is_some() {
+            return None;
+        }
+        let rule = &self.commit_segments.last()?.1;
+        let mut acks = BTreeSet::from([leader]);
+        for n in 0..=ranked.len() {
+            if n > 0 {
+                acks.insert(ranked[n - 1]);
+            }
+            if rule.satisfied(&acks) {
+                return Some(&ranked[..n]);
+            }
+        }
+        None
+    }
+
     /// Whether new client proposals are currently gated (split leave phase or
     /// merge outcome pending; both windows last about one commit round-trip).
     #[must_use]
@@ -677,6 +702,56 @@ mod proptests {
         .ok()
     }
 
+    /// The node every stack is derived for (and, for read rounds, the
+    /// leader).
+    const ME: NodeId = NodeId(1);
+
+    /// A five-node base and the index [`apply`] pushes at next.
+    fn boot_stack() -> (ConfigStack, u64) {
+        let base = ClusterConfig::new(ClusterId(1), nodes(1, 5), RangeSet::full()).unwrap();
+        (ConfigStack::new(base, LogIndex::ZERO), 1)
+    }
+
+    /// Applies `op` the way the protocol could: only what a leader could
+    /// legally append given the current stack is pushed.
+    fn apply(stack: &mut ConfigStack, next_index: &mut u64, op: StackOp) {
+        let derived = stack.derive(ME);
+        match op {
+            StackOp::Resize { n, extra_quorum } => {
+                if stack.is_quiescent() {
+                    let members = nodes(1, n);
+                    let maj = recraft_types::config::majority(members.len());
+                    let quorum = (maj + extra_quorum).min(members.len());
+                    stack.push(
+                        LogIndex(*next_index),
+                        ConfigChange::Resize { members, quorum },
+                    );
+                    *next_index += 1;
+                }
+            }
+            StackOp::SplitJoint => {
+                if stack.is_quiescent() {
+                    if let Some(spec) = split_spec(&derived.members) {
+                        stack.push(LogIndex(*next_index), ConfigChange::SplitJoint(spec));
+                        *next_index += 1;
+                    }
+                }
+            }
+            StackOp::SplitNew => {
+                if let Some(SplitPhase::Joint { spec, .. }) = derived.split {
+                    stack.push(LogIndex(*next_index), ConfigChange::SplitNew(spec));
+                    *next_index += 1;
+                }
+            }
+            StackOp::Truncate(i) => {
+                if i > stack.base_from().0 {
+                    stack.truncate_from(LogIndex(i));
+                    *next_index = (*next_index).min(i.max(1));
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Under arbitrary (protocol-plausible) push/truncate sequences the
         /// derivation never panics, commit segments stay sorted, the
@@ -684,54 +759,10 @@ mod proptests {
         /// below the majority of their group.
         #[test]
         fn derivation_is_total_and_sane(ops in prop::collection::vec(op_strategy(), 0..24)) {
-            let base = ClusterConfig::new(
-                ClusterId(1),
-                nodes(1, 5),
-                RangeSet::full(),
-            )
-            .unwrap();
-            let mut stack = ConfigStack::new(base, LogIndex::ZERO);
-            let mut next_index = 1u64;
-            let me = NodeId(1);
+            let (mut stack, mut next_index) = boot_stack();
             for op in ops {
-                // Mimic the protocol's own constraints: only push what a
-                // leader could legally append given the current stack.
-                let derived = stack.derive(me);
-                match op {
-                    StackOp::Resize { n, extra_quorum } => {
-                        if stack.is_quiescent() {
-                            let members = nodes(1, n);
-                            let maj = recraft_types::config::majority(members.len());
-                            let quorum = (maj + extra_quorum).min(members.len());
-                            stack.push(
-                                LogIndex(next_index),
-                                ConfigChange::Resize { members, quorum },
-                            );
-                            next_index += 1;
-                        }
-                    }
-                    StackOp::SplitJoint => {
-                        if stack.is_quiescent() {
-                            if let Some(spec) = split_spec(&derived.members) {
-                                stack.push(LogIndex(next_index), ConfigChange::SplitJoint(spec));
-                                next_index += 1;
-                            }
-                        }
-                    }
-                    StackOp::SplitNew => {
-                        if let Some(SplitPhase::Joint { spec, .. }) = derived.split {
-                            stack.push(LogIndex(next_index), ConfigChange::SplitNew(spec));
-                            next_index += 1;
-                        }
-                    }
-                    StackOp::Truncate(i) => {
-                        if i > stack.base_from().0 {
-                            stack.truncate_from(LogIndex(i));
-                            next_index = next_index.min(i.max(1));
-                        }
-                    }
-                }
-                let d = stack.derive(me);
+                apply(&mut stack, &mut next_index, op);
+                let d = stack.derive(ME);
                 // Segments sorted strictly by starting index.
                 for pair in d.commit_segments.windows(2) {
                     prop_assert!(pair[0].0 < pair[1].0);
@@ -754,6 +785,50 @@ mod proptests {
                 }
                 // P1 agrees with stack emptiness.
                 prop_assert_eq!(stack.check_p1().is_ok(), stack.is_quiescent());
+            }
+        }
+
+        /// For every reachable stack and every round-trip ranking (any
+        /// subset of the peers, in any order — unranked peers are left
+        /// out), a read round either asks the shortest prefix of the
+        /// ranking that together with the leader satisfies the tail commit
+        /// rule, or broadcasts — and it broadcasts only while a
+        /// configuration entry is on the stack or when the ranking cannot
+        /// make up the quorum.
+        #[test]
+        fn read_rounds_ask_a_quorum_or_broadcast(
+            ops in prop::collection::vec(op_strategy(), 0..24),
+            ranking in prop::collection::vec(2u64..10, 0..12),
+        ) {
+            let mut ranked: Vec<NodeId> = Vec::new();
+            for id in ranking.into_iter().map(NodeId) {
+                if !ranked.contains(&id) {
+                    ranked.push(id);
+                }
+            }
+            let (mut stack, mut next_index) = boot_stack();
+            let mut ops = ops.into_iter();
+            loop {
+                let d = stack.derive(ME);
+                let rule = &d.commit_segments.last().expect("never empty").1;
+                let with_leader = |peers: &[NodeId]| -> BTreeSet<NodeId> {
+                    std::iter::once(ME).chain(peers.iter().copied()).collect()
+                };
+                match d.read_quorum(ME, &ranked) {
+                    Some(asked) => {
+                        prop_assert!(stack.is_quiescent());
+                        prop_assert_eq!(asked, &ranked[..asked.len()]);
+                        prop_assert!(rule.satisfied(&with_leader(asked)));
+                        if let Some((_, shorter)) = asked.split_last() {
+                            prop_assert!(!rule.satisfied(&with_leader(shorter)));
+                        }
+                    }
+                    None => prop_assert!(
+                        !stack.is_quiescent() || !rule.satisfied(&with_leader(&ranked))
+                    ),
+                }
+                let Some(op) = ops.next() else { break };
+                apply(&mut stack, &mut next_index, op);
             }
         }
     }
