@@ -169,18 +169,6 @@ pub fn put_workload(key_count: u64) -> Workload {
     }
 }
 
-/// A read-heavy workload for the ReadIndex / log-read comparison benches.
-#[must_use]
-pub fn read_workload(key_count: u64, get_ratio: f64, reads_via_log: bool) -> Workload {
-    Workload {
-        key_count,
-        value_size: 512,
-        get_ratio,
-        reads_via_log,
-        ..Workload::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

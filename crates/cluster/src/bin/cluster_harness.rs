@@ -9,8 +9,8 @@
 //! `--ops` is the per-client operation count. The run boots the cluster,
 //! waits for a leader, drives every client to completion, verifies
 //! exactly-once delivery against the session table, and prints throughput
-//! plus WAL sync amortization. For the full 1/3/5-node sweep with a JSON
-//! summary, use `cargo bench -p recraft-bench --bench cluster_harness`.
+//! plus WAL sync amortization. Calibrated latency and CPU numbers come from
+//! the repo benchmark (`benchmark/`), not from this binary.
 
 use recraft_cluster::{verify_sessions, ClientOptions, Cluster, ClusterSpec, HarnessBackend};
 use std::time::Duration;

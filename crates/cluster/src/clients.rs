@@ -3,8 +3,7 @@
 //! Each client is one OS thread owning one [`SessionId`]. It keeps a
 //! bounded window of writes in flight ([`ClientOptions::window`]), which is
 //! what makes the load *open-loop*: the leader sees a standing backlog from
-//! every session at once, so replication batching and pipelining engage —
-//! the regime the saturation bench measures.
+//! every session at once, so replication batching and pipelining engage.
 //!
 //! Clients come in two routing modes. Without a [`FleetView`] they rotate
 //! blindly over the launch-time address list — right for a single-range
@@ -20,11 +19,16 @@
 //! clients use: a write is retried under its original `(session, seq)`
 //! until answered, and on every (re)connection the pending window is resent
 //! in ascending sequence order. Per-connection FIFO plus ascending resend
-//! keeps each session's sequence numbers arriving monotonically, which
-//! yields one useful inference: a [`Error::SessionStale`] rejection for
-//! `seq` means some *higher* sequence number already applied — and since
-//! every lower one was always sent first, `seq` itself applied earlier and
-//! only its reply was lost. The client counts it as confirmed.
+//! keeps each session's sequence numbers arriving monotonically. The client
+//! draws one inference from that: a [`Error::SessionStale`] rejection for
+//! `seq` means some *higher* sequence number already applied, so `seq`,
+//! sent first, is taken to have applied earlier with only its reply lost,
+//! and is counted as confirmed. Sent is not accepted, though: a leader
+//! answers `MergeBlocked` before proposing, and the session table takes any
+//! number above its max as fresh, so `seq` can bounce while `seq + 1` of
+//! the same window lands once the gate lifts — and the resend of `seq` is
+//! then confirmed without having applied. That case is open, pinned by an
+//! ignored test in `tests/merge_back_fence.rs`.
 //!
 //! Routing across splits preserves that inference through three rules:
 //! windows are **cluster-homogeneous** (filling stops at the first key the
@@ -56,9 +60,9 @@
 //! exactly-once-safe: servers answer `SessionStale` only for keys they own
 //! (range before session table), so the preceding rejection pins the
 //! owner's per-session max at or above the burned number — any stale
-//! retransmission of the original write is rejected forever. That makes
-//! the `SessionStale ⇒ applied` inference unconditional wherever it is
-//! actually applied, and recovers the write where it is not.
+//! retransmission of the original write is rejected forever. So across a
+//! generation change a stale answer confirms a write only where its value
+//! is resident, and the write is recovered where it is not.
 
 use crate::control::FleetView;
 use crate::CLIENT_BASE;

@@ -100,13 +100,6 @@ impl FleetNet {
         self.any_blocked.store(true, Ordering::Release);
     }
 
-    /// Restores the link between `a` and `b`.
-    pub fn unblock(&self, a: NodeId, b: NodeId) {
-        let mut set = self.blocked.write().expect("block set lock");
-        set.remove(&pair(a, b));
-        self.any_blocked.store(!set.is_empty(), Ordering::Release);
-    }
-
     /// Heals every severed link.
     pub fn unblock_all(&self) {
         self.blocked.write().expect("block set lock").clear();

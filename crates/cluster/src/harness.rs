@@ -30,8 +30,8 @@
 //! * [`Cluster::restart`] reboots a killed `wal` node from that directory
 //!   via [`recraft_core::Node::reopen`] on a **new** port and a fresh shard
 //!   seat — peers re-resolve it through the shared address map;
-//! * [`Cluster::sever`] / [`Cluster::heal`] / [`Cluster::isolate`] are
-//!   network faults: peer traffic on the named links is dropped in both
+//! * [`Cluster::isolate`] / [`Cluster::heal_all`] are network faults: peer
+//!   traffic between the isolated node and every other is dropped in both
 //!   directions while clients and the admin plane still reach every node.
 //!
 //! [`Cluster::shutdown`] returns the actual [`HarnessNode`] values for
@@ -554,17 +554,6 @@ impl Cluster {
             .status = Some(status);
     }
 
-    /// Severs the peer link between `a` and `b` in both directions. Client
-    /// and admin traffic still reaches both nodes.
-    pub fn sever(&self, a: NodeId, b: NodeId) {
-        self.net.block(a, b);
-    }
-
-    /// Restores the peer link between `a` and `b`.
-    pub fn heal(&self, a: NodeId, b: NodeId) {
-        self.net.unblock(a, b);
-    }
-
     /// Severs `id` from every other live node — a full network partition of
     /// one node (it still answers clients and admin queries, so its stats
     /// remain observable).
@@ -839,20 +828,11 @@ impl ClientsRun {
 /// # Panics
 /// Panics if any session's recorded `last_seq` differs from `ops`.
 pub fn verify_sessions(nodes: &[HarnessNode], clients: u64, ops: u64) {
-    verify_sessions_from(nodes, 0, clients, ops);
-}
-
-/// [`verify_sessions`] for a run whose clients used a nonzero
-/// [`crate::ClientOptions::session_base`].
-///
-/// # Panics
-/// Panics if any session's recorded `last_seq` differs from `ops`.
-pub fn verify_sessions_from(nodes: &[HarnessNode], base: u64, clients: u64, ops: u64) {
     let node = nodes
         .iter()
         .max_by_key(|n| n.applied_index().0)
         .expect("at least one node");
-    for c in base..base + clients {
+    for c in 0..clients {
         let last = node.sessions().last_seq(SessionId(c));
         assert_eq!(
             last,

@@ -27,8 +27,8 @@
 //!   afterwards.
 //!
 //! Nothing here is simulated: elections run on real randomized timeouts,
-//! `wal`-backed nodes really fsync at the barrier, and the throughput the
-//! bench reports is wall-clock commits.
+//! `wal`-backed nodes really fsync at the barrier, and every latency the
+//! repo benchmark (`benchmark/`) reports over these sockets is wall-clock.
 //!
 //! ```no_run
 //! use recraft_cluster::{ClientOptions, Cluster, ClusterSpec, HarnessBackend};
@@ -54,8 +54,7 @@ pub use clients::{run_open_loop, ClientOptions, ClientReport};
 pub use control::{ControlOptions, ControlPlane, ControlReport, FleetView};
 pub use driver::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
 pub use harness::{
-    verify_sessions, verify_sessions_from, ClientsRun, Cluster, ClusterSpec, FleetSpec,
-    HarnessBackend, SeatLoad,
+    verify_sessions, ClientsRun, Cluster, ClusterSpec, FleetSpec, HarnessBackend, SeatLoad,
 };
 pub use runtime::{os_thread_count, DriverRuntime, WireStats};
 

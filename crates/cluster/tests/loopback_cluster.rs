@@ -1,11 +1,9 @@
 //! Real-deployment scenarios: OS threads, loopback TCP, real timers.
 //!
 //! These run in debug on whatever machine executes the test suite (CI runs
-//! single-core), so they are deliberately moderate in scale — the
-//! full-pressure 256-client saturation run lives in
-//! `cargo bench -p recraft-bench --bench cluster_harness`, which asserts
-//! completion at that scale in release. A heavyweight variant is kept here
-//! behind `#[ignore]` for explicit runs.
+//! single-core), so they are deliberately moderate in scale. The 256-client
+//! variant is kept here behind `#[ignore]`; the nightly workflow runs it in
+//! release.
 //!
 //! Clusters contend for the same cores, so every test serializes on one
 //! lock: parallel clusters on a small machine starve each other's
@@ -203,11 +201,10 @@ fn a_read_among_co_hosted_seats_costs_one_worker_round() {
     drop(cluster.shutdown());
 }
 
-/// The acceptance-scale fleet in debug. Heavy on small machines (hundreds
-/// of threads); run explicitly with `--ignored`, or let the release-mode
-/// bench cover this scale routinely.
+/// The acceptance-scale fleet. Heavy on small machines (hundreds of
+/// threads); run explicitly with `--ignored`, as the nightly soak does.
 #[test]
-#[ignore = "256 OS threads in debug; covered in release by the cluster_harness bench"]
+#[ignore = "256 OS threads; run by the nightly soak in release"]
 fn three_node_mem_256_clients() {
     run(
         3,

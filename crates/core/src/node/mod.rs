@@ -912,16 +912,16 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// placement facts the fleet controller plans from. Also callable
     /// directly by in-process harnesses.
     ///
-    /// A retired node (left out by a merge's resumption resize) reports an
-    /// **empty member set**, the same shape as a joiner that has not adopted
-    /// a configuration yet — samplers skip both, so a phantom of the
-    /// pre-merge cluster never lingers in controller plans or the shard
-    /// directory.
+    /// A retired node (left out by a merge's resumption resize) and a joiner
+    /// that has not adopted a configuration yet (whose own is a placeholder
+    /// naming only itself) report an **empty member set** — samplers skip
+    /// both, so neither a phantom of the pre-merge cluster nor the joiner's
+    /// placeholder ever reaches controller plans or the shard directory.
     #[must_use]
     pub fn stats(&self) -> recraft_net::NodeStats {
         let config = self.cfg.base();
         let ranges = config.ranges().clone();
-        let members = if self.role == Role::Removed {
+        let members = if self.role == Role::Removed || !self.bootstrapped {
             BTreeSet::new()
         } else {
             config.members().clone()

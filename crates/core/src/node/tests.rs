@@ -1352,6 +1352,35 @@ fn joiner_never_campaigns_until_contacted() {
 }
 
 #[test]
+fn a_joiner_reports_no_members_until_it_adopts_a_configuration() {
+    // A joiner's own configuration is a placeholder (cluster 0, itself as
+    // the only member). Reported as is, samplers would plan a phantom range.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    net.nodes.insert(
+        NodeId(9),
+        Node::new_joiner(NodeId(9), MapMachine::default(), Timing::default(), 0x909),
+    );
+    let stats = net.node(9).stats();
+    assert!(
+        stats.members.is_empty(),
+        "a joiner reports its placeholder: {:?} of {:?}",
+        stats.members,
+        stats.cluster
+    );
+    let mut members = net.nodes[&leader].config().members().clone();
+    members.insert(NodeId(9));
+    net.admin(leader, 1400, AdminCmd::SimpleChange(members.clone()));
+    net.run_until(300, |net| net.node(9).config().members().len() == 4);
+    let stats = net.node(9).stats();
+    assert_eq!(stats.cluster, recraft_types::ClusterId(1));
+    assert_eq!(
+        stats.members, members,
+        "an adopted joiner reports its cluster"
+    );
+}
+
+#[test]
 fn duplicate_session_write_applies_exactly_once() {
     let mut net = Net::with_nodes(&[1, 2, 3]);
     let leader = net.elect();

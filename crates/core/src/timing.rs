@@ -14,8 +14,7 @@
 /// ahead barrier group-commit everything a round appended under one fsync
 /// (which falls out of the batch shape — see `LogStore::append_batch`).
 /// Setting `max_inflight` and `max_batch_entries` to 1 gives the lockstep
-/// one-entry-per-round-trip baseline the `replication_pipeline` bench
-/// measures against.
+/// one-entry-per-round-trip baseline ([`PipelineConfig::lockstep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Maximum AppendEntries batches in flight per follower before the
@@ -40,7 +39,8 @@ impl Default for PipelineConfig {
 
 impl PipelineConfig {
     /// The defaults-off configuration: one entry, one batch in flight —
-    /// the classic lockstep replication cycle, kept as the bench baseline.
+    /// the classic lockstep replication cycle, kept as the baseline the
+    /// pipelined default must beat.
     #[must_use]
     pub fn lockstep() -> Self {
         PipelineConfig {

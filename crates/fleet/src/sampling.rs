@@ -37,7 +37,8 @@ impl SampleBook {
     /// Distills one round of node reports into per-cluster samples.
     ///
     /// Reports with an empty member set (joiners that have not adopted a
-    /// configuration yet) are skipped. For each remaining cluster the
+    /// configuration yet, and retired nodes — see `Node::stats`) are
+    /// skipped. For each remaining cluster the
     /// most-applied reporter becomes the witness; ops are summed across all
     /// of the cluster's reporters and differenced against the previous
     /// round. Baselines for clusters that stopped reporting (merged away,
@@ -126,6 +127,19 @@ mod tests {
         let samples = book.build(&[laggard, (NodeId(1), ahead), (NodeId(7), joiner)]);
         assert_eq!(samples.len(), 1);
         assert_eq!(samples[0].bytes, 777, "witness must be the most applied");
+    }
+
+    #[test]
+    fn a_real_joiners_stats_are_skipped() {
+        use recraft_core::{MapMachine, Node, Timing};
+        let joiner = Node::new_joiner(NodeId(7), MapMachine::default(), Timing::default(), 7);
+        let mut book = SampleBook::new();
+        let samples = book.build(&[report(1, 1, 10, 0), (NodeId(7), joiner.stats())]);
+        assert_eq!(
+            samples.iter().map(|s| s.cluster).collect::<Vec<_>>(),
+            [ClusterId(1)],
+            "the joiner's placeholder cluster must not become a range"
+        );
     }
 
     #[test]

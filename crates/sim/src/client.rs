@@ -30,10 +30,6 @@ pub struct Workload {
     /// Probability that a write request is transmitted twice (duplicate
     /// delivery injection, exercising the exactly-once session table).
     pub dup_prob: f64,
-    /// Serve reads through the replicated log (a `KvCmd::Get` command
-    /// entry) instead of the leader's ReadIndex path. Kept for the
-    /// read-throughput comparison benches; ReadIndex is the default.
-    pub reads_via_log: bool,
     /// Open-loop window: how many operations the client keeps in flight
     /// concurrently. `1` is the classic closed-loop client (wait for each
     /// response before issuing the next op); larger windows sustain
@@ -57,7 +53,6 @@ impl Default for Workload {
             value_size: 512,
             get_ratio: 0.0,
             dup_prob: 0.0,
-            reads_via_log: false,
             pipeline: 1,
             zipf_s: 0.0,
             hot_offset: 0,
@@ -127,21 +122,7 @@ impl Client {
         let seq = self.next_seq;
         let is_get = self.workload.get_ratio > 0.0 && self.rng.gen_bool(self.workload.get_ratio);
         if is_get {
-            let op = if self.workload.reads_via_log {
-                // The pre-redesign read path: a Get command through the log.
-                // The nonce makes the encoded command unique to this attempt.
-                let nonce = (self.id << 32) | seq;
-                ClientOp::Command {
-                    key: key.clone(),
-                    cmd: KvCmd::Get {
-                        key: key.clone(),
-                        nonce,
-                    }
-                    .encode(),
-                }
-            } else {
-                ClientOp::Get { key: key.clone() }
-            };
+            let op = ClientOp::Get { key: key.clone() };
             (key, op, OpKind::Read { value: None })
         } else {
             // Unique values make duplicate detection and linearizability

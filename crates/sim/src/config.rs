@@ -119,8 +119,8 @@ impl SimConfig {
         }
     }
 
-    /// The same configuration with explicit pipeline knobs (the
-    /// `replication_pipeline` bench sweeps these).
+    /// The same configuration with explicit pipeline knobs
+    /// (`tests/pipeline_batching.rs` runs lockstep against the default).
     #[must_use]
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
         self.timing.pipeline = pipeline;

@@ -1039,7 +1039,6 @@ impl Sim {
                 }
                 if let Some(cluster) = o.cluster {
                     c.leader_cache.insert(cluster, from);
-                    *self.metrics.cluster_ops.entry(cluster).or_insert(0) += 1;
                 }
                 self.history.push(Op {
                     id: (client, resp.seq),

@@ -1,23 +1,23 @@
 //! The fleet harness: a whole multi-range deployment inside the simulator.
 //!
 //! Embeds a [`Controller`] in the deterministic simulation: every sampling
-//! interval the harness reads each live cluster's authoritative state (from
-//! its most-applied member), feeds the samples to the controller, and
-//! delivers the resulting commands through the sim's admin plane. Staffing
-//! commands boot fresh joiners (reusing retired nodes from a spare pool) and
-//! issue the `AddAndResize`; splits and merges go to the target cluster's
-//! leader verbatim. Because the simulation and the controller are both
+//! interval the harness collects every up node's `StatsReq` answer, distills
+//! them with the [`SampleBook`] the TCP control plane uses, feeds the samples
+//! to the controller, and delivers the resulting commands through the sim's
+//! admin plane. Staffing commands boot fresh joiners (reusing retired nodes
+//! from a spare pool) and issue the `AddAndResize`; splits and merges go to
+//! the target cluster's leader verbatim. Because the simulation and the controller are both
 //! deterministic, an entire autonomous split/merge campaign over hundreds of
 //! ranges replays identically from its seed — which is what lets the
 //! scenario tests assert linearizability and exactly-once delivery *across*
 //! overlapping reconfigurations rather than around them.
 
-use crate::{Metrics, Sim, SimConfig};
+use crate::{Sim, SimConfig};
 use recraft_core::{NodeEvent, Role};
-use recraft_fleet::{boot_range, midpoint_key, Controller, FleetCmd, RangeSample};
+use recraft_fleet::{boot_range, Controller, FleetCmd, RangeSample, SampleBook};
 use recraft_net::AdminCmd;
 use recraft_types::{ClusterId, NodeId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 pub use recraft_fleet::FleetConfig;
 
@@ -33,13 +33,13 @@ pub struct FleetHarness {
     pub sim: Sim,
     controller: Controller,
     interval: u64,
-    last_ops: BTreeMap<ClusterId, u64>,
+    book: SampleBook,
     spares: Vec<NodeId>,
     next_node: u64,
     max_overlap: usize,
 }
 
-/// What an autonomous run did, extracted from the sim's trace and metrics.
+/// What an autonomous run did, extracted from the sim's trace and nodes.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Distinct clusters that completed a split.
@@ -54,9 +54,6 @@ pub struct FleetReport {
     pub ranges: usize,
     /// Client operations completed.
     pub completed_ops: usize,
-    /// `Redirect` bounces clients absorbed — the cost of routing on a
-    /// loosely-consistent directory while the fleet reshapes itself.
-    pub redirects: u64,
     /// `(splits, merges, staffings)` the controller planned (issued), which
     /// can exceed the completed counts if the run ends mid-reconfiguration.
     pub planned: (u64, u64, u64),
@@ -72,7 +69,7 @@ impl FleetHarness {
             sim: Sim::new(cfg),
             controller: Controller::new(fleet, 1),
             interval,
-            last_ops: BTreeMap::new(),
+            book: SampleBook::new(),
             spares: Vec::new(),
             next_node: 1,
             max_overlap: 0,
@@ -167,54 +164,19 @@ impl FleetHarness {
         }
     }
 
-    /// Builds this round's samples: per live cluster, the view of its
-    /// most-applied up member (configuration, resident bytes, suggested
-    /// split key) plus the interval's completed-op count from the metrics.
+    /// Builds this round's samples from every up node's [`Node::stats`]
+    /// answer, distilled by the same [`SampleBook`] the TCP control plane
+    /// runs (witness per cluster, op-counter deltas, first-sighting rule).
+    ///
+    /// [`Node::stats`]: recraft_core::Node::stats
     fn sample(&mut self) -> Vec<RangeSample> {
-        let mut best: BTreeMap<ClusterId, (u64, NodeId)> = BTreeMap::new();
-        for n in self.sim.nodes() {
-            if n.role() == Role::Removed || n.config().members().is_empty() {
-                continue; // retired, or a joiner that has not adopted yet
-            }
-            if !self.sim.is_up(n.id()) {
-                continue;
-            }
-            let applied = n.applied_index().0;
-            let entry = best.entry(n.cluster()).or_insert((applied, n.id()));
-            if applied > entry.0 {
-                *entry = (applied, n.id());
-            }
-        }
-        let mut samples = Vec::with_capacity(best.len());
-        for (cluster, (_, witness)) in best {
-            let node = self.sim.node(witness).expect("witness exists");
-            let ranges = node.config().ranges().clone();
-            let members = node.config().members().clone();
-            let machine = node.state_machine();
-            let bytes = machine.data_size();
-            // Prefer the median resident key (balances skewed populations);
-            // fall back to a byte midpoint for data-free ranges.
-            let split_key = machine
-                .split_key(&ranges)
-                .or_else(|| ranges.ranges().iter().find_map(midpoint_key));
-            let cum = self
-                .sim
-                .metrics()
-                .cluster_ops
-                .get(&cluster)
-                .copied()
-                .unwrap_or(0);
-            let prev = self.last_ops.insert(cluster, cum).unwrap_or(0);
-            samples.push(RangeSample {
-                cluster,
-                ranges,
-                members,
-                ops: cum.saturating_sub(prev),
-                bytes,
-                split_key,
-            });
-        }
-        samples
+        let reports: Vec<_> = self
+            .sim
+            .nodes()
+            .filter(|n| self.sim.is_up(n.id()))
+            .map(|n| (n.id(), n.stats()))
+            .collect();
+        self.book.build(&reports)
     }
 
     /// Summarizes the run so far.
@@ -236,10 +198,9 @@ impl FleetHarness {
         let live: BTreeSet<ClusterId> = self
             .sim
             .nodes()
-            .filter(|n| n.role() != Role::Removed && !n.config().members().is_empty())
+            .filter(|n| !n.stats().members.is_empty())
             .map(recraft_core::Node::cluster)
             .collect();
-        let metrics: &Metrics = self.sim.metrics();
         FleetReport {
             splits: split_parents.len() as u64,
             merges: merge_txs.len() as u64,
@@ -247,7 +208,6 @@ impl FleetHarness {
             max_overlap: self.max_overlap,
             ranges: live.len(),
             completed_ops: self.sim.completed_ops(),
-            redirects: metrics.redirects,
             planned: self.controller.planned(),
         }
     }

@@ -1,7 +1,6 @@
 //! Run metrics: completed operations, latencies, message counts, and the
 //! replication-pipeline shape (batch-size and in-flight-depth histograms).
 
-use recraft_types::ClusterId;
 use std::collections::BTreeMap;
 
 /// Metrics accumulated during a simulation run.
@@ -23,13 +22,8 @@ pub struct Metrics {
     /// actually happens. Keyed by exact depth.
     pub inflight_depths: BTreeMap<usize, u64>,
     /// `Redirect` answers clients received — each one is a request routed on
-    /// a stale directory (or to a stale leader) and bounced. The fleet
-    /// bench's directory-staleness signal.
+    /// a stale directory (or to a stale leader) and bounced.
     pub redirects: u64,
-    /// Completed client operations per serving cluster: the controller's
-    /// per-range load signal. Cleared by the fleet harness each sampling
-    /// interval.
-    pub cluster_ops: BTreeMap<ClusterId, u64>,
 }
 
 impl Metrics {

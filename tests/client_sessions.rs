@@ -52,7 +52,6 @@ fn sessions_with_duplicates_through_split_and_merge() {
             value_size: 64,
             get_ratio: 0.3,
             dup_prob: 0.25,
-            reads_via_log: false,
             pipeline: 1,
             ..Workload::default()
         },

@@ -30,7 +30,6 @@ fn workload() -> Workload {
         value_size: 32,
         get_ratio: 0.2,
         dup_prob: 0.1,
-        reads_via_log: false,
         pipeline: 1,
         ..Workload::default()
     }

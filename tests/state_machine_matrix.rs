@@ -47,7 +47,6 @@ fn workload() -> Workload {
         value_size: 512,
         get_ratio: 0.2,
         dup_prob: 0.05,
-        reads_via_log: false,
         pipeline: 1,
         ..Workload::default()
     }
