@@ -156,6 +156,7 @@ fn bench_wal(c: &mut Criterion) {
         cluster: ClusterId(1),
         cluster_epoch: 0,
         bootstrapped: true,
+        retired: false,
         join_target: None,
         history: Vec::new(),
     };

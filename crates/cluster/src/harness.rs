@@ -26,9 +26,10 @@
 //!   and the id returns to the spare pool — long campaigns neither leak
 //!   disk nor mint ids forever;
 //! * [`Cluster::kill`] is a process fault: the node leaves its shard and
-//!   its address is withdrawn, but its WAL directory survives;
-//! * [`Cluster::restart`] reboots a killed `wal` node from that directory
-//!   via [`recraft_core::Node::reopen`] on a **new** port and a fresh shard
+//!   its address is withdrawn, but its store survives — the WAL directory,
+//!   or on `mem` the in-memory log itself;
+//! * [`Cluster::restart`] reboots a killed node from that store via
+//!   [`recraft_core::Node::reopen`] on a **new** port and a fresh shard
 //!   seat — peers re-resolve it through the shared address map;
 //! * [`Cluster::isolate`] / [`Cluster::heal_all`] are network faults: peer
 //!   traffic between the isolated node and every other is dropped in both
@@ -167,6 +168,9 @@ static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 struct Slot {
     status: Option<Arc<NodeStatus>>,
     dir: Option<PathBuf>,
+    /// A killed `mem` node's store, kept for [`Cluster::restart`] (a `wal`
+    /// node's store is `dir`).
+    kept: Option<HarnessStore>,
     generation: u64,
 }
 
@@ -296,6 +300,7 @@ impl Cluster {
                 Slot {
                     status: Some(Arc::clone(&status)),
                     dir,
+                    kept: None,
                     generation: 0,
                 },
             );
@@ -454,6 +459,7 @@ impl Cluster {
             Slot {
                 status: Some(status),
                 dir,
+                kept: None,
                 generation,
             },
         );
@@ -498,39 +504,41 @@ impl Cluster {
     }
 
     /// A process fault: stops `id`'s seat and withdraws its address. The
-    /// node's WAL directory (if any) is kept for [`Cluster::restart`].
-    /// Returns whether the node was alive.
+    /// node's store is kept for [`Cluster::restart`]: its WAL directory, or
+    /// on `mem` the in-memory log as the node left it. Returns whether the
+    /// node was alive.
     pub fn kill(&self, id: NodeId) -> bool {
         self.net.deregister(id);
-        match self.runtime.remove(id) {
-            Some(node) => {
-                drop(node); // drop the in-memory node: that is the fault
-                if let Some(slot) = self.slots.lock().expect("slot registry lock").get_mut(&id) {
-                    slot.status = None;
-                }
-                true
+        let Some(node) = self.runtime.remove(id) else {
+            return false;
+        };
+        // Everything but the store dies with the process.
+        let (store, _machine) = node.into_parts();
+        if let Some(slot) = self.slots.lock().expect("slot registry lock").get_mut(&id) {
+            slot.status = None;
+            if slot.dir.is_none() {
+                slot.kept = Some(store);
             }
-            None => false,
         }
+        true
     }
 
-    /// Reboots a killed node from its surviving WAL directory — the
-    /// real-recovery path ([`recraft_core::Node::reopen`]): hard state,
-    /// snapshot, and log prefix come back from disk. The node listens on a
-    /// **new** port and is adopted onto a (possibly different) shard; peers
-    /// re-resolve it through the shared address map.
+    /// Reboots a killed node from the store it left —
+    /// [`recraft_core::Node::reopen`]: hard state, snapshot, and log prefix
+    /// come back from it. The node listens on a **new** port and is adopted
+    /// onto a (possibly different) shard; peers re-resolve it through the
+    /// shared address map.
     ///
     /// # Panics
-    /// Panics if the node is still running, was never launched, or runs the
-    /// `mem` backend (nothing survives a process fault there).
+    /// Panics if the node is still running or was never launched.
     pub fn restart(&self, id: NodeId) {
-        let dir = {
-            let slots = self.slots.lock().expect("slot registry lock");
-            let slot = slots.get(&id).expect("restart of an unknown node");
+        let (kept, dir) = {
+            let mut slots = self.slots.lock().expect("slot registry lock");
+            let slot = slots.get_mut(&id).expect("restart of an unknown node");
             assert!(slot.status.is_none(), "restart of a running node");
-            slot.dir.clone().expect("restart needs the wal backend")
+            (slot.kept.take(), slot.dir.clone())
         };
-        let store = self.open_store(Some(&dir));
+        let store = kept.unwrap_or_else(|| self.open_store(dir.as_deref()));
         let node: HarnessNode = Node::reopen(
             id,
             store,
@@ -540,7 +548,7 @@ impl Cluster {
             // draws fresh election jitter.
             harness_seed(id) ^ 0x5EED_B007,
         )
-        .expect("reopen killed node from its wal");
+        .expect("reopen killed node from its store");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind restart listener");
         self.net
             .register(id, listener.local_addr().expect("listener addr"));

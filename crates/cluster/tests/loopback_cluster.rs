@@ -113,6 +113,46 @@ fn three_node_wal_group_commit() {
     );
 }
 
+/// A killed `mem` node keeps its in-memory log, and `Cluster::restart`
+/// reopens it like a WAL directory. Once the third member is killed too,
+/// the writes that follow can commit only through the restarted node.
+#[test]
+fn a_killed_mem_node_restarts_from_its_kept_store() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = Cluster::launch(&ClusterSpec::new(3, HarnessBackend::Mem));
+    let leader = cluster
+        .wait_for_leader(Duration::from_secs(10))
+        .expect("no leader within 10s");
+    let mut followers = (1..=3).map(NodeId).filter(|n| *n != leader);
+    let (victim, other) = (followers.next().unwrap(), followers.next().unwrap());
+    let opts = ClientOptions {
+        ops: 10,
+        window: 4,
+        ..ClientOptions::default()
+    };
+    assert!(cluster.run_clients(4, &opts).all_completed());
+
+    assert!(cluster.kill(victim));
+    cluster.restart(victim);
+    assert!(cluster.kill(other));
+    let after = ClientOptions {
+        session_base: 4,
+        ..opts
+    };
+    let run = cluster.run_clients(4, &after);
+    assert!(
+        run.all_completed(),
+        "{:?}\n{}",
+        run.reports,
+        cluster.debug_dump()
+    );
+    let nodes = cluster.shutdown();
+    let back = nodes.iter().find(|n| n.id() == victim).expect("restarted");
+    assert!(back.log().last_index().0 >= 80);
+}
+
 /// A fresh cluster's smallest id campaigns in the round that seats it, and
 /// every member is seated before anyone ticks, so the first election is
 /// node 1's and the only one. Asserted on who leads and how many elections

@@ -139,14 +139,6 @@ pub enum NodeEvent {
         /// [`read_fingerprint`] of the read's `(session, seq)`.
         digest: u64,
     },
-    /// A power-cut fault was injected against a backend that cannot tear (no
-    /// durable medium): the fault degraded to a plain crash. Traces carry
-    /// this marker so "survived a power cut" and "the power cut was a no-op"
-    /// stay distinguishable when reading a run.
-    PowerCutDegraded {
-        /// The node's cluster at injection time.
-        cluster: ClusterId,
-    },
 }
 
 impl NodeEvent {
@@ -170,7 +162,6 @@ impl NodeEvent {
             NodeEvent::PulledEntries { .. } => "pulled-entries",
             NodeEvent::AppliedCommand { .. } => "applied-command",
             NodeEvent::ServedRead { .. } => "served-read",
-            NodeEvent::PowerCutDegraded { .. } => "power-cut-degraded",
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::sm::StateMachine;
 use crate::stack::{ConfigStack, Derived};
 use crate::timing::Timing;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use recraft_net::{Envelope, Message};
 use recraft_storage::{EntryPayload, HardState, LogEntry, LogStore, MemLog, NodeMeta, Snapshot};
 use recraft_types::{
@@ -540,6 +540,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             cluster: config.id(),
             cluster_epoch: 0,
             bootstrapped,
+            retired: false,
             join_target,
             history: Vec::new(),
         };
@@ -557,12 +558,13 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         node
     }
 
-    /// Recovers a node from the persisted state in `store` — the real-reboot
-    /// path for durable backends: hard state, cluster identity, snapshot,
-    /// and the log's surviving prefix come back from disk; the state machine
-    /// restores from the snapshot; and committed-but-uncompacted entries are
-    /// re-applied once a leader re-confirms them (exactly Raft's durability
-    /// contract).
+    /// Recovers a node from the persisted state in `store` — the one reboot
+    /// path, for every backend: hard state, cluster identity, snapshot, and
+    /// the log's surviving prefix come back from the store; the state
+    /// machine restores from the snapshot; and committed-but-uncompacted
+    /// entries are re-applied once a leader re-confirms them (exactly Raft's
+    /// durability contract). Nothing volatile survives: a half-assembled
+    /// snapshot stream, merge parts, client and read queues all start empty.
     ///
     /// # Errors
     /// Returns [`Error::Storage`] when the store holds no node metadata
@@ -697,7 +699,11 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             history: meta.history,
             sm,
             sessions: snapshot.sessions.clone(),
-            role: Role::Follower,
+            role: if meta.retired {
+                Role::Removed
+            } else {
+                Role::Follower
+            },
             leader_hint: None,
             commit_index: snapshot.last_index,
             applied_index: snapshot.last_index,
@@ -741,6 +747,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             cluster: self.cluster,
             cluster_epoch: self.cluster_epoch,
             bootstrapped: self.bootstrapped,
+            retired: self.role == Role::Removed,
             join_target: self.join_target,
             history: self.history.clone(),
         }
@@ -1011,57 +1018,31 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     // ---- Lifecycle -------------------------------------------------------
 
-    /// Simulates a crash-restart: volatile state is rebuilt from the
-    /// persistent state (hard state, log, snapshot, folded configuration,
-    /// history), exactly matching Raft's durability contract.
+    /// What outlives the node's process: its store and its state machine.
+    /// A reboot hands both back to [`Node::reopen`]; everything else the
+    /// node held dies here.
+    pub fn into_parts(self) -> (LS, SM) {
+        (self.log, self.sm)
+    }
+
+    /// A crash-restart in place: [`Node::reopen`] over this node's own store
+    /// and machine, with a seed drawn from its generator. Timers arm on the
+    /// next clock, so `now` is not needed.
+    ///
+    /// Kept for callers that hold the node behind `&mut` (the traced
+    /// benchmark run); everything else reboots by value through
+    /// [`Node::into_parts`] and [`Node::reopen`].
+    ///
+    /// # Panics
+    /// Aborts the process if the node's own store does not reopen — the
+    /// node cannot be left half moved out.
     pub fn restart(&mut self, now: u64) {
-        self.role = if self.role == Role::Removed {
-            Role::Removed
-        } else {
-            Role::Follower
-        };
-        self.leader_hint = None;
-        self.votes.clear();
-        self.progress.clear();
-        self.pending_clients.clear();
-        self.pending_reads.clear();
-        self.pull = None;
-        // A half-assembled snapshot stream dies with the process: the node
-        // reboots clean and the leader re-streams from scratch.
-        self.pending_install = None;
-        self.exchange = None;
-        self.driver = None;
-        self.pending_2pc.clear();
-        self.pending_fetches.clear();
-        self.committed_in_term = false;
-        self.commit_index = self.log.base_index();
-        self.applied_index = self.log.base_index();
-        // The state machine restarts from the last snapshot; committed
-        // entries above it are re-applied once a leader re-confirms them.
-        // The session table is part of that applied state and replays with
-        // it, so exactly-once accounting survives the crash.
-        self.sm
-            .restore_chunks(&self.snapshot.chunks)
-            .expect("own snapshot must decode");
-        self.sessions = self.snapshot.sessions.clone();
-        self.sm.retain_ranges(self.cfg.base().ranges());
-        // Rebuild the unfolded config stack from the log.
-        let base_from = self.cfg.base_from();
-        let base = self.cfg.base().clone();
-        self.cfg.reset(base, base_from);
-        let configs: Vec<(LogIndex, ConfigChange)> = self
-            .log
-            .tail(self.log.first_index())
-            .into_iter()
-            .filter(|e| e.index > base_from)
-            .filter_map(|e| e.as_config().map(|c| (e.index, c.clone())))
-            .collect();
-        for (index, change) in configs {
-            self.cfg.push(index, change);
-        }
-        self.reset_election_timer(now);
-        self.outbox.clear();
-        self.events.clear();
+        let _ = now;
+        replace_or_abort(self, |mut node| {
+            let (id, timing, seed) = (node.id, node.timing, node.rng.next_u64());
+            let (store, sm) = node.into_parts();
+            Node::reopen(id, store, sm, timing, seed).expect("a node reopens its own store")
+        });
     }
 
     // ---- Time ------------------------------------------------------------
@@ -1959,6 +1940,27 @@ fn lineage_token(cluster: ClusterId, epoch: u32) -> u64 {
         }
     }
     h
+}
+
+/// Replaces `*slot` with `f(*slot)`, moving the value out for the call.
+/// A panic inside `f` aborts the process instead of unwinding past the
+/// moved-out slot.
+fn replace_or_abort<T>(slot: &mut T, f: impl FnOnce(T) -> T) {
+    struct AbortOnUnwind;
+    impl Drop for AbortOnUnwind {
+        fn drop(&mut self) {
+            std::process::abort();
+        }
+    }
+    let armed = AbortOnUnwind;
+    // SAFETY: the value is read out of `slot` once and a replacement is
+    // written back before anything else can touch `slot`; if `f` unwinds,
+    // `armed` aborts before the moved-out slot could be observed or dropped.
+    unsafe {
+        let value = std::ptr::read(slot);
+        std::ptr::write(slot, f(value));
+    }
+    std::mem::forget(armed);
 }
 
 #[cfg(test)]

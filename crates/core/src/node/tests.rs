@@ -208,10 +208,16 @@ impl Net {
         self.crashed.insert(NodeId(id));
     }
 
+    /// Reboots a crashed node: [`Node::reopen`] over the store and machine
+    /// it left behind.
     fn restart(&mut self, id: u64) {
-        self.crashed.remove(&NodeId(id));
-        let now = self.now;
-        self.nodes.get_mut(&NodeId(id)).unwrap().restart(now);
+        let id = NodeId(id);
+        self.crashed.remove(&id);
+        let node = self.nodes.remove(&id).unwrap();
+        let timing = node.timing;
+        let (store, sm) = node.into_parts();
+        let node = Node::reopen(id, store, sm, timing, 0x5EED ^ self.now).unwrap();
+        self.nodes.insert(id, node);
     }
 
     fn ok_response(&self, req_id: u64) -> bool {
@@ -2207,6 +2213,9 @@ mod crash_points {
         fn sync(&mut self) {
             self.wal.sync();
             self.shoot();
+        }
+        fn power_cut(&mut self, keep_unsynced: usize) {
+            self.wal.power_cut(keep_unsynced);
         }
     }
 

@@ -555,6 +555,7 @@ fn node_meta() {
             cluster: ClusterId(5),
             cluster_epoch: 2,
             bootstrapped: true,
+            retired: false,
             join_target: Some(ClusterId(6)),
             history: vec![record("split", None), record("merge", Some(TxId(3)))],
         },
@@ -566,6 +567,7 @@ fn node_meta() {
             cluster: ClusterId(1),
             cluster_epoch: 0,
             bootstrapped: false,
+            retired: false,
             join_target: None,
             history: Vec::new(),
         },

@@ -154,6 +154,7 @@ fn wal_directory() {
         cluster: ClusterId(5),
         cluster_epoch: 2,
         bootstrapped: true,
+        retired: false,
         join_target: Some(ClusterId(6)),
         history: vec![ReconfigRecord {
             kind: "merge",

@@ -5,8 +5,8 @@ use recraft_core::{PipelineConfig, Timing};
 /// Which durable-storage backend simulated nodes run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The in-memory log: crashes keep state in the process (the original
-    /// simulator model).
+    /// The in-memory log: a power cut drops what its last sync did not
+    /// cover, and a reboot reopens the same log.
     #[default]
     Mem,
     /// The segmented write-ahead log: every node gets a data dir under a
@@ -31,8 +31,8 @@ impl Backend {
 /// Which key-value state machine simulated nodes run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SmKind {
-    /// The in-memory `KvStore` (whole-blob snapshots, restart-only crash
-    /// model).
+    /// The in-memory `KvStore` (whole-blob snapshots; a reboot restores it
+    /// from the node's snapshot).
     #[default]
     Mem,
     /// The on-disk `DurableKv`: per-node data dirs, chunked snapshots,

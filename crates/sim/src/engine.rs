@@ -34,9 +34,10 @@ const WRITE_RETRY_LIMIT: u32 = 8;
 /// A scheduled fault or administrative action.
 #[derive(Debug, Clone)]
 pub enum Action {
-    /// Crash a node (loses volatile state; keeps log/hard state/snapshot).
+    /// Crash a node: its process dies, its store keeps everything synced.
     Crash(NodeId),
-    /// Restart a crashed node.
+    /// Restart a crashed node through [`Sim::reboot`] (a no-op on a node
+    /// that is up).
     Restart(NodeId),
     /// Partition the network into groups; links across groups are cut.
     Partition(Vec<Vec<NodeId>>),
@@ -58,13 +59,13 @@ pub enum Action {
     StopClients,
     /// Resume client traffic.
     StartClients,
-    /// Power-cut a node mid-write: on a durable backend the unsynced tail of
-    /// its WAL is torn at a random byte (the classic partial-write crash);
-    /// on the in-memory backend this degrades to [`Action::Crash`].
+    /// Power-cut a node mid-write: its store loses what its last sync did
+    /// not cover — on the WAL the unsynced tail is torn at a random byte
+    /// (the classic partial-write crash), in memory it is dropped.
     PowerCut(NodeId),
-    /// Reboot a node from its data dir, running full storage recovery (torn
-    /// records dropped, state machine restored from the snapshot). On the
-    /// in-memory backend this degrades to [`Action::Restart`].
+    /// Reboot a node, up or down, through [`Sim::reboot`]: full storage
+    /// recovery (torn records dropped, state machine restored from the
+    /// snapshot or its own durable image).
     RebootFromDisk(NodeId),
 }
 
@@ -556,37 +557,22 @@ impl Sim {
                 }
             }
             Action::Restart(id) => {
-                if let Some(sn) = self.nodes.get_mut(&id) {
-                    if !sn.up {
-                        sn.up = true;
-                        let now = self.now;
-                        sn.node.restart(now);
-                    }
+                if self.nodes.get(&id).is_some_and(|sn| !sn.up) {
+                    self.reboot(id);
                 }
             }
             Action::PowerCut(id) => {
                 let tear = self.rng.gen_range(0..64);
-                let mut degraded = None;
                 if let Some(sn) = self.nodes.get_mut(&id) {
                     sn.up = false;
-                    if !sn.node.log().persistent() {
-                        // Nothing durable to tear: the fault degrades to a
-                        // plain crash. Mark it so traces distinguish
-                        // "survived a power cut" from "power cut was a
-                        // no-op".
-                        degraded = Some(sn.node.cluster());
-                    }
-                    // The process dies mid-write: unsent outputs vanish, and
-                    // on a durable backend the WAL tail is torn at an
-                    // arbitrary byte past the last sync point. No flush: the
-                    // power was already gone.
+                    // The process dies mid-write: unsent outputs vanish and
+                    // the store loses what lies past its last sync (a WAL
+                    // tail is torn at an arbitrary byte past it). No flush:
+                    // the power was already gone.
                     sn.node.power_cut(tear);
                 }
-                if let Some(cluster) = degraded {
-                    self.observe(id, NodeEvent::PowerCutDegraded { cluster });
-                }
             }
-            Action::RebootFromDisk(id) => self.reboot_from_disk(id),
+            Action::RebootFromDisk(id) => self.reboot(id),
             Action::Partition(groups) => {
                 self.cut.clear();
                 for (i, a) in groups.iter().enumerate() {
@@ -649,45 +635,43 @@ impl Sim {
         }
     }
 
-    /// Reboots a node from its data dir: the old node object is dropped
-    /// wholesale and a fresh one is reconstructed by storage recovery —
-    /// the WAL recovers the log/meta/snapshot and, under
-    /// `RECRAFT_SM=durable`, the state machine recovers its own flushed
-    /// segments before the node snapshot re-baselines it. On the in-memory
-    /// log backend (nothing durable to reboot the *log* from) this is the
-    /// in-process restart, which keeps crash-recovery scenarios runnable
-    /// under every combination.
-    fn reboot_from_disk(&mut self, id: NodeId) {
-        if self.cfg.backend == Backend::Mem {
-            // The consensus state lives only in the process image; a real
-            // reboot would be a fresh, unrecoverable node.
-            self.apply_action(Action::Restart(id));
+    /// Immediately reboots `id` (see [`Action::RebootFromDisk`]) — the one
+    /// reboot path, which [`Action::Restart`] takes too. The node's process
+    /// dies, if it has not already, and [`Node::reopen`] recovers a new one
+    /// from what outlived it. The in-memory log and machine are kept as they
+    /// were left; the WAL and the durable machine are their data dirs, so
+    /// those objects are dropped (closing their handles) and recovery runs
+    /// over the files, torn tail included.
+    pub fn reboot(&mut self, id: NodeId) {
+        let Some(sn) = self.nodes.remove(&id) else {
             return;
-        }
-        if !self.nodes.contains_key(&id) {
-            return;
-        }
-        // Drop the crashed incarnation (closes its WAL handles), then run
-        // recovery over whatever the torn directory holds.
-        self.nodes.remove(&id);
-        let store = self.make_store(id, false);
-        let machine = self.make_machine(id, KvStore::new(), false);
+        };
+        let (store, machine) = sn.node.into_parts();
+        let store = match self.cfg.backend {
+            Backend::Mem => store,
+            Backend::Wal => {
+                drop(store);
+                self.make_store(id, false)
+            }
+        };
+        let machine = match self.cfg.sm {
+            SmKind::Mem => machine,
+            SmKind::Durable => {
+                drop(machine);
+                self.make_machine(id, KvStore::new(), false)
+            }
+        };
         let node = Node::reopen(id, store, machine, self.cfg.timing, self.node_seed(id))
-            .expect("recover node from data dir");
+            .expect("recover node from its store");
+        // The id never left the map between two events, so its tick chain
+        // carries on.
         self.nodes.insert(id, SimNode { node, up: true });
-        self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
         self.schedule(self.cfg.directory_delay, EvKind::DirectoryRefresh);
     }
 
     /// Immediately power-cuts `id` (see [`Action::PowerCut`]).
     pub fn power_cut(&mut self, id: NodeId) {
         self.apply_action(Action::PowerCut(id));
-    }
-
-    /// Immediately reboots `id` from its data dir (see
-    /// [`Action::RebootFromDisk`]).
-    pub fn reboot(&mut self, id: NodeId) {
-        self.apply_action(Action::RebootFromDisk(id));
     }
 
     fn handle_admin_resp(&mut self, req_id: u64, result: Result<(), Error>) {

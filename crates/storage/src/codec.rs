@@ -98,6 +98,7 @@ codec!(
         cluster: ClusterId,
         cluster_epoch: u32,
         bootstrapped: bool,
+        retired: bool,
         join_target: Option<ClusterId>,
         history: Vec<ReconfigRecord>,
     }
@@ -169,6 +170,7 @@ mod tests {
             cluster: ClusterId(5),
             cluster_epoch: 2,
             bootstrapped: false,
+            retired: false,
             join_target: Some(ClusterId(6)),
             history: vec![ReconfigRecord {
                 kind: "split",

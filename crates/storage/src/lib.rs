@@ -9,8 +9,9 @@
 //!
 //! Two backends implement the trait:
 //!
-//! * [`MemLog`] — in memory; state survives the simulator's in-process
-//!   restart but not a real reboot,
+//! * [`MemLog`] — in memory, with a sync watermark: a power cut drops what
+//!   the last sync did not cover, and a node reopened over the same value
+//!   recovers the rest,
 //! * [`WalLog`] — a segmented, checksummed write-ahead log: one stream of
 //!   records for the entries, the node metadata and the compaction base,
 //!   an atomically replaced snapshot file beside it, and torn-tail crash
@@ -34,7 +35,7 @@
 //!
 //! # Example
 //! ```
-//! use recraft_storage::{EntryPayload, LogEntry, MemLog};
+//! use recraft_storage::{EntryPayload, LogEntry, LogStore, MemLog};
 //! use recraft_types::{EpochTerm, LogIndex};
 //!
 //! let mut log = MemLog::new();

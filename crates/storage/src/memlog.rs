@@ -6,161 +6,75 @@ use crate::store::{LogStore, NodeMeta};
 use recraft_types::{ClusterConfig, EpochTerm, Error, LogIndex, Result};
 use std::collections::VecDeque;
 
-/// An in-memory Raft log.
+/// An in-memory Raft log: the [`LogStore`] with nothing beneath it.
 ///
 /// Entries before and at the *base* have been compacted into a snapshot; the
 /// base epoch-term is retained so consistency checks for the first real entry
 /// still work. Indices are global (they do not restart after compaction)
-/// except across a [`MemLog::reset`], which merge resumption uses to renumber
-/// the log from scratch.
-#[derive(Debug, Clone)]
+/// except across a [`LogStore::reset`], which merge resumption uses to
+/// renumber the log from scratch.
+///
+/// It models a disk that outlives the process: a node rebooted over the same
+/// `MemLog` (`Node::reopen`) finds what its last [`LogStore::sync`] made
+/// durable. The sync watermark marks that point; a [`LogStore::power_cut`]
+/// drops every entry past it and any metadata saved since. A truncation,
+/// compaction or reset takes effect at once and moves the watermark with it
+/// (the node syncs each before it builds on it), so a power cut never brings
+/// back what one of them removed.
+#[derive(Debug, Clone, Default)]
 pub struct MemLog {
     base_index: LogIndex,
     base_eterm: EpochTerm,
     entries: VecDeque<LogEntry>,
-    /// "Persisted" node metadata — kept in memory: it survives the in-process
-    /// restart the simulator models, not a real reboot.
+    /// The sync watermark: the last index a sync made durable.
+    synced: LogIndex,
+    /// Node metadata as of the last sync.
     meta: Option<NodeMeta>,
-    /// "Persisted" snapshot and its tail configuration, same lifetime.
+    /// Node metadata saved since the last sync: what `load_meta` answers
+    /// until a sync keeps it or a power cut drops it.
+    unsynced_meta: Option<NodeMeta>,
+    /// The snapshot and its tail configuration, durable once saved.
     snap: Option<(Snapshot, ClusterConfig)>,
-}
-
-impl Default for MemLog {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MemLog {
     /// An empty log with base `(0, e0.t0)`.
     #[must_use]
     pub fn new() -> Self {
-        MemLog {
-            base_index: LogIndex::ZERO,
-            base_eterm: EpochTerm::ZERO,
-            entries: VecDeque::new(),
-            meta: None,
-            snap: None,
-        }
+        Self::default()
     }
+}
 
-    /// The compaction base index (entries at or below it are gone).
-    #[must_use]
-    pub fn base_index(&self) -> LogIndex {
+impl LogStore for MemLog {
+    fn base_index(&self) -> LogIndex {
         self.base_index
     }
-
-    /// The epoch-term recorded at the base index.
-    #[must_use]
-    pub fn base_eterm(&self) -> EpochTerm {
+    fn base_eterm(&self) -> EpochTerm {
         self.base_eterm
     }
-
-    /// Index of the first retained entry.
-    #[must_use]
-    pub fn first_index(&self) -> LogIndex {
-        self.base_index.next()
+    fn last_index(&self) -> LogIndex {
+        self.entries.back().map_or(self.base_index, |e| e.index)
     }
-
-    /// Index of the last entry (the base index if the log is empty).
-    #[must_use]
-    pub fn last_index(&self) -> LogIndex {
-        match self.entries.back() {
-            Some(e) => e.index,
-            None => self.base_index,
-        }
+    fn last_eterm(&self) -> EpochTerm {
+        self.entries.back().map_or(self.base_eterm, |e| e.eterm)
     }
-
-    /// Epoch-term of the last entry (the base epoch-term if empty).
-    #[must_use]
-    pub fn last_eterm(&self) -> EpochTerm {
-        match self.entries.back() {
-            Some(e) => e.eterm,
-            None => self.base_eterm,
-        }
-    }
-
-    /// Number of retained entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
     }
-
-    /// Whether no entries are retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entry at `index`, if retained.
-    #[must_use]
-    pub fn entry(&self, index: LogIndex) -> Option<&LogEntry> {
+    fn entry(&self, index: LogIndex) -> Option<LogEntry> {
         if index <= self.base_index || index > self.last_index() {
             return None;
         }
         let off = (index.0 - self.base_index.0 - 1) as usize;
-        self.entries.get(off)
+        self.entries.get(off).cloned()
     }
-
-    /// The epoch-term at `index`: the base epoch-term for the base index,
-    /// otherwise the retained entry's. `None` if compacted away or past the
-    /// end.
-    #[must_use]
-    pub fn eterm_at(&self, index: LogIndex) -> Option<EpochTerm> {
+    fn eterm_at(&self, index: LogIndex) -> Option<EpochTerm> {
         if index == self.base_index {
             return Some(self.base_eterm);
         }
         self.entry(index).map(|e| e.eterm)
     }
-
-    /// Whether the log matches `(index, eterm)` — the AppendEntries
-    /// consistency check. The base position counts as matching.
-    #[must_use]
-    pub fn matches(&self, index: LogIndex, eterm: EpochTerm) -> bool {
-        self.eterm_at(index) == Some(eterm)
-    }
-
-    /// Appends one entry to the tail.
-    ///
-    /// # Panics
-    /// Panics if `entry.index` is not exactly `last_index + 1` — appends are
-    /// contiguous by construction (leaders assign indices; followers truncate
-    /// before appending).
-    pub fn append(&mut self, entry: LogEntry) {
-        assert_eq!(
-            entry.index,
-            self.last_index().next(),
-            "non-contiguous append"
-        );
-        self.entries.push_back(entry);
-    }
-
-    /// Removes every entry at or after `index` (follower conflict
-    /// resolution). Returns the number of entries removed.
-    ///
-    /// # Errors
-    /// Returns [`Error::IndexOutOfRange`] if `index` is at or below the base
-    /// (committed, compacted entries can never be truncated — Leader
-    /// Append-Only and commit immutability).
-    pub fn truncate_from(&mut self, index: LogIndex) -> Result<usize> {
-        if index <= self.base_index {
-            return Err(Error::IndexOutOfRange(index));
-        }
-        if index > self.last_index() {
-            return Ok(0);
-        }
-        let keep = (index.0 - self.base_index.0 - 1) as usize;
-        let removed = self.entries.len() - keep;
-        self.entries.truncate(keep);
-        Ok(removed)
-    }
-
-    /// Entries in `[from, to]`, clamped to what is retained.
-    #[must_use]
-    pub fn slice(&self, from: LogIndex, to: LogIndex) -> Vec<LogEntry> {
-        if from > to {
-            return Vec::new();
-        }
+    fn slice(&self, from: LogIndex, to: LogIndex) -> Vec<LogEntry> {
         let from = from.max(self.first_index());
         let to = to.min(self.last_index());
         if from > to {
@@ -170,25 +84,34 @@ impl MemLog {
         let end = (to.0 - self.base_index.0) as usize;
         self.entries.range(start..end).cloned().collect()
     }
-
-    /// Entries from `from` through the end of the log.
-    #[must_use]
-    pub fn tail(&self, from: LogIndex) -> Vec<LogEntry> {
-        self.slice(from, self.last_index())
+    fn append(&mut self, entry: LogEntry) {
+        assert_eq!(
+            entry.index,
+            self.last_index().next(),
+            "non-contiguous append"
+        );
+        self.entries.push_back(entry);
     }
-
-    /// Iterates over the retained entries in order.
-    pub fn iter(&self) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter()
+    fn append_batch(&mut self, entries: Vec<LogEntry>) {
+        self.entries.reserve(entries.len());
+        for entry in entries {
+            self.append(entry);
+        }
     }
-
-    /// Compacts the log: drops entries at or below `index` and records
-    /// `(index, eterm)` as the new base. Used after taking a snapshot.
-    ///
-    /// # Errors
-    /// Returns [`Error::IndexOutOfRange`] if `index` is below the current
-    /// base or beyond the last entry.
-    pub fn compact_to(&mut self, index: LogIndex, eterm: EpochTerm) -> Result<()> {
+    fn truncate_from(&mut self, index: LogIndex) -> Result<usize> {
+        if index <= self.base_index {
+            return Err(Error::IndexOutOfRange(index));
+        }
+        if index > self.last_index() {
+            return Ok(0);
+        }
+        let keep = (index.0 - self.base_index.0 - 1) as usize;
+        let removed = self.entries.len() - keep;
+        self.entries.truncate(keep);
+        self.synced = self.synced.min(index.prev());
+        Ok(removed)
+    }
+    fn compact_to(&mut self, index: LogIndex, eterm: EpochTerm) -> Result<()> {
         if index < self.base_index || index > self.last_index() {
             return Err(Error::IndexOutOfRange(index));
         }
@@ -196,81 +119,49 @@ impl MemLog {
         self.entries.drain(..drop);
         self.base_index = index;
         self.base_eterm = eterm;
+        self.synced = self.synced.max(index);
         Ok(())
     }
-
-    /// Discards everything and installs a fresh base — used when installing a
-    /// snapshot from the leader, and by merge resumption to renumber the log.
-    pub fn reset(&mut self, base_index: LogIndex, base_eterm: EpochTerm) {
+    fn reset(&mut self, base_index: LogIndex, base_eterm: EpochTerm) {
         self.entries.clear();
         self.base_index = base_index;
         self.base_eterm = base_eterm;
-    }
-}
-
-impl LogStore for MemLog {
-    fn base_index(&self) -> LogIndex {
-        MemLog::base_index(self)
-    }
-    fn base_eterm(&self) -> EpochTerm {
-        MemLog::base_eterm(self)
-    }
-    fn last_index(&self) -> LogIndex {
-        MemLog::last_index(self)
-    }
-    fn last_eterm(&self) -> EpochTerm {
-        MemLog::last_eterm(self)
-    }
-    fn len(&self) -> usize {
-        MemLog::len(self)
-    }
-    fn entry(&self, index: LogIndex) -> Option<LogEntry> {
-        MemLog::entry(self, index).cloned()
-    }
-    fn eterm_at(&self, index: LogIndex) -> Option<EpochTerm> {
-        MemLog::eterm_at(self, index)
-    }
-    fn slice(&self, from: LogIndex, to: LogIndex) -> Vec<LogEntry> {
-        MemLog::slice(self, from, to)
-    }
-    fn append(&mut self, entry: LogEntry) {
-        MemLog::append(self, entry);
-    }
-    fn append_batch(&mut self, entries: Vec<LogEntry>) {
-        self.entries.reserve(entries.len());
-        for entry in entries {
-            MemLog::append(self, entry);
-        }
-    }
-    fn truncate_from(&mut self, index: LogIndex) -> Result<usize> {
-        MemLog::truncate_from(self, index)
-    }
-    fn compact_to(&mut self, index: LogIndex, eterm: EpochTerm) -> Result<()> {
-        MemLog::compact_to(self, index, eterm)
-    }
-    fn reset(&mut self, base_index: LogIndex, base_eterm: EpochTerm) {
-        MemLog::reset(self, base_index, base_eterm);
+        self.synced = base_index;
     }
     fn save_meta(&mut self, meta: &NodeMeta) {
-        self.meta = Some(meta.clone());
+        self.unsynced_meta = Some(meta.clone());
     }
     fn load_meta(&self) -> Option<NodeMeta> {
-        self.meta.clone()
+        self.unsynced_meta.as_ref().or(self.meta.as_ref()).cloned()
     }
     fn save_snapshot(&mut self, snapshot: &Snapshot, config: &ClusterConfig) {
+        // Durable at once, and after everything written before it.
+        self.sync();
         self.snap = Some((snapshot.clone(), config.clone()));
     }
     fn load_snapshot(&self) -> Option<(Snapshot, ClusterConfig)> {
         self.snap.clone()
     }
-    fn sync(&mut self) {}
+    fn sync(&mut self) {
+        self.synced = self.last_index();
+        if let Some(meta) = self.unsynced_meta.take() {
+            self.meta = Some(meta);
+        }
+    }
+    /// Drops everything past the sync watermark; with no torn tail to
+    /// leave, `keep_unsynced` is ignored.
+    fn power_cut(&mut self, _keep_unsynced: usize) {
+        self.entries
+            .truncate((self.synced.0 - self.base_index.0) as usize);
+        self.unsynced_meta = None;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::LogEntry;
     use bytes::Bytes;
+    use recraft_types::{ClusterId, NodeId, RangeSet};
 
     fn et(term: u32) -> EpochTerm {
         EpochTerm::new(0, term)
@@ -392,10 +283,59 @@ mod tests {
         assert!(!log.matches(LogIndex(3), et(2)));
     }
 
+    fn meta(term: u32) -> NodeMeta {
+        NodeMeta {
+            hard: crate::HardState {
+                eterm: et(term),
+                voted_for: None,
+            },
+            cluster: ClusterId(1),
+            cluster_epoch: 0,
+            bootstrapped: true,
+            retired: false,
+            join_target: None,
+            history: Vec::new(),
+        }
+    }
+
     #[test]
-    fn iter_in_order() {
-        let log = filled(4, 2);
-        let idx: Vec<u64> = log.iter().map(|e| e.index.0).collect();
-        assert_eq!(idx, vec![1, 2, 3, 4]);
+    fn power_cut_drops_what_the_last_sync_did_not_cover() {
+        let mut log = filled(3, 1);
+        log.save_meta(&meta(1));
+        log.sync();
+        log.append(LogEntry::noop(LogIndex(4), et(2)));
+        log.save_meta(&meta(2));
+        assert_eq!(log.load_meta(), Some(meta(2)), "unsynced meta is read back");
+        log.power_cut(64);
+        assert_eq!(log.last_index(), LogIndex(3));
+        assert_eq!(log.load_meta(), Some(meta(1)));
+        // A power cut right after a sync loses nothing.
+        log.append(LogEntry::noop(LogIndex(4), et(2)));
+        log.sync();
+        log.power_cut(0);
+        assert_eq!(log.last_index(), LogIndex(4));
+    }
+
+    #[test]
+    fn cuts_take_effect_at_once_and_a_snapshot_save_syncs() {
+        let mut log = filled(5, 1);
+        log.sync();
+        log.truncate_from(LogIndex(4)).unwrap();
+        log.append(LogEntry::noop(LogIndex(4), et(2)));
+        log.power_cut(0);
+        assert_eq!(log.last_index(), LogIndex(3), "the cut stays");
+
+        log.append(LogEntry::noop(LogIndex(4), et(2)));
+        let config = ClusterConfig::new(ClusterId(1), [NodeId(1)], RangeSet::full()).unwrap();
+        log.save_snapshot(&Snapshot::empty(config.id(), RangeSet::full()), &config);
+        log.compact_to(LogIndex(2), et(1)).unwrap();
+        log.power_cut(0);
+        assert_eq!(log.base_index(), LogIndex(2));
+        assert_eq!(log.last_index(), LogIndex(4), "the snapshot synced it");
+
+        log.reset(LogIndex(9), et(3));
+        log.power_cut(0);
+        assert_eq!(log.base_index(), LogIndex(9));
+        assert!(log.is_empty());
     }
 }

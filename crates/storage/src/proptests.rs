@@ -54,6 +54,7 @@ fn meta(term: u32) -> NodeMeta {
         cluster: ClusterId(1),
         cluster_epoch: 0,
         bootstrapped: true,
+        retired: false,
         join_target: None,
         history: Vec::new(),
     }

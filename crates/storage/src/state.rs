@@ -5,9 +5,9 @@ use recraft_types::{EpochTerm, NodeId};
 /// The state a node must persist before answering RPCs: its current
 /// epoch-term and the vote it granted in that epoch-term.
 ///
-/// In the simulator this struct survives crash/restart while all volatile
-/// state (role, commit index, peer progress) is rebuilt — matching Raft's
-/// durability contract.
+/// It rides in the node metadata, so it survives every reboot while all
+/// volatile state (role, commit index, peer progress) is rebuilt — matching
+/// Raft's durability contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HardState {
     /// Latest epoch-term this node has seen.

@@ -6,10 +6,11 @@
 //! message leaves the node ([`NodeMeta`]: hard state plus cluster identity),
 //! and the snapshot the state machine restarts from.
 //!
-//! Two implementations ship: [`MemLog`](crate::MemLog), the original
-//! in-memory backend (state survives an in-process [`restart`] but not a real
-//! reboot), and [`WalLog`](crate::WalLog), a segmented write-ahead log with
-//! crash recovery.
+//! Two implementations ship: [`MemLog`](crate::MemLog), the in-memory
+//! backend (a disk that lives as long as the `MemLog` value), and
+//! [`WalLog`](crate::WalLog), a segmented write-ahead log with crash
+//! recovery. A node reboots over either the same way: reopened from what the
+//! store holds.
 //!
 //! # The write-ahead contract
 //!
@@ -17,8 +18,6 @@
 //! durable. The consensus layer calls `sync` before externalizing any output
 //! that acknowledges the written state (votes, append responses), so a crash
 //! can only ever lose writes that were never acknowledged to anyone.
-//!
-//! [`restart`]: https://en.wikipedia.org/wiki/Raft_(algorithm)
 
 use crate::entry::LogEntry;
 use crate::snapshot::Snapshot;
@@ -61,6 +60,9 @@ pub struct NodeMeta {
     pub cluster_epoch: u32,
     /// Whether the node holds a real configuration (false for joiners).
     pub bootstrapped: bool,
+    /// Whether a committed split, merge or membership change left the node
+    /// out of its cluster. A retired node reboots retired.
+    pub retired: bool,
     /// The cluster a joiner was provisioned for, if any.
     pub join_target: Option<ClusterId>,
     /// Completed reconfigurations this node witnessed (§V history). The
@@ -223,8 +225,9 @@ pub trait LogStore: std::fmt::Debug + Send {
 
     // ---- Crash modelling -------------------------------------------------
 
-    /// Whether this backend survives a real process reboot (drives the
-    /// simulator's choice between in-memory restart and reopen-from-disk).
+    /// No longer read: every backend reboots through the node's one reopen
+    /// path. Kept only while `benchmark/`'s traced store still forwards it;
+    /// delete it together with that forwarding.
     fn persistent(&self) -> bool {
         false
     }
@@ -232,13 +235,11 @@ pub trait LogStore: std::fmt::Debug + Send {
     /// Power-cut injection hook: discards buffered-but-unsynced state as a
     /// crash would, except for up to `keep_unsynced` bytes that had already
     /// reached the disk — the torn tail a recovery pass must detect and
-    /// drop. When the budget exceeds what was in flight, durable backends
+    /// drop. When the budget exceeds what was in flight, file-backed stores
     /// leave a partial garbage frame instead (the record that was being
-    /// written at the instant of death). In-memory backends ignore this
-    /// (their crash model is process death).
-    fn power_cut(&mut self, keep_unsynced: usize) {
-        let _ = keep_unsynced;
-    }
+    /// written at the instant of death). [`MemLog`](crate::MemLog) has no
+    /// bytes to tear and drops everything past its sync watermark.
+    fn power_cut(&mut self, keep_unsynced: usize);
 }
 
 impl<L: LogStore + ?Sized> LogStore for Box<L> {
@@ -310,9 +311,6 @@ impl<L: LogStore + ?Sized> LogStore for Box<L> {
     }
     fn sync_count(&self) -> u64 {
         (**self).sync_count()
-    }
-    fn persistent(&self) -> bool {
-        (**self).persistent()
     }
     fn power_cut(&mut self, keep_unsynced: usize) {
         (**self).power_cut(keep_unsynced);

@@ -79,9 +79,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: u32 = 0x5243_574C; // "RCWL"
-/// Version 4: a record is one [`Record`]. Segments of any other version are
-/// not read back; recovery treats them as unusable files.
-const SEGMENT_VERSION: u32 = 4;
+/// Version 5: a record is one [`Record`], and node metadata carries the
+/// retired flag. Segments of any other version are not read back; recovery
+/// treats them as unusable files.
+const SEGMENT_VERSION: u32 = 5;
 const SEGMENT_HEADER_LEN: u64 = 16;
 
 /// One operation of the log: what a segment record holds.
@@ -399,7 +400,7 @@ impl LogStore for WalLog {
         self.mem.len()
     }
     fn entry(&self, index: LogIndex) -> Option<LogEntry> {
-        self.mem.entry(index).cloned()
+        self.mem.entry(index)
     }
     fn eterm_at(&self, index: LogIndex) -> Option<EpochTerm> {
         self.mem.eterm_at(index)
@@ -508,10 +509,6 @@ impl LogStore for WalLog {
 
     fn sync_count(&self) -> u64 {
         self.syncs
-    }
-
-    fn persistent(&self) -> bool {
-        true
     }
 
     fn power_cut(&mut self, keep_unsynced: usize) {
@@ -650,6 +647,7 @@ mod tests {
             cluster: ClusterId(1),
             cluster_epoch: 0,
             bootstrapped: false,
+            retired: false,
             join_target: None,
             history: Vec::new(),
         }
@@ -717,8 +715,8 @@ mod tests {
             .collect()
     }
 
-    /// Header: magic "RCWL", version 4, segment seq 1.
-    const HEADER: &str = "5243574c000000040000000000000001";
+    /// Header: magic "RCWL", version 5, segment seq 1.
+    const HEADER: &str = "5243574c000000050000000000000001";
     /// One `[len][crc]` frame per record kind, each payload a one-byte tag
     /// and the fields of its `codec!` line.
     const BATCH: &str = "00000033f4b8071d\
@@ -727,9 +725,9 @@ mod tests {
         0000000000000001000000000000000101000000027631\
         0000000000000002000000000000000101000000027632";
     const TRUNCATE: &str = "000000091f7c61c1010000000000000002";
-    const META: &str = "0000001c42955213\
+    const META: &str = "0000001d56fe3b01\
         02\
-        000000000000000000000000000000000100000000000000000000";
+        00000000000000000000000000000000010000000000000000000000";
     const COMPACT: &str = "00000011fa098eec0300000000000000010000000000000001";
     const RESET: &str = "00000011fd47aca20400000000000000000000000300000000";
 
@@ -775,7 +773,7 @@ mod tests {
         assert_eq!(
             hex(&active_bytes(&wal)),
             [
-                "5243574c000000040000000000000002",
+                "5243574c000000050000000000000002",
                 META,
                 RESET,
                 "000000098675307b010000000000000001"
@@ -798,8 +796,8 @@ mod tests {
 
     #[test]
     fn any_other_segment_version_is_refused() {
-        let v3 = [HEADER, BATCH].concat().replacen("00000004", "00000003", 1);
-        assert_eq!(recover(&unhex(&v3)), pinned_states()[0]);
+        let v4 = [HEADER, BATCH].concat().replacen("00000005", "00000004", 1);
+        assert_eq!(recover(&unhex(&v4)), pinned_states()[0]);
         assert_eq!(
             recover(&unhex(&[HEADER, BATCH].concat())),
             pinned_states()[1]
@@ -929,6 +927,7 @@ mod tests {
             cluster: ClusterId(4),
             cluster_epoch: 1,
             bootstrapped: true,
+            retired: false,
             join_target: None,
             history: Vec::new(),
         };

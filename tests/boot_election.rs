@@ -4,11 +4,11 @@
 //! so a fresh cluster leads after one vote round; the other members keep
 //! randomized timers, which elect someone else when that node is down or
 //! cut off. Every election deadline is armed on the first clock a node sees,
-//! so a member rebooted from its WAL on a clock long past zero waits a full
+//! so a member rebooted from its store on a clock long past zero waits a full
 //! timeout instead of deposing the live leader on its first tick.
 
 use recraft::core::{NodeEvent, Role};
-use recraft::sim::{Action, Backend, Sim, SimConfig, Workload};
+use recraft::sim::{Action, Sim, SimConfig, Workload};
 use recraft::types::{ClusterId, EpochTerm, NodeId, RangeSet};
 
 const SEC: u64 = 1_000_000;
@@ -106,7 +106,7 @@ fn a_joiner_never_campaigns() {
 #[test]
 fn a_follower_rebooted_from_its_wal_does_not_depose_the_leader() {
     for seed in 1..=5 {
-        let cfg = SimConfig::with_seed(seed).with_backend(Backend::Wal);
+        let cfg = SimConfig::with_seed(seed);
         let quiet = cfg.timing.election_timeout_min - cfg.tick_interval;
         let mut sim = boot(cfg, &ids(1..=3));
         sim.run_until_leader(CLUSTER);

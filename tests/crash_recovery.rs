@@ -1,7 +1,8 @@
 //! Crash–restart scenarios: nodes are power-cut at arbitrary write points
-//! and rebooted from their data dirs (full storage recovery on the WAL
-//! backend; in-process restart on the in-memory backend — both backends run
-//! every scenario, which is exactly what the CI backend matrix exercises).
+//! and rebooted through `Node::reopen` of what their stores kept (a torn WAL
+//! directory, or a `MemLog` cut back to its sync watermark — both backends
+//! run every scenario, which is exactly what the CI backend matrix
+//! exercises).
 //!
 //! The assertions are the durable-substrate acceptance criteria: no
 //! committed entry, session-table row, or in-flight reconfiguration step is
@@ -9,9 +10,9 @@
 //! the linearizability checker, the exactly-once contract, and the online
 //! safety trackers.
 
+use recraft::core::Role;
 use recraft::net::AdminCmd;
 use recraft::sim::{Action, Sim, SimConfig, Workload};
-use recraft::storage::LogStore as _;
 use recraft::types::{
     ClusterConfig, ClusterId, MergeParticipant, MergeTx, NodeId, RangeSet, SessionId, SplitSpec,
     TxId,
@@ -200,10 +201,8 @@ fn durable_reboot_replays_only_the_log_suffix() {
     check_all(&sim, "odelta_reboot");
 }
 
-/// The §V reconfiguration history must survive a reboot (on the WAL backend
-/// it rides in the persisted node metadata; the in-memory backend keeps it
-/// through its in-process restart) — and the power-cut fault must leave a
-/// trace marker when the backend degrades it to a plain crash.
+/// The §V reconfiguration history must survive a reboot: it rides in the
+/// node metadata, which every backend hands back to `Node::reopen`.
 #[test]
 fn reconfig_history_survives_reboot() {
     let mut sim = Sim::new(SimConfig::with_seed(0x9157));
@@ -235,19 +234,33 @@ fn reconfig_history_survives_reboot() {
         history.iter().any(|r| r.kind == "resize"),
         "reconfiguration history survives the reboot, got {history:?}"
     );
-    // Degradation marker: the in-memory backend cannot tear, so the power
-    // cut must be flagged as degraded in the trace; the WAL backend
-    // performs a real tear and must NOT be flagged.
-    let degraded = sim
-        .trace()
-        .iter()
-        .any(|(_, _, e)| matches!(e, recraft::core::NodeEvent::PowerCutDegraded { .. }));
-    let persistent = sim.node(survivor).unwrap().log().persistent();
-    assert_eq!(
-        degraded, !persistent,
-        "power-cut degradation marker tracks the backend"
-    );
     check_all(&sim, "reconfig_history_reboot");
+}
+
+/// Retirement is durable: a node a `RemoveAndResize` left out reboots
+/// retired, instead of as a follower of the configuration it was removed
+/// from — which would report that cluster's old member set to samplers.
+#[test]
+fn a_retired_node_reboots_retired() {
+    let mut sim = Sim::new(SimConfig::with_seed(0x9158));
+    let cluster = ClusterId(1);
+    sim.boot_cluster(cluster, &ids(1..=4), RangeSet::full());
+    sim.run_until_leader(cluster);
+    let req = sim.admin(
+        cluster,
+        AdminCmd::RemoveAndResize([NodeId(4)].into_iter().collect()),
+    );
+    sim.run_until_pred(30 * SEC, |s| s.admin_completed_at(req).is_some());
+    sim.run_until_pred(10 * SEC, |s| {
+        s.node(NodeId(4)).unwrap().role() == Role::Removed
+    });
+    sim.power_cut(NodeId(4));
+    sim.reboot(NodeId(4));
+    sim.run_for(5 * SEC);
+    let node = sim.node(NodeId(4)).unwrap();
+    assert_eq!(node.role(), Role::Removed);
+    assert!(node.stats().members.is_empty());
+    check_all(&sim, "retired_reboot");
 }
 
 fn two_way_spec(sim: &Sim, src: ClusterId) -> SplitSpec {
