@@ -10,9 +10,8 @@
 //! the boot range count. A second, zipfian wave then spreads power-law
 //! load across the whole keyspace while the control plane's seat
 //! rebalancer migrates hot shards between workers. The run asserts its own
-//! acceptance bars: every client finishes and confirms exactly-once
-//! (including any merge-burned writes recovered by reissue), at least one
-//! split and one merge complete, cross-worker replication actually
+//! acceptance bars: every client finishes and confirms exactly-once, at
+//! least one split and one merge complete, cross-worker replication actually
 //! multiplexes (mux batch counters nonzero), the idle fleet wakes at
 //! least 10x less often than the retired 500 µs sweep loop did, the
 //! post-rebalance max/mean worker load ratio sits at or below 2.0, and
@@ -69,7 +68,6 @@ struct Outcome {
     idle_wakeups_per_sec: f64,
     shard_imbalance: f64,
     seat_migrations: u64,
-    reissued: u64,
 }
 
 /// What the retired sweep loop cost at idle: every worker re-polled its
@@ -325,10 +323,8 @@ fn run(scale: &Scale) -> Outcome {
     // Exactly-once across the surviving fleet. A session's ops can straddle
     // the split children, and the merge that restores the range floor is
     // free to fold a child into a neighbor rather than its sibling — so a
-    // session's tail may live in any surviving cluster. No table can ever
-    // exceed the client's final wire sequence (dedup forbids it), so the
-    // fleet-wide max reaching each client's reported `last_seq` — ops plus
-    // any merge-burned reissues — is the exactly-once witness.
+    // session's tail may live in any surviving cluster. The fleet-wide max
+    // reaching each client's op count is the exactly-once witness.
     let nodes = Arc::try_unwrap(cluster)
         .unwrap_or_else(|_| panic!("cluster handles still outstanding"))
         .shutdown();
@@ -337,15 +333,21 @@ fn run(scale: &Scale) -> Outcome {
             .iter()
             .filter_map(|n| n.sessions().last_seq(SessionId(c)))
             .max();
-        let expected = fleet_run.last_seq_of(c);
-        assert_eq!(last, expected, "session {c}: last_seq {last:?}");
+        assert_eq!(
+            last,
+            Some(scale.ops_per_client),
+            "session {c}: last_seq {last:?}"
+        );
         // The zipfian wave's sessions (offset by its session_base).
         let last2 = nodes
             .iter()
             .filter_map(|n| n.sessions().last_seq(SessionId(100 + c)))
             .max();
-        let expected2 = zipf_run.last_seq_of(c);
-        assert_eq!(last2, expected2, "zipf session {c}: last_seq {last2:?}");
+        assert_eq!(
+            last2,
+            Some(zipf_opts.ops),
+            "zipf session {c}: last_seq {last2:?}"
+        );
     }
 
     Outcome {
@@ -370,12 +372,6 @@ fn run(scale: &Scale) -> Outcome {
         idle_wakeups_per_sec,
         shard_imbalance: report.imbalance,
         seat_migrations: report.migrations,
-        reissued: fleet_run
-            .reports
-            .iter()
-            .chain(zipf_run.reports.iter())
-            .map(|r| r.reissued)
-            .sum(),
     }
 }
 
@@ -421,8 +417,8 @@ fn main() {
         o.idle_wakeups_per_sec, o.workers, SWEEP_BASELINE_WAKEUPS_PER_SEC
     );
     println!(
-        "rebalance: shard load ratio {:.2} after {} seat migration(s); {} write(s) reissued past burned sequences",
-        o.shard_imbalance, o.seat_migrations, o.reissued
+        "rebalance: shard load ratio {:.2} after {} seat migration(s)",
+        o.shard_imbalance, o.seat_migrations
     );
     let _ = std::io::stdout().flush();
     write_summary(&scale, &o, smoke).expect("write bench summary");
@@ -460,7 +456,6 @@ fn write_summary(scale: &Scale, o: &Outcome, smoke: bool) -> std::io::Result<()>
         ),
         ("shard_imbalance", format!("{:.3}", o.shard_imbalance)),
         ("seat_migrations", o.seat_migrations.to_string()),
-        ("reissued", o.reissued.to_string()),
     ];
     recraft_bench::write_summary("mux_fleet", &header, &[])
 }

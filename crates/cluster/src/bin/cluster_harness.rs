@@ -82,7 +82,6 @@ fn main() {
     } else {
         0.0
     };
-    let stale: u64 = run.reports.iter().map(|r| r.stale_confirmed).sum();
     let redirects: u64 = run.reports.iter().map(|r| r.redirects).sum();
     println!("\n=== results ===");
     println!("total ops          {total_ops}");
@@ -98,7 +97,6 @@ fn main() {
     println!("committed index    {committed}");
     println!("sync/entry         {sync_per_entry:.4}");
     println!("redirects          {redirects}");
-    println!("stale-confirmed    {stale}");
     println!("elections          {elections}");
     println!("snapshot installs  {installs}");
     println!("exactly-once: every session's last_seq == {ops} ✓");

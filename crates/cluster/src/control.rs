@@ -25,7 +25,7 @@
 //! reporters, and command delivery fails over to whoever leads now.
 
 use crate::admin::AdminClient;
-use crate::driver::FleetNet;
+use crate::fleet_net::FleetNet;
 use crate::harness::Cluster;
 use recraft_fleet::{Controller, FleetCmd, FleetConfig, SampleBook, ShardDirectory};
 use recraft_net::{AdminCmd, NodeStats};
@@ -37,10 +37,9 @@ use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// One route answer from [`FleetView::route`]: the serving cluster, its
-/// reconfiguration epoch as last observed (the retry fence), and its
+/// One route answer from [`FleetView::route`]: the serving cluster and its
 /// members' current addresses.
-pub type Route = (ClusterId, u32, Vec<(NodeId, SocketAddr)>);
+pub type Route = (ClusterId, Vec<(NodeId, SocketAddr)>);
 
 /// The shared, loosely-consistent fleet view: the [`ShardDirectory`] the
 /// control plane publishes each sampling round, plus the live address map
@@ -79,25 +78,24 @@ impl FleetView {
         self.dir.read().expect("directory lock").version()
     }
 
-    /// The cluster serving `key` — its id, its reconfiguration epoch as
-    /// last observed (the retry fence), and its members' current addresses —
-    /// or `None` while the directory has no record covering the key.
+    /// The cluster serving `key` — its id and its members' current
+    /// addresses — or `None` while the directory has no record covering the
+    /// key.
     #[must_use]
     pub fn route(&self, key: &[u8]) -> Option<Route> {
         let dir = self.dir.read().expect("directory lock");
-        let (cluster, record) = dir.lookup_record(key)?;
-        let addrs: Vec<(NodeId, SocketAddr)> = record
-            .members
+        let (cluster, members) = dir.lookup(key)?;
+        let addrs: Vec<(NodeId, SocketAddr)> = members
             .iter()
             .filter_map(|m| self.net.addr_of(*m).map(|a| (*m, a)))
             .collect();
-        (!addrs.is_empty()).then_some((cluster, record.epoch, addrs))
+        (!addrs.is_empty()).then_some((cluster, addrs))
     }
 
     /// Replaces the directory contents with one observation round.
     pub fn publish(
         &self,
-        records: impl IntoIterator<Item = (ClusterId, recraft_types::RangeSet, BTreeSet<NodeId>, u32)>,
+        records: impl IntoIterator<Item = (ClusterId, recraft_types::RangeSet, BTreeSet<NodeId>)>,
     ) {
         self.dir.write().expect("directory lock").sync(records);
     }
@@ -262,23 +260,12 @@ fn run_control(
         }
         let samples = book.build(&reports);
 
-        // 2. Publish what this round observed to the routed clients. Each
-        // record carries the cluster's highest reported reconfiguration
-        // epoch — the fence routed clients check before trusting a
-        // cross-reconfiguration retry inference.
-        let mut epochs: BTreeMap<ClusterId, u32> = BTreeMap::new();
-        for (_, stats) in &reports {
-            let e = epochs.entry(stats.cluster).or_insert(stats.epoch);
-            *e = (*e).max(stats.epoch);
-        }
-        view.publish(samples.iter().map(|s| {
-            (
-                s.cluster,
-                s.ranges.clone(),
-                s.members.clone(),
-                epochs.get(&s.cluster).copied().unwrap_or(0),
-            )
-        }));
+        // 2. Publish what this round observed to the routed clients.
+        view.publish(
+            samples
+                .iter()
+                .map(|s| (s.cluster, s.ranges.clone(), s.members.clone())),
+        );
 
         // 3. Plan on the wall clock.
         let now_us = start.elapsed().as_micros() as u64;

@@ -1,5 +1,5 @@
-//! Shared driver-plane types: node aliases, the fleet connectivity map, and
-//! the per-node status block the harness polls.
+//! The fleet's shared plumbing: node aliases, the connectivity map
+//! ([`FleetNet`]), and the per-node status block the harness polls.
 //!
 //! The driving itself lives in [`crate::runtime`]: a fixed pool of worker
 //! threads, each owning a *shard* of nodes and running the canonical

@@ -41,7 +41,7 @@
 //! `last_seq` must equal the number of operations that client issued.
 
 use crate::clients::{run_open_loop, ClientOptions, ClientReport};
-use crate::driver::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
+use crate::fleet_net::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
 use crate::runtime::{DriverRuntime, WireStats};
 use recraft_core::{Node, Timing};
 use recraft_fleet::boot_range;
@@ -768,7 +768,7 @@ impl Drop for Cluster {
 }
 
 /// One seat's cumulative load counters, read from its
-/// [`crate::driver::NodeStatus`] block ([`Cluster::seat_loads`]).
+/// [`crate::fleet_net::NodeStatus`] block ([`Cluster::seat_loads`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SeatLoad {
     /// The seat's node.
@@ -797,41 +797,19 @@ impl ClientsRun {
         self.reports.iter().all(|r| r.completed)
     }
 
-    /// Operations confirmed across the fleet (replies + stale-confirmed).
+    /// Operations confirmed across the fleet (each by one reply).
     #[must_use]
     pub fn confirmed_ops(&self) -> u64 {
-        self.reports
-            .iter()
-            .map(|r| r.replies + r.stale_confirmed)
-            .sum()
-    }
-
-    /// The highest wire sequence client `c` put on the wire — `ops` plus
-    /// one per reissued (merge-burned) write. After a completed run this is
-    /// what the server-side session table's max must equal; asserting
-    /// against raw `ops` would be wrong the moment a fenced write is
-    /// retried under a fresh sequence number.
-    #[must_use]
-    pub fn last_seq_of(&self, client: u64) -> Option<u64> {
-        self.reports
-            .iter()
-            .find(|r| r.client == client)
-            .map(|r| r.last_seq)
+        self.reports.iter().map(|r| r.replies).sum()
     }
 }
 
 /// Exactly-once check against the server-side session table: on the
-/// most-applied node, every client session's `last_seq` must equal the
-/// number of operations that client issued — no session ahead (duplicate
-/// application) or behind (lost write).
-///
-/// This raw-`ops` form is only valid for runs against a *stable* topology
-/// (no split/merge concurrent with the load): such clients never park a
-/// write across a generation change, so they never reissue and their wire
-/// sequences stop exactly at `ops`. Directory-routed campaign runs must
-/// compare against each client's [`ClientReport::last_seq`] instead (see
-/// [`ClientsRun::last_seq_of`]), which accounts for merge-burned sequence
-/// numbers retried under fresh ones.
+/// most-applied node, every client session's `last_seq` (its highest
+/// applied number) must equal the number of operations that client
+/// issued — no session behind its last write. A lower write that never
+/// applied would not move `last_seq`; the clients' `completed` flag (one
+/// reply per operation) is what rules that out.
 ///
 /// # Panics
 /// Panics if any session's recorded `last_seq` differs from `ops`.

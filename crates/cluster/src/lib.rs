@@ -45,14 +45,14 @@
 pub mod admin;
 pub mod clients;
 pub mod control;
-pub mod driver;
+pub mod fleet_net;
 pub mod harness;
 pub mod runtime;
 
 pub use admin::{AdminClient, ADMIN_BASE};
 pub use clients::{run_open_loop, ClientOptions, ClientReport};
 pub use control::{ControlOptions, ControlPlane, ControlReport, FleetView};
-pub use driver::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
+pub use fleet_net::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
 pub use harness::{
     verify_sessions, ClientsRun, Cluster, ClusterSpec, FleetSpec, HarnessBackend, SeatLoad,
 };

@@ -82,7 +82,7 @@
 //!   *target's* next write-ahead barrier, so group commit is preserved
 //!   across the move.
 
-use crate::driver::{FleetNet, HarnessNode, NodeStatus};
+use crate::fleet_net::{FleetNet, HarnessNode, NodeStatus};
 use crate::CLIENT_BASE;
 use bytes::{Buf, BytesMut};
 use recraft_core::{NodeEvent, Role};

@@ -200,8 +200,16 @@ fn controller_split_and_merge_over_tcp() {
 
     // The merged cluster resumes with the coordinator's members —
     // `resume_members` caps resumption at the configured replication
-    // factor; the other participant's nodes retire to the spare pool.
-    let mm = cluster.members_of(merged);
+    // factor; the other participant's nodes retire to the spare pool. Each
+    // member adopts the merged identity when its own exchange completes,
+    // which can trail the leader its vote elected, so wait for the set to
+    // settle before comparing.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut mm = cluster.members_of(merged);
+    while !mm.keys().eq(ma.keys()) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+        mm = cluster.members_of(merged);
+    }
     assert_eq!(
         mm.keys().copied().collect::<Vec<_>>(),
         ma.keys().copied().collect::<Vec<_>>(),

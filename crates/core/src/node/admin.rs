@@ -97,12 +97,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         cmd: Bytes,
     ) {
         // Range ownership comes first: a leader must never answer for a key
-        // it does not own, not even out of its session table. After a merge
-        // the table is the union (per-session max) of both parents', so a
-        // session answer from a non-owner could reflect a *sibling's*
-        // history — the exact ambiguity the client's generation fence
-        // exists to catch. Owner-only answers keep `SessionStale` meaning
-        // "this key's lineage has passed your seq".
+        // it does not own, not even out of its session table. A split child
+        // inherits its parent's whole table, so a non-owner could replay a
+        // reply recorded before the split for a write whose key — and every
+        // later retry of it — now belongs to the sibling.
         if !self.cfg.ranges().contains(key) {
             self.reject(from, session, seq, Error::WrongRange(None));
             return;

@@ -726,8 +726,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.sm
             .restore_merged(&parts)
             .expect("participant parts are disjoint and well-formed");
-        // Combine the participants' exactly-once tables: for a session known
-        // to several participants, the highest applied seq wins.
+        // Combine the participants' exactly-once tables: per session, the
+        // union of the recorded replies, trimmed to the united window.
         let mut sessions = recraft_types::SessionTable::new();
         for p in &ex.tx.participants {
             sessions.absorb(&ex.parts[&p.cluster].sessions);

@@ -629,8 +629,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 // only the exactly-once bookkeeping. The recorded responses
                 // are not recoverable from the durable image, so a duplicate
                 // retried across this reboot is answered with an empty reply
-                // payload — clients treat any recorded reply as completion
-                // (the same inference the SessionStale path relies on).
+                // payload — clients treat any recorded reply as completion.
                 for entry in store.tail(commit_floor.next()) {
                     if entry.index > w {
                         break;
@@ -829,9 +828,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     }
 
     /// The cluster's reconfiguration epoch: bumped by every completed split
-    /// (children = parent + 1) and merge (max participant + 1). Directory
-    /// records carry it so routed clients can fence cross-lineage retry
-    /// inferences.
+    /// (children = parent + 1) and merge (max participant + 1).
     #[must_use]
     pub fn cluster_epoch(&self) -> u32 {
         self.cluster_epoch

@@ -8,7 +8,7 @@ use super::*;
 use crate::sm::MapMachine;
 use bytes::Bytes;
 use recraft_net::AdminCmd;
-use recraft_types::{ClientOp, ClientRequest, MergeParticipant, SplitSpec, TxId};
+use recraft_types::{ClientOp, ClientRequest, MergeParticipant, SplitSpec, TxId, SESSION_WINDOW};
 use std::collections::VecDeque;
 
 const CLIENT: NodeId = NodeId(1000);
@@ -161,17 +161,7 @@ impl Net {
     /// Issues a write through a fresh single-shot session (`session` is the
     /// harness's request id, `seq` is 1).
     fn put(&mut self, to: NodeId, req_id: u64, key: &str, value: &str) {
-        self.send_request(
-            to,
-            ClientRequest {
-                session: SessionId(req_id),
-                seq: 1,
-                op: ClientOp::Command {
-                    key: key.as_bytes().to_vec(),
-                    cmd: Bytes::from(format!("{key}={value}")),
-                },
-            },
-        );
+        self.send_request(to, session_put(req_id, 1, key, value));
     }
 
     /// Issues a ReadIndex read through a fresh single-shot session.
@@ -237,6 +227,31 @@ impl Net {
             .collect()
     }
 
+    /// The newest answer to session `session`.
+    fn last_outcome(&self, session: u64) -> Option<&ClientOutcome> {
+        self.responses
+            .iter()
+            .rev()
+            .find(|(id, _)| *id == session)
+            .map(|(_, r)| r)
+    }
+
+    /// Every (cluster, index) at which some node applied `cmd`.
+    fn apply_sites(&self, cmd: &[u8]) -> BTreeSet<(recraft_types::ClusterId, LogIndex)> {
+        let digest = crate::events::fingerprint(cmd);
+        self.events
+            .iter()
+            .filter_map(|(_, e)| match e {
+                NodeEvent::AppliedCommand {
+                    cluster,
+                    index,
+                    digest: d,
+                } if *d == digest => Some((*cluster, *index)),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Theorem 1 check: no two nodes applied different commands at the same
     /// (cluster, index).
     fn assert_state_machine_safety(&self) {
@@ -256,6 +271,18 @@ impl Net {
                 }
             }
         }
+    }
+}
+
+/// Write `seq` of session `session`: sets `key` to `value`.
+fn session_put(session: u64, seq: u64, key: &str, value: &str) -> ClientRequest {
+    ClientRequest {
+        session: SessionId(session),
+        seq,
+        op: ClientOp::Command {
+            key: key.as_bytes().to_vec(),
+            cmd: Bytes::from(format!("{key}={value}")),
+        },
     }
 }
 
@@ -1390,14 +1417,7 @@ fn a_joiner_reports_no_members_until_it_adopts_a_configuration() {
 fn duplicate_session_write_applies_exactly_once() {
     let mut net = Net::with_nodes(&[1, 2, 3]);
     let leader = net.elect();
-    let req = ClientRequest {
-        session: SessionId(50),
-        seq: 1,
-        op: ClientOp::Command {
-            key: b"k".to_vec(),
-            cmd: Bytes::from_static(b"k=v1"),
-        },
-    };
+    let req = session_put(50, 1, "k", "v1");
     // Two deliveries in the same instant (a duplicated packet), then a late
     // retry after the command applied.
     net.send_request(leader, req.clone());
@@ -1411,40 +1431,146 @@ fn duplicate_session_write_applies_exactly_once() {
     assert!(replies.len() >= 2, "retry answered from the session table");
     assert!(replies.iter().all(|r| r == &replies[0]));
     // The command applied at exactly one (cluster, index) across all nodes.
-    let digest = crate::events::fingerprint(b"k=v1");
-    let sites: BTreeSet<(recraft_types::ClusterId, LogIndex)> = net
-        .events
-        .iter()
-        .filter_map(|(_, e)| match e {
-            NodeEvent::AppliedCommand {
-                cluster,
-                index,
-                digest: d,
-            } if *d == digest => Some((*cluster, *index)),
-            _ => None,
-        })
-        .collect();
+    let sites = net.apply_sites(b"k=v1");
     assert_eq!(sites.len(), 1, "applied exactly once: {sites:?}");
-    // A *stale* seq (older than the applied one) is rejected outright.
-    net.send_request(
-        leader,
-        ClientRequest {
-            session: SessionId(50),
-            seq: 0,
-            op: ClientOp::Command {
-                key: b"k".to_vec(),
-                cmd: Bytes::from_static(b"k=old"),
-            },
-        },
-    );
+    // A seq *below the session's window* is rejected outright: once the
+    // session applied `1 + SESSION_WINDOW`, seq 0 is no longer answerable.
+    net.send_request(leader, session_put(50, 1 + SESSION_WINDOW, "k", "v2"));
+    net.run(5);
+    net.send_request(leader, session_put(50, 0, "k", "old"));
     net.run(2);
-    assert!(net.responses.iter().any(|(id, r)| *id == 50
-        && matches!(
-            r,
-            ClientOutcome::Rejected {
-                error: Error::SessionStale
-            }
-        )));
+    assert_eq!(
+        net.last_outcome(50),
+        Some(&ClientOutcome::Rejected {
+            error: Error::SessionStale
+        })
+    );
+    assert!(net.apply_sites(b"k=old").is_empty(), "a stale seq applied");
+    net.assert_state_machine_safety();
+}
+
+/// A write bounced with `MergeBlocked` (the split's leave phase gates
+/// proposals) whose successor then commits is applied exactly once when it
+/// is resent, and answered `Reply`: its number is still inside the
+/// session's window, unrecorded.
+#[test]
+fn a_write_bounced_by_merge_blocked_applies_once_after_its_successor_commits() {
+    let mut net = Net::with_nodes(&[1, 2, 3, 4, 5, 6]);
+    let leader = net.elect();
+    let spec = split_spec_for(&net, leader, b"m");
+    let own = spec
+        .subclusters()
+        .iter()
+        .find(|c| c.contains(leader))
+        .unwrap()
+        .clone();
+    let key = if own.ranges().contains(b"apple") {
+        "apple"
+    } else {
+        "zebra"
+    };
+    // The leader's subcluster peers go quiet: Cjoint still commits under
+    // Cold (the leader plus the other subcluster, 4 of 6), but Cnew needs a
+    // majority of the leader's own subcluster, so the leave phase holds.
+    let peers: Vec<NodeId> = own
+        .members()
+        .iter()
+        .copied()
+        .filter(|n| *n != leader)
+        .collect();
+    for p in &peers {
+        net.crash(p.0);
+    }
+    net.admin(leader, 900, AdminCmd::Split(spec.clone()));
+    net.run_until(20, |net| net.node(leader.0).derived().proposals_gated());
+    net.send_request(leader, session_put(70, 1, key, "first"));
+    assert_eq!(
+        net.last_outcome(70),
+        Some(&ClientOutcome::Rejected {
+            error: Error::MergeBlocked
+        })
+    );
+    // The peers come back, the split completes, and the successor commits.
+    for p in &peers {
+        net.crashed.remove(p);
+    }
+    net.run_until(600, |net| net.leader_of(own.id()).is_some());
+    let l = net.leader_of(own.id()).unwrap();
+    net.send_request(l, session_put(70, 2, key, "second"));
+    net.run(5);
+    assert!(matches!(
+        net.last_outcome(70),
+        Some(ClientOutcome::Reply { .. })
+    ));
+    // The resend of the bounced write applies once and is answered.
+    net.send_request(l, session_put(70, 1, key, "first"));
+    net.run(5);
+    assert!(
+        matches!(net.last_outcome(70), Some(ClientOutcome::Reply { .. })),
+        "the bounced write's resend was answered {:?}",
+        net.last_outcome(70)
+    );
+    let first = format!("{key}=first");
+    assert_eq!(net.apply_sites(first.as_bytes()).len(), 1);
+    // A retry of it now replays the recorded reply without re-applying.
+    net.send_request(l, session_put(70, 1, key, "first"));
+    net.run(5);
+    assert!(matches!(
+        net.last_outcome(70),
+        Some(ClientOutcome::Reply { .. })
+    ));
+    assert_eq!(net.apply_sites(first.as_bytes()).len(), 1);
+    net.assert_state_machine_safety();
+}
+
+/// A write left unapplied when its cluster split — it reached the sibling
+/// on a stale route and bounced — while its successor applied in the
+/// sibling, is applied exactly once on the cluster the two merge back into:
+/// the merged table is the union of both children's windows, where the
+/// write's number is still unrecorded.
+#[test]
+fn a_write_left_unapplied_across_a_split_and_merge_back_applies_once() {
+    let (mut net, l10, l11) = build_two_clusters();
+    net.send_request(l11, session_put(80, 1, "apple", "first"));
+    assert_eq!(
+        net.last_outcome(80),
+        Some(&ClientOutcome::Rejected {
+            error: Error::WrongRange(None)
+        })
+    );
+    net.send_request(l11, session_put(80, 2, "yak", "second"));
+    net.run(5);
+    assert!(matches!(
+        net.last_outcome(80),
+        Some(ClientOutcome::Reply { .. })
+    ));
+    let tx = merge_tx_for(&net, l10, l11);
+    net.admin(l10, 200, AdminCmd::Merge(tx));
+    net.run_until(1500, |net| {
+        net.nodes
+            .values()
+            .all(|n| n.cluster() == recraft_types::ClusterId(20))
+    });
+    net.run_until(800, |net| {
+        net.leader_of(recraft_types::ClusterId(20)).is_some()
+    });
+    let leader = net.leader_of(recraft_types::ClusterId(20)).unwrap();
+    net.send_request(leader, session_put(80, 1, "apple", "first"));
+    net.run(5);
+    assert!(
+        matches!(net.last_outcome(80), Some(ClientOutcome::Reply { .. })),
+        "the unapplied write was answered {:?}",
+        net.last_outcome(80)
+    );
+    assert_eq!(net.apply_sites(b"apple=first").len(), 1);
+    assert_eq!(
+        net.node(leader.0).state_machine().get(b"apple"),
+        Some(&b"first"[..])
+    );
+    assert_eq!(
+        net.node(leader.0).sessions().last_seq(SessionId(80)),
+        Some(2)
+    );
     net.assert_state_machine_safety();
 }
 
@@ -1684,19 +1810,7 @@ fn session_table_survives_restart() {
         },
     );
     net.run(5);
-    let digest = crate::events::fingerprint(b"a=1");
-    let sites: BTreeSet<(recraft_types::ClusterId, LogIndex)> = net
-        .events
-        .iter()
-        .filter_map(|(_, e)| match e {
-            NodeEvent::AppliedCommand {
-                cluster,
-                index,
-                digest: d,
-            } if *d == digest => Some((*cluster, *index)),
-            _ => None,
-        })
-        .collect();
+    let sites = net.apply_sites(b"a=1");
     assert_eq!(sites.len(), 1, "replayed retry deduplicated: {sites:?}");
     assert!(net.node(new_leader.0).sessions().last_seq(SessionId(60)) == Some(1));
     net.assert_state_machine_safety();

@@ -10,14 +10,6 @@
 //! [`version`] counter makes that staleness observable: a router can stamp
 //! the version it routed on and measure how often stale routes bounced.
 //!
-//! Each record also carries the cluster's **reconfiguration epoch** — the
-//! lineage counter every split and merge bumps. Routed clients use it as a
-//! fence: a retry inference that is sound against the cluster a write was
-//! parked under (same epoch, or a same-generation split sibling) is *not*
-//! sound against a successor the lineage merged into (strictly greater
-//! epoch), because merged session tables fold per-session maxima across
-//! lineages.
-//!
 //! [`lookup`]: ShardDirectory::lookup
 //! [`version`]: ShardDirectory::version
 
@@ -31,12 +23,9 @@ pub struct DirRecord {
     pub ranges: RangeSet,
     /// Member nodes.
     pub members: BTreeSet<NodeId>,
-    /// The cluster's reconfiguration epoch as last observed.
-    pub epoch: u32,
 }
 
-/// The directory contents: per cluster, its served ranges, member nodes,
-/// and observed reconfiguration epoch.
+/// The directory contents: per cluster, its served ranges and member nodes.
 #[derive(Debug, Clone, Default)]
 pub struct ShardDirectory {
     clusters: BTreeMap<ClusterId, DirRecord>,
@@ -45,22 +34,9 @@ pub struct ShardDirectory {
 
 impl ShardDirectory {
     /// Replaces the record for one cluster.
-    pub fn upsert(
-        &mut self,
-        cluster: ClusterId,
-        ranges: RangeSet,
-        members: BTreeSet<NodeId>,
-        epoch: u32,
-    ) {
+    pub fn upsert(&mut self, cluster: ClusterId, ranges: RangeSet, members: BTreeSet<NodeId>) {
         self.version += 1;
-        self.clusters.insert(
-            cluster,
-            DirRecord {
-                ranges,
-                members,
-                epoch,
-            },
-        );
+        self.clusters.insert(cluster, DirRecord { ranges, members });
     }
 
     /// Drops a cluster that no longer exists.
@@ -101,17 +77,10 @@ impl ShardDirectory {
     /// The cluster serving `key`, if any.
     #[must_use]
     pub fn lookup(&self, key: &[u8]) -> Option<(ClusterId, &BTreeSet<NodeId>)> {
-        self.lookup_record(key).map(|(c, r)| (c, &r.members))
-    }
-
-    /// The full record serving `key`, if any — members plus the epoch the
-    /// fence needs.
-    #[must_use]
-    pub fn lookup_record(&self, key: &[u8]) -> Option<(ClusterId, &DirRecord)> {
         self.clusters
             .iter()
             .find(|(_, rec)| rec.ranges.contains(key))
-            .map(|(c, rec)| (*c, rec))
+            .map(|(c, rec)| (*c, &rec.members))
     }
 
     /// The member set of `cluster`, if known.
@@ -124,12 +93,6 @@ impl ShardDirectory {
     #[must_use]
     pub fn ranges(&self, cluster: ClusterId) -> Option<&RangeSet> {
         self.clusters.get(&cluster).map(|rec| &rec.ranges)
-    }
-
-    /// The reconfiguration epoch recorded for `cluster`, if known.
-    #[must_use]
-    pub fn epoch_of(&self, cluster: ClusterId) -> Option<u32> {
-        self.clusters.get(&cluster).map(|rec| rec.epoch)
     }
 
     /// All known clusters.
@@ -148,20 +111,11 @@ impl ShardDirectory {
     /// with only a partial view should use [`ShardDirectory::upsert`].
     pub fn sync(
         &mut self,
-        records: impl IntoIterator<Item = (ClusterId, RangeSet, BTreeSet<NodeId>, u32)>,
+        records: impl IntoIterator<Item = (ClusterId, RangeSet, BTreeSet<NodeId>)>,
     ) {
         let next: BTreeMap<ClusterId, DirRecord> = records
             .into_iter()
-            .map(|(c, ranges, members, epoch)| {
-                (
-                    c,
-                    DirRecord {
-                        ranges,
-                        members,
-                        epoch,
-                    },
-                )
-            })
+            .map(|(c, ranges, members)| (c, DirRecord { ranges, members }))
             .collect();
         if next != self.clusters {
             self.clusters = next;
@@ -204,18 +158,14 @@ mod tests {
             ClusterId(1),
             RangeSet::from(lo),
             [NodeId(1)].into_iter().collect(),
-            0,
         );
         dir.upsert(
             ClusterId(2),
             RangeSet::from(hi),
             [NodeId(2)].into_iter().collect(),
-            3,
         );
         assert_eq!(dir.lookup(b"apple").unwrap().0, ClusterId(1));
         assert_eq!(dir.lookup(b"zebra").unwrap().0, ClusterId(2));
-        assert_eq!(dir.lookup_record(b"zebra").unwrap().1.epoch, 3);
-        assert_eq!(dir.epoch_of(ClusterId(2)), Some(3));
         dir.remove(ClusterId(2));
         assert!(dir.lookup(b"zebra").is_none());
         assert_eq!(dir.clusters().len(), 1);
@@ -229,7 +179,6 @@ mod tests {
             ClusterId(1),
             RangeSet::full(),
             [NodeId(1)].into_iter().collect(),
-            0,
         );
         assert_eq!(dir.version(), 1);
         dir.remove(ClusterId(7)); // absent: no change
@@ -252,13 +201,11 @@ mod tests {
                     [NodeId(1)]
                         .into_iter()
                         .collect::<std::collections::BTreeSet<_>>(),
-                    1,
                 ),
                 (
                     ClusterId(2),
                     RangeSet::from(hi.clone()),
                     [NodeId(2)].into_iter().collect(),
-                    1,
                 ),
             ]
         };
@@ -267,10 +214,10 @@ mod tests {
         assert_eq!(dir.len(), 2);
         dir.sync(records()); // steady fleet: steady version
         assert_eq!(dir.version(), 1);
-        // An epoch bump alone is a change: the fence depends on it.
-        let mut bumped = records();
-        bumped[1].3 = 2;
-        dir.sync(bumped);
+        // A membership change alone is a change.
+        let mut staffed = records();
+        staffed[1].2.insert(NodeId(3));
+        dir.sync(staffed);
         assert_eq!(dir.version(), 2);
         dir.sync(records().into_iter().take(1)); // cluster 2 merged away
         assert_eq!(dir.version(), 3);
@@ -287,7 +234,6 @@ mod tests {
                 ClusterId(i as u64 + 1),
                 RangeSet::from(r),
                 [NodeId(i as u64 + 1)].into_iter().collect(),
-                0,
             );
         }
         assert_eq!(dir.neighbor_above(ClusterId(1)), Some(ClusterId(2)));

@@ -84,10 +84,8 @@ pub struct NodeStats {
     /// The responder's cluster.
     pub cluster: ClusterId,
     /// The cluster's reconfiguration epoch (bumped by every split and
-    /// merge). Routed clients fence retries on it: a directory record whose
-    /// epoch moved past the one a write was parked under means the lineage
-    /// reconfigured in between, so cross-lineage inferences (like
-    /// `SessionStale ⇒ applied`) no longer hold.
+    /// merge). Reported for observability only: nothing routes or retries
+    /// on it.
     pub epoch: u32,
     /// Key ranges the responder's configuration serves.
     pub ranges: RangeSet,

@@ -116,8 +116,10 @@ fn tx(resume: Option<&[u64]>) -> MergeTx {
 }
 
 fn snapshot() -> Snapshot {
+    // Session 4 holds two replies of its window, session 6 one.
     let mut sessions = SessionTable::new();
     sessions.record(SessionId(4), 11, Bytes::from_static(b"done"));
+    sessions.record(SessionId(4), 9, Bytes::from_static(b"nine"));
     sessions.record(SessionId(6), 2, Bytes::new());
     Snapshot {
         last_index: LogIndex(23),

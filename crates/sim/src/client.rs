@@ -1,11 +1,14 @@
 //! Simulated clients speaking the typed session protocol.
 //!
 //! Each client owns one [`SessionId`] and tags every operation with a
-//! monotonically increasing sequence number. Writes are retried under the
-//! *same* `(session, seq)` until answered — the server-side session table
-//! makes the retry exactly-once — while reads are idempotent and retried as
-//! fresh operations. The workload can deliberately deliver write requests
-//! twice ([`Workload::dup_prob`]) to exercise the dedup path.
+//! monotonically increasing sequence number, issuing the next one only
+//! while it stays within [`SESSION_WINDOW`](recraft_types::SESSION_WINDOW)
+//! of the oldest outstanding one. Writes are retried under the *same*
+//! `(session, seq)` until answered — the server-side session table keeps a
+//! reply for every number in that window, which makes the retry
+//! exactly-once — while reads are idempotent and retried as fresh
+//! operations. The workload can deliberately deliver write requests twice
+//! ([`Workload::dup_prob`]) to exercise the dedup path.
 
 use crate::zipf::Zipf;
 use bytes::Bytes;

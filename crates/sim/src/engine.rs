@@ -14,7 +14,7 @@ use recraft_net::{AdminCmd, Envelope, Message};
 use recraft_storage::{LogStore, MemLog, WalLog, WalOptions};
 use recraft_types::{
     ClientOp, ClientOutcome, ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm,
-    Error, NodeId, RangeSet, SessionId,
+    Error, NodeId, RangeSet, SessionId, SESSION_WINDOW,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
@@ -834,30 +834,29 @@ impl Sim {
     /// Rebuilds the naming service from the live nodes' views (taking the
     /// most-applied node's word per cluster).
     fn refresh_directory(&mut self) {
-        let mut best: BTreeMap<ClusterId, (u64, RangeSet, BTreeSet<NodeId>, u32)> = BTreeMap::new();
+        let mut best: BTreeMap<ClusterId, (u64, RangeSet, BTreeSet<NodeId>)> = BTreeMap::new();
         for sn in self.nodes.values() {
             if !sn.up || sn.node.role() == Role::Removed {
                 continue;
             }
             let cluster = sn.node.cluster();
             let applied = sn.node.applied_index().0;
-            let epoch = sn.node.cluster_epoch();
             let entry = best.entry(cluster);
             let cfg = sn.node.config();
             match entry {
                 std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((applied, cfg.ranges().clone(), cfg.members().clone(), epoch));
+                    v.insert((applied, cfg.ranges().clone(), cfg.members().clone()));
                 }
                 std::collections::btree_map::Entry::Occupied(mut o) => {
                     if applied > o.get().0 {
-                        o.insert((applied, cfg.ranges().clone(), cfg.members().clone(), epoch));
+                        o.insert((applied, cfg.ranges().clone(), cfg.members().clone()));
                     }
                 }
             }
         }
         self.directory.clear();
-        for (cluster, (_, ranges, members, epoch)) in best {
-            self.directory.upsert(cluster, ranges, members, epoch);
+        for (cluster, (_, ranges, members)) in best {
+            self.directory.upsert(cluster, ranges, members);
         }
     }
 
@@ -865,13 +864,20 @@ impl Sim {
 
     /// Issues operations until the client's in-flight window is full (one
     /// iteration for the classic closed-loop client, several for an
-    /// open-loop window).
+    /// open-loop window), and only while the next sequence number stays
+    /// within [`SESSION_WINDOW`] of the oldest outstanding one, so the
+    /// session table can answer every retry.
     fn client_issue(&mut self, id: u64) {
         loop {
             let Some(c) = self.clients.get_mut(&id) else {
                 return;
             };
-            if !c.active || c.outstanding.len() >= c.workload.pipeline.max(1) {
+            let capped = c
+                .outstanding
+                .keys()
+                .next()
+                .is_some_and(|&oldest| c.next_seq >= oldest + SESSION_WINDOW);
+            if !c.active || capped || c.outstanding.len() >= c.workload.pipeline.max(1) {
                 return;
             }
             let (key, op, kind) = c.next_op();

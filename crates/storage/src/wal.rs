@@ -79,10 +79,12 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: u32 = 0x5243_574C; // "RCWL"
-/// Version 5: a record is one [`Record`], and node metadata carries the
-/// retired flag. Segments of any other version are not read back; recovery
-/// treats them as unusable files.
-const SEGMENT_VERSION: u32 = 5;
+/// Version 6: a record is one [`Record`], node metadata carries the retired
+/// flag, and the snapshot's session table keeps a window of replies per
+/// session. Segments of any other version are not read back; recovery
+/// treats them as unusable files, so an older data dir has no metadata and
+/// `Node::reopen` refuses it rather than misreading its `snapshot.bin`.
+const SEGMENT_VERSION: u32 = 6;
 const SEGMENT_HEADER_LEN: u64 = 16;
 
 /// One operation of the log: what a segment record holds.
@@ -715,8 +717,8 @@ mod tests {
             .collect()
     }
 
-    /// Header: magic "RCWL", version 5, segment seq 1.
-    const HEADER: &str = "5243574c000000050000000000000001";
+    /// Header: magic "RCWL", version 6, segment seq 1.
+    const HEADER: &str = "5243574c000000060000000000000001";
     /// One `[len][crc]` frame per record kind, each payload a one-byte tag
     /// and the fields of its `codec!` line.
     const BATCH: &str = "00000033f4b8071d\
@@ -773,7 +775,7 @@ mod tests {
         assert_eq!(
             hex(&active_bytes(&wal)),
             [
-                "5243574c000000050000000000000002",
+                "5243574c000000060000000000000002",
                 META,
                 RESET,
                 "000000098675307b010000000000000001"
@@ -796,8 +798,8 @@ mod tests {
 
     #[test]
     fn any_other_segment_version_is_refused() {
-        let v4 = [HEADER, BATCH].concat().replacen("00000005", "00000004", 1);
-        assert_eq!(recover(&unhex(&v4)), pinned_states()[0]);
+        let v5 = [HEADER, BATCH].concat().replacen("00000006", "00000005", 1);
+        assert_eq!(recover(&unhex(&v5)), pinned_states()[0]);
         assert_eq!(
             recover(&unhex(&[HEADER, BATCH].concat())),
             pinned_states()[1]

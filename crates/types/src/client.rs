@@ -5,9 +5,11 @@
 //! protocol rather than raw bytes on a socket. This module defines it:
 //!
 //! * A client opens a **session** ([`SessionId`]) and tags every request
-//!   with a monotonically increasing sequence number (`seq`). The replicated
-//!   state machine keeps a per-session [`SessionTable`] *inside the applied
-//!   state*, so a retried write is applied **exactly once** even across
+//!   with a monotonically increasing sequence number (`seq`), issuing `seq`
+//!   only while `seq < oldest pending + SESSION_WINDOW`. The replicated
+//!   state machine keeps a per-session [`SessionTable`] of the replies in
+//!   that window *inside the applied state*, so a retried write is applied
+//!   **exactly once** and answered with its recorded reply even across
 //!   leader changes, restarts, splits, and merges — the table travels with
 //!   snapshots and merge exchange parts.
 //! * Writes are [`ClientOp::Command`]s routed by key through the replicated
@@ -226,48 +228,70 @@ codec!(
     }
 );
 
+/// How many sequence numbers below a session's highest applied one the
+/// [`SessionTable`] still answers for: it keeps the reply of every applied
+/// number in `(last_seq - SESSION_WINDOW, last_seq]`.
+///
+/// A protocol constant, not a knob. A client issues `seq` only while
+/// `seq < oldest pending + SESSION_WINDOW`, so every number it may still
+/// resend lies inside the window of every table that could answer it — a
+/// split child's inherited copy, or the union a merge builds. It must be at
+/// least the largest client window in flight (8 in this tree).
+pub const SESSION_WINDOW: u64 = 32;
+
 /// What the dedup table says about an incoming `(session, seq)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SessionCheck {
-    /// Never seen: apply it.
+    /// Not recorded, and not below the session's window: apply it.
     Fresh,
-    /// Exactly the last applied request of this session: answer with the
-    /// recorded response, do not re-apply.
+    /// Applied before, inside the window: answer with the recorded
+    /// response, do not re-apply.
     Duplicate(Bytes),
-    /// Older than the last applied request: the session has moved on and the
-    /// recorded response is gone.
+    /// Below the window (`seq <= last_seq - SESSION_WINDOW`): whether it
+    /// applied is no longer known, so it must not apply now. A client that
+    /// keeps the window rule never sends such a number.
     Stale,
 }
 
-/// The per-session bookkeeping of one session: the highest applied sequence
-/// number and the response recorded for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionEntry {
-    /// The highest `seq` applied for this session.
-    pub last_seq: u64,
-    /// The state-machine response recorded at that application.
-    pub last_reply: Bytes,
-}
-
-codec!(
-    struct SessionEntry {
-        last_seq: u64,
-        last_reply: Bytes,
-    }
-);
-
-/// The exactly-once dedup table, part of the *applied state*: it is rebuilt
-/// from snapshots on restart, retained whole through split completion (both
-/// subclusters inherit it, so a retry routed to either owner deduplicates),
-/// and merged (highest `seq` wins) when clusters merge.
+/// The exactly-once dedup table, part of the *applied state*: per session,
+/// the reply of every applied sequence number in the window
+/// `(last_seq - SESSION_WINDOW, last_seq]`. It is rebuilt from snapshots on
+/// restart, retained whole through split completion (both subclusters
+/// inherit it, so a retry routed to either owner deduplicates), and united
+/// when clusters merge ([`SessionTable::absorb`]).
 ///
-/// Entries live for the life of the session; there is no expiry yet, so the
-/// table grows with the number of distinct sessions (one entry each, holding
-/// the last reply). Lease-based session expiry is the natural follow-up once
+/// Keeping every reply in the window, not just the last, is what lets the
+/// table answer any retry of a client's pending numbers: a number bounced
+/// before it applied (`MergeBlocked`, a stale route) is still `Fresh` after
+/// its successors applied, in this lineage or a merged-in one (Ongaro's
+/// dissertation, §6.3, keeps one response per outstanding request).
+///
+/// Sessions live for the life of the table; there is no expiry yet, so it
+/// grows with the number of distinct sessions (at most `SESSION_WINDOW`
+/// replies each). Lease-based session expiry is the natural follow-up once
 /// clients heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SessionTable {
-    entries: BTreeMap<SessionId, SessionEntry>,
+    sessions: BTreeMap<SessionId, BTreeMap<u64, Bytes>>,
+}
+
+/// Whether `seq` lies below the window of a session whose highest applied
+/// number is `last`.
+fn below_window(seq: u64, last: u64) -> bool {
+    seq.saturating_add(SESSION_WINDOW) <= last
+}
+
+/// Drops the replies a session's window has moved past.
+fn trim(replies: &mut BTreeMap<u64, Bytes>) {
+    let Some(&last) = replies.keys().next_back() else {
+        return;
+    };
+    while replies
+        .first_key_value()
+        .is_some_and(|(&seq, _)| below_window(seq, last))
+    {
+        replies.pop_first();
+    }
 }
 
 impl SessionTable {
@@ -280,70 +304,78 @@ impl SessionTable {
     /// The number of tracked sessions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.sessions.len()
     }
 
     /// Whether no session has applied anything yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.sessions.is_empty()
     }
 
     /// Classifies an incoming `(session, seq)` against the applied history.
     #[must_use]
     pub fn check(&self, session: SessionId, seq: u64) -> SessionCheck {
-        match self.entries.get(&session) {
-            None => SessionCheck::Fresh,
-            Some(e) if seq > e.last_seq => SessionCheck::Fresh,
-            Some(e) if seq == e.last_seq => SessionCheck::Duplicate(e.last_reply.clone()),
-            Some(_) => SessionCheck::Stale,
+        let Some(replies) = self.sessions.get(&session) else {
+            return SessionCheck::Fresh;
+        };
+        if let Some(reply) = replies.get(&seq) {
+            return SessionCheck::Duplicate(reply.clone());
+        }
+        match replies.keys().next_back() {
+            Some(&last) if below_window(seq, last) => SessionCheck::Stale,
+            _ => SessionCheck::Fresh,
         }
     }
 
-    /// Records that `seq` applied for `session` with `reply`.
+    /// Records that `seq` applied for `session` with `reply`, and trims the
+    /// session to its window.
     ///
     /// # Panics
-    /// Debug-asserts monotonicity: apply-side dedup must run first.
+    /// Debug-asserts that `seq` was not stale: apply-side dedup runs first.
     pub fn record(&mut self, session: SessionId, seq: u64, reply: Bytes) {
-        let entry = self.entries.entry(session).or_insert(SessionEntry {
-            last_seq: 0,
-            last_reply: Bytes::new(),
-        });
-        debug_assert!(seq > entry.last_seq || (entry.last_seq == 0 && entry.last_reply.is_empty()));
-        entry.last_seq = seq;
-        entry.last_reply = reply;
+        debug_assert!(self.check(session, seq) != SessionCheck::Stale);
+        let replies = self.sessions.entry(session).or_default();
+        replies.insert(seq, reply);
+        trim(replies);
     }
 
-    /// The last applied sequence number of a session, if any.
+    /// The highest applied sequence number of a session, if any.
     #[must_use]
     pub fn last_seq(&self, session: SessionId) -> Option<u64> {
-        self.entries.get(&session).map(|e| e.last_seq)
+        self.sessions
+            .get(&session)
+            .and_then(|replies| replies.keys().next_back().copied())
     }
 
-    /// Absorbs another table: for sessions present in both, the entry with
-    /// the higher `last_seq` wins (merge resumption combines the
-    /// participants' tables this way).
+    /// Absorbs another table (merge resumption combines the participants'
+    /// tables this way): per session, the union of both windows' replies,
+    /// trimmed to the window of the united `last_seq`. A number recorded on
+    /// both sides applied once, before the lineages parted, so both carry
+    /// the same reply. The union is commutative and idempotent.
     pub fn absorb(&mut self, other: &SessionTable) {
-        for (session, entry) in &other.entries {
-            match self.entries.get(session) {
-                Some(mine) if mine.last_seq >= entry.last_seq => {}
-                _ => {
-                    self.entries.insert(*session, entry.clone());
-                }
+        for (session, theirs) in &other.sessions {
+            let mine = self.sessions.entry(*session).or_default();
+            for (seq, reply) in theirs {
+                mine.entry(*seq).or_insert_with(|| reply.clone());
             }
+            trim(mine);
         }
     }
 
     /// Approximate size in bytes (what snapshot transfer moves).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.entries.values().map(|e| 16 + e.last_reply.len()).sum()
+        self.sessions
+            .values()
+            .map(|replies| 8 + replies.values().map(|r| 8 + r.len()).sum::<usize>())
+            .sum()
     }
 }
 
 codec!(
     struct SessionTable {
-        entries: BTreeMap<SessionId, SessionEntry>,
+        sessions: BTreeMap<SessionId, BTreeMap<u64, Bytes>>,
     }
 );
 
@@ -372,6 +404,7 @@ codec!(enum Error {
 mod tests {
     use super::*;
     use crate::codec::testing::roundtrip;
+    use proptest::prelude::*;
 
     #[test]
     fn request_response_roundtrip() {
@@ -436,44 +469,138 @@ mod tests {
         }
     }
 
-    #[test]
-    fn table_dedup_semantics() {
-        let mut t = SessionTable::new();
-        let s = SessionId(1);
-        assert_eq!(t.check(s, 5), SessionCheck::Fresh);
-        t.record(s, 5, Bytes::from_static(b"r5"));
-        assert_eq!(
-            t.check(s, 5),
-            SessionCheck::Duplicate(Bytes::from_static(b"r5"))
-        );
-        assert_eq!(t.check(s, 4), SessionCheck::Stale);
-        // Gaps are fine: reads consume sequence numbers without recording.
-        assert_eq!(t.check(s, 9), SessionCheck::Fresh);
-        t.record(s, 9, Bytes::from_static(b"r9"));
-        assert_eq!(t.last_seq(s), Some(9));
-        assert_eq!(t.len(), 1);
+    fn r(session: u64, seq: u64) -> Bytes {
+        Bytes::from(format!("s{session}r{seq}"))
     }
 
     #[test]
-    fn table_absorb_takes_max() {
+    fn check_answers_duplicate_in_the_window_and_stale_only_below_it() {
+        let mut t = SessionTable::new();
+        let s = SessionId(1);
+        assert_eq!(t.check(s, 5), SessionCheck::Fresh);
+        t.record(s, 5, r(1, 5));
+        assert_eq!(t.check(s, 5), SessionCheck::Duplicate(r(1, 5)));
+        // Lower unrecorded numbers are inside the window: a write bounced
+        // before it applied may still apply once.
+        assert_eq!(t.check(s, 4), SessionCheck::Fresh);
+        assert_eq!(t.check(s, 0), SessionCheck::Fresh);
+        // Gaps are fine: reads consume sequence numbers without recording.
+        assert_eq!(t.check(s, 9), SessionCheck::Fresh);
+        t.record(s, 9, r(1, 9));
+        t.record(s, 4, r(1, 4));
+        assert_eq!(t.last_seq(s), Some(9));
+        assert_eq!(t.check(s, 4), SessionCheck::Duplicate(r(1, 4)));
+        assert_eq!(t.check(s, 5), SessionCheck::Duplicate(r(1, 5)));
+        // Moving the top past the window forgets the replies below it, and
+        // every number down there is now stale, recorded or not.
+        let top = 5 + SESSION_WINDOW;
+        t.record(s, top, r(1, top));
+        assert_eq!(t.check(s, 5), SessionCheck::Stale);
+        assert_eq!(t.check(s, 4), SessionCheck::Stale);
+        assert_eq!(t.check(s, 6), SessionCheck::Fresh);
+        assert_eq!(t.check(s, 9), SessionCheck::Duplicate(r(1, 9)));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.check(SessionId(2), 1), SessionCheck::Fresh);
+    }
+
+    #[test]
+    fn absorb_unites_the_windows() {
         let mut a = SessionTable::new();
-        a.record(SessionId(1), 3, Bytes::from_static(b"a3"));
-        a.record(SessionId(2), 1, Bytes::from_static(b"a1"));
+        a.record(SessionId(1), 3, r(1, 3));
+        a.record(SessionId(2), 1, r(2, 1));
         let mut b = SessionTable::new();
-        b.record(SessionId(1), 5, Bytes::from_static(b"b5"));
-        b.record(SessionId(3), 2, Bytes::from_static(b"b2"));
+        b.record(SessionId(1), 5, r(1, 5));
+        b.record(SessionId(3), 2, r(3, 2));
         a.absorb(&b);
-        assert_eq!(t_reply(&a, SessionId(1)), b"b5");
-        assert_eq!(t_reply(&a, SessionId(2)), b"a1");
-        assert_eq!(t_reply(&a, SessionId(3)), b"b2");
+        assert_eq!(a.last_seq(SessionId(1)), Some(5));
+        // Session 1's lower number survives the union: it is in the window.
+        assert_eq!(a.check(SessionId(1), 3), SessionCheck::Duplicate(r(1, 3)));
+        assert_eq!(a.check(SessionId(1), 4), SessionCheck::Fresh);
+        assert_eq!(a.check(SessionId(2), 1), SessionCheck::Duplicate(r(2, 1)));
+        assert_eq!(a.check(SessionId(3), 2), SessionCheck::Duplicate(r(3, 2)));
         assert_eq!(a.len(), 3);
         roundtrip(a);
     }
 
-    fn t_reply(t: &SessionTable, s: SessionId) -> Bytes {
-        match t.check(s, t.last_seq(s).unwrap()) {
-            SessionCheck::Duplicate(r) => r,
-            other => panic!("expected duplicate, got {other:?}"),
+    type Applied = BTreeMap<u64, std::collections::BTreeSet<u64>>;
+
+    /// Records `(session, seq)` pairs in order into a table and into the
+    /// reference model — every number each session ever applied, never
+    /// trimmed. A pair applies unless it lies below its session's window,
+    /// and its reply is a function of the pair: one number applies once.
+    fn built(pairs: &[(u64, u64)]) -> (SessionTable, Applied) {
+        let mut t = SessionTable::new();
+        let mut applied = Applied::new();
+        for &(session, seq) in pairs {
+            let set = applied.entry(session).or_default();
+            if set.last().is_none_or(|&last| seq + SESSION_WINDOW > last) {
+                set.insert(seq);
+            }
+            if t.check(SessionId(session), seq) == SessionCheck::Fresh {
+                t.record(SessionId(session), seq, r(session, seq));
+            }
+        }
+        (t, applied)
+    }
+
+    /// What the table must answer, from the model.
+    fn model_check(applied: &Applied, session: u64, seq: u64) -> SessionCheck {
+        match applied.get(&session) {
+            Some(set) if set.last().is_some_and(|&l| seq + SESSION_WINDOW <= l) => {
+                SessionCheck::Stale
+            }
+            Some(set) if set.contains(&seq) => SessionCheck::Duplicate(r(session, seq)),
+            _ => SessionCheck::Fresh,
+        }
+    }
+
+    fn assert_matches(t: &SessionTable, applied: &Applied) -> Result<(), TestCaseError> {
+        for session in 0..3 {
+            prop_assert_eq!(
+                t.last_seq(SessionId(session)),
+                applied.get(&session).and_then(|set| set.last().copied())
+            );
+            for seq in 0..3 * SESSION_WINDOW {
+                prop_assert_eq!(
+                    t.check(SessionId(session), seq),
+                    model_check(applied, session, seq),
+                    "session {} seq {}",
+                    session,
+                    seq
+                );
+            }
+        }
+        Ok(())
+    }
+
+    fn pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        proptest::collection::vec((0u64..3, 0u64..3 * SESSION_WINDOW), 0..40)
+    }
+
+    proptest! {
+        #[test]
+        fn check_answers_from_the_window_of_applied_numbers(pairs in pairs()) {
+            let (t, applied) = built(&pairs);
+            assert_matches(&t, &applied)?;
+        }
+
+        #[test]
+        fn absorb_is_the_trimmed_union(a in pairs(), b in pairs()) {
+            let ((ta, ma), (tb, mb)) = (built(&a), built(&b));
+            let mut ab = ta.clone();
+            ab.absorb(&tb);
+            let mut ba = tb.clone();
+            ba.absorb(&ta);
+            prop_assert_eq!(&ab, &ba, "commutative");
+            let mut again = ab.clone();
+            again.absorb(&tb);
+            again.absorb(&ab);
+            prop_assert_eq!(&again, &ab, "idempotent");
+            let mut union = ma;
+            for (session, set) in mb {
+                union.entry(session).or_default().extend(set);
+            }
+            assert_matches(&ab, &union)?;
         }
     }
 

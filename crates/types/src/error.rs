@@ -44,8 +44,12 @@ pub enum Error {
     /// A proposal was dropped because the node stepped down or the entry was
     /// truncated by a new leader.
     ProposalDropped,
-    /// The request's sequence number is older than the session's last applied
-    /// one: the session has moved on and the recorded response is gone.
+    /// The request's sequence number lies below its session's window
+    /// (`seq <= last_seq - SESSION_WINDOW`, see
+    /// [`crate::client::SESSION_WINDOW`]): whether it applied is no longer
+    /// recorded, so it is refused. A client that issues `seq` only while
+    /// `seq < oldest pending + SESSION_WINDOW` never sees this for a pending
+    /// write; it is not evidence that the write applied.
     SessionStale,
     /// The requested operation conflicts with protocol state (e.g. leaving a
     /// joint mode that was never entered).
@@ -89,7 +93,7 @@ impl fmt::Display for Error {
             Error::Codec(m) => write!(f, "codec error: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
             Error::ProposalDropped => write!(f, "proposal dropped"),
-            Error::SessionStale => write!(f, "request older than the session's last applied one"),
+            Error::SessionStale => write!(f, "request below the session's window"),
             Error::InvalidState(m) => write!(f, "invalid protocol state: {m}"),
             Error::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
         }

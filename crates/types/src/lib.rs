@@ -41,6 +41,7 @@ pub mod range;
 
 pub use client::{
     ClientOp, ClientOutcome, ClientRequest, ClientResponse, SessionCheck, SessionId, SessionTable,
+    SESSION_WINDOW,
 };
 pub use config::{
     ClusterConfig, ConfigChange, MergeDecision, MergeOutcome, MergeParticipant, MergeTx,
