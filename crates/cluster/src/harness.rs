@@ -4,9 +4,12 @@
 //! publishes the full address map (a [`FleetNet`]) before any node is
 //! adopted by the sharded [`DriverRuntime`] — peers can dial each other
 //! from the first heartbeat — and builds every member of a cluster before
-//! it seats any. The smallest id of a fresh cluster campaigns on its first
-//! tick, so the first leader costs one vote round (a few milliseconds over
-//! loopback); the other members keep real randomized timeouts
+//! it seats any — on `wal` each on a thread of its own, as separate
+//! processes would (store open, boot snapshot and identity synced), so the
+//! members' fsyncs overlap. The smallest id of a fresh cluster campaigns
+//! on its first tick, so the first leader costs one vote round (under a
+//! millisecond on `mem`, about one fsync round trip on `wal`); the other
+//! members keep real randomized timeouts
 //! ([`recraft_core::Timing::default`]: 150–300 ms), which elect someone
 //! else when that node is down or cut off.
 //! [`Cluster::launch_fleet`] boots many single-range clusters partitioning
@@ -35,13 +38,18 @@
 //!   traffic between the isolated node and every other is dropped in both
 //!   directions while clients and the admin plane still reach every node.
 //!
+//! The `wait_for_*` calls read the seats' status blocks and block on the
+//! fleet's [`SeatSignal`] between reads: a worker that publishes a changed
+//! leader flag, cluster or retirement wakes them, so a waiter returns in
+//! the round that made its answer true rather than at a polling tick.
+//!
 //! [`Cluster::shutdown`] returns the actual [`HarnessNode`] values for
 //! post-run inspection; [`verify_sessions`] checks exactly-once delivery
 //! against the server-side session table — every client session's
 //! `last_seq` must equal the number of operations that client issued.
 
 use crate::clients::{run_open_loop, ClientOptions, ClientReport};
-use crate::fleet_net::{FleetNet, HarnessNode, HarnessStore, NodeStatus};
+use crate::fleet_net::{FleetNet, HarnessNode, HarnessStore, NodeStatus, SeatSignal};
 use crate::runtime::{DriverRuntime, WireStats};
 use recraft_core::{Node, Timing};
 use recraft_fleet::boot_range;
@@ -192,8 +200,10 @@ pub struct Cluster {
 
 impl Cluster {
     /// Boots `spec.nodes` nodes as one cluster over `RangeSet::full()` on a
-    /// fresh runtime. Returns once every node is adopted (not once a leader
-    /// exists — see [`Cluster::wait_for_leader`]); node 1 campaigns in the
+    /// fresh runtime. On `wal` the members' stores boot in parallel, one
+    /// thread each, so their fsyncs overlap. Returns once every node is
+    /// adopted (not once a leader exists — see [`Cluster::wait_for_leader`],
+    /// which wakes when a leader is published); node 1 campaigns in the
     /// round that seats it and normally leads one vote round later.
     ///
     /// # Panics
@@ -267,10 +277,13 @@ impl Cluster {
 
     /// Boots the members of one cluster config: bind and register every
     /// front door first (the address map must be complete before the first
-    /// heartbeat), build every node (store open, boot snapshot synced),
-    /// then seat them as one group. The smallest id campaigns in the round
-    /// that seats it, and a vote addressed to a member with no seat yet is
-    /// dropped — which would leave the election to the timers.
+    /// heartbeat), build every node, then seat them as one group. On `wal`
+    /// each member builds on a scoped thread of its own — store open, boot
+    /// snapshot, identity and sync — as independent processes would, so
+    /// their fsyncs overlap instead of queueing. Seating waits for all of
+    /// them: the smallest id campaigns in the round that seats it, and a
+    /// vote addressed to a member with no seat yet is dropped — which would
+    /// leave the election to the timers.
     fn boot_group(&self, ids: &[NodeId], config: &ClusterConfig) {
         let listeners: Vec<TcpListener> = ids
             .iter()
@@ -281,19 +294,28 @@ impl Cluster {
                 l
             })
             .collect();
+        let nodes: Vec<(HarnessNode, Option<PathBuf>)> = if self.data_root.is_none() {
+            // A `mem` store boots without I/O: there is nothing to overlap,
+            // and a thread would cost more than the build.
+            ids.iter()
+                .map(|&id| self.build_member(id, config))
+                .collect()
+        } else {
+            thread::scope(|s| {
+                let builds: Vec<_> = ids
+                    .iter()
+                    .map(|&id| s.spawn(move || self.build_member(id, config)))
+                    .collect();
+                builds
+                    .into_iter()
+                    .map(|b| b.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect()
+            })
+        };
         let mut slots = self.slots.lock().expect("slot registry lock");
         let mut group = Vec::with_capacity(ids.len());
-        for (id, listener) in ids.iter().copied().zip(listeners) {
-            let dir = self.node_dir(id, 0);
-            let store = self.open_store(dir.as_deref());
-            let node: HarnessNode = Node::with_store(
-                id,
-                config.clone(),
-                KvMachine::Mem(KvStore::new()),
-                store,
-                self.spec.timing,
-                harness_seed(id),
-            );
+        for ((node, dir), listener) in nodes.into_iter().zip(listeners) {
+            let id = node.id();
             let status = Arc::new(NodeStatus::default());
             slots.insert(
                 id,
@@ -307,6 +329,22 @@ impl Cluster {
             group.push((node, status, listener));
         }
         self.runtime.adopt_group(group);
+    }
+
+    /// Boots member `id` of a fresh cluster on its first-life store; the
+    /// boot state is durable when this returns.
+    fn build_member(&self, id: NodeId, config: &ClusterConfig) -> (HarnessNode, Option<PathBuf>) {
+        let dir = self.node_dir(id, 0);
+        let store = self.open_store(dir.as_deref());
+        let node = Node::with_store(
+            id,
+            config.clone(),
+            KvMachine::Mem(KvStore::new()),
+            store,
+            self.spec.timing,
+            harness_seed(id),
+        );
+        (node, dir)
     }
 
     /// The WAL directory for life `generation` of node `id` (`None` on the
@@ -500,6 +538,11 @@ impl Cluster {
             self.spares.lock().expect("spare pool lock").push(id);
             reaped += 1;
         }
+        if reaped > 0 {
+            // A withdrawn seat publishes nothing more; its absence can be
+            // what a waiter's probe is waiting for.
+            self.net.seat_signal().notify();
+        }
         reaped
     }
 
@@ -520,6 +563,7 @@ impl Cluster {
                 slot.kept = Some(store);
             }
         }
+        self.net.seat_signal().notify();
         true
     }
 
@@ -603,9 +647,9 @@ impl Cluster {
             .collect()
     }
 
-    /// Polls until some live node reports leadership of `cluster`.
+    /// Waits until some live node reports leadership of `cluster`.
     pub fn wait_for_leader_of(&self, cluster: ClusterId, timeout: Duration) -> Option<NodeId> {
-        wait_until(timeout, || {
+        wait_until(self.net.seat_signal(), timeout, || {
             self.with_statuses(|it| {
                 it.filter(|(_, s)| {
                     s.cluster.load(Ordering::Relaxed) == cluster.0
@@ -617,11 +661,11 @@ impl Cluster {
         })
     }
 
-    /// Polls until every live node reports one of `want` as its cluster and
+    /// Waits until every live node reports one of `want` as its cluster and
     /// each member of `want` has a leader, or the timeout elapses. Returns
     /// whether the fleet converged.
     pub fn wait_for_clusters(&self, want: &[ClusterId], timeout: Duration) -> bool {
-        wait_until(timeout, || {
+        wait_until(self.net.seat_signal(), timeout, || {
             self.with_statuses(|it| {
                 let mut placed = true;
                 let mut led: Vec<bool> = vec![false; want.len()];
@@ -638,9 +682,10 @@ impl Cluster {
         .is_some()
     }
 
-    /// Polls seat status until some live node reports leadership.
+    /// Waits until some live node reports leadership.
+    /// `Duration::ZERO` reads the seat status once and never blocks.
     pub fn wait_for_leader(&self, timeout: Duration) -> Option<NodeId> {
-        wait_until(timeout, || {
+        wait_until(self.net.seat_signal(), timeout, || {
             self.with_statuses(|it| {
                 it.filter(|(_, s)| s.is_leader.load(Ordering::Relaxed))
                     .map(|(id, _)| id)
@@ -732,16 +777,24 @@ impl Cluster {
     }
 }
 
-/// Polls `probe` every 5 ms until it yields a value or `timeout` has passed
-/// (the probe always runs at least once).
-fn wait_until<T>(timeout: Duration, probe: impl Fn() -> Option<T>) -> Option<T> {
+/// Runs `probe` until it yields a value or `timeout` has passed: once, then
+/// again each time `signal` reports a seat-status change. Nothing sleeps;
+/// `Duration::ZERO` is exactly one probe and registers no waiter.
+fn wait_until<T>(
+    signal: &SeatSignal,
+    timeout: Duration,
+    probe: impl Fn() -> Option<T>,
+) -> Option<T> {
+    if timeout.is_zero() {
+        return probe();
+    }
     let deadline = Instant::now() + timeout;
+    let mut watch = signal.watch();
     loop {
         let found = probe();
-        if found.is_some() || Instant::now() >= deadline {
+        if found.is_some() || !watch.wait(deadline) {
             return found;
         }
-        thread::sleep(Duration::from_millis(5));
     }
 }
 

@@ -15,7 +15,11 @@
 //!   spawns (control plane, clients), independent of how many raft groups
 //!   the process hosts. Every round ticks every hosted seat (a tick on a
 //!   node with no expired timer is a few comparisons) and publishes its
-//!   status block. One barrier still covers everything a node drained from
+//!   status block; a seat whose leader flag, cluster or retirement changed
+//!   also notifies the fleet's [`crate::fleet_net::SeatSignal`], which
+//!   wakes any thread blocked in a `Cluster::wait_for_*` call (nobody
+//!   waiting: one fence and one relaxed load, in that round only). One
+//!   barrier still covers everything a node drained from
 //!   the poll (and one more for each in-round pass that stepped it), so
 //!   group commit per node is preserved; nodes that externalized nothing
 //!   skip the barrier entirely ([`recraft_core::Node::has_outputs`]), so
@@ -82,7 +86,7 @@
 //!   *target's* next write-ahead barrier, so group commit is preserved
 //!   across the move.
 
-use crate::fleet_net::{FleetNet, HarnessNode, NodeStatus};
+use crate::fleet_net::{FleetNet, HarnessNode, NodeStatus, SeatSignal};
 use crate::CLIENT_BASE;
 use bytes::{Buf, BytesMut};
 use recraft_core::{NodeEvent, Role};
@@ -769,7 +773,7 @@ impl Worker {
                     busy = true;
                     self.externalize(*id, seat, &mut local, &mut wire);
                 }
-                publish_seat(seat);
+                publish_seat(seat, self.shared.net.seat_signal());
             }
             self.flush_wire(&mut outs, &mut wire, now, &mut wire_buf);
 
@@ -801,7 +805,7 @@ impl Worker {
                         if seat.node.has_outputs() {
                             self.externalize(id, seat, &mut local, &mut wire);
                         }
-                        publish_seat(seat);
+                        publish_seat(seat, self.shared.net.seat_signal());
                     }
                 }
                 self.flush_wire(&mut outs, &mut wire, now, &mut wire_buf);
@@ -828,7 +832,7 @@ impl Worker {
             .into_values()
             .map(|mut seat| {
                 let _ = seat.node.take_outputs();
-                publish_seat(&seat);
+                publish_seat(&seat, self.shared.net.seat_signal());
                 seat.node
             })
             .collect()
@@ -866,7 +870,7 @@ impl Worker {
                     // door (and every conn behind it) so dialing clients
                     // see refused-connection and rotate.
                     let _ = seat.node.take_outputs();
-                    publish_seat(&seat);
+                    publish_seat(&seat, self.shared.net.seat_signal());
                     drop(seat.listener);
                     drop(seat.conns);
                     let _ = reply.send(Box::new(seat.node));
@@ -1226,20 +1230,29 @@ fn count_events(events: &[NodeEvent], status: &NodeStatus) {
     }
 }
 
-/// Publishes the seat's observable protocol state and load counters.
-fn publish_seat(seat: &Hosted) {
+/// Publishes the seat's observable protocol state and load counters, and
+/// announces a changed leader flag, cluster or retirement on `signal`.
+fn publish_seat(seat: &Hosted, signal: &SeatSignal) {
     let (node, status) = (&seat.node, &seat.status);
-    status.is_leader.store(node.is_leader(), Ordering::Relaxed);
-    status.cluster.store(node.cluster().0, Ordering::Relaxed);
+    let (leader, cluster) = (node.is_leader(), node.cluster().0);
+    let retired = node.role() == Role::Removed;
+    // Only this seat's worker stores these fields, so the loads read back
+    // its own last publish.
+    let moved = status.is_leader.load(Ordering::Relaxed) != leader
+        || status.cluster.load(Ordering::Relaxed) != cluster
+        || status.retired.load(Ordering::Relaxed) != retired;
+    status.is_leader.store(leader, Ordering::Relaxed);
+    status.cluster.store(cluster, Ordering::Relaxed);
     status
         .commit
         .store(node.commit_index().0, Ordering::Relaxed);
     status
         .applied
         .store(node.applied_index().0, Ordering::Relaxed);
-    status
-        .retired
-        .store(node.role() == Role::Removed, Ordering::Relaxed);
+    status.retired.store(retired, Ordering::Relaxed);
     status.steps.store(seat.steps, Ordering::Relaxed);
     status.net_bytes.store(seat.bytes, Ordering::Relaxed);
+    if moved {
+        signal.notify();
+    }
 }

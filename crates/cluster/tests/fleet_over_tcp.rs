@@ -170,6 +170,16 @@ fn split_then_merge(cluster: &Cluster, admin: &mut AdminClient) -> Reshaped {
         "merged cluster never elected: {:?}",
         cluster.node_clusters()
     );
+    // It resumes with the coordinator's members — `resume_members` caps
+    // resumption at the configured replication factor; the other
+    // participant's nodes retire. Each member adopts the merged identity
+    // when its own exchange completes, which can trail the leader its vote
+    // elected (the wait above returns the moment that leader publishes), so
+    // wait for the member set to settle.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cluster.members_of(merged).keys().eq(coord_members.keys()) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+    }
     Reshaped {
         halves: [ma, mb],
         merged,
@@ -198,18 +208,9 @@ fn controller_split_and_merge_over_tcp() {
         merged,
     } = split_then_merge(&cluster, &mut AdminClient::new(0));
 
-    // The merged cluster resumes with the coordinator's members —
-    // `resume_members` caps resumption at the configured replication
-    // factor; the other participant's nodes retire to the spare pool. Each
-    // member adopts the merged identity when its own exchange completes,
-    // which can trail the leader its vote elected, so wait for the set to
-    // settle before comparing.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut mm = cluster.members_of(merged);
-    while !mm.keys().eq(ma.keys()) && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(5));
-        mm = cluster.members_of(merged);
-    }
+    // The merged cluster resumes with the coordinator's members; the other
+    // participant's nodes retire to the spare pool.
+    let mm = cluster.members_of(merged);
     assert_eq!(
         mm.keys().copied().collect::<Vec<_>>(),
         ma.keys().copied().collect::<Vec<_>>(),

@@ -14,7 +14,7 @@ use recraft_cluster::{
 };
 use recraft_net::frame::{read_frame, write_frame};
 use recraft_net::{Envelope, Message};
-use recraft_types::{ClientOp, ClientOutcome, ClientRequest, NodeId, SessionId};
+use recraft_types::{ClientOp, ClientOutcome, ClientRequest, ClusterId, NodeId, SessionId};
 use std::net::TcpStream;
 use std::sync::Mutex;
 use std::thread;
@@ -163,6 +163,72 @@ fn a_launched_cluster_is_led_by_node_1_after_one_election() {
     let leader = cluster.wait_for_leader(Duration::from_secs(10));
     assert_eq!(leader, Some(NodeId(1)), "{}", cluster.debug_dump());
     assert_eq!(cluster.elections(), 1, "{}", cluster.debug_dump());
+}
+
+/// Six members boot their WALs in parallel and are still seated as one
+/// group: node 1 leads after the only election. A member killed the moment
+/// `launch` returns reboots through `Node::reopen`, which refuses a store
+/// without boot state — so its boot state was durable before it was
+/// seated.
+#[test]
+fn a_launched_six_node_wal_cluster_is_led_by_node_1_after_one_election() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = Cluster::launch(&ClusterSpec::new(6, HarnessBackend::Wal));
+    let victim = NodeId(6);
+    assert!(cluster.kill(victim));
+    cluster.restart(victim);
+    let leader = cluster.wait_for_leader(Duration::from_secs(10));
+    assert_eq!(leader, Some(NodeId(1)), "{}", cluster.debug_dump());
+    assert_eq!(cluster.elections(), 1, "{}", cluster.debug_dump());
+    let opts = ClientOptions {
+        ops: 5,
+        window: 2,
+        ..ClientOptions::default()
+    };
+    assert!(cluster.run_clients(2, &opts).all_completed());
+    let nodes = cluster.shutdown();
+    assert!(nodes.iter().any(|n| n.id() == victim), "the restarted seat");
+}
+
+/// The leader's seat is withdrawn and the survivors elect on their timers;
+/// the waiter, blocked on the seat signal, returns the new leader.
+#[test]
+fn a_waiter_finds_the_successor_of_a_killed_leader() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = Cluster::launch(&ClusterSpec::new(3, HarnessBackend::Mem));
+    let first = cluster
+        .wait_for_leader(Duration::from_secs(10))
+        .expect("no leader within 10s");
+    assert!(cluster.kill(first));
+    let next = cluster.wait_for_leader_of(ClusterId(1), Duration::from_secs(10));
+    assert!(
+        next.is_some_and(|n| n != first),
+        "after killing {first:?}: {next:?}\n{}",
+        cluster.debug_dump()
+    );
+}
+
+/// A zero timeout is one read of the seat status: with no member alive
+/// nothing will ever publish, and the call must not wait for anything.
+#[test]
+fn a_zero_timeout_wait_probes_once_and_returns() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = Cluster::launch(&ClusterSpec::new(1, HarnessBackend::Mem));
+    assert_eq!(
+        cluster.wait_for_leader(Duration::from_secs(10)),
+        Some(NodeId(1))
+    );
+    assert!(cluster.kill(NodeId(1)));
+    let began = Instant::now();
+    assert_eq!(cluster.wait_for_leader(Duration::ZERO), None);
+    let took = began.elapsed();
+    assert!(took < Duration::from_millis(50), "took {took:?}");
 }
 
 /// With every seat on one worker, a linearizable read is one poll round:
