@@ -1,46 +1,46 @@
 //! The open-loop client driver: many concurrent sessions over real TCP.
 //!
-//! Each client is one OS thread owning one [`SessionId`]. It keeps a
-//! bounded window of writes in flight ([`ClientOptions::window`]), which is
-//! what makes the load *open-loop*: the leader sees a standing backlog from
-//! every session at once, so replication batching and pipelining engage.
+//! Each client is one OS thread owning one session: a
+//! [`RoutedClient`] — the session machine the simulator's clients run
+//! too — behind a TCP transport and the wall clock. The machine decides
+//! everything a session decides: which sequence number goes out next (a
+//! window of [`ClientOptions::window`] writes in flight, which is what
+//! makes the load *open-loop*), which node each write goes to, and when it
+//! is resent under its original `(session, seq)`. This module carries its
+//! actions. It holds at most one connection per node the machine
+//! addresses, waits on all of them with one [`Poller`] until the machine's
+//! next deadline, and hands back every answer and every node it cannot
+//! reach.
 //!
-//! Clients come in two routing modes. Without a [`FleetView`] they rotate
-//! blindly over the launch-time address list — right for a single-range
-//! cluster. With one ([`ClientOptions::view`]), each write is routed
-//! through the shared shard directory the control plane publishes: the
-//! client connects to the cluster serving its next key, follows
-//! `Redirect`/`NotLeader` hints within it, and treats `WrongRange` as the
-//! staleness signal it is — park the write, wait for the directory to move
-//! the key, re-route. The directory may be arbitrarily stale; the
-//! protocol's own answers are what keep routing convergent (§V). A client
-//! holds one connection, so its window is **cluster-homogeneous**: filling
-//! stops at the first key the directory maps elsewhere, and that key starts
-//! the next window once this one drains.
+//! One machine, two directories. With a [`FleetView`]
+//! ([`ClientOptions::view`]) the machine routes through the shard
+//! directory the control plane publishes. Without one — and while that
+//! directory is still empty — it routes through a one-record directory
+//! that serves the whole keyspace on the launch-time nodes, which is right
+//! for a single-range cluster. Either directory may be stale: the protocol's own
+//! `Redirect`/`NotLeader`/`WrongRange` answers keep routing convergent (§V).
 //!
-//! Exactly-once under retries is the server's session table: a write is
-//! retried under its original `(session, seq)` until answered (on every
-//! reconnection the pending window is resent), and the table keeps the
-//! reply of every applied number within [`SESSION_WINDOW`] of the
-//! session's highest. The client keeps its side of that bargain by issuing
-//! `seq` only while `seq < oldest pending + SESSION_WINDOW`, so every retry
-//! it can send is answered — applied once, or replayed from the table —
-//! wherever splits and merges have moved its key. A write is confirmed only
-//! by a `Reply`. A [`Error::SessionStale`] for a pending write cannot come
-//! from a server that keeps the window; the client gives that write up
-//! unconfirmed and the run ends `completed: false`.
+//! Exactly-once under retries is the server's session table: it keeps the
+//! reply of every applied number within a fixed window below the session's
+//! highest, and the machine issues a number only within that window of its
+//! oldest pending one, so every resend is answered — applied once, or
+//! replayed from the table — wherever splits and merges have moved its key.
+//! A write is confirmed only by a `Reply`. A [`Error::SessionStale`] for a
+//! pending write cannot come from a server that keeps the window; the
+//! write is given up unconfirmed and the run ends `completed: false`.
 
 use crate::control::FleetView;
 use crate::CLIENT_BASE;
 use bytes::Bytes;
+use recraft_fleet::{ClientAction, RoutedClient, ShardDirectory};
 use recraft_kv::KvCmd;
-use recraft_net::frame::{read_frame, write_frame};
+use recraft_net::frame::write_frame;
+use recraft_net::mux::MuxReader;
+use recraft_net::poll::{fd_of, Poller, INTEREST_READ};
 use recraft_net::{Envelope, Message};
-use recraft_types::{
-    ClientOp, ClientOutcome, ClientRequest, ClientResponse, ClusterId, Error, NodeId, SessionId,
-    SESSION_WINDOW,
-};
-use std::collections::BTreeMap;
+use recraft_types::{ClientOp, ClientRequest, ClusterId, Error, NodeId, RangeSet, SessionId};
+use std::collections::{BTreeMap, VecDeque};
+use std::io::Read;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -64,8 +64,8 @@ pub struct ClientOptions {
     /// seat rebalancer hot shards worth migrating while still touching
     /// every range.
     pub key_skew: f64,
-    /// Socket read timeout; expiry triggers reconnect-and-resend, which is
-    /// the retry path for lost responses.
+    /// How long a write waits for an answer before it is resent — the
+    /// retry path for lost responses.
     pub read_timeout: Duration,
     /// Overall per-client deadline; a client that cannot finish by then
     /// reports `completed: false` instead of hanging the run.
@@ -75,7 +75,7 @@ pub struct ClientOptions {
     /// instead of colliding with the first run's sequence numbers.
     pub session_base: u64,
     /// Directory-served routing: when set, clients route each write through
-    /// the shared fleet view instead of rotating blindly.
+    /// the shared fleet view instead of the launch-time nodes.
     pub view: Option<Arc<FleetView>>,
 }
 
@@ -109,7 +109,7 @@ pub struct ClientReport {
     pub duplicates: u64,
     /// Redirect outcomes followed.
     pub redirects: u64,
-    /// `WrongRange` rejections — each one is a stale route the client
+    /// `WrongRange` rejections — each one a stale route the client
     /// recovered from by re-routing through the directory.
     pub wrong_range: u64,
     /// Connections dialed (including the first).
@@ -129,14 +129,13 @@ pub fn run_open_loop(
     clients: u64,
     opts: &ClientOptions,
 ) -> Vec<ClientReport> {
-    let nodes: Vec<(NodeId, SocketAddr)> = addrs.iter().map(|(n, a)| (*n, *a)).collect();
     let handles: Vec<_> = (0..clients)
         .map(|i| {
-            let nodes = nodes.clone();
+            let addrs = addrs.clone();
             let opts = opts.clone();
             thread::Builder::new()
                 .name(format!("recraft-client-{i}"))
-                .spawn(move || OpenLoopClient::new(i, nodes, opts).run())
+                .spawn(move || OpenLoopClient::new(i, addrs, opts).run())
                 .expect("spawn client thread")
         })
         .collect();
@@ -149,46 +148,37 @@ pub fn run_open_loop(
 struct OpenLoopClient {
     idx: u64,
     me: NodeId,
-    session: SessionId,
-    /// Launch-time address list — the blind-rotation target set, and the
-    /// routed mode's fallback while the directory is still empty.
-    nodes: Vec<(NodeId, SocketAddr)>,
-    target: usize,
-    /// The node the current connection was dialed to.
-    dest: Option<NodeId>,
-    /// The directory cluster the current window is addressed to (routed
-    /// mode; `None` while falling back to blind rotation).
-    window_cluster: Option<ClusterId>,
-    /// A cluster that answered `WrongRange` for the oldest pending write:
-    /// do not re-send there until the directory moves the key elsewhere.
-    avoid: Option<ClusterId>,
-    /// Leader hint from the last `Redirect`/`NotLeader` answer.
-    prefer: Option<NodeId>,
-    stream: Option<TcpStream>,
-    /// The retry window: every unconfirmed request, keyed by seq.
-    pending: BTreeMap<u64, ClientRequest>,
-    /// The next sequence number to issue (`1..=ops`).
-    next_seq: u64,
+    machine: RoutedClient,
+    /// The launch-time nodes as a one-record directory: the routing of a
+    /// client without a view, or whose view is still empty.
+    launch: ShardDirectory,
+    addrs: BTreeMap<NodeId, SocketAddr>,
+    /// One connection per node addressed, with the answers read off it.
+    conns: BTreeMap<NodeId, (TcpStream, MuxReader)>,
+    /// The zero of the machine's clock.
+    epoch: Instant,
     opts: ClientOptions,
     report: ClientReport,
 }
 
 impl OpenLoopClient {
-    fn new(idx: u64, nodes: Vec<(NodeId, SocketAddr)>, opts: ClientOptions) -> Self {
-        let target = (idx as usize) % nodes.len().max(1);
+    fn new(idx: u64, addrs: BTreeMap<NodeId, SocketAddr>, opts: ClientOptions) -> Self {
+        let session = SessionId(opts.session_base + idx);
+        let resend_after = opts.read_timeout.as_micros() as u64;
+        let mut launch = ShardDirectory::default();
+        launch.upsert(
+            ClusterId(0),
+            RangeSet::full(),
+            addrs.keys().copied().collect(),
+        );
         OpenLoopClient {
             idx,
-            me: NodeId(CLIENT_BASE + opts.session_base + idx),
-            session: SessionId(opts.session_base + idx),
-            nodes,
-            target,
-            dest: None,
-            window_cluster: None,
-            avoid: None,
-            prefer: None,
-            stream: None,
-            pending: BTreeMap::new(),
-            next_seq: 1,
+            me: NodeId(CLIENT_BASE + session.0),
+            machine: RoutedClient::new(session, opts.window, resend_after),
+            launch,
+            addrs,
+            conns: BTreeMap::new(),
+            epoch: Instant::now(),
             opts,
             report: ClientReport {
                 client: idx,
@@ -197,173 +187,143 @@ impl OpenLoopClient {
         }
     }
 
+    /// Microseconds since the client started.
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
+    }
+
     fn run(mut self) -> ClientReport {
-        let deadline = Instant::now() + self.opts.deadline;
-        while self.next_seq <= self.opts.ops || !self.pending.is_empty() {
-            if Instant::now() >= deadline {
+        let deadline = self.now() + self.opts.deadline.as_micros() as u64;
+        let mut poller = Poller::new();
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            let now = self.now();
+            while self.machine.next_seq() <= self.opts.ops && self.machine.can_issue() {
+                let op = self.op_for(self.machine.next_seq());
+                let actions = self.with_dir(|machine, dir| machine.issue(now, op, dir));
+                self.act(actions);
+            }
+            let drained = self.machine.next_seq() > self.opts.ops && self.machine.pending() == 0;
+            if drained || now >= deadline {
                 break;
             }
-            if self.stream.is_none() && !self.connect_and_resend() {
-                continue;
+            poller.clear();
+            let nodes: Vec<NodeId> = self.conns.keys().copied().collect();
+            for (stream, _) in self.conns.values() {
+                poller.register(fd_of(stream), INTEREST_READ);
             }
-            self.fill_window();
-            self.read_one();
+            let wake = deadline.min(self.machine.next_deadline().unwrap_or(deadline));
+            let _ = poller.wait(Some(Duration::from_micros(wake.saturating_sub(now))));
+            for (token, node) in nodes.into_iter().enumerate() {
+                if poller.readiness(token).any() {
+                    self.read_from(node, &mut buf);
+                }
+            }
+            let now = self.now();
+            if self.machine.next_deadline().is_some_and(|d| d <= now) {
+                let actions = self.with_dir(|machine, dir| machine.on_timeout(now, dir));
+                self.act(actions);
+            }
         }
+        let stats = self.machine.stats();
+        self.report.redirects = stats.redirects;
+        self.report.wrong_range = stats.wrong_range;
         self.report.completed = self.report.replies == self.opts.ops;
         self.report
     }
 
-    /// The key the client must make progress on next: the oldest pending
-    /// write's, or the next fresh sequence number's.
-    fn frontier_key(&self) -> Vec<u8> {
-        match self.pending.values().next() {
-            Some(req) => req.key().to_vec(),
-            None => self.key_for(self.next_seq),
+    /// Runs one machine step against the directory it routes by: the view's
+    /// when it has records, else the launch nodes'.
+    fn with_dir<T>(&mut self, step: impl FnOnce(&mut RoutedClient, &ShardDirectory) -> T) -> T {
+        let machine = &mut self.machine;
+        match &self.opts.view {
+            Some(view) => view.with_directory(|dir| {
+                step(machine, if dir.is_empty() { &self.launch } else { dir })
+            }),
+            None => step(machine, &self.launch),
         }
     }
 
-    /// Picks the destination for a new connection. In routed mode the
-    /// frontier key is resolved through the directory; a key still mapped
-    /// to the cluster that just said `WrongRange` means the directory has
-    /// not caught up — wait rather than re-send there.
-    fn pick_dest(&mut self) -> Option<(NodeId, SocketAddr)> {
-        let Some(view) = self.opts.view.clone() else {
-            return self.blind_pick();
-        };
-        match view.route(&self.frontier_key()) {
-            Some((cluster, _)) if Some(cluster) == self.avoid => {
-                // Stale route: the rejecting cluster still claims the key.
-                thread::sleep(Duration::from_millis(5));
-                None
-            }
-            Some((cluster, members)) => {
-                self.avoid = None;
-                self.window_cluster = Some(cluster);
-                let chosen = self
-                    .prefer
-                    .and_then(|p| members.iter().find(|(n, _)| *n == p).copied())
-                    .unwrap_or_else(|| members[self.target % members.len()]);
-                Some(chosen)
-            }
-            None => {
-                // Directory not populated yet (or the members' addresses
-                // are all withdrawn): fall back to blind rotation.
-                self.window_cluster = None;
-                self.blind_pick()
-            }
-        }
-    }
-
-    /// Launch-list targeting: the hinted leader when one is known, else the
-    /// rotation cursor.
-    fn blind_pick(&self) -> Option<(NodeId, SocketAddr)> {
-        if let Some(p) = self.prefer {
-            if let Some(hit) = self.nodes.iter().find(|(n, _)| *n == p) {
-                return Some(*hit);
-            }
-        }
-        (!self.nodes.is_empty()).then(|| self.nodes[self.target % self.nodes.len()])
-    }
-
-    /// Dials the picked destination and replays the whole pending window.
-    fn connect_and_resend(&mut self) -> bool {
-        let Some((nid, addr)) = self.pick_dest() else {
-            return false;
-        };
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                let _ = s.set_read_timeout(Some(self.opts.read_timeout));
-                self.stream = Some(s);
-                self.dest = Some(nid);
-                self.report.connects += 1;
-                let window: Vec<ClientRequest> = self.pending.values().cloned().collect();
-                for req in window {
-                    if !self.send(nid, req) {
-                        return false;
+    /// Carries out the machine's actions. A send that cannot be delivered
+    /// tells the machine its node is unreachable, which may yield more.
+    fn act(&mut self, actions: Vec<ClientAction>) {
+        let mut queue = VecDeque::from(actions);
+        while let Some(action) = queue.pop_front() {
+            match action {
+                ClientAction::Send { to, req } => {
+                    if !self.send(to, req) {
+                        queue.extend(self.unreachable(to));
                     }
                 }
-                true
-            }
-            Err(_) => {
-                // Node down (or not yet up): try the next one.
-                self.rotate();
-                thread::sleep(Duration::from_millis(10));
-                false
+                ClientAction::Done { result, .. } => match result {
+                    Ok(_) => self.report.replies += 1,
+                    Err(e) => self.report.stale += u64::from(e == Error::SessionStale),
+                },
+                ClientAction::Duplicate { .. } => self.report.duplicates += 1,
             }
         }
     }
 
+    /// Writes `req` to node `to`, dialing it first if no connection is
+    /// open. Returns whether the frame went out.
     fn send(&mut self, to: NodeId, req: ClientRequest) -> bool {
+        if !self.conns.contains_key(&to) {
+            let addr = self.opts.view.as_ref().and_then(|v| v.addr_of(to));
+            let Some(stream) = addr
+                .or_else(|| self.addrs.get(&to).copied())
+                .and_then(|a| TcpStream::connect_timeout(&a, Duration::from_millis(500)).ok())
+            else {
+                return false;
+            };
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_write_timeout(Some(self.opts.read_timeout));
+            self.report.connects += 1;
+            self.conns.insert(to, (stream, MuxReader::new()));
+        }
         let env = Envelope::new(self.me, to, Message::ClientReq { req });
-        let ok = self
-            .stream
-            .as_mut()
-            .is_some_and(|s| write_frame(s, &env).is_ok());
-        if !ok {
-            // Reconnect to the same target; rotation is driven by
-            // redirects and connect failures, not write errors.
-            self.stream = None;
-        }
-        ok
+        let (stream, _) = self.conns.get_mut(&to).expect("dialed above");
+        write_frame(stream, &env).is_ok()
     }
 
-    fn rotate(&mut self) {
-        self.target = self.target.wrapping_add(1);
-        self.prefer = None;
-    }
-
-    /// Points the next connection at the hinted leader (or the next node
-    /// round-robin when the cluster has no leader to hint at).
-    fn retarget(&mut self, hint: Option<NodeId>) {
-        match hint {
-            Some(h) => self.prefer = Some(h),
-            None => {
-                self.rotate();
-                // No leader known — likely an election; back off briefly.
-                thread::sleep(Duration::from_millis(20));
-            }
-        }
-        self.stream = None;
-    }
-
-    /// Issues fresh writes until the in-flight window is full, and only
-    /// while the next sequence number stays below the oldest pending one
-    /// plus [`SESSION_WINDOW`]. Routed windows stay cluster-homogeneous:
-    /// filling stops at the first key the directory maps to a different
-    /// cluster than the connection serves — that boundary starts the next
-    /// window once this one drains.
-    fn fill_window(&mut self) {
-        while self.stream.is_some()
-            && self.pending.len() < self.opts.window.max(1)
-            && self.next_seq <= self.opts.ops
-            && self
-                .pending
-                .keys()
-                .next()
-                .is_none_or(|&oldest| self.next_seq < oldest + SESSION_WINDOW)
-        {
-            let seq = self.next_seq;
-            if let (Some(view), Some(cluster)) = (self.opts.view.as_ref(), self.window_cluster) {
-                if view.route(&self.key_for(seq)).map(|(c, _)| c) != Some(cluster) {
-                    if self.pending.is_empty() {
-                        // Nothing in flight here and the next key lives
-                        // elsewhere: move the connection, not the key.
-                        self.stream = None;
+    /// Reads what node `node`'s connection holds and hands every answer to
+    /// the machine. An end of stream or a corrupt frame drops the
+    /// connection and marks the node unreachable.
+    fn read_from(&mut self, node: NodeId, buf: &mut [u8]) {
+        let Some((stream, reader)) = self.conns.get_mut(&node) else {
+            return;
+        };
+        let mut answers = Vec::new();
+        let open = match stream.read(buf) {
+            Ok(0) | Err(_) => false,
+            Ok(n) => {
+                reader.feed(&buf[..n]);
+                loop {
+                    match reader.next_envelope() {
+                        Ok(Some(env)) => answers.push(env),
+                        Ok(None) => break true,
+                        Err(_) => break false,
                     }
-                    break;
                 }
             }
-            self.next_seq += 1;
-            let req = self.make_req(seq);
-            self.pending.insert(seq, req.clone());
-            let to = self
-                .dest
-                .unwrap_or_else(|| self.nodes[self.target % self.nodes.len()].0);
-            if !self.send(to, req) {
-                break;
+        };
+        let now = self.now();
+        for env in answers {
+            if let Message::ClientResp { resp } = env.msg {
+                let actions = self.with_dir(|m, dir| m.on_response(now, env.from, resp, dir));
+                self.act(actions);
             }
         }
+        if !open {
+            let actions = self.unreachable(node);
+            self.act(actions);
+        }
+    }
+
+    /// Drops `node`'s connection and tells the machine it is unreachable.
+    fn unreachable(&mut self, node: NodeId) -> Vec<ClientAction> {
+        self.conns.remove(&node);
+        let now = self.now();
+        self.with_dir(|m, dir| m.on_unreachable(now, node, dir))
     }
 
     fn key_for(&self, seq: u64) -> Vec<u8> {
@@ -389,92 +349,15 @@ impl OpenLoopClient {
         Bytes::from(value)
     }
 
-    fn make_req(&self, seq: u64) -> ClientRequest {
+    fn op_for(&self, seq: u64) -> ClientOp {
         let key = self.key_for(seq);
-        ClientRequest {
-            session: self.session,
-            seq,
-            op: ClientOp::Command {
-                key: key.clone(),
-                cmd: KvCmd::Put {
-                    key,
-                    value: self.value_for(seq),
-                }
-                .encode(),
-            },
-        }
-    }
-
-    /// Blocks (up to the read timeout) for one response. Timeout or error
-    /// drops the connection; the next loop iteration reconnects and resends
-    /// the window — that is the retry path.
-    fn read_one(&mut self) {
-        let Some(s) = self.stream.as_mut() else {
-            return;
-        };
-        match read_frame(s) {
-            Ok(Some(env)) => {
-                if let Message::ClientResp { resp } = env.msg {
-                    self.on_resp(resp);
-                }
+        ClientOp::Command {
+            key: key.clone(),
+            cmd: KvCmd::Put {
+                key,
+                value: self.value_for(seq),
             }
-            Ok(None) | Err(_) => self.stream = None,
-        }
-    }
-
-    fn on_resp(&mut self, resp: ClientResponse) {
-        if resp.session != self.session {
-            return;
-        }
-        let seq = resp.seq;
-        match resp.outcome {
-            ClientOutcome::Reply { .. } => {
-                if self.pending.remove(&seq).is_some() {
-                    self.report.replies += 1;
-                } else {
-                    self.report.duplicates += 1;
-                }
-            }
-            ClientOutcome::Redirect { leader_hint, .. } => {
-                if self.pending.contains_key(&seq) {
-                    self.report.redirects += 1;
-                    self.retarget(leader_hint);
-                }
-            }
-            ClientOutcome::Rejected { error } => {
-                if !self.pending.contains_key(&seq) {
-                    return;
-                }
-                match error {
-                    Error::SessionStale => {
-                        // Not evidence the write applied: give it up
-                        // unconfirmed.
-                        self.pending.remove(&seq);
-                        self.report.stale += 1;
-                    }
-                    Error::NotLeader(hint) => {
-                        self.report.redirects += 1;
-                        self.retarget(hint);
-                    }
-                    Error::WrongRange(_) => {
-                        // The route was stale: park the window (the write
-                        // stays pending, nothing new is issued) and refuse
-                        // to re-send to this cluster until the directory
-                        // moves the key somewhere else.
-                        self.report.wrong_range += 1;
-                        self.avoid = self.window_cluster.take();
-                        self.prefer = None;
-                        self.stream = None;
-                    }
-                    _ => {
-                        // Transient (e.g. the proposal was dropped at a
-                        // leader change, or a reconfiguration gated it):
-                        // drop the connection, and the reconnect resends
-                        // the window.
-                        self.stream = None;
-                    }
-                }
-            }
+            .encode(),
         }
     }
 }

@@ -37,10 +37,6 @@ use std::sync::{Arc, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// One route answer from [`FleetView::route`]: the serving cluster and its
-/// members' current addresses.
-pub type Route = (ClusterId, Vec<(NodeId, SocketAddr)>);
-
 /// The shared, loosely-consistent fleet view: the [`ShardDirectory`] the
 /// control plane publishes each sampling round, plus the live address map
 /// to resolve its member sets against. Routed clients read it lock-free of
@@ -78,18 +74,10 @@ impl FleetView {
         self.dir.read().expect("directory lock").version()
     }
 
-    /// The cluster serving `key` — its id and its members' current
-    /// addresses — or `None` while the directory has no record covering the
-    /// key.
+    /// Node `node`'s current address, if it is live.
     #[must_use]
-    pub fn route(&self, key: &[u8]) -> Option<Route> {
-        let dir = self.dir.read().expect("directory lock");
-        let (cluster, members) = dir.lookup(key)?;
-        let addrs: Vec<(NodeId, SocketAddr)> = members
-            .iter()
-            .filter_map(|m| self.net.addr_of(*m).map(|a| (*m, a)))
-            .collect();
-        (!addrs.is_empty()).then_some((cluster, addrs))
+    pub fn addr_of(&self, node: NodeId) -> Option<SocketAddr> {
+        self.net.addr_of(node)
     }
 
     /// Replaces the directory contents with one observation round.

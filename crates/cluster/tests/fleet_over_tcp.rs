@@ -11,17 +11,19 @@
 //! it resumed without retires and keeps answering.
 
 use recraft_cluster::{
-    AdminClient, ClientOptions, Cluster, ClusterSpec, HarnessBackend, CLIENT_BASE,
+    verify_sessions, AdminClient, ClientOptions, Cluster, ClusterSpec, ControlOptions,
+    ControlPlane, FleetView, HarnessBackend, CLIENT_BASE,
 };
+use recraft_core::Role;
 use recraft_fleet::{Controller, FleetCmd, FleetConfig, RangeSample};
 use recraft_net::frame::{read_frame, write_frame};
 use recraft_net::{AdminCmd, Envelope, Message};
 use recraft_types::{
     ClientOp, ClientOutcome, ClientRequest, ClusterId, Error, KeyRange, NodeId, RangeSet, SessionId,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -320,4 +322,76 @@ fn a_merged_away_node_answers_samplers_and_clients() {
         }
     }
     drop(cluster.shutdown());
+}
+
+/// A routed client fleet follows its leader's removal. Mid-run, a
+/// `RemoveAndResize` retires the node the routed clients send to. It
+/// answers `WrongRange` for the cluster it left; the clients drop it as
+/// their hint, the control plane's next directory lists the four members
+/// that remain, and every client re-routes to the new leader and completes,
+/// each write applied exactly once.
+#[test]
+fn routed_clients_complete_across_the_leaders_removal() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let cluster = Arc::new(Cluster::launch(&ClusterSpec::new(5, HarnessBackend::Mem)));
+    let leader = cluster
+        .wait_for_leader(Duration::from_secs(10))
+        .expect("no leader within 10s");
+    let view = FleetView::new(cluster.net());
+    // The plane only samples and publishes: nothing is hot enough to split.
+    let fleet = FleetConfig {
+        split_ops: u64::MAX,
+        split_bytes: usize::MAX,
+        max_ranges: 1,
+        ..fleet_cfg()
+    };
+    let plane = ControlPlane::spawn(
+        Arc::clone(&cluster),
+        Arc::clone(&view),
+        ControlOptions {
+            fleet,
+            interval: Duration::from_millis(100),
+            ..ControlOptions::default()
+        },
+    );
+    let opts = ClientOptions {
+        ops: 1_000,
+        window: 4,
+        value_size: 64,
+        deadline: Duration::from_secs(60),
+        view: Some(view),
+        ..ClientOptions::default()
+    };
+    let load = {
+        let c = Arc::clone(&cluster);
+        let opts = opts.clone();
+        thread::spawn(move || c.run_clients(8, &opts))
+    };
+    thread::sleep(Duration::from_millis(100));
+    let remove = AdminCmd::RemoveAndResize(BTreeSet::from([leader]));
+    let mut admin = AdminClient::new(0);
+    // The leader can retire before its acknowledgement is read; the retry
+    // then meets a configuration it has already left.
+    match admin.run_on_leader(&cluster.addrs(), &remove, Duration::from_secs(10)) {
+        Ok(_) | Err(Error::InvalidConfig(_)) => {}
+        Err(e) => panic!("the leader's removal failed: {e}"),
+    }
+    let run = load.join().expect("load thread");
+    let _ = plane.stop();
+    assert!(
+        run.all_completed(),
+        "a client stalled behind the removed leader: {:?}",
+        run.reports
+    );
+    let cluster = Arc::into_inner(cluster).expect("the load and the plane are joined");
+    let nodes = cluster.shutdown();
+    assert!(
+        nodes
+            .iter()
+            .all(|n| n.id() != leader || n.role() == Role::Removed),
+        "{leader} was never removed"
+    );
+    verify_sessions(&nodes, 8, opts.ops);
 }

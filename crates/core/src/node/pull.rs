@@ -22,14 +22,13 @@ use super::replication::cap_batch_bytes;
 use super::{Node, PullState, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
-use recraft_net::{Message, PullHint};
+use recraft_net::Message;
 use recraft_storage::{LogEntry, LogStore, Snapshot};
 use recraft_types::{ClusterConfig, LogIndex, NodeId};
 
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Begins (or refocuses) pull-based recovery toward `hint_node`.
-    pub(crate) fn start_pull(&mut self, now: u64, hint_node: NodeId, hint: PullHint) {
-        let _ = hint;
+    pub(crate) fn start_pull(&mut self, now: u64, hint_node: NodeId) {
         let mut targets = vec![hint_node];
         for peer in self.derived_cached().members.clone() {
             if peer != self.id && peer != hint_node {

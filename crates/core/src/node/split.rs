@@ -182,14 +182,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.set_commit(now, cnew_index);
         } else {
             // We lack the entry: recover by pulling from the notifier.
-            self.start_pull(
-                now,
-                from,
-                recraft_net::PullHint {
-                    commit_index: cnew_index,
-                    epoch: cnew_eterm.epoch() + 1,
-                },
-            );
+            self.start_pull(now, from);
         }
     }
 }

@@ -11,6 +11,11 @@
 //!   queries a controller and a router both need. Deliberately
 //!   loosely-consistent: readers may act on a stale version and recover via
 //!   the protocol's own `Redirect`/`WrongRange` answers.
+//! * [`RoutedClient`] — one client session's sans-io state machine: it
+//!   issues sequence numbers within the server's session window, routes
+//!   each operation through the directory, and resends it until answered.
+//!   The simulator's clients, its one-shot sessions and the TCP client
+//!   fleet are all this machine behind their own transport and clock.
 //! * [`Controller`] — a sans-io reconfiguration planner. Fed periodic
 //!   per-range load/size samples, it decides which hot ranges to split,
 //!   which cold adjacent ranges to merge, and which clusters need staffing
@@ -20,17 +25,19 @@
 //!   cooldowns, and a bound on concurrent in-flight reconfigurations keep
 //!   the fleet from thrashing.
 //!
-//! The controller owns no clocks, sockets, or threads: `plan(now, samples)`
-//! is a pure state-machine step, so the same decisions replay byte-for-byte
-//! in the deterministic simulator and against a real loopback-TCP
-//! deployment.
+//! The controller and the client own no clocks, sockets, or threads:
+//! `plan(now, samples)` and the client's `on_response` / `on_timeout` are
+//! pure state-machine steps, so the same decisions replay byte-for-byte in
+//! the deterministic simulator and against a real loopback-TCP deployment.
 
 #![warn(missing_docs)]
 
+mod client;
 mod controller;
 mod directory;
 mod sampling;
 
+pub use client::{ClientAction, ClientStats, RoutedClient, RETRY_BACKOFF_US};
 pub use controller::{
     boot_range, midpoint_key, Controller, FleetCmd, FleetConfig, PendingKind, RangeSample,
 };

@@ -1,22 +1,24 @@
-//! Simulated clients speaking the typed session protocol.
+//! Simulated clients: the workload each one draws, and its session.
 //!
-//! Each client owns one [`SessionId`] and tags every operation with a
-//! monotonically increasing sequence number, issuing the next one only
-//! while it stays within [`SESSION_WINDOW`](recraft_types::SESSION_WINDOW)
-//! of the oldest outstanding one. Writes are retried under the *same*
-//! `(session, seq)` until answered — the server-side session table keeps a
-//! reply for every number in that window, which makes the retry
-//! exactly-once — while reads are idempotent and retried as fresh
-//! operations. The workload can deliberately deliver write requests twice
-//! ([`Workload::dup_prob`]) to exercise the dedup path.
+//! A client's session is a [`RoutedClient`] — the machine the TCP client
+//! fleet runs too — behind the simulator's transport and virtual clock.
+//! The machine issues sequence numbers within the server's session window,
+//! routes every operation through the simulated naming service, and
+//! resends it under the same `(session, seq)` until it is answered. The
+//! simulator keeps what a transport owns: drawing keys and operations from
+//! the [`Workload`], the history and apply-order digests the
+//! linearizability check reads, message latency, and deliberately
+//! delivering a write twice ([`Workload::dup_prob`]) to exercise the dedup
+//! path.
 
 use crate::zipf::Zipf;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::Rng;
-use recraft_kv::lin::OpKind;
+use recraft_fleet::RoutedClient;
+use recraft_kv::lin::{Op, OpKind};
 use recraft_kv::KvCmd;
-use recraft_types::{ClientOp, ClusterId, NodeId, SessionId};
+use recraft_types::ClientOp;
 use std::collections::BTreeMap;
 
 /// What a client does: random keys (uniform or zipfian), fixed-size values,
@@ -63,36 +65,19 @@ impl Default for Workload {
     }
 }
 
-/// An in-flight client operation.
-#[derive(Debug, Clone)]
-pub(crate) struct Outstanding {
-    /// The session sequence number (the retry identity for writes).
-    pub seq: u64,
-    pub key: Vec<u8>,
-    /// The typed operation, kept for resends.
-    pub op: ClientOp,
-    pub kind: OpKind,
-    pub cluster: Option<ClusterId>,
-    pub invoked_at: u64,
-    /// Timeout-driven retries so far.
-    pub attempts: u32,
-}
-
 /// One client session: closed-loop at `pipeline == 1`, open-loop with a
 /// bounded in-flight window otherwise.
 #[derive(Debug)]
 pub(crate) struct Client {
     pub id: u64,
-    pub addr: NodeId,
-    pub session: SessionId,
     pub rng: StdRng,
     pub workload: Workload,
-    pub next_seq: u64,
-    /// In-flight operations keyed by sequence number; at most
-    /// [`Workload::pipeline`] entries.
-    pub outstanding: BTreeMap<u64, Outstanding>,
-    pub leader_cache: BTreeMap<ClusterId, NodeId>,
+    pub machine: RoutedClient,
+    /// The machine's pending operations, as the history will record them.
+    pub invoked: BTreeMap<u64, Op>,
     pub active: bool,
+    /// The earliest wake-up scheduled for the machine's deadline.
+    pub wake_at: Option<u64>,
     /// Cached zipf sampler, rebuilt when the workload's `(key_count,
     /// zipf_s)` changes (the skew-flip path mutates workloads mid-run).
     pub(crate) zipf: Option<Zipf>,
@@ -118,11 +103,11 @@ impl Client {
         (self.workload.hot_offset + rank - 1) % self.workload.key_count
     }
 
-    /// Builds the next operation (key, typed op, history kind), consuming
-    /// one sequence number.
+    /// Builds the operation the machine will issue next (key, typed op,
+    /// history kind).
     pub(crate) fn next_op(&mut self) -> (Vec<u8>, ClientOp, OpKind) {
         let key = format!("k{:08}", self.next_key_index()).into_bytes();
-        let seq = self.next_seq;
+        let seq = self.machine.next_seq();
         let is_get = self.workload.get_ratio > 0.0 && self.rng.gen_bool(self.workload.get_ratio);
         if is_get {
             let op = ClientOp::Get { key: key.clone() };

@@ -1,6 +1,6 @@
 //! The discrete-event engine.
 
-use crate::client::{Client, Outstanding, Workload};
+use crate::client::{Client, Workload};
 use crate::config::{Backend, SimConfig, SmKind};
 use crate::metrics::Metrics;
 use crate::Directory;
@@ -8,13 +8,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recraft_core::events::{fingerprint, read_fingerprint};
 use recraft_core::{Node, NodeEvent, Role};
+use recraft_fleet::{ClientAction, RoutedClient};
 use recraft_kv::lin::{self, Op, OpId, OpKind};
 use recraft_kv::{DurableKv, DurableKvOptions, KvMachine, KvResp, KvStore};
 use recraft_net::{AdminCmd, Envelope, Message};
 use recraft_storage::{LogStore, MemLog, WalLog, WalOptions};
 use recraft_types::{
     ClientOp, ClientOutcome, ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm,
-    Error, NodeId, RangeSet, SessionId, SESSION_WINDOW,
+    Error, NodeId, RangeSet, SessionId,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
@@ -28,8 +29,8 @@ pub const ADMIN_ADDR: NodeId = NodeId(2_000_000);
 /// The session id shared by every one-shot [`Sim::execute`] operation,
 /// far outside the closed-loop clients' session space.
 const INJECT_SESSION_BASE: u64 = 0xF_0000_0000;
-/// Timeout-driven retries before a write is abandoned as incomplete.
-const WRITE_RETRY_LIMIT: u32 = 8;
+/// How long a one-shot operation waits for an answer before it is resent.
+const INJECT_RESEND_US: u64 = 2_000_000;
 
 /// A scheduled fault or administrative action.
 #[derive(Debug, Clone)]
@@ -73,9 +74,7 @@ pub enum Action {
 enum EvKind {
     Deliver(Envelope),
     NodeTick(NodeId),
-    ClientRetry { client: u64, seq: u64 },
-    ClientResend { client: u64, seq: u64 },
-    ClientKick(u64),
+    ClientWake(u64),
     Act(Action),
     AdminCheck(u64),
     DirectoryRefresh,
@@ -144,10 +143,10 @@ pub struct Sim {
     admin_done: BTreeMap<u64, u64>,
     admin_failed: BTreeMap<u64, Error>,
     next_admin_req: u64,
-    /// Responses to one-shot [`Sim::execute`] sessions, keyed by
-    /// `(session, seq)`.
-    inject_responses: HashMap<(u64, u64), ClientOutcome>,
-    next_inject_seq: u64,
+    /// The one-shot [`Sim::execute`] session: a window-1 client on the
+    /// admin endpoint, and the answers it has yet to read.
+    inject: RoutedClient,
+    inject_inbox: Vec<(NodeId, ClientResponse)>,
     // Safety trackers (Theorem 1 and Election Safety), checked online.
     applied_at: HashMap<(ClusterId, u64), u64>,
     leaders_at: HashMap<(ClusterId, EpochTerm), NodeId>,
@@ -194,8 +193,8 @@ impl Sim {
             admin_done: BTreeMap::new(),
             admin_failed: BTreeMap::new(),
             next_admin_req: 1,
-            inject_responses: HashMap::new(),
-            next_inject_seq: 1,
+            inject: RoutedClient::new(SessionId(INJECT_SESSION_BASE), 1, INJECT_RESEND_US),
+            inject_inbox: Vec::new(),
             applied_at: HashMap::new(),
             leaders_at: HashMap::new(),
             data_root,
@@ -355,30 +354,30 @@ impl Sim {
     pub fn add_clients(&mut self, n: u64, workload: Workload) {
         let start = self.clients.len() as u64;
         for i in start..start + n {
-            let addr = NodeId(CLIENT_BASE + i);
             let seed = self.cfg.seed ^ (i + 1).wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let machine =
+                RoutedClient::new(SessionId(i), workload.pipeline, self.cfg.client_timeout);
             self.clients.insert(
                 i,
                 Client {
                     id: i,
-                    addr,
-                    session: SessionId(i),
                     rng: StdRng::seed_from_u64(seed),
                     workload: workload.clone(),
-                    next_seq: 1,
-                    outstanding: BTreeMap::new(),
-                    leader_cache: BTreeMap::new(),
+                    machine,
+                    invoked: BTreeMap::new(),
                     active: true,
+                    wake_at: None,
                     zipf: None,
                 },
             );
-            self.schedule(1, EvKind::ClientKick(i));
+            self.schedule(1, EvKind::ClientWake(i));
         }
     }
 
     /// Mutates every client's workload in place (mid-run skew flips, hot
     /// spot moves). Takes effect from each client's next issued operation;
-    /// operations already in flight keep their original keys.
+    /// operations already in flight keep their original keys. The window
+    /// (`pipeline`) is fixed when a client is added.
     pub fn update_workloads(&mut self, f: impl Fn(&mut Workload)) {
         for client in self.clients.values_mut() {
             f(&mut client.workload);
@@ -480,7 +479,7 @@ impl Sim {
                 let to = env.to;
                 if to.0 >= CLIENT_BASE && to != ADMIN_ADDR {
                     if let Message::ClientResp { resp } = env.msg {
-                        self.handle_client_resp(to.0 - CLIENT_BASE, env.from, resp);
+                        self.client_step(to.0 - CLIENT_BASE, Some((env.from, resp)));
                     }
                     return;
                 }
@@ -513,17 +512,7 @@ impl Sim {
                     self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
                 }
             }
-            EvKind::ClientKick(id) => self.client_issue(id),
-            EvKind::ClientRetry { client, seq } => self.client_timeout(client, seq),
-            EvKind::ClientResend { client, seq } => {
-                let current = self
-                    .clients
-                    .get(&client)
-                    .is_some_and(|c| c.outstanding.contains_key(&seq));
-                if current {
-                    self.send_outstanding(client, seq, None);
-                }
-            }
+            EvKind::ClientWake(id) => self.client_step(id, None),
             EvKind::AdminCheck(req_id) => {
                 if let Some((cluster, cmd)) = self.admin_pending.remove(&req_id) {
                     // No acknowledgement: retry against the (possibly new)
@@ -606,7 +595,7 @@ impl Sim {
                     self.clients.get_mut(id).unwrap().active = true;
                 }
                 for id in ids {
-                    self.schedule(1, EvKind::ClientKick(id));
+                    self.schedule(1, EvKind::ClientWake(id));
                 }
             }
             Action::Admin {
@@ -768,10 +757,8 @@ impl Sim {
                     Message::AdminResp { req_id, result } => {
                         self.handle_admin_resp(req_id, result);
                     }
-                    Message::ClientResp { resp } => {
-                        // A one-shot session opened by Sim::execute.
-                        self.inject_responses
-                            .insert((resp.session.0, resp.seq), resp.outcome);
+                    Message::ClientResp { resp } if resp.session.0 == INJECT_SESSION_BASE => {
+                        self.inject_inbox.push((env.from, resp));
                     }
                     _ => {}
                 }
@@ -862,221 +849,117 @@ impl Sim {
 
     // ---- Clients --------------------------------------------------------------
 
-    /// Issues operations until the client's in-flight window is full (one
-    /// iteration for the classic closed-loop client, several for an
-    /// open-loop window), and only while the next sequence number stays
-    /// within [`SESSION_WINDOW`] of the oldest outstanding one, so the
-    /// session table can answer every retry.
-    fn client_issue(&mut self, id: u64) {
-        loop {
-            let Some(c) = self.clients.get_mut(&id) else {
-                return;
-            };
-            let capped = c
-                .outstanding
-                .keys()
-                .next()
-                .is_some_and(|&oldest| c.next_seq >= oldest + SESSION_WINDOW);
-            if !c.active || capped || c.outstanding.len() >= c.workload.pipeline.max(1) {
-                return;
+    /// Hands client `id`'s machine an answer from a node, or (with none)
+    /// its deadline.
+    fn client_step(&mut self, id: u64, answer: Option<(NodeId, ClientResponse)>) {
+        let Some(c) = self.clients.get_mut(&id) else {
+            return;
+        };
+        let actions = match answer {
+            Some((from, resp)) => {
+                let redirect = matches!(resp.outcome, ClientOutcome::Redirect { .. });
+                self.metrics.redirects += u64::from(redirect);
+                c.machine.on_response(self.now, from, resp, &self.directory)
             }
+            None => {
+                c.wake_at = c.wake_at.filter(|at| *at > self.now);
+                c.machine.on_timeout(self.now, &self.directory)
+            }
+        };
+        self.client_act(id, actions);
+    }
+
+    /// Carries out client `id`'s actions, issues operations while its
+    /// machine has room, and schedules its next deadline.
+    fn client_act(&mut self, id: u64, mut actions: Vec<ClientAction>) {
+        let now = self.now;
+        loop {
+            for action in actions {
+                match action {
+                    ClientAction::Send { to, req } => self.client_send(id, to, req),
+                    ClientAction::Done { seq, result } => self.client_done(id, seq, result.ok()),
+                    ClientAction::Duplicate { .. } => {}
+                }
+            }
+            let c = self.clients.get_mut(&id).expect("acting client");
+            if !c.active || !c.machine.can_issue() {
+                break;
+            }
+            let seq = c.machine.next_seq();
             let (key, op, kind) = c.next_op();
-            let seq = c.next_seq;
-            c.next_seq += 1;
             // Register the operation's identity in the apply-order witness:
             // commands by their bytes, ReadIndex reads by their (session,
             // seq).
             let digest = match &op {
                 ClientOp::Command { cmd, .. } => fingerprint(cmd),
-                ClientOp::Get { .. } => read_fingerprint(c.session, seq),
+                ClientOp::Get { .. } => read_fingerprint(SessionId(id), seq),
             };
             self.digest_ops.insert(digest, (id, seq));
-            let c = self.clients.get_mut(&id).unwrap();
-            c.outstanding.insert(
-                seq,
-                Outstanding {
-                    seq,
-                    key,
-                    op,
-                    kind,
-                    cluster: None,
-                    invoked_at: self.now,
-                    attempts: 0,
-                },
-            );
-            self.send_outstanding(id, seq, None);
-            let timeout = self.cfg.client_timeout;
-            self.schedule(timeout, EvKind::ClientRetry { client: id, seq });
+            let invoked = Op {
+                id: (id, seq),
+                key,
+                kind,
+                invoked_at: now,
+                responded_at: None,
+            };
+            c.invoked.insert(seq, invoked);
+            actions = c.machine.issue(now, op, &self.directory);
+        }
+        let c = self.clients.get_mut(&id).expect("acting client");
+        let Some(at) = c.machine.next_deadline().map(|d| d.max(now)) else {
+            return;
+        };
+        if c.wake_at.is_none_or(|w| at < w) {
+            c.wake_at = Some(at);
+            self.schedule(at - now, EvKind::ClientWake(id));
         }
     }
 
-    /// (Re)transmits one of a client's outstanding requests, resolving the
-    /// target through the preferred hint, the cached leader, or the
-    /// directory. Writes may be deliberately delivered twice
-    /// (`Workload::dup_prob`).
-    fn send_outstanding(&mut self, id: u64, seq: u64, prefer: Option<NodeId>) {
-        let Some(c) = self.clients.get(&id) else {
-            return;
-        };
-        let Some(o) = c.outstanding.get(&seq) else {
-            return;
-        };
-        let key = o.key.clone();
-        let (cluster, members): (Option<ClusterId>, Vec<NodeId>) = match self.directory.lookup(&key)
-        {
-            Some((cl, m)) => (Some(cl), m.iter().copied().collect()),
-            None => (None, Vec::new()),
-        };
-        let cached = cluster
-            .and_then(|cl| c.leader_cache.get(&cl).copied())
-            .filter(|t| members.contains(t) || self.nodes.contains_key(t));
-        let target = prefer
-            .or(cached)
-            // No cached leader: rotate through members over time so a dead
-            // or ignorant first member cannot blackhole the session.
-            .or_else(|| {
-                if members.is_empty() {
-                    None
-                } else {
-                    Some(members[(self.now as usize / 1000) % members.len()])
-                }
-            })
-            // Directory still empty: try any live node.
-            .or_else(|| self.nodes.iter().find(|(_, sn)| sn.up).map(|(n, _)| *n));
-        let c = self.clients.get_mut(&id).unwrap();
-        if cluster.is_some() {
-            if let Some(o) = c.outstanding.get_mut(&seq) {
-                o.cluster = cluster;
-            }
-        }
-        let Some(target) = target else {
-            return; // nobody to talk to; the retry timer will try again
-        };
-        let o = c.outstanding.get(&seq).expect("checked");
-        let req = ClientRequest {
-            session: c.session,
-            seq: o.seq,
-            op: o.op.clone(),
-        };
+    /// Sends one client request — twice, with the workload's `dup_prob`,
+    /// for a write: the second copy goes to another member of the key's
+    /// cluster when it has one (a retry racing a leader change), else to
+    /// the same node (a duplicated packet). The session table must absorb
+    /// both.
+    fn client_send(&mut self, id: u64, to: NodeId, req: ClientRequest) {
+        let c = self.clients.get_mut(&id).expect("sending client");
         let duplicate =
-            !o.op.is_read() && c.workload.dup_prob > 0.0 && c.rng.gen_bool(c.workload.dup_prob);
-        let addr = c.addr;
+            !req.op.is_read() && c.workload.dup_prob > 0.0 && c.rng.gen_bool(c.workload.dup_prob);
+        let addr = NodeId(CLIENT_BASE + id);
+        let alt = duplicate.then(|| {
+            self.directory
+                .lookup(req.key())
+                .and_then(|(_, members)| members.iter().copied().find(|m| *m != to))
+                .unwrap_or(to)
+        });
         self.transmit(Envelope::new(
             addr,
-            target,
+            to,
             Message::ClientReq { req: req.clone() },
         ));
-        if duplicate {
-            // Deliver a second copy — to another member when the cluster has
-            // one (a retry racing a leader change), else to the same node (a
-            // duplicated packet). The session table must absorb both.
-            let alt = members
-                .iter()
-                .copied()
-                .find(|m| *m != target)
-                .unwrap_or(target);
+        if let Some(alt) = alt {
             self.transmit(Envelope::new(addr, alt, Message::ClientReq { req }));
         }
     }
 
-    fn client_timeout(&mut self, id: u64, seq: u64) {
-        let Some(c) = self.clients.get_mut(&id) else {
+    /// Records operation `seq`'s end in the history: answered with
+    /// `payload`, or given up unconfirmed.
+    fn client_done(&mut self, id: u64, seq: u64, payload: Option<bytes::Bytes>) {
+        let c = self.clients.get_mut(&id).expect("client");
+        let Some(mut op) = c.invoked.remove(&seq) else {
             return;
         };
-        let Some(o) = c.outstanding.get_mut(&seq) else {
-            return;
-        };
-        let is_write = !o.op.is_read();
-        if is_write && o.attempts < WRITE_RETRY_LIMIT {
-            // Retry under the same (session, seq): even if an earlier
-            // attempt was appended, the session table applies it once.
-            o.attempts += 1;
-            self.send_outstanding(id, seq, None);
-            let timeout = self.cfg.client_timeout;
-            self.schedule(timeout, EvKind::ClientRetry { client: id, seq });
-            return;
-        }
-        // Reads are idempotent — a retry is simply a fresh operation — and
-        // writes out of retries are abandoned as incomplete.
-        let o = c.outstanding.remove(&seq).expect("checked");
-        self.history.push(Op {
-            id: (id, o.seq),
-            key: o.key,
-            kind: o.kind,
-            invoked_at: o.invoked_at,
-            responded_at: None,
-        });
-        self.client_issue(id);
-    }
-
-    fn handle_client_resp(&mut self, client: u64, from: NodeId, resp: ClientResponse) {
-        let Some(c) = self.clients.get_mut(&client) else {
-            return;
-        };
-        if resp.session != c.session {
-            return;
-        }
-        if !c.outstanding.contains_key(&resp.seq) {
-            return; // stale response for an abandoned attempt
-        }
-        match resp.outcome {
-            ClientOutcome::Reply { payload } => {
-                let mut o = c.outstanding.remove(&resp.seq).expect("checked");
-                if let OpKind::Read { value } = &mut o.kind {
-                    if let Ok(KvResp::Value { value: v, .. }) = KvResp::decode(&payload) {
-                        *value = v;
-                    }
-                }
-                if let Some(cluster) = o.cluster {
-                    c.leader_cache.insert(cluster, from);
-                }
-                self.history.push(Op {
-                    id: (client, resp.seq),
-                    key: o.key,
-                    kind: o.kind,
-                    invoked_at: o.invoked_at,
-                    responded_at: Some(self.now),
-                });
-                self.metrics
-                    .completions
-                    .push((self.now, self.now - o.invoked_at));
-                self.client_issue(client);
-            }
-            ClientOutcome::Redirect {
-                leader_hint,
-                cluster,
-            } => {
-                // Fix the routing table and retry immediately — against the
-                // hint when one was given, else through the directory (the
-                // responder's cluster may no longer own the key after a
-                // split or merge).
-                if let (Some(cl), Some(h)) = (cluster, leader_hint) {
-                    c.leader_cache.insert(cl, h);
-                }
-                self.metrics.redirects += 1;
-                self.send_outstanding(client, resp.seq, leader_hint);
-            }
-            ClientOutcome::Rejected { error } => {
-                if Self::retryable(&error) {
-                    // The topology is changing under us: re-resolve via the
-                    // directory after a short backoff (the reconfiguration
-                    // window is about one commit round-trip).
-                    let seq = resp.seq;
-                    self.schedule(10_000, EvKind::ClientResend { client, seq });
-                } else {
-                    // SessionStale and friends: abandon as incomplete.
-                    let o = c.outstanding.remove(&resp.seq).expect("checked");
-                    self.history.push(Op {
-                        id: (client, resp.seq),
-                        key: o.key,
-                        kind: o.kind,
-                        invoked_at: o.invoked_at,
-                        responded_at: None,
-                    });
-                    self.client_issue(client);
+        if let Some(payload) = payload {
+            if let OpKind::Read { value } = &mut op.kind {
+                if let Ok(KvResp::Value { value: v, .. }) = KvResp::decode(&payload) {
+                    *value = v;
                 }
             }
+            op.responded_at = Some(self.now);
+            self.metrics
+                .completions
+                .push((self.now, self.now - op.invoked_at));
         }
+        self.history.push(op);
     }
 
     // ---- Inspection -------------------------------------------------------------
@@ -1111,7 +994,8 @@ impl Sim {
     /// Sends one typed client request from the admin endpoint without
     /// waiting for the answer (tests exercising duplicate and reordered
     /// deliveries use this to aim the *same* `(session, seq)` at several
-    /// nodes). Any response lands in the [`Sim::execute`] response buffer.
+    /// nodes). The answer is dropped unless it belongs to the
+    /// [`Sim::execute`] session.
     pub fn post_request(&mut self, target: NodeId, req: ClientRequest) {
         let env = Envelope::new(ADMIN_ADDR, target, Message::ClientReq { req });
         self.transmit(env);
@@ -1126,8 +1010,8 @@ impl Sim {
     /// point (the TC baseline's cluster-manager data path uses it).
     ///
     /// # Errors
-    /// Returns the last rejection when the request cannot complete within
-    /// the internal deadline.
+    /// Returns a rejection no retry can cure, or
+    /// [`Error::DeadlineExceeded`] when no answer came within 60 s.
     pub fn execute(&mut self, key: Vec<u8>, cmd: bytes::Bytes) -> Result<bytes::Bytes, Error> {
         self.execute_request(ClientOp::Command { key, cmd })
     }
@@ -1136,8 +1020,7 @@ impl Sim {
     /// completion, returning the value (or `None` when the key is absent).
     ///
     /// # Errors
-    /// Returns the last rejection when the read cannot complete within the
-    /// internal deadline.
+    /// As [`Sim::execute`].
     pub fn execute_get(&mut self, key: Vec<u8>) -> Result<Option<bytes::Bytes>, Error> {
         let raw = self.execute_request(ClientOp::Get { key })?;
         match KvResp::decode(&raw) {
@@ -1149,84 +1032,32 @@ impl Sim {
         }
     }
 
-    /// Whether a rejection is worth a re-resolve-and-retry (reconfiguration
-    /// windows and routing misses) — shared by the closed-loop clients and
-    /// the one-shot sessions so the two retry policies never diverge.
-    fn retryable(error: &Error) -> bool {
-        matches!(
-            error,
-            Error::MergeBlocked
-                | Error::PreconditionP3
-                | Error::WrongRange(_)
-                | Error::NotLeader(_)
-                | Error::ProposalDropped
-        )
-    }
-
+    /// Drives one operation of the one-shot session to its answer: a
+    /// window-1 [`RoutedClient`] on the admin endpoint, routed by the
+    /// naming service and resent until answered, like every client.
     fn execute_request(&mut self, op: ClientOp) -> Result<bytes::Bytes, Error> {
-        // All one-shot operations share one session with increasing
-        // sequence numbers (calls are serial), so the replicated session
-        // table holds a single entry for the admin endpoint instead of
-        // growing with every call.
-        let session = SessionId(INJECT_SESSION_BASE);
-        let seq = self.next_inject_seq;
-        self.next_inject_seq += 1;
-        let key = op.key().to_vec();
+        let seq = self.inject.next_seq();
         let deadline = self.now + 60_000_000;
-        let mut prefer: Option<NodeId> = None;
-        let mut last_error = Error::ProposalDropped;
+        let mut actions = self.inject.issue(self.now, op, &self.directory);
         while self.now < deadline {
-            let target = prefer
-                .or_else(|| {
-                    self.directory.lookup(&key).and_then(|(cluster, members)| {
-                        self.leader_of(cluster).or_else(|| {
-                            members
-                                .iter()
-                                .copied()
-                                .find(|m| self.nodes.get(m).is_some_and(|sn| sn.up))
-                        })
-                    })
-                })
-                .or_else(|| self.nodes.iter().find(|(_, sn)| sn.up).map(|(n, _)| *n));
-            let Some(target) = target else {
-                self.run_for(100_000);
-                continue;
-            };
-            self.post_request(
-                target,
-                ClientRequest {
-                    session,
-                    seq,
-                    op: op.clone(),
-                },
-            );
-            // Wait for this attempt's answer (or give up and retry — the
-            // session table keeps the retry exactly-once).
-            let attempt_deadline = self.now + 2_000_000;
-            while self.now < attempt_deadline
-                && !self.inject_responses.contains_key(&(session.0, seq))
-            {
-                self.run_for(1_000);
-            }
-            match self.inject_responses.remove(&(session.0, seq)) {
-                None => prefer = None,
-                Some(ClientOutcome::Reply { payload }) => return Ok(payload),
-                Some(ClientOutcome::Redirect { leader_hint, .. }) => {
-                    prefer = leader_hint;
-                    self.run_for(5_000);
-                }
-                Some(ClientOutcome::Rejected { error }) => {
-                    if Self::retryable(&error) {
-                        last_error = error;
-                        prefer = None;
-                        self.run_for(50_000);
-                    } else {
-                        return Err(error);
-                    }
+            for action in std::mem::take(&mut actions) {
+                match action {
+                    ClientAction::Send { to, req } => self.post_request(to, req),
+                    ClientAction::Done { seq: s, result } if s == seq => return result,
+                    _ => {}
                 }
             }
+            self.run_for(1_000);
+            let now = self.now;
+            for (from, resp) in std::mem::take(&mut self.inject_inbox) {
+                actions.extend(self.inject.on_response(now, from, resp, &self.directory));
+            }
+            actions.extend(self.inject.on_timeout(now, &self.directory));
         }
-        Err(last_error)
+        self.inject.abandon(seq);
+        Err(Error::DeadlineExceeded(format!(
+            "one-shot operation {seq} unanswered after 60s"
+        )))
     }
 
     /// The current leader of `cluster`, if any.
@@ -1386,17 +1217,9 @@ impl Sim {
     /// Panics with the violations when the history is not linearizable.
     pub fn check_linearizability(&self) {
         let mut history = self.history.clone();
-        // Outstanding requests count as incomplete operations.
+        // Pending operations count as incomplete.
         for c in self.clients.values() {
-            for o in c.outstanding.values() {
-                history.push(Op {
-                    id: (c.id, o.seq),
-                    key: o.key.clone(),
-                    kind: o.kind.clone(),
-                    invoked_at: o.invoked_at,
-                    responded_at: None,
-                });
-            }
+            history.extend(c.invoked.values().cloned());
         }
         let witness: Vec<OpId> = self
             .applies

@@ -39,6 +39,8 @@ pub mod eterm;
 pub mod ids;
 pub mod range;
 
+/// The byte-string type client payloads and commands are written in.
+pub use bytes::Bytes;
 pub use client::{
     ClientOp, ClientOutcome, ClientRequest, ClientResponse, SessionCheck, SessionId, SessionTable,
     SESSION_WINDOW,

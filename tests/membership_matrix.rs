@@ -6,7 +6,7 @@
 use recraft::core::votes::Plan;
 use recraft::core::NodeEvent;
 use recraft::net::AdminCmd;
-use recraft::sim::{Sim, SimConfig};
+use recraft::sim::{Sim, SimConfig, Workload};
 use recraft::types::{ClusterId, NodeId, RangeSet};
 use std::collections::BTreeSet;
 
@@ -131,6 +131,35 @@ fn removal_beyond_cap_is_rejected_not_wedged() {
     sim.run_for(2 * SEC);
     assert!(sim.completed_ops() > 100);
     sim.check_invariants();
+}
+
+/// Removing the leader strands no client. The retired leader answers
+/// `WrongRange` for the cluster it left; the clients drop it as their hint
+/// and, once the directory lists the four members that remain, route to the
+/// new leader. A client that keeps a hint for any node the simulator still
+/// hosts completes nothing here.
+#[test]
+fn clients_follow_a_removed_leader_to_its_successor() {
+    for seed in 1..=5 {
+        let mut sim = setup(5, 5, seed);
+        sim.add_clients(4, Workload::default());
+        sim.run_for(SEC);
+        let old = sim.leader_of(CLUSTER).unwrap();
+        sim.admin(CLUSTER, AdminCmd::RemoveAndResize(BTreeSet::from([old])));
+        sim.run_until_pred(30 * SEC, |s| {
+            settled(s, 4) && s.leader_of(CLUSTER).is_some_and(|l| l != old)
+        });
+        let before = sim.completed_ops();
+        sim.run_for(5 * SEC);
+        let served = sim.completed_ops() - before;
+        assert!(
+            served >= 100,
+            "seed {seed}: {served} operations in the 5 s after the successor settled"
+        );
+        sim.check_invariants();
+        sim.check_linearizability();
+        sim.assert_exactly_once();
+    }
 }
 
 #[test]
