@@ -2,10 +2,10 @@
 //! epoch-term packing, quorum evaluation, configuration derivation, the
 //! snapshot image path (encode, merge-restore, checksum and the framed
 //! `snapshot.bin` write, at 1 000 pairs and at the repo benchmark's 10 000;
-//! README has the before/after rows), the WAL operations that are not an
-//! append (a hard-state change made durable, a compaction that frees no
-//! file, a reboot over a 5 MiB snapshot), and the frame writer and mux
-//! reader.
+//! README has the before/after rows), the WAL's barrier (one 600-byte entry
+//! or a hard-state change made durable) and its other operations (a
+//! compaction that frees no file, a reboot over a 5 MiB snapshot), and the
+//! frame writer and mux reader.
 //!
 //! Run with: `cargo bench -p recraft-bench --bench micro`
 
@@ -139,10 +139,10 @@ fn bench_snapshot(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What the WAL does besides appending, with real fsync: a term change made
-/// durable (`save_meta` + the barrier), a compaction that frees no file, and
-/// a reboot — `WalLog::open` then `Node::reopen` — over the repo benchmark's
-/// 5.3 MB boot image.
+/// The WAL with real fsync: one 600-byte entry made durable (`append` + the
+/// barrier), a term change made durable (`save_meta` + the barrier), a
+/// compaction that frees no file, and a reboot — `WalLog::open` then
+/// `Node::reopen` — over the repo benchmark's 5.3 MB boot image.
 fn bench_wal(c: &mut Criterion) {
     let dir = std::env::temp_dir().join(format!("recraft-micro-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -160,6 +160,14 @@ fn bench_wal(c: &mut Criterion) {
         join_target: None,
         history: Vec::new(),
     };
+    let (eterm, value) = (EpochTerm::new(0, 1), Bytes::from(vec![b'v'; 600]));
+    c.bench_function("wal_append_600b_and_barrier", |b| {
+        b.iter(|| {
+            let index = wal.last_index().next();
+            wal.append(LogEntry::command(index, eterm, black_box(value.clone())));
+            wal.sync();
+        });
+    });
     c.bench_function("wal_save_meta_and_barrier", |b| {
         b.iter(|| {
             let next = EpochTerm::new(0, meta.hard.eterm.term() + 1);
@@ -168,7 +176,6 @@ fn bench_wal(c: &mut Criterion) {
             wal.sync();
         });
     });
-    let eterm = EpochTerm::new(0, 1);
     c.bench_function("wal_compact_no_file_freed", |b| {
         b.iter(|| {
             let index = wal.last_index().next();

@@ -1896,28 +1896,6 @@ mod wal_backed {
         found
     }
 
-    /// A byte-for-byte copy of a data dir — what a process killed right now
-    /// leaves — with the last `drop_tail` bytes of its active segment gone,
-    /// as a power cut that tore that much of the unsynced tail leaves it.
-    pub(super) fn crashed_copy(from: &std::path::Path, drop_tail: u64) -> TestDir {
-        let to = TestDir::new("crashed");
-        let files = files_of(from);
-        for rel in files.keys() {
-            std::fs::create_dir_all(to.0.join(rel).parent().unwrap()).unwrap();
-            std::fs::copy(from.join(rel), to.0.join(rel)).unwrap();
-        }
-        let (active, meta) = files
-            .iter()
-            .rfind(|(rel, _)| rel.starts_with("wal"))
-            .expect("an active segment");
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(to.0.join(active))
-            .unwrap();
-        f.set_len(meta.len() - drop_tail).unwrap();
-        to
-    }
-
     pub(super) fn reopen(dir: &TestDir, id: u64) -> Node<MapMachine, WalLog> {
         Node::reopen(
             NodeId(id),
@@ -2135,18 +2113,20 @@ mod wal_backed {
         }
         // One boot, one identity: no instant at which the directory says
         // this node is a bootstrapped member of anything. A record's first
-        // payload byte is its kind; 2 is the metadata.
+        // payload byte is its kind; 2 is the metadata. Zeros follow the
+        // last record to the segment's zero-filled end.
         let files = files_of(&dir.0);
         let names: Vec<&str> = files.keys().map(|f| f.to_str().unwrap()).collect();
         assert_eq!(names, ["snapshot.bin", "wal/seg-0000000000000001.log"]);
         let segment = std::fs::read(dir.0.join(names[1])).unwrap();
         let mut kinds = Vec::new();
         let mut pos = 16;
-        while let Some((payload, next)) = recraft_storage::framing::next_record(&segment, pos) {
-            kinds.push(payload[0]);
+        while let Some((&[kind, ..], next)) = recraft_storage::framing::next_record(&segment, pos) {
+            kinds.push(kind);
             pos = next;
         }
-        assert_eq!((kinds, pos), (vec![2], segment.len()));
+        let zeros = segment[pos..].iter().all(|&b| b == 0);
+        assert_eq!((kinds, zeros), (vec![2], true));
         let mut node = reopen(&dir, 9);
         assert!(!node.bootstrapped);
         assert_eq!(node.join_target, Some(recraft_types::ClusterId(77)));
@@ -2248,22 +2228,24 @@ mod crash_points {
         assert_eq!(hard.voted_for, Some(NodeId(2)));
     }
 
-    /// A `WalLog` that photographs its directory after every call that
-    /// writes: each photograph is what a process killed right there leaves,
-    /// and its unsynced byte count is how much more a power cut could take.
+    /// A `WalLog` that photographs, after every call that writes, each
+    /// directory a crash right there can leave: the barrier write of its
+    /// tail torn after every byte count of the unsynced part, from none
+    /// (what a killed process leaves) to all of it.
     #[derive(Debug)]
     struct Photographed {
         wal: WalLog,
-        shots: Arc<Mutex<Vec<(TestDir, u64)>>>,
+        shots: Arc<Mutex<Vec<TestDir>>>,
     }
 
     impl Photographed {
         fn shoot(&self) {
-            let shot = crashed_copy(self.wal.dir(), 0);
-            self.shots
-                .lock()
-                .unwrap()
-                .push((shot, self.wal.unsynced_bytes()));
+            let mut shots = self.shots.lock().unwrap();
+            for keep in 0..=self.wal.unsynced_bytes() {
+                let shot = TestDir::new("crashed");
+                self.wal.copy_torn(&shot.0, keep as usize).unwrap();
+                shots.push(shot);
+            }
         }
     }
 
@@ -2334,29 +2316,25 @@ mod crash_points {
     }
 
     /// Runs `step` on `node`, then reboots from every crash the step could
-    /// have died in — after each of its storage calls, with every byte count
-    /// of the then-unsynced tail torn off — and hands each reboot to `check`.
-    /// Returns how many reboots that was.
+    /// have died in — after each of its storage calls, with the barrier
+    /// write of the then-unsynced tail torn at every byte — and hands each
+    /// reboot to `check`. Returns how many reboots that was.
     fn reboot_from_every_crash_in(
         mut node: Node<MapMachine, Photographed>,
         step: impl FnOnce(&mut Node<MapMachine, Photographed>),
         check: impl Fn(Node<MapMachine, WalLog>),
     ) -> usize {
         let shots = node.log().shots.clone();
+        let from = shots.lock().unwrap().len();
         node.log().shoot(); // dying before the step's first write
-        let from = shots.lock().unwrap().len() - 1;
         step(&mut node);
         let id = node.id().0;
         drop(node);
         let shots = shots.lock().unwrap();
-        let mut reboots = 0;
-        for (shot, unsynced) in &shots[from..] {
-            for torn in 0..=*unsynced {
-                check(reopen(&crashed_copy(&shot.0, torn), id));
-                reboots += 1;
-            }
+        for shot in &shots[from..] {
+            check(reopen(shot, id));
         }
-        reboots
+        shots.len() - from
     }
 
     fn photographed(dir: &TestDir) -> Photographed {

@@ -18,20 +18,11 @@ use std::path::Path;
 pub const MAX_RECORD_LEN: usize = 1 << 28;
 
 /// The `[u32 len][u32 crc32]` header that precedes `payload` in a record.
-fn header(payload: &[u8]) -> [u8; 8] {
+#[must_use]
+pub fn frame_header(payload: &[u8]) -> [u8; 8] {
     let mut out = [0u8; 8];
     out[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
     out[4..].copy_from_slice(&crc32(payload).to_be_bytes());
-    out
-}
-
-/// Frames a payload as `[u32 len][u32 crc32][payload]` in one buffer (a
-/// WAL record: small, and appended with one write).
-#[must_use]
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&header(payload));
-    out.extend_from_slice(payload);
     out
 }
 
@@ -91,8 +82,8 @@ pub fn write_framed(path: &Path, payload: &[u8], fsync: bool) -> Result<()> {
     {
         let mut file = File::create(&tmp).map_err(|e| io_err("create tmp", &tmp, &e))?;
         // Header, then the payload from where it already is: an image is
-        // megabytes, and `frame` would copy it to put eight bytes in front.
-        file.write_all(&header(payload))
+        // megabytes, and one buffer would copy it to put eight bytes in front.
+        file.write_all(&frame_header(payload))
             .and_then(|()| file.write_all(payload))
             .map_err(|e| io_err("write tmp", &tmp, &e))?;
         if fsync {
@@ -231,7 +222,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrips_through_next_record() {
-        let record = frame(b"payload");
+        let record = [&frame_header(b"payload")[..], b"payload"].concat();
         let (payload, end) = next_record(&record, 0).unwrap();
         assert_eq!(payload, b"payload");
         assert_eq!(end, record.len());

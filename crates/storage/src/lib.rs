@@ -20,18 +20,22 @@
 //! # Recovery semantics
 //!
 //! The WAL is an append-only operation log with five record kinds: an
-//! append writes one batch, a truncation one marker, `save_meta` the node
-//! metadata, a compaction or a reset the new base. Recovery replays the
-//! records in order onto an empty mirror and reads no other file. Segment
-//! files only ever grow; one is deleted only after a later, synced segment
-//! restates the newest metadata, the base and the entries above it. No
-//! byte a sync covered is cut or rewritten, so at no instant are
-//! acknowledged entries — or an acknowledged vote — on no disk. The first
-//! torn or corrupt record ends the log, which leaves a crashed store at the
-//! state after *some* prefix of its own mutation calls at or past its last
-//! sync — never less than the sync, never a mixture of two states. (The
-//! data-dir layout and the per-operation details are in `wal.rs`'s module
-//! docs.)
+//! append buffers one batch, a truncation one marker, `save_meta` the node
+//! metadata, a compaction or a reset the new base. The barrier writes them
+//! in one block-aligned write over the segment's zero-filled end — direct
+//! and data-synced where the platform allows, a write plus `fdatasync`
+//! elsewhere. Recovery replays the records in order onto an empty mirror
+//! and reads no other file; a run of zeros after the last record is a
+//! segment's clean end. A segment is deleted only after a later, synced
+//! segment restates the newest metadata, the base and the entries above
+//! it. No byte a sync covered is cut or changed (the barrier rewrites the
+//! last partial block with those bytes as they were, trusting the disk to
+//! write a sector whole), so at no instant are acknowledged entries — or an
+//! acknowledged vote — on no disk. The first torn or corrupt record ends
+//! the log, which leaves a crashed store at the state after *some* prefix
+//! of its own mutation calls at or past its last sync — never less than
+//! the sync, never a mixture of two states. (The data-dir layout and the
+//! per-operation details are in `wal.rs`'s module docs.)
 //!
 //! # Example
 //! ```

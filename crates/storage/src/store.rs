@@ -18,6 +18,12 @@
 //! durable. The consensus layer calls `sync` before externalizing any output
 //! that acknowledges the written state (votes, append responses), so a crash
 //! can only ever lose writes that were never acknowledged to anyone.
+//!
+//! A buffered mutation may live in memory alone until that barrier: the
+//! WAL writes nothing to its files between two barriers. So a process kill
+//! loses what a power cut does, every mutation after the last `sync`, and
+//! the barrier promises what it always did: everything written before it
+//! returned survives any crash after.
 
 use crate::entry::LogEntry;
 use crate::snapshot::Snapshot;
@@ -234,8 +240,8 @@ pub trait LogStore: std::fmt::Debug + Send {
 
     /// Power-cut injection hook: discards buffered-but-unsynced state as a
     /// crash would, except for up to `keep_unsynced` bytes that had already
-    /// reached the disk — the torn tail a recovery pass must detect and
-    /// drop. When the budget exceeds what was in flight, file-backed stores
+    /// reached the disk — a barrier write torn in flight, whose tail a
+    /// recovery pass must detect and drop. When the budget exceeds what was in flight, file-backed stores
     /// leave a partial garbage frame instead (the record that was being
     /// written at the instant of death). [`MemLog`](crate::MemLog) has no
     /// bytes to tear and drops everything past its sync watermark.

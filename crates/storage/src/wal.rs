@@ -9,28 +9,46 @@
 //!   snapshot.bin      last snapshot + its tail configuration, crc-framed,
 //!                     replaced atomically (write-tmp + rename)
 //!   wal/
-//!     seg-<seq>.log   16-byte header + [len][crc32][operation] records
+//!     seg-<seq>.log   16-byte header + [len][crc32][operation] records,
+//!                     then written zeros up to the segment's zero-filled end
 //! ```
 //!
 //! # Semantics
 //!
-//! A segment is a sequence of operations, one `Record` each, and a segment
-//! file only ever grows: bytes a sync covered are never cut or rewritten,
-//! and a file leaves the directory whole or not at all.
+//! A segment is a sequence of operations, one `Record` each, followed by a
+//! run of written zeros. Bytes a sync covered are never cut or changed, and
+//! a file leaves the directory whole or not at all.
 //!
-//! * **Append** writes one `Batch` to the end of the active segment;
-//!   [`WalLog::sync`] makes it durable (optionally `fdatasync`; the durable
-//!   watermark is tracked either way so crash injection stays honest
-//!   without paying for physical syncs in simulation runs). One length/crc
-//!   frame covers the batch, so a group-committed append is one write, one
-//!   checksum — and one atomic unit at recovery: a torn or corrupt record
-//!   drops the whole batch, never a partial one.
+//! * **Append** encodes one `Batch` onto the active segment's in-memory
+//!   tail — its last partial [`BLOCK`] and everything after it. Nothing
+//!   reaches the file before the next barrier. One length/crc frame covers
+//!   the batch, so a group-committed append is one checksum — and one
+//!   atomic unit at recovery: a torn or corrupt record drops the whole
+//!   batch, never a partial one.
+//! * **Sync** ([`WalLog::sync`], the group-commit barrier) hands the tail to
+//!   the kernel as one positioned write that starts and ends on a block
+//!   boundary. With `fsync` on, the active segment is opened
+//!   `O_DIRECT | O_DSYNC` where this target's flag values are declared and
+//!   the filesystem accepts them, so the write is the barrier; elsewhere the
+//!   same write is followed by `sync_data`. With `fsync` off it is a
+//!   page-cache write and no more: the durable watermark is tracked either
+//!   way, so crash injection stays honest without paying for physical syncs
+//!   in simulation runs. The write lands only on blocks that already hold
+//!   written zeros. When it would cross the segment's zero-filled end, the
+//!   same write carries that end ahead, to twice the segment's length
+//!   capped at `segment_bytes`. So a steady barrier changes no file
+//!   metadata, and ext4 commits no journal for it. A fresh segment's header
+//!   rides on its first barrier: creating a segment writes nothing.
+//!   The barrier rewrites the last partial block with its synced bytes
+//!   unchanged. As PostgreSQL and InnoDB do with their WAL pages, this
+//!   assumes the disk writes a sector whole or not at all, so a tear inside
+//!   that block leaves every synced byte as it was.
 //! * **Truncate** cuts the in-memory mirror and appends one `Truncate`
 //!   marker; the superseded entries stay where they are on disk.
 //! * **`save_meta`** appends one `Meta` record holding the whole
 //!   [`NodeMeta`] and keeps the copy in the mirror. Like every record it is
 //!   durable once the next sync returns, so a vote or a term change costs
-//!   the barrier nothing beyond the one `fdatasync` it already pays.
+//!   the barrier nothing beyond the one write it already pays.
 //! * **Compact** appends one `Compact` record. When closed segment files
 //!   have piled up behind the active one it *checkpoints* instead.
 //! * **Reset** (merge renumbering / snapshot install) always checkpoints.
@@ -53,21 +71,25 @@
 //!   from its first index on (which, for a batch the writer appended, is the
 //!   end), a `Truncate` cuts it, the last `Meta` wins, a `Compact` moves the
 //!   base up (past the end, it empties the log there) and a `Reset` starts
-//!   over. The first torn or corrupt record, or one that cannot apply (a
-//!   gap, a cut below the base), ends the log — the tail is dropped and the
-//!   file trimmed to the valid prefix (the one place a segment shrinks: the
-//!   bytes cut were never covered by a sync). Whether the recovered log
-//!   agrees with `snapshot.bin` is not decided here: `Node::reopen` holds
-//!   that rule, for every backend.
+//!   over. A run of zeros from the last record to the end of the file is
+//!   the segment's zero-filled end: a clean end in any segment, after which
+//!   the next segment is read. The first torn or corrupt record, or one
+//!   that cannot apply (a gap, a cut below the base), ends the log — the
+//!   tail is dropped, every later segment deleted and the file trimmed to
+//!   the valid prefix (the one place a segment shrinks: the bytes cut were
+//!   never covered by a sync). Whether the recovered log agrees with
+//!   `snapshot.bin` is not decided here: `Node::reopen` holds that rule,
+//!   for every backend.
 //!
-//! A crash can therefore lose only operations after the last sync point —
-//! which the node never acknowledges to anyone (see the write-ahead
-//! contract on [`LogStore`]) — and what it leaves is the state after *some*
-//! prefix of the store's own mutation calls at or past that sync, never a
-//! mixture: appends, truncations, metadata, compactions and resets alike.
+//! A crash — a process kill as much as a power cut — can therefore lose
+//! only operations after the last sync point, which the node never
+//! acknowledges to anyone (see the write-ahead contract on [`LogStore`]).
+//! What it leaves is the state after *some* prefix of the store's own
+//! mutation calls at or past that sync, never a mixture: appends,
+//! truncations, metadata, compactions and resets alike.
 
 use crate::entry::LogEntry;
-use crate::framing::{frame, io_err, next_record, read_framed, sync_dir, write_framed};
+use crate::framing::{frame_header, io_err, next_record, read_framed, sync_dir, write_framed};
 use crate::memlog::MemLog;
 use crate::snapshot::Snapshot;
 use crate::store::{LogStore, NodeMeta};
@@ -75,17 +97,46 @@ use bytes::{Bytes, BytesMut};
 use recraft_types::codec::{Decode, Encode};
 use recraft_types::{codec, ClusterConfig, EpochTerm, LogIndex, Result};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: u32 = 0x5243_574C; // "RCWL"
-/// Version 6: a record is one [`Record`], node metadata carries the retired
-/// flag, and the snapshot's session table keeps a window of replies per
-/// session. Segments of any other version are not read back; recovery
-/// treats them as unusable files, so an older data dir has no metadata and
-/// `Node::reopen` refuses it rather than misreading its `snapshot.bin`.
-const SEGMENT_VERSION: u32 = 6;
+/// Version 7: a segment ends in a run of written zeros, which recovery
+/// reads as a clean end rather than a tear. A record is one [`Record`],
+/// node metadata carries the retired flag, and the snapshot's session table
+/// keeps a window of replies per session. Segments of any other version
+/// are not read back; recovery treats them as unusable files, so an older
+/// data dir has no metadata and `Node::reopen` refuses it rather than
+/// misreading its `snapshot.bin`.
+const SEGMENT_VERSION: u32 = 7;
 const SEGMENT_HEADER_LEN: u64 = 16;
+/// The unit of a barrier write: it starts and ends on a multiple of this,
+/// from a buffer that starts on one, as `O_DIRECT` asks.
+const BLOCK: u64 = 4096;
+/// A tail buffer grown past this, by a write that carried the zero-filled
+/// end ahead, is given back after that barrier.
+const TAIL_KEEP: usize = 16 * BLOCK as usize;
+
+// The `open(2)` flags that make a write its own barrier, `O_DIRECT |
+// O_DSYNC`. The values differ by architecture; where none is declared here
+// the barrier is a plain write followed by `sync_data`.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86", target_arch = "x86_64", target_arch = "riscv64")
+))]
+const DIRECT_SYNC: Option<i32> = Some(0o40_000 | 0o10_000);
+#[cfg(all(target_os = "linux", any(target_arch = "arm", target_arch = "aarch64")))]
+const DIRECT_SYNC: Option<i32> = Some(0o200_000 | 0o10_000);
+#[cfg(not(all(
+    target_os = "linux",
+    any(
+        target_arch = "x86",
+        target_arch = "x86_64",
+        target_arch = "riscv64",
+        target_arch = "arm",
+        target_arch = "aarch64"
+    )
+)))]
+const DIRECT_SYNC: Option<i32> = None;
 
 /// One operation of the log: what a segment record holds.
 #[derive(Debug)]
@@ -148,9 +199,10 @@ impl Record {
 /// Tuning knobs for a [`WalLog`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalOptions {
-    /// Issue physical `fdatasync` calls on [`LogStore::sync`]. Disable in
-    /// simulations for speed — the durable watermark (and therefore crash
-    /// injection) is tracked identically either way.
+    /// Make each barrier physically durable (a direct, data-synced write,
+    /// or a write plus `fdatasync`). Disable in simulations for speed — the
+    /// durable watermark (and therefore crash injection) is tracked
+    /// identically either way.
     pub fsync: bool,
     /// Roll to a new segment once the active one exceeds this many bytes.
     pub segment_bytes: u64,
@@ -169,8 +221,102 @@ impl Default for WalOptions {
 struct Segment {
     seq: u64,
     path: PathBuf,
-    /// File length in bytes (header included).
-    len: u64,
+}
+
+/// The active segment from its last partial block on: what the next
+/// barrier writes. The bytes sit in a `Vec` over-allocated by one block and
+/// used from its first [`BLOCK`]-aligned byte, so the write goes from here
+/// to the device as it is. Every byte of the buffer past `len` is zero.
+struct Tail {
+    /// Segment offset of the first byte: a multiple of [`BLOCK`].
+    at: u64,
+    buf: Vec<u8>,
+    /// Where the aligned bytes start in `buf`.
+    start: usize,
+    len: usize,
+}
+
+impl std::fmt::Debug for Tail {
+    /// Where the tail sits, not its bytes: the buffer can be megabytes.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tail")
+            .field("at", &self.at)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Tail {
+    fn new(at: u64, bytes: &[u8]) -> Tail {
+        let mut tail = Tail {
+            at,
+            buf: Vec::new(),
+            start: 0,
+            len: 0,
+        };
+        tail.push(bytes);
+        tail
+    }
+
+    /// A fresh segment: its header and nothing else.
+    fn header(seq: u64) -> Tail {
+        let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
+        header[0..4].copy_from_slice(&SEGMENT_MAGIC.to_be_bytes());
+        header[4..8].copy_from_slice(&SEGMENT_VERSION.to_be_bytes());
+        header[8..16].copy_from_slice(&seq.to_be_bytes());
+        Tail::new(0, &header)
+    }
+
+    /// The segment's length: where the next record goes.
+    fn end(&self) -> u64 {
+        self.at + self.len as u64
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..][..self.len]
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.reserve(self.len + bytes.len());
+        self.buf[self.start + self.len..][..bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    /// The first `n` bytes, the zeros past the end included.
+    fn blocks(&mut self, n: usize) -> &[u8] {
+        self.reserve(n);
+        &self.buf[self.start..][..n]
+    }
+
+    /// Room for `n` bytes from the aligned start.
+    fn reserve(&mut self, n: usize) {
+        if self.start + n <= self.buf.len() {
+            return;
+        }
+        let block = BLOCK as usize;
+        let room = n.max(2 * (self.buf.len() - self.start)).max(2 * block);
+        let mut buf = vec![0; room + block];
+        let start = buf.as_ptr().align_offset(block);
+        buf[start..][..self.len].copy_from_slice(self.bytes());
+        self.buf = buf;
+        self.start = start;
+    }
+
+    /// After a barrier: drops the whole blocks it wrote and keeps the last
+    /// partial one, giving back any room a zero-filling write grew.
+    fn settle(&mut self) {
+        let keep = self.len % BLOCK as usize;
+        let cut = self.len - keep;
+        let start = self.start;
+        self.buf.copy_within(start + cut..start + self.len, start);
+        self.buf[start + keep..start + self.len].fill(0);
+        self.at += cut as u64;
+        self.len = keep;
+        if self.buf.len() > TAIL_KEEP {
+            let small = Tail::new(self.at, self.bytes());
+            *self = small;
+        }
+    }
 }
 
 /// The segmented durable backend (see the crate docs for the data-dir
@@ -182,13 +328,23 @@ pub struct WalLog {
     opts: WalOptions,
     /// In-memory mirror serving all reads: the log and the node metadata.
     mem: MemLog,
+    /// Live segment files, oldest first; the last is the active one.
     segments: Vec<Segment>,
-    /// Open handle on the last (active) segment, positioned at its end.
+    /// Handle on the active segment for barrier writes.
     active: File,
-    /// Bytes of the active segment known durable; everything past it can be
-    /// torn by a power cut. Non-active segments are always fully durable
+    /// Whether `active` is open `O_DIRECT | O_DSYNC`, so that a write needs
+    /// no `sync_data` after it.
+    direct: bool,
+    /// The active segment's last partial block and every operation after
+    /// it, synced or not.
+    tail: Tail,
+    /// Bytes of the active segment known durable; the operations past it
+    /// are in `tail` alone. Non-active segments are always fully durable
     /// (rolling syncs them).
     synced_len: u64,
+    /// Where the active segment's written zeros end: a barrier write below
+    /// it changes no file metadata.
+    zeroed: u64,
     /// Group-commit barriers: syncs that had buffered operations to flush.
     syncs: u64,
 }
@@ -211,7 +367,18 @@ impl WalLog {
     /// Returns [`Error::Storage`](recraft_types::Error::Storage) on I/O
     /// failure (see [`WalLog::open`]).
     pub fn open_with(dir: impl AsRef<Path>, opts: WalOptions) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
+        Self::open_dir(dir.as_ref(), opts, DIRECT_SYNC.is_some())
+    }
+
+    /// [`WalLog::open_with`] with every barrier a plain write followed by
+    /// `sync_data`, as on a target or filesystem without direct writes.
+    #[cfg(test)]
+    pub(crate) fn open_without_direct(dir: impl AsRef<Path>, opts: WalOptions) -> Result<Self> {
+        Self::open_dir(dir.as_ref(), opts, false)
+    }
+
+    fn open_dir(dir: &Path, opts: WalOptions, direct: bool) -> Result<Self> {
+        let dir = dir.to_path_buf();
         let wal_dir = dir.join("wal");
         fs::create_dir_all(&wal_dir).map_err(|e| io_err("create data dir", &wal_dir, &e))?;
 
@@ -237,6 +404,8 @@ impl WalLog {
         // one ends the log.
         let mut mem = MemLog::new();
         let mut segments: Vec<Segment> = Vec::new();
+        // The last surviving segment's tail and file length.
+        let mut last: Option<(Tail, u64)> = None;
         let mut dropped_tail = false;
         for (seq, path) in seg_paths {
             if dropped_tail {
@@ -246,14 +415,17 @@ impl WalLog {
             }
             let raw = fs::read(&path).map_err(|e| io_err("read segment", &path, &e))?;
             let valid_len = replay_segment(seq, &raw, &mut mem);
-            if (valid_len as usize) < raw.len() {
+            let mut file_len = raw.len() as u64;
+            if raw[valid_len as usize..].iter().any(|&b| b != 0) {
                 // Torn or corrupt tail: trim the file to the valid prefix.
+                // (Zeros alone are the segment's zero-filled end.)
                 let f = OpenOptions::new()
                     .write(true)
                     .open(&path)
                     .map_err(|e| io_err("trim segment", &path, &e))?;
                 f.set_len(valid_len)
                     .map_err(|e| io_err("trim segment", &path, &e))?;
+                file_len = valid_len;
                 dropped_tail = true;
             }
             if valid_len == 0 {
@@ -261,31 +433,30 @@ impl WalLog {
                 let _ = fs::remove_file(&path);
                 continue;
             }
-            segments.push(Segment {
-                seq,
-                path,
-                len: valid_len,
-            });
+            let at = valid_len - valid_len % BLOCK;
+            let tail = Tail::new(at, &raw[at as usize..valid_len as usize]);
+            last = Some((tail, file_len));
+            segments.push(Segment { seq, path });
         }
 
-        // The last surviving segment keeps taking appends (`append` mode:
-        // every write lands at the end of the file).
-        let active = match segments.last() {
-            Some(seg) => OpenOptions::new()
-                .append(true)
-                .open(&seg.path)
-                .map_err(|e| io_err("open active segment", &seg.path, &e))?,
+        // The last surviving segment keeps taking appends.
+        let mut direct = direct && opts.fsync;
+        let (active, tail, zeroed) = match last {
+            Some((tail, file_len)) => {
+                let seg = segments.last().expect("a segment survived");
+                (open_segment(&seg.path, false, &mut direct)?, tail, file_len)
+            }
             None => {
-                let (seg, file) = create_segment(&wal_dir, 1)?;
+                let (seg, file) = create_segment(&wal_dir, 1, &mut direct)?;
                 segments.push(seg);
-                file
+                (file, Tail::header(1), 0)
             }
         };
         if opts.fsync {
             sync_dir(&wal_dir);
         }
         // Recovery may have trimmed files; the surviving prefix is durable.
-        let synced_len = segments.last().expect("always one segment").len;
+        let synced_len = tail.end();
         Ok(WalLog {
             dir,
             wal_dir,
@@ -293,7 +464,10 @@ impl WalLog {
             mem,
             segments,
             active,
+            direct,
+            tail,
             synced_len,
+            zeroed,
             syncs: 0,
         })
     }
@@ -313,7 +487,50 @@ impl WalLog {
     /// Bytes of the active segment not yet covered by a sync point.
     #[must_use]
     pub fn unsynced_bytes(&self) -> u64 {
-        self.active_seg().len - self.synced_len
+        self.tail.end() - self.synced_len
+    }
+
+    /// Crash modelling without the crash: writes into `to` the data
+    /// directory a power cut right now would leave, as
+    /// [`LogStore::power_cut`] with `keep_unsynced` models it, and leaves
+    /// this store as it is.
+    ///
+    /// # Errors
+    /// Returns [`Error::Storage`](recraft_types::Error::Storage) if a file
+    /// cannot be copied or written.
+    pub fn copy_torn(&self, to: impl AsRef<Path>, keep_unsynced: usize) -> Result<()> {
+        let to = to.as_ref();
+        let wal_to = to.join("wal");
+        fs::create_dir_all(&wal_to).map_err(|e| io_err("create data dir", &wal_to, &e))?;
+        let snapshot = self.dir.join("snapshot.bin");
+        if snapshot.exists() {
+            fs::copy(&snapshot, to.join("snapshot.bin"))
+                .map_err(|e| io_err("copy snapshot", &snapshot, &e))?;
+        }
+        let copy_of = |seg: &Segment| wal_to.join(seg.path.file_name().expect("a segment name"));
+        for seg in &self.segments {
+            fs::copy(&seg.path, copy_of(seg)).map_err(|e| io_err("copy segment", &seg.path, &e))?;
+        }
+        let active = copy_of(self.active_seg());
+        self.tear(&active, keep_unsynced)
+            .map_err(|e| io_err("tear segment", &active, &e))
+    }
+
+    /// Writes into the active segment at `path` what the barrier write of
+    /// the tail leaves when it tears in flight: the synced bytes of its
+    /// first block, as they were, then `keep_unsynced` bytes of what
+    /// follows them. A budget past the tail models the write that was
+    /// striking the platter at the instant of death — a partial garbage
+    /// frame after the last byte written, which recovery must detect (bad
+    /// length/checksum) and trim.
+    fn tear(&self, path: &Path, keep_unsynced: usize) -> std::io::Result<()> {
+        let synced = (self.synced_len - self.tail.at) as usize;
+        let landed = (synced + keep_unsynced).min(self.tail.len);
+        let mut torn = self.tail.bytes()[..landed].to_vec();
+        torn.resize(synced + keep_unsynced, 0xA5);
+        let file = OpenOptions::new().write(true).open(path)?;
+        write_at(&file, &torn, self.tail.at)?;
+        file.sync_data()
     }
 
     fn active_seg(&self) -> &Segment {
@@ -324,31 +541,30 @@ impl WalLog {
         self.write_payload(&record.encode_to_bytes());
     }
 
-    /// Appends one encoded operation to the end of the active segment in a
-    /// single write, rolling first if the segment is full.
+    /// Appends one encoded operation to the active segment's tail, rolling
+    /// first if the segment is full.
     fn write_payload(&mut self, payload: &[u8]) {
-        if self.active_seg().len >= self.opts.segment_bytes {
+        if self.tail.end() >= self.opts.segment_bytes {
             self.roll();
         }
-        let record = frame(payload);
-        self.active
-            .write_all(&record)
-            .unwrap_or_else(|e| panic!("wal append failed: {e}"));
-        self.segments.last_mut().expect("always one segment").len += record.len() as u64;
+        self.tail.push(&frame_header(payload));
+        self.tail.push(payload);
     }
 
     /// Finishes the active segment (making it durable) and starts the next.
     fn roll(&mut self) {
         self.sync();
         let next_seq = self.active_seg().seq + 1;
-        let (seg, file) = create_segment(&self.wal_dir, next_seq)
+        let (seg, file) = create_segment(&self.wal_dir, next_seq, &mut self.direct)
             .unwrap_or_else(|e| panic!("wal segment roll failed: {e}"));
         if self.opts.fsync {
             sync_dir(&self.wal_dir);
         }
         self.segments.push(seg);
         self.active = file;
+        self.tail = Tail::header(next_seq);
         self.synced_len = SEGMENT_HEADER_LEN;
+        self.zeroed = 0;
     }
 
     /// Restates the whole mirror at the head of a fresh segment — the newest
@@ -420,7 +636,7 @@ impl LogStore for WalLog {
             return;
         }
         // One encode of the entries where they are; the mirror then takes
-        // them (asserting contiguity) before a byte is written.
+        // them (asserting contiguity) before a byte is buffered.
         let record = Record::Batch(entries);
         let payload = record.encode_to_bytes();
         if let Record::Batch(entries) = record {
@@ -488,25 +704,38 @@ impl LogStore for WalLog {
 
     fn sync(&mut self) {
         if self.unsynced_bytes() == 0 {
-            // Nothing to make durable, so no syscall: a clean `fdatasync`
-            // still costs a device flush, and a leader pays one per commit
-            // round (the reply-only `take_outputs` after the acks are in).
-            // A fresh segment's 16-byte header counts as synced without
-            // having been: it carries no operation, recovery deletes a
-            // file whose header is torn, and the first record's sync
-            // covers it.
+            // Nothing to make durable, so no syscall: a clean barrier still
+            // costs a device flush, and a leader pays one per commit round
+            // (the reply-only `take_outputs` after the acks are in). A fresh
+            // segment's 16-byte header counts as synced without having
+            // been: it carries no operation, recovery deletes a file whose
+            // header is torn or missing, and the first record's barrier
+            // writes it.
             return;
         }
         // A group-commit barrier: everything appended since the last sync
-        // point becomes durable under one fsync, however many entries (or
+        // point becomes durable under one write, however many entries (or
         // batches) accumulated.
         self.syncs += 1;
-        if self.opts.fsync {
+        let mut to = block_end(self.tail.end());
+        if to > self.zeroed {
+            // Carry the zero-filled end ahead geometrically, so that few
+            // barriers of a segment extend its file.
+            to = to.max(block_end(
+                self.zeroed.saturating_mul(2).min(self.opts.segment_bytes),
+            ));
+            self.zeroed = to;
+        }
+        let at = self.tail.at;
+        let blocks = self.tail.blocks((to - at) as usize);
+        write_at(&self.active, blocks, at).unwrap_or_else(|e| panic!("wal sync failed: {e}"));
+        if self.opts.fsync && !self.direct {
             self.active
                 .sync_data()
                 .unwrap_or_else(|e| panic!("wal sync failed: {e}"));
         }
-        self.synced_len = self.active_seg().len;
+        self.synced_len = self.tail.end();
+        self.tail.settle();
     }
 
     fn sync_count(&self) -> u64 {
@@ -514,19 +743,7 @@ impl LogStore for WalLog {
     }
 
     fn power_cut(&mut self, keep_unsynced: usize) {
-        let keep = keep_unsynced as u64;
-        let unsynced = self.unsynced_bytes();
-        if keep <= unsynced {
-            let _ = self.active.set_len(self.synced_len + keep);
-        } else {
-            // The tear reaches past everything that was in flight: model
-            // the write that was striking the platter at the instant of
-            // death — a partial garbage frame after the last byte written,
-            // which recovery must detect (bad length/checksum) and trim.
-            let garbage = vec![0xA5u8; (keep - unsynced) as usize];
-            let _ = self.active.write_all(&garbage);
-        }
-        let _ = self.active.sync_data();
+        let _ = self.tear(&self.active_seg().path, keep_unsynced);
         // The store is dead after this: the sim reopens the directory.
     }
 }
@@ -558,29 +775,68 @@ fn replay_segment(seq: u64, raw: &[u8], mem: &mut MemLog) -> u64 {
     pos as u64
 }
 
-fn create_segment(wal_dir: &Path, seq: u64) -> Result<(Segment, File)> {
+/// The first multiple of [`BLOCK`] at or past `len`.
+fn block_end(len: u64) -> u64 {
+    len.div_ceil(BLOCK) * BLOCK
+}
+
+/// Creates segment `seq`, empty: its header rides on its first barrier.
+fn create_segment(wal_dir: &Path, seq: u64, direct: &mut bool) -> Result<(Segment, File)> {
     let path = wal_dir.join(format!("seg-{seq:016}.log"));
-    let mut file = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&path)
-        .map_err(|e| io_err("create segment", &path, &e))?;
-    let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
-    header[0..4].copy_from_slice(&SEGMENT_MAGIC.to_be_bytes());
-    header[4..8].copy_from_slice(&SEGMENT_VERSION.to_be_bytes());
-    header[8..16].copy_from_slice(&seq.to_be_bytes());
-    file.write_all(&header)
-        .map_err(|e| io_err("write segment header", &path, &e))?;
-    Ok((
-        Segment {
-            seq,
-            path,
-            len: SEGMENT_HEADER_LEN,
-        },
-        file,
-    ))
+    let file = open_segment(&path, true, direct)?;
+    Ok((Segment { seq, path }, file))
+}
+
+/// Opens a segment for barrier writes: `O_DIRECT | O_DSYNC` while `direct`
+/// holds, and otherwise — turning `direct` off where the filesystem
+/// refuses those flags — a plain handle.
+fn open_segment(path: &Path, create: bool, direct: &mut bool) -> Result<File> {
+    let mut options = OpenOptions::new();
+    options.write(true).create(create).truncate(create);
+    #[cfg(target_os = "linux")]
+    {
+        use std::os::unix::fs::OpenOptionsExt;
+        if let Some(flags) = DIRECT_SYNC.filter(|_| *direct) {
+            if let Ok(file) = options.clone().custom_flags(flags).open(path) {
+                return Ok(file);
+            }
+        }
+    }
+    *direct = false;
+    options
+        .open(path)
+        .map_err(|e| io_err("open segment", path, &e))
+}
+
+/// Writes all of `bytes` at offset `at` of `file`.
+fn write_at(file: &File, bytes: &[u8], at: u64) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::write_all_at(file, bytes, at)
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut file = file;
+        file.seek(SeekFrom::Start(at))?;
+        file.write_all(bytes)
+    }
+}
+
+#[cfg(test)]
+impl WalLog {
+    /// The active segment's file and how many of its bytes a sync covered.
+    pub(crate) fn synced_file(&self) -> (PathBuf, u64) {
+        (self.active_seg().path.clone(), self.synced_len)
+    }
+
+    /// The blocks the next barrier writes, short of any zero fill it adds,
+    /// and the segment offset they go to.
+    pub(crate) fn next_barrier(&mut self) -> (u64, Vec<u8>) {
+        let at = self.tail.at;
+        let blocks = self.tail.blocks((block_end(self.tail.end()) - at) as usize);
+        (at, blocks.to_vec())
+    }
 }
 
 #[cfg(test)]
@@ -671,18 +927,50 @@ mod tests {
         state(&WalLog::open_with(&dir.0, opts()).unwrap())
     }
 
+    /// The two ways a barrier is made physically durable, each with real
+    /// syncs and tiny segments: a direct, data-synced write where the target
+    /// and the filesystem allow one, and a plain write plus `sync_data`.
+    const BARRIERS: [fn(&Path, u64) -> WalLog; 2] = [
+        |dir, segment_bytes| {
+            let fsync = true;
+            WalLog::open_with(
+                dir,
+                WalOptions {
+                    fsync,
+                    segment_bytes,
+                },
+            )
+            .unwrap()
+        },
+        |dir, segment_bytes| {
+            let fsync = true;
+            let wal = WalLog::open_without_direct(
+                dir,
+                WalOptions {
+                    fsync,
+                    segment_bytes,
+                },
+            );
+            let wal = wal.unwrap();
+            assert!(!wal.direct);
+            wal
+        },
+    ];
+
     #[test]
     fn append_survives_reopen() {
-        let dir = TestDir::new("reopen");
-        {
-            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
-            fill(&mut wal, 1, 20, 1);
-            assert!(wal.segment_count() > 1, "rotation expected");
+        for open in BARRIERS {
+            let dir = TestDir::new("reopen");
+            {
+                let mut wal = open(&dir.0, 256);
+                fill(&mut wal, 1, 20, 1);
+                assert!(wal.segment_count() > 1, "rotation expected");
+            }
+            let wal = open(&dir.0, 256);
+            assert_eq!(wal.last_index(), LogIndex(20));
+            assert_eq!(wal.entry(LogIndex(7)), Some(entry(7, 1)));
+            assert_eq!(wal.slice(LogIndex(3), LogIndex(5)).len(), 3);
         }
-        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.last_index(), LogIndex(20));
-        assert_eq!(wal.entry(LogIndex(7)), Some(entry(7, 1)));
-        assert_eq!(wal.slice(LogIndex(3), LogIndex(5)).len(), 3);
     }
 
     /// The active segment's bytes on disk.
@@ -691,7 +979,7 @@ mod tests {
     }
 
     /// A byte-for-byte copy of a data dir as a process kill would leave it:
-    /// every byte written so far, synced or not.
+    /// every byte a barrier wrote so far.
     fn copy_dir(from: &Path, tag: &str) -> TestDir {
         let to = TestDir::new(tag);
         fs::create_dir_all(to.0.join("wal")).unwrap();
@@ -717,8 +1005,8 @@ mod tests {
             .collect()
     }
 
-    /// Header: magic "RCWL", version 6, segment seq 1.
-    const HEADER: &str = "5243574c000000060000000000000001";
+    /// Header: magic "RCWL", version 7, segment seq 1.
+    const HEADER: &str = "5243574c000000070000000000000001";
     /// One `[len][crc]` frame per record kind, each payload a one-byte tag
     /// and the fields of its `codec!` line.
     const BATCH: &str = "00000033f4b8071d\
@@ -748,6 +1036,13 @@ mod tests {
         ]
     }
 
+    /// `records` as a barrier leaves them on disk: zeros to their block's end.
+    fn padded(records: &str) -> String {
+        let len = records.len() / 2;
+        let zeros = block_end(len as u64) as usize - len;
+        format!("{records}{}", "00".repeat(zeros))
+    }
+
     /// Recovery over `bytes` as the only segment of a fresh directory.
     fn recover(bytes: &[u8]) -> State {
         let dir = TestDir::new("bytes");
@@ -766,21 +1061,27 @@ mod tests {
         wal.truncate_from(LogIndex(2)).unwrap();
         wal.save_meta(&meta(0));
         wal.compact_to(LogIndex(1), et(1)).unwrap();
+        // Nothing reaches the file before the barrier, and the barrier
+        // writes the records as they are, then zeros to their block's end.
+        assert_eq!(hex(&active_bytes(&wal)), "");
+        wal.sync();
         let first = [HEADER, BATCH, TRUNCATE, META, COMPACT].concat();
-        assert_eq!(hex(&active_bytes(&wal)), first);
+        assert_eq!(hex(&active_bytes(&wal)), padded(&first));
         // A reset checkpoints into the next segment: the newest metadata,
         // the new base, and a marker for "nothing above it".
         wal.reset(LogIndex::ZERO, EpochTerm::new(3, 0));
         assert_eq!(wal.segment_count(), 1);
         assert_eq!(
             hex(&active_bytes(&wal)),
-            [
-                "5243574c000000060000000000000002",
-                META,
-                RESET,
-                "000000098675307b010000000000000001"
-            ]
-            .concat()
+            padded(
+                &[
+                    "5243574c000000070000000000000002",
+                    META,
+                    RESET,
+                    "000000098675307b010000000000000001"
+                ]
+                .concat()
+            )
         );
         // The metadata inside the `Meta` record is the `NodeMeta` layout the
         // golden fixtures hold, byte for byte.
@@ -790,16 +1091,21 @@ mod tests {
             .unwrap();
         assert_eq!(&META[18..], golden);
         assert_eq!(hex(&meta(0).encode_to_bytes()), golden);
-        // All five in one file read back as the five operations.
+        // All five in one file read back as the five operations, with the
+        // zeros after them or without.
         let states = pinned_states();
         assert_eq!(recover(&unhex(&[&first, RESET].concat())), states[5]);
         assert_eq!(recover(&unhex(&first)), states[4]);
+        assert_eq!(recover(&unhex(&padded(&first))), states[4]);
     }
 
     #[test]
     fn any_other_segment_version_is_refused() {
-        let v5 = [HEADER, BATCH].concat().replacen("00000006", "00000005", 1);
-        assert_eq!(recover(&unhex(&v5)), pinned_states()[0]);
+        for older in ["00000005", "00000006"] {
+            let old = [HEADER, BATCH].concat().replacen("00000007", older, 1);
+            assert_eq!(recover(&unhex(&old)), pinned_states()[0]);
+            assert_eq!(recover(&unhex(&padded(&old))), pinned_states()[0]);
+        }
         assert_eq!(
             recover(&unhex(&[HEADER, BATCH].concat())),
             pinned_states()[1]
@@ -813,12 +1119,20 @@ mod tests {
         wal.append_batch((1..=4).map(|i| entry(i, 1)).collect());
         wal.sync();
         let synced = active_bytes(&wal);
+        let synced_len = wal.synced_len as usize;
         assert_eq!(wal.truncate_from(LogIndex(3)).unwrap(), 2);
-        // Nothing the sync covered moved: the file grew by one marker.
+        // The marker waits in memory for the barrier: a process killed right
+        // here reboots with the synced state, all four entries.
+        assert_eq!(active_bytes(&wal), synced);
+        let killed = copy_dir(&dir.0, "never-cut-kill");
+        let all: Vec<LogEntry> = (1..=4).map(|i| entry(i, 1)).collect();
+        assert_eq!(reopened(&killed).2, all);
+        // The barrier writes the marker and moves nothing the sync covered.
+        wal.sync();
         let now = active_bytes(&wal);
-        assert!(now.len() > synced.len());
-        assert_eq!(now[..synced.len()], synced[..]);
-        // A process killed right here reboots with exactly the kept entries.
+        assert_ne!(now, synced);
+        assert_eq!(now[..synced_len], synced[..synced_len]);
+        // Killed after it, the node reboots with exactly the kept entries.
         let killed = copy_dir(&dir.0, "never-cut-copy");
         let wal = WalLog::open_with(&killed.0, opts()).unwrap();
         assert_eq!(wal.tail(wal.first_index()), vec![entry(1, 1), entry(2, 1)]);
@@ -1159,18 +1473,19 @@ mod tests {
         assert_ne!(before, after);
         assert_eq!(wal.segment_count(), 1, "one checkpoint segment");
         let checkpoint = active_bytes(&wal);
+        let records = wal.synced_len as usize;
         let name = wal.active_seg().path.file_name().unwrap().to_owned();
 
-        for cut in 0..=checkpoint.len() {
+        // Every prefix of the records, then the whole file with its zeros.
+        for cut in (0..=records).chain([checkpoint.len()]) {
             let crashed = copy_dir(&old.0, "crash-inside-cut");
             fs::write(crashed.0.join("wal").join(&name), &checkpoint[..cut]).unwrap();
             let got = reopened(&crashed);
             assert!(
                 got == before || got == after,
-                "{cut} of {} checkpoint bytes: {got:?}",
-                checkpoint.len()
+                "{cut} of {records} checkpoint bytes: {got:?}"
             );
-            assert!(cut < checkpoint.len() || got == after);
+            assert!(cut < records || got == after);
         }
         for kept in 0..=old_files.len() {
             let crashed = copy_dir(&old.0, "crash-inside-unlink");
@@ -1236,16 +1551,17 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_on_recovery() {
         let dir = TestDir::new("torn");
-        let tail_path;
+        let (tail_path, records);
         {
             let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
             fill(&mut wal, 1, 20, 1);
             tail_path = wal.active_seg().path.clone();
+            records = wal.synced_len;
         }
-        // Tear the last few bytes off the tail segment (a partial write).
-        let len = fs::metadata(&tail_path).unwrap().len();
+        // Tear the last few bytes of records off the tail segment, and the
+        // zeros after them (a partial write).
         let f = OpenOptions::new().write(true).open(&tail_path).unwrap();
-        f.set_len(len - 3).unwrap();
+        f.set_len(records - 3).unwrap();
         let wal = WalLog::open_with(&dir.0, opts()).unwrap();
         // Exactly the torn record is gone; the prefix survives.
         assert_eq!(wal.last_index(), LogIndex(19));
@@ -1279,11 +1595,11 @@ mod tests {
             assert!(wal.segment_count() >= 3);
             first_seg = wal.segments[0].path.clone();
         }
-        // Flip one payload byte in the middle of the FIRST segment: every
-        // entry from there on (including later, intact segments) must go —
-        // keeping them would leave a hole in the log.
+        // Flip one payload byte in the middle of the FIRST segment's records:
+        // every entry from there on (including later, intact segments) must
+        // go — keeping them would leave a hole in the log.
         let mut raw = fs::read(&first_seg).unwrap();
-        let mid = raw.len() / 2;
+        let mid = replay_segment(1, &raw, &mut MemLog::new()) as usize / 2;
         raw[mid] ^= 0xFF;
         fs::write(&first_seg, &raw).unwrap();
         let wal = WalLog::open_with(&dir.0, opts()).unwrap();
@@ -1310,69 +1626,180 @@ mod tests {
 
     #[test]
     fn power_cut_tears_only_unsynced_suffix() {
-        let dir = TestDir::new("powercut");
-        {
-            // Large segments: a mid-test roll would sync the "unsynced" tail.
-            let mut wal = WalLog::open_with(
-                &dir.0,
-                WalOptions {
-                    fsync: false,
-                    segment_bytes: 1 << 20,
-                },
-            )
-            .unwrap();
-            fill(&mut wal, 1, 5, 1); // synced
-            for i in 6..=9 {
-                wal.append(entry(i, 1)); // unsynced
+        for open in BARRIERS {
+            let dir = TestDir::new("powercut");
+            {
+                // Large segments: a mid-test roll would sync the "unsynced" tail.
+                let mut wal = open(&dir.0, 1 << 20);
+                fill(&mut wal, 1, 5, 1); // synced
+                for i in 6..=9 {
+                    wal.append(entry(i, 1)); // unsynced
+                }
+                assert!(wal.unsynced_bytes() > 0);
+                wal.power_cut(7); // keep a torn fragment of entry 6
             }
-            assert!(wal.unsynced_bytes() > 0);
-            wal.power_cut(7); // keep a torn fragment of entry 6
+            let wal = open(&dir.0, 1 << 20);
+            // Everything synced survives; nothing unsynced does (7 bytes is
+            // less than a whole record).
+            assert_eq!(wal.last_index(), LogIndex(5));
         }
-        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        // Everything synced survives; nothing unsynced does (7 bytes is less
-        // than a whole record).
-        assert_eq!(wal.last_index(), LogIndex(5));
     }
 
     #[test]
     fn power_cut_keeping_full_record_preserves_it() {
-        let dir = TestDir::new("powercut-full");
-        {
-            let mut wal = WalLog::open_with(
-                &dir.0,
-                WalOptions {
-                    fsync: false,
-                    segment_bytes: 1 << 20,
-                },
-            )
-            .unwrap();
-            fill(&mut wal, 1, 5, 1);
-            wal.append(entry(6, 1));
-            let whole = wal.unsynced_bytes() as usize;
-            wal.append(entry(7, 1));
-            wal.power_cut(whole); // entry 6 fully hit the platter, 7 did not
+        for open in BARRIERS {
+            let dir = TestDir::new("powercut-full");
+            {
+                let mut wal = open(&dir.0, 1 << 20);
+                fill(&mut wal, 1, 5, 1);
+                wal.append(entry(6, 1));
+                let whole = wal.unsynced_bytes() as usize;
+                wal.append(entry(7, 1));
+                wal.power_cut(whole); // entry 6 fully hit the platter, 7 did not
+            }
+            let wal = open(&dir.0, 1 << 20);
+            assert_eq!(wal.last_index(), LogIndex(6));
         }
-        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.last_index(), LogIndex(6));
     }
 
     #[test]
     fn power_cut_with_nothing_in_flight_leaves_torn_garbage() {
-        let dir = TestDir::new("powercut-garbage");
-        {
-            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
-            fill(&mut wal, 1, 5, 1); // everything synced
-            assert_eq!(wal.unsynced_bytes(), 0);
-            wal.power_cut(40); // a write was mid-flight when power died
+        for open in BARRIERS {
+            let dir = TestDir::new("powercut-garbage");
+            {
+                let mut wal = open(&dir.0, 256);
+                fill(&mut wal, 1, 5, 1); // everything synced
+                assert_eq!(wal.unsynced_bytes(), 0);
+                wal.power_cut(40); // a write was mid-flight when power died
+            }
+            // Recovery trims the garbage frame and keeps everything durable.
+            let mut wal = open(&dir.0, 256);
+            assert_eq!(wal.last_index(), LogIndex(5));
+            wal.append(entry(6, 1));
+            wal.sync();
+            drop(wal);
+            let wal = open(&dir.0, 256);
+            assert_eq!(wal.last_index(), LogIndex(6));
         }
-        // Recovery trims the garbage frame and keeps everything durable.
+    }
+
+    /// A torn copy is the directory a power cut would leave, and the store
+    /// it was taken from goes on as if nothing happened.
+    #[test]
+    fn a_torn_copy_is_a_power_cut_that_leaves_the_store_alone() {
+        let dir = TestDir::new("torn-copy");
         let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.last_index(), LogIndex(5));
-        wal.append(entry(6, 1));
+        fill(&mut wal, 1, 3, 1);
+        let synced = state(&wal);
+        wal.append(entry(4, 1));
+        let first = wal.unsynced_bytes() as usize;
+        wal.save_meta(&meta(2));
+        let now = state(&wal);
+        let (cut, all) = (TestDir::new("torn-cut"), TestDir::new("torn-all"));
+        wal.copy_torn(&cut.0, first - 1).unwrap();
+        wal.copy_torn(&all.0, wal.unsynced_bytes() as usize)
+            .unwrap();
+        assert_eq!(reopened(&cut), synced);
+        assert_eq!(reopened(&all), now);
         wal.sync();
         drop(wal);
-        let wal = WalLog::open_with(&dir.0, opts()).unwrap();
-        assert_eq!(wal.last_index(), LogIndex(6));
+        assert_eq!(reopened(&dir), now);
+    }
+
+    /// What a boot writes — the open, the boot snapshot, the metadata and
+    /// their barrier — fits in the segment's first block: creating a segment
+    /// writes nothing, and its header rides on the first barrier.
+    #[test]
+    fn a_booted_wal_holds_no_byte_past_its_first_block() {
+        let dir = TestDir::new("boot-block");
+        let mut wal = WalLog::open(&dir.0).unwrap();
+        assert!(
+            active_bytes(&wal).is_empty(),
+            "creating a segment writes nothing"
+        );
+        let config = ClusterConfig::new(ClusterId(1), [NodeId(1)], RangeSet::full()).unwrap();
+        wal.save_snapshot(&Snapshot::empty(ClusterId(1), RangeSet::full()), &config);
+        wal.save_meta(&meta(1));
+        wal.sync();
+        assert_eq!(wal.sync_count(), 1);
+        let bytes = active_bytes(&wal);
+        assert_eq!(bytes.len() as u64, BLOCK);
+        assert_eq!(hex(&bytes[..16]), HEADER);
+        drop(wal);
+        assert_eq!(reopened(&dir).3, Some(meta(1)));
+    }
+
+    /// A segment's zero-filled end moves ahead only when a barrier would
+    /// cross it, to twice the segment's length, up to `segment_bytes`: the
+    /// barriers in between write over zeros and leave the file's length be.
+    #[test]
+    fn the_zero_filled_end_doubles_up_to_the_segment_size() {
+        let dir = TestDir::new("zero-fill");
+        let segment_bytes = 64 * 1024;
+        let opts = WalOptions {
+            fsync: false,
+            segment_bytes,
+        };
+        let mut wal = WalLog::open_with(&dir.0, opts).unwrap();
+        let mut lengths = Vec::new();
+        for i in 1.. {
+            let value = Bytes::from(vec![b'v'; 600]);
+            wal.append(LogEntry::command(LogIndex(i), et(1), value));
+            if wal.segment_count() > 1 {
+                break;
+            }
+            wal.sync();
+            let bytes = active_bytes(&wal);
+            let records = wal.synced_len as usize;
+            assert!(bytes[records..].iter().all(|&b| b == 0), "barrier {i}");
+            if lengths.last() != Some(&bytes.len()) {
+                lengths.push(bytes.len());
+            }
+        }
+        let tail = lengths.split_off(5);
+        assert_eq!(lengths, [4096, 8192, 16384, 32768, 65536]);
+        // Only a record that crosses the segment size reaches past it.
+        assert!(tail.len() <= 1 && tail.iter().all(|&l| l == 65536 + BLOCK as usize));
+        let last = wal.last_index();
+        wal.sync();
+        drop(wal);
+        let wal = WalLog::open_with(&dir.0, opts).unwrap();
+        assert_eq!((wal.last_index(), wal.segment_count()), (last, 2));
+    }
+
+    /// A run of zeros after the last record is a clean end in any segment:
+    /// recovery reads on into the next. One non-zero byte in it is a torn
+    /// tail — the log ends there, the file is trimmed to its records, and
+    /// every later segment goes.
+    #[test]
+    fn a_zero_run_ends_any_segment_cleanly_and_a_stray_byte_tears_it() {
+        let dir = TestDir::new("zero-run");
+        let before;
+        {
+            let mut wal = WalLog::open_with(&dir.0, opts()).unwrap();
+            fill(&mut wal, 1, 30, 1);
+            assert!(wal.segment_count() >= 3);
+            before = state(&wal);
+        }
+        let files = segment_files(&dir.0);
+        let mut mem = MemLog::new();
+        for (seq, f) in (1..).zip(&files) {
+            let raw = fs::read(f).unwrap();
+            let records = replay_segment(seq, &raw, &mut mem) as usize;
+            assert!(raw.len() > records + 100 && raw[records..].iter().all(|&b| b == 0));
+        }
+        assert_eq!(reopened(&dir), before);
+        assert_eq!(segment_files(&dir.0), files, "every segment kept");
+
+        let mut raw = fs::read(&files[0]).unwrap();
+        let records = replay_segment(1, &raw, &mut MemLog::new());
+        raw[records as usize + 100] = 1;
+        fs::write(&files[0], &raw).unwrap();
+        let got = reopened(&dir);
+        assert_eq!(got, recover(&raw[..records as usize]));
+        assert!(got.2.len() < before.2.len());
+        assert_eq!(segment_files(&dir.0), files[..1]);
+        assert_eq!(fs::metadata(&files[0]).unwrap().len(), records);
     }
 
     #[test]
