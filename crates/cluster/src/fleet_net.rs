@@ -3,10 +3,9 @@
 //! wakes whoever waits on those blocks.
 //!
 //! The driving itself lives in [`crate::runtime`]: a fixed pool of worker
-//! threads, each owning a *shard* of nodes and running the canonical
-//! embedding loop — event in, `step`, `tick` on the wall clock, then the
-//! `take_outputs` write-ahead barrier, then route — for every node it
-//! hosts. This module holds what the rest of the crate (harness, control
+//! threads, each driving one [`recraft_core::Shard`] of nodes — event in,
+//! `step`, `tick` on the wall clock, then each seat's write-ahead barrier,
+//! then route — and owning those nodes' I/O. This module holds what the rest of the crate (harness, control
 //! plane, tests) shares with that runtime.
 //!
 //! Readiness is pushed, not polled. A worker that publishes a seat whose

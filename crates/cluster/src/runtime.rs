@@ -4,36 +4,31 @@
 //! The previous harness spent ~3 OS threads per node (driver + acceptor +
 //! one blocking reader per inbound connection) and one socket per
 //! node-pair, which walls off "hundreds of ranges over real sockets" behind
-//! a thread explosion. This runtime keeps the loop shape — event in,
-//! [`step`](recraft_core::Node::step), [`tick`](recraft_core::Node::tick)
-//! on the wall clock, then the
-//! [`take_outputs`](recraft_core::Node::take_outputs) write-ahead barrier,
-//! then route — but runs it for a *shard* of nodes per worker:
+//! a thread explosion. Here each worker drives one [`Shard`] — the sans-io
+//! round the simulator drives too, which owns the ordering rules: each
+//! seat's write-ahead barrier before its output leaves, in-round passes
+//! among co-hosted seats, a seat leaving at its barrier, and status
+//! reports. This module is its I/O:
 //!
 //! * **N workers, period.** Each worker owns a disjoint set of nodes and
 //!   all their I/O. Total thread count is workers + whatever the embedding
 //!   spawns (control plane, clients), independent of how many raft groups
-//!   the process hosts. Every round ticks every hosted seat (a tick on a
-//!   node with no expired timer is a few comparisons) and publishes its
-//!   status block; a seat whose leader flag, cluster or retirement changed
-//!   also notifies the fleet's [`crate::fleet_net::SeatSignal`], which
-//!   wakes any thread blocked in a `Cluster::wait_for_*` call (nobody
-//!   waiting: one fence and one relaxed load, in that round only). One
-//!   barrier still covers everything a node drained from
-//!   the poll (and one more for each in-round pass that stepped it), so
-//!   group commit per node is preserved; nodes that externalized nothing
-//!   skip the barrier entirely ([`recraft_core::Node::has_outputs`]), so
-//!   an idle range costs no fsync.
+//!   the process hosts. Every round ticks every hosted seat on the wall
+//!   clock and publishes each seat's reported status into its status block;
+//!   a report that flags a changed leader flag, cluster or retirement also
+//!   notifies the fleet's [`crate::fleet_net::SeatSignal`], which wakes any
+//!   thread blocked in a `Cluster::wait_for_*` call (nobody waiting: one
+//!   fence and one relaxed load, in that round only).
 //! * **A worker owns every fd it polls, including the reply half.** A
 //!   worker blocks in a [`recraft_net::poll::Poller`] over its waker, its
 //!   mux endpoint, every hosted front door, every inbound connection, and
 //!   in-flight outbound dials, with the timeout set to the earliest
 //!   protocol deadline among its seats
-//!   ([`recraft_core::Node::next_deadline`]). No socket is shared between
+//!   ([`recraft_core::Shard::next_deadline`]). No socket is shared between
 //!   threads and none is duplicated: the connection a request arrived on
 //!   belongs to the seat that answers it, so the reply is appended to that
-//!   connection's own buffer and flushed once per round by the thread that
-//!   reads it. A flush the socket will not take leaves the bytes in the
+//!   connection's own buffer and flushed once per seat report by the thread
+//!   that reads it. A flush the socket will not take leaves the bytes in the
 //!   buffer with write interest on the same poll slot, bounded by
 //!   `CLIENT_WRITE_BUFFER_MAX` and `CLIENT_WRITE_DEADLINE`. An idle shard
 //!   makes no syscalls between deadlines; [`WireStats::idle_wakeups`]
@@ -42,28 +37,21 @@
 //!   the reply-buffer cap, and the write deadline each mark the connection
 //!   closed, and it is dropped — leaving the poll set — at the end of that
 //!   same round, whether or not the peer has closed its end.
-//! * **Same-worker traffic is stepped in the round that produced it.** A
-//!   round services readiness, steps what arrived, ticks every seat, and
-//!   takes each active seat's barrier, routing its outputs to the wire or
-//!   to co-hosted seats. Then up to `LOCAL_PASSES` in-round passes each
-//!   step what the seats addressed to one another, take the barrier of
-//!   every seat that produced output, and route and flush again — so a
-//!   request → append → ack → reply exchange among seats of one worker
-//!   costs one poll round, not three. Whatever the last pass leaves waits
-//!   for the next round. [`WireStats::local_deliveries`] counts the
-//!   envelopes the passes stepped.
-//! * **One multiplexed connection per worker pair.** Outbound envelopes for
-//!   other workers are grouped by destination endpoint and flushed as
-//!   [`recraft_net::mux`] batches — one write per destination per pass,
-//!   never ahead of the barrier of the seat that sent them. A
-//!   [`MuxReader`] per inbound connection demultiplexes by `Envelope::to`
-//!   and forwards the rare mis-delivery (a node re-adopted elsewhere
-//!   mid-flight) to the owning shard's queue. Pair connections dial
-//!   *nonblocking*: the socket sits in the poll set until writability
-//!   reports the connect done, and batches produced meanwhile queue
-//!   (bounded) instead of stalling every co-hosted seat behind a blocking
-//!   dial. Established pair connections write whole batches blocking, with
-//!   a 1 s timeout.
+//! * **One multiplexed connection per worker pair.** When a pass of the
+//!   shard's round would step an envelope between two of its seats, the
+//!   route closure the worker hands it checks, at that moment, that the
+//!   link is not blocked, the address is live and the seat is still owned
+//!   here, or the envelope drops ([`WireStats::local_deliveries`] counts
+//!   those stepped). Every other peer envelope is grouped by the owning
+//!   worker's endpoint and flushed as [`recraft_net::mux`] batches — one
+//!   write per destination per pass of the round. A [`MuxReader`] per
+//!   inbound connection demultiplexes by `Envelope::to` and forwards the
+//!   rare mis-delivery (a node re-adopted elsewhere mid-flight) to the
+//!   owning shard's queue. Pair connections dial *nonblocking*: the socket
+//!   sits in the poll set until writability reports the connect done, and
+//!   batches produced meanwhile queue (bounded) instead of stalling every
+//!   co-hosted seat behind a blocking dial. Established pair connections
+//!   write whole batches blocking, with a 1 s timeout.
 //! * **Per-node front doors.** Every node keeps its own listener *socket*
 //!   (accepted and read by its worker — no thread), published in
 //!   [`FleetNet`]. Clients and the admin plane dial a node's own address
@@ -75,21 +63,23 @@
 //!   answered on its new socket. A kill closes the listener so blind
 //!   clients still see connection-refused and rotate away, exactly as with
 //!   thread-per-node.
-//! * **Seat migration.** [`DriverRuntime::migrate`] moves a hosted node
-//!   between workers at a round boundary: ownership flips in the
-//!   assignment map first (new traffic queues to the target; the source
-//!   forwards), then the source hands the whole seat — node, status block,
-//!   front door, live connections with their unsent reply bytes, load
-//!   counters — to the target through its channel. `poll(2)` keeps no
-//!   kernel registry, so the moved fds are simply part of the target's
-//!   next poll set. Outputs still queued inside the node flush through the
-//!   *target's* next write-ahead barrier, so group commit is preserved
-//!   across the move.
+//! * **The assignment map places every seat.** [`DriverRuntime::migrate`]
+//!   and [`DriverRuntime::remove`] change the map first (new traffic queues
+//!   to the new owner; the old one forwards), then tell the worker the map
+//!   named. That worker takes the seat out of its shard at its barrier and
+//!   sends the whole seat — node, status block, front door, live
+//!   connections with their unsent reply bytes, load counters — wherever
+//!   the map points *now*; a worker a seat arrives at does the same. So a
+//!   seat still in flight from an earlier move is passed on to its newest
+//!   owner, and one removed in flight is handed to the remover wherever it
+//!   lands. `poll(2)` keeps no kernel registry, so the moved fds are simply
+//!   part of the target's next poll set.
 
-use crate::fleet_net::{FleetNet, HarnessNode, NodeStatus, SeatSignal};
+use crate::fleet_net::{FleetNet, HarnessNode, HarnessStore, NodeStatus, SeatSignal};
 use crate::CLIENT_BASE;
 use bytes::{Buf, BytesMut};
-use recraft_core::{NodeEvent, Role};
+use recraft_core::{Flushed, Role, Shard};
+use recraft_kv::KvMachine;
 use recraft_net::frame::put_frame;
 use recraft_net::mux::{put_batch, MuxReader};
 use recraft_net::poll::{
@@ -102,7 +92,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -123,12 +113,6 @@ const CLIENT_WRITE_BUFFER_MAX: usize = 1 << 20;
 /// Ceiling on envelopes per mux batch (one wire write). A round producing
 /// more for one destination flushes multiple batches.
 const MUX_BATCH: usize = 512;
-
-/// Ceiling on in-round passes: how many times a round steps the envelopes
-/// its own seats addressed to each other before leaving the rest to the
-/// next round. A request → append → ack → reply exchange among co-hosted
-/// seats takes two; the bound keeps a chatty shard from starving its poll.
-const LOCAL_PASSES: usize = 4;
 
 /// Ceiling on envelopes queued behind one in-flight outbound dial.
 /// Overflow drops the newest — the protocol retransmits.
@@ -188,26 +172,20 @@ pub fn os_thread_count() -> Option<usize> {
 
 /// What flows into a worker's channel.
 enum WorkerMsg {
-    /// Take ownership of a node (its status block and front-door listener
-    /// ride along).
-    Adopt(Box<Seat>),
-    /// Release a node: flush a final barrier, close its front door and
-    /// connections, and send it back.
-    Remove(NodeId, Sender<Box<HarnessNode>>),
+    /// A seat arriving — adopted, or moved from another worker. The worker
+    /// places it where the assignment map says.
+    Seat(Box<Seat>),
+    /// The map moved (or dropped) this seat: if hosted here, it leaves at
+    /// its barrier and is placed where the map says.
+    Release(NodeId),
     /// An envelope owned by this shard, forwarded from another worker.
     Forward(Envelope),
-    /// Hand the named seat to worker `target` (sent to the current owner).
-    Migrate(NodeId, usize),
-    /// A migrated seat arriving at its new owner, live connections and
-    /// load counters included.
-    Arrive(NodeId, Box<Hosted>),
 }
 
-/// One node as handed to its worker.
+/// A seat as it travels between threads: the node and its front door.
 struct Seat {
     node: HarnessNode,
-    status: Arc<NodeStatus>,
-    listener: TcpListener,
+    door: Door,
 }
 
 /// State shared by the runtime handle and every worker.
@@ -216,8 +194,13 @@ struct Shared {
     /// node → owning worker index. Written by adopt/remove/migrate, read
     /// on every routing decision.
     assignment: RwLock<HashMap<NodeId, usize>>,
+    /// Where a seat removed from the map goes: registered under the map's
+    /// write lock, taken by whichever worker holds the seat next.
+    removals: Mutex<HashMap<NodeId, Sender<Box<HarnessNode>>>>,
     /// Worker index → mux endpoint address (fixed at start).
     endpoints: Vec<SocketAddr>,
+    /// Worker index → channel.
+    txs: Vec<Sender<WorkerMsg>>,
     /// Worker index → poll waker. Every channel send is followed by a wake
     /// so the receiver's blocked `poll` returns. Held here for the
     /// runtime's lifetime — if every sender dropped, the receiver's pipe
@@ -232,11 +215,31 @@ struct Shared {
     start: Instant,
 }
 
+impl Shared {
+    fn owner_of(&self, id: NodeId) -> Option<usize> {
+        let map = self.assignment.read().expect("assignment lock");
+        map.get(&id).copied()
+    }
+
+    /// Sends `msg` to worker `w` and wakes it. Hands `msg` back if the
+    /// worker has stopped.
+    fn send(&self, w: usize, msg: WorkerMsg) -> Option<WorkerMsg> {
+        if let Err(unsent) = self.txs[w].send(msg) {
+            return Some(unsent.0);
+        }
+        self.wakers[w].wake();
+        None
+    }
+
+    fn removals(&self) -> MutexGuard<'_, HashMap<NodeId, Sender<Box<HarnessNode>>>> {
+        self.removals.lock().expect("removal lock")
+    }
+}
+
 /// A running worker pool. All methods take `&self`; the runtime is made to
 /// be shared behind the `Cluster` the way the fleet itself is.
 pub struct DriverRuntime {
     shared: Arc<Shared>,
-    txs: Mutex<Vec<Sender<WorkerMsg>>>,
     joins: Mutex<Vec<JoinHandle<Vec<HarnessNode>>>>,
     next_worker: AtomicUsize,
 }
@@ -252,28 +255,25 @@ impl DriverRuntime {
         let workers = workers
             .unwrap_or_else(|| thread::available_parallelism().map_or(4, usize::from))
             .max(1);
-        let listeners: Vec<TcpListener> = (0..workers)
-            .map(|_| {
-                let l = TcpListener::bind("127.0.0.1:0").expect("bind worker endpoint");
-                l.set_nonblocking(true).expect("nonblocking endpoint");
-                l
-            })
-            .collect();
-        let endpoints = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("endpoint addr"))
-            .collect();
-        let mut wakers = Vec::with_capacity(workers);
-        let mut wake_rxs = Vec::with_capacity(workers);
+        let (mut endpoints, mut wakers, mut txs, mut parts) = (vec![], vec![], vec![], vec![]);
         for _ in 0..workers {
-            let (w, rx) = poll::waker().expect("worker waker");
-            wakers.push(w);
-            wake_rxs.push(rx);
+            let endpoint = TcpListener::bind("127.0.0.1:0").expect("bind worker endpoint");
+            endpoint
+                .set_nonblocking(true)
+                .expect("nonblocking endpoint");
+            endpoints.push(endpoint.local_addr().expect("endpoint addr"));
+            let (waker, wake_rx) = poll::waker().expect("worker waker");
+            wakers.push(waker);
+            let (tx, rx) = channel();
+            txs.push(tx);
+            parts.push((endpoint, wake_rx, rx));
         }
         let shared = Arc::new(Shared {
             net,
             assignment: RwLock::new(HashMap::new()),
+            removals: Mutex::new(HashMap::new()),
             endpoints,
+            txs,
             wakers,
             batches: AtomicU64::new(0),
             batched_envelopes: AtomicU64::new(0),
@@ -283,24 +283,14 @@ impl DriverRuntime {
             stop: AtomicBool::new(false),
             start: Instant::now(),
         });
-        let mut txs = Vec::with_capacity(workers);
-        let mut rxs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let joins = listeners
+        let joins = parts
             .into_iter()
-            .zip(rxs)
-            .zip(wake_rxs)
             .enumerate()
-            .map(|(idx, ((endpoint, rx), wake_rx))| {
+            .map(|(idx, (endpoint, wake_rx, rx))| {
                 let ctx = Worker {
                     idx,
                     shared: Arc::clone(&shared),
                     rx,
-                    txs: txs.clone(),
                     endpoint,
                     wake_rx,
                 };
@@ -312,7 +302,6 @@ impl DriverRuntime {
             .collect();
         DriverRuntime {
             shared,
-            txs: Mutex::new(txs),
             joins: Mutex::new(joins),
             next_worker: AtomicUsize::new(0),
         }
@@ -339,12 +328,7 @@ impl DriverRuntime {
     /// The worker currently assigned to host `id`, if any.
     #[must_use]
     pub fn owner_of(&self, id: NodeId) -> Option<usize> {
-        self.shared
-            .assignment
-            .read()
-            .expect("assignment lock")
-            .get(&id)
-            .copied()
+        self.shared.owner_of(id)
     }
 
     /// Hands `node` (with its front-door `listener`) to a worker,
@@ -361,7 +345,7 @@ impl DriverRuntime {
     /// seat is handed over, and the seats go to their workers last to
     /// first. The first seat — the cluster's smallest id, which campaigns in
     /// the round that seats it — thus arrives after every peer it addresses
-    /// is routable and has its `Adopt` queued ahead of any vote request: a
+    /// is routable and has its seat queued ahead of any vote request: a
     /// worker drains its channel before it delivers. Adopted one by one, a
     /// busy worker could tick the campaigner while the caller had yet to
     /// place the next member, and the dropped votes left the first election
@@ -375,12 +359,12 @@ impl DriverRuntime {
                     .set_nonblocking(true)
                     .expect("nonblocking front door");
                 let w = self.next_worker.fetch_add(1, Ordering::Relaxed) % workers;
-                let seat = Seat {
-                    node,
+                let door = Door {
                     status,
                     listener,
+                    conns: Vec::new(),
                 };
-                (w, Box::new(seat))
+                (w, Box::new(Seat { node, door }))
             })
             .collect();
         {
@@ -389,35 +373,30 @@ impl DriverRuntime {
                 assignment.insert(seat.node.id(), *w);
             }
         }
-        let txs = self.txs.lock().expect("worker sender lock");
         for (w, seat) in placed.into_iter().rev() {
-            txs[w].send(WorkerMsg::Adopt(seat)).expect("worker alive");
-            self.shared.wakers[w].wake();
+            assert!(
+                self.shared.send(w, WorkerMsg::Seat(seat)).is_none(),
+                "worker alive"
+            );
         }
     }
 
     /// Withdraws `id` from its worker: the seat's final barrier is flushed,
     /// its front door and connections close, and the node comes back for
-    /// inspection (or to be dropped — that is a kill). `None` if the node
-    /// is not hosted (or a concurrent migration raced the removal — rare,
-    /// and the caller's retry sees the node wherever it landed).
+    /// inspection (or to be dropped — that is a kill), also when it was in
+    /// flight between workers. `None` if the node is not hosted.
     pub fn remove(&self, id: NodeId) -> Option<HarnessNode> {
-        let w = self
-            .shared
-            .assignment
-            .write()
-            .expect("assignment lock")
-            .remove(&id)?;
         let (reply_tx, reply_rx) = channel();
-        {
-            let txs = self.txs.lock().expect("worker sender lock");
-            txs[w].send(WorkerMsg::Remove(id, reply_tx)).ok()?;
-        }
-        self.shared.wakers[w].wake();
-        reply_rx
-            .recv_timeout(Duration::from_secs(10))
-            .ok()
-            .map(|boxed| *boxed)
+        let w = {
+            let mut map = self.shared.assignment.write().expect("assignment lock");
+            let w = map.remove(&id)?;
+            self.shared.removals().insert(id, reply_tx);
+            w
+        };
+        let _ = self.shared.send(w, WorkerMsg::Release(id));
+        let node = reply_rx.recv_timeout(Duration::from_secs(10)).ok();
+        self.shared.removals().remove(&id);
+        node.map(|boxed| *boxed)
     }
 
     /// Moves the seat for `id` to worker `target` at its current owner's
@@ -435,20 +414,10 @@ impl DriverRuntime {
             let Some(cur) = map.get(&id).copied() else {
                 return false;
             };
-            if cur == target {
-                return true;
-            }
             map.insert(id, target);
             cur
         };
-        let sent = {
-            let txs = self.txs.lock().expect("worker sender lock");
-            txs[source].send(WorkerMsg::Migrate(id, target)).is_ok()
-        };
-        if sent {
-            self.shared.wakers[source].wake();
-        }
-        sent
+        source == target || self.shared.send(source, WorkerMsg::Release(id)).is_none()
     }
 
     /// Stops the pool and collects every hosted node (each with a final
@@ -570,8 +539,10 @@ impl Conn {
 }
 
 /// An outbound worker-pair connection's lifecycle.
+#[derive(Default)]
 enum OutState {
     /// No socket; redial after `down_until`.
+    #[default]
     Down,
     /// A nonblocking dial in flight: registered for writability, resolved
     /// by [`poll::connect_ready`]. Batches queue behind it (bounded).
@@ -584,23 +555,20 @@ enum OutState {
 /// dropped on write failure, redialed after a backoff. Batches produced
 /// while a dial is in flight queue up to [`OUT_QUEUE_MAX`]; batches sent
 /// while the far side is down are dropped — the protocol retransmits.
+#[derive(Default)]
 struct OutConn {
     state: OutState,
     down_until: u64,
     queued: Vec<Envelope>,
 }
 
-/// A seat as the worker holds it: the node plus its front-door I/O and
-/// cumulative load counters (these travel with the seat on migration).
-struct Hosted {
-    node: HarnessNode,
+/// A seat's front door as its worker holds it beside the shard's node:
+/// status block, listener and live connections (all of it travels with the
+/// seat on migration).
+struct Door {
     status: Arc<NodeStatus>,
     listener: TcpListener,
     conns: Vec<Conn>,
-    /// Envelopes stepped into the node + messages it externalized.
-    steps: u64,
-    /// Bytes read off this seat's front-door connections.
-    bytes: u64,
 }
 
 /// What each poll-set token maps back to when readiness comes in.
@@ -618,17 +586,18 @@ struct Worker {
     idx: usize,
     shared: Arc<Shared>,
     rx: Receiver<WorkerMsg>,
-    txs: Vec<Sender<WorkerMsg>>,
     endpoint: TcpListener,
     wake_rx: WakeReceiver,
 }
 
 impl Worker {
     fn run(self) -> Vec<HarnessNode> {
-        let mut seats: BTreeMap<NodeId, Hosted> = BTreeMap::new();
+        let mut shard: Shard<KvMachine, HarnessStore> = Shard::default();
+        let mut doors: BTreeMap<NodeId, Door> = BTreeMap::new();
         let mut mux_conns: Vec<Conn> = Vec::new();
         let mut outs: HashMap<SocketAddr, OutConn> = HashMap::new();
         let mut inbox: VecDeque<Envelope> = VecDeque::new();
+        let mut wire: HashMap<SocketAddr, Vec<Envelope>> = HashMap::new();
         let mut scratch = vec![0u8; 64 * 1024];
         // Every outbound mux batch of this worker is encoded here.
         let mut wire_buf = BytesMut::new();
@@ -652,10 +621,10 @@ impl Worker {
                 slots.push(PollSlot::Mux(i));
                 poller.register(poll::fd_of(&conn.stream), INTEREST_READ);
             }
-            for (id, seat) in &seats {
+            for (id, door) in &doors {
                 slots.push(PollSlot::Door(*id));
-                poller.register(poll::fd_of(&seat.listener), INTEREST_READ);
-                for (i, conn) in seat.conns.iter().enumerate() {
+                poller.register(poll::fd_of(&door.listener), INTEREST_READ);
+                for (i, conn) in door.conns.iter().enumerate() {
                     slots.push(PollSlot::SeatConn(*id, i));
                     let interest = if conn.write_deadline.is_some() {
                         stalled = true;
@@ -678,16 +647,11 @@ impl Worker {
             let timeout = if work_pending {
                 Duration::ZERO
             } else {
-                let now = self.now_us();
-                let due = seats
-                    .values()
-                    .map(|s| s.node.next_deadline())
-                    .min()
-                    .unwrap_or(u64::MAX);
+                let due = shard.next_deadline();
                 let mut park = if due == u64::MAX {
                     IDLE_CAP_US
                 } else {
-                    due.saturating_sub(now).min(IDLE_CAP_US)
+                    due.saturating_sub(self.now_us()).min(IDLE_CAP_US)
                 };
                 if stalled {
                     park = park.min(WRITE_SWEEP_US);
@@ -717,20 +681,22 @@ impl Worker {
                             }
                         }
                         PollSlot::Door(id) => {
-                            if let Some(seat) = seats.get_mut(&id) {
-                                busy |= accept_into(&seat.listener, &mut seat.conns);
+                            if let Some(door) = doors.get_mut(&id) {
+                                busy |= accept_into(&door.listener, &mut door.conns);
                             }
                         }
                         PollSlot::SeatConn(id, i) => {
-                            if let Some(seat) = seats.get_mut(&id) {
-                                if let Some(conn) = seat.conns.get_mut(i) {
+                            if let Some(door) = doors.get_mut(&id) {
+                                if let Some(conn) = door.conns.get_mut(i) {
                                     if ready.writable {
                                         conn.flush();
                                         busy = true;
                                     }
                                     if ready.readable || ready.error {
                                         let n = read_conn(conn, &mut scratch, Some(id), &mut inbox);
-                                        seat.bytes += n as u64;
+                                        door.status
+                                            .net_bytes
+                                            .fetch_add(n as u64, Ordering::Relaxed);
                                         busy |= n > 0;
                                     }
                                 }
@@ -743,81 +709,69 @@ impl Worker {
                 }
             }
 
-            // 4. Control-plane messages and forwarded envelopes (the waker
-            // fires for these, but a cheap drain costs nothing either way).
+            // 4. Seats arriving or leaving, and forwarded envelopes (the
+            // waker fires for these, but a cheap drain costs nothing either
+            // way).
             while let Ok(msg) = self.rx.try_recv() {
                 busy = true;
-                self.handle(msg, &mut seats, &mut inbox);
-            }
-
-            // 5. Step. Envelopes for nodes this shard owns are stepped;
-            // anything owned elsewhere (re-adoption races, migrations in
-            // flight) is forwarded to its shard.
-            let now = self.now_us();
-            while let Some(env) = inbox.pop_front() {
-                busy = true;
-                self.deliver(env, &mut seats, now);
-            }
-
-            // 6. Tick + write-ahead barrier + route, per node. One barrier
-            // covers the whole burst the node drained this round; nodes
-            // with nothing to externalize skip it. Replies queue on the
-            // seat's own connections and each connection flushes once;
-            // then the wire is flushed.
-            let now = self.now_us();
-            let mut local: Vec<Envelope> = Vec::new();
-            let mut wire: HashMap<SocketAddr, Vec<Envelope>> = HashMap::new();
-            for (id, seat) in &mut seats {
-                seat.node.tick(now);
-                if seat.node.has_outputs() {
-                    busy = true;
-                    self.externalize(*id, seat, &mut local, &mut wire);
-                }
-                publish_seat(seat, self.shared.net.seat_signal());
-            }
-            self.flush_wire(&mut outs, &mut wire, now, &mut wire_buf);
-
-            // 7. In-round passes: step what the seats just addressed to one
-            // another, then barrier, route and flush whatever that produced,
-            // up to LOCAL_PASSES times. As in step 6, a seat's outputs are
-            // routed only after its own barrier, so nothing leaves ahead of
-            // the state it promises; what is left after the last pass waits
-            // for the next round.
-            for _ in 0..LOCAL_PASSES {
-                if local.is_empty() {
-                    break;
-                }
-                let now = self.now_us();
-                let mut stepped: Vec<NodeId> = Vec::new();
-                for env in std::mem::take(&mut local) {
-                    let to = env.to;
-                    if self.deliver(env, &mut seats, now) {
-                        stepped.push(to);
-                    }
-                }
-                self.shared
-                    .local_deliveries
-                    .fetch_add(stepped.len() as u64, Ordering::Relaxed);
-                stepped.sort_unstable();
-                stepped.dedup();
-                for id in stepped {
-                    if let Some(seat) = seats.get_mut(&id) {
-                        if seat.node.has_outputs() {
-                            self.externalize(id, seat, &mut local, &mut wire);
+                match msg {
+                    WorkerMsg::Seat(seat) => self.place(*seat, &mut shard, &mut doors),
+                    WorkerMsg::Release(id) => {
+                        if let Some(node) = shard.take_out(id) {
+                            let door = doors.remove(&id).expect("a hosted seat has a door");
+                            self.place(Seat { node, door }, &mut shard, &mut doors);
                         }
-                        publish_seat(seat, self.shared.net.seat_signal());
+                    }
+                    WorkerMsg::Forward(env) => inbox.push_back(env),
+                }
+            }
+
+            // 5. Step what arrived for this shard's seats; anything owned
+            // elsewhere (re-adoption races, migrations in flight) is
+            // forwarded to its worker.
+            let now = self.now_us();
+            for env in inbox.drain(..) {
+                busy = true;
+                if !self.shared.net.is_blocked(env.to, env.from) {
+                    if let Some(env) = shard.step(now, env) {
+                        self.forward(env);
                     }
                 }
-                self.flush_wire(&mut outs, &mut wire, now, &mut wire_buf);
             }
-            inbox.extend(local);
 
-            // 8. Reap: connections closed this round, and those whose
+            // 6. Tick, then the shard's round: per pass, publish each
+            // seat's report, queue its replies on its own connections, and
+            // flush the wire.
+            let now = self.now_us();
+            shard.tick(now);
+            let left = shard.flush(
+                now,
+                |env| self.owner_of_peer(env) == Some(self.idx),
+                |shard, pass| {
+                    for flushed in pass {
+                        busy |= !flushed.outbox.is_empty() || !flushed.events.is_empty();
+                        let node = shard.node(flushed.seat).expect("a reported seat is hosted");
+                        let door = doors
+                            .get_mut(&flushed.seat)
+                            .expect("a hosted seat has a door");
+                        publish(&flushed, node, door, self.shared.net.seat_signal());
+                        let local = &self.shared.local_deliveries;
+                        local.fetch_add(flushed.local, Ordering::Relaxed);
+                        self.send_out(flushed.outbox, door, &mut wire);
+                    }
+                    for (addr, envs) in wire.drain() {
+                        self.send_batch(&mut outs, addr, envs, self.now_us(), &mut wire_buf);
+                    }
+                },
+            );
+            inbox.extend(left);
+
+            // 7. Reap: connections closed this round, and those whose
             // buffered replies outlived the write deadline. Dropping the
             // stream closes the fd; it is in no later poll set.
             let cutoff = Instant::now();
-            for seat in seats.values_mut() {
-                seat.conns
+            for door in doors.values_mut() {
+                door.conns
                     .retain(|c| !c.closed && c.write_deadline.is_none_or(|d| cutoff < d));
             }
             mux_conns.retain(|c| !c.closed);
@@ -828,187 +782,88 @@ impl Worker {
             }
         }
         // Final barrier for every hosted node, then hand them back.
-        seats
-            .into_values()
-            .map(|mut seat| {
-                let _ = seat.node.take_outputs();
-                publish_seat(&seat, self.shared.net.seat_signal());
-                seat.node
-            })
-            .collect()
+        doors.keys().filter_map(|id| shard.take_out(*id)).collect()
     }
 
     fn now_us(&self) -> u64 {
         self.shared.start.elapsed().as_micros() as u64
     }
 
-    fn handle(
+    /// Hosts `seat`, passes it on, or completes its removal — whichever the
+    /// assignment map says now. A seat in flight from an earlier move thus
+    /// lands where the latest move sent it, and one removed meanwhile goes
+    /// to the remover. Dropping a removed seat's door closes its front door
+    /// and every connection behind it, so dialing clients see refused
+    /// connections and rotate.
+    fn place(
         &self,
-        msg: WorkerMsg,
-        seats: &mut BTreeMap<NodeId, Hosted>,
-        inbox: &mut VecDeque<Envelope>,
+        seat: Seat,
+        shard: &mut Shard<KvMachine, HarnessStore>,
+        doors: &mut BTreeMap<NodeId, Door>,
     ) {
-        match msg {
-            WorkerMsg::Adopt(seat) => {
-                let id = seat.node.id();
-                seats.insert(
-                    id,
-                    Hosted {
-                        node: seat.node,
-                        status: seat.status,
-                        listener: seat.listener,
-                        conns: Vec::new(),
-                        steps: 0,
-                        bytes: 0,
-                    },
-                );
-            }
-            WorkerMsg::Remove(id, reply) => {
-                if let Some(mut seat) = seats.remove(&id) {
-                    // Flush the final barrier so a wal-backed node's state
-                    // is on disk for a later restart, then close the front
-                    // door (and every conn behind it) so dialing clients
-                    // see refused-connection and rotate.
-                    let _ = seat.node.take_outputs();
-                    publish_seat(&seat, self.shared.net.seat_signal());
-                    drop(seat.listener);
-                    drop(seat.conns);
-                    let _ = reply.send(Box::new(seat.node));
+        let id = seat.node.id();
+        let seat = match self.shared.owner_of(id) {
+            Some(w) if w != self.idx => {
+                match self.shared.send(w, WorkerMsg::Seat(Box::new(seat))) {
+                    None => return,
+                    // Target gone (shutdown race): keep hosting.
+                    Some(WorkerMsg::Seat(seat)) => *seat,
+                    Some(_) => return,
                 }
             }
-            WorkerMsg::Forward(env) => inbox.push_back(env),
-            WorkerMsg::Migrate(id, target) => {
-                // Hand the whole seat over. Outputs still queued inside the
-                // node travel with it and flush through the target's next
-                // barrier; envelopes still in our inbox re-route through
-                // the flipped assignment on delivery. Unsent reply bytes
-                // travel inside the seat's connections.
-                if target == self.idx || target >= self.txs.len() {
-                    return;
+            Some(_) => seat,
+            None => {
+                if let Some(remover) = self.shared.removals().remove(&id) {
+                    let _ = remover.send(Box::new(seat.node));
                 }
-                if let Some(seat) = seats.remove(&id) {
-                    match self.txs[target].send(WorkerMsg::Arrive(id, Box::new(seat))) {
-                        Ok(()) => self.shared.wakers[target].wake(),
-                        Err(send_err) => {
-                            // Target gone (shutdown race): keep hosting.
-                            let WorkerMsg::Arrive(_, seat) = send_err.0 else {
-                                return;
-                            };
-                            self.shared
-                                .assignment
-                                .write()
-                                .expect("assignment lock")
-                                .insert(id, self.idx);
-                            seats.insert(id, *seat);
-                        }
-                    }
-                }
+                return;
             }
-            WorkerMsg::Arrive(id, seat) => {
-                seats.insert(id, *seat);
-            }
+        };
+        shard.adopt(seat.node);
+        doors.insert(id, seat.door);
+    }
+
+    /// Forwards an envelope for a seat this shard does not host to the
+    /// worker that owns it. Unowned destinations (killed nodes, stale
+    /// conns), and those owned here but not yet arrived, drop — the
+    /// protocol retransmits.
+    fn forward(&self, env: Envelope) {
+        if let Some(w) = self.shared.owner_of(env.to).filter(|w| *w != self.idx) {
+            let _ = self.shared.send(w, WorkerMsg::Forward(env));
         }
     }
 
-    /// The write-ahead barrier for one seat, then routing: replies onto
-    /// the seat's own connections (each flushed once), peer envelopes into
-    /// `local` or the wire batch of the owning worker's endpoint.
-    fn externalize(
+    /// The worker a peer envelope goes to, or `None` when it drops: its link
+    /// is blocked, or its destination has no registered address (killed, or
+    /// a joiner not yet listening) or no owner — the protocol resends.
+    fn owner_of_peer(&self, env: &Envelope) -> Option<usize> {
+        if self.shared.net.is_blocked(env.from, env.to) || self.shared.net.addr_of(env.to).is_none()
+        {
+            return None;
+        }
+        self.shared.owner_of(env.to)
+    }
+
+    /// Sends what a seat externalized: replies onto the seat's own
+    /// connections (each flushed once), peer envelopes into the wire batch
+    /// of the owning worker's endpoint.
+    fn send_out(
         &self,
-        id: NodeId,
-        seat: &mut Hosted,
-        local: &mut Vec<Envelope>,
+        outbox: Vec<Envelope>,
+        door: &mut Door,
         wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
     ) {
-        let (outbox, events) = seat.node.take_outputs();
-        count_events(&events, &seat.status);
-        seat.steps += outbox.len() as u64;
         for env in outbox {
             if env.to.0 >= CLIENT_BASE {
-                queue_reply(&mut seat.conns, &env);
-            } else {
-                self.route_out(id, env, local, wire);
+                queue_reply(&mut door.conns, &env);
+            } else if let Some(w) = self.owner_of_peer(&env).filter(|w| *w != self.idx) {
+                wire.entry(self.shared.endpoints[w]).or_default().push(env);
             }
         }
-        for conn in &mut seat.conns {
+        for conn in &mut door.conns {
             if !conn.out.is_empty() && conn.write_deadline.is_none() {
                 conn.flush();
             }
-        }
-    }
-
-    /// Writes everything routed to the wire so far: one mux batch per
-    /// destination endpoint (chunked at the batch ceiling inside the
-    /// writer).
-    fn flush_wire(
-        &self,
-        outs: &mut HashMap<SocketAddr, OutConn>,
-        wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
-        now: u64,
-        buf: &mut BytesMut,
-    ) {
-        for (addr, envs) in wire.drain() {
-            self.send_batch(outs, addr, envs, now, buf);
-        }
-    }
-
-    /// Steps an envelope into its owner, or forwards it to the owning
-    /// shard. Unowned destinations (killed nodes, stale conns) drop — the
-    /// protocol retransmits. Returns whether a hosted seat stepped it.
-    fn deliver(&self, env: Envelope, seats: &mut BTreeMap<NodeId, Hosted>, now: u64) -> bool {
-        if let Some(seat) = seats.get_mut(&env.to) {
-            if self.shared.net.is_blocked(env.to, env.from) {
-                return false;
-            }
-            seat.steps += 1;
-            seat.node.step(now, env.from, env.msg);
-            return true;
-        }
-        let owner = self
-            .shared
-            .assignment
-            .read()
-            .expect("assignment lock")
-            .get(&env.to)
-            .copied();
-        if let Some(w) = owner {
-            if w != self.idx && self.txs[w].send(WorkerMsg::Forward(env)).is_ok() {
-                self.shared.wakers[w].wake();
-            }
-            // Owned by us but not yet adopted (the Adopt is in our own
-            // queue): drop rather than self-forward forever.
-        }
-        false
-    }
-
-    /// Routes one outbound peer envelope: same-worker memory hop, or the
-    /// wire batch for the owning worker's endpoint.
-    fn route_out(
-        &self,
-        from: NodeId,
-        env: Envelope,
-        local: &mut Vec<Envelope>,
-        wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
-    ) {
-        if self.shared.net.is_blocked(from, env.to) {
-            return;
-        }
-        // A peer with no registered address is down (killed, or a joiner
-        // not yet listening): drop — the protocol resends.
-        if self.shared.net.addr_of(env.to).is_none() {
-            return;
-        }
-        let owner = self
-            .shared
-            .assignment
-            .read()
-            .expect("assignment lock")
-            .get(&env.to)
-            .copied();
-        match owner {
-            Some(w) if w == self.idx => local.push(env),
-            Some(w) => wire.entry(self.shared.endpoints[w]).or_default().push(env),
-            None => {}
         }
     }
 
@@ -1022,11 +877,7 @@ impl Worker {
         now: u64,
         buf: &mut BytesMut,
     ) {
-        let out = outs.entry(addr).or_insert(OutConn {
-            state: OutState::Down,
-            down_until: 0,
-            queued: Vec::new(),
-        });
+        let out = outs.entry(addr).or_default();
         match &out.state {
             OutState::Ready(_) => self.write_out(out, envs, now, buf),
             OutState::Connecting(_) => queue_out(out, envs),
@@ -1215,44 +1066,30 @@ fn queue_out(out: &mut OutConn, envs: Vec<Envelope>) {
     out.queued.extend(envs.into_iter().take(room));
 }
 
-/// Folds one round's node events into the status counters.
-fn count_events(events: &[NodeEvent], status: &NodeStatus) {
-    for ev in events {
-        match ev {
-            NodeEvent::BecameLeader { .. } => {
-                status.elections.fetch_add(1, Ordering::Relaxed);
-            }
-            NodeEvent::SnapshotInstalled { .. } => {
-                status.snapshot_installs.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Publishes the seat's observable protocol state and load counters, and
-/// announces a changed leader flag, cluster or retirement on `signal`.
-fn publish_seat(seat: &Hosted, signal: &SeatSignal) {
-    let (node, status) = (&seat.node, &seat.status);
-    let (leader, cluster) = (node.is_leader(), node.cluster().0);
-    let retired = node.role() == Role::Removed;
-    // Only this seat's worker stores these fields, so the loads read back
-    // its own last publish.
-    let moved = status.is_leader.load(Ordering::Relaxed) != leader
-        || status.cluster.load(Ordering::Relaxed) != cluster
-        || status.retired.load(Ordering::Relaxed) != retired;
-    status.is_leader.store(leader, Ordering::Relaxed);
-    status.cluster.store(cluster, Ordering::Relaxed);
+/// Stores a reported seat's protocol state and load counters into its
+/// status block, and announces a changed leader flag, cluster or retirement
+/// on `signal`.
+fn publish(flushed: &Flushed, node: &HarnessNode, door: &Door, signal: &SeatSignal) {
+    let status = &door.status;
+    status.is_leader.store(node.is_leader(), Ordering::Relaxed);
+    status.cluster.store(node.cluster().0, Ordering::Relaxed);
     status
         .commit
         .store(node.commit_index().0, Ordering::Relaxed);
     status
         .applied
         .store(node.applied_index().0, Ordering::Relaxed);
-    status.retired.store(retired, Ordering::Relaxed);
-    status.steps.store(seat.steps, Ordering::Relaxed);
-    status.net_bytes.store(seat.bytes, Ordering::Relaxed);
-    if moved {
+    status
+        .retired
+        .store(node.role() == Role::Removed, Ordering::Relaxed);
+    status
+        .elections
+        .fetch_add(flushed.elections, Ordering::Relaxed);
+    status
+        .snapshot_installs
+        .fetch_add(flushed.snapshot_installs, Ordering::Relaxed);
+    status.steps.fetch_add(flushed.steps, Ordering::Relaxed);
+    if flushed.moved {
         signal.notify();
     }
 }

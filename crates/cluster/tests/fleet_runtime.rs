@@ -363,3 +363,77 @@ fn seat_migration_under_load_preserves_exactly_once() {
         .shutdown();
     recraft_cluster::verify_sessions(&nodes, clients, opts.ops);
 }
+
+/// A short client run that must complete: the cluster still commits.
+fn commits(cluster: &Cluster, session_base: u64) -> bool {
+    let opts = ClientOptions {
+        ops: 20,
+        window: 2,
+        value_size: 32,
+        deadline: Duration::from_secs(5),
+        session_base,
+        ..ClientOptions::default()
+    };
+    cluster.run_clients(2, &opts).all_completed()
+}
+
+/// A leader's seat sent to worker 1 and straight back to worker 0, again
+/// and again: the second move is ordered while the seat may still be in
+/// flight from the first, so wherever it lands it must end up hosted where
+/// the assignment map points — or its peers' acks go to a worker that drops
+/// them while it heartbeats on, and nothing commits.
+#[test]
+fn a_seat_moved_back_while_in_flight_still_commits() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut fleet = FleetSpec::new(1, 3, HarnessBackend::Mem);
+    fleet.workers = Some(2);
+    let cluster = Cluster::launch_fleet(&fleet);
+    let leader = cluster
+        .wait_for_leader(Duration::from_secs(10))
+        .expect("a leader");
+    for round in 0..5 {
+        for _ in 0..4 {
+            assert!(cluster.migrate_seat(leader, 1));
+            assert!(cluster.migrate_seat(leader, 0));
+        }
+        assert!(
+            commits(&cluster, 100 * round),
+            "round {round}: no commit after the moves\n{}",
+            cluster.debug_dump()
+        );
+    }
+    assert_eq!(cluster.seat_owner(leader), Some(0));
+}
+
+/// A kill issued right after a move finds the seat wherever it is — hosted
+/// at either worker or in flight between them — withdraws it, and hands the
+/// node back, so the restart that follows reboots it.
+#[test]
+fn a_kill_right_after_a_move_withdraws_the_seat() {
+    let _guard = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut fleet = FleetSpec::new(1, 3, HarnessBackend::Mem);
+    fleet.workers = Some(2);
+    let cluster = Cluster::launch_fleet(&fleet);
+    let leader = cluster
+        .wait_for_leader(Duration::from_secs(10))
+        .expect("a leader");
+    let follower = cluster
+        .seat_loads()
+        .iter()
+        .map(|s| s.id)
+        .find(|id| *id != leader)
+        .expect("a follower");
+    for round in 0..5 {
+        let target = 1 - cluster.seat_owner(follower).expect("hosted");
+        assert!(cluster.migrate_seat(follower, target));
+        assert!(cluster.kill(follower), "round {round}: kill during a move");
+        assert_eq!(cluster.seat_owner(follower), None);
+        cluster.restart(follower);
+        assert!(cluster.seat_owner(follower).is_some());
+    }
+    assert!(commits(&cluster, 0), "{}", cluster.debug_dump());
+}

@@ -45,6 +45,7 @@
 pub mod events;
 pub mod node;
 pub mod quorum;
+pub mod shard;
 pub mod sm;
 pub mod stack;
 pub mod timing;
@@ -53,6 +54,7 @@ pub mod votes;
 pub use events::NodeEvent;
 pub use node::{Node, ReconfigRecord, Role};
 pub use quorum::QuorumSpec;
+pub use shard::{Flushed, Shard, LOCAL_PASSES};
 pub use sm::{MapMachine, StateMachine};
 pub use timing::{PipelineConfig, Timing};
 

@@ -1,4 +1,12 @@
 //! The discrete-event engine.
+//!
+//! Every running node is seated in a [`recraft_core::Shard`], the round the
+//! TCP runtime's workers run: a delivery steps one seat, a tick ticks its
+//! shard, and the shard's flush takes each seat's write-ahead barrier before
+//! handing its outbox to the network model here. A node has a shard of its
+//! own unless [`Sim::co_host`] placed it beside another, whose traffic is
+//! then stepped in the round that produced it. Latency, loss, partitions,
+//! clients and the safety checks stay in this module.
 
 use crate::client::{Client, Workload};
 use crate::config::{Backend, SimConfig, SmKind};
@@ -7,7 +15,7 @@ use crate::Directory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recraft_core::events::{fingerprint, read_fingerprint};
-use recraft_core::{Node, NodeEvent, Role};
+use recraft_core::{Flushed, Node, NodeEvent, Role, Shard, Timing};
 use recraft_fleet::{ClientAction, RoutedClient};
 use recraft_kv::lin::{self, Op, OpId, OpKind};
 use recraft_kv::{DurableKv, DurableKvOptions, KvMachine, KvResp, KvStore};
@@ -17,8 +25,7 @@ use recraft_types::{
     ClientOp, ClientOutcome, ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm,
     Error, NodeId, RangeSet, SessionId,
 };
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -80,36 +87,55 @@ enum EvKind {
     DirectoryRefresh,
 }
 
-#[derive(Debug)]
-struct Ev {
-    at: u64,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// The storage backend simulated nodes run behind (chosen at runtime).
 pub type SimStore = Box<dyn LogStore>;
 
-struct SimNode {
-    node: Node<KvMachine, SimStore>,
-    up: bool,
+type SimNode = Node<KvMachine, SimStore>;
+
+/// Where a node is: seated in a shard while its process runs, keyed by the
+/// shard's home id, or as its process left it after a crash.
+enum Place {
+    Up(NodeId),
+    Down(Box<SimNode>),
+}
+
+/// The paper's safety definitions over the events seen so far.
+#[derive(Default)]
+struct Safety {
+    applied: HashMap<(ClusterId, u64), u64>,
+    leaders: HashMap<(ClusterId, EpochTerm), NodeId>,
+}
+
+impl Safety {
+    /// Theorem 1: no two nodes apply different entries at the same
+    /// (cluster, index); replays after restart re-apply the same digests,
+    /// which the equality admits. Definition 2: at most one leader per
+    /// cluster, epoch and term.
+    fn check(&mut self, id: NodeId, ev: &NodeEvent) {
+        match ev {
+            NodeEvent::AppliedCommand {
+                cluster,
+                index,
+                digest,
+            } => {
+                if let Some(prev) = self.applied.insert((*cluster, index.0), *digest) {
+                    assert_eq!(
+                        prev, *digest,
+                        "STATE MACHINE SAFETY VIOLATED at {cluster}/{index} by {id}"
+                    );
+                }
+            }
+            NodeEvent::BecameLeader { cluster, eterm } => {
+                if let Some(prev) = self.leaders.insert((*cluster, *eterm), id) {
+                    assert_eq!(
+                        prev, id,
+                        "ELECTION SAFETY VIOLATED: two leaders for {cluster} at {eterm}"
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Distinguishes concurrent sims (parallel test binaries share a temp dir).
@@ -120,8 +146,13 @@ pub struct Sim {
     cfg: SimConfig,
     now: u64,
     seq: u64,
-    heap: BinaryHeap<Reverse<Ev>>,
-    nodes: BTreeMap<NodeId, SimNode>,
+    /// Pending events by (time, sequence number): ties run in the order
+    /// they were scheduled.
+    queue: BTreeMap<(u64, u64), EvKind>,
+    nodes: BTreeMap<NodeId, Place>,
+    /// Every node boots into the shard of its own id; [`Sim::co_host`]
+    /// seats nodes together.
+    shards: BTreeMap<NodeId, Shard<KvMachine, SimStore>>,
     clients: BTreeMap<u64, Client>,
     cut: HashSet<(NodeId, NodeId)>,
     /// Per-link FIFO clock: links model TCP connections, so a message never
@@ -147,9 +178,8 @@ pub struct Sim {
     /// admin endpoint, and the answers it has yet to read.
     inject: RoutedClient,
     inject_inbox: Vec<(NodeId, ClientResponse)>,
-    // Safety trackers (Theorem 1 and Election Safety), checked online.
-    applied_at: HashMap<(ClusterId, u64), u64>,
-    leaders_at: HashMap<(ClusterId, EpochTerm), NodeId>,
+    /// Theorem 1 and Definition 2, checked online.
+    safety: Safety,
     /// Per-run root of node data dirs (WAL backend only); removed on drop.
     data_root: Option<PathBuf>,
 }
@@ -175,8 +205,9 @@ impl Sim {
             cfg,
             now: 0,
             seq: 0,
-            heap: BinaryHeap::new(),
+            queue: BTreeMap::new(),
             nodes: BTreeMap::new(),
+            shards: BTreeMap::new(),
             clients: BTreeMap::new(),
             cut: HashSet::new(),
             link_clock: HashMap::new(),
@@ -195,8 +226,7 @@ impl Sim {
             next_admin_req: 1,
             inject: RoutedClient::new(SessionId(INJECT_SESSION_BASE), 1, INJECT_RESEND_US),
             inject_inbox: Vec::new(),
-            applied_at: HashMap::new(),
-            leaders_at: HashMap::new(),
+            safety: Safety::default(),
             data_root,
         }
     }
@@ -292,18 +322,9 @@ impl Sim {
     /// subcluster path). Under `RECRAFT_SM=durable` the preload seeds the
     /// node's on-disk machine.
     pub fn boot_node_with_store(&mut self, id: NodeId, config: ClusterConfig, store: KvStore) {
-        let backend = self.make_store(id, true);
-        let machine = self.make_machine(id, store, true);
-        let node = Node::with_store(
-            id,
-            config,
-            machine,
-            backend,
-            self.cfg.timing,
-            self.node_seed(id),
-        );
-        self.nodes.insert(id, SimNode { node, up: true });
-        self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
+        self.boot(id, store, |store, sm, timing, seed| {
+            Node::with_store(id, config, sm, store, timing, seed)
+        });
         self.schedule(self.cfg.directory_delay, EvKind::DirectoryRefresh);
     }
 
@@ -312,42 +333,74 @@ impl Sim {
     /// leader that contacts it (after an `AddAndResize` or a vanilla member
     /// add names it).
     pub fn boot_joiner(&mut self, id: NodeId) {
-        let backend = self.make_store(id, true);
-        let machine = self.make_machine(id, KvStore::new(), true);
-        let node = Node::joiner_with_store(
-            id,
-            None,
-            machine,
-            backend,
-            self.cfg.timing,
-            self.node_seed(id),
-        );
-        self.nodes.insert(id, SimNode { node, up: true });
-        self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
+        self.boot(id, KvStore::new(), |store, sm, timing, seed| {
+            Node::joiner_with_store(id, None, sm, store, timing, seed)
+        });
     }
 
     /// Boots a fresh joiner provisioned for one specific cluster: contact
     /// from any other cluster is ignored. Use when re-purposing a node whose
     /// former cluster is still alive (it would otherwise re-adopt it).
     pub fn boot_joiner_into(&mut self, id: NodeId, target: ClusterId) {
-        let backend = self.make_store(id, true);
-        let machine = self.make_machine(id, KvStore::new(), true);
-        let node = Node::joiner_with_store(
+        self.boot(id, KvStore::new(), |store, sm, timing, seed| {
+            Node::joiner_with_store(id, Some(target), sm, store, timing, seed)
+        });
+    }
+
+    /// Builds `id` over a fresh store and machine and seats it in its own
+    /// shard, with its tick chain.
+    fn boot(
+        &mut self,
+        id: NodeId,
+        preload: KvStore,
+        node: impl FnOnce(SimStore, KvMachine, Timing, u64) -> SimNode,
+    ) {
+        let store = self.make_store(id, true);
+        let machine = self.make_machine(id, preload, true);
+        self.seat(
+            node(store, machine, self.cfg.timing, self.node_seed(id)),
             id,
-            Some(target),
-            machine,
-            backend,
-            self.cfg.timing,
-            self.node_seed(id),
         );
-        self.nodes.insert(id, SimNode { node, up: true });
         self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
     }
 
     /// Permanently removes a node from the simulation (TC terminates and
     /// re-purposes nodes).
     pub fn decommission(&mut self, id: NodeId) {
-        self.nodes.remove(&id);
+        self.take_node(id);
+    }
+
+    /// Seats a running node in the shard `home`, replacing any node of its
+    /// id.
+    fn seat(&mut self, node: SimNode, home: NodeId) {
+        let id = node.id();
+        self.take_node(id);
+        self.shards.entry(home).or_default().adopt(node);
+        self.nodes.insert(id, Place::Up(home));
+    }
+
+    /// Takes `id` out of the simulation, up (at its barrier) or down.
+    fn take_node(&mut self, id: NodeId) -> Option<SimNode> {
+        match self.nodes.remove(&id)? {
+            Place::Up(home) => self.shards.get_mut(&home)?.take_out(id),
+            Place::Down(node) => Some(*node),
+        }
+    }
+
+    /// Moves the running node `id` into the shard that hosts `with`, as the
+    /// runtime migrates a seat between workers: it leaves its shard at its
+    /// barrier, and from then on the traffic between the two is stepped in
+    /// the round that produced it. By default every node has a shard of its
+    /// own; tests place seats together with this. Returns whether both are
+    /// up (and the move was made).
+    pub fn co_host(&mut self, id: NodeId, with: NodeId) -> bool {
+        let (true, Some(Place::Up(home))) = (self.is_up(id), self.nodes.get(&with)) else {
+            return false;
+        };
+        let home = *home;
+        let node = self.take_node(id).expect("an up node is seated");
+        self.seat(node, home);
+        true
     }
 
     /// Adds `n` closed-loop clients running `workload`.
@@ -388,11 +441,7 @@ impl Sim {
 
     fn schedule(&mut self, delay: u64, kind: EvKind) {
         self.seq += 1;
-        self.heap.push(Reverse(Ev {
-            at: self.now + delay,
-            seq: self.seq,
-            kind,
-        }));
+        self.queue.insert((self.now + delay, self.seq), kind);
     }
 
     /// Schedules a fault/admin action at an absolute virtual time.
@@ -406,43 +455,23 @@ impl Sim {
     pub fn admin(&mut self, cluster: ClusterId, cmd: AdminCmd) -> u64 {
         let req_id = self.next_admin_req;
         self.next_admin_req += 1;
-        self.schedule(
-            0,
-            EvKind::Act(Action::Admin {
-                cluster,
-                cmd,
-                req_id,
-            }),
-        );
-        req_id
-    }
-
-    /// Builds an admin action with a fresh request id (for
-    /// [`Sim::schedule_action`]).
-    pub fn admin_action(&mut self, cluster: ClusterId, cmd: AdminCmd) -> (u64, Action) {
-        let req_id = self.next_admin_req;
-        self.next_admin_req += 1;
-        (
+        let admin = Action::Admin {
+            cluster,
+            cmd,
             req_id,
-            Action::Admin {
-                cluster,
-                cmd,
-                req_id,
-            },
-        )
+        };
+        self.schedule(0, EvKind::Act(admin));
+        req_id
     }
 
     // ---- Run loop ----------------------------------------------------------
 
     /// Advances virtual time to `t`, processing every event before it.
     pub fn run_until(&mut self, t: u64) {
-        while let Some(Reverse(ev)) = self.heap.peek() {
-            if ev.at > t {
-                break;
-            }
-            let Reverse(ev) = self.heap.pop().expect("peeked");
-            self.now = ev.at;
-            self.dispatch(ev.kind);
+        while let Some(ev) = self.queue.first_entry().filter(|ev| ev.key().0 <= t) {
+            let ((at, _), kind) = ev.remove_entry();
+            self.now = at;
+            self.dispatch(kind);
         }
         self.now = t;
     }
@@ -483,34 +512,26 @@ impl Sim {
                     }
                     return;
                 }
-                let size = env.wire_size() as u64;
-                let mut stepped = false;
-                if let Some(sn) = self.nodes.get_mut(&to) {
-                    if sn.up {
-                        let now = self.now;
-                        sn.node.step(now, env.from, env.msg);
-                        stepped = true;
-                    }
-                }
-                if stepped {
-                    self.metrics.messages_delivered += 1;
-                    self.metrics.bytes_delivered += size;
-                    self.collect(to);
-                }
+                let Some(Place::Up(home)) = self.nodes.get(&to) else {
+                    return;
+                };
+                let home = *home;
+                self.metrics.messages_delivered += 1;
+                self.metrics.bytes_delivered += env.wire_size() as u64;
+                let shard = self.shards.get_mut(&home).expect("seated");
+                let unseated = shard.step(self.now, env);
+                assert!(unseated.is_none(), "an up node is seated");
+                self.flush(home);
             }
             EvKind::NodeTick(id) => {
-                let mut alive = false;
-                if let Some(sn) = self.nodes.get_mut(&id) {
-                    alive = true;
-                    if sn.up {
-                        let now = self.now;
-                        sn.node.tick(now);
-                    }
+                let Some(place) = self.nodes.get(&id) else {
+                    return;
+                };
+                if let Place::Up(home) = *place {
+                    self.shards.get_mut(&home).expect("seated").tick(self.now);
+                    self.flush(home);
                 }
-                if alive {
-                    self.collect(id);
-                    self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
-                }
+                self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
             }
             EvKind::ClientWake(id) => self.client_step(id, None),
             EvKind::AdminCheck(req_id) => {
@@ -537,52 +558,35 @@ impl Sim {
     fn apply_action(&mut self, action: Action) {
         match action {
             Action::Crash(id) => {
-                if let Some(sn) = self.nodes.get_mut(&id) {
-                    sn.up = false;
-                    // Volatile outputs die with the process — without the
-                    // write-ahead flush take_outputs would run (a crash must
-                    // not promote unacknowledged writes to durable).
-                    sn.node.discard_outputs();
-                }
+                self.crash(id);
             }
             Action::Restart(id) => {
-                if self.nodes.get(&id).is_some_and(|sn| !sn.up) {
+                if matches!(self.nodes.get(&id), Some(Place::Down(_))) {
                     self.reboot(id);
                 }
             }
             Action::PowerCut(id) => {
                 let tear = self.rng.gen_range(0..64);
-                if let Some(sn) = self.nodes.get_mut(&id) {
-                    sn.up = false;
-                    // The process dies mid-write: unsent outputs vanish and
-                    // the store loses what lies past its last sync (a WAL
-                    // tail is torn at an arbitrary byte past it). No flush:
-                    // the power was already gone.
-                    sn.node.power_cut(tear);
+                if let Some(node) = self.crash(id) {
+                    // The store loses what lies past its last sync (a WAL
+                    // tail is torn at an arbitrary byte past it).
+                    node.power_cut(tear);
                 }
             }
             Action::RebootFromDisk(id) => self.reboot(id),
             Action::Partition(groups) => {
                 self.cut.clear();
                 for (i, a) in groups.iter().enumerate() {
-                    for (j, b) in groups.iter().enumerate() {
-                        if i == j {
-                            continue;
-                        }
-                        for x in a {
-                            for y in b {
-                                self.cut.insert((*x, *y));
-                            }
-                        }
+                    for b in &groups[i + 1..] {
+                        let links = a.iter().flat_map(|x| b.iter().map(|y| (*x, *y)));
+                        self.cut.extend(links.flat_map(|(x, y)| [(x, y), (y, x)]));
                     }
                 }
             }
             Action::Heal => self.cut.clear(),
             Action::CutLinks(links) => {
-                for (a, b) in links {
-                    self.cut.insert((a, b));
-                    self.cut.insert((b, a));
-                }
+                self.cut
+                    .extend(links.into_iter().flat_map(|(a, b)| [(a, b), (b, a)]));
             }
             Action::StopClients => {
                 for c in self.clients.values_mut() {
@@ -632,10 +636,10 @@ impl Sim {
     /// those objects are dropped (closing their handles) and recovery runs
     /// over the files, torn tail included.
     pub fn reboot(&mut self, id: NodeId) {
-        let Some(sn) = self.nodes.remove(&id) else {
+        let Some(node) = self.take_node(id) else {
             return;
         };
-        let (store, machine) = sn.node.into_parts();
+        let (store, machine) = node.into_parts();
         let store = match self.cfg.backend {
             Backend::Mem => store,
             Backend::Wal => {
@@ -654,8 +658,19 @@ impl Sim {
             .expect("recover node from its store");
         // The id never left the map between two events, so its tick chain
         // carries on.
-        self.nodes.insert(id, SimNode { node, up: true });
+        self.seat(node, id);
         self.schedule(self.cfg.directory_delay, EvKind::DirectoryRefresh);
+    }
+
+    /// Stops `id`'s process, leaving the node as the process left it. A
+    /// running node leaves its shard between rounds, when it holds no
+    /// unsent output, so its barrier promotes nothing a peer was told.
+    fn crash(&mut self, id: NodeId) -> Option<&mut SimNode> {
+        let node = Box::new(self.take_node(id)?);
+        match self.nodes.entry(id).or_insert(Place::Down(node)) {
+            Place::Down(node) => Some(node),
+            Place::Up(_) => None,
+        }
     }
 
     /// Immediately power-cuts `id` (see [`Action::PowerCut`]).
@@ -691,11 +706,11 @@ impl Sim {
 
     /// Sends an envelope through the simulated network.
     fn transmit(&mut self, env: Envelope) {
-        if self.cut.contains(&(env.from, env.to)) {
-            self.metrics.messages_dropped += 1;
-            return;
-        }
-        if self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob) {
+        // A cut link drops before the loss draw, so a cut costs no random
+        // number.
+        if self.cut.contains(&(env.from, env.to))
+            || (self.cfg.drop_prob > 0.0 && self.rng.gen_bool(self.cfg.drop_prob))
+        {
             self.metrics.messages_dropped += 1;
             return;
         }
@@ -719,18 +734,43 @@ impl Sim {
         self.schedule(delay, EvKind::Deliver(env));
     }
 
-    /// Drains a node's outbox and trace events.
-    fn collect(&mut self, id: NodeId) {
-        let Some(sn) = self.nodes.get_mut(&id) else {
-            return;
-        };
-        let (msgs, events) = sn.node.take_outputs();
-        let inflight_depth = sn.node.max_inflight_depth();
+    /// Runs the round of the shard `home` (its seats already stepped or
+    /// ticked): traffic between its seats is stepped in the round unless the
+    /// link is cut, and what the round leaves is delivered next.
+    fn flush(&mut self, home: NodeId) {
+        let (now, cut) = (self.now, &self.cut);
+        let shard = self.shards.get_mut(&home).expect("seated");
+        let mut flushed = Vec::new();
+        let left = shard.flush(
+            now,
+            |env| !cut.contains(&(env.from, env.to)),
+            |_, pass| flushed.extend(pass),
+        );
+        for f in flushed {
+            self.metrics.local_deliveries += f.local;
+            self.collect(f);
+        }
+        for env in left {
+            self.schedule(0, EvKind::Deliver(env));
+        }
+    }
+
+    /// Observes a seat's events and routes its outbox.
+    fn collect(
+        &mut self,
+        Flushed {
+            seat,
+            outbox,
+            events,
+            ..
+        }: Flushed,
+    ) {
+        let inflight_depth = self.node(seat).map_or(0, |n| n.max_inflight_depth());
         // Pipeline observability: every non-empty AppendEntries batch feeds
         // the batch-size histogram, and any append traffic samples the
         // sender's deepest in-flight window.
         let mut append_traffic = false;
-        for env in &msgs {
+        for env in &outbox {
             if let Message::AppendEntries { entries, .. } = &env.msg {
                 if !entries.is_empty() {
                     self.metrics.record_batch(entries.len());
@@ -742,9 +782,9 @@ impl Sim {
             self.metrics.record_inflight(inflight_depth);
         }
         for ev in events {
-            self.observe(id, ev);
+            self.observe(seat, ev);
         }
-        for env in msgs {
+        for env in outbox {
             if env.to.0 >= CLIENT_BASE && env.to != ADMIN_ADDR {
                 // Client-bound: deliver with latency but without faults (the
                 // client plane models an external LAN).
@@ -771,40 +811,14 @@ impl Sim {
     /// Records a node event: trace, safety checks, witness, directory
     /// refreshes.
     fn observe(&mut self, id: NodeId, ev: NodeEvent) {
+        self.safety.check(id, &ev);
         match &ev {
-            NodeEvent::AppliedCommand {
-                cluster,
-                index,
-                digest,
-            } => {
-                // Theorem 1 (state machine safety), checked online.
-                if let Some(prev) = self.applied_at.insert((*cluster, index.0), *digest) {
-                    assert_eq!(
-                        prev, *digest,
-                        "STATE MACHINE SAFETY VIOLATED at {cluster}/{index} by {id}"
-                    );
-                }
-                if self.applied_digests.insert(*digest) {
-                    self.applies.push(*digest);
-                }
-            }
-            NodeEvent::ServedRead { digest, .. } => {
-                // A ReadIndex-served read takes its place in the apply-order
-                // witness without any log entry backing it.
-                let digest = *digest;
-                if self.applied_digests.insert(digest) {
-                    self.applies.push(digest);
-                }
-            }
-            NodeEvent::BecameLeader { cluster, eterm } => {
-                // Definition 2 (election safety): one leader per cluster,
-                // epoch and term.
-                if let Some(prev) = self.leaders_at.insert((*cluster, *eterm), id) {
-                    assert_eq!(
-                        prev, id,
-                        "ELECTION SAFETY VIOLATED: two leaders for {cluster} at {eterm}"
-                    );
-                }
+            // A ReadIndex-served read takes its place in the apply-order
+            // witness without any log entry backing it.
+            NodeEvent::AppliedCommand { digest, .. } | NodeEvent::ServedRead { digest, .. }
+                if self.applied_digests.insert(*digest) =>
+            {
+                self.applies.push(*digest);
             }
             NodeEvent::SplitCompleted { .. }
             | NodeEvent::MergeResumed { .. }
@@ -822,23 +836,15 @@ impl Sim {
     /// most-applied node's word per cluster).
     fn refresh_directory(&mut self) {
         let mut best: BTreeMap<ClusterId, (u64, RangeSet, BTreeSet<NodeId>)> = BTreeMap::new();
-        for sn in self.nodes.values() {
-            if !sn.up || sn.node.role() == Role::Removed {
-                continue;
-            }
-            let cluster = sn.node.cluster();
-            let applied = sn.node.applied_index().0;
-            let entry = best.entry(cluster);
-            let cfg = sn.node.config();
-            match entry {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert((applied, cfg.ranges().clone(), cfg.members().clone()));
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    if applied > o.get().0 {
-                        o.insert((applied, cfg.ranges().clone(), cfg.members().clone()));
-                    }
-                }
+        for node in self.up_nodes().filter(|n| n.role() != Role::Removed) {
+            let applied = node.applied_index().0;
+            if best
+                .get(&node.cluster())
+                .is_none_or(|(seen, ..)| applied > *seen)
+            {
+                let cfg = node.config();
+                let view = (applied, cfg.ranges().clone(), cfg.members().clone());
+                best.insert(node.cluster(), view);
             }
         }
         self.directory.clear();
@@ -1063,43 +1069,48 @@ impl Sim {
     /// The current leader of `cluster`, if any.
     #[must_use]
     pub fn leader_of(&self, cluster: ClusterId) -> Option<NodeId> {
-        self.nodes
-            .values()
-            .find(|sn| sn.up && sn.node.is_leader() && sn.node.cluster() == cluster)
-            .map(|sn| sn.node.id())
+        self.up_nodes()
+            .find(|n| n.is_leader() && n.cluster() == cluster)
+            .map(Node::id)
     }
 
     fn any_member_of(&self, cluster: ClusterId) -> Option<NodeId> {
-        self.nodes
-            .values()
-            .find(|sn| sn.up && sn.node.cluster() == cluster && sn.node.role() != Role::Removed)
-            .map(|sn| sn.node.id())
+        self.up_nodes()
+            .find(|n| n.cluster() == cluster && n.role() != Role::Removed)
+            .map(Node::id)
     }
 
     /// Read access to a node.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node<KvMachine, SimStore>> {
-        self.nodes.get(&id).map(|sn| &sn.node)
+        match self.nodes.get(&id)? {
+            Place::Up(home) => self.shards.get(home)?.node(id),
+            Place::Down(node) => Some(node),
+        }
     }
 
     /// Whether the node is currently up.
     #[must_use]
     pub fn is_up(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).is_some_and(|sn| sn.up)
+        matches!(self.nodes.get(&id), Some(Place::Up(_)))
     }
 
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = &Node<KvMachine, SimStore>> {
-        self.nodes.values().map(|sn| &sn.node)
+        self.nodes.keys().filter_map(|id| self.node(*id))
+    }
+
+    /// The running nodes, by id.
+    fn up_nodes(&self) -> impl Iterator<Item = &Node<KvMachine, SimStore>> {
+        self.nodes().filter(|node| self.is_up(node.id()))
     }
 
     /// The ids of every node currently part of `cluster`.
     #[must_use]
     pub fn members_of(&self, cluster: ClusterId) -> Vec<NodeId> {
-        self.nodes
-            .values()
-            .filter(|sn| sn.node.cluster() == cluster && sn.node.role() != Role::Removed)
-            .map(|sn| sn.node.id())
+        self.nodes()
+            .filter(|n| n.cluster() == cluster && n.role() != Role::Removed)
+            .map(Node::id)
             .collect()
     }
 
@@ -1113,6 +1124,12 @@ impl Sim {
     #[must_use]
     pub fn trace(&self) -> &[(u64, NodeId, NodeEvent)] {
         &self.trace
+    }
+
+    /// The client operations that ended, answered or given up, in order.
+    #[must_use]
+    pub fn history(&self) -> &[Op] {
+        &self.history
     }
 
     /// Time of the first trace event matching `pred`, if any.
@@ -1183,31 +1200,9 @@ impl Sim {
     /// far. (They are also asserted online while running; this pass
     /// re-derives both maps from the trace.)
     pub fn check_invariants(&self) {
-        let mut applied: HashMap<(ClusterId, u64), u64> = HashMap::new();
-        let mut leaders: HashMap<(ClusterId, EpochTerm), NodeId> = HashMap::new();
+        let mut safety = Safety::default();
         for (_, node, ev) in &self.trace {
-            match ev {
-                // Theorem 1: no two nodes apply different entries at the
-                // same (cluster, index). Replays after restart re-apply the
-                // same digests, which the equality admits.
-                NodeEvent::AppliedCommand {
-                    cluster,
-                    index,
-                    digest,
-                } => {
-                    if let Some(prev) = applied.insert((*cluster, index.0), *digest) {
-                        assert_eq!(prev, *digest, "state machine safety at {cluster}/{index}");
-                    }
-                }
-                // Definition 2: at most one leader per (cluster, epoch,
-                // term).
-                NodeEvent::BecameLeader { cluster, eterm } => {
-                    if let Some(prev) = leaders.insert((*cluster, *eterm), *node) {
-                        assert_eq!(prev, *node, "election safety at {cluster}/{eterm}");
-                    }
-                }
-                _ => {}
-            }
+            safety.check(*node, ev);
         }
     }
 
@@ -1321,6 +1316,7 @@ impl Drop for Sim {
     fn drop(&mut self) {
         // Nodes hold open WAL handles into the data root; close them first.
         self.nodes.clear();
+        self.shards.clear();
         if let Some(root) = &self.data_root {
             let _ = std::fs::remove_dir_all(root);
         }

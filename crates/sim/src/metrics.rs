@@ -14,6 +14,9 @@ pub struct Metrics {
     pub bytes_delivered: u64,
     /// Messages dropped by the fault model.
     pub messages_dropped: u64,
+    /// Messages between co-hosted seats stepped in the round that produced
+    /// them (see [`crate::Sim::co_host`]), not counted as delivered.
+    pub local_deliveries: u64,
     /// Histogram of entries per non-empty AppendEntries batch: how well the
     /// leader coalesces its backlog. Keyed by exact batch size.
     pub append_batch_sizes: BTreeMap<usize, u64>,

@@ -124,3 +124,50 @@ fn partition_blocks_minority_progress() {
     assert_eq!(sim.node(leader).unwrap().commit_index(), old_commit);
     sim.check_invariants();
 }
+
+/// Seats placed together run the runtime's in-round passes: a leader and a
+/// follower sharing a shard step each other's appends and acks in the round
+/// that produced them. Mid-run the follower migrates to the other
+/// follower's shard (leaving at its barrier), the leader crashes and comes
+/// back, and the new leader's traffic to its shard-mate is stepped
+/// in-round too — with every history linearizable and every write applied
+/// once.
+#[test]
+fn co_hosted_seats_step_each_other_in_round_across_a_migration() {
+    for seed in 1..=5 {
+        let mut sim = Sim::new(SimConfig::with_seed(0xC0_0000 + seed));
+        let cluster = ClusterId(1);
+        sim.boot_cluster(cluster, &ids(&[1, 2, 3]), RangeSet::full());
+        assert!(sim.co_host(NodeId(2), NodeId(1)));
+        sim.run_until_leader(cluster);
+        let workload = Workload {
+            key_count: 200,
+            dup_prob: 0.1,
+            ..Workload::default()
+        };
+        sim.add_clients(4, workload);
+        sim.run_for(2 * SEC);
+        let before = sim.metrics().local_deliveries;
+        assert!(
+            before > 0,
+            "seed {seed}: the leader's shard-mate stepped nothing in-round"
+        );
+
+        assert!(sim.co_host(NodeId(2), NodeId(3)), "seed {seed}: migrate");
+        let old = sim.leader_of(cluster).expect("a leader");
+        sim.schedule_action(sim.time(), Action::Crash(old));
+        sim.run_until_pred(10 * SEC, |s| s.leader_of(cluster).is_some_and(|l| l != old));
+        sim.schedule_action(sim.time() + SEC, Action::Restart(old));
+        sim.run_for(3 * SEC);
+        assert!(
+            sim.metrics().local_deliveries > before,
+            "seed {seed}: nothing stepped in-round after the migration"
+        );
+        sim.schedule_action(sim.time(), Action::StopClients);
+        sim.run_for(2 * SEC);
+        assert!(sim.completed_ops() > 500, "seed {seed}: traffic flowed");
+        sim.check_invariants();
+        sim.check_linearizability();
+        sim.assert_exactly_once();
+    }
+}
