@@ -81,7 +81,7 @@ use bytes::{Buf, BytesMut};
 use recraft_core::{Flushed, Role, Shard};
 use recraft_kv::KvMachine;
 use recraft_net::frame::put_frame;
-use recraft_net::mux::{put_batch, MuxReader};
+use recraft_net::mux::{put_batch_prefix, MuxReader};
 use recraft_net::poll::{
     self, Poller, Readiness, WakeReceiver, Waker, INTEREST_READ, INTEREST_WRITE,
 };
@@ -949,26 +949,44 @@ impl Worker {
     /// encoded into the worker's one wire buffer, downing the connection on
     /// failure.
     fn write_out(&self, out: &mut OutConn, envs: Vec<Envelope>, now: u64, buf: &mut BytesMut) {
-        let mut failed = false;
-        if let OutState::Ready(s) = &mut out.state {
-            for chunk in envs.chunks(MUX_BATCH) {
-                buf.clear();
-                if put_batch(buf, chunk).is_err() || s.write_all(buf).is_err() {
-                    failed = true;
-                    break;
-                }
-                self.shared.batches.fetch_add(1, Ordering::Relaxed);
-                self.shared
-                    .batched_envelopes
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            }
-        }
-        if failed {
+        let OutState::Ready(s) = &mut out.state else {
+            return;
+        };
+        let written = write_batches(s, &envs, buf, |n| {
+            self.shared.batches.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .batched_envelopes
+                .fetch_add(n as u64, Ordering::Relaxed);
+        });
+        if written.is_err() {
             out.state = OutState::Down;
             out.down_until = now + RECONNECT_BACKOFF_US;
             out.queued.clear();
         }
     }
+}
+
+/// Writes `envs` to `w` as mux batches of at most [`MUX_BATCH`] envelopes,
+/// each cut before its encoding would pass the frame cap, and reports each
+/// batch's count to `written`. An envelope past the cap on its own is
+/// dropped: no reader would take it, and writing it would down the pair
+/// connection and drop every co-hosted seat's traffic with it.
+fn write_batches(
+    w: &mut impl Write,
+    mut envs: &[Envelope],
+    buf: &mut BytesMut,
+    mut written: impl FnMut(usize),
+) -> std::io::Result<()> {
+    while !envs.is_empty() {
+        buf.clear();
+        let n = put_batch_prefix(buf, &envs[..envs.len().min(MUX_BATCH)]);
+        if n > 0 {
+            w.write_all(buf)?;
+            written(n);
+        }
+        envs = &envs[n.max(1)..];
+    }
+    Ok(())
 }
 
 /// Accepts every pending connection on a nonblocking listener.
@@ -1091,5 +1109,89 @@ fn publish(flushed: &Flushed, node: &HarnessNode, door: &Door, signal: &SeatSign
     status.steps.fetch_add(flushed.steps, Ordering::Relaxed);
     if flushed.moved {
         signal.notify();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use recraft_net::frame::MAX_FRAME_BYTES;
+    use recraft_net::mux::MUX_MAGIC;
+    use recraft_net::Message;
+    use recraft_storage::SnapshotFrame;
+    use recraft_types::{ClusterId, EpochTerm, LogIndex, RangeSet, TxId};
+
+    /// A socket that keeps each write's `(count, body length)` header.
+    #[derive(Default)]
+    struct Wire(Vec<(u32, usize)>);
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let word = |at: usize| u32::from_be_bytes(buf[at..at + 4].try_into().unwrap());
+            assert_eq!(word(0), MUX_MAGIC, "every write is one whole batch");
+            assert_eq!(word(4) as usize, buf.len() - 8);
+            self.0.push((word(8), buf.len() - 8));
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A merge part of one chunk, as a one-chunk image travels.
+    fn part(to: u64, chunk: Bytes) -> Envelope {
+        let frame = SnapshotFrame {
+            last_index: LogIndex(9),
+            last_eterm: EpochTerm::new(0, 2),
+            cluster: ClusterId(1),
+            ranges: RangeSet::full(),
+            seq: 0,
+            total: 1,
+            chunk,
+            sessions: None,
+        };
+        let msg = Message::FetchSnapshotResp {
+            tx_id: TxId(4),
+            frame: Box::new(frame),
+        };
+        Envelope::new(NodeId(1), NodeId(to), msg)
+    }
+
+    #[test]
+    fn a_round_past_the_frame_cap_is_cut_and_only_an_envelope_past_it_alone_drops() {
+        // Two parts of just over half the cap fit one batch each, not one
+        // together; a part past the cap fits none. The parts share one
+        // allocation, so the test holds one image, not four.
+        let data = Bytes::from(vec![7u8; MAX_FRAME_BYTES + 1]);
+        let half = MAX_FRAME_BYTES / 2 + 1024;
+        let envs = vec![
+            part(2, Bytes::new()),
+            part(3, data.slice(..half)),
+            part(4, data.slice(..half)),
+            part(5, data.clone()),
+            part(6, Bytes::new()),
+        ];
+        let (mut wire, mut buf, mut counted) = (Wire::default(), BytesMut::new(), Vec::new());
+        write_batches(&mut wire, &envs, &mut buf, |n| counted.push(n)).expect("written");
+        let counts: Vec<u32> = wire.0.iter().map(|&(count, _)| count).collect();
+        assert_eq!(
+            counts,
+            [2, 1, 1],
+            "cut by size; only the oversized part dropped"
+        );
+        assert_eq!(counted, [2, 1, 1]);
+        assert!(wire.0.iter().all(|&(_, len)| len <= MAX_FRAME_BYTES));
+    }
+
+    #[test]
+    fn a_round_is_cut_by_count_too() {
+        let envs: Vec<Envelope> = (0..MUX_BATCH as u64 + 3)
+            .map(|i| part(i, Bytes::new()))
+            .collect();
+        let (mut wire, mut buf) = (Wire::default(), BytesMut::new());
+        write_batches(&mut wire, &envs, &mut buf, |_| {}).expect("written");
+        let counts: Vec<u32> = wire.0.iter().map(|&(count, _)| count).collect();
+        assert_eq!(counts, [MUX_BATCH as u32, 3]);
     }
 }

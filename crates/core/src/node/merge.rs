@@ -21,13 +21,22 @@
 //! part, which implies every participant committed the outcome — the
 //! coordinator's "apply last after all acks" is therefore implied by the
 //! data dependency.
+//!
+//! A part travels as the install stream's bounded frames, one
+//! `FetchSnapshotResp` each. The fetcher asks one member of each missing
+//! participant per retry interval, rotating, and keeps one assembly per
+//! participant whose first completed stream is the part. The server side is
+//! bounded: a node keeps only its latest transaction's part (a reboot loses
+//! it anyway), and parks a fetch that arrives before its part exists only
+//! while it has prepared that transaction; anything else goes unanswered
+//! and the fetcher's retry covers it.
 
 use super::{DriverStage, Exchange, MergeDriver, Node, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
 use bytes::Bytes;
 use recraft_net::Message;
-use recraft_storage::{LogEntry, LogStore, Snapshot};
+use recraft_storage::{LogEntry, LogStore, Snapshot, SnapshotFrame};
 use recraft_types::{
     ClusterConfig, ClusterId, ConfigChange, EpochTerm, LogIndex, MergeDecision, MergeOutcome,
     MergeTx, NodeId, RangeSet, TxId,
@@ -579,29 +588,20 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // inherits every participant's exactly-once accounting.
             sessions: self.sessions.clone(),
         };
-        self.merge_parts.insert(tx.id, part.clone());
         // Serve peers whose fetch arrived before our part existed: they are
         // blocked in their own exchange until every part is in, so push
         // rather than leaving them to their retry timer.
-        if let Some(waiters) = self.pending_fetches.remove(&tx.id) {
-            for waiter in waiters {
-                self.send(
-                    waiter,
-                    Message::FetchSnapshotResp {
-                        tx_id: tx.id,
-                        part: Some(Box::new(part.clone())),
-                    },
-                );
-            }
+        for waiter in self.pending_fetches.remove(&tx.id).unwrap_or_default() {
+            self.stream_part(waiter, tx.id, part.frames());
         }
-        let mut parts = BTreeMap::new();
-        parts.insert(self.cluster, part);
+        self.merge_part = Some((tx.id, part.clone()));
         self.exchange = Some(Exchange {
             tx,
             outcome,
             ranges,
             new_epoch,
-            parts,
+            parts: BTreeMap::from([(self.cluster, part)]),
+            streams: BTreeMap::new(),
             cursors: BTreeMap::new(),
             next_retry: now,
         });
@@ -646,34 +646,56 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         }
     }
 
-    /// Serves a peer subcluster's snapshot request. When our part does not
-    /// exist yet (the outcome has not committed here), remember the requester
-    /// and push the part the moment it is produced.
+    /// Serves a peer subcluster's snapshot request: our part, as its stream
+    /// of frames. When the part does not exist yet (the outcome has not
+    /// committed here) but we prepared the transaction, remember the
+    /// requester and push the part the moment it is produced. Any other
+    /// request — an unknown transaction, an aborted one, one whose part a
+    /// later merge replaced — goes unanswered, and the fetcher's retry
+    /// covers it.
     pub(crate) fn handle_fetch_snapshot_req(&mut self, from: NodeId, tx_id: TxId) {
-        let part = self.merge_parts.get(&tx_id).cloned().map(Box::new);
-        if part.is_none() {
-            self.pending_fetches.entry(tx_id).or_default().insert(from);
+        match &self.merge_part {
+            Some((id, part)) if *id == tx_id => self.stream_part(from, tx_id, part.frames()),
+            _ if self.find_prepare(tx_id).is_some() => {
+                self.pending_fetches.entry(tx_id).or_default().insert(from);
+            }
+            _ => {}
         }
-        self.send(from, Message::FetchSnapshotResp { tx_id, part });
     }
 
-    /// A peer subcluster's snapshot part arrived.
+    fn stream_part(&mut self, to: NodeId, tx_id: TxId, frames: Vec<SnapshotFrame>) {
+        for frame in frames {
+            let frame = Box::new(frame);
+            self.send(to, Message::FetchSnapshotResp { tx_id, frame });
+        }
+    }
+
+    /// One frame of a peer subcluster's part arrived. It feeds that
+    /// participant's assembly, and the first of its senders' streams to
+    /// complete is the part.
     pub(crate) fn handle_fetch_snapshot_resp(
         &mut self,
         now: u64,
+        from: NodeId,
         tx_id: TxId,
-        part: Option<Snapshot>,
+        frame: SnapshotFrame,
     ) {
         let Some(ex) = &mut self.exchange else {
             return;
         };
-        if ex.tx.id != tx_id {
+        let cluster = frame.cluster;
+        if ex.tx.id != tx_id
+            || ex.parts.contains_key(&cluster)
+            || ex.tx.participant(cluster).is_none()
+        {
             return;
         }
-        if let Some(part) = part {
-            ex.parts.insert(part.cluster, part);
+        let stream = ex.streams.entry(cluster).or_default();
+        if let Some((part, ())) = stream.offer(from, frame, ()) {
+            ex.streams.remove(&cluster);
+            ex.parts.insert(cluster, part);
+            self.try_finish_exchange(now);
         }
-        self.try_finish_exchange(now);
     }
 
     /// Resumes as the merged cluster once every participant's part is here.
@@ -705,7 +727,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.reject_pending_to_successor();
         if !members.contains(&self.id) {
             // Left out by the resumption resize: retire (still serving our
-            // part to stragglers through merge_parts).
+            // part to stragglers through merge_part).
             self.role = Role::Removed;
             self.emit(NodeEvent::Removed {
                 cluster: old_cluster,

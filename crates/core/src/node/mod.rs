@@ -29,7 +29,9 @@ use crate::timing::Timing;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use recraft_net::{Envelope, Message};
-use recraft_storage::{EntryPayload, HardState, LogEntry, LogStore, MemLog, NodeMeta, Snapshot};
+use recraft_storage::{
+    Assembler, EntryPayload, HardState, LogEntry, LogStore, MemLog, NodeMeta, Snapshot,
+};
 use recraft_types::{
     ClientOutcome, ClientResponse, ClusterConfig, ClusterId, ConfigChange, EpochTerm, Error,
     LogIndex, MergeOutcome, MergeTx, NodeId, RangeSet, SessionCheck, SessionId, SessionTable, TxId,
@@ -266,40 +268,6 @@ pub(crate) struct PullState {
     pub(crate) next_retry: u64,
 }
 
-/// A chunked snapshot install being assembled on a follower. Volatile by
-/// design: a crash mid-stream drops the partial image wholesale and the
-/// leader re-streams from scratch — a partial snapshot is never installed
-/// and never persisted.
-#[derive(Debug, Clone)]
-pub(crate) struct PendingInstall {
-    /// Who is streaming (a new sender restarts assembly).
-    pub(crate) from: NodeId,
-    /// Stream identity: the snapshot's tail position.
-    pub(crate) last_index: LogIndex,
-    pub(crate) last_eterm: EpochTerm,
-    /// Stream identity: the producing cluster and frame count.
-    pub(crate) cluster: ClusterId,
-    pub(crate) total: u32,
-    /// The configuration at the snapshot point (rides every frame).
-    pub(crate) config: ClusterConfig,
-    pub(crate) ranges: RangeSet,
-    /// The session table from the stream's first frame.
-    pub(crate) sessions: Option<SessionTable>,
-    /// Collected chunks by sequence number.
-    pub(crate) chunks: BTreeMap<u32, bytes::Bytes>,
-}
-
-impl PendingInstall {
-    /// Whether `frame` belongs to this assembly.
-    fn matches(&self, from: NodeId, frame: &recraft_storage::SnapshotFrame) -> bool {
-        self.from == from
-            && self.last_index == frame.last_index
-            && self.last_eterm == frame.last_eterm
-            && self.cluster == frame.cluster
-            && self.total == frame.total
-    }
-}
-
 /// Snapshot-exchange state after a merge outcome commits (§III-C2).
 #[derive(Debug, Clone)]
 pub(crate) struct Exchange {
@@ -309,6 +277,8 @@ pub(crate) struct Exchange {
     pub(crate) new_epoch: u32,
     /// Collected snapshot parts, keyed by source cluster.
     pub(crate) parts: BTreeMap<ClusterId, Snapshot>,
+    /// One assembly per participant whose part is still on its way.
+    pub(crate) streams: BTreeMap<ClusterId, Assembler<()>>,
     /// Per-peer-cluster rotation cursor for fetch retries.
     pub(crate) cursors: BTreeMap<ClusterId, usize>,
     pub(crate) next_retry: u64,
@@ -389,17 +359,19 @@ pub struct Node<SM, LS = MemLog> {
     /// that formed since then trigger exactly one follow-up round.
     pub(crate) last_probe_serial: u64,
     pub(crate) pull: Option<PullState>,
-    /// A chunked snapshot install mid-assembly (follower side). Volatile:
-    /// crashes and restarts drop it, forcing a re-stream from scratch.
-    pub(crate) pending_install: Option<PendingInstall>,
+    /// Snapshot streams mid-assembly — installs and pulled images, tagged
+    /// with the configuration they adopt. Volatile: crashes and restarts
+    /// drop them, forcing a re-stream from scratch.
+    pub(crate) installs: Assembler<ClusterConfig>,
     pub(crate) exchange: Option<Exchange>,
     pub(crate) driver: Option<MergeDriver>,
     /// Pending 2PC replies: once the entry at the index commits, answer the
     /// requester.
     pub(crate) pending_2pc: HashMap<TxId, NodeId>,
-    /// Snapshot parts retained for peers still exchanging (also after this
-    /// node resumed or retired).
-    pub(crate) merge_parts: HashMap<TxId, Snapshot>,
+    /// The latest merge transaction's snapshot part, retained for peers
+    /// still exchanging (also after this node resumed or retired). A reboot
+    /// loses it, so no straggler can depend on an older one.
+    pub(crate) merge_part: Option<(TxId, Snapshot)>,
     /// Peers whose snapshot fetch arrived before our part existed; answered
     /// as soon as the part is produced.
     pub(crate) pending_fetches: HashMap<TxId, BTreeSet<NodeId>>,
@@ -715,11 +687,11 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             read_serial: 0,
             last_probe_serial: 0,
             pull: None,
-            pending_install: None,
+            installs: Assembler::default(),
             exchange: None,
             driver: None,
             pending_2pc: HashMap::new(),
-            merge_parts: HashMap::new(),
+            merge_part: None,
             pending_fetches: HashMap::new(),
             timing,
             rng,
@@ -1214,7 +1186,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 epoch,
                 entries,
                 commit_index,
-                snapshot,
+                frame,
                 snapshot_config,
             } => self.handle_pull_resp(
                 now,
@@ -1222,8 +1194,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 epoch,
                 entries,
                 commit_index,
-                snapshot,
-                snapshot_config,
+                frame.map(|f| *f).zip(snapshot_config),
             ),
             Message::InstallSnapshot {
                 eterm,
@@ -1252,8 +1223,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 self.handle_merge_redirect(now, tx_id, leader);
             }
             Message::FetchSnapshotReq { tx_id } => self.handle_fetch_snapshot_req(from, tx_id),
-            Message::FetchSnapshotResp { tx_id, part } => {
-                self.handle_fetch_snapshot_resp(now, tx_id, part.map(|b| *b));
+            Message::FetchSnapshotResp { tx_id, frame } => {
+                self.handle_fetch_snapshot_resp(now, from, tx_id, *frame);
             }
             Message::ClientReq { req } => {
                 self.handle_client_req(now, from, req);
@@ -1467,13 +1438,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // A snapshot stream mid-assembly whose tail the commit just passed
         // can never usefully install (the handler would reject it as
         // "nothing newer"); free the buffered chunks now.
-        if self
-            .pending_install
-            .as_ref()
-            .is_some_and(|p| p.last_index <= self.commit_index && p.cluster == self.cluster)
-        {
-            self.pending_install = None;
-        }
+        let cluster = self.cluster;
+        self.installs
+            .forget(|p| p.last_index <= index && p.cluster == cluster);
         if !self.committed_in_term {
             // Precondition P3 bookkeeping: did an entry of our own epoch-term
             // just commit?

@@ -8,6 +8,16 @@
 //! outdated ("The puller can contact different nodes for the latest data or
 //! wait for the outdated node to be updated").
 //!
+//! A source that compacted past the puller's commit index answers with its
+//! snapshot as the install stream's bounded frames, one `PullResp` per
+//! frame with the capped entries on the last. The puller feeds them to the
+//! same assembler an install stream uses, keyed by source, so the sources
+//! its retry rotates through never restart one another's streams; the
+//! whole image installs if it is newer than the puller's commit index and
+//! its configuration lists the puller. A pull keeps its own message: an
+//! install adopts the sender's term and names it leader, a pull does
+//! neither.
+//!
 //! A node refuses a puller its reconfiguration history records as having
 //! left, and a split record lists only the recording node's *own*
 //! subcluster as staying (`members_after`). So recovery needs one member of
@@ -23,7 +33,7 @@ use super::{Node, PullState, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
 use recraft_net::Message;
-use recraft_storage::{LogEntry, LogStore, Snapshot};
+use recraft_storage::{LogEntry, LogStore, SnapshotFrame};
 use recraft_types::{ClusterConfig, LogIndex, NodeId};
 
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
@@ -65,9 +75,11 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     /// Serves a pull request: committed entries after the puller's commit
     /// index, or our snapshot when the log no longer retains that far back.
-    /// One response carries at most `max_batch_bytes` of entries, like an
-    /// append — an uncompacted log must not go out as one frame the reader
-    /// refuses — and the puller asks again while it is behind.
+    /// The snapshot goes out as its stream of frames, one response each, so
+    /// no response holds more than one chunk of the image; the entries ride
+    /// the last. They are capped at `max_batch_bytes`, like an append — an
+    /// uncompacted log must not go out as one frame the reader refuses — and
+    /// the puller asks again while it is behind.
     pub(crate) fn handle_pull_req(&mut self, from: NodeId, their_commit: LogIndex) {
         let removed = self
             .history
@@ -83,8 +95,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 .iter()
                 .any(|r| r.members_before.contains(&from));
         let mut entries: Vec<LogEntry> = Vec::new();
-        let mut snapshot: Option<Box<Snapshot>> = None;
-        let mut snapshot_config: Option<ClusterConfig> = None;
+        let mut frames = Vec::new();
         if removed || !lineage {
             // §V: the reconfiguration history tells the puller it is no
             // longer a member anywhere (or it was never one of ours).
@@ -95,29 +106,36 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         } else if self.snap_config.contains(from) {
             // The puller is behind our compaction point but belongs to our
             // configuration: a snapshot restores it.
-            snapshot = Some(Box::new(self.snapshot.clone()));
-            snapshot_config = Some(self.snap_config.clone());
+            frames = self.snapshot.frames();
             entries = self.log.slice(self.log.first_index(), self.commit_index);
         }
         cap_batch_bytes(&mut entries, self.timing.pipeline.max_batch_bytes);
-        self.send(
-            from,
-            Message::PullResp {
-                epoch: self.hard.eterm.epoch(),
-                entries,
-                commit_index: if removed {
-                    LogIndex::ZERO
-                } else {
-                    self.commit_index
-                },
-                snapshot,
-                snapshot_config,
-            },
-        );
+        let epoch = self.hard.eterm.epoch();
+        let commit_index = if removed {
+            LogIndex::ZERO
+        } else {
+            self.commit_index
+        };
+        let snapshot_config = (!frames.is_empty()).then(|| self.snap_config.clone());
+        let resp = |entries, frame: Option<SnapshotFrame>| Message::PullResp {
+            epoch,
+            entries,
+            commit_index,
+            frame: frame.map(Box::new),
+            snapshot_config: snapshot_config.clone(),
+        };
+        let last = frames.pop();
+        for frame in frames {
+            self.send(from, resp(Vec::new(), Some(frame)));
+        }
+        self.send(from, resp(entries, last));
     }
 
-    /// Integrates pulled committed entries (and possibly a snapshot).
-    #[allow(clippy::too_many_arguments)]
+    /// Integrates pulled committed entries, and one frame of a pulled
+    /// snapshot with the configuration at it. The frame feeds the install
+    /// assembler; the image installs once its stream is whole, under the
+    /// same conditions a whole pulled image always did: it is newer than our
+    /// commit index and its configuration lists us.
     pub(crate) fn handle_pull_resp(
         &mut self,
         now: u64,
@@ -125,15 +143,18 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         epoch: u32,
         entries: Vec<LogEntry>,
         commit_index: LogIndex,
-        snapshot: Option<Box<Snapshot>>,
-        snapshot_config: Option<ClusterConfig>,
+        frame: Option<(SnapshotFrame, ClusterConfig)>,
     ) {
         if self.role == Role::Leader || self.role == Role::Removed {
             return;
         }
-        if let (Some(snap), Some(config)) = (snapshot, snapshot_config) {
+        // A frame of an image no newer than our commit is not assembled.
+        if let Some((frame, config)) = frame.filter(|(f, _)| f.last_index > self.commit_index) {
+            let Some((snap, config)) = self.installs.offer(from, frame, config) else {
+                return; // the rest of the stream is on its way
+            };
             if snap.last_index > self.commit_index && config.contains(self.id) {
-                self.install_snapshot_state(*snap, config);
+                self.install_snapshot_state(snap, config);
                 self.emit(NodeEvent::SnapshotInstalled {
                     from,
                     index: self.log.base_index(),

@@ -564,14 +564,13 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         }
     }
 
-    /// One frame of a chunked snapshot stream arrived. Frames are assembled
-    /// in the volatile [`PendingInstall`](super::PendingInstall) buffer and
-    /// the snapshot installs atomically once every chunk is in — a follower
-    /// that crashes mid-stream (or sees the stream identity change under a
-    /// new leader) drops the partial image and re-assembles from scratch, so
-    /// a partial snapshot is never installed. Adopting the configuration at
-    /// the snapshot point is also how merge stragglers from other
-    /// subclusters are restored, §III-C2.
+    /// One frame of a chunked snapshot stream arrived. Frames feed the
+    /// node's [`Assembler`](recraft_storage::Assembler), and the snapshot
+    /// installs atomically once its stream is whole — a follower that
+    /// crashes mid-stream drops the partial image and re-assembles from
+    /// scratch, so a partial snapshot is never installed. Adopting the
+    /// configuration at the snapshot point is also how merge stragglers
+    /// from other subclusters are restored, §III-C2.
     pub(crate) fn handle_install_snapshot_frame(
         &mut self,
         now: u64,
@@ -580,103 +579,36 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         frame: recraft_storage::SnapshotFrame,
         config: ClusterConfig,
     ) {
-        if !self.bootstrapped && self.join_target.is_some_and(|target| target != config.id()) {
+        // Foreign cluster: only a descendant generation (strictly higher
+        // epoch) may install its world over ours — the split/merge straggler
+        // rescue. Anything else is a sibling or stale cluster.
+        let foreign = self.bootstrapped && config.id() != self.cluster;
+        if (!self.bootstrapped && self.join_target.is_some_and(|target| target != config.id()))
+            || (foreign && eterm.epoch() <= self.cluster_epoch)
+        {
             return;
         }
-        if self.bootstrapped && config.id() != self.cluster {
-            // Foreign cluster: only a descendant generation (strictly higher
-            // epoch) may install its world over ours — the split/merge
-            // straggler rescue. Anything else is a sibling or stale cluster.
-            if eterm.epoch() <= self.cluster_epoch {
-                return;
-            }
-        } else if eterm < self.hard.eterm {
-            self.send(
-                from,
-                Message::InstallSnapshotResp {
-                    eterm: self.hard.eterm,
-                    last_index: self.log.last_index(),
-                },
-            );
-            return;
-        }
-        self.become_follower(now, eterm, Some(from));
-        // A half-assembled stream whose tail the log has meanwhile caught
-        // up to (ordinary replication overtook the install) is dead weight:
-        // drop the buffered chunks rather than holding them until the next
-        // install or restart.
-        if self
-            .pending_install
-            .as_ref()
-            .is_some_and(|p| p.last_index <= self.commit_index && p.cluster == self.cluster)
-            && self.cfg.base().id() == self.cluster
-        {
-            self.pending_install = None;
-        }
-        if frame.last_index <= self.commit_index
-            && frame.cluster == self.cluster
-            && self.cfg.base().id() == self.cluster
-        {
+        // Our own cluster's stream at a stale term is only acknowledged.
+        if foreign || eterm >= self.hard.eterm {
+            self.become_follower(now, eterm, Some(from));
             // Nothing newer here — unless we are a joiner still on the
             // placeholder configuration, for which even an index-0 snapshot
             // is news: it carries the cluster's base configuration, which no
             // log entry ever does.
-            self.send(
-                from,
-                Message::InstallSnapshotResp {
-                    eterm: self.hard.eterm,
-                    last_index: self.log.last_index(),
-                },
-            );
-            return;
+            let stale = frame.last_index <= self.commit_index
+                && frame.cluster == self.cluster
+                && self.cfg.base().id() == self.cluster;
+            if !stale {
+                let Some((snapshot, config)) = self.installs.offer(from, frame, config) else {
+                    return; // keep assembling
+                };
+                self.install_snapshot_state(snapshot, config);
+                self.emit(NodeEvent::SnapshotInstalled {
+                    from,
+                    index: self.log.base_index(),
+                });
+            }
         }
-        if frame.seq >= frame.total {
-            return; // malformed frame: can never complete a stream
-        }
-        // A frame from a different stream identity (new sender after a
-        // leader change, or the sender compacted to a newer snapshot)
-        // restarts assembly from scratch: chunks of two snapshots never mix.
-        let fresh = match &self.pending_install {
-            Some(p) => !p.matches(from, &frame),
-            None => true,
-        };
-        if fresh {
-            self.pending_install = Some(super::PendingInstall {
-                from,
-                last_index: frame.last_index,
-                last_eterm: frame.last_eterm,
-                cluster: frame.cluster,
-                total: frame.total,
-                config,
-                ranges: frame.ranges.clone(),
-                sessions: None,
-                chunks: std::collections::BTreeMap::new(),
-            });
-        }
-        let pending = self.pending_install.as_mut().expect("ensured above");
-        if let Some(sessions) = frame.sessions {
-            // The session table rides the stream's first frame only.
-            pending.sessions = Some(sessions);
-        }
-        pending.chunks.insert(frame.seq, frame.chunk);
-        if pending.chunks.len() < pending.total as usize {
-            return; // keep assembling; duplicates were absorbed by the map
-        }
-        // Every chunk of the stream is in: install atomically.
-        let pending = self.pending_install.take().expect("complete");
-        let snapshot = Snapshot {
-            last_index: pending.last_index,
-            last_eterm: pending.last_eterm,
-            cluster: pending.cluster,
-            ranges: pending.ranges,
-            chunks: pending.chunks.into_values().collect(),
-            sessions: pending.sessions.unwrap_or_default(),
-        };
-        self.install_snapshot_state(snapshot, pending.config);
-        self.emit(NodeEvent::SnapshotInstalled {
-            from,
-            index: self.log.base_index(),
-        });
         self.send(
             from,
             Message::InstallSnapshotResp {
@@ -719,10 +651,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.pending_reads.clear();
         self.sessions = snapshot.sessions.clone();
         // A pending exchange is superseded: the snapshot describes the world
-        // after the reconfiguration. So is any half-assembled install stream.
+        // after the reconfiguration. (The assembler that completed it dropped
+        // every other stream.)
         self.exchange = None;
         self.pull = None;
-        self.pending_install = None;
         self.snapshot = snapshot;
         self.snap_config = config;
     }

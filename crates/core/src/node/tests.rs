@@ -8,7 +8,9 @@ use super::*;
 use crate::sm::MapMachine;
 use bytes::Bytes;
 use recraft_net::AdminCmd;
-use recraft_types::{ClientOp, ClientRequest, MergeParticipant, SplitSpec, TxId, SESSION_WINDOW};
+use recraft_types::{
+    ClientOp, ClientRequest, KeyRange, MergeParticipant, SplitSpec, TxId, SESSION_WINDOW,
+};
 use std::collections::VecDeque;
 
 const CLIENT: NodeId = NodeId(1000);
@@ -1837,6 +1839,248 @@ fn proposals_rejected_while_merge_outcome_pending() {
     net.assert_state_machine_safety();
 }
 
+// ---- The exchange's server-side state ---------------------------------------
+
+/// A merge of `node`'s cluster, which `node` alone makes up and
+/// coordinates, with the peer cluster `peer` (its id and members); the
+/// merged cluster `new_cluster` resumes with `node` alone.
+fn lone_merge_tx<SM: StateMachine>(
+    id: u64,
+    node: &Node<SM>,
+    peer: (recraft_types::ClusterId, &[u64]),
+    new_cluster: u64,
+) -> MergeTx {
+    MergeTx {
+        id: TxId(id),
+        coordinator: node.cluster(),
+        participants: vec![
+            MergeParticipant {
+                cluster: node.cluster(),
+                members: BTreeSet::from([node.id()]),
+            },
+            MergeParticipant {
+                cluster: peer.0,
+                members: peer.1.iter().map(|&n| NodeId(n)).collect(),
+            },
+        ],
+        new_cluster: recraft_types::ClusterId(new_cluster),
+        resume_members: Some(BTreeSet::from([node.id()])),
+    }
+}
+
+/// Has the lone leader `node` coordinate `tx`, the peer's first member
+/// answering the prepare by hand with `decision` for `ranges`: on OK, `node`
+/// is left in the exchange, awaiting the peer's part.
+fn coordinate_merge<SM: StateMachine>(
+    node: &mut Node<SM>,
+    now: u64,
+    tx: MergeTx,
+    ranges: RangeSet,
+    decision: recraft_types::MergeDecision,
+) {
+    let (tx_id, peer) = (tx.id, tx.participants[1].clone());
+    let leader = *peer.members.first().unwrap();
+    let cmd = AdminCmd::Merge(tx);
+    node.step(now, CLIENT, Message::AdminReq { req_id: 1, cmd });
+    let cluster = peer.cluster;
+    let resp = Message::MergePrepareResp {
+        tx_id,
+        cluster,
+        decision,
+        epoch: 0,
+        ranges,
+    };
+    node.step(now + 10, leader, resp);
+    let _ = node.take_outputs();
+}
+
+/// A peer cluster's part: a one-pair image of `ranges` at index 4.
+fn peer_part(cluster: recraft_types::ClusterId, ranges: RangeSet, pair: &'static [u8]) -> Snapshot {
+    let mut sm = MapMachine::default();
+    sm.apply(LogIndex(1), &Bytes::from_static(pair));
+    Snapshot {
+        last_index: LogIndex(4),
+        last_eterm: EpochTerm::new(0, 2),
+        cluster,
+        chunks: sm.snapshot_chunks(&ranges),
+        ranges,
+        sessions: SessionTable::new(),
+    }
+}
+
+/// Streams `part` into `node` as `from`'s answer to its fetch for `tx`.
+fn deliver_part<SM: StateMachine>(
+    node: &mut Node<SM>,
+    now: u64,
+    from: NodeId,
+    tx: TxId,
+    part: &Snapshot,
+) {
+    for frame in part.frames() {
+        let frame = Box::new(frame);
+        node.step(now, from, Message::FetchSnapshotResp { tx_id: tx, frame });
+    }
+}
+
+/// A lone node of cluster 1 serving `[.., "g")`, elected and past P3.
+fn lone_leader() -> (Node<MapMachine>, [RangeSet; 3]) {
+    let (a, rest) = KeyRange::full().split_at(b"g").unwrap();
+    let (b, c) = rest.split_at(b"p").unwrap();
+    let ranges = [a, b, c].map(RangeSet::from);
+    let own = ClusterConfig::new(recraft_types::ClusterId(1), [NodeId(1)], ranges[0].clone());
+    let mut node = Node::new(
+        NodeId(1),
+        own.unwrap(),
+        MapMachine::default(),
+        Timing::default(),
+        7,
+    );
+    node.tick(400_000);
+    assert!(node.is_leader());
+    node.propose_entry(
+        500_000,
+        EntryPayload::Command(Bytes::from_static(b"apple=red")),
+    );
+    let _ = node.take_outputs();
+    (node, ranges)
+}
+
+#[test]
+fn successive_merges_keep_only_the_latest_part() {
+    // A member that resumes keeps its part for stragglers — the latest
+    // transaction's only: a reboot would lose it anyway, so no straggler can
+    // depend on an older one.
+    let (mut node, ranges) = lone_leader();
+    let mut now = 600_000;
+    for (tx, peer, ranges, new_cluster, pair) in [
+        (42, 2, ranges[1].clone(), 20, &b"kiwi=green"[..]),
+        (43, 3, ranges[2].clone(), 30, &b"zebra=striped"[..]),
+    ] {
+        let peer = (recraft_types::ClusterId(peer), &[peer][..]);
+        let tx = lone_merge_tx(tx, &node, peer, new_cluster);
+        let tx_id = tx.id;
+        coordinate_merge(
+            &mut node,
+            now,
+            tx,
+            ranges.clone(),
+            recraft_types::MergeDecision::Ok,
+        );
+        assert!(node.is_exchanging());
+        let part = peer_part(peer.0, ranges, pair);
+        deliver_part(&mut node, now + 20, NodeId(peer.1[0]), tx_id, &part);
+        assert_eq!(
+            node.cluster(),
+            recraft_types::ClusterId(new_cluster),
+            "resumed"
+        );
+        assert_eq!(node.merge_part.as_ref().map(|(id, _)| *id), Some(tx_id));
+        // Lead the merged cluster (it campaigns at once) and satisfy P3.
+        now += 100_000;
+        node.tick(now);
+        assert!(node.is_leader());
+        node.propose_entry(
+            now,
+            EntryPayload::Command(Bytes::from_static(b"fig=purple")),
+        );
+        let _ = node.take_outputs();
+        now += 100_000;
+    }
+    for key in [&b"apple"[..], b"kiwi", b"zebra", b"fig"] {
+        assert!(
+            node.state_machine().get(key).is_some(),
+            "merged state holds {key:?}"
+        );
+    }
+    // The first transaction's part is gone: a fetch for it goes unanswered.
+    node.step(
+        now,
+        NodeId(2),
+        Message::FetchSnapshotReq { tx_id: TxId(42) },
+    );
+    let (out, _) = node.take_outputs();
+    assert!(out.is_empty(), "{out:?}");
+}
+
+#[test]
+fn fetches_for_unknown_or_aborted_transactions_are_not_parked() {
+    let (mut node, ranges) = lone_leader();
+    // No transaction 99 was ever prepared here.
+    node.step(
+        600_000,
+        NodeId(2),
+        Message::FetchSnapshotReq { tx_id: TxId(99) },
+    );
+    assert!(node.pending_fetches.is_empty());
+    // Transaction 42 aborts: the peer votes NO.
+    let tx = lone_merge_tx(42, &node, (recraft_types::ClusterId(2), &[2]), 20);
+    coordinate_merge(
+        &mut node,
+        600_000,
+        tx,
+        ranges[1].clone(),
+        recraft_types::MergeDecision::No,
+    );
+    assert!(!node.is_exchanging());
+    assert!(
+        node.history.iter().any(|r| r.kind == "merge-abort"),
+        "the abort committed"
+    );
+    node.step(
+        700_000,
+        NodeId(2),
+        Message::FetchSnapshotReq { tx_id: TxId(42) },
+    );
+    assert!(node.pending_fetches.is_empty());
+    let (out, _) = node.take_outputs();
+    assert!(
+        out.is_empty(),
+        "nothing answers a fetch for an aborted merge: {out:?}"
+    );
+}
+
+#[test]
+fn a_fetch_for_a_prepared_transaction_is_parked_and_answered_with_the_part() {
+    // Cluster 2 (node 2) prepares transaction 42 as a participant; a fetch
+    // from the coordinator's side arrives before the outcome commits here.
+    let (mut node, ranges) = lone_leader();
+    let coordinator = MergeTx {
+        coordinator: recraft_types::ClusterId(9),
+        ..lone_merge_tx(42, &node, (recraft_types::ClusterId(9), &[9]), 20)
+    };
+    node.step(
+        600_000,
+        NodeId(9),
+        Message::MergePrepareReq {
+            tx: coordinator.clone(),
+        },
+    );
+    let _ = node.take_outputs();
+    node.step(
+        600_010,
+        NodeId(9),
+        Message::FetchSnapshotReq { tx_id: TxId(42) },
+    );
+    assert_eq!(node.pending_fetches[&TxId(42)], BTreeSet::from([NodeId(9)]));
+    assert!(
+        node.take_outputs().0.is_empty(),
+        "no answer until the part exists"
+    );
+    let outcome = MergeOutcome::Commit {
+        tx: coordinator,
+        ranges: ranges[0].union(&ranges[1]).unwrap(),
+        new_epoch: 1,
+    };
+    node.step(600_020, NodeId(9), Message::MergeCommitReq { outcome });
+    let (out, _) = node.take_outputs();
+    let frames = out
+        .iter()
+        .filter(|e| e.to == NodeId(9) && matches!(e.msg, Message::FetchSnapshotResp { .. }))
+        .count();
+    assert_eq!(frames, 1, "the parked fetch is pushed the one-chunk part");
+    assert!(node.pending_fetches.is_empty());
+}
+
 // ---- Durable backend (WalLog) through the protocol core --------------------
 
 mod wal_backed {
@@ -2506,14 +2750,16 @@ mod crash_points {
         let reboots = reboot_from_every_crash_in(
             node,
             |node| {
-                node.step(
-                    700_000,
-                    NodeId(2),
-                    Message::FetchSnapshotResp {
-                        tx_id: TxId(42),
-                        part: Some(Box::new(part.clone())),
-                    },
-                );
+                for frame in part.frames() {
+                    node.step(
+                        700_000,
+                        NodeId(2),
+                        Message::FetchSnapshotResp {
+                            tx_id: TxId(42),
+                            frame: Box::new(frame),
+                        },
+                    );
+                }
                 assert_eq!(node.cluster(), ClusterId(20), "resumed");
             },
             |node| {
@@ -3008,5 +3254,313 @@ mod chunked_install {
             caught_up.state_machine().entries.get(b"k00".as_slice()),
             Some(&b"v0".to_vec())
         );
+    }
+
+    /// A ChunkyKv world on instant delivery: every node ticks, then every
+    /// envelope is delivered (and kept) until the network is quiet.
+    struct World {
+        nodes: BTreeMap<NodeId, Node<ChunkyKv>>,
+        now: u64,
+        sent: Vec<Envelope>,
+        events: Vec<(NodeId, NodeEvent)>,
+    }
+
+    impl World {
+        fn new(clusters: &[ClusterConfig]) -> World {
+            let mut nodes = BTreeMap::new();
+            for config in clusters {
+                for &id in config.members() {
+                    let node = Node::new(
+                        id,
+                        config.clone(),
+                        ChunkyKv::default(),
+                        Timing::default(),
+                        id.0,
+                    );
+                    nodes.insert(id, node);
+                }
+            }
+            let (sent, events) = (Vec::new(), Vec::new());
+            World {
+                nodes,
+                now: 0,
+                sent,
+                events,
+            }
+        }
+
+        fn deliver(&mut self) {
+            for _ in 0..200 {
+                let mut queue = Vec::new();
+                for (id, node) in &mut self.nodes {
+                    let (msgs, events) = node.take_outputs();
+                    queue.extend(msgs);
+                    self.events.extend(events.into_iter().map(|ev| (*id, ev)));
+                }
+                if queue.is_empty() {
+                    return;
+                }
+                for env in queue {
+                    self.sent.push(env.clone());
+                    if let Some(node) = self.nodes.get_mut(&env.to) {
+                        node.step(self.now, env.from, env.msg);
+                    }
+                }
+            }
+        }
+
+        fn run_until(&mut self, what: &str, done: impl Fn(&World) -> bool) {
+            for _ in 0..2_000 {
+                if done(self) {
+                    return;
+                }
+                self.now += TICK;
+                for node in self.nodes.values_mut() {
+                    node.tick(self.now);
+                }
+                self.deliver();
+            }
+            panic!("{what}: not reached");
+        }
+
+        fn leader_of(&self, cluster: u64) -> Option<NodeId> {
+            let cluster = recraft_types::ClusterId(cluster);
+            self.nodes
+                .values()
+                .find(|n| n.is_leader() && n.cluster() == cluster)
+                .map(Node::id)
+        }
+
+        fn put(&mut self, cluster: u64, pairs: impl IntoIterator<Item = String>) {
+            let leader = self.leader_of(cluster).expect("a leader");
+            for pair in pairs {
+                let cmd = EntryPayload::Command(bytes::Bytes::from(pair));
+                self.nodes
+                    .get_mut(&leader)
+                    .unwrap()
+                    .propose_entry(self.now, cmd);
+                self.deliver();
+            }
+        }
+
+        /// What crossed the wire of `kind`, with its one frame if it has one.
+        fn frames(&self, kind: &str) -> Vec<Option<&SnapshotFrame>> {
+            fn frame(env: &Envelope) -> Option<&SnapshotFrame> {
+                match &env.msg {
+                    Message::PullResp { frame, .. } => frame.as_deref(),
+                    Message::FetchSnapshotResp { frame, .. } => Some(&**frame),
+                    _ => None,
+                }
+            }
+            self.sent
+                .iter()
+                .filter(|e| e.msg.kind() == kind)
+                .map(frame)
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_merge_exchange_and_a_pull_move_images_one_chunk_per_envelope() {
+        // Merge: cluster 1 = {1, 2, 3} on [.., "m"), cluster 2 = {4, 5} on
+        // ["m", ..); each holds eight pairs, one ChunkyKv chunk per pair.
+        let (lo, hi) = KeyRange::full().split_at(b"m").unwrap();
+        let c1 = ClusterConfig::new(ClusterId(1), [1, 2, 3].map(NodeId), RangeSet::from(lo));
+        let c2 = ClusterConfig::new(ClusterId(2), [4, 5].map(NodeId), RangeSet::from(hi));
+        let mut world = World::new(&[c1.unwrap(), c2.unwrap()]);
+        world.run_until("two leaders", |w| {
+            w.leader_of(1).is_some() && w.leader_of(2).is_some()
+        });
+        world.put(1, (0..8).map(|i| format!("a{i}=lo-{i}")));
+        world.put(2, (0..8).map(|i| format!("x{i}=hi-{i}")));
+        let union: BTreeMap<Vec<u8>, Vec<u8>> = world.nodes[&world.leader_of(1).unwrap()]
+            .state_machine()
+            .entries
+            .iter()
+            .chain(
+                &world.nodes[&world.leader_of(2).unwrap()]
+                    .state_machine()
+                    .entries,
+            )
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(union.len(), 16);
+        let tx = MergeTx {
+            id: TxId(7),
+            coordinator: ClusterId(1),
+            participants: vec![
+                MergeParticipant {
+                    cluster: ClusterId(1),
+                    members: [1, 2, 3].map(NodeId).into(),
+                },
+                MergeParticipant {
+                    cluster: ClusterId(2),
+                    members: [4, 5].map(NodeId).into(),
+                },
+            ],
+            new_cluster: ClusterId(20),
+            resume_members: None,
+        };
+        let leader = world.leader_of(1).unwrap();
+        let (now, cmd) = (world.now, AdminCmd::Merge(tx));
+        world.nodes.get_mut(&leader).unwrap().step(
+            now,
+            NodeId(1000),
+            Message::AdminReq { req_id: 1, cmd },
+        );
+        world.run_until("merged", |w| {
+            w.leader_of(20).is_some() && w.nodes.values().all(|n| n.cluster() == ClusterId(20))
+        });
+        for node in world.nodes.values() {
+            assert_eq!(
+                node.state_machine().entries,
+                union,
+                "node {} holds the union",
+                node.id()
+            );
+        }
+        let parts = world.frames("fetch-snapshot-resp");
+        assert!(
+            parts.len() >= 2 * 8,
+            "each part streamed one pair per envelope"
+        );
+        assert!(parts.iter().all(|f| f.is_some_and(|f| f.total == 8)));
+
+        // Pull: node 3 is cut off while cluster 20 commits and compacts past
+        // it, then pulls from node 4.
+        let mut world = World {
+            sent: Vec::new(),
+            ..world
+        };
+        let timing = Timing {
+            compaction_threshold: 6,
+            ..Timing::default()
+        };
+        for node in world.nodes.values_mut() {
+            node.timing = timing;
+        }
+        let cut = world.nodes.remove(&NodeId(3)).unwrap();
+        world.put(20, (0..12).map(|i| format!("p{i:02}=pulled-{i}")));
+        world.run_until("compacted", |w| {
+            w.nodes[&NodeId(4)].log().base_index() > cut.commit_index()
+                && w.nodes
+                    .values()
+                    .all(|n| n.applied_index() == n.commit_index())
+        });
+        world.nodes.insert(NodeId(3), cut);
+        world.sent.clear();
+        let commit_index = world.nodes[&NodeId(3)].commit_index();
+        world.nodes.get_mut(&NodeId(4)).unwrap().step(
+            world.now,
+            NodeId(3),
+            Message::PullReq { commit_index },
+        );
+        world.deliver();
+        let (puller, source) = (&world.nodes[&NodeId(3)], &world.nodes[&NodeId(4)]);
+        assert_eq!(
+            puller.state_machine().entries,
+            source.state_machine().entries
+        );
+        assert_eq!(puller.commit_index(), source.commit_index());
+        let pulled = world.frames("pull-resp");
+        let chunks = source.snapshot.chunks.len();
+        assert!(chunks > 1, "the pulled image is genuinely multi-chunk");
+        assert_eq!(pulled.len(), chunks, "one response per chunk");
+        assert!(pulled
+            .iter()
+            .all(|f| f.is_some_and(|f| f.total as usize == chunks)));
+    }
+
+    #[test]
+    fn frames_of_one_image_from_two_pull_sources_install_once() {
+        let mut node = follower();
+        let eterm = EpochTerm::new(0, 1);
+        let frames = make_snapshot("a", 6, 10, eterm).frames();
+        let resp = |frame: &SnapshotFrame| Message::PullResp {
+            epoch: 0,
+            entries: Vec::new(),
+            commit_index: LogIndex(10),
+            frame: Some(Box::new(frame.clone())),
+            snapshot_config: Some(config3()),
+        };
+        // The sources alternate, each sending its stream twice over, the
+        // second source one frame behind the first.
+        for (i, frame) in frames.iter().chain(&frames).enumerate() {
+            node.step(1_000, NodeId(1), resp(frame));
+            if i > 0 {
+                node.step(1_000, NodeId(2), resp(&frames[(i - 1) % frames.len()]));
+            }
+            assert_eq!(node.applied_index() == LogIndex(10), i + 1 >= frames.len());
+        }
+        let (_, events) = node.take_outputs();
+        let installs = events
+            .iter()
+            .filter(|e| matches!(e, NodeEvent::SnapshotInstalled { .. }))
+            .count();
+        assert_eq!(installs, 1, "{events:?}");
+        assert_eq!(node.state_machine().entries.len(), 6);
+        assert_eq!(node.sessions().last_seq(SessionId(42)), Some(7));
+    }
+
+    #[test]
+    fn frames_of_one_part_from_two_members_make_one_part() {
+        let (lo, hi) = KeyRange::full().split_at(b"m").unwrap();
+        let own = ClusterConfig::new(ClusterId(1), [NodeId(1)], RangeSet::from(lo)).unwrap();
+        let mut node = Node::new(NodeId(1), own, ChunkyKv::default(), Timing::default(), 7);
+        node.tick(400_000);
+        node.propose_entry(
+            500_000,
+            EntryPayload::Command(bytes::Bytes::from_static(b"apple=red")),
+        );
+        let _ = node.take_outputs();
+        let tx = lone_merge_tx(42, &node, (ClusterId(2), &[2, 3]), 20);
+        let hi = RangeSet::from(hi);
+        coordinate_merge(
+            &mut node,
+            600_000,
+            tx,
+            hi.clone(),
+            recraft_types::MergeDecision::Ok,
+        );
+        assert!(node.is_exchanging());
+        let mut theirs = ChunkyKv::default();
+        for i in 0..5 {
+            theirs.apply(LogIndex(i + 1), &bytes::Bytes::from(format!("x{i}=hi")));
+        }
+        let part = Snapshot {
+            last_index: LogIndex(9),
+            last_eterm: EpochTerm::new(0, 2),
+            cluster: ClusterId(2),
+            chunks: theirs.snapshot_chunks(&hi),
+            ranges: hi,
+            sessions: SessionTable::new(),
+        };
+        let frames = part.frames();
+        let resp = |frame: &SnapshotFrame| Message::FetchSnapshotResp {
+            tx_id: TxId(42),
+            frame: Box::new(frame.clone()),
+        };
+        // Both members stream every frame but the last, interleaved and
+        // twice over: a partial part is never used.
+        let (last, rest) = frames.split_last().unwrap();
+        for frame in rest.iter().chain(rest) {
+            node.step(700_000, NodeId(2), resp(frame));
+            node.step(700_000, NodeId(3), resp(frame));
+        }
+        assert!(node.is_exchanging(), "a partial part is never used");
+        for frame in [last, last, &frames[0]] {
+            node.step(700_000, NodeId(3), resp(frame));
+            node.step(700_000, NodeId(2), resp(frame));
+        }
+        let (_, events) = node.take_outputs();
+        let resumed = events
+            .iter()
+            .filter(|e| matches!(e, NodeEvent::MergeResumed { .. }))
+            .count();
+        assert_eq!(resumed, 1, "{events:?}");
+        assert_eq!(node.cluster(), ClusterId(20));
+        let sm = node.state_machine();
+        assert_eq!(sm.entries.len(), 6, "own pair and the peer's five");
+        assert_eq!(sm.entries.get(b"apple".as_slice()), Some(&b"red".to_vec()));
     }
 }

@@ -4,7 +4,7 @@
 //! variant and the order of its fields, which is the whole wire format above
 //! the frame layer ([`crate::frame`] prefixes a length, [`crate::mux`] packs
 //! frames into batches). Field types bring their own layouts — log entries
-//! and snapshots from `recraft-storage`, configurations and the client
+//! and snapshot frames from `recraft-storage`, configurations and the client
 //! protocol from `recraft-types` — and their own validation: nothing here
 //! inspects a value, so a decoded envelope is exactly as trustworthy as the
 //! decoders of its parts. This is what crosses a TCP connection in the
@@ -15,7 +15,7 @@
 //! bytes of every existing one.
 
 use crate::message::{AdminCmd, Envelope, Message, NodeStats, PullHint};
-use recraft_storage::{LogEntry, Snapshot, SnapshotFrame};
+use recraft_storage::{LogEntry, SnapshotFrame};
 use recraft_types::{
     codec, ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm, Error, LogIndex,
     MergeDecision, MergeOutcome, MergeTx, NodeId, RangeSet, SplitSpec, TxId,
@@ -108,7 +108,7 @@ codec!(enum Message {
         epoch: u32,
         entries: Vec<LogEntry>,
         commit_index: LogIndex,
-        snapshot: Option<Box<Snapshot>>,
+        frame: Option<Box<SnapshotFrame>>,
         snapshot_config: Option<ClusterConfig>,
     },
     7 => InstallSnapshot {
@@ -147,7 +147,7 @@ codec!(enum Message {
     },
     15 => FetchSnapshotResp {
         tx_id: TxId,
-        part: Option<Box<Snapshot>>,
+        frame: Box<SnapshotFrame>,
     },
     16 => ClientReq {
         req: ClientRequest,

@@ -1,6 +1,6 @@
 //! The message vocabulary.
 
-use recraft_storage::{LogEntry, Snapshot, SnapshotFrame};
+use recraft_storage::{LogEntry, SnapshotFrame};
 use recraft_types::{
     ClientRequest, ClientResponse, ClusterConfig, ClusterId, EpochTerm, Error, LogIndex,
     MergeDecision, MergeOutcome, MergeTx, NodeId, RangeSet, SplitSpec, TxId,
@@ -206,8 +206,11 @@ pub enum Message {
         /// The puller's commit index (entries at or below are immutable).
         commit_index: LogIndex,
     },
-    /// Committed entries (or a snapshot when the responder compacted past the
-    /// puller's position).
+    /// Committed entries, or — when the responder compacted past the
+    /// puller's position — its snapshot as a stream of these: one response
+    /// per frame, the capped entries riding the last. The puller assembles
+    /// the frames like an install stream's and installs the image only if
+    /// it is newer than its commit index and its configuration lists it.
     PullResp {
         /// Responder's epoch.
         epoch: u32,
@@ -215,9 +218,10 @@ pub enum Message {
         entries: Vec<LogEntry>,
         /// Responder's commit index.
         commit_index: LogIndex,
-        /// Set when the responder's log no longer retains the needed prefix.
-        snapshot: Option<Box<Snapshot>>,
-        /// The configuration in effect at the snapshot, if one is included.
+        /// One frame of the responder's snapshot, when its log no longer
+        /// retains the needed prefix.
+        frame: Option<Box<SnapshotFrame>>,
+        /// The configuration in effect at the snapshot, with every frame.
         snapshot_config: Option<ClusterConfig>,
     },
 
@@ -293,13 +297,15 @@ pub enum Message {
         /// The merge transaction.
         tx_id: TxId,
     },
-    /// The peer subcluster's snapshot part (or `None` if the responder has
-    /// not reached the exchange phase yet).
+    /// One frame of the peer subcluster's snapshot part; the whole part
+    /// answers a fetch as one stream of these. A responder whose part does
+    /// not exist yet sends nothing: it parks the requester while it has
+    /// prepared the transaction and streams the part once it is made.
     FetchSnapshotResp {
         /// The merge transaction.
         tx_id: TxId,
-        /// The responder's subcluster snapshot, when available.
-        part: Option<Box<Snapshot>>,
+        /// One frame of the responder's subcluster snapshot.
+        frame: Box<SnapshotFrame>,
     },
 
     // ---- Clients ----
@@ -401,12 +407,11 @@ impl Message {
                     })
                     .sum::<usize>()
             }
-            Message::PullResp {
-                entries, snapshot, ..
-            } => HDR + entries.len() * 64 + snapshot.as_ref().map_or(0, |s| s.size_bytes()),
-            Message::InstallSnapshot { frame, .. } => HDR + frame.size_bytes(),
-            Message::FetchSnapshotResp { part, .. } => {
-                HDR + part.as_ref().map_or(0, |s| s.size_bytes())
+            Message::PullResp { entries, frame, .. } => {
+                HDR + entries.len() * 64 + frame.as_ref().map_or(0, |f| f.size_bytes())
+            }
+            Message::InstallSnapshot { frame, .. } | Message::FetchSnapshotResp { frame, .. } => {
+                HDR + frame.size_bytes()
             }
             Message::ClientReq { req } => HDR + req.op.size_bytes(),
             Message::ClientResp { resp } => HDR + resp.outcome.size_bytes(),

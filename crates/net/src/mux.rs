@@ -16,8 +16,9 @@
 //!
 //! Each of the `count` units is a plain frame, written by the same
 //! [`put_frame`] and read by the same `take_envelope` as one sent alone:
-//! [`put_batch`] is a twelve-byte header and `count` calls of the former
-//! into one buffer, with `batch_len` back-patched once the body is there.
+//! [`put_batch_prefix`] is a twelve-byte header and up to `count` calls of
+//! the former into one buffer, stopping before the body would pass the cap,
+//! with `batch_len` and `count` back-patched once the body is there.
 //! `batch_len` covers everything after itself (count word included) and is
 //! bounded by [`MAX_FRAME_BYTES`], so a corrupt peer cannot force an
 //! unbounded allocation. [`MUX_MAGIC`] is deliberately larger than
@@ -53,29 +54,49 @@ const _: () = assert!(MUX_MAGIC as usize > MAX_FRAME_BYTES);
 ///
 /// # Errors
 /// Returns [`Error::Codec`] when the batch is empty or its encoded size
-/// exceeds [`MAX_FRAME_BYTES`] (split the batch and retry — the driver's
-/// batch ceiling keeps real rounds far below the cap).
+/// exceeds [`MAX_FRAME_BYTES`] (cut it with [`put_batch_prefix`] instead).
 pub fn put_batch(buf: &mut BytesMut, envs: &[Envelope]) -> Result<()> {
     if envs.is_empty() {
         return Err(Error::Codec("empty mux batch".into()));
     }
     let at = buf.len();
-    buf.put_u32(MUX_MAGIC);
-    buf.put_u32(0);
-    buf.put_u32(u32::try_from(envs.len()).expect("batch count fits u32"));
-    for env in envs {
-        put_frame(buf, env);
-    }
-    let body_len = buf.len() - at - 8;
-    if body_len > MAX_FRAME_BYTES {
+    if put_batch_prefix(buf, envs) < envs.len() {
         buf.truncate(at);
         return Err(Error::Codec(format!(
-            "mux batch of {} envelopes encodes to {body_len} bytes, cap {MAX_FRAME_BYTES}",
+            "mux batch of {} envelopes encodes past the cap {MAX_FRAME_BYTES}",
             envs.len()
         )));
     }
-    buf[at + 4..at + 8].copy_from_slice(&(body_len as u32).to_be_bytes());
     Ok(())
+}
+
+/// Appends to `buf` one batch of the longest prefix of `envs` that encodes
+/// within [`MAX_FRAME_BYTES`] and returns that prefix's length — 0, with
+/// `buf` as it was, when `envs` is empty or its first envelope alone is
+/// past the cap (no batch can carry it).
+pub fn put_batch_prefix(buf: &mut BytesMut, envs: &[Envelope]) -> usize {
+    let at = buf.len();
+    buf.put_u32(MUX_MAGIC);
+    buf.put_u32(0);
+    buf.put_u32(0);
+    let mut count = 0u32;
+    for env in envs {
+        let end = buf.len();
+        put_frame(buf, env);
+        if buf.len() - at - 8 > MAX_FRAME_BYTES {
+            buf.truncate(end);
+            break;
+        }
+        count += 1;
+    }
+    if count == 0 {
+        buf.truncate(at);
+        return 0;
+    }
+    let body_len = (buf.len() - at - 8) as u32;
+    buf[at + 4..at + 8].copy_from_slice(&body_len.to_be_bytes());
+    buf[at + 8..at + 12].copy_from_slice(&count.to_be_bytes());
+    count as usize
 }
 
 /// Encodes `envs` as one batch.

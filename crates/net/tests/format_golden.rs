@@ -242,13 +242,15 @@ fn split_and_snapshot_frames() {
             commit_index: LogIndex(42),
         },
     );
+    // A pulled snapshot streams one frame per response, the entries riding
+    // the last.
     check_frame(
         "env.pull-resp.snapshot",
         Message::PullResp {
             epoch: 2,
             entries: vec![entry()],
             commit_index: LogIndex(23),
-            snapshot: Some(Box::new(snapshot())),
+            frame: snapshot().frames().pop().map(Box::new),
             snapshot_config: Some(config()),
         },
     );
@@ -258,7 +260,7 @@ fn split_and_snapshot_frames() {
             epoch: 2,
             entries: vec![entry()],
             commit_index: LogIndex(8),
-            snapshot: None,
+            frame: None,
             snapshot_config: None,
         },
     );
@@ -342,18 +344,15 @@ fn merge_frames() {
         "env.fetch-snapshot-req",
         Message::FetchSnapshotReq { tx_id: TxId(9) },
     );
-    for (name, part) in [
-        ("env.fetch-snapshot-resp.part", Some(Box::new(snapshot()))),
-        ("env.fetch-snapshot-resp.none", None),
-    ] {
-        check_frame(
-            name,
-            Message::FetchSnapshotResp {
-                tx_id: TxId(9),
-                part,
-            },
-        );
-    }
+    // A part streams as frames; this is the first, which carries the
+    // session table.
+    check_frame(
+        "env.fetch-snapshot-resp.part",
+        Message::FetchSnapshotResp {
+            tx_id: TxId(9),
+            frame: Box::new(snapshot().frames().remove(0)),
+        },
+    );
 }
 
 #[test]

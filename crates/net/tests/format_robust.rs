@@ -119,7 +119,7 @@ fn envelopes() {
             epoch: 2,
             entries: Vec::new(),
             commit_index: LogIndex(23),
-            snapshot: Some(Box::new(snapshot())),
+            frame: Some(Box::new(snapshot().frames().remove(0))),
             snapshot_config: Some(config.clone()),
         },
         Message::InstallSnapshot {

@@ -137,7 +137,13 @@ fn build_message(tag: usize, r: u64) -> Message {
             epoch: (r % 5) as u32,
             entries: sample_entries(r),
             commit_index: LogIndex(r % 100),
-            snapshot: r.is_multiple_of(2).then(|| Box::new(sample_snapshot(r))),
+            frame: r.is_multiple_of(2).then(|| {
+                Box::new(
+                    sample_snapshot(r)
+                        .frames()
+                        .swap_remove((r % 4 / 2) as usize),
+                )
+            }),
             snapshot_config: r.is_multiple_of(2).then(|| sample_config(r)),
         },
         7 => Message::InstallSnapshot {
@@ -188,7 +194,7 @@ fn build_message(tag: usize, r: u64) -> Message {
         },
         15 => Message::FetchSnapshotResp {
             tx_id: TxId(r % 100),
-            part: r.is_multiple_of(2).then(|| Box::new(sample_snapshot(r))),
+            frame: Box::new(sample_snapshot(r).frames().swap_remove((r % 2) as usize)),
         },
         16 => Message::ClientReq {
             req: ClientRequest {

@@ -62,7 +62,7 @@ mod wal;
 pub use entry::{EntryPayload, LogEntry};
 pub use framing::crc32;
 pub use memlog::MemLog;
-pub use snapshot::{Snapshot, SnapshotFrame};
+pub use snapshot::{Assembler, Snapshot, SnapshotFrame};
 pub use state::HardState;
 pub use store::{LogStore, NodeMeta, ReconfigRecord};
 pub use wal::{WalLog, WalOptions};

@@ -23,8 +23,8 @@ const SEC: u64 = 1_000_000;
 const PINNED: [(&str, u64, u64); 4] = [
     (
         "split_then_merge",
-        0x928a_d610_7740_264b,
-        0x6ec3_61a9_c915_9fc7,
+        0xc29c_18c4_446f_5597,
+        0x53ad_79dd_999b_0eda,
     ),
     (
         "split_across_a_leader_crash",
@@ -38,8 +38,8 @@ const PINNED: [(&str, u64, u64); 4] = [
     ),
     (
         "idle_fleet_merges_down",
-        0xdc7a_279e_2cac_2c2f,
-        0xdc7a_279e_2cac_2c2f,
+        0x8519_58f7_b46b_2c53,
+        0x8519_58f7_b46b_2c53,
     ),
 ];
 
