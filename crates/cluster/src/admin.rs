@@ -7,10 +7,10 @@
 //!
 //! Leader discovery is by probing: the client walks the candidate address
 //! list, follows `NotLeader` hints when they name a reachable node, and
-//! retries `PreconditionP3` (a fresh leader whose no-op has not committed
-//! yet) until the deadline. Every other rejection is returned to the
-//! caller — precondition failures like P1/P2 are planning errors, not
-//! transport noise.
+//! waits out the other rejections [`Error::is_transient`] names (P1, P3,
+//! `MergeBlocked`) on the node that gave them, until the deadline. Every
+//! other rejection is returned to the caller — a P2 failure is a planning
+//! error, not transport noise.
 
 use crate::CLIENT_BASE;
 use recraft_net::frame::{read_frame, write_frame};
@@ -128,7 +128,8 @@ impl AdminClient {
     }
 
     /// Delivers `cmd` to whichever of `candidates` is leader, following
-    /// `NotLeader` hints and waiting out `PreconditionP3`, until `deadline`.
+    /// `NotLeader` hints and waiting out the other transient rejections
+    /// ([`Error::is_transient`]), until `deadline`.
     /// Retry pauses start at 10 ms and double to a 160 ms cap, so a cluster
     /// that stays unready is probed gently instead of hammered.
     ///
@@ -173,10 +174,9 @@ impl AdminClient {
                         }
                     }
                 }
-                Some(Err(e @ (Error::PreconditionP3 | Error::PreconditionP1))) => {
-                    // A fresh leader whose no-op has not committed (P3), or a
-                    // prior reconfiguration still settling (P1): both resolve
-                    // on their own — stay on this node and retry.
+                Some(Err(e)) if e.is_transient() => {
+                    // P1, P3 or a merge's exchange: it resolves on its own
+                    // here, so stay on this node and retry.
                     last_err = Some(e);
                     at -= 1;
                 }
@@ -198,3 +198,45 @@ impl AdminClient {
 /// `NodeId(CLIENT_BASE)`-relative sanity: admin ids must sit above client
 /// ids so the two identity ranges never collide.
 const _: () = assert!(ADMIN_BASE > CLIENT_BASE);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A leader in a merge's data exchange answers `MergeBlocked`; once the
+    /// exchange is over it accepts. The client waits that out on the same
+    /// node, as it does P1 and P3, instead of failing the command.
+    #[test]
+    fn a_merge_blocked_answer_is_waited_out_on_the_same_node() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let candidates = BTreeMap::from([(NodeId(1), listener.local_addr().expect("addr"))]);
+        let server = thread::spawn(move || {
+            let mut answers = vec![Err(Error::MergeBlocked), Ok(())].into_iter();
+            for conn in listener.incoming() {
+                let mut stream = conn.expect("accept");
+                let Ok(Some(env)) = read_frame(&mut stream) else {
+                    continue;
+                };
+                let Message::AdminReq { req_id, .. } = env.msg else {
+                    continue;
+                };
+                let result = answers.next().expect("asked at most twice");
+                let done = result.is_ok();
+                let msg = Message::AdminResp { req_id, result };
+                write_frame(&mut stream, &Envelope::new(NodeId(1), env.from, msg)).expect("answer");
+                if done {
+                    return answers.len();
+                }
+            }
+            unreachable!("the listener outlives its answers")
+        });
+        let accepted = AdminClient::new(0).run_on_leader(
+            &candidates,
+            &AdminCmd::ProposeNoop,
+            Duration::from_secs(5),
+        );
+        assert_eq!(accepted, Ok(NodeId(1)));
+        assert_eq!(server.join().expect("server"), 0, "both answers were read");
+    }
+}

@@ -17,8 +17,8 @@ use recraft_net::{AdminCmd, Message};
 use recraft_storage::{EntryPayload, LogStore};
 use recraft_types::config::{majority, resize_quorum};
 use recraft_types::{
-    ClientOp, ClientOutcome, ClientRequest, ClusterId, ConfigChange, Error, MergeTx, NodeId,
-    Result, SessionCheck, SessionId, SplitSpec,
+    ClientOp, ClientOutcome, ClientRequest, ClusterId, ConfigChange, Error, MergeDecision, MergeTx,
+    NodeId, Result, SessionCheck, SessionId, SplitSpec,
 };
 use std::collections::BTreeSet;
 
@@ -381,7 +381,14 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 "coordinator participant member list is stale".into(),
             ));
         }
-        self.start_merge_coordinator(now, tx);
+        // The driver follows from the log once this decision commits.
+        self.propose_config(
+            now,
+            ConfigChange::MergePrepare {
+                tx,
+                decision: MergeDecision::Ok,
+            },
+        );
         Ok(())
     }
 

@@ -209,9 +209,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
         }
         self.heartbeat_due = now + self.timing.heartbeat_interval;
-        // The no-op gives P3 its committed own-term entry; continuations of
-        // interrupted reconfigurations re-arm once it commits (see
-        // resume_reconfig_drivers, called from leader_advance_commit).
+        // The no-op gives P3 its committed own-term entry; an interrupted
+        // reconfiguration continues once it commits (see continue_reconfig,
+        // called from leader_advance_commit).
         self.propose_entry(now, recraft_storage::EntryPayload::Noop);
     }
 }

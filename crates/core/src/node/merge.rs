@@ -4,14 +4,25 @@
 //! Roles:
 //!
 //! * **Coordinator** — the cluster whose leader received the merge request.
-//!   It records its own OK decision in its Raft log (phase-1 durable write),
-//!   sends `MergePrepareReq` to every other participant, collects decisions,
-//!   finalizes `Cnew`/`Cabort`, records it locally and spreads it
-//!   (`MergeCommitReq`). The coordinator is "naturally as robust as the Raft
-//!   cluster": a failover leader rebuilds the driver from the committed log
-//!   entries and resumes idempotently.
+//!   It records its own OK decision in its Raft log (phase-1 durable write).
+//!   Its driver is derived from the log, by the one continuation rule
+//!   ([`Node::continue_reconfig`]), so the leader that proposed the
+//!   decision and a failover leader build the same one once that decision
+//!   has committed: it sends `MergePrepareReq` to every other participant,
+//!   collects decisions, finalizes `Cnew`/`Cabort`, records it locally and
+//!   spreads it (`MergeCommitReq`), or only spreads when the outcome is
+//!   already on the stack. The coordinator is "naturally as robust as the
+//!   Raft cluster". The driver lives exactly while the log owes the other
+//!   participants something: it is dropped once every participant
+//!   acknowledged the outcome.
 //! * **Participant** — decides OK/NO under preconditions P1/P2'/P3, commits
-//!   the decision *before* responding, and later commits the outcome.
+//!   the decision *before* responding, and later commits the outcome. While
+//!   its OK decision is committed and no outcome is on its stack, its
+//!   leader re-sends the decision to the coordinator's members, one per
+//!   retry interval in turn. A coordinator node without a driver for that
+//!   transaction answers from what it committed: the abort in its history,
+//!   or the outcome of the exchange it is in. So a participant is never
+//!   stranded by a coordinator whose leader changed after folding `Cabort`.
 //!
 //! Once `Cnew` commits on a cluster, each node snapshots its local state up
 //! to the entry before `Cnew`, discards the tail, exchanges snapshots with
@@ -31,7 +42,7 @@
 //! while it has prepared that transaction; anything else goes unanswered
 //! and the fetcher's retry covers it.
 
-use super::{DriverStage, Exchange, MergeDriver, Node, Role};
+use super::{Exchange, Node, Resend, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
 use bytes::Bytes;
@@ -41,74 +52,46 @@ use recraft_types::{
     ClusterConfig, ClusterId, ConfigChange, EpochTerm, LogIndex, MergeDecision, MergeOutcome,
     MergeTx, NodeId, RangeSet, TxId,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// How long a cluster-to-cluster merge message waits for its answer before
+/// it is sent again, to the next member of the cluster it is for (µs).
+pub(super) const RPC_RETRY: u64 = 150_000;
+
+/// The member a retry asks next: one per interval, each in turn.
+fn next_member(members: &BTreeSet<NodeId>, cursor: &mut usize) -> NodeId {
+    let target = members.iter().nth(*cursor % members.len());
+    *cursor += 1;
+    *target.expect("a participant has members")
+}
 
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
-    // ---- Coordinator side --------------------------------------------------
-
-    /// Starts coordinating a merge (preconditions already validated by the
-    /// admin path). Records the local OK decision; the prepare fan-out starts
-    /// once it commits.
-    pub(crate) fn start_merge_coordinator(&mut self, now: u64, tx: MergeTx) {
-        self.driver = Some(MergeDriver {
-            tx: tx.clone(),
-            stage: DriverStage::LocalPrepare,
-            responses: BTreeMap::new(),
-            outcome: None,
-            acks: std::collections::BTreeSet::new(),
-            cursors: BTreeMap::new(),
-            next_retry: now + self.timing.rpc_retry,
-        });
-        self.propose_config(
-            now,
-            ConfigChange::MergePrepare {
-                tx,
-                decision: MergeDecision::Ok,
-            },
-        );
+    /// This cluster's decision on `tx_id`, as the coordinator reads it.
+    fn prepare_resp(&self, tx_id: TxId, decision: MergeDecision) -> Message {
+        Message::MergePrepareResp {
+            tx_id,
+            cluster: self.cluster,
+            decision,
+            epoch: self.hard.eterm.epoch(),
+            ranges: self.cfg.base().ranges().clone(),
+        }
     }
 
-    /// A `MergePrepare` entry committed on this cluster.
-    pub(crate) fn on_merge_prepare_committed(
-        &mut self,
-        now: u64,
-        tx: &MergeTx,
-        decision: MergeDecision,
-    ) {
+    /// A `MergePrepare` entry committed on this cluster. A participant
+    /// answers the coordinator that asked (the decision is now durable,
+    /// Fig. 4 lines 32-36); what the coordinator does next is
+    /// [`Node::continue_reconfig`]'s.
+    pub(crate) fn on_merge_prepare_committed(&mut self, tx: &MergeTx, decision: MergeDecision) {
         self.emit(NodeEvent::MergePrepareCommitted {
             tx: tx.id,
             decision,
         });
-        // Participant: answer the coordinator that asked (decision is now
-        // durable, Fig. 4 lines 32-36).
         if let Some(requester) = self.pending_2pc.remove(&tx.id) {
-            let ranges = self.cfg.base().ranges().clone();
-            self.send(
-                requester,
-                Message::MergePrepareResp {
-                    tx_id: tx.id,
-                    cluster: self.cluster,
-                    decision,
-                    epoch: self.hard.eterm.epoch(),
-                    ranges,
-                },
-            );
-        }
-        // Coordinator: record own response and fan out prepares.
-        let epoch = self.hard.eterm.epoch();
-        let ranges = self.cfg.base().ranges().clone();
-        let cluster = self.cluster;
-        if let Some(driver) = &mut self.driver {
-            if driver.tx.id == tx.id && driver.stage == DriverStage::LocalPrepare {
-                driver
-                    .responses
-                    .insert(cluster, (decision == MergeDecision::Ok, epoch, ranges));
-                driver.stage = DriverStage::AwaitPrepare;
-                driver.next_retry = now; // fire immediately on next tick
-                self.driver_send_prepares(now);
-            }
+            self.send(requester, self.prepare_resp(tx.id, decision));
         }
     }
+
+    // ---- Coordinator side --------------------------------------------------
 
     /// Sends (or resends) prepare requests to participants that have not yet
     /// answered.
@@ -121,34 +104,45 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             if driver.responses.contains_key(&p.cluster) {
                 continue;
             }
-            let members: Vec<NodeId> = p.members.iter().copied().collect();
             let cursor = driver.cursors.entry(p.cluster).or_insert(0);
-            let target = members[*cursor % members.len()];
-            *cursor += 1;
-            sends.push((target, driver.tx.clone()));
+            sends.push((next_member(&p.members, cursor), driver.tx.clone()));
         }
-        driver.next_retry = now + self.timing.rpc_retry;
+        driver.next_retry = now + RPC_RETRY;
         for (target, tx) in sends {
             self.send(target, Message::MergePrepareReq { tx });
         }
     }
 
-    /// Coordinator: a participant's durable decision arrived.
+    /// Coordinator: a participant's durable decision arrived. A coordinator
+    /// node without a driver for the transaction answers a participant that
+    /// is still waiting from what its cluster committed, whatever its role:
+    /// the abort in its history, or the outcome of the exchange it is in.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn handle_merge_prepare_resp(
         &mut self,
         now: u64,
-        _from: NodeId,
+        from: NodeId,
         tx_id: TxId,
         cluster: ClusterId,
         decision: MergeDecision,
         epoch: u32,
         ranges: RangeSet,
     ) {
-        let Some(driver) = &mut self.driver else {
+        let Some(driver) = self.driver.as_mut().filter(|d| d.tx.id == tx_id) else {
+            let aborted = self
+                .history
+                .iter()
+                .any(|r| r.tx == Some(tx_id) && r.kind == "merge-abort");
+            let outcome = match &self.exchange {
+                Some(ex) if ex.tx.id == tx_id => Some(ex.outcome.clone()),
+                _ => aborted.then_some(MergeOutcome::Abort { tx_id }),
+            };
+            if let Some(outcome) = outcome {
+                self.send(from, Message::MergeCommitReq { outcome });
+            }
             return;
         };
-        if driver.tx.id != tx_id || driver.stage != DriverStage::AwaitPrepare {
+        if driver.outcome.is_some() {
             return;
         }
         driver
@@ -183,7 +177,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             _ => MergeOutcome::Abort { tx_id },
         };
         driver.outcome = Some(outcome.clone());
-        driver.stage = DriverStage::SpreadOutcome;
         driver.next_retry = now;
         self.propose_config(now, ConfigChange::MergeCommit(outcome));
         self.driver_send_outcome(now);
@@ -204,128 +197,61 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             if p.cluster == own || driver.acks.contains(&p.cluster) {
                 continue;
             }
-            let members: Vec<NodeId> = p.members.iter().copied().collect();
             let cursor = driver.cursors.entry(p.cluster).or_insert(0);
-            let target = members[*cursor % members.len()];
-            *cursor += 1;
-            sends.push((target, outcome.clone()));
+            sends.push((next_member(&p.members, cursor), outcome.clone()));
         }
-        driver.next_retry = now + self.timing.rpc_retry;
+        driver.next_retry = now + RPC_RETRY;
         for (target, outcome) in sends {
             self.send(target, Message::MergeCommitReq { outcome });
         }
     }
 
-    /// Coordinator retry loop.
+    /// The 2PC retry loop (leader only): the coordinator's driver re-sends
+    /// what it still waits for, a prepared participant its decision.
     pub(crate) fn driver_tick(&mut self, now: u64) {
-        let Some(driver) = &self.driver else {
-            return;
-        };
-        if now < driver.next_retry {
-            return;
-        }
-        match driver.stage {
-            DriverStage::LocalPrepare => {
-                // Waiting for our own commit; replication retries handle it.
-                if let Some(d) = &mut self.driver {
-                    d.next_retry = now + self.timing.rpc_retry;
-                }
+        self.resend_decision(now);
+        match &self.driver {
+            Some(d) if now >= d.next_retry && d.outcome.is_none() => {
+                self.driver_send_prepares(now);
             }
-            DriverStage::AwaitPrepare => self.driver_send_prepares(now),
-            DriverStage::SpreadOutcome => self.driver_send_outcome(now),
+            Some(d) if now >= d.next_retry => self.driver_send_outcome(now),
+            _ => {}
         }
     }
 
     /// A participant pointed us at its current leader.
-    pub(crate) fn handle_merge_redirect(&mut self, now: u64, tx_id: TxId, leader: Option<NodeId>) {
-        let Some(driver) = &self.driver else {
+    pub(crate) fn handle_merge_redirect(&mut self, tx_id: TxId, leader: Option<NodeId>) {
+        let (Some(driver), Some(leader)) = (&self.driver, leader) else {
             return;
         };
         if driver.tx.id != tx_id {
             return;
         }
-        let Some(leader) = leader else {
-            return;
+        let msg = match driver.outcome.clone() {
+            None => Message::MergePrepareReq {
+                tx: driver.tx.clone(),
+            },
+            Some(outcome) => Message::MergeCommitReq { outcome },
         };
-        match driver.stage {
-            DriverStage::AwaitPrepare => {
-                let tx = driver.tx.clone();
-                self.send(leader, Message::MergePrepareReq { tx });
-            }
-            DriverStage::SpreadOutcome => {
-                if let Some(outcome) = driver.outcome.clone() {
-                    self.send(leader, Message::MergeCommitReq { outcome });
-                }
-            }
-            DriverStage::LocalPrepare => {}
-        }
-        let _ = now;
+        self.send(leader, msg);
     }
 
-    /// Coordinator: a participant durably recorded the outcome.
-    pub(crate) fn handle_merge_commit_resp(&mut self, _now: u64, tx_id: TxId, cluster: ClusterId) {
-        if let Some(driver) = &mut self.driver {
-            if driver.tx.id == tx_id {
-                driver.acks.insert(cluster);
-            }
-        }
-    }
-
-    /// Rebuilds the coordinator driver after a leader change (Raft + 2PC
-    /// recovery, §III-C1 "Handling Failures").
-    pub(crate) fn rebuild_merge_driver(&mut self, now: u64) {
-        if self.driver.is_some() || self.role != Role::Leader {
-            return;
-        }
-        let mut prepare: Option<(LogIndex, MergeTx)> = None;
-        let mut outcome: Option<(LogIndex, MergeOutcome)> = None;
-        for (index, change) in self.cfg.entries() {
-            match change {
-                ConfigChange::MergePrepare { tx, .. } if tx.coordinator == self.cluster => {
-                    prepare = Some((*index, tx.clone()));
-                }
-                ConfigChange::MergeCommit(o) => outcome = Some((*index, o.clone())),
-                _ => {}
-            }
-        }
-        // An exchange in progress also implies a committed outcome.
-        if outcome.is_none() {
-            if let Some(ex) = &self.exchange {
-                if ex.tx.coordinator == self.cluster {
-                    prepare = Some((LogIndex::ZERO, ex.tx.clone()));
-                    outcome = Some((LogIndex::ZERO, ex.outcome.clone()));
-                }
-            }
-        }
-        let Some((prep_index, tx)) = prepare else {
+    /// Coordinator: a participant — this cluster by committing it — durably
+    /// recorded the outcome. Once every participant has, the log owes the
+    /// others nothing more and the driver goes.
+    pub(crate) fn handle_merge_commit_resp(&mut self, tx_id: TxId, cluster: ClusterId) {
+        let Some(driver) = self.driver.as_mut().filter(|d| d.tx.id == tx_id) else {
             return;
         };
-        let mut driver = MergeDriver {
-            tx: tx.clone(),
-            stage: DriverStage::LocalPrepare,
-            responses: BTreeMap::new(),
-            outcome: None,
-            acks: std::collections::BTreeSet::new(),
-            cursors: BTreeMap::new(),
-            next_retry: now,
-        };
-        if let Some((_, o)) = outcome {
-            driver.stage = DriverStage::SpreadOutcome;
-            driver.outcome = Some(o);
-            driver.acks.insert(self.cluster);
-        } else if prep_index <= self.commit_index {
-            driver.stage = DriverStage::AwaitPrepare;
-            driver.responses.insert(
-                self.cluster,
-                (
-                    true,
-                    self.hard.eterm.epoch(),
-                    self.cfg.base().ranges().clone(),
-                ),
-            );
+        driver.acks.insert(cluster);
+        if driver
+            .tx
+            .participants
+            .iter()
+            .all(|p| driver.acks.contains(&p.cluster))
+        {
+            self.driver = None;
         }
-        self.driver = Some(driver);
-        self.driver_tick(now);
     }
 
     // ---- Participant side --------------------------------------------------
@@ -346,18 +272,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // from the record (idempotence via the unique transaction id).
         if let Some((index, decision)) = self.find_prepare(tx.id) {
             if index <= self.commit_index {
-                let ranges = self.cfg.base().ranges().clone();
-                let epoch = self.hard.eterm.epoch();
-                self.send(
-                    from,
-                    Message::MergePrepareResp {
-                        tx_id: tx.id,
-                        cluster: self.cluster,
-                        decision,
-                        epoch,
-                        ranges,
-                    },
-                );
+                self.send(from, self.prepare_resp(tx.id, decision));
             } else {
                 self.pending_2pc.insert(tx.id, from);
             }
@@ -373,18 +288,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 .participant(self.cluster)
                 .is_none_or(|p| &p.members != self.cfg.base().members());
         if busy {
-            let ranges = self.cfg.base().ranges().clone();
-            let epoch = self.hard.eterm.epoch();
-            self.send(
-                from,
-                Message::MergePrepareResp {
-                    tx_id: tx.id,
-                    cluster: self.cluster,
-                    decision: MergeDecision::No,
-                    epoch,
-                    ranges,
-                },
-            );
+            self.send(from, self.prepare_resp(tx.id, MergeDecision::No));
             return;
         }
         if !self.committed_in_term {
@@ -401,6 +305,39 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 decision: MergeDecision::Ok,
             },
         );
+    }
+
+    /// A prepared participant's retry: while its decision is committed and
+    /// no outcome is on the stack, the leader re-sends the decision to the
+    /// coordinator's members, one per retry interval in turn. Armed by
+    /// [`Node::continue_reconfig`]; it ends when the outcome arrives or the
+    /// prepare leaves the stack.
+    fn resend_decision(&mut self, now: u64) {
+        let Some(Resend { due, mut cursor }) = self.resend else {
+            return;
+        };
+        if now < due {
+            return;
+        }
+        let derived = self.derived_cached();
+        let owed = derived
+            .merge_tx
+            .as_ref()
+            .filter(|tx| tx.coordinator != self.cluster && derived.merge_outcome_index.is_none());
+        let Some(tx) = owed else {
+            self.resend = None;
+            return;
+        };
+        let (_, decision) = self.find_prepare(tx.id).expect("merge_tx is a prepare's");
+        let coordinator = tx
+            .participant(tx.coordinator)
+            .expect("validated before the decision: coordinator participates");
+        let target = next_member(&coordinator.members, &mut cursor);
+        self.resend = Some(Resend {
+            due: now + RPC_RETRY,
+            cursor,
+        });
+        self.send(target, self.prepare_resp(tx.id, decision));
     }
 
     fn find_prepare(&self, tx_id: TxId) -> Option<(LogIndex, MergeDecision)> {
@@ -506,11 +443,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 },
             );
         }
-        if let Some(driver) = &mut self.driver {
-            if driver.tx.id == tx_id {
-                driver.acks.insert(self.cluster);
-            }
-        }
+        self.handle_merge_commit_resp(tx_id, self.cluster);
         match outcome {
             MergeOutcome::Abort { .. } => {
                 // No part will ever be produced for an aborted transaction;
@@ -634,13 +567,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             if p.cluster == own || ex.parts.contains_key(&p.cluster) {
                 continue;
             }
-            let members: Vec<NodeId> = p.members.iter().copied().collect();
             let cursor = ex.cursors.entry(p.cluster).or_insert(0);
-            let target = members[*cursor % members.len()];
-            *cursor += 1;
-            sends.push((target, ex.tx.id));
+            sends.push((next_member(&p.members, cursor), ex.tx.id));
         }
-        ex.next_retry = now + self.timing.rpc_retry;
+        ex.next_retry = now + RPC_RETRY;
         for (target, tx_id) in sends {
             self.send(target, Message::FetchSnapshotReq { tx_id });
         }
@@ -791,6 +721,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.votes.clear();
         self.progress.clear();
         self.driver = None;
+        self.resend = None;
         self.pull = None;
         // Everyone resumes as a follower of term 0: the node that led the
         // coordinator campaigns at once (members still in their exchange

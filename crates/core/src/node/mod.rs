@@ -284,22 +284,15 @@ pub(crate) struct Exchange {
     pub(crate) next_retry: u64,
 }
 
-/// Stage of the cluster-level 2PC as seen by the coordinator's leader.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum DriverStage {
-    /// Waiting for the local `MergePrepare` entry to commit.
-    LocalPrepare,
-    /// Broadcasting prepares, collecting decisions.
-    AwaitPrepare,
-    /// Broadcasting the outcome, collecting acknowledgements.
-    SpreadOutcome,
-}
-
-/// The merge coordinator driver (leader of the coordinating cluster).
+/// The merge coordinator driver (leader of the coordinating cluster). It
+/// exists exactly while the log owes the other participants this
+/// transaction's messages: [`Node::continue_reconfig`] builds it once the
+/// cluster's own `MergePrepare` committed, it collects decisions while
+/// `outcome` is `None` and spreads the outcome once there is one, and it is
+/// dropped once every participant acknowledged that outcome.
 #[derive(Debug, Clone)]
 pub(crate) struct MergeDriver {
     pub(crate) tx: MergeTx,
-    pub(crate) stage: DriverStage,
     /// Collected prepare responses: decision, epoch, ranges.
     pub(crate) responses: BTreeMap<ClusterId, (bool, u32, RangeSet)>,
     pub(crate) outcome: Option<MergeOutcome>,
@@ -307,6 +300,15 @@ pub(crate) struct MergeDriver {
     /// Per-cluster member rotation for retries.
     pub(crate) cursors: BTreeMap<ClusterId, usize>,
     pub(crate) next_retry: u64,
+}
+
+/// A prepared participant's re-send of its committed decision (leader
+/// only): when it is next due, and its turn through the coordinator's
+/// members.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resend {
+    pub(crate) due: u64,
+    pub(crate) cursor: usize,
 }
 
 // The §V reconfiguration-history record now lives in `recraft-storage`: it
@@ -365,6 +367,7 @@ pub struct Node<SM, LS = MemLog> {
     pub(crate) installs: Assembler<ClusterConfig>,
     pub(crate) exchange: Option<Exchange>,
     pub(crate) driver: Option<MergeDriver>,
+    pub(crate) resend: Option<Resend>,
     /// Pending 2PC replies: once the entry at the index commits, answer the
     /// requester.
     pub(crate) pending_2pc: HashMap<TxId, NodeId>,
@@ -690,6 +693,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             installs: Assembler::default(),
             exchange: None,
             driver: None,
+            resend: None,
             pending_2pc: HashMap::new(),
             merge_part: None,
             pending_fetches: HashMap::new(),
@@ -1079,12 +1083,12 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     /// The earliest future instant at which [`tick`](Node::tick) would do
     /// anything: the leader's next heartbeat, a follower's election
-    /// deadline, or a sub-protocol retry timer (merge 2PC driver, pull
-    /// recovery, snapshot exchange). A readiness-driven host sleeps until
-    /// this instant instead of polling on a fixed cadence; `u64::MAX`
-    /// means no timer is armed (a retired node). Before the node has seen a
-    /// clock its election offset is answered as is — never later than the
-    /// deadline it arms to.
+    /// deadline, or a sub-protocol retry timer (merge 2PC driver or a
+    /// participant's re-send, pull recovery, snapshot exchange). A
+    /// readiness-driven host sleeps until this instant instead of polling
+    /// on a fixed cadence; `u64::MAX` means no timer is armed (a retired
+    /// node). Before the node has seen a clock its election offset is
+    /// answered as is — never later than the deadline it arms to.
     #[must_use]
     pub fn next_deadline(&self) -> u64 {
         let mut due = u64::MAX;
@@ -1094,6 +1098,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 due = due.min(self.heartbeat_due);
                 if let Some(d) = &self.driver {
                     due = due.min(d.next_retry);
+                }
+                if let Some(r) = &self.resend {
+                    due = due.min(r.due);
                 }
             }
             Role::Follower | Role::Candidate => {
@@ -1217,10 +1224,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 self.handle_merge_commit_req(now, from, outcome);
             }
             Message::MergeCommitResp { tx_id, cluster } => {
-                self.handle_merge_commit_resp(now, tx_id, cluster);
+                self.handle_merge_commit_resp(tx_id, cluster);
             }
             Message::MergeRedirect { tx_id, leader } => {
-                self.handle_merge_redirect(now, tx_id, leader);
+                self.handle_merge_redirect(tx_id, leader);
             }
             Message::FetchSnapshotReq { tx_id } => self.handle_fetch_snapshot_req(from, tx_id),
             Message::FetchSnapshotResp { tx_id, frame } => {
@@ -1314,6 +1321,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
             self.fail_pending_reads(hint);
             self.driver = None;
+            self.resend = None;
         }
         if self.role != Role::Removed {
             self.role = Role::Follower;
@@ -1590,6 +1598,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     /// Handles a configuration entry whose commit just became known. Returns
     /// `true` when the node's log was reset (further applying must stop).
+    /// The first step of a multi-step reconfiguration ends its arm in
+    /// [`Node::continue_reconfig`], which takes the next one.
     fn on_config_committed(
         &mut self,
         now: u64,
@@ -1604,43 +1614,26 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
             ConfigChange::Resize { members, quorum } => {
                 self.fold_membership(now, index, "resize", members, Some(*quorum));
-                // Auto-issue the ResizeQuorum step when the intermediate
-                // quorum is above the majority (§IV-A).
-                if self.role == Role::Leader && self.committed_in_term {
-                    let n = members.len();
-                    let maj = recraft_types::config::majority(n);
-                    if *quorum != maj {
-                        self.propose_config(
-                            now,
-                            ConfigChange::Resize {
-                                members: members.clone(),
-                                quorum: maj,
-                            },
-                        );
-                    }
-                }
+                self.continue_reconfig(now);
                 false
             }
-            ConfigChange::JointEnter { new, .. } => {
-                if self.role == Role::Leader && self.committed_in_term {
-                    self.propose_config(now, ConfigChange::JointLeave { new: new.clone() });
-                }
+            ConfigChange::JointEnter { .. } => {
+                self.continue_reconfig(now);
                 false
             }
             ConfigChange::JointLeave { new } => {
                 self.fold_membership(now, index, "joint", new, None);
                 false
             }
-            ConfigChange::SplitJoint(spec) => {
+            ConfigChange::SplitJoint(_) => {
                 self.emit(NodeEvent::SplitJointCommitted { index });
-                if self.role == Role::Leader && self.committed_in_term {
-                    self.propose_config(now, ConfigChange::SplitNew(spec.clone()));
-                }
+                self.continue_reconfig(now);
                 false
             }
             ConfigChange::SplitNew(spec) => self.complete_split(now, index, entry, spec),
             ConfigChange::MergePrepare { tx, decision } => {
-                self.on_merge_prepare_committed(now, tx, *decision);
+                self.on_merge_prepare_committed(tx, *decision);
+                self.continue_reconfig(now);
                 false
             }
             ConfigChange::MergeCommit(outcome) => {
@@ -1737,58 +1730,91 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         })
     }
 
-    /// Re-arms reconfiguration continuations after winning an election or
-    /// satisfying P3: a committed `Cjoint` without `Cnew`, a committed
-    /// `JointEnter` without `JointLeave`, an intermediate fixed quorum
-    /// without its `ResizeQuorum`, or an unresolved merge transaction this
-    /// cluster coordinates.
-    pub(crate) fn resume_reconfig_drivers(&mut self, now: u64) {
+    /// The one continuation rule: what the log still owes, read from the log
+    /// alone, so the leader that committed a first step and a successor
+    /// elected after it take the same next step. A leader that satisfies P3
+    ///
+    /// * proposes `SplitNew` after a committed `Cjoint`, `JointLeave` after a
+    ///   committed `JointEnter`, and the majority `Resize` after a base left
+    ///   at a fixed quorum (§IV-A);
+    /// * builds the driver of the merge this cluster coordinates once its own
+    ///   `MergePrepare` committed: collecting decisions, or spreading the
+    ///   outcome when one is on the stack (§III-C1, "Handling Failures");
+    /// * arms a participant's re-send of its committed decision while no
+    ///   outcome is on the stack.
+    ///
+    /// It runs where a first step's commit becomes known (the end of its
+    /// [`Node::on_config_committed`] arm) and where P3 becomes true. A step
+    /// already on the stack is not owed, committed or not.
+    pub(crate) fn continue_reconfig(&mut self, now: u64) {
         if self.role != Role::Leader || !self.committed_in_term {
             return;
         }
-        let derived = self.derived_cached();
-        // Split: joint committed, leave not yet proposed.
-        if let Some(crate::stack::SplitPhase::Joint { spec, joint_index }) = &derived.split {
-            if *joint_index <= self.commit_index {
-                self.propose_config(now, ConfigChange::SplitNew(spec.clone()));
-                return;
-            }
-        }
-        // Vanilla JC: enter committed, leave missing.
-        let mut propose: Option<ConfigChange> = None;
-        for (index, change) in self.cfg.entries() {
-            if *index > self.commit_index {
-                continue;
-            }
-            if let ConfigChange::JointEnter { new, .. } = change {
-                propose = Some(ConfigChange::JointLeave { new: new.clone() });
-            }
-            if let ConfigChange::JointLeave { .. } = change {
-                propose = None;
-            }
-        }
-        if let Some(change) = propose {
+        let entries = self.cfg.entries();
+        let next = match entries.last() {
+            None => match self.cfg.base().quorum_rule() {
+                recraft_types::QuorumRule::Fixed(_) => {
+                    let members = self.cfg.base().members().clone();
+                    let quorum = recraft_types::config::majority(members.len());
+                    Some(ConfigChange::Resize { members, quorum })
+                }
+                recraft_types::QuorumRule::Majority => None,
+            },
+            Some((index, change)) if *index <= self.commit_index => match change {
+                ConfigChange::SplitJoint(spec) => Some(ConfigChange::SplitNew(spec.clone())),
+                ConfigChange::JointEnter { new, .. } => {
+                    Some(ConfigChange::JointLeave { new: new.clone() })
+                }
+                _ => None,
+            },
+            Some(_) => None,
+        };
+        if let Some(change) = next {
             self.propose_config(now, change);
             return;
         }
-        // ReCraft resize: base left at a fixed quorum.
-        if self.cfg.is_quiescent() {
-            let base = self.cfg.base();
-            if let recraft_types::QuorumRule::Fixed(_) = base.quorum_rule() {
-                let members = base.members().clone();
-                let maj = recraft_types::config::majority(members.len());
-                self.propose_config(
-                    now,
-                    ConfigChange::Resize {
-                        members,
-                        quorum: maj,
-                    },
-                );
-                return;
+        let prepared = entries.iter().find_map(|(index, change)| match change {
+            ConfigChange::MergePrepare { tx, .. } if *index <= self.commit_index => {
+                Some(tx.clone())
+            }
+            _ => None,
+        });
+        let Some(tx) = prepared else {
+            return;
+        };
+        let outcome = entries.iter().find_map(|(index, change)| match change {
+            ConfigChange::MergeCommit(o) => Some((*index, o.clone())),
+            _ => None,
+        });
+        if tx.coordinator != self.cluster {
+            if outcome.is_none() && self.resend.is_none() {
+                let due = now + merge::RPC_RETRY;
+                self.resend = Some(Resend { due, cursor: 0 });
+            }
+            return;
+        }
+        if self.driver.is_some() {
+            return;
+        }
+        let own = self.cluster;
+        let ranges = self.cfg.base().ranges().clone();
+        let mut driver = MergeDriver {
+            tx,
+            // Its own decision: `admin_merge` records no other.
+            responses: BTreeMap::from([(own, (true, self.hard.eterm.epoch(), ranges))]),
+            outcome: None,
+            acks: BTreeSet::new(),
+            cursors: BTreeMap::new(),
+            next_retry: now,
+        };
+        if let Some((index, o)) = outcome {
+            driver.outcome = Some(o);
+            if index <= self.commit_index {
+                driver.acks.insert(own);
             }
         }
-        // Merge: this cluster coordinates an unresolved transaction.
-        self.rebuild_merge_driver(now);
+        self.driver = Some(driver);
+        self.driver_tick(now);
     }
 
     /// Takes a snapshot and compacts the log when it grows beyond the

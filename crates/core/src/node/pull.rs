@@ -36,6 +36,9 @@ use recraft_net::Message;
 use recraft_storage::{LogEntry, LogStore, SnapshotFrame};
 use recraft_types::{ClusterConfig, LogIndex, NodeId};
 
+/// How long a pull waits for an answer before it asks the next source (µs).
+const PULL_RETRY: u64 = 100_000;
+
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Begins (or refocuses) pull-based recovery toward `hint_node`.
     pub(crate) fn start_pull(&mut self, now: u64, hint_node: NodeId) {
@@ -48,7 +51,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.pull = Some(PullState {
             targets,
             cursor: 0,
-            next_retry: now + self.timing.pull_retry,
+            next_retry: now + PULL_RETRY,
         });
         self.send(
             hint_node,
@@ -67,7 +70,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             return;
         }
         pull.cursor = (pull.cursor + 1) % pull.targets.len();
-        pull.next_retry = now + self.timing.pull_retry;
+        pull.next_retry = now + PULL_RETRY;
         let target = pull.targets[pull.cursor];
         let commit_index = self.commit_index;
         self.send(target, Message::PullReq { commit_index });

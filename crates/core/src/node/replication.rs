@@ -559,7 +559,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.set_commit(now, idx);
             if !had_p3 && self.committed_in_term {
                 // P3 just became true: continuations deferred on it can run.
-                self.resume_reconfig_drivers(now);
+                self.continue_reconfig(now);
             }
         }
     }

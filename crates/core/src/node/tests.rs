@@ -16,6 +16,12 @@ use std::collections::VecDeque;
 const CLIENT: NodeId = NodeId(1000);
 const TICK: u64 = 10_000; // 10 ms
 
+/// A condition on a node's state.
+type NodePred = Box<dyn Fn(&Node<MapMachine>) -> bool>;
+
+/// A condition on a message in flight.
+type EnvelopePred = Box<dyn Fn(&Envelope) -> bool>;
+
 struct Net {
     nodes: BTreeMap<NodeId, Node<MapMachine>>,
     crashed: BTreeSet<NodeId>,
@@ -31,6 +37,11 @@ struct Net {
     /// Every failed-consistency-check AppendResp observed in flight, as
     /// `(from, to)` — the round-trip meter for reconciliation tests.
     nacks: Vec<(NodeId, NodeId)>,
+    /// Messages this predicate matches are silently dropped.
+    drop_if: Option<EnvelopePred>,
+    /// Crashes the node the moment the predicate holds on it after one of
+    /// its steps or ticks, so nothing that step produced leaves.
+    crash_when: Option<(NodeId, NodePred)>,
 }
 
 impl Net {
@@ -69,6 +80,18 @@ impl Net {
             admin_responses: Vec::new(),
             events: Vec::new(),
             nacks: Vec::new(),
+            drop_if: None,
+            crash_when: None,
+        }
+    }
+
+    /// Applies `crash_when` to `id`, which just stepped or ticked.
+    fn maybe_crash(&mut self, id: NodeId) {
+        if let Some((victim, pred)) = &self.crash_when {
+            if *victim == id && pred(&self.nodes[&id]) {
+                self.crashed.insert(id);
+                self.crash_when = None;
+            }
         }
     }
 
@@ -103,7 +126,10 @@ impl Net {
                 }
                 continue;
             }
-            if self.blackholes.contains(&env.to) || self.crashed.contains(&env.to) {
+            if self.blackholes.contains(&env.to)
+                || self.crashed.contains(&env.to)
+                || self.drop_if.as_ref().is_some_and(|drop| drop(&env))
+            {
                 continue;
             }
             if let Message::AppendResp { success: false, .. } = &env.msg {
@@ -111,6 +137,7 @@ impl Net {
             }
             if let Some(node) = self.nodes.get_mut(&env.to) {
                 node.step(self.now, env.from, env.msg);
+                self.maybe_crash(env.to);
             }
             self.drain_outputs();
         }
@@ -125,6 +152,7 @@ impl Net {
             for id in ids {
                 if !self.crashed.contains(&id) {
                     self.nodes.get_mut(&id).unwrap().tick(self.now);
+                    self.maybe_crash(id);
                 }
             }
             self.deliver();
@@ -1145,6 +1173,286 @@ fn merge_outcome_survives_coordinator_leader_swap() {
     net.restart(l10.0);
     net.run_until(3000, |net| {
         net.node(l10.0).cluster() == recraft_types::ClusterId(20)
+    });
+    net.assert_state_machine_safety();
+}
+
+/// Whether `node` has committed an entry of `kind`.
+fn committed_kind(node: &Node<MapMachine>, kind: &str) -> bool {
+    node.log()
+        .tail(node.log().first_index())
+        .iter()
+        .any(|e| e.index <= node.commit_index() && e.as_config().is_some_and(|c| c.kind() == kind))
+}
+
+/// One reconfiguration of the failover table: what to build and ask, the
+/// kind of its first step and of the follow-up the log then owes, and when
+/// it is complete.
+struct Continuation {
+    name: &'static str,
+    setup: fn() -> (Net, NodeId, AdminCmd),
+    step: &'static str,
+    follow_up: &'static str,
+    done: fn(&Net, NodeId) -> bool,
+}
+
+/// A node booted on `members`' configuration that never campaigns: a
+/// joiner-to-be of cluster 1.
+fn quiet_member(id: u64, members: &BTreeSet<NodeId>) -> Node<MapMachine> {
+    let config = ClusterConfig::new(
+        recraft_types::ClusterId(1),
+        members.clone(),
+        RangeSet::full(),
+    )
+    .unwrap();
+    let timing = Timing {
+        election_timeout_min: 10_000_000,
+        election_timeout_max: 20_000_000,
+        ..Timing::default()
+    };
+    Node::new(
+        NodeId(id),
+        config,
+        MapMachine::default(),
+        timing,
+        0xBEEF + id,
+    )
+}
+
+#[test]
+fn every_continuation_is_taken_once_by_a_failover_leader() {
+    // For each two-step reconfiguration, the leader crashes the moment its
+    // first step commits, before anything that step produced leaves it. So
+    // no follower holds the follow-up, and none knows the first step
+    // committed. The successor commits it together with its own no-op and
+    // must then take the follow-up exactly once, and the reconfiguration
+    // must complete.
+    let table = [
+        Continuation {
+            name: "joint change",
+            setup: || {
+                let mut net = Net::with_nodes(&[1, 2, 3, 4, 5]);
+                let leader = net.elect();
+                let mut smaller = net.node(leader.0).config().members().clone();
+                let gone = *smaller.iter().find(|n| **n != leader).unwrap();
+                smaller.remove(&gone);
+                (net, leader, AdminCmd::JointChange(smaller))
+            },
+            step: "joint-enter",
+            follow_up: "joint-leave",
+            done: |net, survivor| net.node(survivor.0).config().members().len() == 4,
+        },
+        Continuation {
+            name: "add and resize",
+            setup: || {
+                let mut net = Net::with_nodes(&[1, 2, 3]);
+                let leader = net.elect();
+                let target: BTreeSet<NodeId> = [1, 2, 3, 4, 5].map(NodeId).into();
+                for id in [4, 5] {
+                    net.nodes.insert(NodeId(id), quiet_member(id, &target));
+                }
+                (
+                    net,
+                    leader,
+                    AdminCmd::AddAndResize([4, 5].map(NodeId).into()),
+                )
+            },
+            step: "resize",
+            follow_up: "resize",
+            done: |net, survivor| {
+                let config = net.node(survivor.0).config();
+                config.members().len() == 5
+                    && config.quorum_rule() == recraft_types::QuorumRule::Majority
+            },
+        },
+        Continuation {
+            name: "split",
+            setup: || {
+                let mut net = Net::with_nodes(&[1, 2, 3, 4, 5, 6]);
+                let leader = net.elect();
+                let spec = split_spec_for(&net, leader, b"m");
+                (net, leader, AdminCmd::Split(spec))
+            },
+            step: "split-joint",
+            follow_up: "split-new",
+            done: |net, _| {
+                net.nodes
+                    .values()
+                    .filter(|n| !net.crashed.contains(&n.id()))
+                    .all(|n| n.cluster_epoch() == 1)
+            },
+        },
+        Continuation {
+            name: "two-cluster merge",
+            setup: || {
+                let (net, l10, l11) = build_two_clusters();
+                let tx = merge_tx_for(&net, l10, l11);
+                (net, l10, AdminCmd::Merge(tx))
+            },
+            step: "merge-prepare",
+            follow_up: "merge-commit",
+            done: |net, _| {
+                net.nodes
+                    .values()
+                    .filter(|n| !net.crashed.contains(&n.id()))
+                    .all(|n| n.cluster() == recraft_types::ClusterId(20))
+            },
+        },
+    ];
+    for case in table {
+        let (mut net, leader, cmd) = (case.setup)();
+        let cluster = net.node(leader.0).cluster();
+        let step = case.step;
+        net.crash_when = Some((leader, Box::new(move |n| committed_kind(n, step))));
+        net.admin(leader, 1400, cmd);
+        net.run_until(200, |net| net.crashed.contains(&leader));
+        let step_index = net
+            .node(leader.0)
+            .log()
+            .tail(LogIndex(1))
+            .iter()
+            .find(|e| e.as_config().is_some_and(|c| c.kind() == step))
+            .map(|e| e.index)
+            .unwrap();
+        let crashed_at = net.events.len();
+        let successor = |net: &Net| {
+            net.events[crashed_at..]
+                .iter()
+                .find_map(|(node, e)| match e {
+                    NodeEvent::BecameLeader { cluster: c, .. } if *c == cluster => Some(*node),
+                    _ => None,
+                })
+        };
+        net.run_until(1000, |net| successor(net).is_some());
+        let survivor = successor(&net).unwrap();
+        net.run_until(3000, |net| (case.done)(net, survivor));
+        let taken: BTreeSet<LogIndex> = net
+            .events
+            .iter()
+            .filter_map(|(node, e)| match e {
+                NodeEvent::ConfigAppended { kind, index }
+                    if *node == survivor && *kind == case.follow_up && *index > step_index =>
+                {
+                    Some(*index)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            taken.len(),
+            1,
+            "{}: the follow-up {} at {taken:?}",
+            case.name,
+            case.follow_up
+        );
+        net.assert_state_machine_safety();
+    }
+}
+
+#[test]
+fn an_aborted_merge_never_strands_a_prepared_participant() {
+    // Nine nodes split three ways into clusters 10, 11 and 12.
+    let mut net = Net::with_nodes(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
+    let leader = net.elect();
+    let base = net.node(leader.0).config().clone();
+    let (lo, rest) = base.ranges().ranges()[0].split_at(b"h").unwrap();
+    let (mid, hi) = rest.split_at(b"p").unwrap();
+    let sub = |id: u64, members: [u64; 3], range| {
+        ClusterConfig::new(
+            recraft_types::ClusterId(id),
+            members.map(NodeId),
+            RangeSet::from(range),
+        )
+        .unwrap()
+    };
+    let spec = SplitSpec::new(
+        vec![
+            sub(10, [1, 2, 3], lo),
+            sub(11, [4, 5, 6], mid),
+            sub(12, [7, 8, 9], hi),
+        ],
+        base.members(),
+        base.ranges(),
+    )
+    .unwrap();
+    net.admin(leader, 1500, AdminCmd::Split(spec));
+    let clusters = [10, 11, 12].map(recraft_types::ClusterId);
+    net.run_until(1000, |net| {
+        clusters.iter().all(|c| net.leader_of(*c).is_some())
+            && net.nodes.values().all(|n| n.cluster_epoch() == 1)
+    });
+    let [l10, l11, l12] = clusters.map(|c| net.leader_of(c).unwrap());
+    // Cluster 12 is kept busy, so it votes NO: its followers are cut off
+    // and an AddAndResize they can never commit holds its stack.
+    for m in net.node(l12.0).config().members().clone() {
+        if m != l12 {
+            net.blackholes.insert(m);
+        }
+    }
+    net.admin(l12, 1501, AdminCmd::AddAndResize([NodeId(99)].into()));
+    net.run(2);
+    // Every outcome sent to cluster 11 is lost.
+    let c11 = net.node(l11.0).config().members().clone();
+    net.drop_if = Some(Box::new(move |env| {
+        c11.contains(&env.to) && matches!(env.msg, Message::MergeCommitReq { .. })
+    }));
+    let participants = [l10, l11, l12].map(|l| {
+        let config = net.node(l.0).config();
+        MergeParticipant {
+            cluster: config.id(),
+            members: config.members().clone(),
+        }
+    });
+    let tx = MergeTx {
+        id: TxId(77),
+        coordinator: clusters[0],
+        participants: participants.to_vec(),
+        new_cluster: recraft_types::ClusterId(20),
+        resume_members: None,
+    };
+    net.admin(l10, 1502, AdminCmd::Merge(tx));
+    // Cluster 10 aborts, and every member of it folds Cabort off its stack.
+    let c10 = net.node(l10.0).config().members().clone();
+    net.run_until(1200, |net| {
+        c10.iter().all(|m| {
+            net.events.iter().any(|(n, e)| {
+                n == m
+                    && matches!(
+                        e,
+                        NodeEvent::MergeOutcomeCommitted {
+                            committed: false,
+                            ..
+                        }
+                    )
+            })
+        })
+    });
+    assert!(
+        net.events.iter().any(|(n, e)| *n == l11
+            && matches!(
+                e,
+                NodeEvent::MergePrepareCommitted {
+                    decision: recraft_types::MergeDecision::Ok,
+                    ..
+                }
+            )),
+        "cluster 11 prepared OK"
+    );
+    assert!(!net.node(l11.0).cfg.is_quiescent(), "cluster 11 is waiting");
+    // The coordinator's leader crashes, and the losses end. Its successor
+    // holds no driver: nothing on its stack is left to continue.
+    net.crash(l10.0);
+    net.drop_if = None;
+    net.run_until(3000, |net| {
+        net.leader_of(recraft_types::ClusterId(11))
+            .is_some_and(|l| {
+                let node = net.node(l.0);
+                node.cfg.is_quiescent()
+                    && node
+                        .history()
+                        .iter()
+                        .any(|r| r.tx == Some(TxId(77)) && r.kind == "merge-abort")
+            })
     });
     net.assert_state_machine_safety();
 }

@@ -4,6 +4,12 @@
 //! heartbeats an order of magnitude below election timeouts, election
 //! timeouts randomized over a 2× band (the paper's liveness assumption
 //! `broadcastTime << electionTimeout << MTBF`, §VI-B).
+//!
+//! The two retry intervals no deployment tuned are constants beside their
+//! use: a pull asks its next source after 100 ms (`node/pull.rs`), and a
+//! cluster-to-cluster merge message — a prepare, an outcome, a
+//! participant's decision, a part fetch — is sent again, to the next member
+//! of its cluster, after 150 ms (`node/merge.rs`).
 
 /// Tuning knobs for the pipelined replication engine and batched apply.
 ///
@@ -60,10 +66,6 @@ pub struct Timing {
     pub election_timeout_max: u64,
     /// Leader heartbeat interval (µs).
     pub heartbeat_interval: u64,
-    /// Retry interval for pull-based recovery (µs).
-    pub pull_retry: u64,
-    /// Retry interval for cluster-to-cluster merge RPCs (µs).
-    pub rpc_retry: u64,
     /// Log length that triggers snapshotting and compaction.
     pub compaction_threshold: usize,
     /// Replication pipelining and batching knobs.
@@ -76,8 +78,6 @@ impl Default for Timing {
             election_timeout_min: 150_000,
             election_timeout_max: 300_000,
             heartbeat_interval: 50_000,
-            pull_retry: 100_000,
-            rpc_retry: 150_000,
             compaction_threshold: 4096,
             pipeline: PipelineConfig::default(),
         }

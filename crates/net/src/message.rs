@@ -258,6 +258,8 @@ pub enum Message {
         tx: MergeTx,
     },
     /// Participant leader → coordinator: recorded (committed) local decision.
+    /// Sent when the decision commits or a prepare request finds it, and
+    /// re-sent every retry interval while no outcome has arrived.
     MergePrepareResp {
         /// The transaction.
         tx_id: TxId,
@@ -270,7 +272,9 @@ pub enum Message {
         /// Responder's key ranges (for the combined range).
         ranges: RangeSet,
     },
-    /// Coordinator leader → participant cluster: 2PC commit/abort.
+    /// Coordinator leader → participant cluster: 2PC commit/abort. A
+    /// coordinator node without a driver sends it too, answering a re-sent
+    /// decision with the outcome its cluster committed.
     MergeCommitReq {
         /// The finalized outcome (`Cnew` or `Cabort`).
         outcome: MergeOutcome,

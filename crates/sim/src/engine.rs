@@ -686,13 +686,7 @@ impl Sim {
             Ok(()) => {
                 self.admin_done.insert(req_id, self.now);
             }
-            Err(
-                Error::NotLeader(_)
-                | Error::PreconditionP1
-                | Error::PreconditionP3
-                | Error::MergeBlocked,
-            ) => {
-                // Transient: retry shortly.
+            Err(e) if e.is_transient() => {
                 self.admin_pending.insert(req_id, (cluster, cmd));
                 self.schedule(100_000, EvKind::AdminCheck(req_id));
             }

@@ -60,6 +60,27 @@ pub enum Error {
     DeadlineExceeded(String),
 }
 
+impl Error {
+    /// Whether an admin command rejected with this error can succeed when
+    /// sent again: the node does not lead (its hint, if any, names who
+    /// does), a prior reconfiguration is still settling (P1), a fresh
+    /// leader's no-op has not committed (P3), or the cluster is blocked in a
+    /// merge's data exchange. Each resolves on its own. Every other
+    /// rejection is a planning error that a retry would only repeat. The
+    /// one rule the simulator's admin plane and the TCP admin client retry
+    /// by.
+    #[must_use]
+    pub fn is_transient(&self) -> bool {
+        matches!(
+            self,
+            Error::NotLeader(_)
+                | Error::PreconditionP1
+                | Error::PreconditionP3
+                | Error::MergeBlocked
+        )
+    }
+}
+
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
