@@ -63,66 +63,46 @@ impl AdminClient {
         to: NodeId,
         cmd: AdminCmd,
     ) -> Option<Result<(), Error>> {
-        let req_id = self.next_req;
-        self.next_req += 1;
-        let mut stream = TcpStream::connect_timeout(&addr, self.io_timeout).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.io_timeout));
-        write_frame(
-            &mut stream,
-            &Envelope {
-                from: self.me,
-                to,
-                msg: Message::AdminReq { req_id, cmd },
-            },
-        )
-        .ok()?;
-        loop {
-            match read_frame(&mut stream) {
-                Ok(Some(env)) => {
-                    if let Message::AdminResp {
-                        req_id: rid,
-                        result,
-                    } = env.msg
-                    {
-                        if rid == req_id {
-                            return Some(result);
-                        }
-                    }
-                }
-                Ok(None) | Err(_) => return None,
-            }
-        }
+        let request = |req_id| Message::AdminReq { req_id, cmd };
+        self.round_trip(addr, to, request, |msg| match msg {
+            Message::AdminResp { req_id, result } => Some((req_id, result)),
+            _ => None,
+        })
     }
 
     /// Asks the node at `addr` for its live [`NodeStats`] — the sampling
     /// plane's one query. Any node answers for itself (leader or not);
     /// transport failures come back as `None`.
     pub fn fetch_stats(&mut self, addr: SocketAddr, to: NodeId) -> Option<NodeStats> {
+        let request = |req_id| Message::StatsReq { req_id };
+        self.round_trip(addr, to, request, |msg| match msg {
+            Message::StatsResp { req_id, stats } => Some((req_id, *stats)),
+            _ => None,
+        })
+    }
+
+    /// One exchange over a fresh connection: dials `addr`, writes the
+    /// request `request` builds for a new `req_id`, and reads until `answer`
+    /// finds the reply carrying that `req_id`. The dial and each read wait
+    /// at most `io_timeout`; transport failures come back as `None`.
+    fn round_trip<T>(
+        &mut self,
+        addr: SocketAddr,
+        to: NodeId,
+        request: impl FnOnce(u64) -> Message,
+        answer: impl Fn(Message) -> Option<(u64, T)>,
+    ) -> Option<T> {
         let req_id = self.next_req;
         self.next_req += 1;
         let mut stream = TcpStream::connect_timeout(&addr, self.io_timeout).ok()?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.io_timeout));
-        write_frame(
-            &mut stream,
-            &Envelope {
-                from: self.me,
-                to,
-                msg: Message::StatsReq { req_id },
-            },
-        )
-        .ok()?;
+        write_frame(&mut stream, &Envelope::new(self.me, to, request(req_id))).ok()?;
         loop {
-            match read_frame(&mut stream) {
-                Ok(Some(env)) => {
-                    if let Message::StatsResp { req_id: rid, stats } = env.msg {
-                        if rid == req_id {
-                            return Some(*stats);
-                        }
-                    }
-                }
-                Ok(None) | Err(_) => return None,
+            let env = read_frame(&mut stream).ok()??;
+            match answer(env.msg) {
+                Some((rid, found)) if rid == req_id => return Some(found),
+                _ => {}
             }
         }
     }

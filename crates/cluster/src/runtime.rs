@@ -21,37 +21,42 @@
 //!   fence and one relaxed load, in that round only).
 //! * **A worker owns every fd it polls, including the reply half.** A
 //!   worker blocks in a [`recraft_net::poll::Poller`] over its waker, its
-//!   mux endpoint, every hosted front door, every inbound connection, and
-//!   in-flight outbound dials, with the timeout set to the earliest
-//!   protocol deadline among its seats
+//!   mux endpoint, every hosted front door and every connection it holds,
+//!   with the timeout set to the earliest protocol deadline among its seats
 //!   ([`recraft_core::Shard::next_deadline`]). No socket is shared between
 //!   threads and none is duplicated: the connection a request arrived on
 //!   belongs to the seat that answers it, so the reply is appended to that
 //!   connection's own buffer and flushed once per seat report by the thread
-//!   that reads it. A flush the socket will not take leaves the bytes in the
-//!   buffer with write interest on the same poll slot, bounded by
-//!   `CLIENT_WRITE_BUFFER_MAX` and `CLIENT_WRITE_DEADLINE`. An idle shard
-//!   makes no syscalls between deadlines; [`WireStats::idle_wakeups`]
-//!   counts the rounds that found nothing to do.
+//!   that reads it. An idle shard makes no syscalls between deadlines;
+//!   [`WireStats::idle_wakeups`] counts the rounds that found nothing to do.
+//! * **One connection rule.** Every socket a worker holds — a front door's
+//!   client or admin stream, a pair link it dialed, a mux stream accepted on
+//!   its endpoint — is a nonblocking `Conn` for its whole life, polled for
+//!   read, and written only through its own buffer. A unit (a reply frame or
+//!   a mux batch) is appended whole, or dropped whole when more bytes than
+//!   the connection's cap still wait after they were offered to the socket:
+//!   1 MiB on a front door, [`MAX_FRAME_BYTES`] on a pair link, so one
+//!   maximal batch can always wait behind a partly taken one. What the
+//!   socket declines waits with write interest. The protocol resends what
+//!   drops, as it resends what a down link drops.
 //! * **Connections close explicitly.** EOF, an I/O error, a corrupt frame,
-//!   the reply-buffer cap, and the write deadline each mark the connection
-//!   closed, and it is dropped — leaving the poll set — at the end of that
-//!   same round, whether or not the peer has closed its end.
-//! * **One multiplexed connection per worker pair.** When a pass of the
-//!   shard's round would step an envelope between two of its seats, the
-//!   route closure the worker hands it checks, at that moment, that the
-//!   link is not blocked, the address is live and the seat is still owned
-//!   here, or the envelope drops ([`WireStats::local_deliveries`] counts
-//!   those stepped). Every other peer envelope is grouped by the owning
-//!   worker's endpoint and flushed as [`recraft_net::mux`] batches — one
-//!   write per destination per pass of the round. A [`MuxReader`] per
-//!   inbound connection demultiplexes by `Envelope::to` and forwards the
-//!   rare mis-delivery (a node re-adopted elsewhere mid-flight) to the
-//!   owning shard's queue. Pair connections dial *nonblocking*: the socket
-//!   sits in the poll set until writability reports the connect done, and
-//!   batches produced meanwhile queue (bounded) instead of stalling every
-//!   co-hosted seat behind a blocking dial. Established pair connections
-//!   write whole batches blocking, with a 1 s timeout.
+//!   and declined bytes that do not drain within one `WRITE_DEADLINE` (1 s)
+//!   each mark the connection closed, and it is dropped — leaving the poll
+//!   set — at the end of that same round, whether or not the peer has
+//!   closed its end. A closed pair link is dialed again after a backoff.
+//! * **One multiplexed link per worker pair.** When a pass of the shard's
+//!   round would step an envelope between two of its seats, the route
+//!   closure the worker hands it checks, at that moment, that the link is
+//!   not blocked, the address is live and the seat is still owned here, or
+//!   the envelope drops ([`WireStats::local_deliveries`] counts those
+//!   stepped). Every other peer envelope is grouped by its owning worker and
+//!   encoded as [`recraft_net::mux`] batches straight into that worker's
+//!   link, which is flushed once per pass of the round. The link is dialed
+//!   nonblocking and the dial is resolved by write interest, so no seat
+//!   ever waits on a dial or on a peer that reads slowly. A [`MuxReader`]
+//!   per accepted connection demultiplexes by `Envelope::to` and forwards
+//!   the rare mis-delivery (a node re-adopted elsewhere mid-flight) to the
+//!   owning shard's queue.
 //! * **Per-node front doors.** Every node keeps its own listener *socket*
 //!   (accepted and read by its worker — no thread), published in
 //!   [`FleetNet`]. Clients and the admin plane dial a node's own address
@@ -80,13 +85,14 @@ use crate::CLIENT_BASE;
 use bytes::{Buf, BytesMut};
 use recraft_core::{Flushed, Role, Shard};
 use recraft_kv::KvMachine;
-use recraft_net::frame::put_frame;
+use recraft_net::frame::{put_frame, MAX_FRAME_BYTES};
 use recraft_net::mux::{put_batch_prefix, MuxReader};
 use recraft_net::poll::{
     self, Poller, Readiness, WakeReceiver, Waker, INTEREST_READ, INTEREST_WRITE,
 };
 use recraft_net::Envelope;
 use recraft_types::NodeId;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -96,42 +102,41 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long an outbound worker-pair connection stays down after a failed
-/// dial or write before the worker tries again (µs on the runtime clock).
+/// How long a pair link stays down after its dial failed or it was closed
+/// before the worker dials it again (µs on the runtime clock).
 const RECONNECT_BACKOFF_US: u64 = 50_000;
 
-/// How long a front-door connection may hold reply bytes its socket would
-/// not take before it is closed. Client resend (on a new connection)
-/// recovers the response; the bound keeps one pathological client from
-/// accumulating buffers forever.
-const CLIENT_WRITE_DEADLINE: Duration = Duration::from_millis(500);
+/// How long any connection may hold bytes its socket declined before it is
+/// closed. A client resends on a new connection and a pair link is dialed
+/// again, so nothing is lost but one peer that stopped reading cannot hold
+/// a buffer forever.
+const WRITE_DEADLINE: Duration = Duration::from_secs(1);
 
-/// Ceiling on unsent reply bytes buffered for one connection; beyond it
-/// the connection is closed (the client is not reading its replies).
+/// A front door's cap on waiting reply bytes while its socket declines.
 const CLIENT_WRITE_BUFFER_MAX: usize = 1 << 20;
 
-/// Ceiling on envelopes per mux batch (one wire write). A round producing
-/// more for one destination flushes multiple batches.
-const MUX_BATCH: usize = 512;
+/// A pair link's cap on waiting batch bytes while its socket declines: one
+/// maximal batch can always wait behind a partly taken one.
+const LINK_WRITE_BUFFER_MAX: usize = MAX_FRAME_BYTES;
 
-/// Ceiling on envelopes queued behind one in-flight outbound dial.
-/// Overflow drops the newest — the protocol retransmits.
-const OUT_QUEUE_MAX: usize = 4096;
+/// Ceiling on envelopes per mux batch. A pass producing more for one
+/// destination appends several batches to its link.
+const MUX_BATCH: usize = 512;
 
 /// Defensive cap on how long a worker blocks in `poll` even with no
 /// protocol deadline armed (an empty shard). Wakers cover every planned
 /// wakeup; this bounds the damage of a lost one.
 const IDLE_CAP_US: u64 = 1_000_000;
 
-/// Poll cap while reply bytes sit buffered, so their write deadline is
-/// enforced even if the client's socket never signals writability.
+/// Poll cap while declined bytes wait, so their write deadline is enforced
+/// even if the socket never signals writability.
 const WRITE_SWEEP_US: u64 = 100_000;
 
 /// Wire-level and scheduling counters the runtime accumulates across its
 /// lifetime, summed over all workers.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WireStats {
-    /// Mux batches written to worker-pair connections.
+    /// Mux batches handed to worker-pair links.
     pub batches: u64,
     /// Envelopes carried by those batches.
     pub batched_envelopes: u64,
@@ -448,30 +453,57 @@ impl Drop for DriverRuntime {
     }
 }
 
-/// One inbound connection: a worker-pair mux stream on the endpoint, or a
-/// client/admin stream on a seat's front door. Exactly one worker owns it —
-/// reads, reply writes, and the close all happen on the thread that polls
-/// the fd — and a migrating seat carries its connections with it.
+/// One connection a worker holds: a pair link it dialed, a mux stream
+/// accepted on its endpoint, or a client/admin stream on a seat's front
+/// door. It is nonblocking for its whole life, and every byte written to it
+/// goes through [`Conn::queue`] and [`Conn::flush`]. Exactly one worker owns
+/// it — reads, writes, and the close all happen on the thread that polls
+/// the fd — and a migrating seat carries its front-door connections with it.
 struct Conn {
     stream: TcpStream,
     reader: MuxReader,
     /// Front doors only: the client/admin identity the connection's first
     /// envelope carried. Replies addressed to it leave on this connection.
     peer: Option<NodeId>,
-    /// Reply bytes the socket has not taken yet are `out[sent..]`.
+    /// Pair links only: the nonblocking dial has not completed yet. Its
+    /// write interest resolves it ([`poll::connect_ready`]).
+    connecting: bool,
+    /// Bytes the socket has not taken yet are `out[sent..]`.
     out: BytesMut,
     sent: usize,
-    /// Set when a flush reports `WouldBlock`: the connection holds write
+    /// Set when the socket declines bytes: the connection holds write
     /// interest until the buffer drains (cleared) or this instant passes
     /// (closed).
     write_deadline: Option<Instant>,
-    /// EOF, an I/O error, a corrupt frame, the reply-buffer cap, or the
-    /// write deadline. A closed connection is dropped at the end of the
-    /// round that closed it, whatever the peer does with its end.
+    /// EOF, an I/O error, a corrupt frame, or a failed dial. A closed
+    /// connection is dropped at the end of the round that closed it,
+    /// whatever the peer does with its end.
     closed: bool,
 }
 
 impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        let _ = stream.set_nodelay(true);
+        Conn {
+            stream,
+            reader: MuxReader::new(),
+            peer: None,
+            connecting: false,
+            out: BytesMut::new(),
+            sent: 0,
+            write_deadline: None,
+            closed: false,
+        }
+    }
+
+    /// A pair link to `addr`, dialed nonblocking.
+    fn dial(addr: &SocketAddr) -> std::io::Result<Conn> {
+        let link = Conn::new(poll::connect_start(addr)?);
+        // Loopback dials often complete synchronously.
+        let connecting = link.stream.peer_addr().is_err();
+        Ok(Conn { connecting, ..link })
+    }
+
     /// Drains the socket's readable bytes into the frame decoder; returns
     /// how many came off it.
     fn fill(&mut self, scratch: &mut [u8]) -> usize {
@@ -497,35 +529,38 @@ impl Conn {
         total
     }
 
-    /// Encodes one reply frame behind whatever is still unsent, so frames
-    /// stay ordered and the payload is written once, where it is sent from.
-    /// The cap counts only bytes the socket has refused: a burst that
-    /// outgrows it is offered to the socket first, and a client that has
-    /// stopped reading is closed.
-    fn queue(&mut self, env: &Envelope) {
+    /// The buffer to append one whole unit (a reply frame or a mux batch)
+    /// to, behind whatever is still unsent, so units stay ordered and each
+    /// is encoded once, where it is sent from. More than `cap` waiting bytes
+    /// are offered to the socket first, unless it is already declining; if
+    /// more than `cap` still wait, or the connection is closed, this is
+    /// `None` and the unit drops whole. So a connection holds at most `cap`
+    /// bytes plus one unit.
+    fn queue(&mut self, cap: usize) -> Option<&mut BytesMut> {
+        if self.write_deadline.is_none() && self.out.len() - self.sent > cap {
+            self.flush();
+        }
         self.out.advance(self.sent);
         self.sent = 0;
-        let refused = self.out.len();
-        put_frame(&mut self.out, env);
-        if refused > 0 && self.out.len() > CLIENT_WRITE_BUFFER_MAX {
-            if self.write_deadline.is_none() {
-                self.flush();
-            }
-            if !self.out.is_empty() {
-                self.closed = true;
-            }
-        }
+        (!self.closed && self.out.len() <= cap).then_some(&mut self.out)
     }
 
     /// Hands the socket as much of the buffer as it takes without blocking.
+    /// What it declines — all of it while a dial is in flight — waits with
+    /// write interest.
     fn flush(&mut self) {
         while !self.closed && self.sent < self.out.len() {
-            match self.stream.write(&self.out[self.sent..]) {
+            let wrote = if self.connecting {
+                Err(ErrorKind::WouldBlock.into())
+            } else {
+                self.stream.write(&self.out[self.sent..])
+            };
+            match wrote {
                 Ok(0) => self.closed = true,
                 Ok(n) => self.sent += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     self.write_deadline
-                        .get_or_insert_with(|| Instant::now() + CLIENT_WRITE_DEADLINE);
+                        .get_or_insert_with(|| Instant::now() + WRITE_DEADLINE);
                     return;
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -536,30 +571,22 @@ impl Conn {
         self.sent = 0;
         self.write_deadline = None;
     }
-}
 
-/// An outbound worker-pair connection's lifecycle.
-#[derive(Default)]
-enum OutState {
-    /// No socket; redial after `down_until`.
-    #[default]
-    Down,
-    /// A nonblocking dial in flight: registered for writability, resolved
-    /// by [`poll::connect_ready`]. Batches queue behind it (bounded).
-    Connecting(TcpStream),
-    /// Established; writes are blocking with a bounded write timeout.
-    Ready(TcpStream),
-}
+    /// Read interest always (an EOF or a reset closes the connection at
+    /// once), write interest while declined bytes wait.
+    fn interest(&self) -> u8 {
+        if self.write_deadline.is_some() {
+            INTEREST_READ | INTEREST_WRITE
+        } else {
+            INTEREST_READ
+        }
+    }
 
-/// One outbound worker-pair connection: dialed lazily and *nonblocking*,
-/// dropped on write failure, redialed after a backoff. Batches produced
-/// while a dial is in flight queue up to [`OUT_QUEUE_MAX`]; batches sent
-/// while the far side is down are dropped — the protocol retransmits.
-#[derive(Default)]
-struct OutConn {
-    state: OutState,
-    down_until: u64,
-    queued: Vec<Envelope>,
+    /// Whether the connection outlives the round ending at `now`: not
+    /// closed, and its declined bytes, if any, still within their deadline.
+    fn live(&self, now: Instant) -> bool {
+        !self.closed && self.write_deadline.is_none_or(|d| now < d)
+    }
 }
 
 /// A seat's front door as its worker holds it beside the shard's node:
@@ -578,7 +605,7 @@ enum PollSlot {
     Mux(usize),
     Door(NodeId),
     SeatConn(NodeId, usize),
-    Dial(SocketAddr),
+    Link(usize),
 }
 
 /// Everything one worker thread owns.
@@ -595,12 +622,12 @@ impl Worker {
         let mut shard: Shard<KvMachine, HarnessStore> = Shard::default();
         let mut doors: BTreeMap<NodeId, Door> = BTreeMap::new();
         let mut mux_conns: Vec<Conn> = Vec::new();
-        let mut outs: HashMap<SocketAddr, OutConn> = HashMap::new();
+        // Pair links by peer worker, and when each may be dialed again.
+        let mut links: HashMap<usize, Conn> = HashMap::new();
+        let mut redial_at = vec![0u64; self.shared.endpoints.len()];
         let mut inbox: VecDeque<Envelope> = VecDeque::new();
-        let mut wire: HashMap<SocketAddr, Vec<Envelope>> = HashMap::new();
+        let mut wire: HashMap<usize, Vec<Envelope>> = HashMap::new();
         let mut scratch = vec![0u8; 64 * 1024];
-        // Every outbound mux batch of this worker is encoded here.
-        let mut wire_buf = BytesMut::new();
         let mut poller = Poller::new();
         let mut slots: Vec<PollSlot> = Vec::new();
         // Set when the previous round left envelopes queued locally: the
@@ -612,35 +639,30 @@ impl Worker {
             // simply part of the next set — nothing to transfer.
             poller.clear();
             slots.clear();
-            let mut stalled = false;
             slots.push(PollSlot::Wake);
             poller.register(self.wake_rx.raw_fd(), INTEREST_READ);
             slots.push(PollSlot::Endpoint);
             poller.register(poll::fd_of(&self.endpoint), INTEREST_READ);
             for (i, conn) in mux_conns.iter().enumerate() {
                 slots.push(PollSlot::Mux(i));
-                poller.register(poll::fd_of(&conn.stream), INTEREST_READ);
+                poller.register(poll::fd_of(&conn.stream), conn.interest());
             }
             for (id, door) in &doors {
                 slots.push(PollSlot::Door(*id));
                 poller.register(poll::fd_of(&door.listener), INTEREST_READ);
                 for (i, conn) in door.conns.iter().enumerate() {
                     slots.push(PollSlot::SeatConn(*id, i));
-                    let interest = if conn.write_deadline.is_some() {
-                        stalled = true;
-                        INTEREST_READ | INTEREST_WRITE
-                    } else {
-                        INTEREST_READ
-                    };
-                    poller.register(poll::fd_of(&conn.stream), interest);
+                    poller.register(poll::fd_of(&conn.stream), conn.interest());
                 }
             }
-            for (addr, out) in &outs {
-                if let OutState::Connecting(s) = &out.state {
-                    slots.push(PollSlot::Dial(*addr));
-                    poller.register(poll::fd_of(s), INTEREST_WRITE);
-                }
+            for (w, link) in &links {
+                slots.push(PollSlot::Link(*w));
+                poller.register(poll::fd_of(&link.stream), link.interest());
             }
+            let stalled = links
+                .values()
+                .chain(doors.values().flat_map(|door| &door.conns))
+                .any(|conn| conn.write_deadline.is_some());
 
             // 2. Sleep until the earliest protocol deadline among this
             // shard's seats, or until readiness / a waker interrupts.
@@ -664,7 +686,6 @@ impl Worker {
 
             // 3. Service exactly what reported readiness.
             if n_ready > 0 {
-                let now = self.now_us();
                 for (token, slot) in slots.iter().enumerate() {
                     let ready = poller.readiness(token);
                     if !ready.any() {
@@ -677,7 +698,8 @@ impl Worker {
                         }
                         PollSlot::Mux(i) => {
                             if let Some(conn) = mux_conns.get_mut(i) {
-                                busy |= read_conn(conn, &mut scratch, None, &mut inbox) > 0;
+                                let n = serve(conn, ready, &mut scratch, None, &mut inbox);
+                                busy |= ready.writable || n > 0;
                             }
                         }
                         PollSlot::Door(id) => {
@@ -688,22 +710,18 @@ impl Worker {
                         PollSlot::SeatConn(id, i) => {
                             if let Some(door) = doors.get_mut(&id) {
                                 if let Some(conn) = door.conns.get_mut(i) {
-                                    if ready.writable {
-                                        conn.flush();
-                                        busy = true;
-                                    }
-                                    if ready.readable || ready.error {
-                                        let n = read_conn(conn, &mut scratch, Some(id), &mut inbox);
-                                        door.status
-                                            .net_bytes
-                                            .fetch_add(n as u64, Ordering::Relaxed);
-                                        busy |= n > 0;
-                                    }
+                                    let n = serve(conn, ready, &mut scratch, Some(id), &mut inbox);
+                                    let bytes = &door.status.net_bytes;
+                                    bytes.fetch_add(n as u64, Ordering::Relaxed);
+                                    busy |= ready.writable || n > 0;
                                 }
                             }
                         }
-                        PollSlot::Dial(addr) => {
-                            busy |= self.resolve_dial(&mut outs, addr, ready, now, &mut wire_buf);
+                        PollSlot::Link(w) => {
+                            if let Some(link) = links.get_mut(&w) {
+                                let n = serve(link, ready, &mut scratch, None, &mut inbox);
+                                busy |= ready.writable || n > 0;
+                            }
                         }
                     }
                 }
@@ -759,22 +777,33 @@ impl Worker {
                         local.fetch_add(flushed.local, Ordering::Relaxed);
                         self.send_out(flushed.outbox, door, &mut wire);
                     }
-                    for (addr, envs) in wire.drain() {
-                        self.send_batch(&mut outs, addr, envs, self.now_us(), &mut wire_buf);
+                    let now = self.now_us();
+                    for (w, envs) in wire.drain() {
+                        let addr = &self.shared.endpoints[w];
+                        if let Some(link) = link_to(&mut links, &mut redial_at[w], w, addr, now) {
+                            send_batches(link, &envs, |n| {
+                                self.shared.batches.fetch_add(1, Ordering::Relaxed);
+                                let envelopes = &self.shared.batched_envelopes;
+                                envelopes.fetch_add(n as u64, Ordering::Relaxed);
+                            });
+                        }
                     }
                 },
             );
             inbox.extend(left);
 
             // 7. Reap: connections closed this round, and those whose
-            // buffered replies outlived the write deadline. Dropping the
+            // declined bytes outlived the write deadline. Dropping the
             // stream closes the fd; it is in no later poll set.
             let cutoff = Instant::now();
             for door in doors.values_mut() {
-                door.conns
-                    .retain(|c| !c.closed && c.write_deadline.is_none_or(|d| cutoff < d));
+                door.conns.retain(|c| c.live(cutoff));
             }
-            mux_conns.retain(|c| !c.closed);
+            mux_conns.retain(|c| c.live(cutoff));
+            let now = self.now_us();
+            for (w, _) in links.extract_if(|_, link| !link.live(cutoff)) {
+                redial_at[w] = now + RECONNECT_BACKOFF_US;
+            }
 
             work_pending = !inbox.is_empty();
             if !busy {
@@ -845,19 +874,19 @@ impl Worker {
     }
 
     /// Sends what a seat externalized: replies onto the seat's own
-    /// connections (each flushed once), peer envelopes into the wire batch
-    /// of the owning worker's endpoint.
+    /// connections (each flushed once), peer envelopes into the pass's list
+    /// for the owning worker's link.
     fn send_out(
         &self,
         outbox: Vec<Envelope>,
         door: &mut Door,
-        wire: &mut HashMap<SocketAddr, Vec<Envelope>>,
+        wire: &mut HashMap<usize, Vec<Envelope>>,
     ) {
         for env in outbox {
             if env.to.0 >= CLIENT_BASE {
                 queue_reply(&mut door.conns, &env);
             } else if let Some(w) = self.owner_of_peer(&env).filter(|w| *w != self.idx) {
-                wire.entry(self.shared.endpoints[w]).or_default().push(env);
+                wire.entry(w).or_default().push(env);
             }
         }
         for conn in &mut door.conns {
@@ -866,127 +895,48 @@ impl Worker {
             }
         }
     }
+}
 
-    /// Writes one round's envelopes for `addr`: dials lazily (nonblocking),
-    /// queues behind an in-flight dial, drops during backoff.
-    fn send_batch(
-        &self,
-        outs: &mut HashMap<SocketAddr, OutConn>,
-        addr: SocketAddr,
-        envs: Vec<Envelope>,
-        now: u64,
-        buf: &mut BytesMut,
-    ) {
-        let out = outs.entry(addr).or_default();
-        match &out.state {
-            OutState::Ready(_) => self.write_out(out, envs, now, buf),
-            OutState::Connecting(_) => queue_out(out, envs),
-            OutState::Down => {
-                if now < out.down_until {
-                    return; // dropped; the protocol retransmits
-                }
-                match poll::connect_start(&addr) {
-                    Ok(s) => {
-                        if s.peer_addr().is_ok() {
-                            // Loopback dials often complete synchronously.
-                            finalize_out(&s);
-                            out.state = OutState::Ready(s);
-                            self.write_out(out, envs, now, buf);
-                        } else {
-                            out.state = OutState::Connecting(s);
-                            queue_out(out, envs);
-                        }
-                    }
-                    Err(_) => {
-                        out.down_until = now + RECONNECT_BACKOFF_US;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves an in-flight dial after its writability/error event; on
-    /// success the queued backlog flushes immediately.
-    fn resolve_dial(
-        &self,
-        outs: &mut HashMap<SocketAddr, OutConn>,
-        addr: SocketAddr,
-        ready: Readiness,
-        now: u64,
-        buf: &mut BytesMut,
-    ) -> bool {
-        let Some(out) = outs.get_mut(&addr) else {
-            return false;
-        };
-        let OutState::Connecting(s) = &out.state else {
-            return false;
-        };
-        match poll::connect_ready(s, ready) {
-            Ok(true) => {
-                let OutState::Connecting(s) = std::mem::replace(&mut out.state, OutState::Down)
-                else {
-                    unreachable!("state checked above");
-                };
-                finalize_out(&s);
-                out.state = OutState::Ready(s);
-                let backlog = std::mem::take(&mut out.queued);
-                if !backlog.is_empty() {
-                    self.write_out(out, backlog, now, buf);
-                }
-                true
-            }
-            Ok(false) => false,
+/// The link to worker `w` at `addr`, dialed nonblocking when there is none
+/// and its backoff has passed (`None` then: what it would carry drops, and
+/// the protocol resends).
+fn link_to<'a>(
+    links: &'a mut HashMap<usize, Conn>,
+    redial_at: &mut u64,
+    w: usize,
+    addr: &SocketAddr,
+    now: u64,
+) -> Option<&'a mut Conn> {
+    match links.entry(w) {
+        Entry::Occupied(link) => Some(link.into_mut()),
+        Entry::Vacant(_) if now < *redial_at => None,
+        Entry::Vacant(slot) => match Conn::dial(addr) {
+            Ok(link) => Some(slot.insert(link)),
             Err(_) => {
-                out.state = OutState::Down;
-                out.down_until = now + RECONNECT_BACKOFF_US;
-                out.queued.clear();
-                true
+                *redial_at = now + RECONNECT_BACKOFF_US;
+                None
             }
-        }
-    }
-
-    /// Writes `envs` on an established connection in mux-batch chunks, each
-    /// encoded into the worker's one wire buffer, downing the connection on
-    /// failure.
-    fn write_out(&self, out: &mut OutConn, envs: Vec<Envelope>, now: u64, buf: &mut BytesMut) {
-        let OutState::Ready(s) = &mut out.state else {
-            return;
-        };
-        let written = write_batches(s, &envs, buf, |n| {
-            self.shared.batches.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .batched_envelopes
-                .fetch_add(n as u64, Ordering::Relaxed);
-        });
-        if written.is_err() {
-            out.state = OutState::Down;
-            out.down_until = now + RECONNECT_BACKOFF_US;
-            out.queued.clear();
-        }
+        },
     }
 }
 
-/// Writes `envs` to `w` as mux batches of at most [`MUX_BATCH`] envelopes,
-/// each cut before its encoding would pass the frame cap, and reports each
-/// batch's count to `written`. An envelope past the cap on its own is
-/// dropped: no reader would take it, and writing it would down the pair
-/// connection and drop every co-hosted seat's traffic with it.
-fn write_batches(
-    w: &mut impl Write,
-    mut envs: &[Envelope],
-    buf: &mut BytesMut,
-    mut written: impl FnMut(usize),
-) -> std::io::Result<()> {
+/// Appends `envs` to `link` as mux batches of at most [`MUX_BATCH`]
+/// envelopes, each cut before its encoding would pass the frame cap and
+/// reported to `counted`, then flushes the link once. An envelope past the
+/// frame cap on its own is dropped: no reader would take it. A batch the
+/// link's cap refuses is dropped whole, and so is the rest of `envs`.
+fn send_batches(link: &mut Conn, mut envs: &[Envelope], mut counted: impl FnMut(usize)) {
     while !envs.is_empty() {
-        buf.clear();
+        let Some(buf) = link.queue(LINK_WRITE_BUFFER_MAX) else {
+            break;
+        };
         let n = put_batch_prefix(buf, &envs[..envs.len().min(MUX_BATCH)]);
         if n > 0 {
-            w.write_all(buf)?;
-            written(n);
+            counted(n);
         }
         envs = &envs[n.max(1)..];
     }
-    Ok(())
+    link.flush();
 }
 
 /// Accepts every pending connection on a nonblocking listener.
@@ -995,19 +945,10 @@ fn accept_into(listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                conns.push(Conn {
-                    stream,
-                    reader: MuxReader::new(),
-                    peer: None,
-                    out: BytesMut::new(),
-                    sent: 0,
-                    write_deadline: None,
-                    closed: false,
-                });
+                conns.push(Conn::new(stream));
                 busy = true;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -1018,9 +959,35 @@ fn accept_into(listener: &TcpListener, conns: &mut Vec<Conn>) -> bool {
     busy
 }
 
+/// Services one readiness report on `conn`: resolves a dial in flight,
+/// hands the socket its declined bytes again, and reads; returns how many
+/// bytes came off the socket.
+fn serve(
+    conn: &mut Conn,
+    ready: Readiness,
+    scratch: &mut [u8],
+    door: Option<NodeId>,
+    inbox: &mut VecDeque<Envelope>,
+) -> usize {
+    if conn.connecting {
+        match poll::connect_ready(&conn.stream, ready) {
+            Ok(done) => conn.connecting = !done,
+            Err(_) => conn.closed = true,
+        }
+    }
+    if ready.writable {
+        conn.flush();
+    }
+    if ready.readable || ready.error {
+        read_conn(conn, scratch, door, inbox)
+    } else {
+        0
+    }
+}
+
 /// Drains one connection's readable bytes and queues the decoded
 /// envelopes; returns how many bytes came off the socket. `door` names the
-/// seat behind a front-door connection (`None` on the mux endpoint): an
+/// seat behind a front-door connection (`None` on a pair link): an
 /// envelope addressed to any other node is dropped there, and the first
 /// one from a client/admin identity registers that identity for replies.
 fn read_conn(
@@ -1063,25 +1030,9 @@ fn queue_reply(conns: &mut [Conn], env: &Envelope) {
         .iter_mut()
         .rev()
         .find(|c| !c.closed && c.peer == Some(env.to));
-    if let Some(conn) = live {
-        conn.queue(env);
+    if let Some(buf) = live.and_then(|conn| conn.queue(CLIENT_WRITE_BUFFER_MAX)) {
+        put_frame(buf, env);
     }
-}
-
-/// Settles an established outbound pair connection: blocking writes with a
-/// bounded timeout (whole mux frames only — a partial nonblocking write
-/// would corrupt the stream's framing).
-fn finalize_out(stream: &TcpStream) {
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-}
-
-/// Queues envelopes behind an in-flight dial, bounded; overflow drops the
-/// newest (the protocol retransmits).
-fn queue_out(out: &mut OutConn, envs: Vec<Envelope>) {
-    let room = OUT_QUEUE_MAX.saturating_sub(out.queued.len());
-    out.queued.extend(envs.into_iter().take(room));
 }
 
 /// Stores a reported seat's protocol state and load counters into its
@@ -1116,28 +1067,10 @@ fn publish(flushed: &Flushed, node: &HarnessNode, door: &Door, signal: &SeatSign
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use recraft_net::frame::MAX_FRAME_BYTES;
     use recraft_net::mux::MUX_MAGIC;
     use recraft_net::Message;
     use recraft_storage::SnapshotFrame;
     use recraft_types::{ClusterId, EpochTerm, LogIndex, RangeSet, TxId};
-
-    /// A socket that keeps each write's `(count, body length)` header.
-    #[derive(Default)]
-    struct Wire(Vec<(u32, usize)>);
-
-    impl Write for Wire {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let word = |at: usize| u32::from_be_bytes(buf[at..at + 4].try_into().unwrap());
-            assert_eq!(word(0), MUX_MAGIC, "every write is one whole batch");
-            assert_eq!(word(4) as usize, buf.len() - 8);
-            self.0.push((word(8), buf.len() - 8));
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
 
     /// A merge part of one chunk, as a one-chunk image travels.
     fn part(to: u64, chunk: Bytes) -> Envelope {
@@ -1158,6 +1091,54 @@ mod tests {
         Envelope::new(NodeId(1), NodeId(to), msg)
     }
 
+    /// A pair link dialed as a round dials it, settled as a round settles it
+    /// once its poller reports the dial writable, and the listener's end of
+    /// it, which nobody reads until the test says so.
+    fn linked() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut link = Conn::dial(&listener.local_addr().expect("addr")).expect("dial");
+        let (far, _) = listener.accept().expect("accept");
+        let writable = Readiness {
+            writable: true,
+            ..Readiness::default()
+        };
+        serve(&mut link, writable, &mut [], None, &mut VecDeque::new());
+        assert!(!link.connecting && !link.closed, "the dial settled");
+        (link, far)
+    }
+
+    /// Feeds `sink` everything the far end receives while `link` drains,
+    /// then closes the link and feeds it the rest up to EOF.
+    fn drain(link: Conn, far: &mut TcpStream, mut sink: impl FnMut(&[u8])) {
+        far.set_nonblocking(true).expect("nonblocking");
+        let (mut link, mut chunk) = (Some(link), vec![0u8; 1 << 16]);
+        loop {
+            match far.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => sink(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => match &mut link {
+                    Some(open) if !open.out.is_empty() => open.flush(),
+                    _ => link = None,
+                },
+                Err(e) => panic!("far end: {e}"),
+            }
+        }
+    }
+
+    /// Each batch's `(count, body length)` header, walking a stream that
+    /// must hold whole batches only.
+    fn headers(mut wire: &[u8]) -> Vec<(u32, usize)> {
+        let word = |w: &[u8], at: usize| u32::from_be_bytes(w[at..at + 4].try_into().unwrap());
+        let mut found = Vec::new();
+        while !wire.is_empty() {
+            assert_eq!(word(wire, 0), MUX_MAGIC, "every unit is one whole batch");
+            let len = word(wire, 4) as usize;
+            found.push((word(wire, 8), len));
+            wire = &wire[8 + len..];
+        }
+        found
+    }
+
     #[test]
     fn a_round_past_the_frame_cap_is_cut_and_only_an_envelope_past_it_alone_drops() {
         // Two parts of just over half the cap fit one batch each, not one
@@ -1172,16 +1153,19 @@ mod tests {
             part(5, data.clone()),
             part(6, Bytes::new()),
         ];
-        let (mut wire, mut buf, mut counted) = (Wire::default(), BytesMut::new(), Vec::new());
-        write_batches(&mut wire, &envs, &mut buf, |n| counted.push(n)).expect("written");
-        let counts: Vec<u32> = wire.0.iter().map(|&(count, _)| count).collect();
+        let ((mut link, mut far), mut counted) = (linked(), Vec::new());
+        send_batches(&mut link, &envs, |n| counted.push(n));
+        let mut wire = Vec::new();
+        drain(link, &mut far, |bytes| wire.extend_from_slice(bytes));
+        let wire = headers(&wire);
+        let counts: Vec<u32> = wire.iter().map(|&(count, _)| count).collect();
         assert_eq!(
             counts,
             [2, 1, 1],
             "cut by size; only the oversized part dropped"
         );
         assert_eq!(counted, [2, 1, 1]);
-        assert!(wire.0.iter().all(|&(_, len)| len <= MAX_FRAME_BYTES));
+        assert!(wire.iter().all(|&(_, len)| len <= MAX_FRAME_BYTES));
     }
 
     #[test]
@@ -1189,9 +1173,68 @@ mod tests {
         let envs: Vec<Envelope> = (0..MUX_BATCH as u64 + 3)
             .map(|i| part(i, Bytes::new()))
             .collect();
-        let (mut wire, mut buf) = (Wire::default(), BytesMut::new());
-        write_batches(&mut wire, &envs, &mut buf, |_| {}).expect("written");
-        let counts: Vec<u32> = wire.0.iter().map(|&(count, _)| count).collect();
+        let (mut link, mut far) = linked();
+        send_batches(&mut link, &envs, |_| {});
+        let mut wire = Vec::new();
+        drain(link, &mut far, |bytes| wire.extend_from_slice(bytes));
+        let counts: Vec<u32> = headers(&wire).iter().map(|&(count, _)| count).collect();
         assert_eq!(counts, [MUX_BATCH as u32, 3]);
+    }
+
+    /// A peer worker that stops reading costs the sender nothing but the
+    /// batches past the link's cap: every send returns at once (a blocking
+    /// write would wait out its timeout here), the link holds write
+    /// interest, and what the peer finally reads is whole batches.
+    #[test]
+    fn a_link_whose_peer_never_reads_takes_no_wait_and_drops_whole_batches_past_its_cap() {
+        let (mut link, mut far) = linked();
+        // One batch of 16 MiB per send, 128 MiB in all: twice the cap, and
+        // far past what loopback socket buffers hold.
+        let chunk = Bytes::from(vec![7u8; 4 << 20]);
+        let envs: Vec<Envelope> = (2..6).map(|to| part(to, chunk.clone())).collect();
+        let (sends, mut counted) = (8, 0);
+        for _ in 0..sends {
+            let began = Instant::now();
+            send_batches(&mut link, &envs, |n| {
+                assert_eq!(n, envs.len(), "the parts travel as one batch");
+                counted += 1;
+            });
+            assert!(
+                began.elapsed() < WRITE_DEADLINE / 4,
+                "a send waited {:?} on a peer that does not read",
+                began.elapsed()
+            );
+            assert_eq!(link.interest(), INTEREST_READ | INTEREST_WRITE);
+        }
+        assert!(
+            0 < counted && counted < sends,
+            "{counted} of {sends} batches handed over"
+        );
+        let waiting = link.out.len() - link.sent;
+        assert!(
+            waiting <= LINK_WRITE_BUFFER_MAX + (17 << 20),
+            "{waiting} bytes wait"
+        );
+
+        let (mut reader, mut read) = (MuxReader::new(), 0);
+        drain(link, &mut far, |bytes| {
+            reader.feed(bytes);
+            while reader.next_envelope().expect("whole batches").is_some() {
+                read += 1;
+            }
+        });
+        assert_eq!(read, counted * envs.len(), "every counted batch arrived");
+        assert_eq!(reader.pending_bytes(), 0, "no partial batch");
+    }
+
+    #[test]
+    fn a_link_that_never_drains_is_reaped_once_the_write_deadline_passes() {
+        let (mut link, _far) = linked();
+        let envs = [part(2, Bytes::from(vec![7u8; 16 << 20]))];
+        send_batches(&mut link, &envs, |_| {});
+        let now = Instant::now();
+        assert!(link.write_deadline.is_some(), "the peer declined bytes");
+        assert!(link.live(now), "kept within the deadline");
+        assert!(!link.live(now + WRITE_DEADLINE), "reaped past it");
     }
 }

@@ -40,7 +40,6 @@ use crate::message::Envelope;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use recraft_types::{Error, Result};
 use std::collections::VecDeque;
-use std::io::Write;
 
 /// Marker distinguishing a batch from a plain frame. Any valid plain frame
 /// starts with a length `<= MAX_FRAME_BYTES`; this sits far above the cap,
@@ -107,18 +106,6 @@ pub fn encode_batch(envs: &[Envelope]) -> Result<Bytes> {
     let mut buf = BytesMut::new();
     put_batch(&mut buf, envs)?;
     Ok(buf.freeze())
-}
-
-/// Writes `envs` as one batch in a single `write_all`.
-///
-/// # Errors
-/// Returns [`Error::Codec`] for an unencodable batch and [`Error::Storage`]
-/// on stream I/O failure.
-pub fn write_batch<W: Write>(w: &mut W, envs: &[Envelope]) -> Result<()> {
-    let mut buf = BytesMut::new();
-    put_batch(&mut buf, envs)?;
-    w.write_all(&buf)
-        .map_err(|e| Error::Storage(format!("mux batch write: {e}")))
 }
 
 /// Unpacks a complete batch body — what [`put_batch`] wrote behind

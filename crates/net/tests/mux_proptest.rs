@@ -6,7 +6,7 @@
 use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 use recraft_net::frame::{encode_frame, MAX_FRAME_BYTES};
-use recraft_net::mux::{encode_batch, write_batch, MuxReader, MUX_MAGIC};
+use recraft_net::mux::{encode_batch, MuxReader, MUX_MAGIC};
 use recraft_net::{Envelope, Message, PullHint};
 use recraft_types::{ClusterId, EpochTerm, LogIndex, NodeId};
 
@@ -61,7 +61,7 @@ fn encode_units(seeds: &[(bool, u64)]) -> (Vec<u8>, Vec<Envelope>) {
             let envs: Vec<Envelope> = (0..1 + r % 6)
                 .map(|i| sample_envelope(r ^ (i << 32)))
                 .collect();
-            write_batch(&mut wire, &envs).unwrap();
+            wire.extend_from_slice(&encode_batch(&envs).unwrap());
             want.extend(envs);
         } else {
             let env = sample_envelope(r);
