@@ -535,14 +535,18 @@ impl Conn {
     /// are offered to the socket first, unless it is already declining; if
     /// more than `cap` still wait, or the connection is closed, this is
     /// `None` and the unit drops whole. So a connection holds at most `cap`
-    /// bytes plus one unit.
+    /// bytes plus one unit waiting. Dropping the sent prefix moves every
+    /// waiting byte, so it waits until the prefix is at least as long as
+    /// what still waits: each byte moves amortised O(1) times.
     fn queue(&mut self, cap: usize) -> Option<&mut BytesMut> {
         if self.write_deadline.is_none() && self.out.len() - self.sent > cap {
             self.flush();
         }
-        self.out.advance(self.sent);
-        self.sent = 0;
-        (!self.closed && self.out.len() <= cap).then_some(&mut self.out)
+        if self.sent >= self.out.len() - self.sent {
+            self.out.advance(self.sent);
+            self.sent = 0;
+        }
+        (!self.closed && self.out.len() - self.sent <= cap).then_some(&mut self.out)
     }
 
     /// Hands the socket as much of the buffer as it takes without blocking.
@@ -1224,6 +1228,41 @@ mod tests {
             }
         });
         assert_eq!(read, counted * envs.len(), "every counted batch arrived");
+        assert_eq!(reader.pending_bytes(), 0, "no partial batch");
+    }
+
+    /// A unit queued behind a batch the socket took only part of moves none
+    /// of the waiting bytes: the sent prefix is dropped only once it is at
+    /// least as long as what waits, so a stalled link's buffer is not
+    /// copied once per unit. The far end still reads whole units in order.
+    #[test]
+    fn queueing_behind_a_partly_taken_batch_moves_no_waiting_byte() {
+        let (mut link, mut far) = linked();
+        let chunk = Bytes::from(vec![7u8; 8 << 20]);
+        let envs: Vec<Envelope> = (2..6).map(|to| part(to, chunk.clone())).collect();
+        send_batches(&mut link, &envs, |_| {});
+        let (sent, len) = (link.sent, link.out.len());
+        assert!(
+            0 < sent && sent < len - sent,
+            "the socket took {sent} of {len} bytes"
+        );
+        let waiting = link.out[sent..].as_ptr();
+        assert!(link.queue(LINK_WRITE_BUFFER_MAX).is_some());
+        assert_eq!(
+            (link.sent, link.out[link.sent..].as_ptr()),
+            (sent, waiting),
+            "queueing moved the waiting bytes"
+        );
+        send_batches(&mut link, &[part(6, Bytes::new())], |_| {});
+
+        let (mut reader, mut order) = (MuxReader::new(), Vec::new());
+        drain(link, &mut far, |bytes| {
+            reader.feed(bytes);
+            while let Some(env) = reader.next_envelope().expect("whole batches") {
+                order.push(env.to.0);
+            }
+        });
+        assert_eq!(order, [2, 3, 4, 5, 6]);
         assert_eq!(reader.pending_bytes(), 0, "no partial batch");
     }
 

@@ -123,15 +123,10 @@ pub(crate) struct Progress {
     pub(crate) next: LogIndex,
     pub(crate) matched: LogIndex,
     pub(crate) window: ReplicationWindow,
-    /// Active binary search for the peer's real match point after a failed
-    /// consistency check: `(lo, hi)` brackets it as `lo <= match < hi`,
-    /// where `lo` is the best lower bound (the confirmed `matched`, or the
-    /// unverified compaction base) and `hi` the lowest index the peer
-    /// provably does not match. While set, the leader probes interval
-    /// midpoints with empty appends instead of streaming entries, so a
-    /// far-divergent follower reconciles in O(log n) round trips instead of
-    /// one `next_index` step per nack.
-    pub(crate) search: Option<(LogIndex, LogIndex)>,
+    /// Reconciling after a failed consistency check: the leader sends
+    /// empty appends at `next - 1` (backed up to the peer's conflict hint)
+    /// instead of entries until one succeeds.
+    pub(crate) probing: bool,
     /// When the snapshot stream was last sent to this peer; cleared by its
     /// `InstallSnapshotResp`. While the stream is younger than one heartbeat
     /// interval the peer gets heartbeats, not the whole snapshot again.
@@ -148,7 +143,7 @@ impl Progress {
             next,
             matched: LogIndex::ZERO,
             window: ReplicationWindow::default(),
-            search: None,
+            probing: false,
             snapshot_sent: None,
             clock: ProbeClock::default(),
         }
@@ -1337,14 +1332,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
     /// Appends an entry to the log, keeping the config stack in sync.
     pub(crate) fn log_append(&mut self, entry: LogEntry) {
-        if let Some(change) = entry.as_config() {
-            self.cfg.push(entry.index, change.clone());
-            self.emit(NodeEvent::ConfigAppended {
-                kind: change.kind(),
-                index: entry.index,
-            });
-        }
-        self.log.append(entry);
+        self.log_append_batch(vec![entry]);
     }
 
     /// Appends a contiguous run of entries, keeping the config stack in sync

@@ -26,8 +26,11 @@
 //!   every covered probe, however reordered or duplicated the responses
 //!   arrive;
 //! * a rejection rewinds the whole window (everything in flight past a
-//!   failed consistency check is doomed) and restreams from the conflict
-//!   hint;
+//!   failed consistency check is doomed) and backs the cursor up to the
+//!   follower's conflict hint — just past its log, or the first index of
+//!   its run of entries at the rejected point's epoch-term (Raft §5.3) —
+//!   then probes with empty appends at `next - 1` until one succeeds, and
+//!   streams again from there;
 //! * a probe that outlives a heartbeat interval without an acknowledgement
 //!   is presumed lost: the window rewinds to `matched + 1` and restreams
 //!   (the follower drops duplicates idempotently).
@@ -97,7 +100,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let mut ranked: Vec<(u64, NodeId)> = self
             .progress
             .iter()
-            .filter(|(_, pr)| pr.search.is_none() && pr.snapshot_sent.is_none())
+            .filter(|(_, pr)| !pr.probing && pr.snapshot_sent.is_none())
             .filter_map(|(peer, pr)| Some((pr.clock.rank(now)?, *peer)))
             .collect();
         ranked.sort_unstable();
@@ -148,12 +151,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         if pr.window.stale(now, 2 * self.timing.heartbeat_interval) {
             pr.window.rewind();
             pr.next = pr.matched.next();
-            pr.search = None;
         }
-        if pr.search.is_some() {
-            // Bisecting the peer's match point: the heartbeat fallback
-            // probes the current midpoint (anchored at `next - 1`); real
-            // entries wait until the search resolves.
+        if pr.probing {
+            // Reconciling after a nack: the heartbeat fallback probes at
+            // `next - 1`; real entries wait until a probe succeeds.
             return false;
         }
         if pr.next <= self.log.base_index() {
@@ -339,13 +340,24 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // even when the consistency check would pass.
         let placeholder = self.cfg.base().id() != self.cluster;
         if placeholder || !self.log.matches(prev_index, prev_eterm) {
-            // Consistency check failed: hint where to back up. A mismatch at
-            // or below our base means we are on a different log lineage (or
-            // hopelessly behind): ask for a snapshot via conflict = 0.
-            let conflict = if placeholder || prev_index <= self.log.base_index() {
+            // Consistency check failed: hint where to back up (Raft §5.3) —
+            // just past our log when we lack `prev_index`, else the first
+            // index above our base of our run of entries at its epoch-term
+            // (epoch-terms never decrease along a log, so that run is
+            // contiguous). A mismatch at or below our base means we are on a
+            // different log lineage (or hopelessly behind): ask for a
+            // snapshot via conflict = 0.
+            let base = self.log.base_index();
+            let conflict = if placeholder || prev_index <= base {
                 LogIndex::ZERO
+            } else if let Some(at) = self.log.eterm_at(prev_index) {
+                let run = (base.0 + 1..prev_index.0)
+                    .rev()
+                    .take_while(|&i| self.log.eterm_at(LogIndex(i)) == Some(at))
+                    .count();
+                LogIndex(prev_index.0 - run as u64)
             } else {
-                prev_index.min(self.log.last_index().next())
+                self.log.last_index().next()
             };
             self.send(
                 from,
@@ -441,24 +453,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // accounting only ever moves forward.
             pr.window.ack(pr.matched);
             pr.clock.answered(probe, now);
-            if let Some((_, hi)) = pr.search {
-                if pr.matched.next() >= hi {
-                    // The acknowledged prefix reaches the rejected zone's
-                    // edge: the match point is pinned, resume streaming.
-                    pr.search = None;
-                    pr.next = pr.matched.next();
-                } else {
-                    // Halve the interval upward: the probe (or a straggler
-                    // ack) confirmed `matched`, so bisect [matched, hi).
-                    let lo = pr.matched.max(self.log.base_index());
-                    let mid = LogIndex(lo.0 + (hi.0 - lo.0) / 2);
-                    pr.search = Some((lo, hi));
-                    pr.next = mid.next();
-                }
-            } else {
-                // Never roll back below pipelined in-flight sends.
-                pr.next = pr.next.max(pr.matched.next());
-            }
+            // A success ends a probe, and never rolls the cursor back below
+            // pipelined in-flight sends.
+            pr.probing = false;
+            pr.next = pr.next.max(pr.matched.next());
             let advanced = pr.matched > self.commit_index;
             // The successful response at our own epoch-term confirms the
             // responder still recognizes this leadership; credit it to every
@@ -477,45 +475,27 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.push_entries(now, from);
         } else {
             // Everything in flight past the failed consistency check is
-            // doomed with it: rewind the window wholesale. Rather than
-            // walking `next` back one nack at a time, bisect the peer's real
-            // match point: `(lo, hi)` brackets it as `lo <= match < hi`, and
-            // each empty probe anchored at the midpoint (`next - 1`) halves
-            // the interval — a far-behind or divergent follower reconciles
-            // in O(log n) round trips instead of O(n).
+            // doomed with it: rewind the window wholesale and back the cursor
+            // up to the peer's hint — never raising it, nor lowering it under
+            // the acknowledged prefix.
             pr.window.rewind();
-            let base = self.log.base_index();
             let hint = conflict.unwrap_or(pr.next.saturating_prev());
-            // A nack never raises the upper bound: reordered stale nacks can
-            // only tighten the bracket, never reopen resolved ground.
-            let hi = match pr.search {
-                Some((_, prev_hi)) => hint.min(prev_hi),
-                None => hint,
-            };
-            let lo = pr.matched.max(base);
-            if hint == LogIndex::ZERO || hi <= base {
+            if hint <= self.log.base_index() {
                 // The peer rejected even our retained base (or matches
                 // nothing we still hold): stream the snapshot — unless a
                 // stream is already on its way, in which case this nack
                 // answers the heartbeat that stood in for it, and answering
                 // that with another heartbeat would never end.
-                pr.search = None;
+                pr.probing = false;
                 pr.next = LogIndex::ZERO;
                 self.push_entries(now, from);
-                return;
-            } else if pr.matched >= base && hi <= pr.matched.next() {
-                // Collapsed onto the verified match point: resume streaming.
-                pr.search = None;
-                pr.next = pr.matched.next();
             } else {
-                // Probe the midpoint of [lo, hi) with an empty append
-                // (`prev_index = mid`); success reports `match_index = mid`
-                // and raises `lo`, another nack lowers `hi`.
-                let mid = LogIndex(lo.0 + (hi.0 - lo.0) / 2);
-                pr.search = Some((lo, hi));
-                pr.next = mid.next();
+                // Probe with an empty append at `next - 1`: success resumes
+                // streaming there, another nack backs the cursor up again.
+                pr.probing = true;
+                pr.next = pr.next.min(hint).max(pr.matched.next());
+                self.send_heartbeat(now, from);
             }
-            self.send_append(now, from);
         }
     }
 
@@ -688,9 +668,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
             pr.next = pr.matched.next();
             // In-flight probes anchored before the install are void, and the
-            // snapshot boundary supersedes any match-point search.
+            // snapshot boundary supersedes any reconciliation probe.
             pr.window.rewind();
-            pr.search = None;
+            pr.probing = false;
             pr.snapshot_sent = None;
             self.leader_advance_commit(now);
             self.push_entries(now, from);

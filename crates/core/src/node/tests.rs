@@ -11,7 +11,9 @@ use recraft_net::AdminCmd;
 use recraft_types::{
     ClientOp, ClientRequest, KeyRange, MergeParticipant, SplitSpec, TxId, SESSION_WINDOW,
 };
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 const CLIENT: NodeId = NodeId(1000);
 const TICK: u64 = 10_000; // 10 ms
@@ -1945,6 +1947,272 @@ fn divergent_follower_reconciles_in_logarithmic_round_trips() {
     );
     assert_eq!(net.node(leader.0).state_machine().get(b"stale0"), None);
     net.assert_state_machine_safety();
+}
+
+/// Cuts `behind` off while `leader` commits `lag` writes with the third
+/// member, then crashes `leader`, reconnects `behind` and runs until the
+/// third member — the one survivor holding every write — leads. Returns
+/// that new leader.
+fn elect_past_a_lagging_follower(
+    net: &mut Net,
+    leader: NodeId,
+    behind: NodeId,
+    lag: u64,
+) -> NodeId {
+    net.blackholes.insert(behind);
+    for i in 0..lag {
+        net.put(leader, 10_000 + i, &format!("late{i}"), "v");
+    }
+    assert!(net.ok_response(10_000 + lag - 1));
+    net.crash(leader.0);
+    net.blackholes.remove(&behind);
+    net.run_until(400, |net| net.any_leader().is_some());
+    net.any_leader().unwrap()
+}
+
+/// A leader's appends to `to`, in send order: `'e'` for an entry batch,
+/// `'p'` for an empty probe; and `to`'s nacks back, `'n'`.
+fn record_reconciliation(net: &mut Net, leader: NodeId, to: NodeId) -> Rc<RefCell<String>> {
+    let seen = Rc::new(RefCell::new(String::new()));
+    let log = Rc::clone(&seen);
+    net.drop_if = Some(Box::new(move |env| {
+        let mark = match &env.msg {
+            Message::AppendEntries { entries, .. } if (env.from, env.to) == (leader, to) => {
+                if entries.is_empty() {
+                    'p'
+                } else {
+                    'e'
+                }
+            }
+            Message::AppendResp { success: false, .. } if (env.from, env.to) == (to, leader) => 'n',
+            _ => return false,
+        };
+        log.borrow_mut().push(mark);
+        false
+    }));
+    seen
+}
+
+#[test]
+fn a_follower_far_behind_a_new_leader_catches_up_at_the_first_probe() {
+    // The follower's nack names its log's end, so the new leader probes
+    // there at once and streams the missing 300 entries. With no client
+    // load, every further probe a leader needed would wait for the next
+    // heartbeat.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    for i in 0..600u64 {
+        net.put(leader, 1 + i, &format!("k{i}"), "v");
+    }
+    assert!(net.ok_response(600));
+    let behind = *net.nodes.keys().find(|id| **id != leader).unwrap();
+    net.nacks.clear();
+    let new_leader = elect_past_a_lagging_follower(&mut net, leader, behind, 300);
+    assert_ne!(
+        new_leader, behind,
+        "only the member holding every write can win"
+    );
+    let mut ticks = 0;
+    while net.node(behind.0).log().last_index() < net.node(new_leader.0).log().last_index() {
+        assert!(ticks < 400, "the follower never caught up");
+        net.run(1);
+        ticks += 1;
+    }
+    let nacks = net
+        .nacks
+        .iter()
+        .filter(|n| **n == (behind, new_leader))
+        .count();
+    assert!(
+        ticks <= 10 && nacks <= 2,
+        "a follower 300 entries behind caught up after {ticks} ticks and {nacks} nacks"
+    );
+    net.run(5);
+    assert_eq!(
+        net.node(behind.0).state_machine().get(b"late299"),
+        Some(&b"v"[..])
+    );
+    net.assert_state_machine_safety();
+}
+
+#[test]
+fn a_new_leader_reconciles_a_follower_one_entry_behind_with_one_probe() {
+    // The follower nacks the new leader's first batch with its log's end as
+    // the hint: one empty probe there succeeds, and the next batch carries
+    // what it lacks.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    for i in 0..200u64 {
+        net.put(leader, 1 + i, &format!("k{i}"), "v");
+    }
+    let behind = *net.nodes.keys().find(|id| **id != leader).unwrap();
+    let survivor = *net
+        .nodes
+        .keys()
+        .find(|id| ![leader, behind].contains(id))
+        .unwrap();
+    let seen = record_reconciliation(&mut net, survivor, behind);
+    let new_leader = elect_past_a_lagging_follower(&mut net, leader, behind, 1);
+    assert_eq!(new_leader, survivor);
+    net.run_until(400, |net| {
+        net.node(behind.0).log().last_index() == net.node(survivor.0).log().last_index()
+    });
+    let seen = seen.borrow();
+    // Empty probes between the first nack and the first entry batch after it.
+    let after_nack = &seen[seen.find('n').expect("the follower rejected an append")..];
+    let probes = after_nack
+        .chars()
+        .take_while(|&c| c != 'e')
+        .filter(|&c| c == 'p')
+        .count();
+    assert!(
+        probes <= 2,
+        "{probes} empty probes before the first entry batch ({seen})"
+    );
+    net.assert_state_machine_safety();
+}
+
+#[test]
+fn a_peer_being_probed_is_not_ranked_for_a_read_round() {
+    // Its answers until a probe succeeds are nacks, which confirm nothing,
+    // however fast its last round trip was.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    net.put(leader, 1, "k", "v");
+    net.get(leader, 2, "k");
+    assert!(net.ok_response(2), "a read round timed both peers");
+    let mut peers = net.nodes.keys().copied().filter(|id| *id != leader);
+    let (behind, down) = (peers.next().unwrap(), peers.next().unwrap());
+    // `behind` misses a batch, and the heartbeat at the cursor past it is
+    // nacked once it is back; its answers to the probes are lost.
+    net.crash(down.0);
+    net.blackholes.insert(behind);
+    net.put(leader, 3, "k", "w");
+    net.blackholes.remove(&behind);
+    net.drop_if = Some(Box::new(move |env| {
+        env.from == behind && matches!(env.msg, Message::AppendResp { success: true, .. })
+    }));
+    net.run(10);
+    let node = net.node(leader.0);
+    assert!(node.progress[&behind].probing);
+    assert_eq!(node.read_quorum(net.now), Some(vec![down]));
+    net.drop_if = None;
+    net.run(10);
+    let node = net.node(leader.0);
+    assert!(!node.progress[&behind].probing);
+    assert_eq!(node.read_quorum(net.now), Some(vec![behind]));
+}
+
+#[test]
+fn one_lost_batch_of_a_long_backlog_is_resent_once() {
+    // Every batch in flight behind a lost one is nacked, and each nack
+    // rewinds the window. Answering each with a probe to the follower's end,
+    // not with a restream of the window, re-sends the backlog once.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    let behind = *net.nodes.keys().find(|id| **id != leader).unwrap();
+    net.blackholes.insert(behind);
+    for i in 0..3000u64 {
+        net.put(leader, 1 + i, &format!("k{i}"), "v");
+    }
+    assert!(net.ok_response(3000));
+    let lag = net.node(leader.0).log().last_index().0 - net.node(behind.0).log().last_index().0;
+    let (batches, entries) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+    let (sent_batches, sent_entries) = (Rc::clone(&batches), Rc::clone(&entries));
+    net.drop_if = Some(Box::new(move |env| match &env.msg {
+        Message::AppendEntries { entries, .. }
+            if (env.from, env.to) == (leader, behind) && !entries.is_empty() =>
+        {
+            sent_batches.set(sent_batches.get() + 1);
+            sent_entries.set(sent_entries.get() + entries.len() as u64);
+            sent_batches.get() == 2
+        }
+        _ => false,
+    }));
+    net.blackholes.remove(&behind);
+    net.run_until(400, |net| {
+        net.node(behind.0).log().last_index() == net.node(leader.0).log().last_index()
+    });
+    let resent = entries.get() - lag;
+    assert!(
+        resent <= 3 * lag,
+        "catching up {lag} entries past one lost batch re-sent {resent} in {} batches",
+        batches.get()
+    );
+    net.assert_state_machine_safety();
+}
+
+#[test]
+fn a_rejection_hints_the_start_of_the_followers_run_at_the_mismatch() {
+    let timing = Timing {
+        compaction_threshold: 8,
+        ..Timing::default()
+    };
+    let config = ClusterConfig::new(
+        recraft_types::ClusterId(1),
+        [NodeId(1), NodeId(2), NodeId(3)],
+        RangeSet::full(),
+    )
+    .unwrap();
+    let mut follower = Node::new(NodeId(1), config, MapMachine::default(), timing, 1);
+    let eterm = |term| EpochTerm::new(0, term);
+    let entries: Vec<LogEntry> = (1..=60u64)
+        .map(|i| {
+            let term = match i {
+                1..=10 => 1,
+                11..=40 => 2,
+                _ => 3,
+            };
+            LogEntry::command(LogIndex(i), eterm(term), Bytes::from(format!("k{i}=v")))
+        })
+        .collect();
+    follower.step(
+        10,
+        NodeId(2),
+        append(eterm(3), 0, EpochTerm::ZERO, entries, 0),
+    );
+    let hint = |follower: &mut Node<MapMachine>, prev| {
+        let commit = follower.commit_index().0;
+        follower.step(
+            20,
+            NodeId(2),
+            append(eterm(4), prev, eterm(4), Vec::new(), commit),
+        );
+        let (msgs, _) = follower.take_outputs();
+        msgs.into_iter()
+            .find_map(|env| match env.msg {
+                Message::AppendResp {
+                    success: false,
+                    conflict,
+                    ..
+                } => conflict,
+                _ => None,
+            })
+            .expect("a nack with a hint")
+    };
+    assert_eq!(
+        hint(&mut follower, 50),
+        LogIndex(41),
+        "the run 41..=60 shares 50's eterm"
+    );
+    assert_eq!(
+        hint(&mut follower, 70),
+        LogIndex(61),
+        "no entry 70: just past the log"
+    );
+    assert_eq!(hint(&mut follower, 30), LogIndex(11));
+    // Commit and compact through 20: the run 11..=40 now starts above the
+    // base, and nothing at or below the base is hinted but a snapshot.
+    follower.step(
+        30,
+        NodeId(2),
+        append(eterm(4), 60, eterm(3), Vec::new(), 20),
+    );
+    assert_eq!(follower.log().base_index(), LogIndex(20));
+    assert_eq!(hint(&mut follower, 30), LogIndex(21));
+    assert_eq!(hint(&mut follower, 50), LogIndex(41));
+    assert_eq!(hint(&mut follower, 20), LogIndex::ZERO);
+    assert_eq!(hint(&mut follower, 15), LogIndex::ZERO);
 }
 
 #[test]

@@ -12,11 +12,11 @@
 //!
 //! # Design
 //!
-//! Applies land in an in-memory **memtable** (the dirty overlay since the
-//! last flush) layered over the materialized [`KvStore`] view that serves
-//! reads. Once the memtable outgrows `memtable_bytes`, a **flush**
-//! re-partitions the state into immutable segment files of at most
-//! `chunk_bytes` each — written tmp-first and committed by atomically
+//! Applies land in the materialized [`KvStore`] view that serves reads,
+//! and the keys they touch in an in-memory **memtable** (the dirty overlay
+//! since the last flush). Once the memtable outgrows `memtable_bytes`, a
+//! **flush** re-partitions the state into immutable segment files of at
+//! most `chunk_bytes` each — written tmp-first and committed by atomically
 //! replacing the manifest, exactly like `WalLog`'s metadata files. The
 //! manifest also persists the **applied-index watermark**: the highest log
 //! index whose effects the flushed image contains. Recovery ([`DurableKv::
@@ -105,9 +105,9 @@ pub struct DurableKv {
     /// The materialized current state serving reads and applies; byte-for-
     /// byte the same dispatch as the in-memory machine.
     inner: KvStore,
-    /// The dirty overlay since the last flush: key → live value or
-    /// tombstone. Keys present here make their covering segment stale.
-    memtable: BTreeMap<Vec<u8>, Option<Bytes>>,
+    /// The dirty overlay since the last flush: the keys applies wrote or
+    /// deleted. Keys present here make their covering segment stale.
+    memtable: BTreeSet<Vec<u8>>,
     /// Approximate bytes in the memtable (flush trigger).
     memtable_bytes: usize,
     /// Flushed, immutable, key-ordered disjoint segments.
@@ -151,7 +151,7 @@ impl DurableKv {
             dir,
             opts,
             inner,
-            memtable: BTreeMap::new(),
+            memtable: BTreeSet::new(),
             memtable_bytes: 0,
             segments: Vec::new(),
             stale_files: Vec::new(),
@@ -184,7 +184,7 @@ impl DurableKv {
             dir: dir.clone(),
             opts,
             inner: KvStore::new(),
-            memtable: BTreeMap::new(),
+            memtable: BTreeSet::new(),
             memtable_bytes: 0,
             segments: Vec::new(),
             stale_files: Vec::new(),
@@ -332,13 +332,6 @@ impl DurableKv {
         self.durable_applied
     }
 
-    /// Keys currently dirty in the memtable (unflushed since the last
-    /// flush; lost by a power cut, re-applied by consensus).
-    #[must_use]
-    pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
-    }
-
     /// Full-image rebuilds (restore / merge resumption / chunked install)
     /// since this store object opened. The O(delta) reboot path is exactly
     /// "reopen with `restore_count() == 0`".
@@ -357,11 +350,11 @@ impl DurableKv {
         match KvCmd::decode(cmd) {
             Ok(KvCmd::Put { key, value }) => {
                 self.memtable_bytes += key.len() + value.len();
-                self.memtable.insert(key, Some(value));
+                self.memtable.insert(key);
             }
             Ok(KvCmd::Delete { key, .. }) => {
                 self.memtable_bytes += key.len();
-                self.memtable.insert(key, None);
+                self.memtable.insert(key);
             }
             Ok(KvCmd::Ingest { data }) => {
                 // The bulk-load payload is a snapshot image; every key in it
@@ -370,7 +363,7 @@ impl DurableKv {
                 if let Ok((_, map)) = KvStore::decode_image(&data) {
                     for (key, value) in map {
                         self.memtable_bytes += key.len() + value.len();
-                        self.memtable.insert(key, Some(value));
+                        self.memtable.insert(key);
                     }
                 }
             }
@@ -598,7 +591,7 @@ impl StateMachine for DurableKv {
     fn retain_ranges(&mut self, ranges: &RangeSet) {
         let before = self.inner.len();
         self.inner.retain_ranges(ranges);
-        self.memtable.retain(|k, _| ranges.contains(k));
+        self.memtable.retain(|k| ranges.contains(k));
         if self.inner.len() == before {
             return; // nothing dropped: the flushed image still matches
         }
