@@ -169,7 +169,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // Pull hints legitimately cross cluster lineages: the responder
             // is in a descendant configuration we missed.
             if hint.epoch > self.hard.eterm.epoch() {
-                self.start_pull(now, from);
+                self.start_pull(from);
             }
             return;
         }

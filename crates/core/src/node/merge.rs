@@ -18,8 +18,9 @@
 //! * **Participant** — decides OK/NO under preconditions P1/P2'/P3, commits
 //!   the decision *before* responding, and later commits the outcome. While
 //!   its OK decision is committed and no outcome is on its stack, its
-//!   leader re-sends the decision to the coordinator's members, one per
-//!   retry interval in turn. A coordinator node without a driver for that
+//!   leader re-sends the decision to the coordinator's members in turn,
+//!   the first time one retry interval after the decision committed. A
+//!   coordinator node without a driver for that
 //!   transaction answers from what it committed: the abort in its history,
 //!   or the outcome of the exchange it is in. So a participant is never
 //!   stranded by a coordinator whose leader changed after folding `Cabort`.
@@ -35,14 +36,23 @@
 //!
 //! A part travels as the install stream's bounded frames, one
 //! `FetchSnapshotResp` each. The fetcher asks one member of each missing
-//! participant per retry interval, rotating, and keeps one assembly per
-//! participant whose first completed stream is the part. The server side is
+//! participant when the exchange begins and the next one each retry
+//! interval, and keeps one assembly per participant whose first completed
+//! stream is the part. The server side is
 //! bounded: a node keeps only its latest transaction's part (a reboot loses
 //! it anyway), and parks a fetch that arrives before its part exists only
 //! while it has prepared that transaction; anything else goes unanswered
 //! and the fetcher's retry covers it.
+//!
+//! None of these messages keeps a timer of its own. Each is owed by the one
+//! retry rule ([`Node::owed`]): derived from the node's state — the
+//! driver's missing decisions and acknowledgements, the participant's
+//! stack, the exchange's missing parts — and sent again every 150 ms, to
+//! the next member of its target cluster, until its answer changes that
+//! state. The driver's prepares leave when it is built, its outcome when it
+//! is decided, and the fetches when the exchange begins.
 
-use super::{Exchange, Node, Resend, Role};
+use super::{Exchange, Node, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
 use bytes::Bytes;
@@ -52,22 +62,11 @@ use recraft_types::{
     ClusterConfig, ClusterId, ConfigChange, EpochTerm, LogIndex, MergeDecision, MergeOutcome,
     MergeTx, NodeId, RangeSet, TxId,
 };
-use std::collections::{BTreeMap, BTreeSet};
-
-/// How long a cluster-to-cluster merge message waits for its answer before
-/// it is sent again, to the next member of the cluster it is for (µs).
-pub(super) const RPC_RETRY: u64 = 150_000;
-
-/// The member a retry asks next: one per interval, each in turn.
-fn next_member(members: &BTreeSet<NodeId>, cursor: &mut usize) -> NodeId {
-    let target = members.iter().nth(*cursor % members.len());
-    *cursor += 1;
-    *target.expect("a participant has members")
-}
+use std::collections::BTreeMap;
 
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// This cluster's decision on `tx_id`, as the coordinator reads it.
-    fn prepare_resp(&self, tx_id: TxId, decision: MergeDecision) -> Message {
+    pub(crate) fn prepare_resp(&self, tx_id: TxId, decision: MergeDecision) -> Message {
         Message::MergePrepareResp {
             tx_id,
             cluster: self.cluster,
@@ -92,26 +91,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     }
 
     // ---- Coordinator side --------------------------------------------------
-
-    /// Sends (or resends) prepare requests to participants that have not yet
-    /// answered.
-    fn driver_send_prepares(&mut self, now: u64) {
-        let Some(driver) = &mut self.driver else {
-            return;
-        };
-        let mut sends: Vec<(NodeId, MergeTx)> = Vec::new();
-        for p in &driver.tx.participants {
-            if driver.responses.contains_key(&p.cluster) {
-                continue;
-            }
-            let cursor = driver.cursors.entry(p.cluster).or_insert(0);
-            sends.push((next_member(&p.members, cursor), driver.tx.clone()));
-        }
-        driver.next_retry = now + RPC_RETRY;
-        for (target, tx) in sends {
-            self.send(target, Message::MergePrepareReq { tx });
-        }
-    }
 
     /// Coordinator: a participant's durable decision arrived. A coordinator
     /// node without a driver for the transaction answers a participant that
@@ -177,46 +156,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             _ => MergeOutcome::Abort { tx_id },
         };
         driver.outcome = Some(outcome.clone());
-        driver.next_retry = now;
+        self.retry_at = 0; // the outcome goes out at once
         self.propose_config(now, ConfigChange::MergeCommit(outcome));
-        self.driver_send_outcome(now);
-    }
-
-    /// Sends (or resends) the finalized outcome to participants that have not
-    /// acknowledged it.
-    fn driver_send_outcome(&mut self, now: u64) {
-        let Some(driver) = &mut self.driver else {
-            return;
-        };
-        let Some(outcome) = driver.outcome.clone() else {
-            return;
-        };
-        let own = self.cluster;
-        let mut sends: Vec<(NodeId, MergeOutcome)> = Vec::new();
-        for p in &driver.tx.participants {
-            if p.cluster == own || driver.acks.contains(&p.cluster) {
-                continue;
-            }
-            let cursor = driver.cursors.entry(p.cluster).or_insert(0);
-            sends.push((next_member(&p.members, cursor), outcome.clone()));
-        }
-        driver.next_retry = now + RPC_RETRY;
-        for (target, outcome) in sends {
-            self.send(target, Message::MergeCommitReq { outcome });
-        }
-    }
-
-    /// The 2PC retry loop (leader only): the coordinator's driver re-sends
-    /// what it still waits for, a prepared participant its decision.
-    pub(crate) fn driver_tick(&mut self, now: u64) {
-        self.resend_decision(now);
-        match &self.driver {
-            Some(d) if now >= d.next_retry && d.outcome.is_none() => {
-                self.driver_send_prepares(now);
-            }
-            Some(d) if now >= d.next_retry => self.driver_send_outcome(now),
-            _ => {}
-        }
     }
 
     /// A participant pointed us at its current leader.
@@ -305,39 +246,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 decision: MergeDecision::Ok,
             },
         );
-    }
-
-    /// A prepared participant's retry: while its decision is committed and
-    /// no outcome is on the stack, the leader re-sends the decision to the
-    /// coordinator's members, one per retry interval in turn. Armed by
-    /// [`Node::continue_reconfig`]; it ends when the outcome arrives or the
-    /// prepare leaves the stack.
-    fn resend_decision(&mut self, now: u64) {
-        let Some(Resend { due, mut cursor }) = self.resend else {
-            return;
-        };
-        if now < due {
-            return;
-        }
-        let derived = self.derived_cached();
-        let owed = derived
-            .merge_tx
-            .as_ref()
-            .filter(|tx| tx.coordinator != self.cluster && derived.merge_outcome_index.is_none());
-        let Some(tx) = owed else {
-            self.resend = None;
-            return;
-        };
-        let (_, decision) = self.find_prepare(tx.id).expect("merge_tx is a prepare's");
-        let coordinator = tx
-            .participant(tx.coordinator)
-            .expect("validated before the decision: coordinator participates");
-        let target = next_member(&coordinator.members, &mut cursor);
-        self.resend = Some(Resend {
-            due: now + RPC_RETRY,
-            cursor,
-        });
-        self.send(target, self.prepare_resp(tx.id, decision));
     }
 
     fn find_prepare(&self, tx_id: TxId) -> Option<(LogIndex, MergeDecision)> {
@@ -535,8 +443,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             new_epoch,
             parts: BTreeMap::from([(self.cluster, part)]),
             streams: BTreeMap::new(),
-            cursors: BTreeMap::new(),
-            next_retry: now,
         });
         self.emit(NodeEvent::MergeExchangeStarted {
             tx: tx_id_of(&self.exchange),
@@ -549,31 +455,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         if self.role == Role::Leader {
             self.broadcast_append(now);
         }
-        self.exchange_tick(now);
+        self.retry_at = 0; // the fetches go out at once
         self.try_finish_exchange(now);
-    }
-
-    /// Fetch retry loop for missing snapshot parts.
-    pub(crate) fn exchange_tick(&mut self, now: u64) {
-        let Some(ex) = &mut self.exchange else {
-            return;
-        };
-        if now < ex.next_retry {
-            return;
-        }
-        let own = self.cluster;
-        let mut sends: Vec<(NodeId, TxId)> = Vec::new();
-        for p in &ex.tx.participants {
-            if p.cluster == own || ex.parts.contains_key(&p.cluster) {
-                continue;
-            }
-            let cursor = ex.cursors.entry(p.cluster).or_insert(0);
-            sends.push((next_member(&p.members, cursor), ex.tx.id));
-        }
-        ex.next_retry = now + RPC_RETRY;
-        for (target, tx_id) in sends {
-            self.send(target, Message::FetchSnapshotReq { tx_id });
-        }
     }
 
     /// Serves a peer subcluster's snapshot request: our part, as its stream
@@ -721,8 +604,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.votes.clear();
         self.progress.clear();
         self.driver = None;
-        self.resend = None;
-        self.pull = None;
+        self.pull.clear();
         // Everyone resumes as a follower of term 0: the node that led the
         // coordinator campaigns at once (members still in their exchange
         // vote as stragglers of the new generation).

@@ -34,9 +34,21 @@ use recraft_storage::{
 };
 use recraft_types::{
     ClientOutcome, ClientResponse, ClusterConfig, ClusterId, ConfigChange, EpochTerm, Error,
-    LogIndex, MergeOutcome, MergeTx, NodeId, RangeSet, SessionCheck, SessionId, SessionTable, TxId,
+    LogIndex, MergeDecision, MergeOutcome, MergeParticipant, MergeTx, NodeId, RangeSet,
+    SessionCheck, SessionId, SessionTable, TxId,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// How long a request to another cluster waits for its answer before it is
+/// sent again, to the next member of its target (µs).
+const RETRY: u64 = 150_000;
+
+/// A merge on the config stack: its committed prepare, with the decision,
+/// and its outcome entry.
+type StagedMerge<'a> = (
+    Option<(&'a MergeTx, MergeDecision)>,
+    Option<(LogIndex, &'a MergeOutcome)>,
+);
 
 /// The role a node currently plays in its cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,15 +266,6 @@ pub(crate) struct PendingRead {
     pub(crate) acks: BTreeSet<NodeId>,
 }
 
-/// Pull-based recovery state (§III-B).
-#[derive(Debug, Clone)]
-pub(crate) struct PullState {
-    /// Candidate source nodes, rotated on retry.
-    pub(crate) targets: Vec<NodeId>,
-    pub(crate) cursor: usize,
-    pub(crate) next_retry: u64,
-}
-
 /// Snapshot-exchange state after a merge outcome commits (§III-C2).
 #[derive(Debug, Clone)]
 pub(crate) struct Exchange {
@@ -274,9 +277,6 @@ pub(crate) struct Exchange {
     pub(crate) parts: BTreeMap<ClusterId, Snapshot>,
     /// One assembly per participant whose part is still on its way.
     pub(crate) streams: BTreeMap<ClusterId, Assembler<()>>,
-    /// Per-peer-cluster rotation cursor for fetch retries.
-    pub(crate) cursors: BTreeMap<ClusterId, usize>,
-    pub(crate) next_retry: u64,
 }
 
 /// The merge coordinator driver (leader of the coordinating cluster). It
@@ -292,18 +292,6 @@ pub(crate) struct MergeDriver {
     pub(crate) responses: BTreeMap<ClusterId, (bool, u32, RangeSet)>,
     pub(crate) outcome: Option<MergeOutcome>,
     pub(crate) acks: BTreeSet<ClusterId>,
-    /// Per-cluster member rotation for retries.
-    pub(crate) cursors: BTreeMap<ClusterId, usize>,
-    pub(crate) next_retry: u64,
-}
-
-/// A prepared participant's re-send of its committed decision (leader
-/// only): when it is next due, and its turn through the coordinator's
-/// members.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Resend {
-    pub(crate) due: u64,
-    pub(crate) cursor: usize,
 }
 
 // The §V reconfiguration-history record now lives in `recraft-storage`: it
@@ -355,14 +343,15 @@ pub struct Node<SM, LS = MemLog> {
     /// The serial included in the most recent probe round, so read batches
     /// that formed since then trigger exactly one follow-up round.
     pub(crate) last_probe_serial: u64,
-    pub(crate) pull: Option<PullState>,
+    /// The sources a pull asks in turn, its hint first (§III-B); empty when
+    /// the node is not pulling.
+    pub(crate) pull: Vec<NodeId>,
     /// Snapshot streams mid-assembly — installs and pulled images, tagged
     /// with the configuration they adopt. Volatile: crashes and restarts
     /// drop them, forcing a re-stream from scratch.
     pub(crate) installs: Assembler<ClusterConfig>,
     pub(crate) exchange: Option<Exchange>,
     pub(crate) driver: Option<MergeDriver>,
-    pub(crate) resend: Option<Resend>,
     /// Pending 2PC replies: once the entry at the index commits, answer the
     /// requester.
     pub(crate) pending_2pc: HashMap<TxId, NodeId>,
@@ -383,6 +372,12 @@ pub struct Node<SM, LS = MemLog> {
     /// Whether a `tick` or `step` has handed this node a clock yet.
     pub(crate) clock_seen: bool,
     pub(crate) heartbeat_due: u64,
+    /// When the requests [`Node::owed`] lists are next sent: `u64::MAX`
+    /// while nothing is owed, 0 when they go out at the end of this step.
+    pub(crate) retry_at: u64,
+    /// Which member of its target each of them goes to next. It starts over
+    /// at 0 with every send at once and whenever nothing is owed.
+    pub(crate) turn: usize,
 
     // Cached derived quorum state, keyed by the config stack's version.
     pub(crate) derived_cache: Option<(u64, std::sync::Arc<Derived>)>,
@@ -684,11 +679,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             pending_reads: Vec::new(),
             read_serial: 0,
             last_probe_serial: 0,
-            pull: None,
+            pull: Vec::new(),
             installs: Assembler::default(),
             exchange: None,
             driver: None,
-            resend: None,
             pending_2pc: HashMap::new(),
             merge_part: None,
             pending_fetches: HashMap::new(),
@@ -697,6 +691,8 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             election_deadline,
             clock_seen: false,
             heartbeat_due: 0,
+            retry_at: u64::MAX,
+            turn: 0,
             derived_cache: None,
             bootstrapped: meta.bootstrapped,
             join_target: meta.join_target,
@@ -1064,51 +1060,117 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                     self.read_serial += 1;
                     self.broadcast_append(now);
                 }
-                self.driver_tick(now);
             }
             Role::Follower | Role::Candidate => {
                 if now >= self.election_deadline {
                     self.campaign(now);
                 }
-                self.pull_tick(now);
             }
         }
-        self.exchange_tick(now);
+        self.retry(now, now >= self.retry_at);
     }
 
     /// The earliest future instant at which [`tick`](Node::tick) would do
-    /// anything: the leader's next heartbeat, a follower's election
-    /// deadline, or a sub-protocol retry timer (merge 2PC driver or a
-    /// participant's re-send, pull recovery, snapshot exchange). A
-    /// readiness-driven host sleeps until this instant instead of polling
-    /// on a fixed cadence; `u64::MAX` means no timer is armed (a retired
-    /// node). Before the node has seen a clock its election offset is
-    /// answered as is — never later than the deadline it arms to.
+    /// anything: the leader's next heartbeat or a follower's election
+    /// deadline, or the one retry instant when a request to another cluster
+    /// is owed. A readiness-driven host sleeps until this instant instead
+    /// of polling on a fixed cadence; `u64::MAX` means no timer is armed (a
+    /// retired node). Before the node has seen a clock its election offset
+    /// is answered as is — never later than the deadline it arms to.
     #[must_use]
     pub fn next_deadline(&self) -> u64 {
-        let mut due = u64::MAX;
+        let role = match self.role {
+            Role::Removed => u64::MAX,
+            Role::Leader => self.heartbeat_due,
+            Role::Follower | Role::Candidate => self.election_deadline,
+        };
+        role.min(self.retry_at)
+    }
+
+    /// Every request this node still owes another cluster, read from its
+    /// state, each with the members it goes to in turn:
+    ///
+    /// * a follower's or candidate's pull to its sources, the hint first;
+    /// * a leader-driver's prepare to each participant that has not
+    ///   answered, then its outcome to each that has not acknowledged;
+    /// * a prepared participant leader's decision to the coordinator's
+    ///   members, while P3 holds and no outcome is on its stack;
+    /// * an exchanging node's fetch to each participant whose part is
+    ///   missing.
+    ///
+    /// Each ends when its answer changes the state it is read from.
+    fn owed(&self) -> Vec<(Message, Vec<NodeId>)> {
+        let members = |p: &MergeParticipant| -> Vec<NodeId> { p.members.iter().copied().collect() };
+        let mut owed = Vec::new();
         match self.role {
-            Role::Removed => {}
+            Role::Follower | Role::Candidate if !self.pull.is_empty() => {
+                let commit_index = self.commit_index;
+                owed.push((Message::PullReq { commit_index }, self.pull.clone()));
+            }
             Role::Leader => {
-                due = due.min(self.heartbeat_due);
                 if let Some(d) = &self.driver {
-                    due = due.min(d.next_retry);
+                    for p in &d.tx.participants {
+                        let msg = match &d.outcome {
+                            None if !d.responses.contains_key(&p.cluster) => {
+                                Message::MergePrepareReq { tx: d.tx.clone() }
+                            }
+                            Some(o)
+                                if p.cluster != self.cluster && !d.acks.contains(&p.cluster) =>
+                            {
+                                Message::MergeCommitReq { outcome: o.clone() }
+                            }
+                            _ => continue,
+                        };
+                        owed.push((msg, members(p)));
+                    }
                 }
-                if let Some(r) = &self.resend {
-                    due = due.min(r.due);
+                if let (Some((tx, decision)), None) = self.staged_merge() {
+                    if tx.coordinator != self.cluster && self.committed_in_term {
+                        let coordinator = tx
+                            .participant(tx.coordinator)
+                            .expect("validated before the decision: coordinator participates");
+                        owed.push((self.prepare_resp(tx.id, decision), members(coordinator)));
+                    }
                 }
             }
-            Role::Follower | Role::Candidate => {
-                due = due.min(self.election_deadline);
-                if let Some(p) = &self.pull {
-                    due = due.min(p.next_retry);
-                }
-            }
+            _ => {}
         }
         if let Some(ex) = &self.exchange {
-            due = due.min(ex.next_retry);
+            for p in &ex.tx.participants {
+                if p.cluster != self.cluster && !ex.parts.contains_key(&p.cluster) {
+                    owed.push((Message::FetchSnapshotReq { tx_id: ex.tx.id }, members(p)));
+                }
+            }
         }
-        due
+        owed
+    }
+
+    /// The one retry rule. With nothing [`owed`](Node::owed) the retry
+    /// instant is off. Otherwise, when `due`, each owed request goes to the
+    /// member at this turn of its target — so consecutive sends of one
+    /// request go to consecutive members, and a send at once starts at each
+    /// target's first member — and the instant is re-armed one [`RETRY`]
+    /// on; an instant that was off is armed one interval on.
+    /// [`tick`](Node::tick) calls it, due once the instant has passed, and
+    /// so does the end of every [`step`](Node::step), due only where the
+    /// step set the instant to 0 to send at once.
+    fn retry(&mut self, now: u64, due: bool) {
+        let owed = self.owed();
+        if owed.is_empty() {
+            self.retry_at = u64::MAX;
+            self.turn = 0;
+        } else if due {
+            if self.retry_at == 0 {
+                self.turn = 0;
+            }
+            self.retry_at = now + RETRY;
+            for (msg, to) in owed {
+                self.send(to[self.turn % to.len()], msg);
+            }
+            self.turn += 1;
+        } else if self.retry_at == u64::MAX {
+            self.retry_at = now + RETRY;
+        }
     }
 
     /// Feeds one inbound message to the node.
@@ -1242,6 +1304,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             // nodes.
             Message::ClientResp { .. } | Message::AdminResp { .. } | Message::StatsResp { .. } => {}
         }
+        self.retry(now, self.retry_at == 0);
     }
 
     // ---- Outbox helpers --------------------------------------------------
@@ -1316,7 +1379,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             }
             self.fail_pending_reads(hint);
             self.driver = None;
-            self.resend = None;
         }
         if self.role != Role::Removed {
             self.role = Role::Follower;
@@ -1374,9 +1436,20 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // rather than at the barrier.
         self.log.sync();
         self.cfg.truncate_from(index);
-        // Replication cursors must not point past the shortened log, or the
-        // next send would look up a prev entry that no longer exists. The
-        // in-flight accounting for any rolled-back cursor is void with it.
+        // A 2PC answer or a parked fetch waits for a prepare or an outcome
+        // to commit; one the cut took never will.
+        let staged: BTreeSet<TxId> = (self.cfg.entries().iter())
+            .filter_map(|(_, change)| match change {
+                ConfigChange::MergePrepare { tx, .. } => Some(tx.id),
+                ConfigChange::MergeCommit(outcome) => Some(outcome.tx_id()),
+                _ => None,
+            })
+            .collect();
+        self.pending_2pc.retain(|tx, _| staged.contains(tx));
+        self.pending_fetches.retain(|tx, _| staged.contains(tx));
+        // A replication cursor must not point past the shortened log, or
+        // the next send would look up a prev entry that no longer exists.
+        // The in-flight accounting for any rolled-back cursor is void with it.
         for pr in self.progress.values_mut() {
             if pr.next > index {
                 pr.next = index;
@@ -1727,9 +1800,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     ///   at a fixed quorum (§IV-A);
     /// * builds the driver of the merge this cluster coordinates once its own
     ///   `MergePrepare` committed: collecting decisions, or spreading the
-    ///   outcome when one is on the stack (§III-C1, "Handling Failures");
-    /// * arms a participant's re-send of its committed decision while no
-    ///   outcome is on the stack.
+    ///   outcome when one is on the stack (§III-C1, "Handling Failures").
+    ///
+    /// What the driver and a prepared participant then owe other clusters,
+    /// [`Node::owed`] reads from the same state.
     ///
     /// It runs where a first step's commit becomes known (the end of its
     /// [`Node::on_config_committed`] arm) and where P3 becomes true. A step
@@ -1761,48 +1835,46 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.propose_config(now, change);
             return;
         }
-        let prepared = entries.iter().find_map(|(index, change)| match change {
-            ConfigChange::MergePrepare { tx, .. } if *index <= self.commit_index => {
-                Some(tx.clone())
-            }
-            _ => None,
-        });
-        let Some(tx) = prepared else {
+        let (Some((tx, _)), outcome) = self.staged_merge() else {
             return;
         };
-        let outcome = entries.iter().find_map(|(index, change)| match change {
-            ConfigChange::MergeCommit(o) => Some((*index, o.clone())),
-            _ => None,
-        });
-        if tx.coordinator != self.cluster {
-            if outcome.is_none() && self.resend.is_none() {
-                let due = now + merge::RPC_RETRY;
-                self.resend = Some(Resend { due, cursor: 0 });
-            }
-            return;
-        }
-        if self.driver.is_some() {
+        if tx.coordinator != self.cluster || self.driver.is_some() {
             return;
         }
         let own = self.cluster;
         let ranges = self.cfg.base().ranges().clone();
         let mut driver = MergeDriver {
-            tx,
+            tx: tx.clone(),
             // Its own decision: `admin_merge` records no other.
             responses: BTreeMap::from([(own, (true, self.hard.eterm.epoch(), ranges))]),
             outcome: None,
             acks: BTreeSet::new(),
-            cursors: BTreeMap::new(),
-            next_retry: now,
         };
         if let Some((index, o)) = outcome {
-            driver.outcome = Some(o);
+            driver.outcome = Some(o.clone());
             if index <= self.commit_index {
                 driver.acks.insert(own);
             }
         }
         self.driver = Some(driver);
-        self.driver_tick(now);
+        self.retry_at = 0;
+    }
+
+    /// The merge on the stack: its prepare once committed, and its outcome
+    /// entry once appended.
+    fn staged_merge(&self) -> StagedMerge<'_> {
+        let entries = self.cfg.entries();
+        let prepared = entries.iter().find_map(|(index, change)| match change {
+            ConfigChange::MergePrepare { tx, decision } if *index <= self.commit_index => {
+                Some((tx, *decision))
+            }
+            _ => None,
+        });
+        let outcome = entries.iter().find_map(|(index, change)| match change {
+            ConfigChange::MergeCommit(o) => Some((*index, o)),
+            _ => None,
+        });
+        (prepared, outcome)
     }
 
     /// Takes a snapshot and compacts the log when it grows beyond the

@@ -8,6 +8,12 @@
 //! outdated ("The puller can contact different nodes for the latest data or
 //! wait for the outdated node to be updated").
 //!
+//! A pull keeps no timer of its own: it is its list of sources, the hint
+//! first, and the one retry rule ([`Node::owed`]) asks the hint at once and,
+//! while the node is behind and unanswered, the next source every 150 ms. A
+//! response that leaves the puller behind has it ask again at its next
+//! tick.
+//!
 //! A source that compacted past the puller's commit index answers with its
 //! snapshot as the install stream's bounded frames, one `PullResp` per
 //! frame with the capped entries on the last. The puller feeds them to the
@@ -29,51 +35,22 @@
 //! ignored test.
 
 use super::replication::cap_batch_bytes;
-use super::{Node, PullState, Role};
+use super::{Node, Role};
 use crate::events::NodeEvent;
 use crate::sm::StateMachine;
 use recraft_net::Message;
 use recraft_storage::{LogEntry, LogStore, SnapshotFrame};
 use recraft_types::{ClusterConfig, LogIndex, NodeId};
 
-/// How long a pull waits for an answer before it asks the next source (µs).
-const PULL_RETRY: u64 = 100_000;
-
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
-    /// Begins (or refocuses) pull-based recovery toward `hint_node`.
-    pub(crate) fn start_pull(&mut self, now: u64, hint_node: NodeId) {
-        let mut targets = vec![hint_node];
-        for peer in self.derived_cached().members.clone() {
-            if peer != self.id && peer != hint_node {
-                targets.push(peer);
-            }
-        }
-        self.pull = Some(PullState {
-            targets,
-            cursor: 0,
-            next_retry: now + PULL_RETRY,
-        });
-        self.send(
-            hint_node,
-            Message::PullReq {
-                commit_index: self.commit_index,
-            },
-        );
-    }
-
-    /// Retries the pull against the next candidate source.
-    pub(crate) fn pull_tick(&mut self, now: u64) {
-        let Some(pull) = &mut self.pull else {
-            return;
-        };
-        if now < pull.next_retry {
-            return;
-        }
-        pull.cursor = (pull.cursor + 1) % pull.targets.len();
-        pull.next_retry = now + PULL_RETRY;
-        let target = pull.targets[pull.cursor];
-        let commit_index = self.commit_index;
-        self.send(target, Message::PullReq { commit_index });
+    /// Begins (or refocuses) pull-based recovery toward `hint_node`: the
+    /// pull asks the hint at once, then the other members in turn.
+    pub(crate) fn start_pull(&mut self, hint_node: NodeId) {
+        let derived = self.derived_cached();
+        let others = derived.members.iter().copied();
+        let others = others.filter(|peer| *peer != self.id && *peer != hint_node);
+        self.pull = std::iter::once(hint_node).chain(others).collect();
+        self.retry_at = 0;
     }
 
     /// Serves a pull request: committed entries after the puller's commit
@@ -207,9 +184,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // If applying brought us into the new epoch (split completed, merge
         // resumed), recovery is done.
         if self.hard.eterm.epoch() >= epoch {
-            self.pull = None;
-        } else if let Some(pull) = &mut self.pull {
-            pull.next_retry = now.min(pull.next_retry);
+            self.pull.clear();
+        } else if !self.pull.is_empty() {
+            self.retry_at = self.retry_at.min(now); // ask again at the next tick
         }
     }
 }

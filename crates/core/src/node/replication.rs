@@ -247,9 +247,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Sends one empty AppendEntries probe anchored at the peer's cursor
     /// (at the compaction base for a peer waiting on a snapshot stream):
     /// the heartbeat. Carries `leader_commit` and the ReadIndex probe
-    /// serial; the response doubles as the loss detector for optimistically
-    /// advanced cursors (a follower missing the prefix answers with a
-    /// conflict hint).
+    /// serial; the response doubles as the loss detector for an
+    /// optimistically advanced cursor (a follower missing the prefix answers
+    /// with a conflict hint).
     fn send_heartbeat(&mut self, now: u64, peer: NodeId) {
         if self.role != Role::Leader {
             return;
@@ -634,7 +634,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // after the reconfiguration. (The assembler that completed it dropped
         // every other stream.)
         self.exchange = None;
-        self.pull = None;
+        self.pull.clear();
         self.snapshot = snapshot;
         self.snap_config = config;
     }

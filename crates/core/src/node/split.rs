@@ -108,7 +108,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let new_eterm =
             EpochTerm::new(entry.eterm.epoch() + 1, self.hard.eterm.term()).max(self.hard.eterm);
         self.advance_eterm(new_eterm);
-        self.pull = None;
+        self.pull.clear();
         self.history.push(super::ReconfigRecord {
             kind: "split",
             old_cluster,
@@ -182,7 +182,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.set_commit(now, cnew_index);
         } else {
             // We lack the entry: recover by pulling from the notifier.
-            self.start_pull(now, from);
+            self.start_pull(from);
         }
     }
 }

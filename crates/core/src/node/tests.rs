@@ -24,6 +24,9 @@ type NodePred = Box<dyn Fn(&Node<MapMachine>) -> bool>;
 /// A condition on a message in flight.
 type EnvelopePred = Box<dyn Fn(&Envelope) -> bool>;
 
+/// A hand-fed answer to a node's request: `(node, now, from)`.
+type Answer = Box<dyn Fn(&mut Node<MapMachine>, u64, NodeId)>;
+
 struct Net {
     nodes: BTreeMap<NodeId, Node<MapMachine>>,
     crashed: BTreeSet<NodeId>,
@@ -2655,6 +2658,367 @@ fn a_fetch_for_a_prepared_transaction_is_parked_and_answered_with_the_part() {
         .count();
     assert_eq!(frames, 1, "the parked fetch is pushed the one-chunk part");
     assert!(node.pending_fetches.is_empty());
+}
+
+#[test]
+fn a_prepare_overwritten_after_a_lost_leadership_leaves_nothing_parked() {
+    // A participant leader proposes a prepare, and a fetch for the
+    // transaction is parked on it, but the leader is cut off before the
+    // prepare commits. The others elect a leader whose no-op takes the
+    // prepare's index: the requester and the fetcher wait for an entry that
+    // will never commit here, and nothing of them may stay behind.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    net.run(5);
+    let members = net.node(leader.0).config().members().clone();
+    net.drop_if = Some(Box::new(move |env| env.from == leader || env.to == leader));
+    let tx = MergeTx {
+        id: TxId(42),
+        coordinator: recraft_types::ClusterId(9),
+        participants: vec![
+            MergeParticipant {
+                cluster: recraft_types::ClusterId(9),
+                members: BTreeSet::from([NodeId(9)]),
+            },
+            MergeParticipant {
+                cluster: recraft_types::ClusterId(1),
+                members,
+            },
+        ],
+        new_cluster: recraft_types::ClusterId(20),
+        resume_members: None,
+    };
+    let now = net.now;
+    let node = net.nodes.get_mut(&leader).unwrap();
+    node.step(now, NodeId(9), Message::MergePrepareReq { tx });
+    node.step(
+        now,
+        NodeId(9),
+        Message::FetchSnapshotReq { tx_id: TxId(42) },
+    );
+    assert!(
+        node.pending_2pc.contains_key(&TxId(42)),
+        "the requester waits"
+    );
+    assert!(
+        node.pending_fetches.contains_key(&TxId(42)),
+        "the fetch is parked"
+    );
+    let prepare_index = node.log().last_index();
+    net.run_until(1000, |net| {
+        net.nodes
+            .values()
+            .any(|n| n.id() != leader && n.is_leader() && n.commit_index() >= prepare_index)
+    });
+    net.drop_if = None;
+    net.run_until(1000, |net| {
+        net.node(leader.0).commit_index() >= prepare_index
+    });
+    let node = net.node(leader.0);
+    assert!(!node.is_leader());
+    assert!(node.cfg.is_quiescent(), "the prepare was overwritten");
+    assert!(node.pending_2pc.is_empty(), "{:?}", node.pending_2pc);
+    assert!(
+        node.pending_fetches.is_empty(),
+        "{:?}",
+        node.pending_fetches
+    );
+    net.assert_state_machine_safety();
+}
+
+// ---- The one retry rule -----------------------------------------------------
+
+/// One row of the retry table: a node that has owed one request since
+/// `owed_at`, with the sends of it its outbox held until then.
+struct OwedRow {
+    name: &'static str,
+    node: Node<MapMachine>,
+    owed_at: u64,
+    sent: Vec<(u64, NodeId)>,
+    /// When the first send leaves: at once, or one interval on.
+    first: u64,
+    /// The members the request goes to, in turn.
+    target: Vec<NodeId>,
+    /// Whether the first send goes to the target's first member (a pull's
+    /// hint).
+    hint_first: bool,
+    is_request: fn(&Message) -> bool,
+    /// Answers the request at `now` as the member last asked.
+    answer: Answer,
+}
+
+/// The sends of a request in `node`'s outbox, stamped `now`.
+fn sends_of(node: &mut Node<MapMachine>, now: u64, is: fn(&Message) -> bool) -> Vec<(u64, NodeId)> {
+    let (out, _) = node.take_outputs();
+    out.iter()
+        .filter(|env| is(&env.msg))
+        .map(|env| (now, env.to))
+        .collect()
+}
+
+/// A follower of `[1, 2, 3, 4]` that never campaigns, at `now`, told by
+/// node 3 that it missed an epoch: it pulls, asking 3 first.
+fn hinted_puller(now: u64) -> Node<MapMachine> {
+    let members: BTreeSet<NodeId> = [1, 2, 3, 4].map(NodeId).into();
+    let mut node = quiet_member(1, &members);
+    node.tick(now);
+    let pull = Some(recraft_net::PullHint {
+        commit_index: LogIndex(5),
+        epoch: 1,
+    });
+    let vote = Message::VoteResp {
+        cluster: recraft_types::ClusterId(10),
+        eterm: EpochTerm::new(1, 1),
+        granted: false,
+        pull,
+    };
+    node.step(now, NodeId(3), vote);
+    node
+}
+
+/// A pull answer from a source at `epoch`, carrying nothing.
+fn pull_resp(epoch: u32) -> Message {
+    Message::PullResp {
+        epoch,
+        entries: Vec::new(),
+        commit_index: LogIndex::ZERO,
+        frame: None,
+        snapshot_config: None,
+    }
+}
+
+/// The lone leader of [`lone_leader`] asked at `now` to coordinate a merge
+/// with cluster 2 on nodes 2, 3 and 4.
+fn lone_coordinator(now: u64) -> (Node<MapMachine>, [RangeSet; 3]) {
+    let (mut node, ranges) = lone_leader();
+    let tx = lone_merge_tx(42, &node, (recraft_types::ClusterId(2), &[2, 3, 4]), 20);
+    let cmd = AdminCmd::Merge(tx);
+    node.step(now, CLIENT, Message::AdminReq { req_id: 1, cmd });
+    (node, ranges)
+}
+
+/// Cluster 2's decision on the lone coordinator's transaction.
+fn peer_decision(decision: recraft_types::MergeDecision, ranges: RangeSet) -> Message {
+    Message::MergePrepareResp {
+        tx_id: TxId(42),
+        cluster: recraft_types::ClusterId(2),
+        decision,
+        epoch: 0,
+        ranges,
+    }
+}
+
+fn retry_rows() -> Vec<OwedRow> {
+    use recraft_types::MergeDecision::{No, Ok};
+    let t0 = 1_000_000;
+    let t1 = t0 + TICK;
+    let peers = vec![NodeId(2), NodeId(3), NodeId(4)];
+    let pull = {
+        let mut node = hinted_puller(t0);
+        let is_request = |m: &Message| matches!(m, Message::PullReq { .. });
+        OwedRow {
+            name: "pull",
+            sent: sends_of(&mut node, t0, is_request),
+            node,
+            owed_at: t0,
+            first: t0,
+            target: vec![NodeId(3), NodeId(2), NodeId(4)],
+            hint_first: true,
+            is_request,
+            answer: Box::new(|node, now, from| node.step(now, from, pull_resp(0))),
+        }
+    };
+    let prepare = {
+        let (mut node, _) = lone_coordinator(t0);
+        let is_request = |m: &Message| matches!(m, Message::MergePrepareReq { .. });
+        OwedRow {
+            name: "prepare",
+            sent: sends_of(&mut node, t0, is_request),
+            node,
+            owed_at: t0,
+            first: t0,
+            target: peers.clone(),
+            hint_first: false,
+            is_request,
+            answer: Box::new(|node, now, from| {
+                node.step(now, from, peer_decision(No, RangeSet::empty()));
+            }),
+        }
+    };
+    let outcome = {
+        let (mut node, _) = lone_coordinator(t0);
+        node.step(t1, NodeId(2), peer_decision(No, RangeSet::empty()));
+        let is_request = |m: &Message| matches!(m, Message::MergeCommitReq { .. });
+        OwedRow {
+            name: "outcome",
+            sent: sends_of(&mut node, t1, is_request),
+            node,
+            owed_at: t1,
+            first: t1,
+            target: peers.clone(),
+            hint_first: false,
+            is_request,
+            answer: Box::new(|node, now, from| {
+                let (tx_id, cluster) = (TxId(42), recraft_types::ClusterId(2));
+                node.step(now, from, Message::MergeCommitResp { tx_id, cluster });
+            }),
+        }
+    };
+    let decision = {
+        let (mut node, _) = lone_leader();
+        let coordinator = recraft_types::ClusterId(9);
+        let tx = MergeTx {
+            coordinator,
+            ..lone_merge_tx(42, &node, (coordinator, &[9, 10, 11]), 20)
+        };
+        node.step(t0, NodeId(9), Message::MergePrepareReq { tx });
+        // The committed decision answers the requester at once; what the
+        // row pins is the re-send while no outcome arrives.
+        let _ = node.take_outputs();
+        OwedRow {
+            name: "decision",
+            sent: Vec::new(),
+            node,
+            owed_at: t0,
+            first: t0 + RETRY,
+            target: vec![NodeId(9), NodeId(10), NodeId(11)],
+            hint_first: false,
+            is_request: |m| matches!(m, Message::MergePrepareResp { .. }),
+            answer: Box::new(|node, now, from| {
+                let outcome = MergeOutcome::Abort { tx_id: TxId(42) };
+                node.step(now, from, Message::MergeCommitReq { outcome });
+            }),
+        }
+    };
+    let fetch = {
+        let (mut node, ranges) = lone_coordinator(t0);
+        node.step(t1, NodeId(2), peer_decision(Ok, ranges[1].clone()));
+        let is_request = |m: &Message| matches!(m, Message::FetchSnapshotReq { .. });
+        let part = peer_part(
+            recraft_types::ClusterId(2),
+            ranges[1].clone(),
+            b"kiwi=green",
+        );
+        OwedRow {
+            name: "fetch",
+            sent: sends_of(&mut node, t1, is_request),
+            node,
+            owed_at: t1,
+            first: t1,
+            target: peers,
+            hint_first: false,
+            is_request,
+            answer: Box::new(move |node, now, from| {
+                deliver_part(node, now, from, TxId(42), &part);
+                assert_eq!(node.cluster(), recraft_types::ClusterId(20), "resumed");
+            }),
+        }
+    };
+    vec![pull, prepare, outcome, decision, fetch]
+}
+
+#[test]
+fn each_owed_request_is_sent_once_per_retry_to_each_member_in_turn_until_answered() {
+    // The target cluster drops everything, so every send goes unanswered
+    // until the row answers it by hand.
+    for row in retry_rows() {
+        let OwedRow {
+            name,
+            mut node,
+            owed_at,
+            mut sent,
+            first,
+            target,
+            hint_first,
+            is_request,
+            answer,
+        } = row;
+        // Two turns through the target, and one send more.
+        let sends = 2 * target.len() + 1;
+        let mut now = owed_at;
+        while sent.len() < sends {
+            now += TICK;
+            assert!(now <= first + sends as u64 * RETRY, "{name}: {sent:?}");
+            node.tick(now);
+            sent.extend(sends_of(&mut node, now, is_request));
+        }
+        let times: Vec<u64> = sent.iter().map(|(at, _)| *at).collect();
+        let once_per_retry: Vec<u64> = (0..sends as u64).map(|k| first + k * RETRY).collect();
+        assert_eq!(times, once_per_retry, "{name}: sent at");
+        let start = target.iter().position(|m| *m == sent[0].1);
+        let start = start.unwrap_or_else(|| panic!("{name}: {sent:?} outside {target:?}"));
+        assert!(!hint_first || start == 0, "{name}: the hint is asked first");
+        let asked: Vec<NodeId> = sent.iter().map(|(_, to)| *to).collect();
+        let in_turn: Vec<NodeId> = (0..sends)
+            .map(|k| target[(start + k) % target.len()])
+            .collect();
+        assert_eq!(asked, in_turn, "{name}: asked");
+        // Answered, the request stops.
+        answer(&mut node, now, sent[sends - 1].1);
+        let mut after = sends_of(&mut node, now, is_request);
+        for _ in 0..3 * RETRY / TICK {
+            now += TICK;
+            node.tick(now);
+            after.extend(sends_of(&mut node, now, is_request));
+        }
+        assert!(after.is_empty(), "{name}: sent after its answer: {after:?}");
+    }
+}
+
+#[test]
+fn with_nothing_owed_the_next_deadline_is_the_role_timer() {
+    let role_timer = |node: &Node<MapMachine>| match node.role() {
+        Role::Leader => node.heartbeat_due,
+        _ => node.election_deadline,
+    };
+    // A booted leader and its followers.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    net.elect();
+    net.run(3);
+    for node in net.nodes.values() {
+        assert_eq!(node.next_deadline(), role_timer(node), "{:?}", node.role());
+    }
+    // A member right after a merge resumed: the lone leader, a participant
+    // of cluster 9's transaction, fetches cluster 9's part and resumes.
+    let (mut node, ranges) = lone_leader();
+    let coordinator = recraft_types::ClusterId(9);
+    let tx = MergeTx {
+        coordinator,
+        ..lone_merge_tx(42, &node, (coordinator, &[9]), 20)
+    };
+    node.step(
+        600_000,
+        NodeId(9),
+        Message::MergePrepareReq { tx: tx.clone() },
+    );
+    let outcome = MergeOutcome::Commit {
+        tx,
+        ranges: ranges[0].union(&ranges[1]).unwrap(),
+        new_epoch: 1,
+    };
+    node.step(610_000, NodeId(9), Message::MergeCommitReq { outcome });
+    assert!(node.is_exchanging());
+    let part = peer_part(coordinator, ranges[1].clone(), b"kiwi=green");
+    deliver_part(&mut node, 620_000, NodeId(9), TxId(42), &part);
+    assert_eq!(node.cluster(), recraft_types::ClusterId(20), "resumed");
+    assert_eq!(node.role(), Role::Follower);
+    assert_eq!(node.next_deadline(), node.election_deadline, "resumed");
+    // A puller right after its pull finished: a source still ahead has it
+    // ask the next source at the next tick, and one it caught up with ends
+    // it.
+    let t0 = 1_000_000;
+    let mut puller = hinted_puller(t0);
+    let is_pull = |m: &Message| matches!(m, Message::PullReq { .. });
+    assert_eq!(sends_of(&mut puller, t0, is_pull), [(t0, NodeId(3))]);
+    puller.step(t0, NodeId(3), pull_resp(1));
+    assert!(sends_of(&mut puller, t0, is_pull).is_empty());
+    puller.tick(t0 + TICK);
+    assert_eq!(
+        sends_of(&mut puller, t0 + TICK, is_pull),
+        [(t0 + TICK, NodeId(2))]
+    );
+    puller.step(t0 + TICK, NodeId(2), pull_resp(0));
+    assert_eq!(puller.next_deadline(), puller.election_deadline, "pulled");
 }
 
 // ---- Durable backend (WalLog) through the protocol core --------------------

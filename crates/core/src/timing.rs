@@ -5,11 +5,11 @@
 //! timeouts randomized over a 2× band (the paper's liveness assumption
 //! `broadcastTime << electionTimeout << MTBF`, §VI-B).
 //!
-//! The two retry intervals no deployment tuned are constants beside their
-//! use: a pull asks its next source after 100 ms (`node/pull.rs`), and a
-//! cluster-to-cluster merge message — a prepare, an outcome, a
-//! participant's decision, a part fetch — is sent again, to the next member
-//! of its cluster, after 150 ms (`node/merge.rs`).
+//! The one retry interval no deployment tuned is a constant beside its use
+//! (`RETRY` in `node/mod.rs`): every request a node owes another cluster —
+//! a pull, a prepare, an outcome, a participant's decision, a part fetch —
+//! is derived from the node's state and sent again, to the next member of
+//! its target, every 150 ms until it is answered.
 
 /// Tuning knobs for the pipelined replication engine and batched apply.
 ///

@@ -23,8 +23,8 @@ const SEC: u64 = 1_000_000;
 const PINNED: [(&str, u64, u64); 4] = [
     (
         "split_then_merge",
-        0xc29c_18c4_446f_5597,
-        0x53ad_79dd_999b_0eda,
+        0xd062_1af2_96c2_c988,
+        0xcaba_b24f_2406_a428,
     ),
     (
         "split_across_a_leader_crash",
@@ -38,8 +38,8 @@ const PINNED: [(&str, u64, u64); 4] = [
     ),
     (
         "idle_fleet_merges_down",
-        0x8519_58f7_b46b_2c53,
-        0x8519_58f7_b46b_2c53,
+        0x74ed_7a3e_3518_f8e4,
+        0x74ed_7a3e_3518_f8e4,
     ),
 ];
 
