@@ -184,7 +184,6 @@ fn run(scale: &Scale) -> Outcome {
                 max_ranges: scale.ranges + 2,
             },
             interval: Duration::from_millis(200),
-            cmd_deadline: Duration::from_secs(20),
             next_cluster: scale.ranges as u64 + 1,
         },
     );

@@ -14,10 +14,16 @@
 //!    the shared [`ShardDirectory`] that routed clients read
 //!    ([`FleetView`]);
 //! 3. **Plan** — feed the samples to [`Controller::plan`] on the wall
-//!    clock;
-//! 4. **Execute** — staff via [`Cluster::spawn_joiner`] + `AddAndResize`,
-//!    and deliver splits/merges to the target cluster's live leader through
-//!    [`AdminClient::run_on_leader`] with a bounded deadline.
+//!    clock, and boot the joiners a staffing asks for
+//!    ([`Cluster::spawn_joiner`]);
+//! 4. **Deliver** — send every command the controller still owes
+//!    ([`Controller::owed`]) once, through [`AdminClient::send_one`], to the
+//!    member it names, and hand each answer back
+//!    ([`Controller::on_admin_answer`]). One attempt waits at most the
+//!    client's `io_timeout`; a command that is not accepted this round is
+//!    simply owed again the next, for as long as the controller tracks its
+//!    operation (bounded by `stall_us`). A cluster with no leader never
+//!    holds up sampling, publishing, rebalancing or [`ControlPlane::stop`].
 //!
 //! The controller is restart-tolerant by construction — its only ground
 //! truth is what the fleet reports — so the plane survives node kills,
@@ -28,7 +34,7 @@ use crate::admin::AdminClient;
 use crate::fleet_net::FleetNet;
 use crate::harness::Cluster;
 use recraft_fleet::{Controller, FleetCmd, FleetConfig, SampleBook, ShardDirectory};
-use recraft_net::{AdminCmd, NodeStats};
+use recraft_net::NodeStats;
 use recraft_types::{ClusterId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
@@ -113,8 +119,6 @@ pub struct ControlOptions {
     pub fleet: FleetConfig,
     /// Wall-clock sampling/planning cadence.
     pub interval: Duration,
-    /// Per-command delivery deadline ([`AdminClient::run_on_leader`]).
-    pub cmd_deadline: Duration,
     /// Seed for the controller's cluster-id allocator; must be above every
     /// id the fleet already uses.
     pub next_cluster: u64,
@@ -125,7 +129,6 @@ impl Default for ControlOptions {
         ControlOptions {
             fleet: FleetConfig::default(),
             interval: Duration::from_millis(200),
-            cmd_deadline: Duration::from_secs(10),
             next_cluster: 2,
         }
     }
@@ -140,8 +143,9 @@ pub struct ControlReport {
     pub planned: (u64, u64, u64),
     /// Commands delivered and accepted by a leader.
     pub delivered: u64,
-    /// Command deliveries that failed their deadline (the controller's
-    /// stall tracking reclaims the slot; the fleet stays consistent).
+    /// Commands a member rejected with an error that no retry resolves
+    /// (the controller's stall tracking reclaims the slot; the fleet stays
+    /// consistent).
     pub failed: u64,
     /// Retired nodes decommissioned into the spare pool
     /// ([`Cluster::reap_retired`]).
@@ -226,6 +230,7 @@ fn run_control(
     let mut seat_book: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
     while !stop.load(Ordering::Relaxed) {
         let round_began = Instant::now();
+        let t_ms = round_began.duration_since(start).as_millis();
 
         // 0. Decommission nodes whose removal committed: their ids return
         // to the spare pool, so the next staffing recycles them instead of
@@ -234,18 +239,14 @@ fn run_control(
         if reaped > 0 {
             report.reaped += reaped as u64;
             report.events.push(format!(
-                "t={}ms reaped {reaped} retired node(s) into the spare pool",
-                round_began.duration_since(start).as_millis()
+                "t={t_ms}ms reaped {reaped} retired node(s) into the spare pool"
             ));
         }
 
         // 1. Sample every live node over the admin channel.
-        let mut reports: Vec<(NodeId, NodeStats)> = Vec::new();
-        for (id, addr) in cluster.addrs() {
-            if let Some(stats) = admin.fetch_stats(addr, id) {
-                reports.push((id, stats));
-            }
-        }
+        let reports: Vec<(NodeId, NodeStats)> = (cluster.addrs().into_iter())
+            .filter_map(|(id, addr)| Some((id, admin.fetch_stats(addr, id)?)))
+            .collect();
         let samples = book.build(&reports);
 
         // 2. Publish what this round observed to the routed clients.
@@ -255,73 +256,40 @@ fn run_control(
                 .map(|s| (s.cluster, s.ranges.clone(), s.members.clone())),
         );
 
-        // 3. Plan on the wall clock.
+        // 3. Plan on the wall clock, booting the joiners a staffing needs.
         let now_us = start.elapsed().as_micros() as u64;
-        let cmds = ctl.plan(now_us, &samples);
-
-        // 4. Execute. Member addresses come from the same samples the plan
-        // was built on — the controller acts only on what it observed.
-        let members_of = |c: ClusterId| -> BTreeMap<NodeId, SocketAddr> {
-            samples
-                .iter()
-                .find(|s| s.cluster == c)
-                .map(|s| {
-                    s.members
-                        .iter()
-                        .filter_map(|m| cluster.net().addr_of(*m).map(|a| (*m, a)))
-                        .collect()
-                })
-                .unwrap_or_default()
-        };
-        for cmd in cmds {
-            match cmd {
-                FleetCmd::Staff {
-                    cluster: target,
-                    add,
-                } => {
-                    let joining: BTreeSet<NodeId> =
-                        (0..add).map(|_| cluster.spawn_joiner(target)).collect();
-                    report.events.push(format!(
-                        "t={}ms staff {target:?} += {joining:?}",
-                        round_began.duration_since(start).as_millis()
-                    ));
-                    deliver(
-                        &mut admin,
-                        &members_of(target),
-                        &AdminCmd::AddAndResize(joining),
-                        opts.cmd_deadline,
-                        &mut report,
-                    );
-                }
-                FleetCmd::Admin {
-                    cluster: target,
-                    cmd,
-                } => {
-                    report.events.push(format!(
-                        "t={}ms {} -> {target:?}",
-                        round_began.duration_since(start).as_millis(),
-                        cmd.kind()
-                    ));
-                    deliver(
-                        &mut admin,
-                        &members_of(target),
-                        &cmd,
-                        opts.cmd_deadline,
-                        &mut report,
-                    );
-                }
+        for cmd in ctl.plan(now_us, &samples) {
+            if let FleetCmd::Staff { cluster: to, add } = cmd {
+                let joining: BTreeSet<NodeId> =
+                    (0..add).map(|_| cluster.spawn_joiner(to)).collect();
+                let staff = format!("t={t_ms}ms staff {to:?} += {joining:?}");
+                report.events.push(staff);
+                ctl.staffed(to, joining);
             }
         }
+
+        // 4. Deliver each owed command once; what is not accepted is owed again.
+        for (target, to, cmd) in ctl.owed(&samples, &book) {
+            let kind = cmd.kind();
+            let addr = cluster.net().addr_of(to);
+            let answer = addr.and_then(|addr| admin.send_one(addr, to, cmd));
+            let Some(end) = ctl.on_admin_answer(target, to, answer) else {
+                continue;
+            };
+            report.delivered += u64::from(end.is_ok());
+            report.failed += u64::from(end.is_err());
+            let outcome = end.map_or_else(
+                |e| format!("failed: {e} (stall tracking reclaims the slot)"),
+                |()| format!("accepted by node {}", to.0),
+            );
+            (report.events).push(format!("t={t_ms}ms {kind} -> {target:?} {outcome}"));
+        }
+
         // 5. Rebalance seats across workers: difference the per-seat load
         // counters against last round's reading, and when one worker's
         // share of the fleet's load runs too far above the mean, hand its
         // hottest movable seat to the coldest worker.
-        rebalance(
-            cluster,
-            &mut seat_book,
-            &mut report,
-            round_began.duration_since(start).as_millis(),
-        );
+        rebalance(cluster, &mut seat_book, &mut report, t_ms);
 
         report.rounds += 1;
         report.planned = ctl.planned();
@@ -418,29 +386,5 @@ fn rebalance(
             id.0,
             ratio(&per_worker),
         ));
-    }
-}
-
-fn deliver(
-    admin: &mut AdminClient,
-    candidates: &BTreeMap<NodeId, SocketAddr>,
-    cmd: &AdminCmd,
-    deadline: Duration,
-    report: &mut ControlReport,
-) {
-    match admin.run_on_leader(candidates, cmd, deadline) {
-        Ok(by) => {
-            report.delivered += 1;
-            report
-                .events
-                .push(format!("  {} accepted by node {}", cmd.kind(), by.0));
-        }
-        Err(e) => {
-            report.failed += 1;
-            report.events.push(format!(
-                "  {} failed: {e} (stall tracking reclaims the slot)",
-                cmd.kind()
-            ));
-        }
     }
 }

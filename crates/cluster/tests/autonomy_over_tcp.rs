@@ -108,7 +108,6 @@ fn autonomous_campaign(name: &'static str, clients: u64, ops: u64, fsync: bool) 
         ControlOptions {
             fleet: autonomy_cfg(),
             interval: Duration::from_millis(100),
-            cmd_deadline: Duration::from_secs(10),
             next_cluster: 2,
         },
     );

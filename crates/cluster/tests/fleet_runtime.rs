@@ -124,7 +124,6 @@ fn autonomy_campaign_on_two_workers_with_spare_reuse() {
                 max_ranges: 3,
             },
             interval: Duration::from_millis(100),
-            cmd_deadline: Duration::from_secs(10),
             next_cluster: 3,
         },
     );

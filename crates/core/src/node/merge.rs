@@ -527,7 +527,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let ex = self.exchange.take().expect("checked above");
         let old_cluster = self.cluster;
         let members = ex.tx.resumed_members();
-        self.history.push(super::ReconfigRecord {
+        let record = super::ReconfigRecord {
             kind: "merge",
             old_cluster,
             new_cluster: ex.tx.new_cluster,
@@ -535,18 +535,16 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             members_after: members.clone(),
             at: EpochTerm::new(ex.new_epoch, 0),
             tx: Some(ex.tx.id),
-        });
-        self.touch_meta(); // history is durable metadata (survives reboots)
-        self.reject_pending_to_successor();
+        };
         if !members.contains(&self.id) {
             // Left out by the resumption resize: retire (still serving our
             // part to stragglers through merge_part).
-            self.role = Role::Removed;
-            self.emit(NodeEvent::Removed {
-                cluster: old_cluster,
-            });
+            self.retire(record);
             return;
         }
+        self.history.push(record);
+        self.touch_meta(); // history is durable metadata (survives reboots)
+        self.reject_pending_to_successor();
         // Combine the disjoint parts in participant order. Each part is a
         // chunk sequence; the flattened list hands the machine one bounded
         // blob at a time (chunks within a part are disjoint by construction,

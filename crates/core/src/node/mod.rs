@@ -1359,25 +1359,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.emit(NodeEvent::SteppedDown {
                 cluster: self.cluster,
             });
-            // Pending proposals will be resolved by the new leader; tell the
-            // clients to retry there. Retried writes stay exactly-once
-            // through the session table.
-            let pending: Vec<(LogIndex, PendingClient)> = std::mem::take(&mut self.pending_clients)
-                .into_iter()
-                .collect();
-            let cluster = self.cluster;
-            for (_, p) in pending {
-                self.reply(
-                    p.client,
-                    p.session,
-                    p.seq,
-                    ClientOutcome::Redirect {
-                        leader_hint: hint,
-                        cluster: Some(cluster),
-                    },
-                );
-            }
-            self.fail_pending_reads(hint);
+            self.redirect_pending(hint);
             self.driver = None;
         }
         if self.role != Role::Removed {
@@ -1390,6 +1372,26 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             self.leader_hint = hint;
         }
         self.reset_election_timer(now);
+    }
+
+    /// Retires this node from the reconfiguration `record` describes — a
+    /// membership change, a split or a merge resumption that left it out.
+    /// The record joins the durable history, and every proposal and read
+    /// still waiting here is answered, since no other answer would come:
+    /// with a `Redirect` when the cluster lives on without this node (as a
+    /// leader stepping down answers), else with `WrongRange(successor)`.
+    pub(crate) fn retire(&mut self, record: ReconfigRecord) {
+        let cluster = record.old_cluster;
+        let lives_on = record.new_cluster == cluster && !record.members_after.is_empty();
+        self.history.push(record);
+        self.touch_meta(); // the history is part of the durable metadata
+        if lives_on {
+            self.redirect_pending(None);
+        } else {
+            self.reject_pending_to_successor();
+        }
+        self.role = Role::Removed;
+        self.emit(NodeEvent::Removed { cluster });
     }
 
     /// Appends an entry to the log, keeping the config stack in sync.
@@ -1468,6 +1470,22 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 },
             );
         }
+    }
+
+    /// Answers every pending proposal and read with a redirect to `hint`
+    /// within this cluster: the cluster's next leader resolves the
+    /// proposals, so the clients retry there, and retried writes stay
+    /// exactly-once through the session table.
+    pub(crate) fn redirect_pending(&mut self, hint: Option<NodeId>) {
+        let cluster = self.cluster;
+        for (_, p) in std::mem::take(&mut self.pending_clients) {
+            let outcome = ClientOutcome::Redirect {
+                leader_hint: hint,
+                cluster: Some(cluster),
+            };
+            self.reply(p.client, p.session, p.seq, outcome);
+        }
+        self.fail_pending_reads(hint);
     }
 
     /// Fails every pending ReadIndex read with a redirect (step-down, merge
@@ -1731,19 +1749,17 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             None => ClusterConfig::new(self.cluster, members.clone(), ranges),
         }
         .expect("validated at proposal time");
-        let members_before = self.cfg.base().members().clone();
-        let quorum_size = base.quorum_size();
-        self.cfg.fold(base, index);
-        self.touch_meta(); // the history is part of the durable metadata
-        self.history.push(ReconfigRecord {
+        let record = ReconfigRecord {
             kind,
             old_cluster: self.cluster,
             new_cluster: self.cluster,
-            members_before,
+            members_before: self.cfg.base().members().clone(),
             members_after: members.clone(),
             at: self.hard.eterm,
             tx: None,
-        });
+        };
+        let quorum_size = base.quorum_size();
+        self.cfg.fold(base, index);
         self.emit(NodeEvent::MembershipCommitted {
             kind,
             members: members.clone(),
@@ -1752,12 +1768,11 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         });
         if !members.contains(&self.id) && !self.readmitted_above_base() {
             // Removed from the cluster: retire once the removal commits.
-            self.role = Role::Removed;
-            self.emit(NodeEvent::Removed {
-                cluster: self.cluster,
-            });
+            self.retire(record);
             return;
         }
+        self.touch_meta(); // the history is part of the durable metadata
+        self.history.push(record);
         if self.role == Role::Leader {
             // Best-effort: tell peers leaving the configuration about the
             // commit that removes them so they can retire instead of

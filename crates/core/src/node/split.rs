@@ -40,7 +40,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
 
         let Some(sub) = spec.subcluster_of(self.id).cloned() else {
             // Left out of every subcluster: retire.
-            self.history.push(super::ReconfigRecord {
+            self.retire(super::ReconfigRecord {
                 kind: "split-removed",
                 old_cluster,
                 new_cluster: old_cluster,
@@ -48,11 +48,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                 members_after: std::collections::BTreeSet::new(),
                 at: self.hard.eterm,
                 tx: None,
-            });
-            self.touch_meta(); // history is durable metadata (survives reboots)
-            self.role = Role::Removed;
-            self.emit(NodeEvent::Removed {
-                cluster: old_cluster,
             });
             return true;
         };

@@ -745,6 +745,40 @@ fn merge_aborts_when_participant_is_reconfiguring() {
     net.assert_state_machine_safety();
 }
 
+/// A merge naming a participant with no members is refused at the door:
+/// were its prepare to commit, the driver would owe that participant a
+/// message with no member to send it to, and every leader rebuilding the
+/// driver from the log would fail the same way.
+#[test]
+fn a_merge_with_an_empty_participant_is_refused_at_the_door() {
+    let mut net = Net::with_nodes(&[1]);
+    let leader = net.elect();
+    net.run(5);
+    let tx = MergeTx {
+        id: TxId(7),
+        coordinator: recraft_types::ClusterId(1),
+        participants: vec![
+            MergeParticipant {
+                cluster: recraft_types::ClusterId(1),
+                members: BTreeSet::from([leader]),
+            },
+            MergeParticipant {
+                cluster: recraft_types::ClusterId(2),
+                members: BTreeSet::new(),
+            },
+        ],
+        new_cluster: recraft_types::ClusterId(3),
+        resume_members: None,
+    };
+    net.admin(leader, 900, AdminCmd::Merge(tx));
+    net.run(20);
+    assert!(matches!(
+        net.admin_responses.iter().find(|(id, _)| *id == 900),
+        Some((_, Err(Error::InvalidConfig(_))))
+    ));
+    assert!(net.node(1).is_leader(), "the coordinator keeps serving");
+}
+
 #[test]
 fn add_and_resize_2_to_5_single_intermediate_quorum() {
     // Figure 1c: a 2-node cluster grows to 5 in one AddAndResize (Q=4) plus

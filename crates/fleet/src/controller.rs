@@ -23,11 +23,24 @@
 //! samples (children or the merged cluster showing up), which makes the
 //! controller restart-tolerant: its only ground truth is what the fleet
 //! reports.
+//!
+//! Delivery is one rule of the controller too. Each tracked operation
+//! (staffing, a split, a led merge) owes its admin command until a member
+//! accepts it, a member rejects it with an error [`Error::is_transient`]
+//! does not name, or the operation leaves the pending set. A command thus
+//! lives as long as its tracked operation, which
+//! [`FleetConfig::stall_us`] bounds. After every `plan` the host sends each
+//! command [`Controller::owed`] lists once, to the member it names — the
+//! member that reported itself leader this round, else the one the last
+//! answer named, else the next in turn — and hands the answer back through
+//! [`Controller::on_admin_answer`]. A cluster with no leader holds up
+//! nothing: its command stays owed for the next round.
 
+use crate::sampling::SampleBook;
 use recraft_net::AdminCmd;
 use recraft_types::{
-    ClusterConfig, ClusterId, KeyRange, MergeParticipant, MergeTx, NodeId, RangeSet, SplitSpec,
-    TxId,
+    ClusterConfig, ClusterId, Error, KeyRange, MergeParticipant, MergeTx, NodeId, RangeSet,
+    SplitSpec, TxId,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -47,9 +60,9 @@ pub struct FleetConfig {
     /// during which the affected clusters are ineligible, in µs.
     pub cooldown_us: u64,
     /// How long a pending reconfiguration may go without observable
-    /// progress before the controller gives up tracking it, in µs. The
-    /// admin plane keeps retrying underneath; abandoning the *tracking*
-    /// only frees the in-flight slot.
+    /// progress before the controller gives up tracking it, in µs.
+    /// Abandoning it frees the in-flight slot and ends the delivery of its
+    /// command.
     pub stall_us: u64,
     /// Maximum reconfigurations in flight at once across the fleet.
     pub max_inflight: usize,
@@ -98,19 +111,19 @@ pub struct RangeSample {
     pub split_key: Option<Vec<u8>>,
 }
 
-/// A command the controller wants delivered to the fleet.
+/// An operation [`Controller::plan`] started.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetCmd {
-    /// Provision `add` fresh nodes and join them to `cluster` via
-    /// `AddAndResize` — pre-split staffing. The embedding allocates the
-    /// node ids (the controller has no say over the node namespace).
+    /// Provision `add` fresh nodes for `cluster` — pre-split staffing. The
+    /// embedding allocates the node ids and hands them to
+    /// [`Controller::staffed`], which makes their `AddAndResize` owed.
     Staff {
         /// The understaffed cluster.
         cluster: ClusterId,
         /// How many nodes to add.
         add: usize,
     },
-    /// Deliver an admin command to `cluster`'s leader.
+    /// A split or merge started on `cluster`, owed from now on.
     Admin {
         /// The target cluster.
         cluster: ClusterId,
@@ -151,6 +164,17 @@ pub enum PendingKind {
     },
 }
 
+/// An admin command a tracked operation still owes its cluster, and
+/// where its next send goes when no member reported itself leader: to
+/// `hint` (the member a `NotLeader` named, or the one whose rejection
+/// resolves where it was given), else to the member at `turn`.
+#[derive(Debug)]
+struct Delivery {
+    cmd: AdminCmd,
+    hint: Option<NodeId>,
+    turn: usize,
+}
+
 /// The fleet controller: thresholds, hysteresis, cooldowns, and the
 /// in-flight bound, applied over per-range samples each planning round.
 #[derive(Debug)]
@@ -159,6 +183,8 @@ pub struct Controller {
     next_cluster: u64,
     next_tx: u64,
     pending: BTreeMap<ClusterId, PendingKind>,
+    /// The command each tracked operation still owes, by target cluster.
+    owed: BTreeMap<ClusterId, Delivery>,
     cooldown_until: BTreeMap<ClusterId, u64>,
     splits_planned: u64,
     merges_planned: u64,
@@ -176,6 +202,7 @@ impl Controller {
             next_cluster,
             next_tx: 1,
             pending: BTreeMap::new(),
+            owed: BTreeMap::new(),
             cooldown_until: BTreeMap::new(),
             splits_planned: 0,
             merges_planned: 0,
@@ -215,6 +242,67 @@ impl Controller {
         self.pending.get(&cluster)
     }
 
+    /// The host booted `joiners` for a [`FleetCmd::Staff`] that `plan` just
+    /// returned: their `AddAndResize` is owed to `cluster` from now on.
+    pub fn staffed(&mut self, cluster: ClusterId, joiners: BTreeSet<NodeId>) {
+        self.owe(cluster, AdminCmd::AddAndResize(joiners));
+    }
+
+    /// Every command still owed to a sampled cluster, each addressed for
+    /// this round's one send: to the member `book` saw lead, else to the one
+    /// the last answer named, else to the next member in turn.
+    #[must_use]
+    pub fn owed(
+        &self,
+        samples: &[RangeSample],
+        book: &SampleBook,
+    ) -> Vec<(ClusterId, NodeId, AdminCmd)> {
+        (samples.iter())
+            .filter_map(|s| {
+                let d = self.owed.get(&s.cluster)?;
+                let turn = || s.members.iter().nth(d.turn % s.members.len()).copied();
+                let to = book.leader(s.cluster).or(d.hint).or_else(turn)?;
+                Some((s.cluster, to, d.cmd.clone()))
+            })
+            .collect()
+    }
+
+    /// Takes `from`'s answer to the command owed to `cluster` (`None`: it
+    /// could not be reached). Returns how the delivery ended, if this answer
+    /// ended it: accepted, or rejected by an error [`Error::is_transient`]
+    /// does not name. The operation itself stays tracked either way.
+    pub fn on_admin_answer(
+        &mut self,
+        cluster: ClusterId,
+        from: NodeId,
+        answer: Option<Result<(), Error>>,
+    ) -> Option<Result<(), Error>> {
+        let d = self.owed.get_mut(&cluster)?;
+        match answer {
+            Some(Err(Error::NotLeader(Some(leader)))) if leader != from => d.hint = Some(leader),
+            None | Some(Err(Error::NotLeader(_))) => (d.hint, d.turn) = (None, d.turn + 1),
+            Some(Err(e)) if e.is_transient() => d.hint = Some(from),
+            Some(end) => return self.owed.remove(&cluster).map(|_| end),
+        }
+        None
+    }
+
+    /// Makes `cmd` the command owed to `cluster`.
+    fn owe(&mut self, cluster: ClusterId, cmd: AdminCmd) {
+        let delivery = Delivery {
+            cmd,
+            hint: None,
+            turn: 0,
+        };
+        self.owed.insert(cluster, delivery);
+    }
+
+    /// Starts `cmd` on `cluster`: owed from now on, and reported by `plan`.
+    fn issue(&mut self, cluster: ClusterId, cmd: AdminCmd, cmds: &mut Vec<FleetCmd>) {
+        self.owe(cluster, cmd.clone());
+        cmds.push(FleetCmd::Admin { cluster, cmd });
+    }
+
     fn alloc_cluster(&mut self) -> ClusterId {
         let id = ClusterId(self.next_cluster);
         self.next_cluster += 1;
@@ -234,7 +322,7 @@ impl Controller {
     /// One planning round: advance pending multi-step operations against
     /// the fresh samples, then fill the remaining in-flight budget with new
     /// splits (hottest first) and merges (adjacent cold pairs, coldest
-    /// first). Returns the commands to deliver.
+    /// first). Returns the operations it started.
     pub fn plan(&mut self, now: u64, samples: &[RangeSample]) -> Vec<FleetCmd> {
         let by_cluster: BTreeMap<ClusterId, &RangeSample> =
             samples.iter().map(|s| (s.cluster, s)).collect();
@@ -270,21 +358,9 @@ impl Controller {
                 break;
             }
             if s.members.len() >= 2 * self.cfg.replication {
-                let Some((spec, children)) = self.split_spec(s) else {
+                if !self.start_split(now, s, &mut cmds) {
                     continue;
-                };
-                self.pending.insert(
-                    s.cluster,
-                    PendingKind::Splitting {
-                        children,
-                        since: now,
-                    },
-                );
-                cmds.push(FleetCmd::Admin {
-                    cluster: s.cluster,
-                    cmd: AdminCmd::Split(spec),
-                });
-                self.splits_planned += 1;
+                }
             } else {
                 self.pending
                     .insert(s.cluster, PendingKind::Staffing { since: now });
@@ -373,10 +449,7 @@ impl Controller {
                     coordinator: a.cluster,
                 },
             );
-            cmds.push(FleetCmd::Admin {
-                cluster: a.cluster,
-                cmd: AdminCmd::Merge(tx),
-            });
+            self.issue(a.cluster, AdminCmd::Merge(tx), &mut cmds);
             self.merges_planned += 1;
             budget -= 1;
             projected -= 1;
@@ -399,20 +472,7 @@ impl Controller {
             match self.pending.get(&cluster).cloned() {
                 Some(PendingKind::Staffing { since }) => match by_cluster.get(&cluster) {
                     Some(s) if s.members.len() >= 2 * self.cfg.replication => {
-                        if let Some((spec, children)) = self.split_spec(s) {
-                            self.pending.insert(
-                                cluster,
-                                PendingKind::Splitting {
-                                    children,
-                                    since: now,
-                                },
-                            );
-                            cmds.push(FleetCmd::Admin {
-                                cluster,
-                                cmd: AdminCmd::Split(spec),
-                            });
-                            self.splits_planned += 1;
-                        } else {
+                        if !self.start_split(now, s, cmds) {
                             self.pending.remove(&cluster);
                             self.cool(now, cluster);
                         }
@@ -424,15 +484,12 @@ impl Controller {
                     }
                 },
                 Some(PendingKind::Splitting { children, since }) => {
-                    if children.iter().all(|c| by_cluster.contains_key(c)) {
+                    // Done when both children report in; a stalled split
+                    // cools its parent too.
+                    let done = children.iter().all(|c| by_cluster.contains_key(c));
+                    if done || stalled(since) {
                         self.pending.remove(&cluster);
-                        for c in children {
-                            self.cool(now, c);
-                        }
-                    } else if stalled(since) {
-                        self.pending.remove(&cluster);
-                        self.cool(now, cluster);
-                        for c in children {
+                        for c in children.into_iter().chain((!done).then_some(cluster)) {
                             self.cool(now, c);
                         }
                     }
@@ -453,6 +510,23 @@ impl Controller {
                 Some(PendingKind::MergeFollow { .. }) | None => {}
             }
         }
+        self.owed.retain(|c, _| self.pending.contains_key(c));
+    }
+
+    /// Starts a split of `s` at its suggested key, unless it has none that
+    /// splits one of its ranges.
+    fn start_split(&mut self, now: u64, s: &RangeSample, cmds: &mut Vec<FleetCmd>) -> bool {
+        let Some((spec, children)) = self.split_spec(s) else {
+            return false;
+        };
+        let splitting = PendingKind::Splitting {
+            children,
+            since: now,
+        };
+        self.pending.insert(s.cluster, splitting);
+        self.issue(s.cluster, AdminCmd::Split(spec), cmds);
+        self.splits_planned += 1;
+        true
     }
 
     /// Builds a two-way split of `s` at its suggested key: the first
@@ -709,6 +783,163 @@ mod tests {
         let cmds = c.plan(2_000_000, &kids);
         assert_eq!(cmds.len(), 2, "both children re-split: {cmds:?}");
         assert!(children.iter().all(|ch| c.pending(*ch).is_some()));
+    }
+
+    /// One round's reports from two cold adjacent three-node ranges, with
+    /// `leader` (if any) reporting itself leader of cluster 1.
+    fn reports(leader: Option<u64>) -> Vec<(NodeId, recraft_net::NodeStats)> {
+        let (lo, hi) = KeyRange::full().split_at(b"m").unwrap();
+        let report = |node: u64| {
+            let (cluster, range, first) = if node <= 3 { (1, &lo, 1) } else { (2, &hi, 4) };
+            let stats = recraft_net::NodeStats {
+                cluster: ClusterId(cluster),
+                epoch: 0,
+                ranges: RangeSet::from(range.clone()),
+                members: (first..first + 3).map(NodeId).collect(),
+                is_leader: leader == Some(node),
+                leader_hint: leader.map(NodeId),
+                commit: 5,
+                applied: 5,
+                ops: 0,
+                bytes: 0,
+                split_key: None,
+            };
+            (NodeId(node), stats)
+        };
+        (1..=6).map(report).collect()
+    }
+
+    /// A controller that just planned a merge coordinated by cluster 1, the
+    /// book and samples of that round, and where the merge went first.
+    fn merge_owed(leader: Option<u64>) -> (Controller, SampleBook, Vec<RangeSample>, NodeId) {
+        let mut c = Controller::new(cfg(), 100);
+        let mut book = SampleBook::new();
+        let samples = book.build(&reports(leader));
+        let cmds = c.plan(0, &samples);
+        assert!(matches!(
+            &cmds[..],
+            [FleetCmd::Admin {
+                cmd: AdminCmd::Merge(_),
+                ..
+            }]
+        ));
+        let sends = c.owed(&samples, &book);
+        assert_eq!(sends.len(), 1, "one command owed: {sends:?}");
+        let (cluster, to, cmd) = &sends[0];
+        assert_eq!(*cluster, ClusterId(1));
+        assert!(matches!(cmd, AdminCmd::Merge(_)));
+        (c, book, samples, *to)
+    }
+
+    /// The owed rule, one row per case: `(case, reported leader, first
+    /// target, its answer, how the delivery ends, the next round's target)`.
+    #[test]
+    fn an_owed_command_goes_where_the_last_answer_points() {
+        type Row = (
+            &'static str,
+            Option<u64>,
+            u64,
+            Option<Result<(), Error>>,
+            Option<Result<(), Error>>,
+            Option<u64>,
+        );
+        let invalid = Error::InvalidConfig("stale".into());
+        let rows: [Row; 6] = [
+            (
+                "the reported leader is asked first, and again while it leads",
+                Some(2),
+                2,
+                Some(Err(Error::MergeBlocked)),
+                None,
+                Some(2),
+            ),
+            (
+                "an acceptance ends the sends",
+                None,
+                1,
+                Some(Ok(())),
+                Some(Ok(())),
+                None,
+            ),
+            (
+                "a named leader gets the next send",
+                None,
+                1,
+                Some(Err(Error::NotLeader(Some(NodeId(3))))),
+                None,
+                Some(3),
+            ),
+            (
+                "a transient rejection is sent again to the same member",
+                None,
+                1,
+                Some(Err(Error::PreconditionP3)),
+                None,
+                Some(1),
+            ),
+            (
+                "an unreachable member is passed over",
+                None,
+                1,
+                None,
+                None,
+                Some(2),
+            ),
+            (
+                "a rejection no retry cures ends the sends as failed",
+                None,
+                1,
+                Some(Err(invalid.clone())),
+                Some(Err(invalid)),
+                None,
+            ),
+        ];
+        for (case, leader, first, answer, ends, next) in rows {
+            let (mut c, book, samples, to) = merge_owed(leader);
+            assert_eq!(to, NodeId(first), "{case}: first send");
+            assert_eq!(c.on_admin_answer(ClusterId(1), to, answer), ends, "{case}");
+            let again: Vec<NodeId> = c.owed(&samples, &book).iter().map(|s| s.1).collect();
+            assert_eq!(
+                again,
+                next.map(NodeId).into_iter().collect::<Vec<_>>(),
+                "{case}"
+            );
+            assert_eq!(c.inflight(), 1, "{case}: the merge stays tracked");
+        }
+    }
+
+    /// An operation the samples show complete owes nothing more, answered
+    /// or not.
+    #[test]
+    fn an_operation_completed_by_the_samples_owes_nothing() {
+        let (mut c, book, _, to) = merge_owed(Some(1));
+        let Some(PendingKind::MergeLead { new_cluster, .. }) = c.pending(ClusterId(1)).cloned()
+        else {
+            panic!("cluster 1 leads the merge");
+        };
+        let merged = sample(new_cluster.0, KeyRange::full(), &[1, 2, 3], 0, 0);
+        assert!(c.plan(1_000, std::slice::from_ref(&merged)).is_empty());
+        assert_eq!(c.inflight(), 0);
+        assert!(c.owed(&[merged], &book).is_empty());
+        assert_eq!(c.on_admin_answer(ClusterId(1), to, Some(Ok(()))), None);
+    }
+
+    /// A staffing's `AddAndResize` is owed from the moment the host hands
+    /// the joiners back, to the staffed cluster.
+    #[test]
+    fn staffing_owes_its_add_once_the_joiners_are_booted() {
+        let mut c = Controller::new(cfg(), 100);
+        let hot = sample(1, KeyRange::full(), &[1], 500, 0);
+        let book = SampleBook::new();
+        assert!(matches!(
+            &c.plan(0, std::slice::from_ref(&hot))[..],
+            [FleetCmd::Staff { .. }]
+        ));
+        assert!(c.owed(std::slice::from_ref(&hot), &book).is_empty());
+        c.staffed(ClusterId(1), BTreeSet::from([NodeId(9)]));
+        let sends = c.owed(&[hot], &book);
+        let add = AdminCmd::AddAndResize(BTreeSet::from([NodeId(9)]));
+        assert_eq!(sends, vec![(ClusterId(1), NodeId(1), add)]);
     }
 
     #[test]

@@ -19,16 +19,24 @@
 //! * [`Controller`] — a sans-io reconfiguration planner. Fed periodic
 //!   per-range load/size samples, it decides which hot ranges to split,
 //!   which cold adjacent ranges to merge, and which clusters need staffing
-//!   first, emitting admin-plane commands ([`FleetCmd`]) for the embedding
-//!   (the simulator's `FleetHarness`, or a TCP admin client) to deliver.
-//!   Hysteresis between the split and merge thresholds, per-cluster
-//!   cooldowns, and a bound on concurrent in-flight reconfigurations keep
-//!   the fleet from thrashing.
+//!   first ([`FleetCmd`]). Hysteresis between the split and merge
+//!   thresholds, per-cluster cooldowns, and a bound on concurrent in-flight
+//!   reconfigurations keep the fleet from thrashing.
+//!
+//!   Delivery is one rule of the controller as well: every operation it
+//!   tracks owes its admin command until a member accepts it, a member
+//!   rejects it for good, or the operation leaves the pending set — so a
+//!   command lives as long as its operation, bounded by
+//!   [`FleetConfig::stall_us`]. Each round the embedding (the simulator's
+//!   `FleetHarness`, or the TCP control plane) sends every command
+//!   [`Controller::owed`] lists once, to the member it names, and hands
+//!   the answer back; a cluster with no leader never blocks the round.
 //!
 //! The controller and the client own no clocks, sockets, or threads:
-//! `plan(now, samples)` and the client's `on_response` / `on_timeout` are
-//! pure state-machine steps, so the same decisions replay byte-for-byte in
-//! the deterministic simulator and against a real loopback-TCP deployment.
+//! `plan(now, samples)`, `owed` / `on_admin_answer` and the client's
+//! `on_response` / `on_timeout` are pure state-machine steps, so the same
+//! decisions replay byte-for-byte in the deterministic simulator and
+//! against a real loopback-TCP deployment.
 
 #![warn(missing_docs)]
 

@@ -22,9 +22,14 @@ use std::collections::BTreeMap;
 /// inherited its members' counters) the book only records the baseline and
 /// reports zero ops — otherwise inherited counts would masquerade as an
 /// instantaneous load spike and immediately re-trigger the planner.
+///
+/// The book also remembers, per cluster, the member that reported itself
+/// leader in the latest round (the most committed one, should a deposed
+/// leader not know it yet): where the controller's owed commands go.
 #[derive(Debug, Default)]
 pub struct SampleBook {
     last_ops: BTreeMap<ClusterId, u64>,
+    leaders: BTreeMap<ClusterId, (u64, NodeId)>,
 }
 
 impl SampleBook {
@@ -46,9 +51,14 @@ impl SampleBook {
     pub fn build(&mut self, reports: &[(NodeId, NodeStats)]) -> Vec<RangeSample> {
         let mut witness: BTreeMap<ClusterId, &NodeStats> = BTreeMap::new();
         let mut ops_sum: BTreeMap<ClusterId, u64> = BTreeMap::new();
-        for (_, stats) in reports {
+        self.leaders.clear();
+        for (node, stats) in reports {
             if stats.members.is_empty() {
                 continue;
+            }
+            let leader = (stats.commit, *node);
+            if stats.is_leader && self.leaders.get(&stats.cluster) < Some(&leader) {
+                self.leaders.insert(stats.cluster, leader);
             }
             *ops_sum.entry(stats.cluster).or_insert(0) += stats.ops;
             let entry = witness.entry(stats.cluster).or_insert(stats);
@@ -78,6 +88,13 @@ impl SampleBook {
             });
         }
         samples
+    }
+
+    /// The member of `cluster` that reported itself leader in the latest
+    /// round, if one did.
+    #[must_use]
+    pub fn leader(&self, cluster: ClusterId) -> Option<NodeId> {
+        self.leaders.get(&cluster).map(|(_, node)| *node)
     }
 }
 
@@ -149,6 +166,19 @@ mod tests {
         let samples = book.build(&[report(1, 1, 2, 200)]);
         assert_eq!(samples.len(), 1);
         assert_eq!(book.last_ops.len(), 1);
+    }
+
+    #[test]
+    fn the_leader_is_the_most_committed_member_that_says_it_leads() {
+        let mut book = SampleBook::new();
+        let mut deposed = report(1, 1, 7, 0);
+        deposed.1.commit = 3;
+        let mut current = report(1, 2, 9, 0);
+        current.1.is_leader = true;
+        book.build(&[deposed, current, report(1, 3, 9, 0)]);
+        assert_eq!(book.leader(ClusterId(1)), Some(NodeId(2)));
+        book.build(&[report(1, 2, 9, 0)]);
+        assert_eq!(book.leader(ClusterId(1)), None, "no member says it leads");
     }
 
     #[test]

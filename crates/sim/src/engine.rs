@@ -174,6 +174,9 @@ pub struct Sim {
     admin_done: BTreeMap<u64, u64>,
     admin_failed: BTreeMap<u64, Error>,
     next_admin_req: u64,
+    /// Answers no [`Sim::admin`] request waits for — those to
+    /// [`Sim::admin_to`] sends — not yet read, by request id.
+    admin_inbox: BTreeMap<u64, Result<(), Error>>,
     /// The one-shot [`Sim::execute`] session: a window-1 client on the
     /// admin endpoint, and the answers it has yet to read.
     inject: RoutedClient,
@@ -224,6 +227,7 @@ impl Sim {
             admin_done: BTreeMap::new(),
             admin_failed: BTreeMap::new(),
             next_admin_req: 1,
+            admin_inbox: BTreeMap::new(),
             inject: RoutedClient::new(SessionId(INJECT_SESSION_BASE), 1, INJECT_RESEND_US),
             inject_inbox: Vec::new(),
             safety: Safety::default(),
@@ -614,16 +618,14 @@ impl Sim {
                 let target = self
                     .leader_of(cluster)
                     .or_else(|| self.any_member_of(cluster));
-                let Some(target) = target else {
-                    // The cluster does not exist (yet); retry later.
-                    self.admin_pending.insert(req_id, (cluster, cmd));
-                    self.schedule(200_000, EvKind::AdminCheck(req_id));
-                    return;
-                };
                 self.admin_pending.insert(req_id, (cluster, cmd.clone()));
-                let env = Envelope::new(ADMIN_ADDR, target, Message::AdminReq { req_id, cmd });
-                self.transmit(env);
-                self.schedule(500_000, EvKind::AdminCheck(req_id));
+                // Send unless the cluster does not exist (yet); check back later.
+                if let Some(target) = target {
+                    let env = Envelope::new(ADMIN_ADDR, target, Message::AdminReq { req_id, cmd });
+                    self.transmit(env);
+                }
+                let check = if target.is_some() { 500_000 } else { 200_000 };
+                self.schedule(check, EvKind::AdminCheck(req_id));
             }
         }
     }
@@ -680,6 +682,7 @@ impl Sim {
 
     fn handle_admin_resp(&mut self, req_id: u64, result: Result<(), Error>) {
         let Some((cluster, cmd)) = self.admin_pending.remove(&req_id) else {
+            self.admin_inbox.insert(req_id, result);
             return;
         };
         match result {
@@ -979,16 +982,24 @@ impl Sim {
     /// Asks a specific node to start an election now (leadership placement
     /// in tests and benches — operators use leadership transfer similarly).
     pub fn campaign(&mut self, node: NodeId) {
-        let req_id = 0xFFFF_0000_0000 + self.seq;
-        let env = Envelope::new(
-            ADMIN_ADDR,
-            node,
-            Message::AdminReq {
-                req_id,
-                cmd: AdminCmd::Campaign,
-            },
-        );
+        self.admin_to(node, AdminCmd::Campaign);
+    }
+
+    /// Sends `cmd` once to `node` from the admin endpoint: no leader lookup
+    /// and no retry, unlike [`Sim::admin`]. The answer, if one comes, waits
+    /// for [`Sim::take_admin_answers`]. Returns the request id it carries.
+    pub fn admin_to(&mut self, node: NodeId, cmd: AdminCmd) -> u64 {
+        let req_id = self.next_admin_req;
+        self.next_admin_req += 1;
+        let env = Envelope::new(ADMIN_ADDR, node, Message::AdminReq { req_id, cmd });
         self.transmit(env);
+        req_id
+    }
+
+    /// Takes the answers to [`Sim::admin_to`] sends that arrived since the
+    /// last call, by request id.
+    pub fn take_admin_answers(&mut self) -> BTreeMap<u64, Result<(), Error>> {
+        std::mem::take(&mut self.admin_inbox)
     }
 
     /// Sends one typed client request from the admin endpoint without

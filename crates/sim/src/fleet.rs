@@ -3,19 +3,23 @@
 //! Embeds a [`Controller`] in the deterministic simulation: every sampling
 //! interval the harness collects every up node's `StatsReq` answer, distills
 //! them with the [`SampleBook`] the TCP control plane uses, feeds the samples
-//! to the controller, and delivers the resulting commands through the sim's
-//! admin plane. Staffing commands boot fresh joiners (reusing retired nodes
-//! from a spare pool) and issue the `AddAndResize`; splits and merges go to
-//! the target cluster's leader verbatim. Because the simulation and the controller are both
-//! deterministic, an entire autonomous split/merge campaign over hundreds of
-//! ranges replays identically from its seed — which is what lets the
-//! scenario tests assert linearizability and exactly-once delivery *across*
-//! overlapping reconfigurations rather than around them.
+//! to the controller, and boots the joiners a staffing asks for (reusing
+//! retired nodes from a spare pool). Delivery follows the controller's one
+//! rule, as over TCP: every command it still owes
+//! ([`Controller::owed`]) goes once per round to the member it names, as a
+//! one-shot [`Sim::admin_to`], and the answers read at the next round go
+//! back through [`Controller::on_admin_answer`] — a send with no answer by
+//! then counts as unreachable. A command lives as long as its tracked
+//! operation, which the controller's `stall_us` bounds. Because the
+//! simulation and the controller are both deterministic, an entire
+//! autonomous split/merge campaign over hundreds of ranges replays
+//! identically from its seed — which is what lets the scenario tests assert
+//! linearizability and exactly-once delivery *across* overlapping
+//! reconfigurations rather than around them.
 
 use crate::{Sim, SimConfig};
 use recraft_core::{NodeEvent, Role};
-use recraft_fleet::{boot_range, Controller, FleetCmd, RangeSample, SampleBook};
-use recraft_net::AdminCmd;
+use recraft_fleet::{boot_range, Controller, FleetCmd, SampleBook};
 use recraft_types::{ClusterId, NodeId};
 use std::collections::BTreeSet;
 
@@ -34,6 +38,8 @@ pub struct FleetHarness {
     controller: Controller,
     interval: u64,
     book: SampleBook,
+    /// Last round's sends, awaiting their answers: `(req_id, cluster, to)`.
+    sent: Vec<(u64, ClusterId, NodeId)>,
     spares: Vec<NodeId>,
     next_node: u64,
     max_overlap: usize,
@@ -70,6 +76,7 @@ impl FleetHarness {
             controller: Controller::new(fleet, 1),
             interval,
             book: SampleBook::new(),
+            sent: Vec::new(),
             spares: Vec::new(),
             next_node: 1,
             max_overlap: 0,
@@ -105,7 +112,6 @@ impl FleetHarness {
         while self.sim.time() < end {
             let step = self.interval.min(end - self.sim.time());
             self.sim.run_for(step);
-            self.reap_retired();
             self.plan_round();
         }
     }
@@ -122,12 +128,11 @@ impl FleetHarness {
         self.spares.len()
     }
 
-    /// Decommissions every node a reconfiguration retired (`Role::Removed`)
-    /// and returns its id to the spare pool for the next staffing.
-    fn reap_retired(&mut self) {
-        let retired: Vec<NodeId> = self
-            .sim
-            .nodes()
+    /// One controller round, as the TCP control plane runs it: reap, take
+    /// last round's answers, sample, plan, and send every command owed.
+    fn plan_round(&mut self) {
+        // Nodes a reconfiguration retired go to the spare pool.
+        let retired: Vec<NodeId> = (self.sim.nodes())
             .filter(|n| n.role() == Role::Removed)
             .map(recraft_core::Node::id)
             .collect();
@@ -135,48 +140,35 @@ impl FleetHarness {
             self.sim.decommission(id);
             self.spares.push(id);
         }
-    }
-
-    /// One controller round: sample, plan, deliver.
-    fn plan_round(&mut self) {
-        let samples = self.sample();
-        let cmds = self.controller.plan(self.sim.time(), &samples);
-        self.max_overlap = self.max_overlap.max(self.controller.inflight());
-        for cmd in cmds {
-            match cmd {
-                FleetCmd::Staff { cluster, add } => {
-                    let mut joining = BTreeSet::new();
-                    for _ in 0..add {
-                        let id = self.spares.pop().unwrap_or_else(|| {
-                            let id = NodeId(self.next_node);
-                            self.next_node += 1;
-                            id
-                        });
-                        self.sim.boot_joiner_into(id, cluster);
-                        joining.insert(id);
-                    }
-                    self.sim.admin(cluster, AdminCmd::AddAndResize(joining));
-                }
-                FleetCmd::Admin { cluster, cmd } => {
-                    self.sim.admin(cluster, cmd);
-                }
-            }
+        let mut answers = self.sim.take_admin_answers();
+        for (req_id, cluster, to) in std::mem::take(&mut self.sent) {
+            let answer = answers.remove(&req_id);
+            self.controller.on_admin_answer(cluster, to, answer);
         }
-    }
-
-    /// Builds this round's samples from every up node's [`Node::stats`]
-    /// answer, distilled by the same [`SampleBook`] the TCP control plane
-    /// runs (witness per cluster, op-counter deltas, first-sighting rule).
-    ///
-    /// [`Node::stats`]: recraft_core::Node::stats
-    fn sample(&mut self) -> Vec<RangeSample> {
-        let reports: Vec<_> = self
-            .sim
-            .nodes()
+        let reports: Vec<_> = (self.sim.nodes())
             .filter(|n| self.sim.is_up(n.id()))
             .map(|n| (n.id(), n.stats()))
             .collect();
-        self.book.build(&reports)
+        let samples = self.book.build(&reports);
+        for cmd in self.controller.plan(self.sim.time(), &samples) {
+            if let FleetCmd::Staff { cluster, add } = cmd {
+                let mut joining = BTreeSet::new();
+                for _ in 0..add {
+                    let id = self.spares.pop().unwrap_or_else(|| {
+                        let id = NodeId(self.next_node);
+                        self.next_node += 1;
+                        id
+                    });
+                    self.sim.boot_joiner_into(id, cluster);
+                    joining.insert(id);
+                }
+                self.controller.staffed(cluster, joining);
+            }
+        }
+        self.max_overlap = self.max_overlap.max(self.controller.inflight());
+        for (cluster, to, cmd) in self.controller.owed(&samples, &self.book) {
+            self.sent.push((self.sim.admin_to(to, cmd), cluster, to));
+        }
     }
 
     /// Summarizes the run so far.

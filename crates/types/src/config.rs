@@ -338,6 +338,14 @@ impl MergeTx {
                     p.cluster
                 )));
             }
+            if p.members.is_empty() {
+                // Every message the 2PC owes a participant goes to one of
+                // its members; an empty set leaves it nowhere to go.
+                return Err(Error::InvalidConfig(format!(
+                    "merge participant {} has no members",
+                    p.cluster
+                )));
+            }
             for m in &p.members {
                 if !seen.insert(*m) {
                     return Err(Error::InvalidConfig(format!(
@@ -859,6 +867,13 @@ mod tests {
         let mut tx = merge_tx();
         tx.participants[1].members = nodes(&[3, 4, 5]);
         assert!(tx.validate().is_err());
+    }
+
+    #[test]
+    fn merge_tx_rejects_a_participant_without_members() {
+        let mut tx = merge_tx();
+        tx.participants[1].members = BTreeSet::new();
+        assert!(matches!(tx.validate(), Err(Error::InvalidConfig(_))));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use recraft::core::NodeEvent;
 use recraft::net::AdminCmd;
 use recraft::sim::{Sim, SimConfig, Workload};
 use recraft::types::{ClusterId, NodeId, RangeSet};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const SEC: u64 = 1_000_000;
 const CLUSTER: ClusterId = ClusterId(1);
@@ -157,6 +157,42 @@ fn clients_follow_a_removed_leader_to_its_successor() {
             "seed {seed}: {served} operations in the 5 s after the successor settled"
         );
         sim.check_invariants();
+        sim.check_linearizability();
+        sim.assert_exactly_once();
+    }
+}
+
+/// The leader that commits its own removal answers every request still
+/// waiting on it as it retires, so its clients re-route at once instead of
+/// waiting out their resend timers: across 40 seeds no client goes a
+/// second between two completions.
+#[test]
+fn a_removed_leaders_clients_never_wait_out_their_timers() {
+    for seed in 1..=40 {
+        let mut sim = setup(5, 5, seed);
+        sim.add_clients(4, Workload::default());
+        sim.run_for(SEC);
+        let old = sim.leader_of(CLUSTER).unwrap();
+        sim.admin(CLUSTER, AdminCmd::RemoveAndResize(BTreeSet::from([old])));
+        sim.run_until_pred(30 * SEC, |s| {
+            settled(s, 4) && s.leader_of(CLUSTER).is_some_and(|l| l != old)
+        });
+        sim.run_for(SEC);
+        let mut done: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for op in sim.history() {
+            if let Some(at) = op.responded_at {
+                done.entry(op.id.0).or_default().push(at);
+            }
+        }
+        for (client, mut at) in done {
+            at.sort_unstable();
+            at.push(sim.time());
+            let gap = at.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+            assert!(
+                gap < SEC,
+                "seed {seed}: client {client} waited {gap} us between completions"
+            );
+        }
         sim.check_linearizability();
         sim.assert_exactly_once();
     }
