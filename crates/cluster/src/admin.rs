@@ -5,14 +5,17 @@
 //! messages a node's admin plane speaks, over one short-lived loopback
 //! connection per attempt.
 //!
-//! Leader discovery is by probing: the client walks the candidate address
-//! list, follows `NotLeader` hints when they name a reachable node, and
-//! waits out the other rejections [`Error::is_transient`] names (P1, P3,
-//! `MergeBlocked`) on the node that gave them, until the deadline. Every
-//! other rejection is returned to the caller — a P2 failure is a planning
-//! error, not transport noise.
+//! Leader discovery is by probing, under the one admin rule every caller
+//! drives ([`AdminCall`]): each attempt goes to the node the last answer
+//! pointed at, else to the next candidate in turn. A `NotLeader` naming
+//! another node points there; an unreachable node or any other `NotLeader`
+//! passes the turn on; the other rejections [`Error::is_transient`] names
+//! (P1, P3, `MergeBlocked`) are waited out on the node that gave them,
+//! until the deadline. Every other rejection is returned to the caller — a
+//! P2 failure is a planning error, not transport noise.
 
 use crate::CLIENT_BASE;
+use recraft_fleet::AdminCall;
 use recraft_net::frame::{read_frame, write_frame};
 use recraft_net::{AdminCmd, Envelope, Message, NodeStats};
 use recraft_types::{Error, NodeId};
@@ -107,9 +110,9 @@ impl AdminClient {
         }
     }
 
-    /// Delivers `cmd` to whichever of `candidates` is leader, following
-    /// `NotLeader` hints and waiting out the other transient rejections
-    /// ([`Error::is_transient`]), until `deadline`.
+    /// Delivers `cmd` to whichever of `candidates` is leader, each attempt
+    /// going where an [`AdminCall`] points (a hint outside `candidates`
+    /// counts as unreachable), until `deadline`.
     /// Retry pauses start at 10 ms and double to a 160 ms cap, so a cluster
     /// that stays unready is probed gently instead of hammered.
     ///
@@ -127,41 +130,19 @@ impl AdminClient {
         deadline: Duration,
     ) -> Result<NodeId, Error> {
         let until = Instant::now() + deadline;
-        let order: Vec<NodeId> = candidates.keys().copied().collect();
-        if order.is_empty() {
-            return Err(Error::DeadlineExceeded(format!(
-                "{}: no candidate nodes",
-                cmd.kind()
-            )));
-        }
-        let mut at = 0usize;
+        let mut call = AdminCall::new(cmd.clone());
         let mut backoff = BACKOFF_FLOOR;
         let mut last_err: Option<Error> = None;
         while Instant::now() < until {
-            let id = order[at % order.len()];
-            at += 1;
-            let Some(addr) = candidates.get(&id) else {
-                continue;
+            let Some(id) = call.target(None, candidates.keys().copied()) else {
+                let none = format!("{}: no candidate nodes", cmd.kind());
+                return Err(Error::DeadlineExceeded(none));
             };
-            match self.send_one(*addr, id, cmd.clone()) {
-                Some(Ok(())) => return Ok(id),
-                Some(Err(Error::NotLeader(hint))) => {
-                    last_err = Some(Error::NotLeader(hint));
-                    // Jump the probe order to the hinted node if we know it.
-                    if let Some(h) = hint {
-                        if let Some(pos) = order.iter().position(|n| *n == h) {
-                            at = pos;
-                        }
-                    }
-                }
-                Some(Err(e)) if e.is_transient() => {
-                    // P1, P3 or a merge's exchange: it resolves on its own
-                    // here, so stay on this node and retry.
-                    last_err = Some(e);
-                    at -= 1;
-                }
-                Some(Err(e)) => return Err(e),
-                None => {}
+            let send = |addr: &SocketAddr| self.send_one(*addr, id, cmd.clone());
+            let answer = candidates.get(&id).and_then(send);
+            last_err = answer.clone().and_then(Result::err).or(last_err);
+            if let Some(end) = call.on_answer(id, answer) {
+                return end.map(|()| id);
             }
             thread::sleep(backoff.min(until.saturating_duration_since(Instant::now())));
             backoff = (backoff * 2).min(BACKOFF_CAP);
@@ -218,5 +199,83 @@ mod tests {
         );
         assert_eq!(accepted, Ok(NodeId(1)));
         assert_eq!(server.join().expect("server"), 0, "both answers were read");
+    }
+
+    /// A fake node `id` on a fresh loopback port: it answers the admin
+    /// requests it is sent with `answers`, in order, until a connection
+    /// brings no request ([`stop`]), and returns how many it was sent.
+    fn fake_node(
+        id: u64,
+        answers: Vec<Result<(), Error>>,
+    ) -> (SocketAddr, thread::JoinHandle<usize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = thread::spawn(move || {
+            let mut answers = answers.into_iter();
+            let mut asked = 0;
+            for conn in listener.incoming() {
+                let mut stream = conn.expect("accept");
+                let Ok(Some(env)) = read_frame(&mut stream) else {
+                    return asked;
+                };
+                let Message::AdminReq { req_id, .. } = env.msg else {
+                    continue;
+                };
+                asked += 1;
+                let result = answers.next().expect("asked once too often");
+                let msg = Message::AdminResp { req_id, result };
+                write_frame(&mut stream, &Envelope::new(NodeId(id), env.from, msg))
+                    .expect("answer");
+            }
+            unreachable!("the listener outlives its answers")
+        });
+        (addr, server)
+    }
+
+    /// Stops a [`fake_node`] and returns how many requests it was sent.
+    fn stop((addr, server): (SocketAddr, thread::JoinHandle<usize>)) -> usize {
+        drop(TcpStream::connect(addr).expect("the fake node listens"));
+        server.join().expect("server")
+    }
+
+    fn run(candidates: &BTreeMap<NodeId, SocketAddr>) -> Result<NodeId, Error> {
+        let cmd = AdminCmd::ProposeNoop;
+        AdminClient::new(0).run_on_leader(candidates, &cmd, Duration::from_secs(5))
+    }
+
+    /// A `NotLeader` naming another candidate sends the next attempt there,
+    /// and the node that named it is not asked again.
+    #[test]
+    fn a_named_leader_is_asked_next() {
+        let one = fake_node(1, vec![Err(Error::NotLeader(Some(NodeId(2))))]);
+        let two = fake_node(2, vec![Ok(())]);
+        let candidates = BTreeMap::from([(NodeId(1), one.0), (NodeId(2), two.0)]);
+        assert_eq!(run(&candidates), Ok(NodeId(2)));
+        assert_eq!(stop(one), 1, "node 1 is asked exactly once");
+        assert_eq!(stop(two), 1);
+    }
+
+    /// A rejection no retry cures comes back after the one attempt.
+    #[test]
+    fn a_rejection_no_retry_cures_comes_back_at_once() {
+        let invalid = Error::InvalidConfig("stale".into());
+        let one = fake_node(1, vec![Err(invalid.clone())]);
+        let two = fake_node(2, Vec::new());
+        let candidates = BTreeMap::from([(NodeId(1), one.0), (NodeId(2), two.0)]);
+        assert_eq!(run(&candidates), Err(invalid));
+        assert_eq!(stop(one), 1);
+        assert_eq!(stop(two), 0, "no second attempt");
+    }
+
+    /// A candidate whose port refuses connections is passed over.
+    #[test]
+    fn an_unreachable_candidate_is_passed_over() {
+        let closed = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let refused = closed.local_addr().expect("addr");
+        drop(closed);
+        let two = fake_node(2, vec![Ok(())]);
+        let candidates = BTreeMap::from([(NodeId(1), refused), (NodeId(2), two.0)]);
+        assert_eq!(run(&candidates), Ok(NodeId(2)));
+        assert_eq!(stop(two), 1);
     }
 }

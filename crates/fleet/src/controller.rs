@@ -30,12 +30,13 @@
 //! does not name, or the operation leaves the pending set. A command thus
 //! lives as long as its tracked operation, which
 //! [`FleetConfig::stall_us`] bounds. After every `plan` the host sends each
-//! command [`Controller::owed`] lists once, to the member it names — the
-//! member that reported itself leader this round, else the one the last
-//! answer named, else the next in turn — and hands the answer back through
-//! [`Controller::on_admin_answer`]. A cluster with no leader holds up
-//! nothing: its command stays owed for the next round.
+//! command [`Controller::owed`] lists once, to the member its [`AdminCall`]
+//! names — the member that reported itself leader this round, else the one
+//! the last answer pointed at, else the next in turn — and hands the answer
+//! back through [`Controller::on_admin_answer`]. A cluster with no leader
+//! holds up nothing: its command stays owed for the next round.
 
+use crate::admin_call::AdminCall;
 use crate::sampling::SampleBook;
 use recraft_net::AdminCmd;
 use recraft_types::{
@@ -164,17 +165,6 @@ pub enum PendingKind {
     },
 }
 
-/// An admin command a tracked operation still owes its cluster, and
-/// where its next send goes when no member reported itself leader: to
-/// `hint` (the member a `NotLeader` named, or the one whose rejection
-/// resolves where it was given), else to the member at `turn`.
-#[derive(Debug)]
-struct Delivery {
-    cmd: AdminCmd,
-    hint: Option<NodeId>,
-    turn: usize,
-}
-
 /// The fleet controller: thresholds, hysteresis, cooldowns, and the
 /// in-flight bound, applied over per-range samples each planning round.
 #[derive(Debug)]
@@ -184,7 +174,7 @@ pub struct Controller {
     next_tx: u64,
     pending: BTreeMap<ClusterId, PendingKind>,
     /// The command each tracked operation still owes, by target cluster.
-    owed: BTreeMap<ClusterId, Delivery>,
+    owed: BTreeMap<ClusterId, AdminCall>,
     cooldown_until: BTreeMap<ClusterId, u64>,
     splits_planned: u64,
     merges_planned: u64,
@@ -245,7 +235,7 @@ impl Controller {
     /// The host booted `joiners` for a [`FleetCmd::Staff`] that `plan` just
     /// returned: their `AddAndResize` is owed to `cluster` from now on.
     pub fn staffed(&mut self, cluster: ClusterId, joiners: BTreeSet<NodeId>) {
-        self.owe(cluster, AdminCmd::AddAndResize(joiners));
+        (self.owed).insert(cluster, AdminCall::new(AdminCmd::AddAndResize(joiners)));
     }
 
     /// Every command still owed to a sampled cluster, each addressed for
@@ -259,10 +249,9 @@ impl Controller {
     ) -> Vec<(ClusterId, NodeId, AdminCmd)> {
         (samples.iter())
             .filter_map(|s| {
-                let d = self.owed.get(&s.cluster)?;
-                let turn = || s.members.iter().nth(d.turn % s.members.len()).copied();
-                let to = book.leader(s.cluster).or(d.hint).or_else(turn)?;
-                Some((s.cluster, to, d.cmd.clone()))
+                let call = self.owed.get(&s.cluster)?;
+                let to = call.target(book.leader(s.cluster), s.members.iter().copied())?;
+                Some((s.cluster, to, call.cmd.clone()))
             })
             .collect()
     }
@@ -277,29 +266,13 @@ impl Controller {
         from: NodeId,
         answer: Option<Result<(), Error>>,
     ) -> Option<Result<(), Error>> {
-        let d = self.owed.get_mut(&cluster)?;
-        match answer {
-            Some(Err(Error::NotLeader(Some(leader)))) if leader != from => d.hint = Some(leader),
-            None | Some(Err(Error::NotLeader(_))) => (d.hint, d.turn) = (None, d.turn + 1),
-            Some(Err(e)) if e.is_transient() => d.hint = Some(from),
-            Some(end) => return self.owed.remove(&cluster).map(|_| end),
-        }
-        None
-    }
-
-    /// Makes `cmd` the command owed to `cluster`.
-    fn owe(&mut self, cluster: ClusterId, cmd: AdminCmd) {
-        let delivery = Delivery {
-            cmd,
-            hint: None,
-            turn: 0,
-        };
-        self.owed.insert(cluster, delivery);
+        let end = self.owed.get_mut(&cluster)?.on_answer(from, answer)?;
+        self.owed.remove(&cluster).map(|_| end)
     }
 
     /// Starts `cmd` on `cluster`: owed from now on, and reported by `plan`.
     fn issue(&mut self, cluster: ClusterId, cmd: AdminCmd, cmds: &mut Vec<FleetCmd>) {
-        self.owe(cluster, cmd.clone());
+        self.owed.insert(cluster, AdminCall::new(cmd.clone()));
         cmds.push(FleetCmd::Admin { cluster, cmd });
     }
 

@@ -29,22 +29,34 @@
 //!   command lives as long as its operation, bounded by
 //!   [`FleetConfig::stall_us`]. Each round the embedding (the simulator's
 //!   `FleetHarness`, or the TCP control plane) sends every command
-//!   [`Controller::owed`] lists once, to the member it names, and hands
-//!   the answer back; a cluster with no leader never blocks the round.
+//!   [`Controller::owed`] lists once, to the member its [`AdminCall`]
+//!   names, and hands the answer back; a cluster with no leader never blocks the round.
+//! * [`AdminCall`] — the one rule by which an admin command finds a member
+//!   that takes it: each attempt goes to the leader the caller saw
+//!   ([`seen_leader`]: the most committed member that claims to lead), else
+//!   to the member the last answer pointed at, else to the next member in
+//!   turn; an acceptance, or a rejection
+//!   [`Error::is_transient`](recraft_types::Error::is_transient) does not
+//!   name, ends it. The controller, the TCP `AdminClient::run_on_leader` and
+//!   the simulator's `Sim::admin` all drive it, each with its own clock and
+//!   transport.
 //!
-//! The controller and the client own no clocks, sockets, or threads:
-//! `plan(now, samples)`, `owed` / `on_admin_answer` and the client's
-//! `on_response` / `on_timeout` are pure state-machine steps, so the same
+//! The controller, the call and the client own no clocks, sockets, or
+//! threads: `plan(now, samples)`, `owed` / `on_admin_answer`, the call's
+//! `target` / `on_answer` and the client's `on_response` / `on_timeout`
+//! are pure state-machine steps, so the same
 //! decisions replay byte-for-byte in the deterministic simulator and
 //! against a real loopback-TCP deployment.
 
 #![warn(missing_docs)]
 
+mod admin_call;
 mod client;
 mod controller;
 mod directory;
 mod sampling;
 
+pub use admin_call::{seen_leader, AdminCall};
 pub use client::{ClientAction, ClientStats, RoutedClient, RETRY_BACKOFF_US};
 pub use controller::{
     boot_range, midpoint_key, Controller, FleetCmd, FleetConfig, PendingKind, RangeSample,

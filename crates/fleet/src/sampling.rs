@@ -9,6 +9,7 @@
 //! controller's thresholds mean the same thing against a socket as they do
 //! inside the simulator.
 
+use crate::admin_call::seen_leader;
 use crate::controller::{midpoint_key, RangeSample};
 use recraft_net::NodeStats;
 use recraft_types::{ClusterId, NodeId};
@@ -23,13 +24,13 @@ use std::collections::BTreeMap;
 /// reports zero ops — otherwise inherited counts would masquerade as an
 /// instantaneous load spike and immediately re-trigger the planner.
 ///
-/// The book also remembers, per cluster, the member that reported itself
-/// leader in the latest round (the most committed one, should a deposed
-/// leader not know it yet): where the controller's owed commands go.
+/// The book also remembers, per cluster, the members that reported
+/// themselves leader in the latest round, with their commit indexes: the
+/// [`seen_leader`] among them is where the controller's owed commands go.
 #[derive(Debug, Default)]
 pub struct SampleBook {
     last_ops: BTreeMap<ClusterId, u64>,
-    leaders: BTreeMap<ClusterId, (u64, NodeId)>,
+    claims: BTreeMap<ClusterId, Vec<(u64, NodeId)>>,
 }
 
 impl SampleBook {
@@ -51,14 +52,14 @@ impl SampleBook {
     pub fn build(&mut self, reports: &[(NodeId, NodeStats)]) -> Vec<RangeSample> {
         let mut witness: BTreeMap<ClusterId, &NodeStats> = BTreeMap::new();
         let mut ops_sum: BTreeMap<ClusterId, u64> = BTreeMap::new();
-        self.leaders.clear();
+        self.claims.clear();
         for (node, stats) in reports {
             if stats.members.is_empty() {
                 continue;
             }
-            let leader = (stats.commit, *node);
-            if stats.is_leader && self.leaders.get(&stats.cluster) < Some(&leader) {
-                self.leaders.insert(stats.cluster, leader);
+            if stats.is_leader {
+                let claims = self.claims.entry(stats.cluster).or_default();
+                claims.push((stats.commit, *node));
             }
             *ops_sum.entry(stats.cluster).or_insert(0) += stats.ops;
             let entry = witness.entry(stats.cluster).or_insert(stats);
@@ -90,11 +91,12 @@ impl SampleBook {
         samples
     }
 
-    /// The member of `cluster` that reported itself leader in the latest
-    /// round, if one did.
+    /// The [`seen_leader`] of `cluster` in the latest round: of its
+    /// members that reported themselves leader, the most committed, if one
+    /// did.
     #[must_use]
     pub fn leader(&self, cluster: ClusterId) -> Option<NodeId> {
-        self.leaders.get(&cluster).map(|(_, node)| *node)
+        seen_leader(self.claims.get(&cluster)?.iter().copied())
     }
 }
 

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recraft_core::events::{fingerprint, read_fingerprint};
 use recraft_core::{Flushed, Node, NodeEvent, Role, Shard, Timing};
-use recraft_fleet::{ClientAction, RoutedClient};
+use recraft_fleet::{seen_leader, AdminCall, ClientAction, RoutedClient};
 use recraft_kv::lin::{self, Op, OpId, OpKind};
 use recraft_kv::{DurableKv, DurableKvOptions, KvMachine, KvResp, KvStore};
 use recraft_net::{AdminCmd, Envelope, Message};
@@ -39,7 +39,7 @@ const INJECT_SESSION_BASE: u64 = 0xF_0000_0000;
 /// How long a one-shot operation waits for an answer before it is resent.
 const INJECT_RESEND_US: u64 = 2_000_000;
 
-/// A scheduled fault or administrative action.
+/// A scheduled fault or client-traffic action.
 #[derive(Debug, Clone)]
 pub enum Action {
     /// Crash a node: its process dies, its store keeps everything synced.
@@ -53,16 +53,6 @@ pub enum Action {
     Heal,
     /// Cut specific links (both directions).
     CutLinks(Vec<(NodeId, NodeId)>),
-    /// Issue an administrative command to a cluster's leader (retried until
-    /// acknowledged or permanently rejected).
-    Admin {
-        /// Target cluster.
-        cluster: ClusterId,
-        /// The command.
-        cmd: AdminCmd,
-        /// Identifier for tracking completion.
-        req_id: u64,
-    },
     /// Stop all clients issuing new operations.
     StopClients,
     /// Resume client traffic.
@@ -83,7 +73,7 @@ enum EvKind {
     NodeTick(NodeId),
     ClientWake(u64),
     Act(Action),
-    AdminCheck(u64),
+    AdminAttempt(u64, u64),
     DirectoryRefresh,
 }
 
@@ -91,6 +81,16 @@ enum EvKind {
 pub type SimStore = Box<dyn LogStore>;
 
 type SimNode = Node<KvMachine, SimStore>;
+
+/// A [`Sim::admin`] request under way: its call, and its attempt — a
+/// number that supersedes the earlier attempts' checks, and the node it
+/// went to until that answers.
+struct AdminRequest {
+    cluster: ClusterId,
+    call: AdminCall,
+    attempt: u64,
+    to: Option<NodeId>,
+}
 
 /// Where a node is: seated in a shard while its process runs, keyed by the
 /// shard's home id, or as its process left it after a crash.
@@ -170,9 +170,9 @@ pub struct Sim {
     applies: Vec<u64>,
     applied_digests: HashSet<u64>,
     digest_ops: HashMap<u64, OpId>,
-    admin_pending: HashMap<u64, (ClusterId, AdminCmd)>,
-    admin_done: BTreeMap<u64, u64>,
-    admin_failed: BTreeMap<u64, Error>,
+    admin_calls: HashMap<u64, AdminRequest>,
+    /// When each ended [`Sim::admin`] request ended, and how.
+    admin_ended: BTreeMap<u64, (u64, Result<(), Error>)>,
     next_admin_req: u64,
     /// Answers no [`Sim::admin`] request waits for — those to
     /// [`Sim::admin_to`] sends — not yet read, by request id.
@@ -223,9 +223,8 @@ impl Sim {
             applies: Vec::new(),
             applied_digests: HashSet::new(),
             digest_ops: HashMap::new(),
-            admin_pending: HashMap::new(),
-            admin_done: BTreeMap::new(),
-            admin_failed: BTreeMap::new(),
+            admin_calls: HashMap::new(),
+            admin_ended: BTreeMap::new(),
             next_admin_req: 1,
             admin_inbox: BTreeMap::new(),
             inject: RoutedClient::new(SessionId(INJECT_SESSION_BASE), 1, INJECT_RESEND_US),
@@ -448,24 +447,57 @@ impl Sim {
         self.queue.insert((self.now + delay, self.seq), kind);
     }
 
-    /// Schedules a fault/admin action at an absolute virtual time.
+    /// Schedules a fault or client-traffic action at an absolute virtual
+    /// time.
     pub fn schedule_action(&mut self, at: u64, action: Action) {
         let delay = at.saturating_sub(self.now);
         self.schedule(delay, EvKind::Act(action));
     }
 
-    /// Issues an administrative command now (retried until acknowledged).
-    /// Returns the request id to correlate with [`Sim::admin_completed_at`].
+    /// Issues an administrative command now under the one admin rule,
+    /// [`AdminCall`], one attempt at a time: to [`Sim::leader_of`], else
+    /// where the last answer pointed, else to the next up member in turn;
+    /// again 500 ms after an unanswered attempt, 100 ms after a transient
+    /// rejection, 200 ms after a round with nobody to ask. Returns the
+    /// request id for [`Sim::admin_completed_at`] and [`Sim::admin_failure`].
     pub fn admin(&mut self, cluster: ClusterId, cmd: AdminCmd) -> u64 {
         let req_id = self.next_admin_req;
         self.next_admin_req += 1;
-        let admin = Action::Admin {
+        let request = AdminRequest {
             cluster,
-            cmd,
-            req_id,
+            call: AdminCall::new(cmd),
+            attempt: 0,
+            to: None,
         };
-        self.schedule(0, EvKind::Act(admin));
+        self.admin_calls.insert(req_id, request);
+        self.schedule(0, EvKind::AdminAttempt(req_id, 0));
         req_id
+    }
+
+    /// Makes the next attempt of admin request `req_id`, unless `attempt`
+    /// is no longer its latest: the one in flight, if any, went unanswered.
+    fn admin_attempt(&mut self, req_id: u64, attempt: u64) {
+        let cluster = match self.admin_calls.get(&req_id) {
+            Some(r) if r.attempt == attempt => r.cluster,
+            _ => return,
+        };
+        let leader = self.leader_of(cluster);
+        let mut members = self.members_of(cluster);
+        members.retain(|n| self.is_up(*n));
+        let r = self.admin_calls.get_mut(&req_id).expect("under way");
+        if let Some(to) = r.to.take() {
+            r.call.on_answer(to, None);
+        }
+        r.attempt += 1;
+        r.to = r.call.target(leader, members);
+        let check = EvKind::AdminAttempt(req_id, r.attempt);
+        let Some(to) = r.to else {
+            return self.schedule(200_000, check);
+        };
+        let cmd = r.call.cmd.clone();
+        let env = Envelope::new(ADMIN_ADDR, to, Message::AdminReq { req_id, cmd });
+        self.transmit(env);
+        self.schedule(500_000, check);
     }
 
     // ---- Run loop ----------------------------------------------------------
@@ -538,20 +570,7 @@ impl Sim {
                 self.schedule(self.cfg.tick_interval, EvKind::NodeTick(id));
             }
             EvKind::ClientWake(id) => self.client_step(id, None),
-            EvKind::AdminCheck(req_id) => {
-                if let Some((cluster, cmd)) = self.admin_pending.remove(&req_id) {
-                    // No acknowledgement: retry against the (possibly new)
-                    // leader.
-                    self.schedule(
-                        0,
-                        EvKind::Act(Action::Admin {
-                            cluster,
-                            cmd,
-                            req_id,
-                        }),
-                    );
-                }
-            }
+            EvKind::AdminAttempt(req_id, attempt) => self.admin_attempt(req_id, attempt),
             EvKind::Act(action) => self.apply_action(action),
             EvKind::DirectoryRefresh => self.refresh_directory(),
         }
@@ -606,27 +625,6 @@ impl Sim {
                     self.schedule(1, EvKind::ClientWake(id));
                 }
             }
-            Action::Admin {
-                cluster,
-                cmd,
-                req_id,
-            } => {
-                if self.admin_done.contains_key(&req_id) || self.admin_failed.contains_key(&req_id)
-                {
-                    return;
-                }
-                let target = self
-                    .leader_of(cluster)
-                    .or_else(|| self.any_member_of(cluster));
-                self.admin_pending.insert(req_id, (cluster, cmd.clone()));
-                // Send unless the cluster does not exist (yet); check back later.
-                if let Some(target) = target {
-                    let env = Envelope::new(ADMIN_ADDR, target, Message::AdminReq { req_id, cmd });
-                    self.transmit(env);
-                }
-                let check = if target.is_some() { 500_000 } else { 200_000 };
-                self.schedule(check, EvKind::AdminCheck(req_id));
-            }
         }
     }
 
@@ -680,23 +678,23 @@ impl Sim {
         self.apply_action(Action::PowerCut(id));
     }
 
-    fn handle_admin_resp(&mut self, req_id: u64, result: Result<(), Error>) {
-        let Some((cluster, cmd)) = self.admin_pending.remove(&req_id) else {
+    /// Takes `from`'s answer to `req_id`: to a [`Sim::admin`] request's
+    /// attempt in flight, else to an [`Sim::admin_to`] send, for the inbox.
+    fn handle_admin_resp(&mut self, from: NodeId, req_id: u64, result: Result<(), Error>) {
+        let Some(r) = self.admin_calls.get_mut(&req_id) else {
             self.admin_inbox.insert(req_id, result);
             return;
         };
-        match result {
-            Ok(()) => {
-                self.admin_done.insert(req_id, self.now);
-            }
-            Err(e) if e.is_transient() => {
-                self.admin_pending.insert(req_id, (cluster, cmd));
-                self.schedule(100_000, EvKind::AdminCheck(req_id));
-            }
-            Err(e) => {
-                self.admin_failed.insert(req_id, e);
-            }
+        if r.to.take_if(|to| *to == from).is_none() {
+            return;
         }
+        let Some(end) = r.call.on_answer(from, Some(result)) else {
+            r.attempt += 1;
+            let next = EvKind::AdminAttempt(req_id, r.attempt);
+            return self.schedule(100_000, next);
+        };
+        self.admin_calls.remove(&req_id);
+        self.admin_ended.insert(req_id, (self.now, end));
     }
 
     // ---- Message plumbing ----------------------------------------------------
@@ -792,7 +790,7 @@ impl Sim {
             } else if env.to == ADMIN_ADDR {
                 match env.msg {
                     Message::AdminResp { req_id, result } => {
-                        self.handle_admin_resp(req_id, result);
+                        self.handle_admin_resp(env.from, req_id, result);
                     }
                     Message::ClientResp { resp } if resp.session.0 == INJECT_SESSION_BASE => {
                         self.inject_inbox.push((env.from, resp));
@@ -1071,18 +1069,12 @@ impl Sim {
         )))
     }
 
-    /// The current leader of `cluster`, if any.
+    /// The current leader of `cluster`, if any: of its up nodes that claim
+    /// to lead, the most committed ([`seen_leader`]).
     #[must_use]
     pub fn leader_of(&self, cluster: ClusterId) -> Option<NodeId> {
-        self.up_nodes()
-            .find(|n| n.is_leader() && n.cluster() == cluster)
-            .map(Node::id)
-    }
-
-    fn any_member_of(&self, cluster: ClusterId) -> Option<NodeId> {
-        self.up_nodes()
-            .find(|n| n.cluster() == cluster && n.role() != Role::Removed)
-            .map(Node::id)
+        let claims = (self.up_nodes()).filter(|n| n.is_leader() && n.cluster() == cluster);
+        seen_leader(claims.map(|n| (n.commit_index().0, n.id())))
     }
 
     /// Read access to a node.
@@ -1159,13 +1151,14 @@ impl Sim {
     /// When the admin request completed, if it has.
     #[must_use]
     pub fn admin_completed_at(&self, req_id: u64) -> Option<u64> {
-        self.admin_done.get(&req_id).copied()
+        let (at, end) = self.admin_ended.get(&req_id)?;
+        end.is_ok().then_some(*at)
     }
 
     /// The permanent failure recorded for an admin request, if any.
     #[must_use]
     pub fn admin_failure(&self, req_id: u64) -> Option<&Error> {
-        self.admin_failed.get(&req_id)
+        self.admin_ended.get(&req_id)?.1.as_ref().err()
     }
 
     /// The naming service contents.

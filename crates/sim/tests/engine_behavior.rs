@@ -171,3 +171,70 @@ fn co_hosted_seats_step_each_other_in_round_across_a_migration() {
         sim.assert_exactly_once();
     }
 }
+
+/// One `Sim::admin` request keeps one attempt in flight. Held in a P1
+/// window for 4 s (both followers down, so a first `AddAndResize` is
+/// accepted and never commits), the second is re-sent 100 ms after each
+/// rejection — about 40 sends, and no other message reaches a node.
+#[test]
+fn a_request_held_in_p1_keeps_one_attempt_in_flight() {
+    for seed in 1..=3 {
+        let mut sim = Sim::new(SimConfig::with_seed(seed));
+        let cluster = ClusterId(1);
+        sim.boot_cluster(cluster, &ids(&[1, 2, 3]), RangeSet::full());
+        sim.run_until_leader(cluster);
+        sim.run_for(SEC);
+        let leader = sim.leader_of(cluster).unwrap();
+        for follower in ids(&[1, 2, 3]).into_iter().filter(|n| *n != leader) {
+            sim.schedule_action(sim.time(), Action::Crash(follower));
+        }
+        let add = |n| AdminCmd::AddAndResize(BTreeSet::from([NodeId(n)]));
+        let first = sim.admin(cluster, add(4));
+        sim.run_until_pred(5 * SEC, |s| s.admin_completed_at(first).is_some());
+
+        let before = sim.metrics().messages_delivered;
+        let second = sim.admin(cluster, add(5));
+        sim.run_for(4 * SEC);
+        let delivered = sim.metrics().messages_delivered - before;
+        assert!(
+            sim.admin_completed_at(second).is_none() && sim.admin_failure(second).is_none(),
+            "seed {seed}: the second change waits out P1"
+        );
+        assert!(delivered <= 50, "seed {seed}: {delivered} messages in 4 s");
+    }
+}
+
+/// An admin command goes to the most committed member that claims to
+/// lead, not to a deposed leader that has not heard of its successor: the
+/// old leader, partitioned alone, would take an `AddAndResize` it can
+/// never commit, and the change would be lost at the heal.
+#[test]
+fn an_admin_command_passes_over_a_deposed_leader() {
+    for seed in 1..=10 {
+        let mut sim = Sim::new(SimConfig::with_seed(seed));
+        let cluster = ClusterId(1);
+        sim.boot_cluster(cluster, &ids(&[1, 2, 3]), RangeSet::full());
+        sim.run_until_leader(cluster);
+        let old = sim.leader_of(cluster).unwrap();
+        let rest = ids(&[1, 2, 3]).into_iter().filter(|n| *n != old).collect();
+        sim.schedule_action(sim.time(), Action::Partition(vec![vec![old], rest]));
+        sim.run_for(2 * SEC);
+        sim.boot_joiner(NodeId(4));
+        sim.admin(cluster, AdminCmd::AddAndResize(BTreeSet::from([NodeId(4)])));
+        sim.run_for(2 * SEC);
+        sim.schedule_action(sim.time(), Action::Heal);
+
+        let healed = sim.time();
+        let grown = |s: &Sim| {
+            ids(&[1, 2, 3, 4]).into_iter().all(|n| {
+                s.node(n)
+                    .is_some_and(|node| node.config().members().len() == 4)
+            })
+        };
+        while sim.time() < healed + 3 * SEC && !grown(&sim) {
+            sim.run_for(1_000);
+        }
+        assert!(grown(&sim), "seed {seed}: a node is missing the change");
+        sim.check_invariants();
+    }
+}
