@@ -72,17 +72,20 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// other reply would ever come.
     pub(crate) fn reject_pending_to_successor(&mut self) {
         let error = Error::WrongRange(self.successor());
-        let mut waiting: Vec<(NodeId, SessionId, u64)> = std::mem::take(&mut self.pending_clients)
-            .into_values()
-            .map(|p| (p.client, p.session, p.seq))
-            .collect();
-        waiting.extend(
-            std::mem::take(&mut self.pending_reads)
-                .into_iter()
-                .map(|r| (r.client, r.session, r.seq)),
-        );
-        for (client, session, seq) in waiting {
-            self.reject(client, session, seq, error.clone());
+        for (_, p) in std::mem::take(&mut self.pending_clients) {
+            self.reject(p.client, p.session, p.seq, error.clone());
+        }
+        self.end_reads(|_| true, ClientOutcome::Rejected { error });
+    }
+
+    /// Answers every pending read that `end` picks with `outcome`, in
+    /// arrival order, and keeps the rest: the one way a read leaves
+    /// unserved — its leader stepped down, retired or resumed a merge, or
+    /// a split handed its key to a sibling.
+    pub(crate) fn end_reads(&mut self, end: impl Fn(&PendingRead) -> bool, outcome: ClientOutcome) {
+        let ended: Vec<PendingRead> = self.pending_reads.extract_if(.., |r| end(r)).collect();
+        for r in ended {
+            self.reply(r.client, r.session, r.seq, outcome.clone());
         }
     }
 
@@ -163,9 +166,11 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Accepts a linearizable read: record the current commit index, confirm
     /// leadership with a probe round, and serve from the applied state — no
     /// log append (Raft §6.4's ReadIndex, the canonical consensus read
-    /// optimization). The round asks only the fastest peers that make up a
-    /// quorum with the leader ([`Node::probe_reads`]); any acknowledgement
-    /// echoing the read's serial counts, whichever round carried it.
+    /// optimization). The read mints a fresh serial and keeps no
+    /// acknowledgements of its own: a peer confirms it once the highest
+    /// serial the peer echoed reaches the read's, whichever round carried
+    /// it. The round asks only the fastest peers that make up a quorum
+    /// with the leader ([`Node::probe_reads`]).
     fn accept_read(&mut self, now: u64, from: NodeId, session: SessionId, seq: u64, key: Vec<u8>) {
         // P3: only a leader that committed an entry of its own term knows
         // its commit index is current.
@@ -189,8 +194,6 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             return;
         }
         self.read_serial += 1;
-        let mut acks = BTreeSet::new();
-        acks.insert(self.id);
         self.pending_reads.push(PendingRead {
             client: from,
             session,
@@ -198,19 +201,19 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             key,
             read_index: self.commit_index,
             serial: self.read_serial,
-            acks,
         });
         // A single-voter quorum (one-node cluster) is satisfied by the
-        // leader's own ack; otherwise confirm with a probe round. Reads
+        // leader alone; otherwise confirm with a probe round. Reads
         // arriving while a round is in flight batch onto the next one.
-        if !self.flush_ready_reads(now) && self.pending_reads.len() == 1 {
+        if !self.flush_ready_reads() && self.pending_reads.len() == 1 {
             self.probe_reads(now);
         }
     }
 
-    /// Credits a leadership confirmation from `peer` to every read batch the
-    /// echoed probe `serial` covers — a successful response to any append
-    /// of this term, the read's own round, a heartbeat or a write.
+    /// A peer's successful response raised its echoed serial (recorded by
+    /// [`ProbeClock::answered`](super::ProbeClock::answered)) — a response
+    /// to any append of this term, the read's own round, a heartbeat or a
+    /// write: serve what that confirmed.
     ///
     /// Reads that batched up while the acknowledged round was in flight get
     /// one follow-up round, thrifty like the first. If a peer that round
@@ -218,68 +221,53 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// peer gets, confirms the reads instead, so a dead pick costs at most
     /// one heartbeat interval — and sinks in the ranking meanwhile, because
     /// its unanswered probe ages.
-    pub(crate) fn note_read_ack(&mut self, now: u64, peer: NodeId, serial: u64) {
-        if self.pending_reads.is_empty() {
-            return;
-        }
-        for read in &mut self.pending_reads {
-            if read.serial <= serial {
-                read.acks.insert(peer);
-            }
-        }
-        self.flush_ready_reads(now);
-        if self
-            .pending_reads
-            .iter()
-            .any(|r| r.serial > self.last_probe_serial)
-        {
+    pub(crate) fn note_read_ack(&mut self, now: u64) {
+        self.flush_ready_reads();
+        if (self.pending_reads.last()).is_some_and(|r| r.serial > self.last_probe_serial) {
             self.probe_reads(now);
         }
     }
 
-    /// Serves every pending read whose quorum confirmed and whose
+    /// Serves the pending reads whose quorum confirmed and whose
     /// `read_index` is applied. Returns whether all pending reads drained.
     ///
-    /// The quorum is the *tail* commit rule — the rule governing new log
-    /// entries. During a split's leave phase that is the leader's own
-    /// subcluster (the same cap that keeps replication from leaking across
-    /// subcluster boundaries), so a read never completes on the strength of
-    /// acknowledgements from nodes that are leaving for another subcluster.
-    /// Which peers a round asked plays no part here: a thrifty round and a
-    /// broadcast are judged by the same rule over the same acknowledgements.
-    pub(crate) fn flush_ready_reads(&mut self, now: u64) -> bool {
+    /// A read with serial `s` is confirmed when the leader and the peers
+    /// whose echoed serial reached `s` satisfy the *tail* commit rule — the
+    /// rule governing new log entries. During a split's leave phase that is
+    /// the leader's own subcluster (the same cap that keeps replication
+    /// from leaking across subcluster boundaries), so a read never
+    /// completes on the strength of acknowledgements from nodes that are
+    /// leaving for another subcluster. Which peers a round asked plays no
+    /// part here: a thrifty round and a broadcast are judged by the same
+    /// rule over the same record. Serials rise along `pending_reads` and
+    /// `read_index` never falls, so the ready reads are a prefix, served in
+    /// arrival order.
+    pub(crate) fn flush_ready_reads(&mut self) -> bool {
         if self.pending_reads.is_empty() {
             return true;
         }
         let derived = self.derived_cached();
-        let rule = derived
+        let rule = &derived
             .commit_segments
             .last()
             .expect("commit segments never empty")
-            .1
-            .clone();
-        let mut served: Vec<(NodeId, SessionId, u64, Bytes, recraft_types::LogIndex)> = Vec::new();
-        let applied = self.applied_index;
-        let mut i = 0;
-        while i < self.pending_reads.len() {
-            let r = &self.pending_reads[i];
-            if r.read_index <= applied && rule.satisfied(&r.acks) {
-                let r = self.pending_reads.remove(i);
-                let payload = self.sm.query(&r.key);
-                served.push((r.client, r.session, r.seq, payload, r.read_index));
-            } else {
-                i += 1;
-            }
-        }
-        for (client, session, seq, payload, read_index) in served {
+            .1;
+        let ready = (self.pending_reads.iter())
+            .take_while(|r| {
+                r.read_index <= self.applied_index
+                    && rule.satisfied(&self.reached(r.serial, |pr| pr.clock.acked))
+            })
+            .count();
+        let served: Vec<PendingRead> = self.pending_reads.drain(..ready).collect();
+        for r in served {
+            let payload = self.sm.query(&r.key);
             self.emit(NodeEvent::ServedRead {
                 cluster: self.cluster,
-                index: read_index,
-                digest: crate::events::read_fingerprint(session, seq),
+                index: r.read_index,
+                digest: crate::events::read_fingerprint(r.session, r.seq),
             });
-            self.reply(client, session, seq, ClientOutcome::Reply { payload });
+            self.reply(r.client, r.session, r.seq, ClientOutcome::Reply { payload });
         }
-        let _ = now;
         self.pending_reads.is_empty()
     }
 

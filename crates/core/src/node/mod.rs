@@ -166,11 +166,15 @@ impl Progress {
 /// starts at the first message that carries a serial the peer has not been
 /// sent before, and stops at the first successful response echoing that
 /// serial or a later one — so a response still in flight for an older
-/// serial (a late write ack) never passes for the answer.
+/// serial (a late write ack) never passes for the answer. The same
+/// responses raise `acked`, the peer's one acknowledgement record: a read
+/// with serial `s` counts the peer once, as soon as `acked >= s`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ProbeClock {
     /// The highest serial sent to the peer.
     sent: u64,
+    /// The highest serial echoed in a success during this leadership.
+    acked: u64,
     /// The timed probe awaiting its answer: `(serial, sent_at)`.
     pending: Option<(u64, u64)>,
     /// The last measured round trip.
@@ -188,6 +192,7 @@ impl ProbeClock {
 
     /// A successful response echoing `serial` arrived at `now`.
     pub(crate) fn answered(&mut self, serial: u64, now: u64) {
+        self.acked = self.acked.max(serial);
         if let Some((timed, at)) = self.pending {
             if serial >= timed {
                 self.rtt = Some(now.saturating_sub(at));
@@ -248,7 +253,8 @@ pub(crate) struct PendingClient {
     pub(crate) seq: u64,
 }
 
-/// A linearizable read awaiting its ReadIndex quorum confirmation.
+/// A linearizable read awaiting its ReadIndex quorum confirmation, which
+/// each peer's echoed serial ([`ProbeClock`]) gives every read at once.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingRead {
     pub(crate) client: NodeId,
@@ -258,12 +264,10 @@ pub(crate) struct PendingRead {
     /// The leader's commit index when the read arrived; serving waits until
     /// `applied_index` covers it.
     pub(crate) read_index: LogIndex,
-    /// The probe serial current when the read arrived: only heartbeat
-    /// responses echoing a serial at or above it confirm leadership at a
-    /// time after the read was accepted.
+    /// The probe serial minted when the read arrived: only responses
+    /// echoing a serial at or above it confirm leadership at a time after
+    /// the read was accepted.
     pub(crate) serial: u64,
-    /// Nodes that confirmed leadership since the read arrived.
-    pub(crate) acks: BTreeSet<NodeId>,
 }
 
 /// Snapshot-exchange state after a merge outcome commits (§III-C2).
@@ -333,7 +337,8 @@ pub struct Node<SM, LS = MemLog> {
     pub(crate) votes: BTreeSet<NodeId>,
     pub(crate) progress: BTreeMap<NodeId, Progress>,
     pub(crate) pending_clients: BTreeMap<LogIndex, PendingClient>,
-    /// Reads awaiting their ReadIndex quorum round (leader only).
+    /// Reads awaiting their ReadIndex quorum round (leader only). Serials
+    /// and read indexes rise along it, so the ready reads are a prefix.
     pub(crate) pending_reads: Vec<PendingRead>,
     /// Monotonic serial carried by AppendEntries probes and echoed by
     /// responses, correlating probe rounds with pending reads (and timing
@@ -1492,19 +1497,21 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// resumption, snapshot install): the client retries the idempotent read
     /// against the hinted or re-resolved leader.
     pub(crate) fn fail_pending_reads(&mut self, hint: Option<NodeId>) {
-        let cluster = self.cluster;
-        let reads = std::mem::take(&mut self.pending_reads);
-        for r in reads {
-            self.reply(
-                r.client,
-                r.session,
-                r.seq,
-                ClientOutcome::Redirect {
-                    leader_hint: hint,
-                    cluster: Some(cluster),
-                },
-            );
-        }
+        let redirect = ClientOutcome::Redirect {
+            leader_hint: hint,
+            cluster: Some(self.cluster),
+        };
+        self.end_reads(|_| true, redirect);
+    }
+
+    /// The leader and every peer whose `mark` reached `x`: the set both
+    /// quorum questions are judged on — a commit candidate by each peer's
+    /// `matched`, a read by each peer's highest echoed serial. Inserted, not
+    /// collected (which sorts a staged `Vec`): the commit walk runs it often.
+    fn reached<T: Ord>(&self, x: T, mark: impl Fn(&Progress) -> T) -> BTreeSet<NodeId> {
+        let mut set = BTreeSet::from([self.id]);
+        set.extend((self.progress.iter()).filter_map(|(p, pr)| (mark(pr) >= x).then_some(*p)));
+        set
     }
 
     /// Raises the commit index (monotonic) and applies what became
@@ -1530,15 +1537,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             .forget(|p| p.last_index <= index && p.cluster == cluster);
         if !self.committed_in_term {
             // Precondition P3 bookkeeping: did an entry of our own epoch-term
-            // just commit?
-            let mut i = self.applied_index.next();
-            while i <= self.commit_index {
-                if self.log.eterm_at(i) == Some(self.hard.eterm) {
-                    self.committed_in_term = true;
-                    break;
-                }
-                i = i.next();
-            }
+            // just commit? Epoch-terms never decrease along a log and none is
+            // above ours, so one did exactly when the commit point is one.
+            self.committed_in_term = self.log.eterm_at(index) == Some(self.hard.eterm);
         }
         self.advance_apply(now);
     }
@@ -1566,8 +1567,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             let entry = self
                 .log
                 .entry(index)
-                .expect("committed entry missing from log")
-                .clone();
+                .expect("committed entry missing from log");
             self.applied_index = index;
             match entry.payload {
                 EntryPayload::Noop => {}
@@ -1617,7 +1617,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
                     // BEFORE the barrier's state transitions run.
                     self.flush_apply_batch(&mut batch);
                     if index > self.cfg.base_from() {
-                        let reset = self.on_config_committed(now, index, &entry, &change.clone());
+                        let reset = self.on_config_committed(now, index, &entry, change);
                         if reset {
                             // The log was renumbered (merge resumption) or
                             // the node retired; stop this apply pass.
@@ -1638,7 +1638,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         self.flush_apply_batch(&mut batch);
         self.maybe_compact();
         // Reads whose read_index just became covered can now be served.
-        self.flush_ready_reads(now);
+        self.flush_ready_reads();
     }
 
     /// Applies the gathered run through [`StateMachine::apply_batch`], then

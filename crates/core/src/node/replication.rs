@@ -43,7 +43,6 @@ use crate::sm::StateMachine;
 use recraft_net::Message;
 use recraft_storage::{EntryPayload, LogEntry, LogStore, Snapshot};
 use recraft_types::{ClusterConfig, ConfigChange, EpochTerm, LogIndex, NodeId};
-use std::collections::BTreeSet;
 
 impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
     /// Aligns the progress map with the effective member set: wait-free
@@ -459,9 +458,9 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
             pr.next = pr.next.max(pr.matched.next());
             let advanced = pr.matched > self.commit_index;
             // The successful response at our own epoch-term confirms the
-            // responder still recognizes this leadership; credit it to every
-            // read batch the echoed probe serial covers.
-            self.note_read_ack(now, from, probe);
+            // responder still recognizes this leadership up to the echoed
+            // serial, which `answered` recorded: serve what it confirmed.
+            self.note_read_ack(now);
             // Commit evaluation is amortized over ack batches: one response
             // may retire many pipelined sends, and acks that cannot move the
             // commit index (duplicates, heartbeat echoes) skip the quorum
@@ -509,13 +508,7 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         let mut candidate = last;
         let mut new_commit = None;
         while candidate > self.commit_index {
-            let mut acks: BTreeSet<NodeId> = BTreeSet::new();
-            acks.insert(self.id);
-            for (peer, pr) in &self.progress {
-                if pr.matched >= candidate {
-                    acks.insert(*peer);
-                }
-            }
+            let acks = self.reached(candidate, |pr| pr.matched);
             if derived.commit_rule(candidate).satisfied(&acks) {
                 let entry = self.log.entry(candidate).expect("entry in range");
                 // Raft's own-term restriction, relaxed for the two

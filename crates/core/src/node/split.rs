@@ -82,24 +82,10 @@ impl<SM: StateMachine, LS: LogStore> Node<SM, LS> {
         // must not be served from the just-pruned machine (they would read
         // as absent); bounce them back to the directory. In-range reads
         // survive: their state is untouched by the split.
-        let stranded: Vec<_> = {
-            let ranges = sub.ranges();
-            let (keep, gone) = std::mem::take(&mut self.pending_reads)
-                .into_iter()
-                .partition(|r| ranges.contains(&r.key));
-            self.pending_reads = keep;
-            gone
+        let rejected = recraft_types::ClientOutcome::Rejected {
+            error: recraft_types::Error::WrongRange(None),
         };
-        for r in stranded {
-            self.reply(
-                r.client,
-                r.session,
-                r.seq,
-                recraft_types::ClientOutcome::Rejected {
-                    error: recraft_types::Error::WrongRange(None),
-                },
-            );
-        }
+        self.end_reads(|r| !sub.ranges().contains(&r.key), rejected);
         let new_eterm =
             EpochTerm::new(entry.eterm.epoch() + 1, self.hard.eterm.term()).max(self.hard.eterm);
         self.advance_eterm(new_eterm);

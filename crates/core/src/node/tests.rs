@@ -201,16 +201,7 @@ impl Net {
 
     /// Issues a ReadIndex read through a fresh single-shot session.
     fn get(&mut self, to: NodeId, req_id: u64, key: &str) {
-        self.send_request(
-            to,
-            ClientRequest {
-                session: SessionId(req_id),
-                seq: 1,
-                op: ClientOp::Get {
-                    key: key.as_bytes().to_vec(),
-                },
-            },
-        );
+        self.send_request(to, session_get(req_id, key));
     }
 
     fn send_request(&mut self, to: NodeId, req: ClientRequest) {
@@ -227,6 +218,18 @@ impl Net {
 
     fn node(&self, id: u64) -> &Node<MapMachine> {
         &self.nodes[&NodeId(id)]
+    }
+
+    /// Steps `to` with a client request and holds back what it sends to
+    /// its peers; only its answers to the client are queued.
+    fn hold(&mut self, to: NodeId, req: ClientRequest) -> Vec<Envelope> {
+        let node = self.nodes.get_mut(&to).unwrap();
+        node.step(self.now, CLIENT, Message::ClientReq { req });
+        let (msgs, events) = node.take_outputs();
+        self.events.extend(events.into_iter().map(|ev| (to, ev)));
+        let (answers, held) = msgs.into_iter().partition(|env| env.to == CLIENT);
+        self.queue.extend(answers);
+        held
     }
 
     fn crash(&mut self, id: u64) {
@@ -306,6 +309,17 @@ impl Net {
                 }
             }
         }
+    }
+}
+
+/// A ReadIndex `Get` of `key`, the one request of session `session`.
+fn session_get(session: u64, key: &str) -> ClientRequest {
+    ClientRequest {
+        session: SessionId(session),
+        seq: 1,
+        op: ClientOp::Get {
+            key: key.as_bytes().to_vec(),
+        },
     }
 }
 
@@ -2376,6 +2390,63 @@ fn read_index_waits_for_quorum_confirmation() {
     }
     net.run(10);
     assert_eq!(net.replies(2), vec![Bytes::from_static(b"v")]);
+    net.assert_state_machine_safety();
+}
+
+#[test]
+fn an_ack_echoing_an_older_serial_never_confirms_a_read() {
+    // The write's appends left before the read arrived, so their acks say
+    // nothing about leadership at the read's time.
+    let mut net = Net::with_nodes(&[1, 2, 3]);
+    let leader = net.elect();
+    net.put(leader, 1, "k", "v");
+    net.run(1);
+    let writes = net.hold(leader, session_put(2, 1, "k", "w"));
+    let round = net.hold(leader, session_get(3, "k"));
+    assert!(!round.is_empty(), "the read started a probe round");
+    net.queue.extend(writes);
+    net.deliver();
+    assert!(net.ok_response(2), "the write's acks committed it");
+    assert!(
+        net.last_outcome(3).is_none(),
+        "acks echoing an older serial confirmed the read"
+    );
+    net.queue.extend(round);
+    net.deliver();
+    assert!(net.ok_response(3), "the round's acks confirm the read");
+    net.assert_state_machine_safety();
+}
+
+#[test]
+fn repeated_acks_from_one_follower_count_once() {
+    let mut net = Net::with_nodes(&[1, 2, 3, 4, 5]);
+    let leader = net.elect();
+    net.put(leader, 1, "k", "v");
+    net.run(1);
+    let mut probes = (net.hold(leader, session_get(2, "k")).into_iter())
+        .filter(|env| matches!(env.msg, Message::AppendEntries { .. }));
+    let (first, second) = (probes.next().unwrap(), probes.next().unwrap());
+    assert_ne!(first.to, second.to);
+    // One follower answers the round three times: the leader and it are
+    // two of the five, one short of a quorum however often it repeats.
+    let follower = net.nodes.get_mut(&first.to).unwrap();
+    follower.step(net.now, leader, first.msg);
+    let (answers, _) = follower.take_outputs();
+    let ack = answers
+        .into_iter()
+        .find(|env| matches!(env.msg, Message::AppendResp { success: true, .. }))
+        .expect("the follower acknowledged the probe");
+    for _ in 0..3 {
+        net.queue.push_back(ack.clone());
+        net.deliver();
+    }
+    assert!(
+        net.last_outcome(2).is_none(),
+        "one follower's repeated acks confirmed the read"
+    );
+    net.queue.push_back(second);
+    net.deliver();
+    assert!(net.ok_response(2), "a second follower's ack confirms it");
     net.assert_state_machine_safety();
 }
 

@@ -1,8 +1,10 @@
-//! Pinned simulator traces: four existing scenarios, replayed step for step,
-//! must produce the same node events and the same client history as the
-//! code they were pinned on. Between them they cover a split and a merge
-//! under client load, `AddAndResize`, a crash and restart, a power cut and
-//! `RebootFromDisk`, and an autonomous `FleetHarness` campaign.
+//! Pinned simulator traces: five scenarios, replayed step for step, must
+//! produce the same node events and the same client history as the code
+//! they were pinned on. Between them they cover a split and a merge under
+//! put-only and under read-mixed client load (ReadIndex reads through the
+//! split's leave phase and the merge), `AddAndResize`, a crash and restart,
+//! a power cut and `RebootFromDisk`, and an autonomous `FleetHarness`
+//! campaign.
 //!
 //! Each digest is FNV-1a over the scenario's `dump_trace` event lines and
 //! its client history. The trace does not depend on `RECRAFT_BACKEND`, but
@@ -20,7 +22,7 @@ use std::collections::BTreeSet;
 const SEC: u64 = 1_000_000;
 
 /// `(scenario, digest with RECRAFT_SM=mem, digest with RECRAFT_SM=durable)`.
-const PINNED: [(&str, u64, u64); 4] = [
+const PINNED: [(&str, u64, u64); 5] = [
     (
         "split_then_merge",
         0xd062_1af2_96c2_c988,
@@ -40,6 +42,11 @@ const PINNED: [(&str, u64, u64); 4] = [
         "idle_fleet_merges_down",
         0x74ed_7a3e_3518_f8e4,
         0x74ed_7a3e_3518_f8e4,
+    ),
+    (
+        "reads_through_a_split_and_merge",
+        0xbbfe_a704_c81d_ec5f,
+        0xb968_16a3_3001_433f,
     ),
 ];
 
@@ -108,14 +115,14 @@ fn two_way_spec(sim: &Sim, src: ClusterId) -> SplitSpec {
     .unwrap()
 }
 
-/// `split_merge_lifecycle::full_lifecycle_split_then_merge`.
-#[test]
-fn split_then_merge() {
+/// A 6-node cluster under eight clients running `workload` splits in two,
+/// and the halves merge back.
+fn split_then_merge_under(workload: Workload, name: &str) {
     let mut sim = Sim::new(SimConfig::with_seed(0x11FE));
     let src = ClusterId(1);
     sim.boot_cluster(src, &ids(1..=6), RangeSet::full());
     sim.run_until_leader(src);
-    sim.add_clients(8, Workload::default());
+    sim.add_clients(8, workload);
     sim.run_for(3 * SEC);
     let spec = two_way_spec(&sim, src);
     sim.admin(src, AdminCmd::Split(spec));
@@ -144,7 +151,26 @@ fn split_then_merge() {
         s.leader_of(ClusterId(20)).is_some() && s.members_of(ClusterId(20)).len() == 6
     });
     sim.run_for(3 * SEC);
-    check(&sim, "split_then_merge");
+    check(&sim, name);
+}
+
+/// `split_merge_lifecycle::full_lifecycle_split_then_merge`.
+#[test]
+fn split_then_merge() {
+    split_then_merge_under(Workload::default(), "split_then_merge");
+}
+
+/// The same shape with half the operations linearizable `Get`s and four in
+/// flight per client, so ReadIndex reads are confirmed, served, bounced
+/// and redirected all through the split's leave phase and the merge.
+#[test]
+fn reads_through_a_split_and_merge() {
+    let workload = Workload {
+        get_ratio: 0.5,
+        pipeline: 4,
+        ..Workload::default()
+    };
+    split_then_merge_under(workload, "reads_through_a_split_and_merge");
 }
 
 /// `fault_injection::split_survives_leader_crash_mid_operation`.
